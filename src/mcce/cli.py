@@ -215,6 +215,7 @@ def cmd_fit(args) -> int:
         print(
             f"fit slearner: n_fit={len(dataset.fit_samples())} "
             f"k_vis={dataset.visible_width} iterations={model.iterations} "
+            f"converged={model.converged} grad_norm={model.grad_norm:.6e} "
             f"final_loss={model.final_loss:.6e}"
         )
     save_model(model, args.out)

@@ -23,8 +23,10 @@ labels are fenced behind the visibility-aware accessors (`encode_sample`,
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -45,13 +47,31 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return expz / expz.sum(axis=-1, keepdims=True)
 
 
+# os.umask can only be read by setting it; do that once, not per write,
+# so concurrent writers never see the temporary value.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
 def write_text_atomic(path: str | Path, text: str) -> Path:
-    """Write text via a temp file and rename, so readers never see partial files."""
+    """Write text via a temp file and rename, so readers never see partial files.
+
+    Each call gets its own temp file beside `path`, so concurrent writers
+    to one path never share it; a failed write removes it. The final
+    file gets the mode a plain open() would give it under the umask.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.chmod(tmp, 0o666 & ~_UMASK)  # mkstemp creates files as 0600
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
     return path
 
 

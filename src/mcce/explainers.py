@@ -41,6 +41,8 @@ from .data import (
     ConceptSchema,
     Dataset,
     Sample,
+    _parse_json,
+    _parse_jsonl,
     encode,
     intervene,
     softmax,
@@ -52,9 +54,9 @@ from .linalg import RANK_RTOL, as_matrix, lstsq, max_abs_cross, residualize, tru
 TARGET_OUTPUT = "output"
 TARGET_GOLD = "gold"
 
-SLEARNER_LEARNING_RATE = 0.1
-SLEARNER_MAX_ITER = 5000
+SLEARNER_MAX_ITER = 50
 SLEARNER_GRAD_TOL = 1e-7
+_MAX_HALVINGS = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,11 +108,6 @@ class MCCEModel:
     @property
     def n_outputs(self) -> int:
         return self.concept_coef.shape[1]
-
-    def pseudo_features(self, concept_vector, embedding) -> np.ndarray:
-        """Project an embedding's out-of-design residual onto the pseudo basis."""
-        c, e = self._check_inputs(concept_vector, embedding)
-        return (e - c @ self.embed_coef) @ self.pseudo_basis
 
     def predict(self, concept_vector, embedding) -> np.ndarray:
         c, e = self._check_inputs(concept_vector, embedding)
@@ -266,7 +263,13 @@ def explain_mcce(model: MCCEModel, sample: Sample, attribute: str, to_level: str
 
 @dataclass(eq=False)
 class SLearnerModel:
-    """Multinomial logistic regression on the observed one-hot design."""
+    """Multinomial logistic regression on the observed one-hot design.
+
+    `converged` is False when the fit stopped before the gradient
+    max-norm (`grad_norm`, at the returned weights) fell below
+    SLEARNER_GRAD_TOL. Both are None for a model loaded from a file
+    written before they were recorded.
+    """
 
     schema: ConceptSchema
     hidden_attributes: frozenset[str]
@@ -275,6 +278,8 @@ class SLearnerModel:
     input_space: str  # space of the dataset the model was fit on
     iterations: int
     final_loss: float
+    converged: bool | None
+    grad_norm: float | None
 
     kind = "slearner"
 
@@ -287,12 +292,45 @@ class SLearnerModel:
         return softmax(c @ self.weights + self.bias)
 
 
+def _cross_entropy(Xa: np.ndarray, Wa: np.ndarray, T: np.ndarray) -> float:
+    """Mean soft-label cross-entropy of softmax(Xa @ Wa) against T."""
+    shifted = Xa @ Wa
+    shifted -= shifted.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return float(-np.mean(np.sum(T * log_probs, axis=1)))
+
+
+def _softmax_hessian(Xa: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Hessian of the mean cross-entropy in the class-major vec of the weights.
+
+    Block (c, d) is Xa' diag(p_c (delta_cd - p_d)) Xa / n. Each block is
+    one small weighted Gram matrix; the per-sample Kronecker products are
+    never formed.
+    """
+    n, m = Xa.shape
+    q = P.shape[1]
+    H = np.empty((q * m, q * m))
+    for c in range(q):
+        for d in range(c, q):
+            w = P[:, c] * (float(c == d) - P[:, d]) / n
+            block = (Xa * w[:, None]).T @ Xa
+            H[c * m : (c + 1) * m, d * m : (d + 1) * m] = block
+            H[d * m : (d + 1) * m, c * m : (c + 1) * m] = block
+    return H
+
+
 def fit_slearner(dataset: Dataset, targets=None) -> SLearnerModel:
     """Fit the logistic baseline on the dataset's factual samples.
 
-    Fixed protocol: zero init, full-batch gradient descent on soft-label
-    cross-entropy, learning rate 0.1, at most 5000 iterations, stop when
-    the gradient max-norm drops below 1e-7. Logit-space outputs are
+    Minimises the soft-label cross-entropy by Newton's method on the
+    augmented design [X | 1], from zero weights. The Hessian is singular
+    by construction (each one-hot block sums to the bias column, and
+    softmax ignores a shift shared by all classes), so every step is the
+    minimum-norm least-squares solution; the iterates then stay in the
+    span that gradient descent from zero would explore. A step is halved
+    while it raises the loss. The fit stops when the gradient max-norm
+    drops below SLEARNER_GRAD_TOL and otherwise after SLEARNER_MAX_ITER
+    steps, with a warning and `converged=False`. Logit-space outputs are
     softmaxed before fitting; explicit targets must already be
     probability rows.
     """
@@ -319,32 +357,48 @@ def fit_slearner(dataset: Dataset, targets=None) -> SLearnerModel:
 
     n, k = X.shape
     q = T.shape[1]
-    W = np.zeros((k, q))
-    b = np.zeros(q)
+    Xa = np.hstack([X, np.ones((n, 1))])
+    Wa = np.zeros((k + 1, q))
+    loss = _cross_entropy(Xa, Wa, T)
     iterations = 0
-    for _ in range(SLEARNER_MAX_ITER):
-        P = softmax(X @ W + b)
-        G = P - T
-        grad_w = X.T @ G / n
-        grad_b = G.mean(axis=0)
-        if max(np.max(np.abs(grad_w)), np.max(np.abs(grad_b))) < SLEARNER_GRAD_TOL:
+    while True:
+        P = softmax(Xa @ Wa)
+        G = Xa.T @ (P - T) / n
+        grad_norm = float(np.max(np.abs(G)))
+        converged = grad_norm < SLEARNER_GRAD_TOL
+        if converged or iterations == SLEARNER_MAX_ITER:
             break
-        W -= SLEARNER_LEARNING_RATE * grad_w
-        b -= SLEARNER_LEARNING_RATE * grad_b
-        iterations += 1
-
-    shifted = X @ W + b
-    shifted -= shifted.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    final_loss = float(-np.mean(np.sum(T * log_probs, axis=1)))
+        H = _softmax_hessian(Xa, P)
+        step = lstsq(H, G.T.reshape(-1, 1)).coefficients.reshape(q, k + 1).T
+        # The slack absorbs rounding in the loss, so a step that only
+        # reaches the rounding floor is not mistaken for a rise.
+        slack = 1e-13 * max(1.0, abs(loss))
+        for _ in range(_MAX_HALVINGS):
+            trial_loss = _cross_entropy(Xa, Wa - step, T)
+            if trial_loss <= loss + slack:
+                Wa, loss = Wa - step, trial_loss
+                iterations += 1
+                break
+            step = step / 2
+        else:
+            break  # no halving descends: the fit has stalled
+    if not converged:
+        warnings.warn(
+            f"S-Learner fit stopped after {iterations} Newton steps (cap "
+            f"{SLEARNER_MAX_ITER}) with gradient max-norm {grad_norm:.3e}, "
+            f"tolerance {SLEARNER_GRAD_TOL:.0e}",
+            stacklevel=2,
+        )
     return SLearnerModel(
         schema=dataset.schema,
         hidden_attributes=dataset.hidden_attributes,
-        weights=W,
-        bias=b,
+        weights=Wa[:k].copy(),
+        bias=Wa[k].copy(),
         input_space=dataset.space,
         iterations=iterations,
-        final_loss=final_loss,
+        final_loss=loss,
+        converged=converged,
+        grad_norm=grad_norm,
     )
 
 
@@ -538,10 +592,6 @@ def predict_labels(model: MCCEModel, dataset: Dataset) -> np.ndarray:
 # model and effect serialization
 
 
-def _schema_from_obj(obj) -> ConceptSchema:
-    return ConceptSchema.from_obj(obj)
-
-
 def save_model(model: MCCEModel | SLearnerModel, path: str | Path) -> Path:
     """Write a model as one JSON document; floats round-trip bit-exactly."""
     if isinstance(model, MCCEModel):
@@ -569,6 +619,8 @@ def save_model(model: MCCEModel | SLearnerModel, path: str | Path) -> Path:
             "bias": model.bias.tolist(),
             "iterations": model.iterations,
             "final_loss": model.final_loss,
+            "converged": model.converged,
+            "grad_norm": model.grad_norm,
         }
     else:
         raise ValidationError(f"cannot serialize model of type {type(model).__name__}")
@@ -579,14 +631,13 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"model file not found: {path}")
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc.msg})") from exc
+    obj = _parse_json(path.read_text(encoding="utf-8"), str(path))
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
     kind = obj.get("kind")
     try:
         if kind == "mcce":
-            schema = _schema_from_obj(obj["schema"])
+            schema = ConceptSchema.from_obj(obj["schema"])
             hidden = schema.check_hidden(obj["hidden"])
             k_vis = schema.visible_width(hidden)
             model = MCCEModel(
@@ -613,7 +664,7 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
                 raise ValidationError("coefficient blocks disagree on output width")
             return model
         if kind == "slearner":
-            schema = _schema_from_obj(obj["schema"])
+            schema = ConceptSchema.from_obj(obj["schema"])
             hidden = schema.check_hidden(obj["hidden"])
             weights = as_matrix(obj["weights"], "weights")
             bias = np.asarray(obj["bias"], dtype=np.float64)
@@ -621,6 +672,7 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
                 raise ValidationError("weight rows do not match the schema/mask width")
             if bias.shape != (weights.shape[1],):
                 raise ValidationError("bias length does not match weight columns")
+            converged, grad_norm = obj.get("converged"), obj.get("grad_norm")
             return SLearnerModel(
                 schema=schema,
                 hidden_attributes=hidden,
@@ -629,6 +681,9 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
                 input_space=str(obj["input_space"]),
                 iterations=int(obj["iterations"]),
                 final_loss=float(obj["final_loss"]),
+                # files written before these were recorded lack both
+                converged=None if converged is None else bool(converged),
+                grad_norm=None if grad_norm is None else float(grad_norm),
             )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: malformed model document ({exc})") from exc
@@ -664,13 +719,7 @@ def read_effects(path: str | Path) -> tuple[list[EffectEstimate], dict]:
         raise ValidationError(f"effects file not found: {path}")
     metadata: dict = {}
     effects: list[EffectEstimate] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+    for lineno, obj in _parse_jsonl(path):
         if "meta" in obj:
             metadata = dict(obj["meta"])
             continue

@@ -87,7 +87,7 @@ def lstsq(A, B, ridge: float = 0.0) -> LstsqSolution:
     if ridge > 0.0:
         filt = s / (s**2 + ridge)
     else:
-        filt = np.where(s > cutoff, np.divide(1.0, s, where=s > cutoff), 0.0)
+        filt = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
     coef = Vt.T @ (filt[:, None] * (U.T @ B))
     residual = B - A @ coef
     return LstsqSolution(

@@ -1,11 +1,20 @@
-"""End-to-end CLI checks through mcce.cli.main (no subprocesses)."""
+"""End-to-end CLI checks through mcce.cli.main.
+
+Only the clean-stderr check starts a subprocess: in-process, pytest
+captures warnings before they would reach stderr.
+"""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mcce
 from mcce.cli import main
 
 
@@ -87,6 +96,30 @@ class TestFit:
         for key in ("n_fit", "k_vis", "n_pseudo", "design_rank", "residual_sos"):
             assert key in out, key
         assert "n_fit=150" in out  # edited rows excluded
+
+    @pytest.mark.parametrize("method", ["mcce", "slearner"])
+    def test_fit_leaves_stderr_empty(self, synth_dir, tmp_path, method):
+        src = str(Path(mcce.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["PYTHONWARNINGS"] = "default"  # an inherited "ignore" would hide the fault
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "mcce", "fit",
+                "--schema", str(synth_dir / "schema.json"),
+                "--samples", str(synth_dir / "samples.jsonl"),
+                "--method", method,
+                "--hidden", "ambiance",
+                "--out", str(tmp_path / "model.json"),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        if method == "slearner":
+            assert "converged=True" in proc.stdout and "grad_norm=" in proc.stdout
 
     def test_slearner_rejects_gold_targets(self, synth_dir, tmp_path, capsys):
         code = run(

@@ -1,6 +1,7 @@
 """Schema, encoding, dataset invariants, and file IO."""
 
 import json
+import stat
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mcce import (
     save_dataset,
     softmax,
 )
+from mcce.data import write_text_atomic
 
 SCHEMA = ConceptSchema.of([("a", ("x", "y")), ("b", ("u", "v", "w"))])
 
@@ -308,3 +310,20 @@ def test_loader_applies_probability_space(tmp_path):
     samples, pairs, schema = write_fixture(tmp_path, [GOOD_LINE])
     ds = load_dataset(samples, None, schema, space="probability")
     assert np.allclose(ds.by_id("s1").blackbox_output.sum(), 1.0, atol=1e-12)
+
+
+def test_write_text_atomic_keeps_plain_open_mode(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x")
+    path = write_text_atomic(tmp_path / "atomic.txt", "hello\n")
+    assert path.read_text() == "hello\n"
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic.txt", "plain.txt"]
+
+
+def test_write_text_atomic_failure_leaves_no_stray_file(tmp_path):
+    path = write_text_atomic(tmp_path / "out.txt", "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(path, "lone surrogate \ud800")  # not encodable as UTF-8
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    assert path.read_text() == "old\n"

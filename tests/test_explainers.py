@@ -10,7 +10,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mcce import explainers
 from mcce import (
     ConceptSchema,
     Dataset,
@@ -251,6 +254,71 @@ def test_slearner_uniform_targets_stop_immediately():
     assert np.allclose(probs, 0.25, atol=1e-12)
 
 
+def _augmented(ds):
+    X = ds.design_matrix(ds.fit_samples())
+    return np.hstack([X, np.ones((X.shape[0], 1))])
+
+
+def _gradient_descent_reference(Xa, T, tol=1e-11, max_steps=200_000):
+    """Plain full-batch gradient descent from zero; returns the fitted distributions.
+
+    The step 2 / lambda_max(Xa'Xa / n) is the inverse of Boehning's bound
+    on the Hessian, so every step descends.
+    """
+    n = Xa.shape[0]
+    lr = 2.0 / np.linalg.eigvalsh(Xa.T @ Xa / n)[-1]
+    Wa = np.zeros((Xa.shape[1], T.shape[1]))
+    for _ in range(max_steps):
+        G = Xa.T @ (softmax(Xa @ Wa) - T) / n
+        if np.max(np.abs(G)) < tol:
+            return softmax(Xa @ Wa)
+        Wa -= lr * G
+    raise AssertionError("gradient-descent reference did not converge")
+
+
+@st.composite
+def soft_label_problems(draw):
+    """A random one-hot schema, labels drawn on it, and random soft-label targets."""
+    level_counts = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    q = draw(st.integers(2, 4))
+    n = draw(st.integers(20, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    schema = ConceptSchema.of(
+        (f"a{i}", tuple(f"l{j}" for j in range(count))) for i, count in enumerate(level_counts)
+    )
+    samples = []
+    for i in range(n):
+        labels = {name: levels[rng.integers(len(levels))] for name, levels in schema.attributes}
+        samples.append(Sample(f"s{i}", labels, np.zeros(1), np.zeros(q)))
+    targets = softmax(rng.normal(scale=draw(st.floats(0.1, 3.0)), size=(n, q)))
+    return Dataset(schema, tuple(samples)), targets
+
+
+@settings(max_examples=25, deadline=None)
+@given(soft_label_problems())
+def test_slearner_newton_converges_to_gradient_descent_optimum(problem):
+    ds, T = problem
+    model = fit_slearner(ds, targets=T)
+    assert model.converged
+    Xa = _augmented(ds)
+    Wa = np.vstack([model.weights, model.bias])
+    P = softmax(Xa @ Wa)
+    grad = Xa.T @ (P - T) / len(T)
+    assert np.max(np.abs(grad)) < 1e-7
+    assert model.grad_norm < 1e-7
+    assert np.max(np.abs(P - _gradient_descent_reference(Xa, T))) < 1e-5
+
+
+def test_slearner_reports_iteration_cap(monkeypatch):
+    ds, _, _ = linear_dataset(noise=0.2, seed=16)
+    monkeypatch.setattr(explainers, "SLEARNER_MAX_ITER", 1)
+    with pytest.warns(UserWarning, match="S-Learner fit stopped"):
+        model = fit_slearner(ds)
+    assert model.converged is False
+    assert model.iterations == 1
+    assert model.grad_norm >= explainers.SLEARNER_GRAD_TOL
+
+
 def test_slearner_fits_concept_determined_distribution():
     # targets depend on concepts only -> the logistic model can match them
     rng = np.random.default_rng(14)
@@ -458,6 +526,33 @@ def test_model_roundtrip_slearner(tmp_path):
     assert isinstance(back, SLearnerModel)
     assert np.array_equal(back.weights, model.weights)
     assert np.array_equal(back.bias, model.bias)
+    assert back.converged is True and back.grad_norm == model.grad_norm
+    assert back.iterations == model.iterations and back.final_loss == model.final_loss
+
+
+def test_load_model_accepts_slearner_file_without_convergence_fields(tmp_path):
+    ds, _, _ = linear_dataset(n=30, seed=22)
+    path = tmp_path / "model.json"
+    save_model(fit_slearner(ds), path)
+    obj = json.loads(path.read_text())
+    del obj["converged"], obj["grad_norm"]
+    path.write_text(json.dumps(obj))
+    back = load_model(path)
+    assert back.converged is None and back.grad_norm is None
+    assert np.array_equal(back.weights, fit_slearner(ds).weights)
+    save_model(back, path)  # an unknown state stays unknown, not invented
+    assert load_model(path).converged is None
+
+
+def test_load_model_rejects_non_finite_tokens(tmp_path):
+    ds, _, _ = linear_dataset(n=30, seed=22)
+    path = tmp_path / "model.json"
+    save_model(fit_slearner(ds), path)
+    obj = json.loads(path.read_text())
+    obj["final_loss"] = float("nan")
+    path.write_text(json.dumps(obj))  # json.dumps writes the bare NaN token
+    with pytest.raises(ValidationError, match="non-finite"):
+        load_model(path)
 
 
 def test_load_model_rejects_tampered_shapes(tmp_path):
@@ -490,3 +585,16 @@ def test_effects_roundtrip(tmp_path):
         assert b.fallback is False
     first_line = path.read_text().splitlines()[0]
     assert json.loads(first_line).keys() == {"meta"}
+
+
+def test_read_effects_rejects_non_finite_tokens(tmp_path):
+    ds, _, _ = linear_dataset(seed=24)
+    model = fit_mcce(ds)
+    path = tmp_path / "effects.jsonl"
+    write_effects(path, [explain_mcce(model, ds.samples[0], "b", "u")], {"method": "mcce"})
+    meta, row = path.read_text().splitlines()
+    obj = json.loads(row)
+    obj["effect"][0] = float("inf")
+    path.write_text(meta + "\n" + json.dumps(obj) + "\n")  # bare Infinity token
+    with pytest.raises(ValidationError, match="non-finite"):
+        read_effects(path)
