@@ -7,9 +7,9 @@ stand in for the missing annotations.
 
 Layout:
     linalg      minimum-norm least squares, residualization, truncated SVD
-    data        schemas, samples, edit pairs, dataset IO, concept masking
-    explainers  mcce / slearner / approx estimators and model IO
-    evaluation  distances, per-pair effects, grouped error reports, macro F1
+    data        schemas, columnar datasets and edit pairs, dataset IO, masking
+    explainers  batched mcce / slearner and per-edit approx estimators, model IO
+    evaluation  row-wise distances, paired effects, grouped error reports, macro F1
     synthetic   seeded generator with counterfactual ground truth
     cli         command-line pipeline (synth, fit, explain, evaluate, ...)
 """
@@ -20,12 +20,10 @@ from .data import (
     SPACES,
     ConceptSchema,
     Dataset,
-    EditPair,
-    Sample,
-    encode,
-    intervene,
+    EditPairs,
     load_dataset,
     load_schema,
+    one_hot,
     save_dataset,
     softmax,
 )
@@ -45,8 +43,9 @@ from .evaluation import (
     macro_f1,
 )
 from .explainers import (
+    ApproxEstimate,
     CoefficientReport,
-    EffectEstimate,
+    Effects,
     MCCEModel,
     SLearnerModel,
     build_label_index,
@@ -74,7 +73,6 @@ from .synthetic import (
     oracle_effect,
     save_ground_truth,
     synthesize_sample,
-    true_icace,
 )
 
 __version__ = "0.1.0"
@@ -85,12 +83,10 @@ __all__ = [
     "SPACES",
     "ConceptSchema",
     "Dataset",
-    "EditPair",
-    "Sample",
-    "encode",
-    "intervene",
+    "EditPairs",
     "load_dataset",
     "load_schema",
+    "one_hot",
     "save_dataset",
     "softmax",
     "NumericalError",
@@ -107,8 +103,9 @@ __all__ = [
     "icace",
     "icace_error",
     "macro_f1",
+    "ApproxEstimate",
     "CoefficientReport",
-    "EffectEstimate",
+    "Effects",
     "MCCEModel",
     "SLearnerModel",
     "build_label_index",
@@ -137,6 +134,5 @@ __all__ = [
     "oracle_effect",
     "save_ground_truth",
     "synthesize_sample",
-    "true_icace",
     "__version__",
 ]

@@ -15,7 +15,6 @@ import io
 import itertools
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from .data import (
 from .errors import NumericalError, ValidationError
 from .evaluation import METRICS, icace_error, macro_f1
 from .explainers import (
-    EffectEstimate,
+    Effects,
     MCCEModel,
     build_label_index,
     explain_approx,
@@ -98,74 +97,55 @@ def _pair_seed(run_seed: int, original_id: str, attribute: str, to_level: str) -
 # explain/evaluate plumbing shared by cmd_explain and cmd_experiment
 
 
-def _estimate_effects(dataset: Dataset, method: str, model, run_seed: int, truth=None):
-    """Estimates in pairs-file order, deduplicated by key; returns (effects, skipped)."""
-    effects: list[EffectEstimate] = []
-    seen: set[tuple] = set()
+def _explain(dataset: Dataset, method: str, model, seed: int, hidden, path: Path, truth=None):
+    """Estimate the first pair of each key, in pairs-file order, and write the effects file.
+
+    mcce and slearner skip (and count) pairs that edit an attribute
+    hidden from the model. Returns (effects, metadata).
+    """
+    p = dataset.pairs
+    pairs = dataset.unique_pairs()
     skipped = 0
-    index = build_label_index(dataset) if method == "approx" else None
-    for pair in dataset.pairs:
-        key = (pair.original_id, pair.attribute, pair.from_level, pair.to_level)
-        if key in seen:
-            continue
-        if method in ("mcce", "slearner"):
-            if pair.attribute in model.hidden_attributes:
-                skipped += 1
-                continue
-            sample = dataset.by_id(pair.original_id)
-            explain = explain_mcce if method == "mcce" else explain_slearner
-            est = explain(model, sample, pair.attribute, pair.to_level)
-        elif method == "approx":
-            sample = dataset.by_id(pair.original_id)
-            est = explain_approx(
-                dataset,
-                sample,
-                pair.attribute,
-                pair.to_level,
-                seed=_pair_seed(run_seed, pair.original_id, pair.attribute, pair.to_level),
-                index=index,
-            )
-            if est.from_level is None:
-                est = replace(est, from_level=pair.from_level)
-        elif method == "oracle":
-            est = EffectEstimate(
-                sample_id=pair.original_id,
-                attribute=pair.attribute,
-                from_level=pair.from_level,
-                to_level=pair.to_level,
-                effect=oracle_effect(truth, pair, dataset.space),
-                method="oracle",
-                space=dataset.space,
-            )
-        else:
-            raise ValidationError(f"unknown method {method!r}")
-        seen.add(key)
-        effects.append(est)
-    return effects, skipped
+    if method in ("mcce", "slearner"):
+        visible = dataset.schema.visible_mask(model.hidden_attributes)
+        skipped = int(np.sum(~visible[p.attribute]))
+        pairs = pairs[visible[p.attribute[pairs]]]
+    rows, attribute, to = p.original[pairs], p.attribute[pairs], p.to[pairs]
+    space, fallback = dataset.space, None
+    if method == "mcce":
+        effect = explain_mcce(model, dataset, rows, attribute, to)
+    elif method == "slearner":
+        effect, space = explain_slearner(model, dataset, rows, attribute, to), SPACE_PROBABILITY
+    elif method == "approx":
+        index = build_label_index(dataset)
+        sample_ids, names, _, levels = (col.tolist() for col in dataset.pair_names(pairs))
+        estimates = [
+            explain_approx(dataset, r, a, t, seed=_pair_seed(seed, sid, name, level), index=index)
+            for r, a, t, sid, name, level in zip(rows, attribute, to, sample_ids, names, levels)
+        ]
+        effect = np.reshape([e.effect for e in estimates], (pairs.size, dataset.outputs.shape[1]))
+        fallback = [e.fallback for e in estimates]
+    elif method == "oracle":
+        effect = oracle_effect(truth, dataset, dataset.space)[pairs]
+    else:
+        raise ValidationError(f"unknown method {method!r}")
+    effects = Effects.for_pairs(dataset, pairs, effect, method, space, fallback)
+    metadata = {
+        "method": method,
+        "space": dataset.space,
+        "hidden": sorted(hidden),
+        "seed": seed,
+        "pairs_total": len(p),
+        "pairs_skipped": skipped,
+    }
+    write_effects(path, effects, metadata)
+    return effects, metadata
 
 
-def _evaluable_pairs(dataset: Dataset, effects, hidden: frozenset[str]):
-    """Pairs with estimates; hidden-attribute pairs without one are dropped."""
-    keys = {(e.sample_id, e.attribute, e.from_level, e.to_level) for e in effects}
-    evaluated = []
-    dropped = 0
-    for pair in dataset.pairs:
-        if (pair.original_id, pair.attribute, pair.from_level, pair.to_level) in keys:
-            evaluated.append(pair)
-        elif pair.attribute in hidden:
-            dropped += 1
-        else:
-            raise ValidationError(
-                f"no effect estimate for pair ({pair.original_id!r}, {pair.attribute!r}, "
-                f"{pair.from_level!r}, {pair.to_level!r}) and its attribute is not hidden"
-            )
-    return evaluated, dropped
-
-
-def _write_reports(out_dir: Path, dataset, effects, pairs, metrics, metadata):
+def _write_reports(out_dir: Path, dataset, effects, metrics, metadata, hidden):
     reports = {}
     for metric in metrics:
-        report = icace_error(effects, pairs, dataset, metric, metadata=dict(metadata))
+        report = icace_error(effects, dataset, metric, metadata=dict(metadata), hidden=hidden)
         write_text_atomic(out_dir / f"report_{metric}.json", report.to_json())
         write_text_atomic(out_dir / f"report_{metric}.csv", report.to_csv())
         reports[metric] = report
@@ -179,15 +159,14 @@ def _write_reports(out_dir: Path, dataset, effects, pairs, metrics, metadata):
 def cmd_synth(args) -> int:
     config, edits_per_sample = load_synth_config(args.config)
     dataset, truth = generate(config)
-    pairs = []
     if edits_per_sample > 0:
-        dataset, pairs = make_pairs(dataset, truth, config, edits_per_sample)
+        dataset = make_pairs(dataset, truth, config, edits_per_sample)
     out_dir = Path(args.out)
     save_dataset(dataset, out_dir)
     save_ground_truth(truth, out_dir / "ground_truth.json")
     print(
-        f"synth: wrote {len(dataset.samples)} samples ({config.n} factual), "
-        f"{len(pairs)} pairs to {out_dir}"
+        f"synth: wrote {len(dataset)} samples ({config.n} factual), "
+        f"{len(dataset.pairs)} pairs to {out_dir}"
     )
     return 0
 
@@ -213,7 +192,7 @@ def cmd_fit(args) -> int:
             raise ValidationError("--j applies to the mcce method only")
         model = fit_slearner(dataset)
         print(
-            f"fit slearner: n_fit={len(dataset.fit_samples())} "
+            f"fit slearner: n_fit={dataset.fit_rows.size} "
             f"k_vis={dataset.visible_width} iterations={model.iterations} "
             f"converged={model.converged} grad_norm={model.grad_norm:.6e} "
             f"final_loss={model.final_loss:.6e}"
@@ -252,19 +231,11 @@ def cmd_explain(args) -> int:
         truth = load_ground_truth(args.ground_truth)
         hidden = frozenset()
 
-    effects, skipped = _estimate_effects(dataset, method, model, args.seed, truth)
-    metadata = {
-        "method": method,
-        "space": dataset.space,
-        "hidden": sorted(hidden),
-        "seed": args.seed,
-        "pairs_total": len(dataset.pairs),
-        "pairs_skipped": skipped,
-    }
-    write_effects(args.out, effects, metadata)
+    out = Path(args.out)
+    effects, metadata = _explain(dataset, method, model, args.seed, hidden, out, truth)
     print(
         f"explain {method}: wrote {len(effects)} estimates to {args.out} "
-        f"({skipped} hidden-attribute pairs skipped)"
+        f"({metadata['pairs_skipped']} hidden-attribute pairs skipped)"
     )
     return 0
 
@@ -280,21 +251,15 @@ def cmd_evaluate(args) -> int:
             f"dataset was loaded in {dataset.space!r} space"
         )
     hidden = frozenset(meta.get("hidden", ()))
-    evaluated, dropped = _evaluable_pairs(dataset, effects, hidden)
-    metadata = {
-        "method": meta.get("method"),
-        "hidden": sorted(hidden),
-        "seed": meta.get("seed"),
-        "pairs_skipped": dropped,
-    }
-    out_dir = Path(args.out)
-    reports = _write_reports(out_dir, dataset, effects, evaluated, metrics, metadata)
+    metadata = {"method": meta.get("method"), "hidden": sorted(hidden), "seed": meta.get("seed")}
+    reports = _write_reports(Path(args.out), dataset, effects, metrics, metadata, hidden)
     for metric in metrics:
         report = reports[metric]
         print(
             f"evaluate {metric}: macro_mean={report.macro_mean:.6e} "
             f"macro_std={report.macro_std:.6e} groups={len(report.groups)} "
-            f"pairs={report.metadata['pairs_evaluated']} skipped={dropped}"
+            f"pairs={report.metadata['pairs_evaluated']} "
+            f"skipped={report.metadata['pairs_skipped']}"
         )
     return 0
 
@@ -308,20 +273,9 @@ def _experiment_run(dataset, method, metrics, seed, run_dir, j, ridge):
         save_model(model, run_dir / "model.json")
     else:
         model = None
-    effects, skipped = _estimate_effects(dataset, method, model, seed)
     hidden = dataset.hidden_attributes
-    metadata = {
-        "method": method,
-        "space": dataset.space,
-        "hidden": sorted(hidden),
-        "seed": seed,
-        "pairs_total": len(dataset.pairs),
-        "pairs_skipped": skipped,
-    }
-    write_effects(run_dir / "effects.jsonl", effects, metadata)
-    evaluated, dropped = _evaluable_pairs(dataset, effects, hidden)
-    metadata["pairs_skipped"] = dropped
-    return _write_reports(run_dir, dataset, effects, evaluated, metrics, metadata)
+    effects, metadata = _explain(dataset, method, model, seed, hidden, run_dir / "effects.jsonl")
+    return _write_reports(run_dir, dataset, effects, metrics, metadata, hidden)
 
 
 def cmd_experiment(args) -> int:
@@ -346,8 +300,11 @@ def cmd_experiment(args) -> int:
         raise ValidationError(f"mask sizes must be integers, got {args.mask_sizes!r}") from None
     dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
     names = dataset.schema.names
-    if any(size < 1 or size >= len(names) + 1 for size in sizes):
-        raise ValidationError(f"mask sizes must be in [1, {len(names)}], got {sizes}")
+    if any(size < 1 or size > len(names) - 1 for size in sizes):
+        raise ValidationError(
+            f"mask sizes must be in [1, {len(names) - 1}] so that an attribute stays "
+            f"visible, got {sizes}"
+        )
     masks = [combo for size in sizes for combo in itertools.combinations(names, size)]
 
     out_dir = Path(args.out)
@@ -471,25 +428,22 @@ def cmd_predict(args) -> int:
     if not isinstance(model, MCCEModel):
         raise ValidationError("prediction requires an mcce model")
     dataset = load_dataset(args.samples, None, args.schema)
-    if not dataset.samples:
+    if len(dataset) == 0:
         raise ValidationError("cannot predict on an empty dataset")
     dataset = dataset.mask(model.hidden_attributes)
     predictions = predict_labels(model, dataset)
-    lines = []
-    for sample, label in zip(dataset.samples, predictions):
-        lines.append(
-            json.dumps(
-                {"id": sample.id, "predicted": int(label), "gold": sample.gold_label},
-                sort_keys=True,
-            )
-        )
+    gold = [None if g < 0 else g for g in dataset.gold.tolist()]
+    lines = [
+        json.dumps({"id": sid, "predicted": label, "gold": g}, sort_keys=True)
+        for sid, label, g in zip(dataset.ids.tolist(), predictions.tolist(), gold)
+    ]
     write_text_atomic(args.out, "\n".join(lines) + "\n")
-    missing = sum(1 for s in dataset.samples if s.gold_label is None)
+    missing = int(np.sum(dataset.gold < 0))
     if missing:
         print(f"predict: wrote {len(lines)} predictions to {args.out}")
         print(f"predict: score omitted, {missing} samples lack gold labels")
     else:
-        score = macro_f1(predictions, dataset.gold_array(), model.n_outputs)
+        score = macro_f1(predictions, dataset.gold, model.n_outputs)
         print(f"predict: wrote {len(lines)} predictions to {args.out}")
         print(f"macro_f1 {score!r}")
     return 0

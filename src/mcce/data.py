@@ -1,4 +1,4 @@
-"""Concept schemas, one-hot encodings, datasets, and their file formats.
+"""Concept schemas, columnar datasets, and their file formats.
 
 A dataset is three files:
 
@@ -15,19 +15,24 @@ pairs.jsonl
     {"original_id": "s000001", "edited_id": "s000001__food__neg",
      "attribute": "food", "from": "pos", "to": "neg"}
 
-Samples keep their complete concept labels in memory even when some
-attributes are masked; masking is a view (`Dataset.mask`) and the hidden
-labels are fenced behind the visibility-aware accessors (`encode_sample`,
-`visible_labels`, `design_matrix`), which is what the explainers use.
+In memory a `Dataset` holds columns: sample ids, an (n, n_attrs) matrix
+of level codes (each an index into its attribute's levels), embeddings,
+outputs and gold labels, plus `EditPairs` whose names are resolved to
+row, attribute and code indices once, at construction. Rows keep their
+complete labels even when attributes are masked; masking is a view
+(`Dataset.mask`), and `design_matrix` is where the mask takes effect:
+it one-hot encodes the visible attributes only.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import json
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +50,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     expz = np.exp(shifted)
     return expz / expz.sum(axis=-1, keepdims=True)
+
+
+def index_of(table, values, order=None) -> np.ndarray:
+    """Position in `table` (distinct entries) of each value; -1 where absent.
+
+    `order` may pass a precomputed `np.argsort(table)`.
+    """
+    table, values = np.asarray(table), np.asarray(values)
+    if table.size == 0:
+        return np.full(values.shape, -1, dtype=np.int64)
+    if order is None:
+        order = np.argsort(table, kind="stable")
+    at = order[np.minimum(np.searchsorted(table, values, sorter=order), table.size - 1)]
+    return np.where(table[at] == values, at, -1)
 
 
 # os.umask can only be read by setting it; do that once, not per write,
@@ -84,7 +103,8 @@ class ConceptSchema:
     """Ordered attributes, each with an ordered tuple of >= 2 distinct levels.
 
     The one-hot layout gives each visible attribute a contiguous block of
-    columns, one column per level, in declaration order.
+    columns, one column per level, in declaration order. A level code is
+    the index of a level within its attribute's tuple.
     """
 
     attributes: tuple[tuple[str, tuple[str, ...]], ...]
@@ -115,11 +135,33 @@ class ConceptSchema:
     def width(self) -> int:
         return sum(len(levels) for _, levels in self.attributes)
 
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Level count of each attribute."""
+        return np.array([len(levels) for _, levels in self.attributes], dtype=np.int64)
+
     def levels(self, attribute: str) -> tuple[str, ...]:
         for name, levels in self.attributes:
             if name == attribute:
                 return levels
         raise ValidationError(f"unknown attribute {attribute!r}")
+
+    def level_codes(self, attributes, levels) -> np.ndarray:
+        """Code of each level name under the attribute index beside it; -1 if not a level.
+
+        The arguments broadcast against each other.
+        """
+        attributes, levels = np.broadcast_arrays(attributes, np.asarray(levels, dtype=str))
+        codes = np.full(levels.shape, -1, dtype=np.int64)
+        for a, (_, names) in enumerate(self.attributes):
+            sel = attributes == a
+            codes[sel] = index_of(np.array(names), levels[sel])
+        return codes
+
+    def level_names(self, attributes, codes) -> np.ndarray:
+        """Level name of each (attribute index, code); the arguments broadcast."""
+        table = np.array([level for _, levels in self.attributes for level in levels])
+        return table[(np.cumsum(self.sizes) - self.sizes)[attributes] + codes]
 
     def check_hidden(self, hidden) -> frozenset[str]:
         hidden = frozenset(str(h) for h in hidden)
@@ -129,6 +171,11 @@ class ConceptSchema:
         if len(hidden) == len(self.attributes):
             raise ValidationError("cannot hide every attribute; nothing would stay visible")
         return hidden
+
+    def visible_mask(self, hidden=frozenset()) -> np.ndarray:
+        """Whether each attribute is visible, in schema order."""
+        hidden = self.check_hidden(hidden)
+        return np.array([name not in hidden for name in self.names])
 
     def visible_names(self, hidden=frozenset()) -> tuple[str, ...]:
         hidden = self.check_hidden(hidden)
@@ -181,180 +228,198 @@ class ConceptSchema:
         return cls.of(pairs)
 
 
-def encode(schema: ConceptSchema, labels: dict, hidden=frozenset()) -> np.ndarray:
-    """One-hot encode the visible attributes of a label map, in schema order."""
-    hidden = schema.check_hidden(hidden)
-    unknown = set(labels) - set(schema.names)
-    if unknown:
-        raise ValidationError(f"labels for unknown attributes: {sorted(unknown)}")
-    out = np.zeros(schema.visible_width(hidden), dtype=np.float64)
-    offset = 0
-    for name, levels in schema.attributes:
-        if name in hidden:
-            continue
-        if name not in labels:
-            raise ValidationError(f"missing label for visible attribute {name!r}")
-        level = labels[name]
-        if level not in levels:
-            raise ValidationError(f"unknown level {level!r} for attribute {name!r}")
-        out[offset + levels.index(level)] = 1.0
-        offset += len(levels)
-    return out
-
-
-def intervene(
-    schema: ConceptSchema,
-    vector: np.ndarray,
-    attribute: str,
-    to_level: str,
-    hidden=frozenset(),
-) -> np.ndarray:
-    """Set one visible attribute's block to the one-hot of to_level."""
-    hidden = schema.check_hidden(hidden)
-    if attribute in hidden:
-        raise ValidationError(f"cannot intervene on hidden attribute {attribute!r}")
-    levels = schema.levels(attribute)
-    if to_level not in levels:
-        raise ValidationError(f"unknown level {to_level!r} for attribute {attribute!r}")
-    vec = np.asarray(vector, dtype=np.float64)
-    width = schema.visible_width(hidden)
-    if vec.shape != (width,):
+def one_hot(schema: ConceptSchema, codes, hidden=frozenset()) -> np.ndarray:
+    """Visible one-hot layout of an (m, n_attrs) matrix of valid level codes."""
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.ndim != 2 or codes.shape[1] != len(schema.attributes):
         raise ValidationError(
-            f"concept vector must have shape ({width},), got {vec.shape}"
+            f"level codes must have shape (m, {len(schema.attributes)}), got {codes.shape}"
         )
-    block = schema.visible_blocks(hidden)[attribute]
-    out = vec.copy()
-    out[block] = 0.0
-    out[block.start + levels.index(to_level)] = 1.0
+    visible = schema.visible_mask(hidden)
+    sizes = schema.sizes[visible]
+    out = np.zeros((len(codes), int(sizes.sum())))
+    out[np.arange(len(codes))[:, None], np.cumsum(sizes) - sizes + codes[:, visible]] = 1.0
     return out
 
 
 # ---------------------------------------------------------------------------
-# samples, pairs, datasets
+# datasets
 
 
 @dataclass(frozen=True, eq=False)
-class Sample:
-    id: str
-    concept_labels: dict[str, str]
-    embedding: np.ndarray
-    blackbox_output: np.ndarray
-    gold_label: int | None = None
+class EditPairs:
+    """Edit pairs as columns: row `edited[i]` is row `original[i]` with
+    attribute `attribute[i]` set to level code `to[i]`, all indices into
+    the owning dataset."""
+
+    original: np.ndarray = ()
+    edited: np.ndarray = ()
+    attribute: np.ndarray = ()
+    to: np.ndarray = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "id", str(self.id))
-        emb = np.asarray(self.embedding, dtype=np.float64)
-        out = np.asarray(self.blackbox_output, dtype=np.float64)
-        if emb.ndim != 1 or out.ndim != 1:
-            raise ValidationError(f"sample {self.id!r}: embedding and output must be 1-D")
-        if not (np.isfinite(emb).all() and np.isfinite(out).all()):
-            raise ValidationError(f"sample {self.id!r}: non-finite embedding or output")
-        object.__setattr__(self, "embedding", emb)
-        object.__setattr__(self, "blackbox_output", out)
-        if self.gold_label is not None:
-            gold = int(self.gold_label)
-            if gold < 0:
-                raise ValidationError(f"sample {self.id!r}: gold label must be >= 0")
-            object.__setattr__(self, "gold_label", gold)
+        for name in ("original", "edited", "attribute", "to"):
+            column = np.asarray(getattr(self, name), dtype=np.int64).reshape(-1)
+            object.__setattr__(self, name, column)
+        if not self.original.size == self.edited.size == self.attribute.size == self.to.size:
+            raise ValidationError("edit pair columns differ in length")
+
+    def __len__(self) -> int:
+        return self.original.size
 
 
-@dataclass(frozen=True)
-class EditPair:
-    original_id: str
-    edited_id: str
-    attribute: str
-    from_level: str
-    to_level: str
+def _matrix(value, ids: np.ndarray, what: str) -> np.ndarray:
+    """`value` as a finite float64 matrix with one row per id."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} rows must be equal-length lists of numbers") from None
+    if arr.size == 0 and ids.size == 0:
+        arr = arr.reshape(0, arr.shape[-1] if arr.ndim == 2 else 0)
+    if arr.ndim != 2 or arr.shape[0] != ids.size:
+        raise ValidationError(
+            f"{what} must hold one equal-length row per sample, got shape {arr.shape}"
+        )
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"sample {ids[np.argmin(finite)]!r}: non-finite {what}")
+    return arr
 
 
 @dataclass(eq=False)
 class Dataset:
-    """Schema, samples, edit pairs, and the runtime attribute mask.
+    """Rows as columns, edit pairs, and the runtime attribute mask.
 
-    Treat instances as immutable; `mask` and `to_space` return new views.
+    Row i is sample `ids[i]` with level codes `codes[i]`, embedding
+    `embeddings[i]`, black-box outputs `outputs[i]` and gold label
+    `gold[i]` (-1 when absent). Every column is validated once, here;
+    `mask` and `to_space` return views that share the arrays. Treat
+    instances and their arrays as immutable.
     """
 
     schema: ConceptSchema
-    samples: tuple[Sample, ...]
-    pairs: tuple[EditPair, ...] = ()
+    ids: np.ndarray
+    codes: np.ndarray
+    embeddings: np.ndarray
+    outputs: np.ndarray
+    gold: np.ndarray | None = None
+    pairs: EditPairs = EditPairs()
     hidden_attributes: frozenset[str] = frozenset()
     space: str = SPACE_LOGIT
 
     def __post_init__(self):
-        self.samples = tuple(self.samples)
-        self.pairs = tuple(self.pairs)
-        self.hidden_attributes = self.schema.check_hidden(self.hidden_attributes)
+        schema, n_attrs = self.schema, len(self.schema.attributes)
+        self.hidden_attributes = schema.check_hidden(self.hidden_attributes)
         if self.space not in SPACES:
             raise ValidationError(f"space must be one of {SPACES}, got {self.space!r}")
-        index: dict[str, Sample] = {}
-        for sample in self.samples:
-            if sample.id in index:
-                raise ValidationError(f"duplicate sample id {sample.id!r}")
-            index[sample.id] = sample
-        self._index = index
-        self._check_samples()
-        self._check_pairs()
-        edited = {pair.edited_id for pair in self.pairs}
-        self._fit_samples = tuple(s for s in self.samples if s.id not in edited)
+        ids = self.ids = np.asarray(self.ids, dtype=str).reshape(-1)
+        ordered = ids[self.id_order]
+        dup = np.flatnonzero(ordered[1:] == ordered[:-1])
+        if dup.size:
+            raise ValidationError(f"duplicate sample id {ordered[dup[0]]!r}")
 
-    def _check_samples(self):
-        embed_dim = out_dim = None
-        names = set(self.schema.names)
-        for sample in self.samples:
-            # complete labels in memory; hiding is a runtime view, not a data gap
-            missing = names - set(sample.concept_labels)
-            if missing:
-                raise ValidationError(
-                    f"sample {sample.id!r}: missing labels for {sorted(missing)}"
-                )
-            for attr, level in sample.concept_labels.items():
-                if level not in self.schema.levels(attr):
-                    raise ValidationError(
-                        f"sample {sample.id!r}: illegal label {attr}={level!r}"
-                    )
-            if embed_dim is None:
-                embed_dim, out_dim = sample.embedding.size, sample.blackbox_output.size
-            elif sample.embedding.size != embed_dim or sample.blackbox_output.size != out_dim:
-                raise ValidationError(
-                    f"sample {sample.id!r}: ragged embedding or output length"
-                )
+        codes = self.codes = np.asarray(self.codes, dtype=np.int64)
+        if codes.shape != (ids.size, n_attrs) or np.any((codes < 0) | (codes >= schema.sizes)):
+            raise ValidationError("level codes need one in-range code per sample and attribute")
+        self.embeddings = _matrix(self.embeddings, ids, "embedding")
+        self.outputs = _matrix(self.outputs, ids, "output")
+        gold = np.full(ids.size, -1) if self.gold is None else self.gold
+        gold = self.gold = np.asarray(gold, dtype=np.int64).reshape(-1)
+        if gold.size != ids.size or np.any(gold < -1):
+            raise ValidationError("gold labels need one value >= 0 (or -1 for none) per sample")
 
-    def _check_pairs(self):
-        for pair in self.pairs:
-            for sid in (pair.original_id, pair.edited_id):
-                if sid not in self._index:
-                    raise ValidationError(f"pair references unknown sample {sid!r}")
-            levels = self.schema.levels(pair.attribute)
-            if pair.from_level not in levels or pair.to_level not in levels:
-                raise ValidationError(
-                    f"pair {pair.original_id!r}->{pair.edited_id!r}: illegal level"
-                )
-            orig = self._index[pair.original_id].concept_labels
-            edit = self._index[pair.edited_id].concept_labels
-            if orig.get(pair.attribute) != pair.from_level:
-                raise ValidationError(
-                    f"pair {pair.original_id!r}: original label for "
-                    f"{pair.attribute!r} is not {pair.from_level!r}"
-                )
-            if edit.get(pair.attribute) != pair.to_level:
-                raise ValidationError(
-                    f"pair {pair.edited_id!r}: edited label for "
-                    f"{pair.attribute!r} is not {pair.to_level!r}"
-                )
-            for attr in set(orig) | set(edit):
-                if attr == pair.attribute:
-                    continue
-                if orig.get(attr) != edit.get(attr):
-                    raise ValidationError(
-                        f"pair {pair.original_id!r}->{pair.edited_id!r}: "
-                        f"off-attribute label {attr!r} differs"
-                    )
+        p = self.pairs
+        rows = np.concatenate([p.original, p.edited])
+        out_of_range = np.any((rows < 0) | (rows >= ids.size))
+        if out_of_range or np.any((p.attribute < 0) | (p.attribute >= n_attrs)):
+            raise ValidationError("edit pairs reference rows or attributes out of range")
+        if np.any((p.to < 0) | (p.to >= schema.sizes[p.attribute])):
+            raise ValidationError("edit pairs set a level code out of range")
+        span = np.arange(len(p))
+        diff = codes[p.original] != codes[p.edited]
+        diff[span, p.attribute] = codes[p.edited, p.attribute] != p.to
+        if diff.any():
+            i, a = np.argwhere(diff)[0]
+            raise ValidationError(
+                f"pair {ids[p.original[i]]!r}->{ids[p.edited[i]]!r}: label for "
+                f"{schema.names[a]!r} does not match the edit"
+            )
+        factual = np.ones(ids.size, dtype=bool)
+        factual[p.edited] = False
+        self.fit_rows = np.flatnonzero(factual)
+
+    @classmethod
+    def from_records(
+        cls, schema, ids, concepts, embeddings, outputs, gold=None, pairs=()
+    ) -> "Dataset":
+        """Build from rows as the files hold them, resolving names to codes once.
+
+        `concepts` has one {attribute: level} dict per row and `gold` one
+        int or None per row; each pair is (original_id, edited_id,
+        attribute, from_level, to_level).
+        """
+        ids = np.asarray(ids, dtype=str).reshape(-1)
+        names = schema.names
+        try:
+            labels = np.array([[c.get(a) for a in names] for c in concepts], dtype=object)
+            labels = labels.reshape(ids.size, len(names))
+        except ValueError:
+            raise ValidationError("concept labels must be one level name per attribute") from None
+        absent = np.equal(labels, None)
+        if absent.any():
+            i, a = np.argwhere(absent)[0]
+            raise ValidationError(f"sample {ids[i]!r}: missing label for {names[a]!r}")
+        extra = np.fromiter(map(len, concepts), np.int64, ids.size) != len(names)
+        if extra.any():
+            raise ValidationError(
+                f"sample {ids[np.argmax(extra)]!r}: labels for unknown attributes"
+            )
+        labels = labels.astype(str)
+        codes = schema.level_codes(np.arange(len(names)), labels)
+        if np.any(codes < 0):
+            i, a = np.argwhere(codes < 0)[0]
+            raise ValidationError(f"sample {ids[i]!r}: illegal label {names[a]}={labels[i, a]!r}")
+        if gold is not None:
+            gold = np.array(gold, dtype=object).reshape(-1)
+            missing = np.equal(gold, None)
+            gold[missing] = -1
+            try:
+                gold = gold.astype(np.int64)
+            except (TypeError, ValueError):
+                raise ValidationError("gold labels must be integers") from None
+            if np.any(gold[~missing] < 0):
+                raise ValidationError("gold label must be >= 0")
+
+        cols = [np.asarray(col, dtype=str) for col in zip(*pairs)] or [np.zeros(0, str)] * 5
+        original, edited = index_of(ids, cols[0]), index_of(ids, cols[1])
+        for rows, wanted in ((original, cols[0]), (edited, cols[1])):
+            if np.any(rows < 0):
+                raise ValidationError(f"pair references unknown sample {wanted[np.argmin(rows)]!r}")
+        attribute = index_of(np.array(names), cols[2])
+        if np.any(attribute < 0):
+            raise ValidationError(f"pair names unknown attribute {cols[2][np.argmin(attribute)]!r}")
+        from_codes = schema.level_codes(attribute, cols[3])
+        to = schema.level_codes(attribute, cols[4])
+        bad = (from_codes < 0) | (to < 0) | (from_codes != codes[original, attribute])
+        if bad.any():
+            i = np.argmax(bad)
+            raise ValidationError(
+                f"pair {cols[0][i]!r}->{cols[1][i]!r}: illegal level, or the original's "
+                f"{cols[2][i]!r} label is not {cols[3][i]!r}"
+            )
+        pairs = EditPairs(original, edited, attribute, to)
+        return cls(schema, ids, codes, embeddings, outputs, gold, pairs)
 
     # -- views ------------------------------------------------------------
 
+    def _view(self, **changes) -> "Dataset":
+        view = copy.copy(self)
+        view.__dict__.update(changes)
+        return view
+
     def mask(self, hidden) -> "Dataset":
-        """Same data with a different set of hidden attributes."""
-        return replace(self, hidden_attributes=self.schema.check_hidden(hidden))
+        """Same rows with a different set of hidden attributes."""
+        return self._view(hidden_attributes=self.schema.check_hidden(hidden))
 
     def to_space(self, space: str) -> "Dataset":
         if space not in SPACES:
@@ -363,85 +428,56 @@ class Dataset:
             return self
         if self.space != SPACE_LOGIT:
             raise ValidationError("cannot convert probability-space outputs back to logits")
-        converted = tuple(
-            Sample(
-                id=s.id,
-                concept_labels=s.concept_labels,
-                embedding=s.embedding,
-                blackbox_output=softmax(s.blackbox_output),
-                gold_label=s.gold_label,
-            )
-            for s in self.samples
-        )
-        return replace(self, samples=converted, space=space)
+        return self._view(outputs=softmax(self.outputs), space=space)
 
     # -- accessors ----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.ids.size
 
-    def by_id(self, sample_id: str) -> Sample:
-        try:
-            return self._index[sample_id]
-        except KeyError:
-            raise ValidationError(f"unknown sample id {sample_id!r}") from None
+    @property
+    def samples(self) -> np.ndarray:
+        """Alias of `ids`: one entry per row, so `len(dataset.samples)` counts rows."""
+        return self.ids
 
-    def fit_samples(self) -> tuple[Sample, ...]:
-        """Samples that are not the edited member of any pair (factual rows)."""
-        return self._fit_samples
+    @cached_property
+    def id_order(self) -> np.ndarray:
+        """Row order that sorts `ids`, for lookups by id."""
+        return np.argsort(self.ids, kind="stable")
 
-    def visible_labels(self, sample: Sample) -> dict[str, str]:
-        return {
-            attr: level
-            for attr, level in sample.concept_labels.items()
-            if attr not in self.hidden_attributes
-        }
-
-    def encode_sample(self, sample: Sample | str) -> np.ndarray:
-        if isinstance(sample, str):
-            sample = self.by_id(sample)
-        return encode(self.schema, sample.concept_labels, self.hidden_attributes)
+    def rows_of(self, ids) -> np.ndarray:
+        """Row index of each sample id."""
+        ids = np.asarray(ids, dtype=str)
+        rows = index_of(self.ids, ids, self.id_order)
+        if np.any(rows < 0):
+            raise ValidationError(f"unknown sample id {ids.reshape(-1)[np.argmin(rows)]!r}")
+        return rows
 
     @property
     def visible_width(self) -> int:
         return self.schema.visible_width(self.hidden_attributes)
 
-    @property
-    def embed_dim(self) -> int:
-        if not self.samples:
-            raise ValidationError("empty dataset has no embedding dimension")
-        return self.samples[0].embedding.size
+    def design_matrix(self, rows=None) -> np.ndarray:
+        """Visible one-hot design of `rows` (default: every row)."""
+        codes = self.codes if rows is None else self.codes[rows]
+        return one_hot(self.schema, codes, self.hidden_attributes)
 
-    @property
-    def n_outputs(self) -> int:
-        if not self.samples:
-            raise ValidationError("empty dataset has no output dimension")
-        return self.samples[0].blackbox_output.size
+    def pair_names(self, pairs) -> tuple[np.ndarray, ...]:
+        """(original id, attribute, from level, to level) of the pairs at index `pairs`."""
+        p, schema = self.pairs, self.schema
+        rows, attribute = p.original[pairs], p.attribute[pairs]
+        return (
+            self.ids[rows],
+            np.array(schema.names)[attribute],
+            schema.level_names(attribute, self.codes[rows, attribute]),
+            schema.level_names(attribute, p.to[pairs]),
+        )
 
-    def design_matrix(self, samples=None) -> np.ndarray:
-        samples = self.samples if samples is None else tuple(samples)
-        width = self.visible_width
-        out = np.zeros((len(samples), width), dtype=np.float64)
-        for i, sample in enumerate(samples):
-            out[i] = self.encode_sample(sample)
-        return out
-
-    def embeddings(self, samples=None) -> np.ndarray:
-        samples = self.samples if samples is None else tuple(samples)
-        return np.stack([s.embedding for s in samples]) if samples else np.zeros((0, 0))
-
-    def outputs(self, samples=None) -> np.ndarray:
-        samples = self.samples if samples is None else tuple(samples)
-        return np.stack([s.blackbox_output for s in samples]) if samples else np.zeros((0, 0))
-
-    def gold_array(self, samples=None) -> np.ndarray:
-        samples = self.samples if samples is None else tuple(samples)
-        missing = [s.id for s in samples if s.gold_label is None]
-        if missing:
-            raise ValidationError(
-                f"{len(missing)} samples lack gold labels (first: {missing[0]!r})"
-            )
-        return np.array([s.gold_label for s in samples], dtype=np.int64)
+    def unique_pairs(self) -> np.ndarray:
+        """Index of the first pair with each (original, attribute, to) key, in pair order."""
+        p, top = self.pairs, int(self.schema.sizes.max())
+        key = (p.original * len(self.schema.attributes) + p.attribute) * top + p.to
+        return np.sort(np.unique(key, return_index=True)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +488,15 @@ def _reject_constant(token: str):
     raise ValidationError(f"non-finite float token {token!r}")
 
 
+# One decoder for every parse and one encoder for every JSONL row:
+# json.loads and json.dumps would build a new one per call.
+_STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant)
+_ROW_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
 def _parse_json(text: str, where: str):
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return _STRICT_JSON.decode(text)
     except ValidationError:
         raise
     except json.JSONDecodeError as exc:
@@ -502,24 +544,17 @@ def load_dataset(
     samples_path = Path(samples_path)
     if not samples_path.exists():
         raise ValidationError(f"samples file not found: {samples_path}")
-    samples = []
+    ids, concepts, embeddings, outputs, gold = [], [], [], [], []
     for lineno, obj in _parse_jsonl(samples_path):
         where = f"{samples_path}:{lineno}"
         labels = _require(obj, "concepts", where)
         if not isinstance(labels, dict):
             raise ValidationError(f"{where}: 'concepts' must be an object")
-        try:
-            samples.append(
-                Sample(
-                    id=_require(obj, "id", where),
-                    concept_labels={str(k): str(v) for k, v in labels.items()},
-                    embedding=_require(obj, "embedding", where),
-                    blackbox_output=_require(obj, "logits", where),
-                    gold_label=obj.get("gold"),
-                )
-            )
-        except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
+        ids.append(_require(obj, "id", where))
+        concepts.append(labels)
+        embeddings.append(_require(obj, "embedding", where))
+        outputs.append(_require(obj, "logits", where))
+        gold.append(obj.get("gold"))
 
     pairs = []
     if pairs_path is not None:
@@ -528,17 +563,10 @@ def load_dataset(
             raise ValidationError(f"pairs file not found: {pairs_path}")
         for lineno, obj in _parse_jsonl(pairs_path):
             where = f"{pairs_path}:{lineno}"
-            pairs.append(
-                EditPair(
-                    original_id=str(_require(obj, "original_id", where)),
-                    edited_id=str(_require(obj, "edited_id", where)),
-                    attribute=str(_require(obj, "attribute", where)),
-                    from_level=str(_require(obj, "from", where)),
-                    to_level=str(_require(obj, "to", where)),
-                )
-            )
+            keys = ("original_id", "edited_id", "attribute", "from", "to")
+            pairs.append(tuple(str(_require(obj, key, where)) for key in keys))
 
-    dataset = Dataset(schema=schema, samples=tuple(samples), pairs=tuple(pairs))
+    dataset = Dataset.from_records(schema, ids, concepts, embeddings, outputs, gold, pairs)
     return dataset.to_space(space)
 
 
@@ -555,33 +583,29 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
         "samples": out_dir / "samples.jsonl",
         "pairs": out_dir / "pairs.jsonl",
     }
+    schema, ids, p = dataset.schema, dataset.ids, dataset.pairs
     write_text_atomic(
-        paths["schema"], json.dumps(dataset.schema.to_obj(), indent=2, sort_keys=True) + "\n"
+        paths["schema"], json.dumps(schema.to_obj(), indent=2, sort_keys=True) + "\n"
     )
+    names = schema.names
+    labels = schema.level_names(np.arange(len(names)), dataset.codes)
     sample_lines = []
-    for s in dataset.samples:
-        obj = {
-            "id": s.id,
-            "concepts": {attr: s.concept_labels[attr] for attr in sorted(s.concept_labels)},
-            "embedding": s.embedding.tolist(),
-            "logits": s.blackbox_output.tolist(),
-        }
-        if s.gold_label is not None:
-            obj["gold"] = s.gold_label
-        sample_lines.append(json.dumps(obj, sort_keys=True, allow_nan=False))
+    for sid, row, emb, out, gold in zip(
+        ids.tolist(),
+        labels.tolist(),
+        dataset.embeddings.tolist(),
+        dataset.outputs.tolist(),
+        dataset.gold.tolist(),
+    ):
+        obj = {"id": sid, "concepts": dict(zip(names, row)), "embedding": emb, "logits": out}
+        if gold >= 0:
+            obj["gold"] = gold
+        sample_lines.append(_ROW_JSON.encode(obj))
     write_text_atomic(paths["samples"], "\n".join(sample_lines) + ("\n" if sample_lines else ""))
+    columns = (ids[p.edited], *dataset.pair_names(slice(None)))
+    keys = ("edited_id", "original_id", "attribute", "from", "to")
     pair_lines = [
-        json.dumps(
-            {
-                "original_id": p.original_id,
-                "edited_id": p.edited_id,
-                "attribute": p.attribute,
-                "from": p.from_level,
-                "to": p.to_level,
-            },
-            sort_keys=True,
-        )
-        for p in dataset.pairs
+        _ROW_JSON.encode(dict(zip(keys, values))) for values in zip(*(col.tolist() for col in columns))
     ]
     write_text_atomic(paths["pairs"], "\n".join(pair_lines) + ("\n" if pair_lines else ""))
     return paths

@@ -6,9 +6,10 @@ carry a space tag and mixing spaces is refused. Errors are grouped by
 (attribute, from, to), averaged within groups, then macro-averaged
 across groups.
 
-Distance conventions (vectors a, b):
+Distance conventions (vectors a, b; each distance also takes two (m, q)
+arrays and returns m distances, row by row):
     l2      ||a - b||
-    cosine  1 - a.b / (||a|| ||b||); 0 if both are zero, 1 if exactly one is
+    cosine  1 - a.b / (||a|| ||b||); 0 if a == b or both are zero, 1 if exactly one is
     norm    | ||a|| - ||b|| |
 """
 
@@ -21,49 +22,41 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ConceptSchema, Dataset, EditPair
+from .data import ConceptSchema, Dataset, index_of
 from .errors import ValidationError
+from .explainers import Effects
 from .linalg import as_matrix
 
 
-def _as_vector(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValidationError(f"{name} must be a non-empty 1-D vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} contains non-finite entries")
-    return arr
-
-
-def _check_pair_of_vectors(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a = _as_vector(a, "a")
-    b = _as_vector(b, "b")
-    if a.size != b.size:
-        raise ValidationError(f"length mismatch: {a.size} vs {b.size}")
+def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim == 0 or a.shape[-1] == 0:
+        raise ValidationError(
+            f"distance needs two non-empty arrays of one shape, got {a.shape} and {b.shape}"
+        )
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValidationError("distance inputs contain non-finite entries")
     return a, b
 
 
-def dist_l2(a, b) -> float:
-    a, b = _check_pair_of_vectors(a, b)
-    return float(np.linalg.norm(a - b))
+def dist_l2(a, b):
+    a, b = _check_pair(a, b)
+    return np.linalg.norm(a - b, axis=-1)
 
 
-def dist_cosine(a, b) -> float:
-    a, b = _check_pair_of_vectors(a, b)
-    if np.array_equal(a, b):
-        return 0.0
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 and nb == 0.0:
-        return 0.0
-    if na == 0.0 or nb == 0.0:
-        return 1.0
-    return float(1.0 - float(np.dot(a, b)) / (na * nb))
+def dist_cosine(a, b):
+    a, b = _check_pair(a, b)
+    na, nb = np.linalg.norm(a, axis=-1), np.linalg.norm(b, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = 1.0 - np.sum(a * b, axis=-1) / (na * nb)
+    out = np.where((na == 0.0) | (nb == 0.0), np.where(na == nb, 0.0, 1.0), out)
+    return np.where(np.all(a == b, axis=-1), 0.0, out)[()]
 
 
-def dist_norm(a, b) -> float:
-    a, b = _check_pair_of_vectors(a, b)
-    return float(abs(np.linalg.norm(a) - np.linalg.norm(b)))
+def dist_norm(a, b):
+    a, b = _check_pair(a, b)
+    return np.abs(np.linalg.norm(a, axis=-1) - np.linalg.norm(b, axis=-1))
 
 
 DISTANCES = {"l2": dist_l2, "cosine": dist_cosine, "norm": dist_norm}
@@ -77,11 +70,9 @@ def get_distance(metric: str):
         raise ValidationError(f"unknown metric {metric!r}, expected one of {METRICS}") from None
 
 
-def icace(pair: EditPair, dataset: Dataset) -> np.ndarray:
-    """Empirical paired effect: edited output minus original output."""
-    edited = dataset.by_id(pair.edited_id)
-    original = dataset.by_id(pair.original_id)
-    return edited.blackbox_output - original.blackbox_output
+def icace(dataset: Dataset) -> np.ndarray:
+    """Empirical paired effects: edited output minus original output, one row per pair."""
+    return dataset.outputs[dataset.pairs.edited] - dataset.outputs[dataset.pairs.original]
 
 
 @dataclass(frozen=True)
@@ -141,60 +132,82 @@ class EvalReport:
         return buf.getvalue()
 
 
-def icace_error(effects, pairs, dataset: Dataset, metric: str, metadata=None) -> EvalReport:
+def _match_effects(effects: Effects, dataset: Dataset) -> np.ndarray:
+    """Row in `effects` of the estimate for each dataset pair; -1 where there is none.
+
+    Pairs match estimates on (sample, attribute, from, to); an estimate
+    naming a sample, attribute or level the dataset lacks matches nothing.
+    """
+    schema, p = dataset.schema, dataset.pairs
+    top = int(schema.sizes.max())
+
+    def key(rows, attribute, from_codes, to):
+        return ((rows * len(schema.names) + attribute) * top + from_codes) * top + to
+
+    rows = index_of(dataset.ids, effects.sample_id, dataset.id_order)
+    attribute = index_of(np.array(schema.names), effects.attribute)
+    from_codes = schema.level_codes(attribute, effects.from_level)
+    to = schema.level_codes(attribute, effects.to_level)
+    known = np.flatnonzero((rows >= 0) & (attribute >= 0) & (from_codes >= 0) & (to >= 0))
+    keys = key(rows, attribute, from_codes, to)[known]
+    unique, counts = np.unique(keys, return_counts=True)
+    if np.any(counts > 1):
+        i = known[np.argmax(keys == unique[np.argmax(counts > 1)])]
+        named = (effects.sample_id, effects.attribute, effects.from_level, effects.to_level)
+        raise ValidationError(f"duplicate effect estimate for {tuple(str(c[i]) for c in named)!r}")
+    wanted = key(p.original, p.attribute, dataset.codes[p.original, p.attribute], p.to)
+    return np.append(known, -1)[index_of(keys, wanted)]  # absent (-1) picks the appended -1
+
+
+def icace_error(
+    effects: Effects, dataset: Dataset, metric: str, metadata=None, hidden=frozenset()
+) -> EvalReport:
     """Grouped distance between empirical paired effects and estimates.
 
-    Every pair must have an estimate with the same (sample, attribute,
-    from, to) key and the dataset's space; duplicate-keyed pairs may share
-    one estimate.
+    Every pair needs an estimate with its (sample, attribute, from, to)
+    key in the dataset's space, except that a pair editing an attribute
+    in `hidden` may lack one: it is left out and counted in
+    `pairs_skipped`. Duplicate-keyed pairs share one estimate.
     """
     dist = get_distance(metric)
-    lookup = {}
-    for est in effects:
-        if est.space != dataset.space:
-            raise ValidationError(
-                f"mixed-space comparison refused: estimate for {est.sample_id!r} is in "
-                f"{est.space!r} space, dataset is in {dataset.space!r} space"
-            )
-        key = (est.sample_id, est.attribute, est.from_level, est.to_level)
-        if key in lookup:
-            raise ValidationError(f"duplicate effect estimate for {key!r}")
-        lookup[key] = est
-
-    grouped: dict[tuple[str, str, str], list[float]] = {}
-    for pair in pairs:
-        key = (pair.original_id, pair.attribute, pair.from_level, pair.to_level)
-        est = lookup.get(key)
-        if est is None:
-            raise ValidationError(f"no effect estimate for pair {key!r}")
-        value = dist(icace(pair, dataset), est.effect)
-        grouped.setdefault((pair.attribute, pair.from_level, pair.to_level), []).append(value)
-
-    rows = []
-    for gkey in sorted(grouped):
-        values = np.asarray(grouped[gkey], dtype=np.float64)
-        rows.append(
-            EvalGroup(
-                attribute=gkey[0],
-                from_level=gkey[1],
-                to_level=gkey[2],
-                metric=metric,
-                mean=float(values.mean()),
-                std=float(values.std()),
-                count=int(values.size),
-            )
+    if len(effects) and effects.space != dataset.space:
+        raise ValidationError(
+            f"mixed-space comparison refused: estimates are in {effects.space!r} space, "
+            f"dataset is in {dataset.space!r} space"
         )
+    schema, p = dataset.schema, dataset.pairs
+    match = _match_effects(effects, dataset)
+    skipped = (match < 0) & ~schema.visible_mask(hidden)[p.attribute]
+    unmatched = (match < 0) & ~skipped
+    if unmatched.any():
+        named = dataset.pair_names(np.argmax(unmatched))
+        raise ValidationError(f"no effect estimate for pair {tuple(map(str, named))!r}")
+
+    scored = np.flatnonzero(match >= 0)
+    values = np.zeros(0)
+    if scored.size:
+        values = dist(icace(dataset)[scored], effects.effect[match[scored]])
+    top = int(schema.sizes.max())
+    group = (p.attribute * top + dataset.codes[p.original, p.attribute]) * top + p.to
+    _, first, inverse, counts = np.unique(
+        group[scored], return_index=True, return_inverse=True, return_counts=True
+    )
+    means = np.bincount(inverse, weights=values, minlength=counts.size) / counts
+    spread = np.bincount(inverse, weights=(values - means[inverse]) ** 2, minlength=counts.size)
+    names = (col.tolist() for col in dataset.pair_names(scored[first])[1:])
+    stats = zip(*names, means.tolist(), np.sqrt(spread / counts).tolist(), counts.tolist())
+    rows = tuple(EvalGroup(a, f, t, metric, m, s, c) for a, f, t, m, s, c in sorted(stats))
+    group_means = np.array([g.mean for g in rows])
+    macro_mean, macro_std = 0.0, 0.0
     if rows:
-        means = np.asarray([g.mean for g in rows])
-        macro_mean, macro_std = float(means.mean()), float(means.std())
-    else:
-        macro_mean = macro_std = 0.0
+        macro_mean, macro_std = float(group_means.mean()), float(group_means.std())
 
     meta = dict(metadata or {})
     meta.setdefault("space", dataset.space)
     meta["metric"] = metric
-    meta["pairs_evaluated"] = int(sum(g.count for g in rows))
-    return EvalReport(groups=tuple(rows), macro_mean=macro_mean, macro_std=macro_std, metadata=meta)
+    meta["pairs_evaluated"] = int(scored.size)
+    meta["pairs_skipped"] = int(skipped.sum())
+    return EvalReport(groups=rows, macro_mean=macro_mean, macro_std=macro_std, metadata=meta)
 
 
 def coefficient_error(
@@ -224,17 +237,10 @@ def coefficient_error(
             f"got {est.shape[0]}"
         )
     total = 0.0
-    for name, block in schema.visible_blocks(hidden).items():
-        n_levels = block.stop - block.start
-        for i in range(n_levels):
-            for k in range(n_levels):
-                if i == k:
-                    continue
-                total += dist(
-                    ref[block.start + k] - ref[block.start + i],
-                    est[block.start + k] - est[block.start + i],
-                )
-    return float(total)
+    for block in schema.visible_blocks(hidden).values():
+        i, k = np.nonzero(~np.eye(block.stop - block.start, dtype=bool))  # ordered level pairs
+        total += float(np.sum(dist(ref[block][k] - ref[block][i], est[block][k] - est[block][i])))
+    return total
 
 
 def macro_f1(predicted, gold, n_classes: int) -> float:

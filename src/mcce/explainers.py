@@ -20,10 +20,15 @@ slearner
     distributions and live in probability space by construction.
 
 approx
-    No model at all: sample (seeded) a factual example whose visible
-    labels match the requested counterfactual and difference the two
-    stored outputs. Falls back to minimum Hamming distance over visible
-    labels when no exact match exists, flagging the estimate.
+    No model at all: sample (seeded) a row whose visible labels match
+    the requested counterfactual and difference the two stored outputs.
+    Falls back to minimum Hamming distance over visible labels when no
+    exact match exists, flagging the estimate.
+
+mcce and slearner explain a batch of edits in one call: row i of the
+result is the effect of setting attribute `attribute[i]` of dataset row
+`rows[i]` to level code `to[i]`. approx draws from a seeded stream per
+edit, so it explains one edit per call.
 """
 
 from __future__ import annotations
@@ -32,19 +37,19 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import (
     SPACE_LOGIT,
-    SPACE_PROBABILITY,
     ConceptSchema,
     Dataset,
-    Sample,
+    _ROW_JSON,
     _parse_json,
     _parse_jsonl,
-    encode,
-    intervene,
+    _require,
+    one_hot,
     softmax,
     write_text_atomic,
 )
@@ -60,22 +65,44 @@ _MAX_HALVINGS = 50
 
 
 @dataclass(frozen=True, eq=False)
-class EffectEstimate:
-    """One estimated effect of editing `attribute` to `to_level` on a sample.
+class Effects:
+    """Effect estimates as columns, one row per edit.
 
-    `from_level` is None when the edited attribute is hidden from the
-    estimator (only the approx method produces such estimates; callers
-    may fill the level back in from the pair record).
+    Row i estimates how the outputs move when attribute `attribute[i]` of
+    sample `sample_id[i]` goes from `from_level[i]` to `to_level[i]`;
+    `fallback[i]` flags an approx estimate drawn without an exact match.
     """
 
-    sample_id: str
-    attribute: str
-    from_level: str | None
-    to_level: str
-    effect: np.ndarray
-    method: str
-    space: str
-    fallback: bool = False
+    sample_id: np.ndarray
+    attribute: np.ndarray
+    from_level: np.ndarray
+    to_level: np.ndarray
+    effect: np.ndarray  # (m, q)
+    method: str | None
+    space: str | None
+    fallback: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name in ("sample_id", "attribute", "from_level", "to_level"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=str).reshape(-1))
+        m = self.sample_id.size
+        fallback = np.zeros(m, dtype=bool) if self.fallback is None else self.fallback
+        object.__setattr__(self, "fallback", np.asarray(fallback, dtype=bool).reshape(-1))
+        effect = np.asarray(self.effect, dtype=np.float64)
+        if effect.size == m == 0:
+            effect = effect.reshape(0, 0)
+        object.__setattr__(self, "effect", effect)
+        sizes = {self.attribute.size, self.from_level.size, self.to_level.size, self.fallback.size}
+        if self.effect.ndim != 2 or sizes | {self.effect.shape[0]} != {m}:
+            raise ValidationError("effect columns need one entry (and one effect row) per estimate")
+
+    def __len__(self) -> int:
+        return self.sample_id.size
+
+    @classmethod
+    def for_pairs(cls, dataset: Dataset, pairs, effect, method: str, space: str, fallback=None):
+        """Estimates for the dataset's pairs at index `pairs`, keyed by their names."""
+        return cls(*dataset.pair_names(pairs), effect, method, space, fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -109,54 +136,36 @@ class MCCEModel:
     def n_outputs(self) -> int:
         return self.concept_coef.shape[1]
 
-    def predict(self, concept_vector, embedding) -> np.ndarray:
-        c, e = self._check_inputs(concept_vector, embedding)
-        resid = e - c @ self.embed_coef
-        return c @ self.concept_coef + (resid @ self.pseudo_basis) @ self.pseudo_coef
-
-    def _check_inputs(self, concept_vector, embedding):
-        c = np.asarray(concept_vector, dtype=np.float64)
-        e = np.asarray(embedding, dtype=np.float64)
-        if c.shape != (self.embed_coef.shape[0],):
+    def predict(self, concepts: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
+        """Surrogate outputs for (m, k_vis) visible designs and (m, d) embeddings."""
+        if embeddings.shape[1:] != (self.embed_coef.shape[1],):
             raise ValidationError(
-                f"concept vector must have shape ({self.embed_coef.shape[0]},), got {c.shape}"
+                f"embeddings must have {self.embed_coef.shape[1]} columns, "
+                f"got shape {embeddings.shape}"
             )
-        if e.shape != (self.embed_coef.shape[1],):
-            raise ValidationError(
-                f"embedding must have shape ({self.embed_coef.shape[1]},), got {e.shape}"
-            )
-        if not (np.isfinite(c).all() and np.isfinite(e).all()):
-            raise ValidationError("non-finite model inputs")
-        return c, e
+        resid = embeddings - concepts @ self.embed_coef
+        return concepts @ self.concept_coef + (resid @ self.pseudo_basis) @ self.pseudo_coef
 
 
-def _one_hot_gold(samples, n_classes: int) -> np.ndarray:
-    out = np.zeros((len(samples), n_classes), dtype=np.float64)
-    for i, sample in enumerate(samples):
-        out[i, sample.gold_label] = 1.0
-    return out
-
-
-def _resolve_targets(dataset: Dataset, samples, target_kind: str | None, targets):
+def _resolve_targets(dataset: Dataset, rows: np.ndarray, target_kind: str | None, targets):
     if targets is not None:
         T = as_matrix(targets, "targets")
-        if T.shape[0] != len(samples):
+        if T.shape[0] != rows.size:
             raise ValidationError(
-                f"targets must have one row per fit sample ({len(samples)}), got {T.shape[0]}"
+                f"targets must have one row per fit sample ({rows.size}), got {T.shape[0]}"
             )
         return T, target_kind or "custom"
     kind = target_kind or TARGET_OUTPUT
     if kind == TARGET_OUTPUT:
-        return dataset.outputs(samples), kind
+        return dataset.outputs[rows], kind
     if kind == TARGET_GOLD:
-        missing = [s.id for s in samples if s.gold_label is None]
-        if missing:
+        gold = dataset.gold[rows]
+        if np.any(gold < 0):
             raise ValidationError(
-                f"predictor mode requires gold labels on every fit sample; "
-                f"{len(missing)} missing (first: {missing[0]!r})"
+                f"predictor mode requires gold labels on every fit sample; {np.sum(gold < 0)} "
+                f"missing (first: {dataset.ids[rows[np.argmin(gold)]]!r})"
             )
-        n_classes = max(s.gold_label for s in samples) + 1
-        return _one_hot_gold(samples, n_classes), kind
+        return np.eye(gold.max() + 1)[gold], kind
     raise ValidationError(f"target_kind must be 'output' or 'gold', got {target_kind!r}")
 
 
@@ -173,17 +182,17 @@ def fit_mcce(
     n_pseudo defaults to the visible one-hot width. Targets default to
     the stored black-box outputs; target_kind="gold" fits one-hot gold
     labels instead (predictor mode). Explicit `targets` rows must align
-    with `dataset.fit_samples()`.
+    with `dataset.fit_rows`.
     """
-    samples = dataset.fit_samples()
-    if not samples:
+    rows = dataset.fit_rows
+    if rows.size == 0:
         raise ValidationError("dataset has no factual samples to fit on")
     k_vis = dataset.visible_width
     if k_vis == 0:
         raise ValidationError("empty visible concept set: every attribute is hidden")
-    C = dataset.design_matrix(samples)
-    H = dataset.embeddings(samples)
-    T, kind = _resolve_targets(dataset, samples, target_kind, targets)
+    C = dataset.design_matrix(rows)
+    H = dataset.embeddings[rows]
+    T, kind = _resolve_targets(dataset, rows, target_kind, targets)
     n, d = H.shape
     j = k_vis if n_pseudo is None else n_pseudo
     if not isinstance(j, (int, np.integer)) or not 1 <= int(j) <= min(n, d):
@@ -230,31 +239,34 @@ def fit_mcce(
     )
 
 
-def _factual_encoding(model, sample: Sample, attribute: str):
-    if attribute in model.hidden_attributes:
-        raise ValidationError(f"attribute {attribute!r} is hidden for this model")
-    if attribute not in model.schema.names:
-        raise ValidationError(f"unknown attribute {attribute!r}")
-    if attribute not in sample.concept_labels:
-        raise ValidationError(f"sample {sample.id!r} has no label for {attribute!r}")
-    c = encode(model.schema, sample.concept_labels, model.hidden_attributes)
-    return c, sample.concept_labels[attribute]
+def _edited_design(model, dataset: Dataset, rows, attribute, to):
+    """(rows, design): the model's visible one-hot design of each row after its edit.
+
+    Edit i sets attribute index `attribute[i]` of row `rows[i]` to level
+    code `to[i]`; the three arguments broadcast.
+    """
+    edits = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in (rows, attribute, to)))
+    rows, attribute, to = (np.ravel(column) for column in edits)
+    schema = model.schema
+    if schema != dataset.schema:
+        raise ValidationError("model and dataset schemas differ")
+    if np.any((attribute < 0) | (attribute >= len(schema.names))):
+        raise ValidationError(f"unknown attribute index in {np.unique(attribute).tolist()}")
+    hidden = ~schema.visible_mask(model.hidden_attributes)[attribute]
+    if hidden.any():
+        name = schema.names[attribute[np.argmax(hidden)]]
+        raise ValidationError(f"attribute {name!r} is hidden for this model")
+    if np.any((to < 0) | (to >= schema.sizes[attribute])):
+        raise ValidationError("edit sets a level code out of range for its attribute")
+    codes = dataset.codes[rows]
+    codes[np.arange(rows.size), attribute] = to
+    return rows, one_hot(schema, codes, model.hidden_attributes)
 
 
-def explain_mcce(model: MCCEModel, sample: Sample, attribute: str, to_level: str) -> EffectEstimate:
-    """Estimated effect: surrogate output at the edited encoding minus the stored output."""
-    c, from_level = _factual_encoding(model, sample, attribute)
-    c_edit = intervene(model.schema, c, attribute, to_level, model.hidden_attributes)
-    effect = model.predict(c_edit, sample.embedding) - sample.blackbox_output
-    return EffectEstimate(
-        sample_id=sample.id,
-        attribute=attribute,
-        from_level=from_level,
-        to_level=to_level,
-        effect=effect,
-        method="mcce",
-        space=model.space,
-    )
+def explain_mcce(model: MCCEModel, dataset: Dataset, rows, attribute, to) -> np.ndarray:
+    """Surrogate output at each edited encoding minus the row's stored output; (m, q)."""
+    rows, C = _edited_design(model, dataset, rows, attribute, to)
+    return model.predict(C, dataset.embeddings[rows]) - dataset.outputs[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +295,9 @@ class SLearnerModel:
 
     kind = "slearner"
 
-    def predict_proba(self, concept_vector) -> np.ndarray:
-        c = np.asarray(concept_vector, dtype=np.float64)
-        if c.shape != (self.weights.shape[0],):
-            raise ValidationError(
-                f"concept vector must have shape ({self.weights.shape[0]},), got {c.shape}"
-            )
-        return softmax(c @ self.weights + self.bias)
+    def predict_proba(self, concepts: np.ndarray) -> np.ndarray:
+        """Predicted distributions for (m, k_vis) visible designs."""
+        return softmax(concepts @ self.weights + self.bias)
 
 
 def _cross_entropy(Xa: np.ndarray, Wa: np.ndarray, T: np.ndarray) -> float:
@@ -334,20 +342,20 @@ def fit_slearner(dataset: Dataset, targets=None) -> SLearnerModel:
     softmaxed before fitting; explicit targets must already be
     probability rows.
     """
-    samples = dataset.fit_samples()
-    if not samples:
+    rows = dataset.fit_rows
+    if rows.size == 0:
         raise ValidationError("dataset has no factual samples to fit on")
     if dataset.visible_width == 0:
         raise ValidationError("empty visible concept set: every attribute is hidden")
-    X = dataset.design_matrix(samples)
+    X = dataset.design_matrix(rows)
     if targets is not None:
         T = as_matrix(targets, "targets")
-        if T.shape[0] != len(samples):
+        if T.shape[0] != rows.size:
             raise ValidationError(
-                f"targets must have one row per fit sample ({len(samples)}), got {T.shape[0]}"
+                f"targets must have one row per fit sample ({rows.size}), got {T.shape[0]}"
             )
     else:
-        T = dataset.outputs(samples)
+        T = dataset.outputs[rows]
         if dataset.space == SPACE_LOGIT:
             T = softmax(T)
     if T.shape[1] < 2:
@@ -402,100 +410,71 @@ def fit_slearner(dataset: Dataset, targets=None) -> SLearnerModel:
     )
 
 
-def explain_slearner(
-    model: SLearnerModel, sample: Sample, attribute: str, to_level: str
-) -> EffectEstimate:
-    """Predicted distribution at the edited encoding minus the sample's output distribution.
+def explain_slearner(model: SLearnerModel, dataset: Dataset, rows, attribute, to) -> np.ndarray:
+    """Predicted distribution at each edited encoding minus the row's output distribution.
 
-    The sample must come from a dataset in the space the model was fit
-    on; logit-space outputs are softmaxed to form the baseline.
+    The dataset must be in the space the model was fit in; logit-space
+    outputs are softmaxed to form the baseline. Effects are in
+    probability space.
     """
-    c, from_level = _factual_encoding(model, sample, attribute)
-    c_edit = intervene(model.schema, c, attribute, to_level, model.hidden_attributes)
-    baseline = sample.blackbox_output
+    rows, C = _edited_design(model, dataset, rows, attribute, to)
+    baseline = dataset.outputs[rows]
     if model.input_space == SPACE_LOGIT:
         baseline = softmax(baseline)
-    effect = model.predict_proba(c_edit) - baseline
-    return EffectEstimate(
-        sample_id=sample.id,
-        attribute=attribute,
-        from_level=from_level,
-        to_level=to_level,
-        effect=effect,
-        method="slearner",
-        space=SPACE_PROBABILITY,
-    )
+    return model.predict_proba(C) - baseline
 
 
 # ---------------------------------------------------------------------------
 # approximate-counterfactual baseline
 
 
-def build_label_index(dataset: Dataset) -> dict[tuple, list[int]]:
-    """Visible-label profile -> sample positions, for fast approx matching."""
-    names = dataset.schema.visible_names(dataset.hidden_attributes)
-    index: dict[tuple, list[int]] = {}
-    for pos, sample in enumerate(dataset.samples):
-        profile = tuple(sample.concept_labels.get(a) for a in names)
-        index.setdefault(profile, []).append(pos)
-    return index
+class ApproxEstimate(NamedTuple):
+    effect: np.ndarray
+    fallback: bool  # no row matched exactly; the nearest rows were used
+
+
+def build_label_index(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted visible-label profiles, row order); each profile is one integer.
+
+    The sort is stable, so the rows that share a profile stay in row order.
+    """
+    visible = dataset.schema.visible_mask(dataset.hidden_attributes)
+    profiles = np.ravel_multi_index(dataset.codes[:, visible].T, dataset.schema.sizes[visible])
+    order = np.argsort(profiles, kind="stable")
+    return profiles[order], order
 
 
 def explain_approx(
-    dataset: Dataset,
-    sample: Sample,
-    attribute: str,
-    to_level: str,
-    seed: int,
-    index: dict | None = None,
-) -> EffectEstimate:
-    """Difference the sample against a matching factual sample.
+    dataset: Dataset, row: int, attribute: int, to: int, seed: int, index=None
+) -> ApproxEstimate:
+    """Difference row `row` against a row whose visible labels match the edit.
 
-    The match target is the sample's visible labels with `attribute` set
-    to `to_level` (a hidden attribute cannot enter the profile, so the
-    target degrades to the visible labels alone). Ties are broken
-    uniformly under `seed`; when no exact match exists the closest
-    profiles by Hamming distance are used and the estimate is flagged.
+    The match target is the row's visible labels with attribute index
+    `attribute` set to level code `to` (a hidden attribute cannot enter
+    the profile, so the target degrades to the visible labels alone).
+    Ties are broken uniformly under `seed`; when no row matches exactly,
+    the rows closest by Hamming distance over visible labels are used and
+    the estimate is flagged.
     """
-    if not dataset.samples:
+    if len(dataset) == 0:
         raise ValidationError("cannot sample counterfactuals from an empty dataset")
-    if to_level not in dataset.schema.levels(attribute):
-        raise ValidationError(f"unknown level {to_level!r} for attribute {attribute!r}")
-    names = dataset.schema.visible_names(dataset.hidden_attributes)
-    hidden = attribute in dataset.hidden_attributes
-    target = dict(dataset.visible_labels(sample))
-    if not hidden:
-        target[attribute] = to_level
-    profile = tuple(target.get(a) for a in names)
-
-    if index is None:
-        index = build_label_index(dataset)
-    positions = index.get(profile)
-    fallback = positions is None
+    sizes = dataset.schema.sizes
+    if not 0 <= attribute < sizes.size or not 0 <= to < sizes[attribute]:
+        raise ValidationError(f"no level code {to!r} for attribute index {attribute!r}")
+    visible = dataset.schema.visible_mask(dataset.hidden_attributes)
+    target = dataset.codes[row].copy()
+    target[attribute] = to
+    target = target[visible]
+    profiles, order = build_label_index(dataset) if index is None else index
+    key = np.ravel_multi_index(target, sizes[visible])
+    positions = order[np.searchsorted(profiles, key) : np.searchsorted(profiles, key, "right")]
+    fallback = positions.size == 0
     if fallback:
-        best = None
-        best_positions: list[int] = []
-        for cand_profile, cand_positions in index.items():
-            d = sum(1 for got, want in zip(cand_profile, profile) if got != want)
-            if best is None or d < best:
-                best, best_positions = d, list(cand_positions)
-            elif d == best:
-                best_positions.extend(cand_positions)
-        positions = sorted(best_positions)
-
+        distance = np.sum(dataset.codes[:, visible] != target, axis=1)
+        positions = np.flatnonzero(distance == distance.min())
     rng = np.random.default_rng(seed)
-    choice = dataset.samples[positions[int(rng.integers(len(positions)))]]
-    effect = choice.blackbox_output - sample.blackbox_output
-    return EffectEstimate(
-        sample_id=sample.id,
-        attribute=attribute,
-        from_level=None if hidden else sample.concept_labels.get(attribute),
-        to_level=to_level,
-        effect=effect,
-        method="approx",
-        space=dataset.space,
-        fallback=fallback,
-    )
+    choice = positions[int(rng.integers(len(positions)))]
+    return ApproxEstimate(dataset.outputs[choice] - dataset.outputs[row], fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -579,13 +558,9 @@ def predict_labels(model: MCCEModel, dataset: Dataset) -> np.ndarray:
         raise ValidationError("model and dataset schemas differ")
     if model.hidden_attributes != dataset.hidden_attributes:
         raise ValidationError("model and dataset hidden-attribute masks differ")
-    if not dataset.samples:
+    if len(dataset) == 0:
         raise ValidationError("cannot predict on an empty dataset")
-    out = np.empty(len(dataset.samples), dtype=np.int64)
-    for i, sample in enumerate(dataset.samples):
-        scores = model.predict(dataset.encode_sample(sample), sample.embedding)
-        out[i] = int(np.argmax(scores))
-    return out
+    return np.argmax(model.predict(dataset.design_matrix(), dataset.embeddings), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -690,52 +665,56 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
     raise ValidationError(f"{path}: unknown model kind {kind!r}")
 
 
-def write_effects(path: str | Path, effects, metadata: dict) -> Path:
+def write_effects(path: str | Path, effects: Effects, metadata: dict) -> Path:
     """Write effect estimates as JSONL with a leading metadata line."""
-    lines = [json.dumps({"meta": metadata}, sort_keys=True, allow_nan=False)]
-    for est in effects:
-        lines.append(
-            json.dumps(
-                {
-                    "sample_id": est.sample_id,
-                    "attribute": est.attribute,
-                    "from": est.from_level,
-                    "to": est.to_level,
-                    "effect": np.asarray(est.effect).tolist(),
-                    "method": est.method,
-                    "space": est.space,
-                    "fallback": est.fallback,
-                },
-                sort_keys=True,
-                allow_nan=False,
-            )
-        )
+    lines = [_ROW_JSON.encode({"meta": metadata})]
+    columns = (effects.sample_id, effects.attribute, effects.from_level, effects.to_level)
+    for sid, attribute, from_level, to_level, effect, fallback in zip(
+        *(col.tolist() for col in columns), effects.effect.tolist(), effects.fallback.tolist()
+    ):
+        obj = {
+            "sample_id": sid,
+            "attribute": attribute,
+            "from": from_level,
+            "to": to_level,
+            "effect": effect,
+            "method": effects.method,
+            "space": effects.space,
+            "fallback": fallback,
+        }
+        lines.append(_ROW_JSON.encode(obj))
     return write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def read_effects(path: str | Path) -> tuple[list[EffectEstimate], dict]:
+def read_effects(path: str | Path) -> tuple[Effects, dict]:
+    """Read an effects file; every estimate in it must share one method and space."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"effects file not found: {path}")
     metadata: dict = {}
-    effects: list[EffectEstimate] = []
+    keys, effect, fallback, kinds = [], [], [], set()
     for lineno, obj in _parse_jsonl(path):
+        where = f"{path}:{lineno}"
         if "meta" in obj:
-            metadata = dict(obj["meta"])
+            if not isinstance(obj["meta"], dict):
+                raise ValidationError(f"{where}: 'meta' must be a JSON object")
+            metadata = obj["meta"]
             continue
-        try:
-            effects.append(
-                EffectEstimate(
-                    sample_id=str(obj["sample_id"]),
-                    attribute=str(obj["attribute"]),
-                    from_level=None if obj["from"] is None else str(obj["from"]),
-                    to_level=str(obj["to"]),
-                    effect=np.asarray(obj["effect"], dtype=np.float64),
-                    method=str(obj["method"]),
-                    space=str(obj["space"]),
-                    fallback=bool(obj.get("fallback", False)),
-                )
-            )
-        except KeyError as exc:
-            raise ValidationError(f"{path}:{lineno}: missing key {exc}") from None
-    return effects, metadata
+        key = ("sample_id", "attribute", "from", "to")
+        keys.append(tuple(str(_require(obj, k, where)) for k in key))
+        effect.append(_require(obj, "effect", where))
+        kinds.add((str(_require(obj, "method", where)), str(_require(obj, "space", where))))
+        fallback.append(bool(obj.get("fallback", False)))
+    if len(kinds) > 1:
+        raise ValidationError(f"{path}: estimates mix methods or spaces: {sorted(kinds)}")
+    method, space = kinds.pop() if kinds else (metadata.get("method"), metadata.get("space"))
+    try:
+        effect = np.array(effect, dtype=np.float64)
+    except (TypeError, ValueError):
+        effect = None
+    if effect is None or (keys and effect.ndim != 2) or not np.isfinite(effect).all():
+        raise ValidationError(
+            f"{path}: every 'effect' must be a finite list of numbers, all of one length"
+        )
+    columns = list(zip(*keys)) or [()] * 4
+    return Effects(*columns, effect, method, space, fallback), metadata

@@ -28,7 +28,7 @@ Stream layout (numpy SeedSequence spawn keys, portable across runs):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +36,9 @@ import numpy as np
 from .data import (
     ConceptSchema,
     Dataset,
-    EditPair,
-    Sample,
-    encode,
+    EditPairs,
+    _parse_json,
+    index_of,
     softmax,
     write_text_atomic,
 )
@@ -127,77 +127,67 @@ class SynthConfig:
 
 @dataclass(eq=False)
 class SynthGroundTruth:
-    """Oracle bookkeeping: complete labels, clean logits, exact pair effects."""
+    """Oracle bookkeeping: the outcome coefficients and each row's clean logits.
+
+    `clean_logits[i]` is the noise-free output vector of sample `ids[i]`.
+    """
 
     outcome_coef: np.ndarray
-    labels: dict[str, dict[str, str]] = field(default_factory=dict)
-    clean_logits: dict[str, np.ndarray] = field(default_factory=dict)
-    pair_effects: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
+    ids: np.ndarray
+    clean_logits: np.ndarray
     seed: int = 0
     hidden: tuple[str, ...] = ()
 
 
-def _sample_rng(config: SynthConfig, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, index)))
+def synthesize_sample(config: SynthConfig, index: int, edit: tuple[int, int] | None = None):
+    """Draw sample `index`, optionally with one attribute forced to a level.
 
-
-def synthesize_sample(
-    config: SynthConfig,
-    index: int,
-    overrides: dict[str, str] | None = None,
-    sample_id: str | None = None,
-) -> tuple[Sample, np.ndarray]:
-    """Draw sample `index`, optionally forcing some attribute levels.
-
-    Noise draws depend only on (seed, index), so a forced-level call
-    regenerates the counterfactual of the same underlying draw. Returns
-    the sample and its clean (noise-free) output vector; the gold label
-    is the argmax of the clean outputs.
+    `edit` is (attribute index, level code). Noise draws depend only on
+    (seed, index), so an edited call regenerates the counterfactual of
+    the same underlying draw. Returns (level codes, embedding, outputs,
+    clean outputs); the gold label is the argmax of the clean outputs.
     """
-    rng = _sample_rng(config, index)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, index)))
     u = rng.standard_normal(config.exo_dim)
-    labels: dict[str, str] = {}
-    for name, levels in config.schema.attributes:
-        scores = config.mixing[name] @ u + rng.gumbel(size=len(levels))
-        labels[name] = levels[int(np.argmax(scores))]
+    codes = np.array(
+        [
+            np.argmax(config.mixing[name] @ u + rng.gumbel(size=len(levels)))
+            for name, levels in config.schema.attributes
+        ]
+    )
     g_embed = rng.standard_normal(config.embed_dim)
     g_out = rng.standard_normal(config.n_outputs)
-    if overrides:
-        for attr, level in overrides.items():
-            if level not in config.schema.levels(attr):
-                raise ValidationError(f"unknown level {level!r} for attribute {attr!r}")
-            labels[attr] = level
-    c = encode(config.schema, labels)
+    if edit is not None:
+        codes[edit[0]] = edit[1]
+    c = np.zeros(config.width)
+    c[np.cumsum(config.schema.sizes) - config.schema.sizes + codes] = 1.0
     clean = c @ config.outcome_coef
-    sample = Sample(
-        id=sample_id if sample_id is not None else f"s{index:06d}",
-        concept_labels=labels,
-        embedding=config.embed_map @ c + config.embed_noise * g_embed,
-        blackbox_output=clean + config.outcome_noise * g_out,
-        gold_label=int(np.argmax(clean)),
-    )
-    return sample, clean
+    embedding = config.embed_map @ c + config.embed_noise * g_embed
+    return codes, embedding, clean + config.outcome_noise * g_out, clean
+
+
+def _draw_rows(config: SynthConfig, indices, edits=None):
+    """Stacked `synthesize_sample` draws: (codes, embeddings, outputs, clean outputs)."""
+    m = len(indices)
+    codes = np.empty((m, len(config.schema.names)), dtype=np.int64)
+    embeddings = np.empty((m, config.embed_dim))
+    outputs, clean = np.empty((m, config.n_outputs)), np.empty((m, config.n_outputs))
+    for k, index in enumerate(indices):
+        edit = None if edits is None else edits[k]
+        codes[k], embeddings[k], outputs[k], clean[k] = synthesize_sample(config, int(index), edit)
+    return codes, embeddings, outputs, clean
 
 
 def generate(config: SynthConfig) -> tuple[Dataset, SynthGroundTruth]:
     """Draw the configured dataset; hidden attributes are masked in the view."""
-    truth = SynthGroundTruth(
-        outcome_coef=config.outcome_coef.copy(),
-        seed=config.seed,
-        hidden=tuple(sorted(config.hidden)),
-    )
-    samples = []
-    for i in range(config.n):
-        sample, clean = synthesize_sample(config, i)
-        samples.append(sample)
-        truth.labels[sample.id] = dict(sample.concept_labels)
-        truth.clean_logits[sample.id] = clean
+    codes, embeddings, outputs, clean = _draw_rows(config, range(config.n))
+    ids = np.array([f"s{i:06d}" for i in range(config.n)])
     dataset = Dataset(
-        schema=config.schema,
-        samples=tuple(samples),
-        pairs=(),
+        config.schema, ids, codes, embeddings, outputs, np.argmax(clean, axis=1),
         hidden_attributes=config.hidden,
     )
+    hidden = tuple(sorted(config.hidden))
+    truth = SynthGroundTruth(config.outcome_coef.copy(), ids, clean, config.seed, hidden)
     return dataset, truth
 
 
@@ -206,8 +196,8 @@ def make_pairs(
     truth: SynthGroundTruth,
     config: SynthConfig,
     edits_per_sample: int = 1,
-) -> tuple[Dataset, list[EditPair]]:
-    """Append counterfactual edits of every sample and register their oracles.
+) -> Dataset:
+    """Append counterfactual edits of every sample and register their clean logits.
 
     Each sample gets `edits_per_sample` flips on distinct attributes
     (chosen from the pair-selection stream; any attribute may flip,
@@ -215,66 +205,57 @@ def make_pairs(
     edited rows are appended to the returned dataset; fitting still sees
     only the factual rows.
     """
-    if dataset.pairs:
+    if len(dataset.pairs):
         raise ValidationError("make_pairs expects a dataset without existing pairs")
-    n_attrs = len(config.schema.names)
+    n, n_attrs = len(dataset), len(config.schema.names)
     if not isinstance(edits_per_sample, (int, np.integer)) or not 1 <= edits_per_sample <= n_attrs:
         raise ValidationError(
             f"edits_per_sample must be an integer in [1, {n_attrs}], got {edits_per_sample!r}"
         )
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
-    names = config.schema.names
-    pairs: list[EditPair] = []
-    edited_samples: list[Sample] = []
-    for i, sample in enumerate(dataset.samples):
+    original = np.repeat(np.arange(n), edits_per_sample)
+    attribute, to = np.empty_like(original), np.empty_like(original)
+    for i in range(n):
         chosen = rng.choice(n_attrs, size=edits_per_sample, replace=False)
-        for a in chosen:
-            attribute = names[int(a)]
-            levels = config.schema.levels(attribute)
-            current = sample.concept_labels[attribute]
-            alternatives = [lv for lv in levels if lv != current]
-            to_level = alternatives[int(rng.integers(len(alternatives)))]
-            edited_id = f"{sample.id}__{attribute}__{to_level}"
-            edited, clean_edited = synthesize_sample(
-                config, i, overrides={attribute: to_level}, sample_id=edited_id
-            )
-            pairs.append(EditPair(sample.id, edited_id, attribute, current, to_level))
-            edited_samples.append(edited)
-            truth.labels[edited_id] = dict(edited.concept_labels)
-            truth.clean_logits[edited_id] = clean_edited
-            truth.pair_effects[(sample.id, edited_id)] = (
-                clean_edited - truth.clean_logits[sample.id]
-            )
-    new_dataset = Dataset(
-        schema=dataset.schema,
-        samples=dataset.samples + tuple(edited_samples),
-        pairs=tuple(pairs),
+        for k, a in enumerate(chosen, start=i * edits_per_sample):
+            current = dataset.codes[i, a]
+            draw = int(rng.integers(config.schema.sizes[a] - 1))
+            attribute[k], to[k] = a, draw + (draw >= current)  # skip the current level
+    codes, embeddings, outputs, clean = _draw_rows(config, original, list(zip(attribute, to)))
+    schema = config.schema
+    names = np.array(schema.names)[attribute]
+    parts = (dataset.ids[original], names, schema.level_names(attribute, to))
+    edited_ids = ["__".join(names) for names in zip(*(col.tolist() for col in parts))]
+    ids = np.concatenate([dataset.ids, edited_ids])
+    truth.ids = np.concatenate([truth.ids, edited_ids])
+    truth.clean_logits = np.concatenate([truth.clean_logits, clean])
+    return Dataset(
+        dataset.schema,
+        ids,
+        np.concatenate([dataset.codes, codes]),
+        np.concatenate([dataset.embeddings, embeddings]),
+        np.concatenate([dataset.outputs, outputs]),
+        np.concatenate([dataset.gold, np.argmax(clean, axis=1)]),
+        EditPairs(original, np.arange(n, n + original.size), attribute, to),
         hidden_attributes=dataset.hidden_attributes,
         space=dataset.space,
     )
-    return new_dataset, pairs
 
 
-def true_icace(truth: SynthGroundTruth, pair: EditPair) -> np.ndarray:
-    """Exact noise-free effect of a registered pair (logit space)."""
-    key = (pair.original_id, pair.edited_id)
-    if key not in truth.pair_effects:
-        raise ValidationError(f"pair {key!r} is not registered in the ground truth")
-    return truth.pair_effects[key]
-
-
-def oracle_effect(truth: SynthGroundTruth, pair: EditPair, space: str) -> np.ndarray:
-    """Exact effect in the requested space, from the clean logits."""
-    if space == "logit":
-        return true_icace(truth, pair)
-    if space == "probability":
-        key = (pair.original_id, pair.edited_id)
-        if key not in truth.pair_effects:
-            raise ValidationError(f"pair {key!r} is not registered in the ground truth")
-        return softmax(truth.clean_logits[pair.edited_id]) - softmax(
-            truth.clean_logits[pair.original_id]
-        )
-    raise ValidationError(f"space must be 'logit' or 'probability', got {space!r}")
+def oracle_effect(truth: SynthGroundTruth, dataset: Dataset, space: str) -> np.ndarray:
+    """Exact effect of every pair of `dataset`, in the requested space, from the clean logits."""
+    if space not in ("logit", "probability"):
+        raise ValidationError(f"space must be 'logit' or 'probability', got {space!r}")
+    p = dataset.pairs
+    original = index_of(truth.ids, dataset.ids[p.original])
+    edited = index_of(truth.ids, dataset.ids[p.edited])
+    missing = (original < 0) | (edited < 0)
+    if missing.any():
+        i = np.argmax(missing)
+        pair = (str(dataset.ids[p.original[i]]), str(dataset.ids[p.edited[i]]))
+        raise ValidationError(f"pair {pair!r} is not registered in the ground truth")
+    clean = truth.clean_logits if space == "logit" else softmax(truth.clean_logits)
+    return clean[edited] - clean[original]
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +346,7 @@ def load_synth_config(path: str | Path) -> tuple[SynthConfig, int]:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"config file not found: {path}")
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc.msg})") from exc
+    obj = _parse_json(path.read_text(encoding="utf-8"), str(path))
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
     edits = obj.get("edits_per_sample", 1)
@@ -420,7 +398,7 @@ def load_synth_config(path: str | Path) -> tuple[SynthConfig, int]:
                 attributes=attributes,
                 **kwargs,
             )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed config ({exc})") from exc
     if not isinstance(edits, (int, np.integer)) or edits < 0:
         raise ValidationError(f"{path}: edits_per_sample must be a nonnegative integer")
@@ -430,16 +408,7 @@ def load_synth_config(path: str | Path) -> tuple[SynthConfig, int]:
 def save_ground_truth(truth: SynthGroundTruth, path: str | Path) -> Path:
     obj = {
         "outcome_coef": truth.outcome_coef.tolist(),
-        "labels": {sid: truth.labels[sid] for sid in sorted(truth.labels)},
-        "clean_logits": {sid: truth.clean_logits[sid].tolist() for sid in sorted(truth.clean_logits)},
-        "pairs": [
-            {
-                "original_id": orig,
-                "edited_id": edited,
-                "effect": truth.pair_effects[(orig, edited)].tolist(),
-            }
-            for orig, edited in sorted(truth.pair_effects)
-        ],
+        "clean_logits": dict(zip(truth.ids.tolist(), truth.clean_logits.tolist())),
         "seed": truth.seed,
         "hidden": list(truth.hidden),
     }
@@ -447,24 +416,20 @@ def save_ground_truth(truth: SynthGroundTruth, path: str | Path) -> Path:
 
 
 def load_ground_truth(path: str | Path) -> SynthGroundTruth:
+    """Read ground_truth.json; keys this version does not use ("labels", "pairs") are ignored."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"ground truth file not found: {path}")
+    obj = _parse_json(path.read_text(encoding="utf-8"), str(path))
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-        truth = SynthGroundTruth(
-            outcome_coef=np.asarray(obj["outcome_coef"], dtype=np.float64),
-            labels={sid: dict(labels) for sid, labels in obj["labels"].items()},
-            clean_logits={
-                sid: np.asarray(v, dtype=np.float64) for sid, v in obj["clean_logits"].items()
-            },
-            pair_effects={
-                (p["original_id"], p["edited_id"]): np.asarray(p["effect"], dtype=np.float64)
-                for p in obj["pairs"]
-            },
-            seed=int(obj.get("seed", 0)),
-            hidden=tuple(obj.get("hidden", ())),
-        )
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        coef = np.asarray(obj["outcome_coef"], dtype=np.float64)
+        logits = obj["clean_logits"]
+        ids = np.array(list(logits), dtype=str)
+        clean = np.array(list(logits.values()), dtype=np.float64).reshape(ids.size, coef.shape[1])
+        seed, hidden = int(obj.get("seed", 0)), tuple(obj.get("hidden", ()))
+        truth = SynthGroundTruth(coef, ids, clean, seed, hidden)
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise ValidationError(f"{path}: malformed ground truth ({exc})") from exc
+    if coef.ndim != 2 or not (np.isfinite(coef).all() and np.isfinite(clean).all()):
+        raise ValidationError(f"{path}: outcome_coef and clean_logits must be finite")
     return truth

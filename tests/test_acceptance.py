@@ -19,14 +19,12 @@ import pytest
 from mcce import (
     ConceptSchema,
     Dataset,
-    EffectEstimate,
-    Sample,
+    Effects,
     build_label_index,
     coefficient_error,
     default_config,
     dist_cosine,
     dist_l2,
-    encode,
     explain_approx,
     explain_mcce,
     explain_slearner,
@@ -37,9 +35,9 @@ from mcce import (
     global_report,
     icace,
     icace_error,
-    intervene,
     macro_f1,
     make_pairs,
+    one_hot,
     save_dataset,
 )
 from mcce.cli import main
@@ -68,27 +66,25 @@ class FittedRecord:
     model: object
     design: np.ndarray
     targets: np.ndarray
-    probes: list  # (sample, attribute, to_level) with the attribute visible
+    dataset: object
+    probes: tuple  # (rows, attribute, to) with the attribute visible
 
 
 def record_probes(dataset, model, n_probes=2):
-    names = dataset.schema.visible_names(dataset.hidden_attributes)
-    probes = []
-    for sample in dataset.fit_samples()[:n_probes]:
-        attr = names[0]
-        levels = dataset.schema.levels(attr)
-        to = next(lv for lv in levels if lv != sample.concept_labels[attr])
-        probes.append((sample, attr, to))
-    return probes
+    rows = dataset.fit_rows[:n_probes]
+    attr = dataset.schema.names.index(dataset.schema.visible_names(dataset.hidden_attributes)[0])
+    to = np.where(dataset.codes[rows, attr] == 0, 1, 0)  # any level but the current one
+    return rows, attr, to
 
 
 def make_record(label, dataset, model):
-    fit = dataset.fit_samples()
+    fit = dataset.fit_rows
     return FittedRecord(
         label=label,
         model=model,
         design=dataset.design_matrix(fit),
-        targets=dataset.outputs(fit),
+        targets=dataset.outputs[fit],
+        dataset=dataset,
         probes=record_probes(dataset, model),
     )
 
@@ -110,18 +106,16 @@ def random_dataset(trial: int):
     n = int(rng.integers(20, 201))
     d = int(rng.integers(6, 33))
     q = int(rng.integers(2, 7))
-    samples = []
+    rows = []
     for i in range(n):
-        labels = {
-            name: levels[int(rng.integers(len(levels)))] for name, levels in schema.attributes
-        }
-        samples.append(
-            Sample(f"r{i:04d}", labels, rng.standard_normal(d), rng.standard_normal(q))
-        )
+        codes = [int(rng.integers(len(levels))) for _, levels in schema.attributes]
+        rows.append((codes, rng.standard_normal(d), rng.standard_normal(q)))
+    codes, embeddings, outputs = (np.array(col) for col in zip(*rows))
     hidden = frozenset()
     if n_attrs > 1 and rng.random() < 0.3:
         hidden = frozenset({schema.names[int(rng.integers(n_attrs))]})
-    dataset = Dataset(schema=schema, samples=tuple(samples), hidden_attributes=hidden)
+    ids = [f"r{i:04d}" for i in range(n)]
+    dataset = Dataset(schema, ids, codes, embeddings, outputs, hidden_attributes=hidden)
     # d can fall below the visible width, so the default pseudo count is
     # not always feasible; cap it, and explore the low end every third trial
     j = min(dataset.visible_width, n, d)
@@ -140,9 +134,9 @@ def suite1():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # interpolation draws are intended
             model = fit_mcce(dataset, n_pseudo=j)
-        fit = dataset.fit_samples()
+        fit = dataset.fit_rows
         C = dataset.design_matrix(fit)
-        H = dataset.embeddings(fit)
+        H = dataset.embeddings[fit]
         scores = (H - C @ model.embed_coef) @ model.pseudo_basis
         worst = max(worst, max_abs_cross(C, scores))
         if trial % 10 == 0:
@@ -155,15 +149,14 @@ def suite2():
     start = time.monotonic()
     cfg = default_config(n=500, seed=0, outcome_noise=0.0)
     dataset, truth = generate(cfg)
-    dataset, pairs = make_pairs(dataset, truth, cfg)
+    dataset = make_pairs(dataset, truth, cfg)
     model = fit_mcce(dataset)
     coef_err = coefficient_error(model.concept_coef, truth.outcome_coef, cfg.schema)
-    effects = [
-        explain_mcce(model, dataset.by_id(p.original_id), p.attribute, p.to_level)
-        for p in pairs
-    ]
+    p = dataset.pairs
+    effect = explain_mcce(model, dataset, p.original, p.attribute, p.to)
+    effects = Effects.for_pairs(dataset, np.arange(len(p)), effect, "mcce", dataset.space)
     macros = {
-        metric: icace_error(effects, pairs, dataset, metric).macro_mean
+        metric: icace_error(effects, dataset, metric).macro_mean
         for metric in ("l2", "cosine", "norm")
     }
     return {
@@ -188,7 +181,7 @@ def suite3():
         for seed in range(20):
             cfg = default_config(n=2000, seed=seed)
             dataset, truth = generate(cfg)
-            dataset, pairs = make_pairs(dataset, truth, cfg)
+            dataset = make_pairs(dataset, truth, cfg)
             dataset = dataset.to_space("probability").mask(hidden)
             mcce_model = fit_mcce(dataset)
             sl_model = fit_slearner(dataset)
@@ -196,18 +189,18 @@ def suite3():
                 records.append(
                     make_record(f"hidden={sorted(hidden)} seed={seed}", dataset, mcce_model)
                 )
-            dists = {key: [] for key in per_seed}
-            for p in pairs:
-                if p.attribute in hidden:
-                    continue
-                true_effect = icace(p, dataset)
-                sample = dataset.by_id(p.original_id)
-                est_m = explain_mcce(mcce_model, sample, p.attribute, p.to_level).effect
-                est_s = explain_slearner(sl_model, sample, p.attribute, p.to_level).effect
-                dists[("mcce", "l2")].append(dist_l2(est_m, true_effect))
-                dists[("mcce", "cosine")].append(dist_cosine(est_m, true_effect))
-                dists[("slearner", "l2")].append(dist_l2(est_s, true_effect))
-                dists[("slearner", "cosine")].append(dist_cosine(est_s, true_effect))
+            p = dataset.pairs
+            visible = ~np.isin(p.attribute, [cfg.schema.names.index(h) for h in hidden])
+            true_effect = icace(dataset)[visible]
+            edits = (p.original[visible], p.attribute[visible], p.to[visible])
+            est_m = explain_mcce(mcce_model, dataset, *edits)
+            est_s = explain_slearner(sl_model, dataset, *edits)
+            dists = {
+                ("mcce", "l2"): dist_l2(est_m, true_effect),
+                ("mcce", "cosine"): dist_cosine(est_m, true_effect),
+                ("slearner", "l2"): dist_l2(est_s, true_effect),
+                ("slearner", "cosine"): dist_cosine(est_s, true_effect),
+            }
             for key, values in dists.items():
                 per_seed[key].append(float(np.mean(values)))
         for (method, metric), values in per_seed.items():
@@ -267,17 +260,20 @@ def test_criterion_04_decoupling_and_closed_form(suite1, suite2, suite3, check):
         model = rec.model
         solo = lstsq(rec.design, rec.targets).coefficients
         worst_coef = max(worst_coef, float(np.max(np.abs(model.concept_coef - solo))))
-        for sample, attr, to in rec.probes:
-            c = encode(model.schema, sample.concept_labels, model.hidden_attributes)
-            dc = intervene(model.schema, c, attr, to, hidden=model.hidden_attributes) - c
-            fit_resid = model.predict(c, sample.embedding) - sample.blackbox_output
-            closed = (
-                dc @ model.concept_coef
-                - (dc @ model.embed_coef @ model.pseudo_basis) @ model.pseudo_coef
-                + fit_resid
-            )
-            estimated = explain_mcce(model, sample, attr, to).effect
-            worst_closed = max(worst_closed, float(np.max(np.abs(estimated - closed))))
+        ds = rec.dataset
+        rows, attr, to = rec.probes
+        c = ds.design_matrix(rows)
+        edited = ds.codes[rows]
+        edited[:, attr] = to
+        dc = one_hot(model.schema, edited, model.hidden_attributes) - c
+        fit_resid = model.predict(c, ds.embeddings[rows]) - ds.outputs[rows]
+        closed = (
+            dc @ model.concept_coef
+            - (dc @ model.embed_coef @ model.pseudo_basis) @ model.pseudo_coef
+            + fit_resid
+        )
+        estimated = explain_mcce(model, ds, rows, attr, to)
+        worst_closed = max(worst_closed, float(np.max(np.abs(estimated - closed))))
     ok = worst_coef < 1e-8 and worst_closed < 1e-8
     check(
         4,
@@ -290,22 +286,12 @@ def test_criterion_04_decoupling_and_closed_form(suite1, suite2, suite3, check):
 def test_criterion_05_true_effects_score_exactly_zero(check):
     cfg = default_config(n=300, seed=4)
     dataset, truth = generate(cfg)
-    dataset, pairs = make_pairs(dataset, truth, cfg)
-    effects = [
-        EffectEstimate(
-            sample_id=p.original_id,
-            attribute=p.attribute,
-            from_level=p.from_level,
-            to_level=p.to_level,
-            effect=icace(p, dataset),
-            method="oracle",
-            space=dataset.space,
-        )
-        for p in pairs
-    ]
+    dataset = make_pairs(dataset, truth, cfg)
+    pairs = np.arange(len(dataset.pairs))
+    effects = Effects.for_pairs(dataset, pairs, icace(dataset), "oracle", dataset.space)
     worst = 0.0
     for metric in ("l2", "cosine", "norm"):
-        report = icace_error(effects, pairs, dataset, metric)
+        report = icace_error(effects, dataset, metric)
         worst = max(worst, abs(report.macro_mean), abs(report.macro_std))
         for g in report.groups:
             worst = max(worst, abs(g.mean), abs(g.std))
@@ -334,20 +320,18 @@ def test_criterion_06_distance_properties(check):
 def test_criterion_07_approx_exact_match_is_bitwise(check):
     cfg = default_config(n=60, seed=2)
     dataset, truth = generate(cfg)
-    dataset, pairs = make_pairs(dataset, truth, cfg)
+    dataset = make_pairs(dataset, truth, cfg)
     index = build_label_index(dataset)
-    names = dataset.schema.visible_names(dataset.hidden_attributes)
+    profiles = [tuple(codes) for codes in dataset.codes.tolist()]  # nothing is hidden
+    p = dataset.pairs
+    paired = icace(dataset)
     checked = 0
     ok = True
-    for p in pairs:
-        edited = dataset.by_id(p.edited_id)
-        profile = tuple(edited.concept_labels.get(a) for a in names)
-        if len(index[profile]) != 1:
+    for k, (original, edited, attr, to) in enumerate(zip(p.original, p.edited, p.attribute, p.to)):
+        if profiles.count(profiles[edited]) != 1:
             continue  # several samples share the target labels; selection may differ
-        est = explain_approx(
-            dataset, dataset.by_id(p.original_id), p.attribute, p.to_level, seed=123, index=index
-        )
-        ok = ok and not est.fallback and np.array_equal(est.effect, icace(p, dataset))
+        est = explain_approx(dataset, original, attr, to, seed=123, index=index)
+        ok = ok and not est.fallback and np.array_equal(est.effect, paired[k])
         checked += 1
     ok = ok and checked >= 10
     check(7, ok, f"{checked} pairs with a unique exact edit matched icace bitwise")
@@ -384,7 +368,7 @@ def test_criterion_08_predictor_mode_recovers_separable_gold(tmp_path, capsys, c
     coef[0:3, 0:3] = 8.0 * np.eye(3)
     cfg = dataclasses.replace(cfg, outcome_coef=coef)
     dataset, _ = generate(cfg)
-    assert set(s.gold_label for s in dataset.samples) == {0, 1, 2}
+    assert set(dataset.gold.tolist()) == {0, 1, 2}
     data_dir = tmp_path / "data"
     save_dataset(dataset, data_dir)
     model = tmp_path / "model.json"

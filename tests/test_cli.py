@@ -500,3 +500,77 @@ class TestApproxExplain:
         body = [json.loads(l) for l in (tmp_path / "a.jsonl").read_text().splitlines()[1:]]
         assert len(body) == 150
         assert all("effect" in row for row in body)
+
+
+def dataset_flags(data):
+    return [
+        "--schema", data / "schema.json",
+        "--samples", data / "samples.jsonl",
+        "--pairs", data / "pairs.jsonl",
+    ]
+
+
+class TestLoaderErrors:
+    """Malformed input files exit 2 with a message, never with a traceback."""
+
+    def evaluate(self, synth_dir, tmp_path, lines):
+        effects = tmp_path / "e.jsonl"
+        effects.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "eval"
+        return run("evaluate", *dataset_flags(synth_dir), "--effects", effects, "--out", out)
+
+    def test_effects_meta_must_be_an_object(self, synth_dir, tmp_path, capsys):
+        assert self.evaluate(synth_dir, tmp_path, ['{"meta": [1]}']) == 2
+        assert "meta" in capsys.readouterr().err
+
+    def test_effect_must_be_numbers(self, synth_dir, tmp_path, capsys):
+        row = {
+            "sample_id": "s000000", "attribute": "food", "from": "neg", "to": "pos",
+            "effect": "abc", "method": "mcce", "space": "logit", "fallback": False,
+        }
+        assert self.evaluate(synth_dir, tmp_path, [json.dumps(row)]) == 2
+        assert "effect" in capsys.readouterr().err
+
+    def oracle(self, synth_dir, tmp_path, truth_text):
+        truth = tmp_path / "ground_truth.json"
+        truth.write_text(truth_text)
+        return run(
+            "explain", *dataset_flags(synth_dir), "--method", "oracle",
+            "--ground-truth", truth, "--out", tmp_path / "e.jsonl",
+        )
+
+    def test_ground_truth_rejects_nan(self, synth_dir, tmp_path, capsys):
+        obj = json.loads((synth_dir / "ground_truth.json").read_text())
+        first = next(iter(obj["clean_logits"]))
+        obj["clean_logits"][first][0] = float("nan")
+        assert self.oracle(synth_dir, tmp_path, json.dumps(obj)) == 2  # bare NaN token
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "e.jsonl").exists()
+
+    def test_ground_truth_rejects_ragged_clean_logits(self, synth_dir, tmp_path, capsys):
+        obj = json.loads((synth_dir / "ground_truth.json").read_text())
+        first = next(iter(obj["clean_logits"]))
+        obj["clean_logits"][first].append(0.0)
+        assert self.oracle(synth_dir, tmp_path, json.dumps(obj)) == 2
+        assert "ground truth" in capsys.readouterr().err
+
+    def test_ground_truth_with_legacy_keys_still_loads(self, synth_dir, tmp_path):
+        obj = json.loads((synth_dir / "ground_truth.json").read_text())
+        obj["labels"], obj["pairs"] = {}, []
+        assert self.oracle(synth_dir, tmp_path, json.dumps(obj)) == 0
+
+    def test_synth_config_rejects_nan(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"n": 20, "outcome_noise": NaN}')
+        assert run("synth", "--config", config, "--out", tmp_path / "d") == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
+def test_experiment_mask_size_must_leave_an_attribute_visible(synth_dir, tmp_path, capsys):
+    code = run(
+        "experiment", *dataset_flags(synth_dir), "--methods", "mcce",
+        "--mask-sizes", "4", "--out", tmp_path / "o",
+    )
+    assert code == 2
+    assert "[1, 3]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

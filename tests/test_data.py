@@ -9,12 +9,9 @@ import pytest
 from mcce import (
     ConceptSchema,
     Dataset,
-    EditPair,
-    Sample,
     ValidationError,
-    encode,
-    intervene,
     load_dataset,
+    one_hot,
     save_dataset,
     softmax,
 )
@@ -33,7 +30,13 @@ RESTAURANT = ConceptSchema.of(
 
 
 def make_sample(sid, labels, emb=(0.0, 1.0), out=(0.5, -0.5), gold=None):
-    return Sample(sid, labels, np.array(emb), np.array(out), gold)
+    return sid, labels, np.array(emb), np.array(out), gold
+
+
+def build(samples, pairs=(), schema=SCHEMA):
+    """Dataset from make_sample rows and (original, edited, attribute, from, to) pairs."""
+    ids, labels, emb, out, gold = zip(*samples) if samples else ((),) * 5
+    return Dataset.from_records(schema, ids, labels, emb, out, gold, pairs)
 
 
 # --- schema -----------------------------------------------------------
@@ -72,59 +75,63 @@ def test_schema_roundtrip():
 # --- encode / intervene ------------------------------------------------
 
 def test_encode_by_hand():
-    v = encode(SCHEMA, {"a": "y", "b": "u"})
-    assert v.tolist() == [0.0, 1.0, 1.0, 0.0, 0.0]
-    v = encode(SCHEMA, {"a": "y", "b": "u"}, hidden={"a"})
-    assert v.tolist() == [1.0, 0.0, 0.0]
+    v = one_hot(SCHEMA, [[1, 0]])
+    assert v.tolist() == [[0.0, 1.0, 1.0, 0.0, 0.0]]
+    v = one_hot(SCHEMA, [[1, 0]], hidden={"a"})
+    assert v.tolist() == [[1.0, 0.0, 0.0]]
 
 
 def test_encode_errors():
     with pytest.raises(ValidationError):
-        encode(SCHEMA, {"a": "y"})  # missing b
+        build([make_sample("s1", {"a": "y"})])  # missing b
     with pytest.raises(ValidationError):
-        encode(SCHEMA, {"a": "y", "b": "nope"})
+        build([make_sample("s1", {"a": "y", "b": "nope"})])
     with pytest.raises(ValidationError):
-        encode(SCHEMA, {"a": "y", "b": "u", "c": "x"})
-    # a hidden attribute's label may be absent
-    v = encode(SCHEMA, {"b": "w"}, hidden={"a"})
-    assert v.tolist() == [0.0, 0.0, 1.0]
+        build([make_sample("s1", {"a": "y", "b": "u", "c": "x"})])
+    with pytest.raises(ValidationError):
+        one_hot(SCHEMA, [[1, 0, 0]])  # one code per attribute
+
+
+def edit(codes, attribute, to):
+    """Copy of a code matrix with column `attribute` set to `to` in every row."""
+    out = np.array(codes)
+    out[:, attribute] = to
+    return out
 
 
 def test_intervene_by_hand():
-    v = encode(SCHEMA, {"a": "y", "b": "u"})
-    w = intervene(SCHEMA, v, "b", "w")
-    assert w.tolist() == [0.0, 1.0, 0.0, 0.0, 1.0]
-    assert v.tolist() == [0.0, 1.0, 1.0, 0.0, 0.0]  # input untouched
+    codes = np.array([[1, 0]])
+    w = one_hot(SCHEMA, edit(codes, 1, 2))
+    assert w.tolist() == [[0.0, 1.0, 0.0, 0.0, 1.0]]
+    assert codes.tolist() == [[1, 0]]  # input untouched
 
 
 def test_intervene_commutes_with_encode():
     rng = np.random.default_rng(8)
-    names = RESTAURANT.names
     for _ in range(50):
-        labels = {n: RESTAURANT.levels(n)[rng.integers(3)] for n in names}
-        attr = names[rng.integers(4)]
-        to = RESTAURANT.levels(attr)[rng.integers(3)]
-        hidden = frozenset({names[0]}) if rng.integers(2) and attr != names[0] else frozenset()
-        edited = dict(labels, **{attr: to})
-        direct = encode(RESTAURANT, edited, hidden)
-        via = intervene(RESTAURANT, encode(RESTAURANT, labels, hidden), attr, to, hidden)
+        codes = rng.integers(3, size=(1, 4))
+        attr, to = int(rng.integers(4)), int(rng.integers(3))
+        hidden = frozenset({RESTAURANT.names[0]}) if rng.integers(2) and attr != 0 else frozenset()
+        direct = one_hot(RESTAURANT, edit(codes, attr, to), hidden)
+        via = one_hot(RESTAURANT, codes, hidden)
+        block = RESTAURANT.visible_blocks(hidden)[RESTAURANT.names[attr]]
+        via[:, block] = np.eye(3)[to]
         assert np.array_equal(direct, via)
 
 
 def test_intervene_errors():
-    v = encode(SCHEMA, {"a": "y", "b": "u"})
     with pytest.raises(ValidationError):
-        intervene(SCHEMA, v, "a", "x", hidden={"a"})  # hidden target
+        one_hot(SCHEMA, [[1, 0]], hidden={"a", "b"})  # nothing visible
     with pytest.raises(ValidationError):
-        intervene(SCHEMA, v, "b", "nope")
+        one_hot(SCHEMA, [[1, 0]], hidden={"zzz"})
     with pytest.raises(ValidationError):
-        intervene(SCHEMA, np.ones(4), "b", "w")  # wrong width
+        one_hot(SCHEMA, np.ones((1, 4)))  # wrong width
 
 
 def test_one_hot_invariant_after_intervene():
-    v = encode(SCHEMA, {"a": "x", "b": "v"})
-    for attr, level in (("a", "y"), ("b", "u"), ("b", "v")):
-        w = intervene(SCHEMA, v, attr, level)
+    codes = np.array([[0, 1]])
+    for attr, level in ((0, 1), (1, 0), (1, 1)):
+        w = one_hot(SCHEMA, edit(codes, attr, level))[0]
         assert w[0] + w[1] == 1.0 and w[2] + w[3] + w[4] == 1.0
 
 
@@ -136,69 +143,67 @@ def small_dataset(space="logit"):
         make_sample("s2", {"a": "y", "b": "v"}, (0.0, 1.0), (0.5, 0.5), gold=1),
         make_sample("s1e", {"a": "y", "b": "u"}, (1.0, 1.0), (1.0, 1.0), gold=1),
     )
-    pairs = (EditPair("s1", "s1e", "a", "x", "y"),)
-    ds = Dataset(schema=SCHEMA, samples=samples, pairs=pairs)
+    ds = build(samples, [("s1", "s1e", "a", "x", "y")])
     return ds.to_space(space) if space != "logit" else ds
 
 
 def test_dataset_lookup_and_fencing():
     ds = small_dataset()
     assert len(ds) == 3
-    assert ds.by_id("s2").gold_label == 1
+    assert ds.gold[ds.rows_of("s2")] == 1
     masked = ds.mask({"a"})
     assert masked.visible_width == 3
-    assert masked.visible_labels(masked.by_id("s1")) == {"b": "u"}
-    assert masked.encode_sample("s1").tolist() == [1.0, 0.0, 0.0]
-    assert ds.encode_sample("s1").tolist() == [1.0, 0.0, 1.0, 0.0, 0.0]
+    assert masked.design_matrix(masked.rows_of(["s1"])).tolist() == [[1.0, 0.0, 0.0]]
+    assert ds.design_matrix(ds.rows_of(["s1"])).tolist() == [[1.0, 0.0, 1.0, 0.0, 0.0]]
     # the mask is a view; the unmasked dataset is unchanged
     assert ds.visible_width == 5
 
 
 def test_fit_samples_exclude_edited_rows():
     ds = small_dataset()
-    assert tuple(s.id for s in ds.fit_samples()) == ("s1", "s2")
-    assert ds.design_matrix(ds.fit_samples()).shape == (2, 5)
+    assert ds.ids[ds.fit_rows].tolist() == ["s1", "s2"]
+    assert ds.design_matrix(ds.fit_rows).shape == (2, 5)
 
 
 def test_dataset_matrix_accessors():
     ds = small_dataset()
-    assert ds.embeddings().shape == (3, 2)
-    assert ds.outputs().shape == (3, 2)
-    assert ds.gold_array().tolist() == [0, 1, 1]
-    assert ds.embed_dim == 2 and ds.n_outputs == 2
+    assert ds.embeddings.shape == (3, 2)
+    assert ds.outputs.shape == (3, 2)
+    assert ds.gold.tolist() == [0, 1, 1]
+    assert ds.pairs.original.tolist() == [0] and ds.pairs.edited.tolist() == [2]
 
 
 def test_dataset_rejects_inconsistencies():
     s1 = make_sample("s1", {"a": "x", "b": "u"})
     with pytest.raises(ValidationError):
-        Dataset(SCHEMA, (s1, make_sample("s1", {"a": "y", "b": "u"})))  # dup id
+        build((s1, make_sample("s1", {"a": "y", "b": "u"})))  # dup id
     with pytest.raises(ValidationError):
-        Dataset(SCHEMA, (make_sample("s1", {"a": "x", "b": "zzz"}),))  # bad level
+        build((make_sample("s1", {"a": "x", "b": "zzz"}),))  # bad level
     with pytest.raises(ValidationError):
-        Dataset(SCHEMA, (make_sample("s1", {"a": "x"}),))  # missing label
+        build((make_sample("s1", {"a": "x"}),))  # missing label
     with pytest.raises(ValidationError):
-        Dataset(SCHEMA, (s1, make_sample("s2", {"a": "x", "b": "u"}, emb=(1.0, 2.0, 3.0))))
+        build((s1, make_sample("s2", {"a": "x", "b": "u"}, emb=(1.0, 2.0, 3.0))))
     with pytest.raises(ValidationError):
-        Dataset(SCHEMA, (s1,), pairs=(EditPair("s1", "ghost", "a", "x", "y"),))
+        build((s1,), pairs=[("s1", "ghost", "a", "x", "y")])
     # edited sample must carry to_level on the edited attribute
     bad_edit = make_sample("s1e", {"a": "x", "b": "u"})
     with pytest.raises(ValidationError):
-        Dataset(SCHEMA, (s1, bad_edit), pairs=(EditPair("s1", "s1e", "a", "x", "y"),))
+        build((s1, bad_edit), pairs=[("s1", "s1e", "a", "x", "y")])
     # off-attribute labels must agree
     drift = make_sample("s1e", {"a": "y", "b": "v"})
     with pytest.raises(ValidationError):
-        Dataset(SCHEMA, (s1, drift), pairs=(EditPair("s1", "s1e", "a", "x", "y"),))
+        build((s1, drift), pairs=[("s1", "s1e", "a", "x", "y")])
     # from_level must match the original
     edited = make_sample("s1e", {"a": "y", "b": "u"})
     with pytest.raises(ValidationError):
-        Dataset(SCHEMA, (s1, edited), pairs=(EditPair("s1", "s1e", "a", "y", "y"),))
+        build((s1, edited), pairs=[("s1", "s1e", "a", "y", "y")])
 
 
 def test_space_conversion():
     ds = small_dataset()
     probs = ds.to_space("probability")
     assert probs.space == "probability"
-    row = probs.by_id("s1").blackbox_output
+    row = probs.outputs[probs.rows_of("s1")]
     expected = np.exp([2.0, -1.0]) / np.exp([2.0, -1.0]).sum()
     assert np.allclose(row, expected, atol=1e-12)
     # idempotent; reverse direction refused
@@ -236,15 +241,12 @@ def test_save_load_roundtrip_is_bit_exact(tmp_path):
         )
         for i in range(6)
     )
-    ds = Dataset(SCHEMA, samples)
+    ds = build(samples)
     paths = save_dataset(ds, tmp_path)
     back = load_dataset(paths["samples"], paths["pairs"], paths["schema"])
     assert back.schema == ds.schema
-    for s, t in zip(ds.samples, back.samples):
-        assert s.id == t.id and s.concept_labels == t.concept_labels
-        assert np.array_equal(s.embedding, t.embedding)
-        assert np.array_equal(s.blackbox_output, t.blackbox_output)
-        assert s.gold_label == t.gold_label
+    for column in ("ids", "codes", "embeddings", "outputs", "gold"):
+        assert np.array_equal(getattr(ds, column), getattr(back, column)), column
     # byte-identical on re-save
     first = {k: p.read_bytes() for k, p in paths.items()}
     save_dataset(back, tmp_path)
@@ -303,13 +305,13 @@ def test_loader_missing_file(tmp_path):
     with pytest.raises(ValidationError):
         load_dataset(samples, tmp_path / "ghost.jsonl", schema)
     ds = load_dataset(samples, None, schema)  # pairs are optional
-    assert len(ds) == 1 and ds.pairs == ()
+    assert len(ds) == 1 and len(ds.pairs) == 0
 
 
 def test_loader_applies_probability_space(tmp_path):
     samples, pairs, schema = write_fixture(tmp_path, [GOOD_LINE])
     ds = load_dataset(samples, None, schema, space="probability")
-    assert np.allclose(ds.by_id("s1").blackbox_output.sum(), 1.0, atol=1e-12)
+    assert np.allclose(ds.outputs[ds.rows_of("s1")].sum(), 1.0, atol=1e-12)
 
 
 def test_write_text_atomic_keeps_plain_open_mode(tmp_path):

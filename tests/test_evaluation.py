@@ -9,9 +9,7 @@ import pytest
 from mcce import (
     ConceptSchema,
     Dataset,
-    EditPair,
-    EffectEstimate,
-    Sample,
+    Effects,
     ValidationError,
     coefficient_error,
     dist_cosine,
@@ -68,47 +66,38 @@ def test_distance_errors():
 
 # --- icace --------------------------------------------------------------
 
-def two_pair_dataset():
-    def s(sid, labels, out):
-        return Sample(sid, labels, np.zeros(1), np.array(out, dtype=float))
-
+def two_pair_dataset(extra=(), extra_pairs=()):
     samples = (
-        s("o1", {"a": "x", "b": "u"}, (1.0, 0.0)),
-        s("e1", {"a": "y", "b": "u"}, (0.0, 1.0)),
-        s("o2", {"a": "x", "b": "v"}, (2.0, 2.0)),
-        s("e2", {"a": "y", "b": "v"}, (2.0, 5.0)),
+        ("o1", {"a": "x", "b": "u"}, (1.0, 0.0)),
+        ("e1", {"a": "y", "b": "u"}, (0.0, 1.0)),
+        ("o2", {"a": "x", "b": "v"}, (2.0, 2.0)),
+        ("e2", {"a": "y", "b": "v"}, (2.0, 5.0)),
+        *extra,
     )
-    pairs = (
-        EditPair("o1", "e1", "a", "x", "y"),
-        EditPair("o2", "e2", "a", "x", "y"),
-    )
-    return Dataset(SCHEMA, samples, pairs)
+    pairs = [("o1", "e1", "a", "x", "y"), ("o2", "e2", "a", "x", "y"), *extra_pairs]
+    ids, labels, outputs = zip(*samples)
+    return Dataset.from_records(SCHEMA, ids, labels, np.zeros((len(ids), 1)), outputs, pairs=pairs)
 
 
 def test_icace_by_hand():
     ds = two_pair_dataset()
-    assert icace(ds.pairs[0], ds).tolist() == [-1.0, 1.0]
-    assert icace(ds.pairs[1], ds).tolist() == [0.0, 3.0]
+    assert icace(ds).tolist() == [[-1.0, 1.0], [0.0, 3.0]]
 
 
-def estimate(sample_id, effect, from_level="x", to_level="y", space="logit"):
-    return EffectEstimate(
-        sample_id=sample_id,
-        attribute="a",
-        from_level=from_level,
-        to_level=to_level,
-        effect=np.array(effect, dtype=float),
-        method="test",
-        space=space,
-    )
+def estimates(*rows, space="logit"):
+    """Effects from (sample_id, effect[, attribute, from, to]) rows; keys default to a: x -> y."""
+    rows = [row + ("a", "x", "y")[len(row) - 2 :] for row in rows]
+    sample_id, effect, attribute, from_level, to_level = zip(*rows) if rows else ((),) * 5
+    effect = np.array(effect, dtype=float)
+    return Effects(sample_id, attribute, from_level, to_level, effect, "test", space)
 
 
 def test_icace_error_group_stats_by_hand():
     ds = two_pair_dataset()
     # estimates off by l2 distances 1 and 3 inside one (a, x, y) group:
     # mean 2, population std 1
-    effects = [estimate("o1", (-1.0, 0.0)), estimate("o2", (0.0, 6.0))]
-    report = icace_error(effects, ds.pairs, ds, "l2")
+    effects = estimates(("o1", (-1.0, 0.0)), ("o2", (0.0, 6.0)))
+    report = icace_error(effects, ds, "l2")
     assert len(report.groups) == 1
     g = report.groups[0]
     assert (g.attribute, g.from_level, g.to_level, g.count) == ("a", "x", "y", 2)
@@ -121,46 +110,41 @@ def test_icace_error_group_stats_by_hand():
 
 def test_icace_error_macro_averages_groups_equally():
     # second group with a single pair at distance 5; macro mean = (2+5)/2
-    ds0 = two_pair_dataset()
-    extra = (
-        Sample("o3", {"a": "x", "b": "u"}, np.zeros(1), np.array([1.0, 1.0])),
-        Sample("e3", {"a": "x", "b": "v"}, np.zeros(1), np.array([1.0, 1.0])),
+    ds = two_pair_dataset(
+        extra=(("o3", {"a": "x", "b": "u"}, (1.0, 1.0)), ("e3", {"a": "x", "b": "v"}, (1.0, 1.0))),
+        extra_pairs=[("o3", "e3", "b", "u", "v")],
     )
-    ds = Dataset(SCHEMA, ds0.samples + extra, ds0.pairs + (EditPair("o3", "e3", "b", "u", "v"),))
-    effects = [
-        estimate("o1", (-1.0, 0.0)),
-        estimate("o2", (0.0, 6.0)),
-        EffectEstimate("o3", "b", "u", "v", np.array([3.0, 4.0]), "test", "logit"),
-    ]
-    report = icace_error(effects, ds.pairs, ds, "l2")
+    effects = estimates(("o1", (-1.0, 0.0)), ("o2", (0.0, 6.0)), ("o3", (3.0, 4.0), "b", "u", "v"))
+    report = icace_error(effects, ds, "l2")
     assert [g.mean for g in report.groups] == [2.0, 5.0]
     assert abs(report.macro_mean - 3.5) < 1e-12
     assert abs(report.macro_std - 1.5) < 1e-12  # population std of {2, 5}
 
 
 def test_icace_error_empty_pairs():
-    ds = two_pair_dataset()
-    report = icace_error([], (), ds, "l2")
+    ds = two_pair_dataset().mask({"a"})
+    report = icace_error(estimates(), ds, "l2", hidden={"a"})
     assert report.groups == () and report.macro_mean == 0.0 and report.macro_std == 0.0
+    assert report.metadata["pairs_skipped"] == 2
 
 
 def test_icace_error_join_failures():
     ds = two_pair_dataset()
-    effects = [estimate("o1", (-1.0, 0.0))]
+    one = ("o1", (-1.0, 0.0))
     with pytest.raises(ValidationError):
-        icace_error(effects, ds.pairs, ds, "l2")  # o2 has no estimate
+        icace_error(estimates(one), ds, "l2")  # o2 has no estimate
     with pytest.raises(ValidationError):
-        icace_error(effects * 2, ds.pairs[:1], ds, "l2")  # duplicate estimate
+        icace_error(estimates(one, one, ("o2", (0.0, 0.0))), ds, "l2")  # duplicate estimate
     with pytest.raises(ValidationError):
-        icace_error([estimate("o1", (0.0, 0.0), space="probability")], ds.pairs[:1], ds, "l2")
+        icace_error(estimates(one, ("o2", (0.0, 0.0)), space="probability"), ds, "l2")
     with pytest.raises(ValidationError):
-        icace_error(effects, ds.pairs[:1], ds, "chebyshev")
+        icace_error(estimates(one, ("o2", (0.0, 0.0))), ds, "chebyshev")
 
 
 def test_report_serialization(tmp_path):
     ds = two_pair_dataset()
-    effects = [estimate("o1", (-1.0, 0.0)), estimate("o2", (0.0, 6.0))]
-    report = icace_error(effects, ds.pairs, ds, "l2", metadata={"method": "test"})
+    effects = estimates(("o1", (-1.0, 0.0)), ("o2", (0.0, 6.0)))
+    report = icace_error(effects, ds, "l2", metadata={"method": "test"})
     obj = report.to_json_obj()
     assert obj["metadata"]["method"] == "test"
     assert obj["metadata"]["metric"] == "l2"

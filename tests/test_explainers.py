@@ -17,21 +17,19 @@ from mcce import explainers
 from mcce import (
     ConceptSchema,
     Dataset,
-    EditPair,
+    Effects,
     MCCEModel,
-    Sample,
     SLearnerModel,
     ValidationError,
     build_label_index,
-    encode,
     explain_approx,
     explain_mcce,
     explain_slearner,
     fit_mcce,
     fit_slearner,
     global_report,
-    intervene,
     load_model,
+    one_hot,
     predict_labels,
     read_effects,
     save_model,
@@ -53,16 +51,21 @@ def linear_dataset(n=80, seed=0, q=4, embed_dim=8, noise=0.0, hidden=(), gold=Fa
     width = SCHEMA.width
     Bmap, _ = np.linalg.qr(rng.standard_normal((embed_dim, width)))
     beta = rng.standard_normal((width, q))
-    samples = []
+    rows = []
     for i in range(n):
-        labels = {"a": ("x", "y")[rng.integers(2)], "b": ("u", "v", "w")[rng.integers(3)]}
-        c = encode(SCHEMA, labels)
+        codes = (rng.integers(2), rng.integers(3))
+        c = one_hot(SCHEMA, [codes])[0]
         e = Bmap @ c
         y = c @ beta + noise * rng.standard_normal(q)
-        g = int(np.argmax(c @ beta)) if gold else None
-        samples.append(Sample(f"s{i}", labels, e, y, g))
-    ds = Dataset(SCHEMA, tuple(samples), hidden_attributes=frozenset(hidden))
+        g = int(np.argmax(c @ beta)) if gold else -1
+        rows.append((codes, e, y, g))
+    codes, E, Y, G = (np.array(col) for col in zip(*rows))
+    ds = Dataset(SCHEMA, ids(n), codes, E, Y, G, hidden_attributes=frozenset(hidden))
     return ds, beta, Bmap
+
+
+def ids(n):
+    return [f"s{i}" for i in range(n)]
 
 
 # --- fit_mcce ------------------------------------------------------------
@@ -92,10 +95,8 @@ def test_fit_hidden_attribute_still_fits_targets_exactly():
     ds, beta, _ = linear_dataset(hidden={"a"})
     model = fit_mcce(ds)
     assert model.diagnostics["fit_residual_sos"] < 1e-12
-    preds = np.array(
-        [model.predict(ds.encode_sample(s), s.embedding) for s in ds.samples]
-    )
-    targets = ds.outputs()
+    preds = model.predict(ds.design_matrix(), ds.embeddings)
+    targets = ds.outputs
     assert np.max(np.abs(preds - targets)) < 1e-6
 
 
@@ -110,9 +111,9 @@ def test_fit_decoupling_identity():
     # [C S]; they do because the score columns are orthogonal to the design
     ds, _, _ = linear_dataset(hidden={"a"}, noise=0.2, seed=4)
     model = fit_mcce(ds)
-    C = ds.design_matrix(ds.fit_samples())
-    H = ds.embeddings(ds.fit_samples())
-    T = ds.outputs(ds.fit_samples())
+    C = ds.design_matrix(ds.fit_rows)
+    H = ds.embeddings[ds.fit_rows]
+    T = ds.outputs[ds.fit_rows]
     assert np.allclose(model.concept_coef, lstsq(C, T).coefficients, atol=1e-8)
     S = (H - C @ model.embed_coef) @ model.pseudo_basis
     joint = lstsq(np.hstack([C, S]), T).coefficients
@@ -140,9 +141,8 @@ def test_fit_pseudo_basis_rotation_invariance():
         target_kind=model.target_kind,
         diagnostics=model.diagnostics,
     )
-    for s in ds.samples[:10]:
-        c = ds.encode_sample(s)
-        assert np.allclose(model.predict(c, s.embedding), rotated.predict(c, s.embedding), atol=1e-8)
+    C, E = ds.design_matrix(np.arange(10)), ds.embeddings[:10]
+    assert np.allclose(model.predict(C, E), rotated.predict(C, E), atol=1e-8)
 
 
 def test_fit_interpolation_regime_reproduces_targets():
@@ -150,16 +150,16 @@ def test_fit_interpolation_regime_reproduces_targets():
     # 8 row dimensions, the residual scores span the other 4, so the
     # decoupled projections interpolate the training targets
     rng = np.random.default_rng(7)
-    samples = []
-    for i in range(8):
-        labels = {"a": ("x", "y")[rng.integers(2)], "b": ("u", "v", "w")[rng.integers(3)]}
-        samples.append(Sample(f"s{i}", labels, rng.standard_normal(8), rng.standard_normal(4)))
-    ds = Dataset(SCHEMA, tuple(samples))
+    rows = [
+        ((rng.integers(2), rng.integers(3)), rng.standard_normal(8), rng.standard_normal(4))
+        for _ in range(8)
+    ]
+    codes, E, Y = (np.array(col) for col in zip(*rows))
+    ds = Dataset(SCHEMA, ids(8), codes, E, Y)
     with pytest.warns(UserWarning):
         model = fit_mcce(ds, n_pseudo=5)
-    for s in ds.samples:
-        pred = model.predict(ds.encode_sample(s), s.embedding)
-        assert np.allclose(pred, s.blackbox_output, atol=1e-6)
+    pred = model.predict(ds.design_matrix(), ds.embeddings)
+    assert np.allclose(pred, ds.outputs, atol=1e-6)
 
 
 def test_fit_validation_errors():
@@ -173,7 +173,8 @@ def test_fit_validation_errors():
     with pytest.raises(ValidationError):
         fit_mcce(ds, targets=np.zeros((3, 2)))  # row mismatch
     with pytest.raises(ValidationError):
-        fit_mcce(Dataset(SCHEMA, ()))  # nothing to fit
+        empty = Dataset(SCHEMA, [], np.zeros((0, 2)), np.zeros((0, 8)), np.zeros((0, 4)))
+        fit_mcce(empty)  # nothing to fit
     with pytest.raises(ValidationError):
         fit_mcce(ds, target_kind="gold")  # no gold labels present
 
@@ -191,15 +192,11 @@ def test_explain_effect_matches_coefficient_contrast():
     # noiseless linear ground truth: effect must equal the beta contrast
     ds, beta, _ = linear_dataset(seed=8)
     model = fit_mcce(ds)
-    sample = ds.samples[0]
-    current = sample.concept_labels["b"]
-    for to in ("u", "v", "w"):
-        eff = explain_mcce(model, sample, "b", to)
-        rows = {"u": 2, "v": 3, "w": 4}
-        want = beta[rows[to]] - beta[rows[current]]
-        assert np.allclose(eff.effect, want, atol=1e-6)
-        assert eff.method == "mcce" and eff.space == "logit"
-        assert eff.from_level == current and eff.to_level == to
+    current = ds.codes[0, 1]
+    effects = explain_mcce(model, ds, 0, 1, [0, 1, 2])  # b -> u, v, w
+    for to, eff in enumerate(effects):
+        want = beta[2 + to] - beta[2 + current]
+        assert np.allclose(eff, want, atol=1e-6)
 
 
 def test_explain_closed_form_identity():
@@ -207,39 +204,37 @@ def test_explain_closed_form_identity():
     #          + (factual fit residual)
     ds, _, _ = linear_dataset(hidden={"a"}, noise=0.4, seed=9)
     model = fit_mcce(ds)
-    for s in ds.samples[:20]:
-        c = ds.encode_sample(s)
-        for to in ("u", "v", "w"):
-            c2 = intervene(SCHEMA, c, "b", to, hidden={"a"})
-            dc = c2 - c
-            fit_resid = model.predict(c, s.embedding) - s.blackbox_output
-            closed = (
-                dc @ model.concept_coef
-                - (dc @ model.embed_coef @ model.pseudo_basis) @ model.pseudo_coef
-                + fit_resid
-            )
-            eff = explain_mcce(model, s, "b", to)
-            assert np.allclose(eff.effect, closed, atol=1e-8)
+    rows, to = np.repeat(np.arange(20), 3), np.tile(np.arange(3), 20)
+    c = ds.design_matrix(rows)
+    c2 = c.copy()
+    c2[:, 0:3] = np.eye(3)[to]  # b is the only visible block
+    dc = c2 - c
+    fit_resid = model.predict(c, ds.embeddings[rows]) - ds.outputs[rows]
+    closed = (
+        dc @ model.concept_coef
+        - (dc @ model.embed_coef @ model.pseudo_basis) @ model.pseudo_coef
+        + fit_resid
+    )
+    assert np.allclose(explain_mcce(model, ds, rows, 1, to), closed, atol=1e-8)
 
 
 def test_explain_null_intervention_is_fit_residual():
     ds, _, _ = linear_dataset(noise=0.3, seed=10)
     model = fit_mcce(ds)
-    s = ds.samples[0]
-    eff = explain_mcce(model, s, "b", s.concept_labels["b"])
-    resid = model.predict(ds.encode_sample(s), s.embedding) - s.blackbox_output
-    assert np.allclose(eff.effect, resid, atol=1e-12)
+    eff = explain_mcce(model, ds, 0, 1, ds.codes[0, 1])
+    resid = model.predict(ds.design_matrix([0]), ds.embeddings[:1]) - ds.outputs[:1]
+    assert np.allclose(eff, resid, atol=1e-12)
 
 
 def test_explain_rejects_hidden_or_unknown():
     ds, _, _ = linear_dataset(hidden={"a"})
     model = fit_mcce(ds)
     with pytest.raises(ValidationError):
-        explain_mcce(model, ds.samples[0], "a", "y")
+        explain_mcce(model, ds, 0, 0, 1)  # a is hidden
     with pytest.raises(ValidationError):
-        explain_mcce(model, ds.samples[0], "b", "nope")
+        explain_mcce(model, ds, 0, 1, 3)  # b has three levels
     with pytest.raises(ValidationError):
-        explain_mcce(model, ds.samples[0], "zzz", "u")
+        explain_mcce(model, ds, 0, 2, 0)  # no third attribute
 
 
 # --- s-learner ---------------------------------------------------------------
@@ -250,12 +245,12 @@ def test_slearner_uniform_targets_stop_immediately():
     model = fit_slearner(ds, targets=uniform)
     assert model.iterations == 0
     assert np.max(np.abs(model.weights)) == 0.0
-    probs = model.predict_proba(ds.encode_sample(ds.samples[0]))
+    probs = model.predict_proba(ds.design_matrix([0]))
     assert np.allclose(probs, 0.25, atol=1e-12)
 
 
 def _augmented(ds):
-    X = ds.design_matrix(ds.fit_samples())
+    X = ds.design_matrix(ds.fit_rows)
     return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
@@ -286,12 +281,9 @@ def soft_label_problems(draw):
     schema = ConceptSchema.of(
         (f"a{i}", tuple(f"l{j}" for j in range(count))) for i, count in enumerate(level_counts)
     )
-    samples = []
-    for i in range(n):
-        labels = {name: levels[rng.integers(len(levels))] for name, levels in schema.attributes}
-        samples.append(Sample(f"s{i}", labels, np.zeros(1), np.zeros(q)))
+    codes = [[rng.integers(len(levels)) for _, levels in schema.attributes] for _ in range(n)]
     targets = softmax(rng.normal(scale=draw(st.floats(0.1, 3.0)), size=(n, q)))
-    return Dataset(schema, tuple(samples)), targets
+    return Dataset(schema, ids(n), codes, np.zeros((n, 1)), np.zeros((n, q))), targets
 
 
 @settings(max_examples=25, deadline=None)
@@ -323,27 +315,21 @@ def test_slearner_fits_concept_determined_distribution():
     # targets depend on concepts only -> the logistic model can match them
     rng = np.random.default_rng(14)
     W = rng.standard_normal((SCHEMA.width, 3))
-    samples = []
-    for i in range(200):
-        labels = {"a": ("x", "y")[rng.integers(2)], "b": ("u", "v", "w")[rng.integers(3)]}
-        c = encode(SCHEMA, labels)
-        samples.append(Sample(f"s{i}", labels, np.zeros(2), c @ W))
-    ds = Dataset(SCHEMA, tuple(samples))
+    codes = [(rng.integers(2), rng.integers(3)) for _ in range(200)]
+    C = one_hot(SCHEMA, codes)
+    ds = Dataset(SCHEMA, ids(200), codes, np.zeros((200, 2)), C @ W)
     model = fit_slearner(ds)
-    for s in ds.samples[:20]:
-        want = softmax((encode(SCHEMA, s.concept_labels) @ W)[None, :])[0]
-        got = model.predict_proba(encode(SCHEMA, s.concept_labels))
-        assert np.max(np.abs(got - want)) < 0.01
+    want = softmax(C[:20] @ W)
+    got = model.predict_proba(C[:20])
+    assert np.max(np.abs(got - want)) < 0.01
 
 
 def test_slearner_effect_space_and_null_intervention():
     ds, _, _ = linear_dataset(noise=0.2, seed=15)
     model = fit_slearner(ds)
-    s = ds.samples[0]
-    eff = explain_slearner(model, s, "b", s.concept_labels["b"])
-    want = model.predict_proba(ds.encode_sample(s)) - softmax(s.blackbox_output[None, :])[0]
-    assert eff.space == "probability"
-    assert np.allclose(eff.effect, want, atol=1e-12)
+    eff = explain_slearner(model, ds, 0, 1, ds.codes[0, 1])
+    want = model.predict_proba(ds.design_matrix([0])) - softmax(ds.outputs[:1])
+    assert np.allclose(eff, want, atol=1e-12)
 
 
 def test_slearner_rejects_bad_probability_targets():
@@ -356,26 +342,18 @@ def test_slearner_rejects_bad_probability_targets():
 # --- approx ------------------------------------------------------------------
 
 def approx_dataset():
-    def s(sid, a, b, out):
-        return Sample(sid, {"a": a, "b": b}, np.zeros(1), np.array(out, dtype=float))
-
-    samples = (
-        s("q", "x", "u", (0.0, 0.0)),
-        s("m1", "x", "v", (1.0, 2.0)),
-        s("m2", "x", "v", (3.0, 4.0)),
-        s("far", "y", "w", (9.0, 9.0)),
-    )
-    return Dataset(SCHEMA, samples)
+    # rows q (x, u), m1 (x, v), m2 (x, v), far (y, w)
+    outputs = [(0.0, 0.0), (1.0, 2.0), (3.0, 4.0), (9.0, 9.0)]
+    codes = [(0, 0), (0, 1), (0, 1), (1, 2)]
+    return Dataset(SCHEMA, ["q", "m1", "m2", "far"], codes, np.zeros((4, 1)), outputs)
 
 
 def test_approx_exact_match_is_bitwise_icace():
     ds = approx_dataset()
-    q = ds.by_id("q")
     rng_hits = set()
     for seed in range(100):
-        eff = explain_approx(ds, q, "b", "v", seed=seed)
+        eff = explain_approx(ds, 0, 1, 1, seed=seed)  # q with b -> v
         assert eff.fallback is False
-        assert eff.method == "approx"
         # effect must be exactly output(match) - output(q), bit for bit
         assert eff.effect.tolist() in ([1.0, 2.0], [3.0, 4.0])
         rng_hits.add(tuple(eff.effect.tolist()))
@@ -384,19 +362,17 @@ def test_approx_exact_match_is_bitwise_icace():
 
 def test_approx_is_deterministic_per_seed():
     ds = approx_dataset()
-    q = ds.by_id("q")
-    a = explain_approx(ds, q, "b", "v", seed=123)
-    b = explain_approx(ds, q, "b", "v", seed=123)
+    a = explain_approx(ds, 0, 1, 1, seed=123)
+    b = explain_approx(ds, 0, 1, 1, seed=123)
     assert np.array_equal(a.effect, b.effect)
 
 
 def test_approx_fallback_flag_and_min_hamming():
     ds = approx_dataset()
-    q = ds.by_id("q")
     # no sample has (a=x, b=w): nearest by visible Hamming is "far"? no:
     # m1/m2 (a=x, b=v) differ only in b -> distance 1; far (y,w) differs in a -> 1.
     # all three tie at distance 1; the winner must be one of them
-    eff = explain_approx(ds, q, "b", "w", seed=0)
+    eff = explain_approx(ds, 0, 1, 2, seed=0)
     assert eff.fallback is True
     assert eff.effect.tolist() in ([1.0, 2.0], [3.0, 4.0], [9.0, 9.0])
 
@@ -404,28 +380,25 @@ def test_approx_fallback_flag_and_min_hamming():
 def test_approx_prebuilt_index_matches():
     ds = approx_dataset()
     idx = build_label_index(ds)
-    q = ds.by_id("q")
-    a = explain_approx(ds, q, "b", "v", seed=7)
-    b = explain_approx(ds, q, "b", "v", seed=7, index=idx)
+    a = explain_approx(ds, 0, 1, 1, seed=7)
+    b = explain_approx(ds, 0, 1, 1, seed=7, index=idx)
     assert np.array_equal(a.effect, b.effect)
 
 
 def test_approx_hidden_edit_degrades_to_visible_profile():
     ds = approx_dataset().mask({"b"})
-    q = ds.by_id("q")
     # editing the hidden attribute: match on visible labels only (a=x)
-    eff = explain_approx(ds, q, "b", "v", seed=3)
+    eff = explain_approx(ds, 0, 1, 1, seed=3)
     assert eff.fallback is False
-    assert eff.from_level is None  # hidden attribute, origin level unknown
     assert eff.effect.tolist() in ([1.0, 2.0], [3.0, 4.0])
 
 
 def test_approx_errors():
     ds = approx_dataset()
     with pytest.raises(ValidationError):
-        explain_approx(ds, ds.by_id("q"), "b", "nope", seed=0)
+        explain_approx(ds, 0, 1, 3, seed=0)  # b has three levels
     with pytest.raises(ValidationError):
-        explain_approx(ds, ds.by_id("q"), "zzz", "u", seed=0)
+        explain_approx(ds, 0, 2, 0, seed=0)  # no third attribute
 
 
 # --- global report / predictor ------------------------------------------------
@@ -488,7 +461,7 @@ def test_predict_labels_recovers_separable_gold():
     ds, _, _ = linear_dataset(gold=True, seed=19)
     model = fit_mcce(ds, target_kind="gold")
     preds = predict_labels(model, ds)
-    assert np.array_equal(preds, ds.gold_array())
+    assert np.array_equal(preds, ds.gold)
 
 
 def test_predict_labels_requires_gold_mode():
@@ -512,9 +485,8 @@ def test_model_roundtrip_mcce(tmp_path):
     assert back.space == model.space and back.target_kind == model.target_kind
     for field in ("embed_coef", "pseudo_basis", "concept_coef", "pseudo_coef"):
         assert np.array_equal(getattr(back, field), getattr(model, field))
-    s = ds.samples[0]
-    c = ds.encode_sample(s)
-    assert np.array_equal(back.predict(c, s.embedding), model.predict(c, s.embedding))
+    C, E = ds.design_matrix([0]), ds.embeddings[:1]
+    assert np.array_equal(back.predict(C, E), model.predict(C, E))
 
 
 def test_model_roundtrip_slearner(tmp_path):
@@ -569,20 +541,26 @@ def test_load_model_rejects_tampered_shapes(tmp_path):
         load_model(path)
 
 
+def current_b_effects(ds, model, rows):
+    """mcce Effects for setting attribute b of `rows` to u."""
+    effect = explain_mcce(model, ds, rows, 1, 0)
+    from_level = [SCHEMA.levels("b")[c] for c in ds.codes[rows, 1]]
+    m = len(rows)
+    return Effects(ds.ids[rows], ["b"] * m, from_level, ["u"] * m, effect, "mcce", "logit")
+
+
 def test_effects_roundtrip(tmp_path):
     ds, _, _ = linear_dataset(seed=24)
     model = fit_mcce(ds)
-    effects = [explain_mcce(model, ds.samples[i], "b", "u") for i in range(5)]
+    effects = current_b_effects(ds, model, np.arange(5))
     path = tmp_path / "effects.jsonl"
     write_effects(path, effects, {"method": "mcce", "space": "logit", "seed": 0})
     back, meta = read_effects(path)
     assert meta["method"] == "mcce" and meta["seed"] == 0
     assert len(back) == 5
-    for e, b in zip(effects, back):
-        assert e.sample_id == b.sample_id and e.attribute == b.attribute
-        assert e.from_level == b.from_level and e.to_level == b.to_level
-        assert np.array_equal(e.effect, b.effect)
-        assert b.fallback is False
+    for column in ("sample_id", "attribute", "from_level", "to_level", "effect"):
+        assert np.array_equal(getattr(effects, column), getattr(back, column)), column
+    assert not back.fallback.any()
     first_line = path.read_text().splitlines()[0]
     assert json.loads(first_line).keys() == {"meta"}
 
@@ -591,7 +569,7 @@ def test_read_effects_rejects_non_finite_tokens(tmp_path):
     ds, _, _ = linear_dataset(seed=24)
     model = fit_mcce(ds)
     path = tmp_path / "effects.jsonl"
-    write_effects(path, [explain_mcce(model, ds.samples[0], "b", "u")], {"method": "mcce"})
+    write_effects(path, current_b_effects(ds, model, np.arange(1)), {"method": "mcce"})
     meta, row = path.read_text().splitlines()
     obj = json.loads(row)
     obj["effect"][0] = float("inf")

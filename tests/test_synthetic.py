@@ -18,7 +18,6 @@ from mcce import (
     save_ground_truth,
     softmax,
     synthesize_sample,
-    true_icace,
 )
 from mcce.linalg import lstsq
 
@@ -33,46 +32,42 @@ def test_generate_is_deterministic():
     ds1, t1 = generate(small_config())
     ds2, t2 = generate(small_config())
     assert len(ds1.samples) == 60
-    for a, b in zip(ds1.samples, ds2.samples):
-        assert a.id == b.id and a.concept_labels == b.concept_labels
-        assert np.array_equal(a.embedding, b.embedding)
-        assert np.array_equal(a.blackbox_output, b.blackbox_output)
-        assert a.gold_label == b.gold_label
-    assert t1.labels == t2.labels
+    for column in ("ids", "codes", "embeddings", "outputs", "gold"):
+        assert np.array_equal(getattr(ds1, column), getattr(ds2, column)), column
+    assert np.array_equal(t1.clean_logits, t2.clean_logits)
     # different data seed, same parameters
     ds3, _ = generate(small_config(seed=2))
-    assert not all(
-        np.array_equal(a.blackbox_output, b.blackbox_output)
-        for a, b in zip(ds1.samples, ds3.samples)
-    )
+    assert not np.array_equal(ds1.outputs, ds3.outputs)
 
 
 def test_make_pairs_is_deterministic_and_consistent():
     cfg = small_config()
     ds1, t1 = generate(cfg)
-    ds1, pairs1 = make_pairs(ds1, t1, cfg)
+    ds1 = make_pairs(ds1, t1, cfg)
     ds2, t2 = generate(cfg)
-    ds2, pairs2 = make_pairs(ds2, t2, cfg)
-    assert [p.edited_id for p in pairs1] == [p.edited_id for p in pairs2]
-    assert len(pairs1) == 60
-    for p in pairs1:
-        orig = ds1.by_id(p.original_id)
-        edit = ds1.by_id(p.edited_id)
-        assert edit.concept_labels[p.attribute] == p.to_level
-        assert orig.concept_labels[p.attribute] == p.from_level
-        others = {k: v for k, v in orig.concept_labels.items() if k != p.attribute}
-        assert others == {k: v for k, v in edit.concept_labels.items() if k != p.attribute}
+    ds2 = make_pairs(ds2, t2, cfg)
+    assert np.array_equal(ds1.ids, ds2.ids)
+    pairs = ds1.pairs
+    assert len(pairs) == 60
+    for orig, edited, attr, to in zip(pairs.original, pairs.edited, pairs.attribute, pairs.to):
+        assert ds1.codes[edited, attr] == to != ds1.codes[orig, attr]
+        others = [a for a in range(4) if a != attr]
+        assert np.array_equal(ds1.codes[orig, others], ds1.codes[edited, others])
+        level = cfg.schema.levels(cfg.schema.names[attr])[to]
+        assert ds1.ids[edited] == f"{ds1.ids[orig]}__{cfg.schema.names[attr]}__{level}"
 
 
 def test_zero_flip_reproduces_sample_exactly():
     cfg = small_config(outcome_noise=0.3, embed_noise=0.2, exact_recovery=False)
     ds, truth = generate(cfg)
     for i in (0, 7, 31):
-        s = ds.samples[i]
-        replay, _ = synthesize_sample(cfg, i, overrides=dict(s.concept_labels), sample_id=s.id)
-        assert replay.concept_labels == s.concept_labels
-        assert np.array_equal(replay.embedding, s.embedding)
-        assert np.array_equal(replay.blackbox_output, s.blackbox_output)
+        for attr in range(4):
+            replay = synthesize_sample(cfg, i, edit=(attr, ds.codes[i, attr]))
+            codes, embedding, output, clean = replay
+            assert np.array_equal(codes, ds.codes[i])
+            assert np.array_equal(embedding, ds.embeddings[i])
+            assert np.array_equal(output, ds.outputs[i])
+            assert np.array_equal(clean, truth.clean_logits[i])
 
 
 def test_edited_embedding_is_exact_map_contrast():
@@ -81,54 +76,42 @@ def test_edited_embedding_is_exact_map_contrast():
     # the noiseless case and to rounding in the noisy one
     cfg = small_config(embed_noise=0.25, exact_recovery=False)
     ds, truth = generate(cfg)
-    ds, pairs = make_pairs(ds, truth, cfg)
-    schema = cfg.schema
-    blocks = schema.visible_blocks()
-    for p in pairs[:20]:
-        orig, edit = ds.by_id(p.original_id), ds.by_id(p.edited_id)
-        delta = edit.embedding - orig.embedding
-        dc = np.zeros(schema.width)
-        block = blocks[p.attribute]
-        levels = schema.levels(p.attribute)
-        dc[block.start + levels.index(p.to_level)] = 1.0
-        dc[block.start + levels.index(p.from_level)] = -1.0
-        assert np.allclose(delta, cfg.embed_map @ dc, atol=1e-12)
+    ds = make_pairs(ds, truth, cfg)
+    p = ds.pairs
+    delta = ds.embeddings[p.edited] - ds.embeddings[p.original]
+    dc = ds.design_matrix(p.edited) - ds.design_matrix(p.original)
+    assert np.allclose(delta, dc @ cfg.embed_map.T, atol=1e-12)
 
 
 def test_icace_equals_oracle_at_zero_output_noise():
     cfg = small_config(outcome_noise=0.0)
     ds, truth = generate(cfg)
-    ds, pairs = make_pairs(ds, truth, cfg)
-    for p in pairs:
-        assert np.allclose(icace(p, ds), true_icace(truth, p), atol=1e-12)
+    ds = make_pairs(ds, truth, cfg)
+    assert np.allclose(icace(ds), oracle_effect(truth, ds, "logit"), atol=1e-12)
 
 
 def test_icace_equals_oracle_even_with_noise():
     # output noise is shared within a pair, so it cancels in the contrast
     cfg = small_config(outcome_noise=0.8)
     ds, truth = generate(cfg)
-    ds, pairs = make_pairs(ds, truth, cfg)
-    for p in pairs:
-        assert np.allclose(icace(p, ds), true_icace(truth, p), atol=1e-10)
+    ds = make_pairs(ds, truth, cfg)
+    assert np.allclose(icace(ds), oracle_effect(truth, ds, "logit"), atol=1e-10)
 
 
 def test_oracle_effect_probability_space():
     cfg = small_config(outcome_noise=0.0)
     ds, truth = generate(cfg)
-    ds, pairs = make_pairs(ds, truth, cfg)
-    p = pairs[0]
-    want = (
-        softmax(ds.by_id(p.edited_id).blackbox_output[None, :])[0]
-        - softmax(ds.by_id(p.original_id).blackbox_output[None, :])[0]
-    )
-    assert np.allclose(oracle_effect(truth, p, "probability"), want, atol=1e-12)
-    assert np.allclose(oracle_effect(truth, p, "logit"), true_icace(truth, p), atol=1e-12)
+    ds = make_pairs(ds, truth, cfg)
+    p = ds.pairs
+    want = softmax(ds.outputs[p.edited[:1]])[0] - softmax(ds.outputs[p.original[:1]])[0]
+    assert np.allclose(oracle_effect(truth, ds, "probability")[0], want, atol=1e-12)
+    logit = truth.clean_logits[p.edited] - truth.clean_logits[p.original]
+    assert np.array_equal(oracle_effect(truth, ds, "logit"), logit)
 
 
 def test_confounding_induces_label_correlation():
     def level_idx(truth, ds, cfg, attr):
-        order = {l: i for i, l in enumerate(dict(cfg.schema.attributes)[attr])}
-        return np.array([order[truth.labels[s.id][attr]] for s in ds.samples])
+        return ds.codes[:, cfg.schema.names.index(attr)]
 
     cfg = default_config(n=5000, seed=11)
     ds, truth = generate(cfg)
@@ -153,8 +136,8 @@ def test_omitted_variable_bias_is_measurable():
 
     def contrast_gap(dataset, hidden):
         d = dataset.mask(hidden)
-        C = d.design_matrix(d.fit_samples())
-        T = d.outputs(d.fit_samples())
+        C = d.design_matrix(d.fit_rows)
+        T = d.outputs[d.fit_rows]
         coef = lstsq(C, T).coefficients
         cols = d.schema.visible_columns(d.hidden_attributes)
         ref = truth.outcome_coef[cols]
@@ -221,21 +204,21 @@ def test_config_file_roundtrip(tmp_path):
 def test_ground_truth_roundtrip(tmp_path):
     cfg = small_config()
     ds, truth = generate(cfg)
-    ds, pairs = make_pairs(ds, truth, cfg)
+    ds = make_pairs(ds, truth, cfg)
     path = tmp_path / "ground_truth.json"
     save_ground_truth(truth, path)
     back = load_ground_truth(path)
     assert np.array_equal(back.outcome_coef, truth.outcome_coef)
-    assert back.labels == truth.labels
-    for p in pairs:
-        assert np.array_equal(true_icace(back, p), true_icace(truth, p))
+    assert np.array_equal(oracle_effect(back, ds, "logit"), oracle_effect(truth, ds, "logit"))
+    partial = load_ground_truth(path)
+    partial.ids, partial.clean_logits = back.ids[:-1], back.clean_logits[:-1]
     with pytest.raises(ValidationError):
-        true_icace(back, type(p)(p.original_id, "ghost", p.attribute, p.from_level, p.to_level))
+        oracle_effect(partial, ds, "logit")
 
 
 def test_make_pairs_refuses_existing_pairs():
     cfg = small_config()
     ds, truth = generate(cfg)
-    ds, _ = make_pairs(ds, truth, cfg)
+    ds = make_pairs(ds, truth, cfg)
     with pytest.raises(ValidationError):
         make_pairs(ds, truth, cfg)
