@@ -46,6 +46,7 @@ from .explainers import (
     ApproxEstimate,
     CoefficientReport,
     Effects,
+    LabelIndex,
     MCCEModel,
     SLearnerModel,
     build_label_index,
@@ -106,6 +107,7 @@ __all__ = [
     "ApproxEstimate",
     "CoefficientReport",
     "Effects",
+    "LabelIndex",
     "MCCEModel",
     "SLearnerModel",
     "build_label_index",

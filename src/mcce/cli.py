@@ -97,6 +97,7 @@ def _pair_seed(run_seed: int, original_id: str, attribute: str, to_level: str) -
 # explain/evaluate plumbing shared by cmd_explain and cmd_experiment
 
 
+@np.errstate(over="ignore", invalid="ignore")  # write_effects reports non-finite estimates
 def _explain(dataset: Dataset, method: str, model, seed: int, hidden, path: Path, truth=None):
     """Estimate the first pair of each key, in pairs-file order, and write the effects file.
 

@@ -28,14 +28,18 @@ approx
 mcce and slearner explain a batch of edits in one call: row i of the
 result is the effect of setting attribute `attribute[i]` of dataset row
 `rows[i]` to level code `to[i]`. approx draws from a seeded stream per
-edit, so it explains one edit per call.
+edit, so it explains one edit per call; the work that no edit changes is
+done once per run by `build_label_index`.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
@@ -53,7 +57,7 @@ from .data import (
     softmax,
     write_text_atomic,
 )
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .linalg import RANK_RTOL, as_matrix, lstsq, max_abs_cross, residualize, truncated_svd
 
 TARGET_OUTPUT = "output"
@@ -433,19 +437,39 @@ class ApproxEstimate(NamedTuple):
     fallback: bool  # no row matched exactly; the nearest rows were used
 
 
-def build_label_index(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted visible-label profiles, row order); each profile is one integer.
+class LabelIndex(NamedTuple):
+    """What `explain_approx` needs of a dataset that no edit changes.
+
+    A row's profile is its visible level codes as one integer (mixed
+    radix over the visible attributes, in schema order). Setting
+    attribute a of row r to code t moves the profile by
+    `stride[a] * (t - codes[r, a])`; a hidden attribute has stride 0, so
+    an edit of it keeps the row's own visible profile.
+    """
+
+    profiles: list[int]  # sorted, for bisect
+    order: np.ndarray  # row of each sorted profile; rows sharing one stay in row order
+    row_key: list[int]  # each row's own profile
+    stride: list[int]  # per attribute, 0 if hidden
+    visible: np.ndarray  # per attribute
+
+
+def build_label_index(dataset: Dataset) -> LabelIndex:
+    """Sort the dataset's visible-label profiles once, for every approx edit of a run.
 
     The sort is stable, so the rows that share a profile stay in row order.
     """
     visible = dataset.schema.visible_mask(dataset.hidden_attributes)
-    profiles = np.ravel_multi_index(dataset.codes[:, visible].T, dataset.schema.sizes[visible])
+    sizes = dataset.schema.sizes[visible]
+    profiles = np.ravel_multi_index(dataset.codes[:, visible].T, sizes)
     order = np.argsort(profiles, kind="stable")
-    return profiles[order], order
+    stride = np.zeros(visible.size, dtype=np.int64)
+    stride[visible] = np.cumprod(np.concatenate(([1], sizes[:0:-1])))[::-1]
+    return LabelIndex(profiles[order].tolist(), order, profiles.tolist(), stride.tolist(), visible)
 
 
 def explain_approx(
-    dataset: Dataset, row: int, attribute: int, to: int, seed: int, index=None
+    dataset: Dataset, row: int, attribute: int, to: int, seed: int, index: LabelIndex | None = None
 ) -> ApproxEstimate:
     """Difference row `row` against a row whose visible labels match the edit.
 
@@ -455,25 +479,37 @@ def explain_approx(
     Ties are broken uniformly under `seed`; when no row matches exactly,
     the rows closest by Hamming distance over visible labels are used and
     the estimate is flagged.
+
+    Pass the dataset's `build_label_index` as `index` to explain many
+    edits: the sort is then done once per run, and an edit with an exact
+    match costs one integer key, two bisections and one seeded draw.
     """
-    if len(dataset) == 0:
+    n = len(dataset)
+    if n == 0:
         raise ValidationError("cannot sample counterfactuals from an empty dataset")
+    try:
+        row, attribute, to = operator.index(row), operator.index(attribute), operator.index(to)
+    except TypeError:
+        raise ValidationError("row, attribute and level code must be integers") from None
     sizes = dataset.schema.sizes
     if not 0 <= attribute < sizes.size or not 0 <= to < sizes[attribute]:
         raise ValidationError(f"no level code {to!r} for attribute index {attribute!r}")
-    visible = dataset.schema.visible_mask(dataset.hidden_attributes)
-    target = dataset.codes[row].copy()
-    target[attribute] = to
-    target = target[visible]
-    profiles, order = build_label_index(dataset) if index is None else index
-    key = np.ravel_multi_index(target, sizes[visible])
-    positions = order[np.searchsorted(profiles, key) : np.searchsorted(profiles, key, "right")]
-    fallback = positions.size == 0
+    if not 0 <= row < n:
+        raise ValidationError(f"row {row} is out of range for {n} rows")
+    if index is None:
+        index = build_label_index(dataset)
+    profiles, order, row_key, stride, visible = index
+    key = row_key[row] + stride[attribute] * (to - int(dataset.codes[row, attribute]))
+    lo, hi = bisect_left(profiles, key), bisect_right(profiles, key)
+    positions = order[lo:hi]
+    fallback = lo == hi
     if fallback:
+        target = dataset.codes[row].copy()
+        target[attribute] = to
+        target = target[visible]
         distance = np.sum(dataset.codes[:, visible] != target, axis=1)
         positions = np.flatnonzero(distance == distance.min())
-    rng = np.random.default_rng(seed)
-    choice = positions[int(rng.integers(len(positions)))]
+    choice = positions[int(np.random.default_rng(seed).integers(positions.size))]
     return ApproxEstimate(dataset.outputs[choice] - dataset.outputs[row], fallback)
 
 
@@ -666,23 +702,33 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
 
 
 def write_effects(path: str | Path, effects: Effects, metadata: dict) -> Path:
-    """Write effect estimates as JSONL with a leading metadata line."""
+    """Write effect estimates as JSONL with a leading metadata line.
+
+    Each estimate line holds the same bytes as `_ROW_JSON.encode` of its
+    object, but is built a column at a time: one encode of the whole
+    effect matrix, split into rows, and one string escape per name.
+    Non-finite effects raise NumericalError, since JSON cannot hold them.
+    """
+    bad = ~np.isfinite(effects.effect).all(axis=1)
+    if bad.any():
+        raise NumericalError(
+            f"{int(bad.sum())} of {len(effects)} effect estimates are not finite "
+            f"(first: sample {str(effects.sample_id[np.argmax(bad)])!r}); not writing {path}"
+        )
     lines = [_ROW_JSON.encode({"meta": metadata})]
-    columns = (effects.sample_id, effects.attribute, effects.from_level, effects.to_level)
-    for sid, attribute, from_level, to_level, effect, fallback in zip(
-        *(col.tolist() for col in columns), effects.effect.tolist(), effects.fallback.tolist()
-    ):
-        obj = {
-            "sample_id": sid,
-            "attribute": attribute,
-            "from": from_level,
-            "to": to_level,
-            "effect": effect,
-            "method": effects.method,
-            "space": effects.space,
-            "fallback": fallback,
-        }
-        lines.append(_ROW_JSON.encode(obj))
+    # the matrix holds only floats, so "], [" occurs only between rows
+    effect = _ROW_JSON.encode(effects.effect.tolist())[2:-2].split("], [")
+    sid, attribute, from_level, to_level = (
+        map(encode_basestring_ascii, col.tolist())
+        for col in (effects.sample_id, effects.attribute, effects.from_level, effects.to_level)
+    )
+    fallback = ("true" if f else "false" for f in effects.fallback.tolist())
+    method, space = _ROW_JSON.encode(effects.method), _ROW_JSON.encode(effects.space)
+    lines.extend(
+        f'{{"attribute": {a}, "effect": [{e}], "fallback": {f}, "from": {fr}, '
+        f'"method": {method}, "sample_id": {s}, "space": {space}, "to": {t}}}'
+        for s, a, fr, t, e, f in zip(sid, attribute, from_level, to_level, effect, fallback)
+    )
     return write_text_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -22,6 +22,20 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def run_process(*argv):
+    """`python -m mcce` in a child process, so stderr holds what a user would see."""
+    src = str(Path(mcce.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "default"  # an inherited "ignore" would hide a warning
+    return subprocess.run(
+        [sys.executable, "-m", "mcce", *(str(a) for a in argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
 def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -99,22 +113,13 @@ class TestFit:
 
     @pytest.mark.parametrize("method", ["mcce", "slearner"])
     def test_fit_leaves_stderr_empty(self, synth_dir, tmp_path, method):
-        src = str(Path(mcce.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        env["PYTHONWARNINGS"] = "default"  # an inherited "ignore" would hide the fault
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "mcce", "fit",
-                "--schema", str(synth_dir / "schema.json"),
-                "--samples", str(synth_dir / "samples.jsonl"),
-                "--method", method,
-                "--hidden", "ambiance",
-                "--out", str(tmp_path / "model.json"),
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
+        proc = run_process(
+            "fit",
+            "--schema", synth_dir / "schema.json",
+            "--samples", synth_dir / "samples.jsonl",
+            "--method", method,
+            "--hidden", "ambiance",
+            "--out", tmp_path / "model.json",
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
@@ -329,6 +334,23 @@ class TestExplainEvaluate:
         )
         assert code == 2
         assert "probability" in capsys.readouterr().err
+
+    def test_non_finite_effects_exit_3_without_traceback(self, synth_dir, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        assert run("fit", *dataset_flags(synth_dir), "--method", "mcce", "--out", model) == 0
+        capsys.readouterr()
+        obj = json.loads(model.read_text())
+        obj["concept_coef"] = [[1e308] * len(row) for row in obj["concept_coef"]]
+        model.write_text(json.dumps(obj))  # each edited row sums several 1e308 to inf
+        effects = tmp_path / "e.jsonl"
+        proc = run_process(
+            "explain", *dataset_flags(synth_dir), "--method", "mcce", "--model", model,
+            "--out", effects,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("numerical error: ") and "not finite" in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert not effects.exists()
 
 
 class TestExperiment:

@@ -399,6 +399,10 @@ def test_approx_errors():
         explain_approx(ds, 0, 1, 3, seed=0)  # b has three levels
     with pytest.raises(ValidationError):
         explain_approx(ds, 0, 2, 0, seed=0)  # no third attribute
+    with pytest.raises(ValidationError):
+        explain_approx(ds, 4, 1, 1, seed=0)  # four rows
+    with pytest.raises(ValidationError):
+        explain_approx(ds, 0, 1.0, 1, seed=0)  # indices are integers
 
 
 # --- global report / predictor ------------------------------------------------

@@ -2,9 +2,12 @@
 
 The references here are written per row, on label names, the way the
 batched code is not: a one-hot vector built level by level, an edit as
-a changed label, and the closed-form mcce effect of one edit.
+a changed label, and the closed-form mcce effect of one edit. The approx
+and effects-file references are earlier per-edit and per-row versions of
+the library code, kept to pin the faster versions bit for bit.
 """
 
+import struct
 import warnings
 
 import numpy as np
@@ -16,8 +19,12 @@ from mcce import (
     Dataset,
     EditPairs,
     Effects,
+    MCCEModel,
     SLearnerModel,
+    SynthGroundTruth,
+    build_label_index,
     default_config,
+    explain_approx,
     explain_mcce,
     explain_slearner,
     fit_mcce,
@@ -25,12 +32,17 @@ from mcce import (
     get_distance,
     icace_error,
     load_dataset,
+    load_ground_truth,
+    load_model,
     make_pairs,
     read_effects,
     save_dataset,
+    save_ground_truth,
+    save_model,
     softmax,
     write_effects,
 )
+from mcce.data import _ROW_JSON
 
 
 def reference_one_hot(schema, labels, hidden):
@@ -220,3 +232,249 @@ def test_icace_error_matches_per_pair_grouping(problem, metric):
     assert [(w[0], w[3]) for w in want] == [(g[0], g[3]) for g in got]
     assert np.allclose([w[1:3] for w in want], [g[1:3] for g in got], rtol=1e-12, atol=1e-12)
     assert report.metadata["pairs_evaluated"] == m
+
+
+# --- approx: the per-edit implementation it replaced -----------------------------
+
+
+def reference_explain_approx(dataset, row, attribute, to, seed):
+    """explain_approx as it was: the visible mask, key and bisection redone per edit."""
+    sizes = dataset.schema.sizes
+    visible = dataset.schema.visible_mask(dataset.hidden_attributes)
+    target = dataset.codes[row].copy()
+    target[attribute] = to
+    target = target[visible]
+    profiles = np.ravel_multi_index(dataset.codes[:, visible].T, sizes[visible])
+    order = np.argsort(profiles, kind="stable")
+    profiles = profiles[order]
+    key = np.ravel_multi_index(target, sizes[visible])
+    positions = order[np.searchsorted(profiles, key) : np.searchsorted(profiles, key, "right")]
+    fallback = positions.size == 0
+    if fallback:
+        distance = np.sum(dataset.codes[:, visible] != target, axis=1)
+        positions = np.flatnonzero(distance == distance.min())
+    rng = np.random.default_rng(seed)
+    choice = positions[int(rng.integers(len(positions)))]
+    return dataset.outputs[choice] - dataset.outputs[row], fallback
+
+
+@st.composite
+def approx_problems(draw):
+    """A random schema and mask, rows with repeats, and edits of any attribute.
+
+    With at most 30 rows over up to 5^5 profiles many edits find no exact
+    match (the fallback path); edits of hidden attributes are included.
+    """
+    level_counts = draw(st.lists(st.integers(2, 5), min_size=1, max_size=5))
+    schema = ConceptSchema.of(
+        (f"a{i}", tuple(f"l{j}" for j in range(count))) for i, count in enumerate(level_counts)
+    )
+    flags = draw(st.lists(st.booleans(), min_size=len(level_counts), max_size=len(level_counts)))
+    assume(not all(flags))
+    hidden = frozenset(name for name, flag in zip(schema.names, flags) if flag)
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a few distinct rows, repeated, so exact matches have ties to break
+    distinct = np.column_stack([rng.integers(count, size=n) for count in level_counts])
+    codes = distinct[rng.integers(n, size=n)] if draw(st.booleans()) else distinct
+    dataset = Dataset(
+        schema,
+        [f"r{i}" for i in range(n)],
+        codes,
+        np.zeros((n, 1)),
+        rng.standard_normal((n, draw(st.integers(1, 3)))),
+        hidden_attributes=hidden,
+    )
+    m = draw(st.integers(1, 25))
+    rows = rng.integers(n, size=m).tolist()
+    attribute = rng.integers(len(level_counts), size=m).tolist()
+    to = [int(rng.integers(schema.sizes[a])) for a in attribute]
+    seeds = rng.integers(2**63, size=m).tolist()
+    return dataset, rows, attribute, to, seeds
+
+
+@settings(max_examples=150, deadline=None)
+@given(approx_problems())
+def test_explain_approx_matches_per_edit_reference(problem):
+    dataset, rows, attribute, to, seeds = problem
+    index = build_label_index(dataset)
+    visible = dataset.schema.visible_mask(dataset.hidden_attributes)
+    for i, (row, a, t, seed) in enumerate(zip(rows, attribute, to, seeds)):
+        want_effect, want_fallback = reference_explain_approx(dataset, row, a, t, seed)
+        # the first edit also builds its own index, as a one-off call does
+        got = explain_approx(dataset, row, a, t, seed, index=None if i == 0 else index)
+        assert got.fallback is want_fallback
+        assert got.effect.tobytes() == want_effect.tobytes()
+        assert visible[a] or not got.fallback  # a hidden edit keeps the row's own profile
+
+
+# --- effects file: the per-row writer it replaced ----------------------------------
+
+
+def reference_effects_text(effects, metadata):
+    """write_effects' text as it was: one encoder call per estimate."""
+    lines = [_ROW_JSON.encode({"meta": metadata})]
+    columns = (effects.sample_id, effects.attribute, effects.from_level, effects.to_level)
+    for sid, attribute, from_level, to_level, effect, fallback in zip(
+        *(col.tolist() for col in columns), effects.effect.tolist(), effects.fallback.tolist()
+    ):
+        obj = {
+            "sample_id": sid,
+            "attribute": attribute,
+            "from": from_level,
+            "to": to_level,
+            "effect": effect,
+            "method": effects.method,
+            "space": effects.space,
+            "fallback": fallback,
+        }
+        lines.append(_ROW_JSON.encode(obj))
+    return "\n".join(lines) + "\n"
+
+
+# names with JSON escapes, non-ASCII text and the row separator of an encoded matrix
+pieces = ['"', "\\", "], [", "[[", "]]", "é", "\u20ac", "😀", "\n", "a"]
+names = st.one_of(st.text(max_size=6), st.lists(st.sampled_from(pieces), max_size=4).map("".join))
+edge_floats = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1.7976931348623157e308]
+)
+finite_floats = st.one_of(edge_floats, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def effects_tables(draw):
+    m = draw(st.sampled_from([0, 1, 2, 5]))
+    q = draw(st.sampled_from([1, 3]))
+    column = st.lists(names, min_size=m, max_size=m)
+    effect = draw(st.lists(st.lists(finite_floats, min_size=q, max_size=q), min_size=m, max_size=m))
+    return Effects(
+        draw(column),
+        draw(column),
+        draw(column),
+        draw(column),
+        np.array(effect, dtype=np.float64).reshape(m, q),
+        draw(st.one_of(st.none(), names)),
+        draw(st.one_of(st.none(), names)),
+        draw(st.lists(st.booleans(), min_size=m, max_size=m)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(effects_tables(), st.dictionaries(names, st.one_of(st.none(), st.integers(), names)))
+def test_write_effects_bytes_equal_per_row_encoding(tmp_path_factory, effects, metadata):
+    path = write_effects(tmp_path_factory.mktemp("effects") / "e.jsonl", effects, metadata)
+    assert path.read_bytes() == reference_effects_text(effects, metadata).encode("utf-8")
+
+
+# --- model and ground-truth files --------------------------------------------------
+
+
+def bits(values):
+    """Exact bit pattern of a float array (or float), so -0.0 differs from 0.0."""
+    values = np.asarray(values, dtype=np.float64)
+    return values.shape, values.tobytes()
+
+
+@st.composite
+def float_matrices(draw, rows, cols):
+    flat = draw(st.lists(finite_floats, min_size=rows * cols, max_size=rows * cols))
+    return np.array(flat, dtype=np.float64).reshape(rows, cols)
+
+
+@st.composite
+def masked_schemas(draw):
+    level_counts = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    schema = ConceptSchema.of(
+        (f"a{i}", tuple(f"l{j}" for j in range(count))) for i, count in enumerate(level_counts)
+    )
+    flags = draw(st.lists(st.booleans(), min_size=len(level_counts), max_size=len(level_counts)))
+    assume(not all(flags))
+    return schema, frozenset(name for name, flag in zip(schema.names, flags) if flag)
+
+
+@settings(max_examples=60, deadline=None)
+@given(masked_schemas(), st.data())
+def test_mcce_model_round_trips_bit_exactly(tmp_path_factory, masked, data):
+    schema, hidden = masked
+    k = schema.visible_width(hidden)
+    d, j, q = (data.draw(st.integers(1, 3)) for _ in range(3))
+    model = MCCEModel(
+        schema=schema,
+        hidden_attributes=hidden,
+        embed_coef=data.draw(float_matrices(k, d)),
+        pseudo_basis=data.draw(float_matrices(d, j)),
+        concept_coef=data.draw(float_matrices(k, q)),
+        pseudo_coef=data.draw(float_matrices(j, q)),
+        ridge=data.draw(finite_floats),
+        n_pseudo=j,
+        space=data.draw(st.sampled_from(["logit", "probability"])),
+        target_kind=data.draw(st.sampled_from(["output", "gold", "custom"])),
+        diagnostics=data.draw(st.dictionaries(names, st.one_of(st.integers(), finite_floats))),
+    )
+    path = save_model(model, tmp_path_factory.mktemp("model") / "model.json")
+    back = load_model(path)
+    assert isinstance(back, MCCEModel)
+    assert (back.schema, back.hidden_attributes) == (schema, hidden)
+    for name in ("embed_coef", "pseudo_basis", "concept_coef", "pseudo_coef", "ridge"):
+        assert bits(getattr(back, name)) == bits(getattr(model, name)), name
+    assert (back.n_pseudo, back.space, back.target_kind) == (j, model.space, model.target_kind)
+    assert back.diagnostics.keys() == model.diagnostics.keys()
+    for key, value in model.diagnostics.items():
+        assert type(back.diagnostics[key]) is type(value)
+        assert struct.pack("<d", value) == struct.pack("<d", back.diagnostics[key]), key
+
+
+@settings(max_examples=60, deadline=None)
+@given(masked_schemas(), st.data())
+def test_slearner_model_round_trips_bit_exactly(tmp_path_factory, masked, data):
+    schema, hidden = masked
+    k, q = schema.visible_width(hidden), data.draw(st.integers(1, 4))
+    converged = data.draw(st.one_of(st.none(), st.booleans()))
+    model = SLearnerModel(
+        schema=schema,
+        hidden_attributes=hidden,
+        weights=data.draw(float_matrices(k, q)),
+        bias=data.draw(float_matrices(1, q)).reshape(q),
+        input_space=data.draw(st.sampled_from(["logit", "probability"])),
+        iterations=data.draw(st.integers(0, 50)),
+        final_loss=data.draw(finite_floats),
+        converged=converged,
+        grad_norm=None if converged is None else data.draw(finite_floats),
+    )
+    path = save_model(model, tmp_path_factory.mktemp("model") / "model.json")
+    back = load_model(path)
+    assert isinstance(back, SLearnerModel)
+    assert (back.schema, back.hidden_attributes) == (schema, hidden)
+    for name in ("weights", "bias", "final_loss"):
+        assert bits(getattr(back, name)) == bits(getattr(model, name)), name
+    assert (back.input_space, back.iterations) == (model.input_space, model.iterations)
+    assert back.converged is model.converged
+    assert model.grad_norm is None if back.grad_norm is None else (
+        bits(back.grad_norm) == bits(model.grad_norm)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(names, max_size=6, unique=True), st.data())
+def test_ground_truth_round_trips_bit_exactly(tmp_path_factory, ids, data):
+    ids = np.array(ids, dtype=str).reshape(-1)
+    assume(np.unique(ids).size == ids.size)  # numpy drops trailing NULs from names
+    k, q = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    truth = SynthGroundTruth(
+        data.draw(float_matrices(k, q)),
+        ids,
+        data.draw(float_matrices(ids.size, q)),
+        data.draw(st.integers(0, 2**63 - 1)),
+        tuple(data.draw(st.lists(names, max_size=3))),
+    )
+    path = save_ground_truth(truth, tmp_path_factory.mktemp("truth") / "ground_truth.json")
+    back = load_ground_truth(path)
+    assert bits(back.outcome_coef) == bits(truth.outcome_coef)
+    # clean_logits is stored as an object keyed by id (rows are looked up
+    # by id), so the rows come back in key order: compare id -> row
+    def rows_by_id(t):
+        return {sid: bits(row) for sid, row in zip(t.ids.tolist(), t.clean_logits)}
+
+    assert back.clean_logits.shape == truth.clean_logits.shape
+    assert rows_by_id(back) == rows_by_id(truth)
+    assert (back.seed, back.hidden) == (truth.seed, truth.hidden)
