@@ -7,7 +7,7 @@ stand in for the missing annotations.
 
 Layout:
     linalg      minimum-norm least squares, residualization, truncated SVD
-    data        schemas, columnar datasets and edit pairs, dataset IO, masking
+    data        schemas, columnar datasets and edit pairs, masking; every file format
     explainers  batched mcce / slearner and per-edit approx estimators, model IO
     evaluation  row-wise distances, paired effects, grouped error reports, macro F1
     synthetic   seeded generator with counterfactual ground truth

@@ -9,11 +9,8 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import itertools
-import json
 import sys
 from pathlib import Path
 
@@ -24,8 +21,11 @@ from .data import (
     SPACE_PROBABILITY,
     SPACES,
     Dataset,
+    csv_text,
     load_dataset,
     save_dataset,
+    write_json,
+    write_jsonl,
     write_text_atomic,
 )
 from .errors import NumericalError, ValidationError
@@ -57,6 +57,7 @@ from .synthetic import (
 
 EXPLAIN_METHODS = ("mcce", "slearner", "approx", "oracle")
 EXPERIMENT_METHODS = ("mcce", "slearner", "approx")
+SUMMARY_COLUMNS = ("mask_size", "method", "metric", "mean", "std_masks", "std_seeds", "n_masks", "n_seeds")
 
 
 def _split_csv(value: str) -> list[str]:
@@ -147,7 +148,7 @@ def _write_reports(out_dir: Path, dataset, effects, metrics, metadata, hidden):
     reports = {}
     for metric in metrics:
         report = icace_error(effects, dataset, metric, metadata=dict(metadata), hidden=hidden)
-        write_text_atomic(out_dir / f"report_{metric}.json", report.to_json())
+        write_json(out_dir / f"report_{metric}.json", report.to_json_obj())
         write_text_atomic(out_dir / f"report_{metric}.csv", report.to_csv())
         reports[metric] = report
     return reports
@@ -355,18 +356,9 @@ def cmd_experiment(args) -> int:
                     float(np.mean([results[(m, method, metric, s)] for m in size_masks]))
                     for s in seeds
                 ]
-                cells.append(
-                    {
-                        "mask_size": size,
-                        "method": method,
-                        "metric": metric,
-                        "mean": float(np.mean(all_values)),
-                        "std_masks": float(np.std(by_mask)),
-                        "std_seeds": float(np.std(by_seed)),
-                        "n_masks": len(size_masks),
-                        "n_seeds": len(seeds),
-                    }
-                )
+                stats = (np.mean(all_values), np.std(by_mask), np.std(by_seed))
+                row = (size, method, metric, *map(float, stats), len(size_masks), len(seeds))
+                cells.append(dict(zip(SUMMARY_COLUMNS, row)))
 
     summary = {
         "space": args.space,
@@ -377,28 +369,9 @@ def cmd_experiment(args) -> int:
         "cells": cells,
         "runs": run_rows,
     }
-    write_text_atomic(
-        out_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["mask_size", "method", "metric", "mean", "std_masks", "std_seeds", "n_masks", "n_seeds"]
-    )
-    for cell in cells:
-        writer.writerow(
-            [
-                cell["mask_size"],
-                cell["method"],
-                cell["metric"],
-                repr(cell["mean"]),
-                repr(cell["std_masks"]),
-                repr(cell["std_seeds"]),
-                cell["n_masks"],
-                cell["n_seeds"],
-            ]
-        )
-    write_text_atomic(out_dir / "summary.csv", buf.getvalue())
+    write_json(out_dir / "summary.json", summary)
+    rows = (cell.values() for cell in cells)
+    write_text_atomic(out_dir / "summary.csv", csv_text(SUMMARY_COLUMNS, rows))
 
     print(f"experiment: {len(masks)} masks x {len(methods)} methods x {len(seeds)} seeds")
     for cell in cells:
@@ -434,19 +407,13 @@ def cmd_predict(args) -> int:
     dataset = dataset.mask(model.hidden_attributes)
     predictions = predict_labels(model, dataset)
     gold = [None if g < 0 else g for g in dataset.gold.tolist()]
-    lines = [
-        json.dumps({"id": sid, "predicted": label, "gold": g}, sort_keys=True)
-        for sid, label, g in zip(dataset.ids.tolist(), predictions.tolist(), gold)
-    ]
-    write_text_atomic(args.out, "\n".join(lines) + "\n")
+    write_jsonl(args.out, {"id": dataset.ids, "predicted": predictions, "gold": gold})
+    print(f"predict: wrote {len(dataset)} predictions to {args.out}")
     missing = int(np.sum(dataset.gold < 0))
     if missing:
-        print(f"predict: wrote {len(lines)} predictions to {args.out}")
         print(f"predict: score omitted, {missing} samples lack gold labels")
     else:
-        score = macro_f1(predictions, dataset.gold, model.n_outputs)
-        print(f"predict: wrote {len(lines)} predictions to {args.out}")
-        print(f"macro_f1 {score!r}")
+        print(f"macro_f1 {macro_f1(predictions, dataset.gold, model.n_outputs)!r}")
     return 0
 
 

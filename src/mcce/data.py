@@ -1,4 +1,4 @@
-"""Concept schemas, columnar datasets, and their file formats.
+"""Concept schemas, columnar datasets, and every file format of the package.
 
 A dataset is three files:
 
@@ -8,8 +8,9 @@ schema.json
 samples.jsonl
     {"id": "s000001", "concepts": {"food": "pos", ...},
      "embedding": [...], "logits": [...], "gold": 3}
-    `gold` is optional. `logits` always holds the raw black-box outputs;
-    probability-space operation applies a softmax at load time.
+    `gold` is optional: an integer label or null. `logits` always holds
+    the raw black-box outputs; probability-space operation applies a
+    softmax at load time.
 
 pairs.jsonl
     {"original_id": "s000001", "edited_id": "s000001__food__neg",
@@ -22,17 +23,26 @@ row, attribute and code indices once, at construction. Rows keep their
 complete labels even when attributes are masked; masking is a view
 (`Dataset.mask`), and `design_matrix` is where the mask takes effect:
 it one-hot encodes the visible attributes only.
+
+This is the one module that knows JSON, JSONL and CSV syntax. Models,
+effects, ground truth, configs, reports and predictions are read and
+written by other modules through `read_json`, `write_json`,
+`read_jsonl` (columns, with file:line errors), `write_jsonl` (built a
+column at a time) and `csv_text`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
+import csv
+import io
 import json
 import os
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -481,7 +491,7 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
-# file IO
+# file IO: the one module that knows JSON, JSONL and CSV syntax
 
 
 def _reject_constant(token: str):
@@ -492,40 +502,167 @@ def _reject_constant(token: str):
 # json.loads and json.dumps would build a new one per call.
 _STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant)
 _ROW_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
+_DOC_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+# the Python type that each JSON type named in a `read_jsonl` spec decodes to
+_JSON_TYPES = {
+    "string": str, "integer": int, "boolean": bool, "list": list, "object": dict, "null": type(None)
+}
+# A JSONL value that leaves its key out of the row (a missing key, when read).
+_ABSENT = object()
+# JSON text of each scalar a JSONL column may hold; "" for _ABSENT, which no value encodes to.
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+    object: lambda _: "",
+}
 
 
-def _parse_json(text: str, where: str):
+@contextlib.contextmanager
+def _reading(path: str | Path, what: str):
+    """Open UTF-8 text file `path` for reading; `what` names the file in errors."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield handle
+    except FileNotFoundError:
+        raise ValidationError(f"{what} file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _parse_json(text: str, path: str | Path, line: int | None = None):
+    """Decode one JSON text; NaN and Infinity tokens are errors, and errors name path and line."""
     try:
         return _STRICT_JSON.decode(text)
-    except ValidationError:
-        raise
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"{where}: invalid JSON ({exc.msg})") from exc
+        problem = f"invalid JSON ({exc.msg})"
+    except ValidationError as exc:
+        problem = str(exc)
+    raise ValidationError(f"{path}{'' if line is None else f':{line}'}: {problem}") from None
 
 
-def _parse_jsonl(path: Path) -> list[tuple[int, dict]]:
-    rows = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        obj = _parse_json(line, f"{path}:{lineno}")
-        if not isinstance(obj, dict):
-            raise ValidationError(f"{path}:{lineno}: expected a JSON object")
-        rows.append((lineno, obj))
-    return rows
+def read_json(path: str | Path, what: str) -> dict:
+    """The JSON object that file `path` holds; `what` names the file in errors."""
+    with _reading(path, what) as handle:
+        obj = _parse_json(handle.read(), path)
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    return obj
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ValidationError(f"{where}: missing required key {key!r}")
-    return obj[key]
+def write_json(path: str | Path, obj) -> Path:
+    """Write `obj` atomically as an indented JSON document with sorted keys."""
+    return write_text_atomic(path, _DOC_JSON.encode(obj) + "\n")
+
+
+def read_jsonl(
+    path: str | Path, what: str, types: dict, defaults: dict | None = None, head: str | None = None
+) -> tuple[dict, dict[str, list]]:
+    """Columns of a file that holds one JSON object per non-blank line.
+
+    Returns (header, columns): `columns` maps each key of `types` to its
+    values in line order, and `types[key]` names the JSON types they may
+    take, as in "integer|null". A key of `defaults` may be absent and then
+    reads as its default. If line 1 holds the key `head`, it is the header,
+    whose value must be an object (else the header is {}). Errors name
+    the file, and the line when one is at fault.
+    """
+    rows, lines = [], []
+    with _reading(path, what) as handle:
+        for number, line in enumerate(handle, start=1):
+            if not line.isspace():
+                rows.append(_parse_json(line, path, number))
+                lines.append(number)
+    if set(map(type, rows)) - {dict}:
+        i = next(i for i, row in enumerate(rows) if type(row) is not dict)
+        raise ValidationError(f"{path}:{lines[i]}: expected a JSON object")
+    header = {}
+    if head is not None and lines[:1] == [1] and head in rows[0]:
+        header, rows, lines = rows[0][head], rows[1:], lines[1:]
+        if type(header) is not dict:
+            raise ValidationError(f"{path}:1: {head!r} must be a JSON object")
+    columns = {}
+    for key, names in types.items():
+        default = (defaults or {}).get(key, _ABSENT)
+        column = columns[key] = [row.get(key, default) for row in rows]
+        allowed = tuple(_JSON_TYPES[name] for name in names.split("|"))
+        if set(map(type, column)).difference(allowed):
+            i = next(i for i, value in enumerate(column) if type(value) not in allowed)
+            if column[i] is _ABSENT:
+                raise ValidationError(f"{path}:{lines[i]}: missing required key {key!r}")
+            raise ValidationError(f"{path}:{lines[i]}: {key!r} must be {names.replace('|', ' or ')}")
+    return header, columns
+
+
+def _encode_column(column) -> tuple[str, list[str] | None, str]:
+    """(open, texts, close): a JSONL column's value in each row is open + text + close.
+
+    A constant (one string or None for every row) has no texts; `open` is its JSON.
+    """
+    if column is None or isinstance(column, str):
+        return _ROW_JSON.encode(column), None, ""
+    if isinstance(column, dict):
+        # escaped text holds no raw newline, so each row is one line
+        return "", _encode_rows(column).split("\n")[:-1], ""
+    if not isinstance(column, np.ndarray):
+        return "", [_SCALAR_JSON[type(value)](value) for value in column], ""
+    if column.ndim == 2 and len(column):
+        # the matrix holds only floats, so "], [" occurs only between rows
+        return "[", _ROW_JSON.encode(column.tolist())[2:-2].split("], ["), "]"
+    values = column.tolist()  # one dtype, so one type
+    return "", list(map(_SCALAR_JSON[type(values[0])], values)) if values else [], ""
+
+
+def _encode_rows(columns: dict) -> str:
+    """One line per row; each holds the bytes `_ROW_JSON.encode` gives the row's object."""
+    keys = sorted(columns)
+    encoded = [_encode_column(columns[key]) for key in keys]
+    m = next(len(texts) for _, texts, _ in encoded if texts is not None)
+    step = 2 * len(keys) + 1
+    parts, close = [""] * (m * step), ""
+    for i, (key, (open_, texts, end)) in enumerate(zip(keys, encoded)):
+        fragment = close + (", " if i else "{") + encode_basestring_ascii(key) + ": " + open_
+        fragments = [fragment] * m
+        if isinstance(columns[key], list) and "" in texts:  # values left out
+            fragments = [fragment if text else close for text in texts]
+        parts[2 * i :: step] = fragments
+        if texts is not None:
+            parts[2 * i + 1 :: step] = texts
+        close = end
+    parts[step - 1 :: step] = [close + "}\n"] * m
+    return "".join(parts)
+
+
+def write_jsonl(path: str | Path, columns: dict, head=()) -> Path:
+    """Write the `head` objects, then one object per row of `columns`, one per line.
+
+    Each line holds the bytes `_ROW_JSON.encode` gives its object, but is
+    built a column at a time. A column is a float matrix (a list per row),
+    a dict of columns (an object per row), an array or list of strings,
+    ints, bools or None, or one string or None for every row. `_ABSENT` in
+    a list leaves the key out of that row; the first key in sorted order
+    is never left out.
+    """
+    text = "".join(_ROW_JSON.encode(obj) + "\n" for obj in head) + _encode_rows(columns)
+    return write_text_atomic(path, text)
+
+
+def csv_text(header, rows) -> str:
+    """CSV text with "\\n" line ends: the header row, then `rows`."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
 
 
 def load_schema(schema_path: str | Path) -> ConceptSchema:
-    path = Path(schema_path)
-    if not path.exists():
-        raise ValidationError(f"schema file not found: {path}")
-    return ConceptSchema.from_obj(_parse_json(path.read_text(encoding="utf-8"), str(path)))
+    return ConceptSchema.from_obj(read_json(schema_path, "schema"))
+
+
+_SAMPLE_TYPES = {
+    "id": "string", "concepts": "object", "embedding": "list", "logits": "list", "gold": "integer|null"
+}
+_PAIR_KEYS = ("original_id", "edited_id", "attribute", "from", "to")
 
 
 def load_dataset(
@@ -540,33 +677,13 @@ def load_dataset(
     With space="probability" a softmax is applied to every output row.
     """
     schema = load_schema(schema_path)
-
-    samples_path = Path(samples_path)
-    if not samples_path.exists():
-        raise ValidationError(f"samples file not found: {samples_path}")
-    ids, concepts, embeddings, outputs, gold = [], [], [], [], []
-    for lineno, obj in _parse_jsonl(samples_path):
-        where = f"{samples_path}:{lineno}"
-        labels = _require(obj, "concepts", where)
-        if not isinstance(labels, dict):
-            raise ValidationError(f"{where}: 'concepts' must be an object")
-        ids.append(_require(obj, "id", where))
-        concepts.append(labels)
-        embeddings.append(_require(obj, "embedding", where))
-        outputs.append(_require(obj, "logits", where))
-        gold.append(obj.get("gold"))
-
-    pairs = []
+    # each file's parsed objects are dropped before the next file is read
+    _, samples = read_jsonl(samples_path, "samples", _SAMPLE_TYPES, {"gold": None})
+    pairs = ()
     if pairs_path is not None:
-        pairs_path = Path(pairs_path)
-        if not pairs_path.exists():
-            raise ValidationError(f"pairs file not found: {pairs_path}")
-        for lineno, obj in _parse_jsonl(pairs_path):
-            where = f"{pairs_path}:{lineno}"
-            keys = ("original_id", "edited_id", "attribute", "from", "to")
-            pairs.append(tuple(str(_require(obj, key, where)) for key in keys))
-
-    dataset = Dataset.from_records(schema, ids, concepts, embeddings, outputs, gold, pairs)
+        _, columns = read_jsonl(pairs_path, "pairs", dict.fromkeys(_PAIR_KEYS, "string"))
+        pairs = zip(*columns.values())
+    dataset = Dataset.from_records(schema, *samples.values(), pairs)  # _SAMPLE_TYPES order
     return dataset.to_space(space)
 
 
@@ -583,29 +700,17 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
         "samples": out_dir / "samples.jsonl",
         "pairs": out_dir / "pairs.jsonl",
     }
-    schema, ids, p = dataset.schema, dataset.ids, dataset.pairs
-    write_text_atomic(
-        paths["schema"], json.dumps(schema.to_obj(), indent=2, sort_keys=True) + "\n"
-    )
-    names = schema.names
-    labels = schema.level_names(np.arange(len(names)), dataset.codes)
-    sample_lines = []
-    for sid, row, emb, out, gold in zip(
-        ids.tolist(),
-        labels.tolist(),
-        dataset.embeddings.tolist(),
-        dataset.outputs.tolist(),
-        dataset.gold.tolist(),
-    ):
-        obj = {"id": sid, "concepts": dict(zip(names, row)), "embedding": emb, "logits": out}
-        if gold >= 0:
-            obj["gold"] = gold
-        sample_lines.append(_ROW_JSON.encode(obj))
-    write_text_atomic(paths["samples"], "\n".join(sample_lines) + ("\n" if sample_lines else ""))
-    columns = (ids[p.edited], *dataset.pair_names(slice(None)))
-    keys = ("edited_id", "original_id", "attribute", "from", "to")
-    pair_lines = [
-        _ROW_JSON.encode(dict(zip(keys, values))) for values in zip(*(col.tolist() for col in columns))
-    ]
-    write_text_atomic(paths["pairs"], "\n".join(pair_lines) + ("\n" if pair_lines else ""))
+    schema, ids = dataset.schema, dataset.ids
+    write_json(paths["schema"], schema.to_obj())
+    labels = schema.level_names(np.arange(len(schema.names)), dataset.codes)
+    samples = {
+        "id": ids,
+        "concepts": {name: labels[:, a] for a, name in enumerate(schema.names)},
+        "embedding": dataset.embeddings,
+        "logits": dataset.outputs,
+        "gold": [g if g >= 0 else _ABSENT for g in dataset.gold.tolist()],
+    }
+    write_jsonl(paths["samples"], samples)
+    pairs = dict(zip(("original_id", "attribute", "from", "to"), dataset.pair_names(slice(None))))
+    write_jsonl(paths["pairs"], {"edited_id": ids[dataset.pairs.edited], **pairs})
     return paths

@@ -15,14 +15,11 @@ arrays and returns m distances, row by row):
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .data import ConceptSchema, Dataset, index_of
+from .data import ConceptSchema, Dataset, csv_text, index_of
 from .errors import ValidationError
 from .explainers import Effects
 from .linalg import as_matrix
@@ -118,18 +115,9 @@ class EvalReport:
             "macro_std": self.macro_std,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True, allow_nan=False) + "\n"
-
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["attribute", "from", "to", "metric", "mean", "std", "count"])
-        for g in self.groups:
-            writer.writerow(
-                [g.attribute, g.from_level, g.to_level, g.metric, repr(g.mean), repr(g.std), g.count]
-            )
-        return buf.getvalue()
+        rows = map(astuple, self.groups)  # EvalGroup fields are in CSV column order
+        return csv_text(["attribute", "from", "to", "metric", "mean", "std", "count"], rows)
 
 
 def _match_effects(effects: Effects, dataset: Dataset) -> np.ndarray:

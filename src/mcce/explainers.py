@@ -34,12 +34,10 @@ done once per run by `build_label_index`.
 
 from __future__ import annotations
 
-import json
 import operator
 import warnings
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -49,13 +47,13 @@ from .data import (
     SPACE_LOGIT,
     ConceptSchema,
     Dataset,
-    _ROW_JSON,
-    _parse_json,
-    _parse_jsonl,
-    _require,
+    csv_text,
     one_hot,
+    read_json,
+    read_jsonl,
     softmax,
-    write_text_atomic,
+    write_json,
+    write_jsonl,
 )
 from .errors import NumericalError, ValidationError
 from .linalg import RANK_RTOL, as_matrix, lstsq, max_abs_cross, residualize, truncated_svd
@@ -533,26 +531,9 @@ class CoefficientReport:
         return np.asarray(self.contrasts, dtype=np.float64)
 
     def to_csv(self) -> str:
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
         classes = [f"class_{c}" for c in range(self.n_classes)] if self.contrasts else []
-        writer.writerow(["attribute", "level"] + classes)
-        for attr, level, row in zip(self.attributes, self.levels, self.contrasts):
-            writer.writerow([attr, level] + [repr(v) for v in row])
-        return buf.getvalue()
-
-    def to_json_obj(self) -> dict:
-        return {
-            "baseline_class": self.baseline_class,
-            "n_classes": self.n_classes,
-            "rows": [
-                {"attribute": a, "level": l, "contrast": list(row)}
-                for a, l, row in zip(self.attributes, self.levels, self.contrasts)
-            ],
-        }
+        rows = ([a, l, *row] for a, l, row in zip(self.attributes, self.levels, self.contrasts))
+        return csv_text(["attribute", "level"] + classes, rows)
 
 
 def global_report(model: MCCEModel, baseline_class: int) -> CoefficientReport:
@@ -585,7 +566,10 @@ def global_report(model: MCCEModel, baseline_class: int) -> CoefficientReport:
 
 
 def predict_labels(model: MCCEModel, dataset: Dataset) -> np.ndarray:
-    """Argmax of the predictor-mode surrogate over every sample; ties pick the lowest class."""
+    """Argmax of the predictor-mode surrogate over every sample; ties pick the lowest class.
+
+    Raises NumericalError when a surrogate output is not finite.
+    """
     if not isinstance(model, MCCEModel):
         raise ValidationError("label prediction requires a pseudo-concept (mcce) model")
     if model.target_kind != TARGET_GOLD:
@@ -596,7 +580,15 @@ def predict_labels(model: MCCEModel, dataset: Dataset) -> np.ndarray:
         raise ValidationError("model and dataset hidden-attribute masks differ")
     if len(dataset) == 0:
         raise ValidationError("cannot predict on an empty dataset")
-    return np.argmax(model.predict(dataset.design_matrix(), dataset.embeddings), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        scores = model.predict(dataset.design_matrix(), dataset.embeddings)
+    bad = ~np.isfinite(scores).all(axis=1)
+    if bad.any():
+        raise NumericalError(
+            f"{int(bad.sum())} of {len(dataset)} surrogate outputs are not finite "
+            f"(first: sample {str(dataset.ids[np.argmax(bad)])!r})"
+        )
+    return np.argmax(scores, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -605,51 +597,43 @@ def predict_labels(model: MCCEModel, dataset: Dataset) -> np.ndarray:
 
 def save_model(model: MCCEModel | SLearnerModel, path: str | Path) -> Path:
     """Write a model as one JSON document; floats round-trip bit-exactly."""
-    if isinstance(model, MCCEModel):
-        obj = {
-            "kind": model.kind,
-            "schema": model.schema.to_obj(),
-            "hidden": sorted(model.hidden_attributes),
-            "space": model.space,
-            "target_kind": model.target_kind,
-            "ridge": model.ridge,
-            "n_pseudo": model.n_pseudo,
-            "embed_coef": model.embed_coef.tolist(),
-            "pseudo_basis": model.pseudo_basis.tolist(),
-            "concept_coef": model.concept_coef.tolist(),
-            "pseudo_coef": model.pseudo_coef.tolist(),
-            "diagnostics": model.diagnostics,
-        }
-    elif isinstance(model, SLearnerModel):
-        obj = {
-            "kind": model.kind,
-            "schema": model.schema.to_obj(),
-            "hidden": sorted(model.hidden_attributes),
-            "input_space": model.input_space,
-            "weights": model.weights.tolist(),
-            "bias": model.bias.tolist(),
-            "iterations": model.iterations,
-            "final_loss": model.final_loss,
-            "converged": model.converged,
-            "grad_norm": model.grad_norm,
-        }
-    else:
+    if not isinstance(model, (MCCEModel, SLearnerModel)):
         raise ValidationError(f"cannot serialize model of type {type(model).__name__}")
-    return write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    obj = {"kind": model.kind, "schema": model.schema.to_obj(), "hidden": sorted(model.hidden_attributes)}
+    if isinstance(model, MCCEModel):
+        obj.update(
+            space=model.space,
+            target_kind=model.target_kind,
+            ridge=model.ridge,
+            n_pseudo=model.n_pseudo,
+            embed_coef=model.embed_coef.tolist(),
+            pseudo_basis=model.pseudo_basis.tolist(),
+            concept_coef=model.concept_coef.tolist(),
+            pseudo_coef=model.pseudo_coef.tolist(),
+            diagnostics=model.diagnostics,
+        )
+    else:
+        obj.update(
+            input_space=model.input_space,
+            weights=model.weights.tolist(),
+            bias=model.bias.tolist(),
+            iterations=model.iterations,
+            final_loss=model.final_loss,
+            converged=model.converged,
+            grad_norm=model.grad_norm,
+        )
+    return write_json(path, obj)
 
 
 def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"model file not found: {path}")
-    obj = _parse_json(path.read_text(encoding="utf-8"), str(path))
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
+    obj = read_json(path, "model")
     kind = obj.get("kind")
+    if kind not in ("mcce", "slearner"):
+        raise ValidationError(f"{path}: unknown model kind {kind!r}")
     try:
+        schema = ConceptSchema.from_obj(obj["schema"])
+        hidden = schema.check_hidden(obj["hidden"])
         if kind == "mcce":
-            schema = ConceptSchema.from_obj(obj["schema"])
-            hidden = schema.check_hidden(obj["hidden"])
             k_vis = schema.visible_width(hidden)
             model = MCCEModel(
                 schema=schema,
@@ -674,39 +658,39 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
             if model.concept_coef.shape[1] != model.pseudo_coef.shape[1]:
                 raise ValidationError("coefficient blocks disagree on output width")
             return model
-        if kind == "slearner":
-            schema = ConceptSchema.from_obj(obj["schema"])
-            hidden = schema.check_hidden(obj["hidden"])
-            weights = as_matrix(obj["weights"], "weights")
-            bias = np.asarray(obj["bias"], dtype=np.float64)
-            if weights.shape[0] != schema.visible_width(hidden):
-                raise ValidationError("weight rows do not match the schema/mask width")
-            if bias.shape != (weights.shape[1],):
-                raise ValidationError("bias length does not match weight columns")
-            converged, grad_norm = obj.get("converged"), obj.get("grad_norm")
-            return SLearnerModel(
-                schema=schema,
-                hidden_attributes=hidden,
-                weights=weights,
-                bias=bias,
-                input_space=str(obj["input_space"]),
-                iterations=int(obj["iterations"]),
-                final_loss=float(obj["final_loss"]),
-                # files written before these were recorded lack both
-                converged=None if converged is None else bool(converged),
-                grad_norm=None if grad_norm is None else float(grad_norm),
-            )
+        weights = as_matrix(obj["weights"], "weights")
+        bias = np.asarray(obj["bias"], dtype=np.float64)
+        if weights.shape[0] != schema.visible_width(hidden):
+            raise ValidationError("weight rows do not match the schema/mask width")
+        if bias.shape != (weights.shape[1],):
+            raise ValidationError("bias length does not match weight columns")
+        converged, grad_norm = obj.get("converged"), obj.get("grad_norm")
+        return SLearnerModel(
+            schema=schema,
+            hidden_attributes=hidden,
+            weights=weights,
+            bias=bias,
+            input_space=str(obj["input_space"]),
+            iterations=int(obj["iterations"]),
+            final_loss=float(obj["final_loss"]),
+            # files written before these were recorded lack both
+            converged=None if converged is None else bool(converged),
+            grad_norm=None if grad_norm is None else float(grad_norm),
+        )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: malformed model document ({exc})") from exc
-    raise ValidationError(f"{path}: unknown model kind {kind!r}")
+
+
+# The effects file's key for each `Effects` field, in field order, and its JSON types.
+_EFFECT_TYPES = {
+    **dict.fromkeys(("sample_id", "attribute", "from", "to"), "string"),
+    "effect": "list", "method": "string|null", "space": "string|null", "fallback": "boolean",
+}
 
 
 def write_effects(path: str | Path, effects: Effects, metadata: dict) -> Path:
-    """Write effect estimates as JSONL with a leading metadata line.
+    """Write effect estimates as JSONL, one line per estimate after a metadata line.
 
-    Each estimate line holds the same bytes as `_ROW_JSON.encode` of its
-    object, but is built a column at a time: one encode of the whole
-    effect matrix, split into rows, and one string escape per name.
     Non-finite effects raise NumericalError, since JSON cannot hold them.
     """
     bad = ~np.isfinite(effects.effect).all(axis=1)
@@ -715,52 +699,31 @@ def write_effects(path: str | Path, effects: Effects, metadata: dict) -> Path:
             f"{int(bad.sum())} of {len(effects)} effect estimates are not finite "
             f"(first: sample {str(effects.sample_id[np.argmax(bad)])!r}); not writing {path}"
         )
-    lines = [_ROW_JSON.encode({"meta": metadata})]
-    # the matrix holds only floats, so "], [" occurs only between rows
-    effect = _ROW_JSON.encode(effects.effect.tolist())[2:-2].split("], [")
-    sid, attribute, from_level, to_level = (
-        map(encode_basestring_ascii, col.tolist())
-        for col in (effects.sample_id, effects.attribute, effects.from_level, effects.to_level)
-    )
-    fallback = ("true" if f else "false" for f in effects.fallback.tolist())
-    method, space = _ROW_JSON.encode(effects.method), _ROW_JSON.encode(effects.space)
-    lines.extend(
-        f'{{"attribute": {a}, "effect": [{e}], "fallback": {f}, "from": {fr}, '
-        f'"method": {method}, "sample_id": {s}, "space": {space}, "to": {t}}}'
-        for s, a, fr, t, e, f in zip(sid, attribute, from_level, to_level, effect, fallback)
-    )
-    return write_text_atomic(path, "\n".join(lines) + "\n")
+    values = (getattr(effects, f.name) for f in fields(Effects))
+    return write_jsonl(path, dict(zip(_EFFECT_TYPES, values)), head=[{"meta": metadata}])
 
 
 def read_effects(path: str | Path) -> tuple[Effects, dict]:
-    """Read an effects file; every estimate in it must share one method and space."""
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"effects file not found: {path}")
-    metadata: dict = {}
-    keys, effect, fallback, kinds = [], [], [], set()
-    for lineno, obj in _parse_jsonl(path):
-        where = f"{path}:{lineno}"
-        if "meta" in obj:
-            if not isinstance(obj["meta"], dict):
-                raise ValidationError(f"{where}: 'meta' must be a JSON object")
-            metadata = obj["meta"]
-            continue
-        key = ("sample_id", "attribute", "from", "to")
-        keys.append(tuple(str(_require(obj, k, where)) for k in key))
-        effect.append(_require(obj, "effect", where))
-        kinds.add((str(_require(obj, "method", where)), str(_require(obj, "space", where))))
-        fallback.append(bool(obj.get("fallback", False)))
+    """Read an effects file; every estimate in it must share one method and space.
+
+    The metadata line, when present, is line 1; its `hidden` entry, when
+    present, must be a list of attribute names.
+    """
+    metadata, columns = read_jsonl(path, "effects", _EFFECT_TYPES, {"fallback": False}, "meta")
+    hidden = metadata.get("hidden", [])
+    if type(hidden) is not list or set(map(type, hidden)) - {str}:
+        raise ValidationError(f"{path}:1: 'meta.hidden' must be a list of strings")
+    kinds = set(zip(columns["method"], columns["space"]))
     if len(kinds) > 1:
-        raise ValidationError(f"{path}: estimates mix methods or spaces: {sorted(kinds)}")
+        raise ValidationError(f"{path}: estimates mix methods or spaces: {sorted(kinds, key=str)}")
     method, space = kinds.pop() if kinds else (metadata.get("method"), metadata.get("space"))
     try:
-        effect = np.array(effect, dtype=np.float64)
+        effect = np.array(columns["effect"], dtype=np.float64)
     except (TypeError, ValueError):
         effect = None
-    if effect is None or (keys and effect.ndim != 2) or not np.isfinite(effect).all():
+    if effect is None or (columns["effect"] and effect.ndim != 2) or not np.isfinite(effect).all():
         raise ValidationError(
             f"{path}: every 'effect' must be a finite list of numbers, all of one length"
         )
-    columns = list(zip(*keys)) or [()] * 4
-    return Effects(*columns, effect, method, space, fallback), metadata
+    columns.update(effect=effect, method=method, space=space)
+    return Effects(*columns.values()), metadata

@@ -27,7 +27,6 @@ Stream layout (numpy SeedSequence spawn keys, portable across runs):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,10 +36,10 @@ from .data import (
     ConceptSchema,
     Dataset,
     EditPairs,
-    _parse_json,
     index_of,
+    read_json,
     softmax,
-    write_text_atomic,
+    write_json,
 )
 from .errors import ValidationError
 
@@ -343,12 +342,7 @@ def load_synth_config(path: str | Path) -> tuple[SynthConfig, int]:
     `param_seed`). Common keys: n, seed, attributes, hidden,
     embed_noise, outcome_noise, exact_recovery, edits_per_sample.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"config file not found: {path}")
-    obj = _parse_json(path.read_text(encoding="utf-8"), str(path))
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
+    obj = read_json(path, "config")
     edits = obj.get("edits_per_sample", 1)
     explicit_keys = {"mixing", "embed_map", "outcome_coef"}
     present = explicit_keys & set(obj)
@@ -358,13 +352,10 @@ def load_synth_config(path: str | Path) -> tuple[SynthConfig, int]:
         )
     try:
         if present:
-            schema = ConceptSchema.of(
-                (entry["name"], entry["levels"]) for entry in obj["attributes"]
-            )
             config = SynthConfig(
                 n=obj["n"],
                 exo_dim=obj["exo_dim"],
-                schema=schema,
+                schema=ConceptSchema.from_obj(obj),
                 mixing=obj["mixing"],
                 embed_map=obj["embed_map"],
                 outcome_coef=obj["outcome_coef"],
@@ -375,22 +366,10 @@ def load_synth_config(path: str | Path) -> tuple[SynthConfig, int]:
                 exact_recovery=bool(obj.get("exact_recovery", False)),
             )
         else:
-            attributes = None
-            if "attributes" in obj:
-                attributes = [(entry["name"], entry["levels"]) for entry in obj["attributes"]]
-            kwargs = {}
-            for key in (
-                "n_classes",
-                "embed_dim",
-                "confounding",
-                "beta_scale",
-                "embed_noise",
-                "outcome_noise",
-                "param_seed",
-                "exact_recovery",
-            ):
-                if key in obj:
-                    kwargs[key] = obj[key]
+            attributes = ConceptSchema.from_obj(obj).attributes if "attributes" in obj else None
+            knobs = ("n_classes", "embed_dim", "confounding", "beta_scale", "embed_noise",
+                     "outcome_noise", "param_seed", "exact_recovery")
+            kwargs = {key: obj[key] for key in knobs if key in obj}
             config = default_config(
                 n=obj.get("n", 2000),
                 seed=int(obj.get("seed", 0)),
@@ -412,15 +391,12 @@ def save_ground_truth(truth: SynthGroundTruth, path: str | Path) -> Path:
         "seed": truth.seed,
         "hidden": list(truth.hidden),
     }
-    return write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    return write_json(path, obj)
 
 
 def load_ground_truth(path: str | Path) -> SynthGroundTruth:
     """Read ground_truth.json; keys this version does not use ("labels", "pairs") are ignored."""
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"ground truth file not found: {path}")
-    obj = _parse_json(path.read_text(encoding="utf-8"), str(path))
+    obj = read_json(path, "ground truth")
     try:
         coef = np.asarray(obj["outcome_coef"], dtype=np.float64)
         logits = obj["clean_logits"]

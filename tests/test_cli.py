@@ -1,7 +1,7 @@
 """End-to-end CLI checks through mcce.cli.main.
 
-Only the clean-stderr check starts a subprocess: in-process, pytest
-captures warnings before they would reach stderr.
+Only the checks of what stderr shows start a subprocess: in-process,
+pytest captures warnings before they would reach stderr.
 """
 
 import hashlib
@@ -479,6 +479,55 @@ class TestPredict:
         assert code == 2
         assert "gold" in capsys.readouterr().err
 
+    def fit_gold_model(self, synth_dir, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        assert run(
+            "fit",
+            "--schema", synth_dir / "schema.json",
+            "--samples", synth_dir / "samples.jsonl",
+            "--method", "mcce",
+            "--targets", "gold",
+            "--out", model,
+        ) == 0
+        capsys.readouterr()
+        return model
+
+    def test_prediction_lines_equal_per_row_dumps(self, synth_dir, tmp_path, capsys):
+        model = self.fit_gold_model(synth_dir, tmp_path, capsys)
+        rows = [json.loads(l) for l in (synth_dir / "samples.jsonl").read_text().splitlines()]
+        for row in rows[::3]:
+            del row["gold"]
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        preds = tmp_path / "predictions.jsonl"
+        flags = ["--schema", synth_dir / "schema.json", "--samples", samples]
+        assert run("predict", "--model", model, *flags, "--out", preds) == 0
+        assert "score omitted" in capsys.readouterr().out
+        loaded = mcce.load_model(model)
+        dataset = mcce.load_dataset(samples, None, synth_dir / "schema.json")
+        predicted = mcce.predict_labels(loaded, dataset.mask(loaded.hidden_attributes)).tolist()
+        want = "".join(
+            json.dumps({"id": row["id"], "predicted": label, "gold": row.get("gold")}, sort_keys=True)
+            + "\n"
+            for row, label in zip(rows, predicted)
+        )
+        assert preds.read_text() == want
+
+    def test_overflow_exits_3_without_traceback(self, synth_dir, tmp_path, capsys):
+        model = self.fit_gold_model(synth_dir, tmp_path, capsys)
+        obj = json.loads(model.read_text())
+        obj["concept_coef"] = [[1e308] * len(row) for row in obj["concept_coef"]]
+        model.write_text(json.dumps(obj))  # each design row sums several 1e308 to inf
+        preds = tmp_path / "p.jsonl"
+        proc = run_process(
+            "predict", "--model", model, "--schema", synth_dir / "schema.json",
+            "--samples", synth_dir / "samples.jsonl", "--out", preds,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("numerical error: ") and "not finite" in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert not preds.exists()
+
     def test_predict_empty_dataset(self, synth_dir, tmp_path, capsys):
         model = tmp_path / "m.json"
         assert run(
@@ -544,6 +593,46 @@ class TestLoaderErrors:
     def test_effects_meta_must_be_an_object(self, synth_dir, tmp_path, capsys):
         assert self.evaluate(synth_dir, tmp_path, ['{"meta": [1]}']) == 2
         assert "meta" in capsys.readouterr().err
+
+    def test_effects_meta_hidden_must_be_names(self, synth_dir, tmp_path, capsys):
+        assert self.evaluate(synth_dir, tmp_path, ['{"meta": {"hidden": 5}}']) == 2
+        err = capsys.readouterr().err
+        assert "e.jsonl:1: 'meta.hidden'" in err and "Traceback" not in err
+
+    def test_effects_fallback_must_be_boolean(self, synth_dir, tmp_path, capsys):
+        row = {
+            "sample_id": "s000000", "attribute": "food", "from": "neg", "to": "pos",
+            "effect": [0.0] * 5, "method": "approx", "space": "logit", "fallback": "no",
+        }
+        lines = ['{"meta": {}}', json.dumps(row)]
+        assert self.evaluate(synth_dir, tmp_path, lines) == 2
+        assert "e.jsonl:2: 'fallback' must be boolean" in capsys.readouterr().err
+
+    def fit_with(self, synth_dir, tmp_path, line, key, value):
+        """`mcce fit` on the samples file with `key` of line `line` set to `value`."""
+        lines = (synth_dir / "samples.jsonl").read_text().splitlines()
+        row = json.loads(lines[line - 1])
+        row[key] = value
+        lines[line - 1] = json.dumps(row)
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text("\n".join(lines) + "\n")
+        flags = ["--schema", synth_dir / "schema.json", "--samples", samples]
+        return run("fit", *flags, "--out", tmp_path / "m.json")
+
+    def test_sample_id_must_be_a_string(self, synth_dir, tmp_path, capsys):
+        assert self.fit_with(synth_dir, tmp_path, 3, "id", ["x"]) == 2
+        assert "samples.jsonl:3: 'id' must be string" in capsys.readouterr().err
+
+    def test_samples_must_be_utf8(self, synth_dir, tmp_path, capsys):
+        samples = tmp_path / "samples.jsonl"
+        samples.write_bytes(b'{"id": "\xff"}\n')
+        flags = ["--schema", synth_dir / "schema.json", "--samples", samples]
+        assert run("fit", *flags, "--out", tmp_path / "m.json") == 2
+        assert "samples.jsonl: not UTF-8 text" in capsys.readouterr().err
+
+    def test_gold_must_be_an_integer(self, synth_dir, tmp_path, capsys):
+        assert self.fit_with(synth_dir, tmp_path, 2, "gold", 1.5) == 2
+        assert "samples.jsonl:2: 'gold' must be integer or null" in capsys.readouterr().err
 
     def test_effect_must_be_numbers(self, synth_dir, tmp_path, capsys):
         row = {

@@ -366,6 +366,81 @@ def test_write_effects_bytes_equal_per_row_encoding(tmp_path_factory, effects, m
     assert path.read_bytes() == reference_effects_text(effects, metadata).encode("utf-8")
 
 
+# --- dataset files: the per-row writer they replaced --------------------------------
+
+
+def reference_dataset_texts(dataset):
+    """save_dataset's samples.jsonl and pairs.jsonl as they were: one encoder call per row."""
+    schema, ids, codes, p = dataset.schema, dataset.ids.tolist(), dataset.codes, dataset.pairs
+    samples = []
+    for i, sid in enumerate(ids):
+        concepts = {name: levels[codes[i, a]] for a, (name, levels) in enumerate(schema.attributes)}
+        obj = {
+            "id": sid,
+            "concepts": concepts,
+            "embedding": dataset.embeddings[i].tolist(),
+            "logits": dataset.outputs[i].tolist(),
+        }
+        if dataset.gold[i] >= 0:
+            obj["gold"] = int(dataset.gold[i])
+        samples.append(_ROW_JSON.encode(obj) + "\n")
+    pairs = []
+    for original, edited, a, to in zip(p.original, p.edited, p.attribute, p.to):
+        name, levels = schema.attributes[a]
+        obj = {
+            "original_id": ids[original],
+            "edited_id": ids[edited],
+            "attribute": name,
+            "from": levels[codes[original, a]],
+            "to": levels[to],
+        }
+        pairs.append(_ROW_JSON.encode(obj) + "\n")
+    return "".join(samples), "".join(pairs)
+
+
+# numpy string arrays drop trailing NULs, which would change a name in a file
+file_names = names.filter(lambda name: not name.endswith("\x00"))
+
+
+@st.composite
+def file_datasets(draw):
+    """Random names, floats at the edges of the range, gold on some rows, and edit pairs."""
+    attribute_names = draw(st.lists(file_names, min_size=1, max_size=3, unique=True))
+    level_lists = st.lists(file_names, min_size=2, max_size=3, unique=True)
+    schema = ConceptSchema.of((name, draw(level_lists)) for name in attribute_names)
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = np.column_stack([rng.integers(size, size=n) for size in schema.sizes])
+    original = rng.integers(max(n, 1), size=m if n else 0)
+    attribute = rng.integers(len(schema.names), size=original.size)
+    to = rng.integers(schema.sizes[attribute])
+    edited_codes = codes[original]
+    edited_codes[np.arange(original.size), attribute] = to
+    codes = np.concatenate([codes, edited_codes])
+    rows = len(codes)
+    ids = draw(st.lists(file_names, min_size=rows, max_size=rows, unique=True))
+    d, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    gold = draw(st.lists(st.one_of(st.just(-1), st.integers(0, 2**62)), min_size=rows, max_size=rows))
+    return Dataset(
+        schema,
+        ids,
+        codes,
+        draw(float_matrices(rows, d)),
+        draw(float_matrices(rows, q)),
+        gold,
+        EditPairs(original, np.arange(n, rows), attribute, to),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(file_datasets())
+def test_save_dataset_bytes_equal_per_row_encoding(tmp_path_factory, dataset):
+    paths = save_dataset(dataset, tmp_path_factory.mktemp("dataset"))
+    samples, pairs = reference_dataset_texts(dataset)
+    assert paths["samples"].read_bytes() == samples.encode("utf-8")
+    assert paths["pairs"].read_bytes() == pairs.encode("utf-8")
+
+
 # --- model and ground-truth files --------------------------------------------------
 
 
