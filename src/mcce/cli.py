@@ -184,9 +184,20 @@ def cmd_fit(args) -> int:
         print(
             f"fit mcce: n_fit={d['n_fit']} k_vis={dataset.visible_width} "
             f"n_pseudo={model.n_pseudo} design_rank={d['design_rank']} "
+            f"pseudo_rank={d['pseudo_rank']} pseudo_dropped={d['pseudo_dropped']} "
             f"residual_sos={d['fit_residual_sos']:.6e} "
             f"orthogonality_max={d['orthogonality_max']:.6e}"
         )
+        # each visible block's columns sum to the ones vector, so a design
+        # that observes every level in general position has this rank
+        full_rank = dataset.visible_width - len(dataset.schema.visible_names(hidden)) + 1
+        if d["design_rank"] < full_rank:
+            print(
+                f"warning: concept design rank {d['design_rank']} is below {full_rank}: "
+                "some visible level is never observed, or levels always co-occur, "
+                "so their effects are not identified",
+                file=sys.stderr,
+            )
     else:
         if args.targets == "gold":
             raise ValidationError("predictor mode (gold targets) is mcce-only")

@@ -36,6 +36,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import csv
+import gc
 import io
 import json
 import os
@@ -501,6 +502,9 @@ def _reject_constant(token: str):
 # One decoder for every parse and one encoder for every JSONL row:
 # json.loads and json.dumps would build a new one per call.
 _STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant)
+# Non-blank lines per `_decode_lines` call. It bounds the joined text held
+# at once; a whole-file decode would raise a load's peak memory.
+_CHUNK_LINES = 1024
 _ROW_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
 _DOC_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 # the Python type that each JSON type named in a `read_jsonl` spec decodes to
@@ -542,6 +546,42 @@ def _parse_json(text: str, path: str | Path, line: int | None = None):
     raise ValidationError(f"{path}{'' if line is None else f':{line}'}: {problem}") from None
 
 
+def _decode_lines(texts: list[str], numbers: list[int], path: str | Path) -> list:
+    """The value of each JSON text in `texts`, which are lines `numbers` of `path`.
+
+    All texts are decoded in one call, as one array with a separator,
+    "\\n,NaN,", between every two of them. The decoder turns each NaN
+    token into a sentinel and counts it. No JSON string holds a raw
+    newline, so every separator in a decoded array is a NaN token. The
+    result is kept only when, for k texts, there are k - 1 NaN tokens,
+    the array has 2k - 1 elements and every odd element is a sentinel:
+    then the separators are the only NaN tokens and each sits at the top
+    level between two texts, so each text held exactly one value.
+    Otherwise, or if the decode fails, each text is decoded on its own by
+    `_parse_json`, which words the error with its file and line.
+    """
+    separator, count = object(), 0
+
+    def constant(token: str):
+        nonlocal count
+        if token != "NaN":
+            _reject_constant(token)
+        count += 1
+        return separator
+
+    try:
+        values = json.JSONDecoder(parse_constant=constant).decode(
+            "[" + "\n,NaN,".join(texts) + "]"
+        )
+    except (json.JSONDecodeError, ValidationError):
+        values = []
+    k = len(texts)
+    if count == k - 1 and len(values) == 2 * k - 1:
+        if all(value is separator for value in values[1::2]):
+            return values[::2]
+    return [_parse_json(text, path, number) for text, number in zip(texts, numbers)]
+
+
 def read_json(path: str | Path, what: str) -> dict:
     """The JSON object that file `path` holds; `what` names the file in errors."""
     with _reading(path, what) as handle:
@@ -567,13 +607,29 @@ def read_jsonl(
     reads as its default. If line 1 holds the key `head`, it is the header,
     whose value must be an object (else the header is {}). Errors name
     the file, and the line when one is at fault.
+
+    Lines are decoded up to `_CHUNK_LINES` non-blank lines per call (see
+    `_decode_lines`); the result is the same as decoding each on its own.
+    The cyclic garbage collector is paused meanwhile: decoded JSON holds
+    no reference cycles, and collections triggered by the many new
+    objects would only scan them.
     """
-    rows, lines = [], []
-    with _reading(path, what) as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.isspace():
-                rows.append(_parse_json(line, path, number))
-                lines.append(number)
+    rows, lines, texts = [], [], []
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with _reading(path, what) as handle:
+            for number, line in enumerate(handle, start=1):
+                if not line.isspace():
+                    texts.append(line)
+                    lines.append(number)
+                    if len(texts) == _CHUNK_LINES:
+                        rows += _decode_lines(texts, lines[-len(texts):], path)
+                        texts = []
+        rows += _decode_lines(texts, lines[len(rows):], path)
+    finally:
+        if collecting:
+            gc.enable()
     if set(map(type, rows)) - {dict}:
         i = next(i for i, row in enumerate(rows) if type(row) is not dict)
         raise ValidationError(f"{path}:{lines[i]}: expected a JSON object")

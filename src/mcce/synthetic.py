@@ -12,14 +12,18 @@ latent coordinate through their mixing rows are confounded. Adding
 standard Gumbel noise before the argmax makes each label a categorical
 draw with softmax probabilities, so ties are non-degenerate.
 
-Counterfactual pairs replay a sample's noise draws with one attribute's
-level forced, so the paired outputs differ by the exact coefficient
-contrast and the paired embeddings by the exact embedding-map contrast.
+Counterfactual pairs reuse a sample's stored embedding and output noise
+draws with one attribute's level changed, so the paired outputs differ
+by the exact coefficient contrast and the paired embeddings by the
+exact embedding-map contrast. `generate` keeps those draws in memory
+(`SynthGroundTruth.draws`); nothing is drawn again for an edit.
+`synthesize_sample` is the per-sample reference that both must equal
+bit for bit.
 
 Stream layout (numpy SeedSequence spawn keys, portable across runs):
 
     (0, i)  per-sample draws for sample i, in order: latent state,
-            per-attribute Gumbel noise in schema order, embedding
+            Gumbel noise for every level in schema order, embedding
             noise, output noise
     (1,)    pair selection (which attributes flip, and to what)
     (2,)    parameter draws for generated configs, rooted at param_seed
@@ -27,7 +31,7 @@ Stream layout (numpy SeedSequence spawn keys, portable across runs):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +133,9 @@ class SynthGroundTruth:
     """Oracle bookkeeping: the outcome coefficients and each row's clean logits.
 
     `clean_logits[i]` is the noise-free output vector of sample `ids[i]`.
+    `draws` holds, for each factual row of `generate`, its standard
+    normal embedding draws followed by its output draws, for `make_pairs`;
+    it is not saved, so a loaded ground truth has None.
     """
 
     outcome_coef: np.ndarray
@@ -136,6 +143,7 @@ class SynthGroundTruth:
     clean_logits: np.ndarray
     seed: int = 0
     hidden: tuple[str, ...] = ()
+    draws: np.ndarray | None = field(default=None, repr=False)
 
 
 def synthesize_sample(config: SynthConfig, index: int, edit: tuple[int, int] | None = None):
@@ -165,28 +173,49 @@ def synthesize_sample(config: SynthConfig, index: int, edit: tuple[int, int] | N
     return codes, embedding, clean + config.outcome_noise * g_out, clean
 
 
-def _draw_rows(config: SynthConfig, indices, edits=None):
-    """Stacked `synthesize_sample` draws: (codes, embeddings, outputs, clean outputs)."""
-    m = len(indices)
-    codes = np.empty((m, len(config.schema.names)), dtype=np.int64)
-    embeddings = np.empty((m, config.embed_dim))
-    outputs, clean = np.empty((m, config.n_outputs)), np.empty((m, config.n_outputs))
-    for k, index in enumerate(indices):
-        edit = None if edits is None else edits[k]
-        codes[k], embeddings[k], outputs[k], clean[k] = synthesize_sample(config, int(index), edit)
-    return codes, embeddings, outputs, clean
+def _rows(config: SynthConfig, codes: np.ndarray, draws: np.ndarray):
+    """(embeddings, outputs, clean outputs) of rows with level `codes` and noise `draws`.
+
+    The products stay one row at a time, as in `synthesize_sample`: a
+    batched matrix product may round differently in the last bit.
+    """
+    m, dim = len(codes), config.embed_dim
+    c = np.zeros((m, config.width))
+    c[np.arange(m)[:, None], np.cumsum(config.schema.sizes) - config.schema.sizes + codes] = 1.0
+    clean, embeddings = np.empty((m, config.n_outputs)), np.empty((m, dim))
+    for k in range(m):
+        clean[k] = c[k] @ config.outcome_coef
+        embeddings[k] = config.embed_map @ c[k]
+    embeddings += config.embed_noise * draws[:, :dim]
+    return embeddings, clean + config.outcome_noise * draws[:, dim:], clean
 
 
 def generate(config: SynthConfig) -> tuple[Dataset, SynthGroundTruth]:
-    """Draw the configured dataset; hidden attributes are masked in the view."""
-    codes, embeddings, outputs, clean = _draw_rows(config, range(config.n))
-    ids = np.array([f"s{i:06d}" for i in range(config.n)])
+    """Draw the configured dataset; hidden attributes are masked in the view.
+
+    Each sample takes three draws from its own stream: the latent state,
+    one Gumbel per level of every attribute, and the embedding and output
+    noise, the same values `synthesize_sample` draws one attribute at a
+    time. The noise draws are kept in the returned truth for `make_pairs`.
+    """
+    n, schema = config.n, config.schema
+    blocks = [(config.mixing[name], block) for name, block in schema.visible_blocks().items()]
+    codes = np.empty((n, len(blocks)), dtype=np.int64)
+    draws = np.empty((n, config.embed_dim + config.n_outputs))
+    for i in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, i)))
+        u = rng.standard_normal(config.exo_dim)
+        gumbel = rng.gumbel(size=config.width)
+        codes[i] = [(mixing @ u + gumbel[block]).argmax() for mixing, block in blocks]
+        draws[i] = rng.standard_normal(draws.shape[1])
+    embeddings, outputs, clean = _rows(config, codes, draws)
+    ids = np.array([f"s{i:06d}" for i in range(n)])
     dataset = Dataset(
-        config.schema, ids, codes, embeddings, outputs, np.argmax(clean, axis=1),
+        schema, ids, codes, embeddings, outputs, np.argmax(clean, axis=1),
         hidden_attributes=config.hidden,
     )
     hidden = tuple(sorted(config.hidden))
-    truth = SynthGroundTruth(config.outcome_coef.copy(), ids, clean, config.seed, hidden)
+    truth = SynthGroundTruth(config.outcome_coef.copy(), ids, clean, config.seed, hidden, draws)
     return dataset, truth
 
 
@@ -200,9 +229,11 @@ def make_pairs(
 
     Each sample gets `edits_per_sample` flips on distinct attributes
     (chosen from the pair-selection stream; any attribute may flip,
-    hidden or not), regenerated with the sample's own noise draws. The
-    edited rows are appended to the returned dataset; fitting still sees
-    only the factual rows.
+    hidden or not). An edited row is built from the sample's level codes
+    with the one code changed and the noise draws `generate` stored in
+    `truth.draws`; nothing is drawn again, so it equals `synthesize_sample`
+    called with the edit. The edited rows are appended to the returned
+    dataset; fitting still sees only the factual rows.
     """
     if len(dataset.pairs):
         raise ValidationError("make_pairs expects a dataset without existing pairs")
@@ -210,6 +241,10 @@ def make_pairs(
     if not isinstance(edits_per_sample, (int, np.integer)) or not 1 <= edits_per_sample <= n_attrs:
         raise ValidationError(
             f"edits_per_sample must be an integer in [1, {n_attrs}], got {edits_per_sample!r}"
+        )
+    if truth.draws is None or len(truth.draws) != n:
+        raise ValidationError(
+            "make_pairs needs the noise draws of the ground truth that generate returned"
         )
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
     original = np.repeat(np.arange(n), edits_per_sample)
@@ -220,7 +255,9 @@ def make_pairs(
             current = dataset.codes[i, a]
             draw = int(rng.integers(config.schema.sizes[a] - 1))
             attribute[k], to[k] = a, draw + (draw >= current)  # skip the current level
-    codes, embeddings, outputs, clean = _draw_rows(config, original, list(zip(attribute, to)))
+    codes = dataset.codes[original]
+    codes[np.arange(original.size), attribute] = to
+    embeddings, outputs, clean = _rows(config, codes, truth.draws[original])
     schema = config.schema
     names = np.array(schema.names)[attribute]
     parts = (dataset.ids[original], names, schema.level_names(attribute, to))
@@ -395,7 +432,12 @@ def save_ground_truth(truth: SynthGroundTruth, path: str | Path) -> Path:
 
 
 def load_ground_truth(path: str | Path) -> SynthGroundTruth:
-    """Read ground_truth.json; keys this version does not use ("labels", "pairs") are ignored."""
+    """Read ground_truth.json; keys this version does not use ("labels", "pairs") are ignored.
+
+    `clean_logits` is saved as an object with sorted keys, so the rows
+    come back in id order, not in the order of the saved `ids`; callers
+    look rows up by id. The noise draws are not saved (`draws` is None).
+    """
     obj = read_json(path, "ground truth")
     try:
         coef = np.asarray(obj["outcome_coef"], dtype=np.float64)

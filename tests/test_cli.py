@@ -107,7 +107,8 @@ class TestFit:
         )
         out = capsys.readouterr().out
         assert code == 0 and model.exists()
-        for key in ("n_fit", "k_vis", "n_pseudo", "design_rank", "residual_sos"):
+        for key in ("n_fit", "k_vis", "n_pseudo", "design_rank", "pseudo_rank", "pseudo_dropped",
+                    "residual_sos"):
             assert key in out, key
         assert "n_fit=150" in out  # edited rows excluded
 
@@ -125,6 +126,27 @@ class TestFit:
         assert proc.stderr == ""
         if method == "slearner":
             assert "converged=True" in proc.stdout and "grad_norm=" in proc.stdout
+
+    def test_unobserved_level_warns_once(self, synth_dir, tmp_path):
+        rows = [json.loads(line) for line in (synth_dir / "samples.jsonl").read_text().splitlines()]
+        for row in rows:
+            if row["concepts"]["food"] == "pos":
+                row["concepts"]["food"] = "neg"
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        proc = run_process(
+            "fit",
+            "--schema", synth_dir / "schema.json",
+            "--samples", samples,
+            "--method", "mcce",
+            "--hidden", "ambiance",
+            "--out", tmp_path / "model.json",
+        )
+        assert proc.returncode == 0, proc.stderr
+        # three visible 3-level blocks: full rank 9 - 3 + 1 = 7, one level short
+        assert "design_rank=6 pseudo_rank=" in proc.stdout
+        warnings = proc.stderr.splitlines()
+        assert len(warnings) == 1 and "design rank 6 is below 7" in warnings[0], proc.stderr
 
     def test_slearner_rejects_gold_targets(self, synth_dir, tmp_path, capsys):
         code = run(
@@ -675,6 +697,58 @@ class TestLoaderErrors:
         config.write_text('{"n": 20, "outcome_noise": NaN}')
         assert run("synth", "--config", config, "--out", tmp_path / "d") == 2
         assert "non-finite" in capsys.readouterr().err
+
+    # The JSONL reader decodes 1024 lines per call and falls back to one
+    # call per line on any doubt; these pin what the fallback reports.
+
+    @pytest.fixture(scope="class")
+    def long_data(self, tmp_path_factory):
+        """A dataset whose samples file spans two decoder chunks."""
+        root = tmp_path_factory.mktemp("long")
+        config = root / "config.json"
+        config.write_text(json.dumps({"n": 1100, "seed": 2, "edits_per_sample": 0}))
+        assert run("synth", "--config", config, "--out", root / "data") == 0
+        return root / "data"
+
+    def fit_lines(self, data, tmp_path, lines):
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text("".join(line + "\n" for line in lines))
+        flags = ["--schema", data / "schema.json", "--samples", samples]
+        return run("fit", *flags, "--out", tmp_path / "m.json")
+
+    def test_record_split_over_lines_is_invalid_json(self, synth_dir, tmp_path, capsys):
+        lines = ['{"a": [{}', "{}]}", '{"x":1}, {"y":2}']  # one array once joined
+        assert self.fit_lines(synth_dir, tmp_path, lines) == 2
+        err = capsys.readouterr().err
+        assert "samples.jsonl:1: invalid JSON" in err and "Traceback" not in err
+
+    def test_nan_past_a_chunk_boundary_names_its_line(self, long_data, tmp_path, capsys):
+        lines = (long_data / "samples.jsonl").read_text().splitlines()
+        row = json.loads(lines[1024])
+        row["logits"][0] = float("nan")
+        lines[1024] = json.dumps(row)  # a bare NaN token on line 1025
+        assert self.fit_lines(long_data, tmp_path, lines) == 2
+        err = capsys.readouterr().err
+        assert "samples.jsonl:1025: non-finite" in err and "Traceback" not in err
+
+    def test_blank_lines_across_a_chunk_boundary_keep_line_numbers(
+        self, long_data, tmp_path, capsys
+    ):
+        rows = (long_data / "samples.jsonl").read_text().splitlines()
+        bad = rows[1024][:-1]  # the 1025th row, without its closing brace
+        lines = [*rows[:1023], "", rows[1023], "", "  ", bad, *rows[1025:]]
+        assert self.fit_lines(long_data, tmp_path, lines) == 2
+        err = capsys.readouterr().err
+        assert "samples.jsonl:1028: invalid JSON" in err and "Traceback" not in err
+
+    def test_missing_concept_label_is_named(self, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / "samples.jsonl").read_text().splitlines()
+        row = json.loads(lines[3])
+        del row["concepts"]["food"]
+        lines[3] = json.dumps(row)
+        assert self.fit_lines(synth_dir, tmp_path, lines) == 2
+        err = capsys.readouterr().err
+        assert "missing label for 'food'" in err and "Traceback" not in err
 
 
 def test_experiment_mask_size_must_leave_an_attribute_visible(synth_dir, tmp_path, capsys):

@@ -2,15 +2,19 @@
 
 The references here are written per row, on label names, the way the
 batched code is not: a one-hot vector built level by level, an edit as
-a changed label, and the closed-form mcce effect of one edit. The approx
-and effects-file references are earlier per-edit and per-row versions of
-the library code, kept to pin the faster versions bit for bit.
+a changed label, and the closed-form mcce effect of one edit. The approx,
+effects-file and JSONL-reader references are earlier per-edit and
+per-row versions of the library code, kept to pin the faster versions
+bit for bit; `synthesize_sample` is the per-sample reference of the
+generator.
 """
 
+import json
 import struct
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -40,9 +44,11 @@ from mcce import (
     save_ground_truth,
     save_model,
     softmax,
+    synthesize_sample,
     write_effects,
 )
-from mcce.data import _ROW_JSON
+from mcce.data import _ABSENT, _JSON_TYPES, _ROW_JSON, _parse_json, read_jsonl
+from mcce.errors import ValidationError
 
 
 def reference_one_hot(schema, labels, hidden):
@@ -553,3 +559,224 @@ def test_ground_truth_round_trips_bit_exactly(tmp_path_factory, ids, data):
     assert back.clean_logits.shape == truth.clean_logits.shape
     assert rows_by_id(back) == rows_by_id(truth)
     assert (back.seed, back.hidden) == (truth.seed, truth.hidden)
+
+
+# --- fitted mcce invariants -------------------------------------------------------
+
+
+def fitted_scores(model, dataset):
+    """Design C and pseudo-concept scores S of the fit rows, recomputed from the model."""
+    rows = dataset.fit_rows
+    C = dataset.design_matrix(rows)
+    return C, (dataset.embeddings[rows] - C @ model.embed_coef) @ model.pseudo_basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(masked_datasets())
+def test_pseudo_scores_are_orthogonal_to_the_concept_design(problem):
+    dataset = problem[0]
+    n, d = dataset.embeddings.shape
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small draws interpolate on purpose
+        model = fit_mcce(dataset, n_pseudo=min(dataset.visible_width, n, d))
+    C, S = fitted_scores(model, dataset)
+    scale = n * (1.0 + np.abs(dataset.embeddings).max())
+    assert np.abs(C.T @ S).max() <= 1e-10 * scale
+    assert model.diagnostics["orthogonality_max"] <= 1e-10 * scale
+
+
+@st.composite
+def observed_datasets(draw):
+    """A masked dataset whose rows take every level of every attribute."""
+    level_counts = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    schema = ConceptSchema.of(
+        (f"a{i}", tuple(f"l{j}" for j in range(count))) for i, count in enumerate(level_counts)
+    )
+    flags = draw(st.lists(st.booleans(), min_size=len(level_counts), max_size=len(level_counts)))
+    assume(not all(flags))
+    n, d, q = draw(st.integers(8, 40)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = np.column_stack([rng.permutation(np.resize(np.arange(c), n)) for c in level_counts])
+    hidden = frozenset(name for name, flag in zip(schema.names, flags) if flag)
+    ids = [f"r{i}" for i in range(n)]
+    embeddings, outputs = rng.standard_normal((n, d)), rng.standard_normal((n, q))
+    return Dataset(schema, ids, codes, embeddings, outputs, hidden_attributes=hidden)
+
+
+@settings(max_examples=60, deadline=None)
+@given(observed_datasets())
+def test_concept_coefficients_are_orthogonal_to_the_design_null_space(dataset):
+    schema, hidden = dataset.schema, dataset.hidden_attributes
+    C = dataset.design_matrix()
+    blocks = list(schema.visible_blocks(hidden).values())
+    k = C.shape[1]
+    assume(np.linalg.matrix_rank(C) == k - len(blocks) + 1)  # no two attributes collinear
+    # differences of the per-block indicator vectors span null(C)
+    indicators = np.zeros((k, len(blocks)))
+    for b, block in enumerate(blocks):
+        indicators[block, b] = 1.0
+    null = indicators[:, 1:] - indicators[:, :1]
+    assert not np.any(C @ null)
+    assert np.linalg.matrix_rank(null) == len(blocks) - 1
+
+    n, d = dataset.embeddings.shape
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = fit_mcce(dataset, n_pseudo=min(k, n, d))
+    for coef in (model.concept_coef, model.embed_coef):
+        assert np.abs(null.T @ coef).max(initial=0.0) <= 1e-9 * (1.0 + np.abs(coef).max())
+
+
+# --- synthetic rows: the per-sample reference ----------------------------------------
+
+
+noise_levels = st.sampled_from([0.0, 0.05, 0.3, 2.0])
+
+
+@st.composite
+def synth_configs(draw):
+    level_counts = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    attributes = [
+        (f"a{i}", [f"l{j}" for j in range(count)]) for i, count in enumerate(level_counts)
+    ]
+    config = default_config(
+        n=draw(st.integers(1, 20)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        attributes=attributes,
+        n_classes=draw(st.integers(2, 5)),
+        embed_dim=draw(st.integers(1, 20)),
+        confounding=draw(st.sampled_from([0.0, 1.0, 3.0])),
+        embed_noise=draw(noise_levels),
+        outcome_noise=draw(noise_levels),
+        param_seed=draw(st.integers(0, 1000)),
+        exact_recovery=False,
+    )
+    return config, draw(st.integers(1, len(level_counts)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(synth_configs())
+def test_generated_and_edited_rows_equal_per_sample_draws(problem):
+    config, edits_per_sample = problem
+    dataset, truth = generate(config)
+    dataset = make_pairs(dataset, truth, config, edits_per_sample)
+    p = dataset.pairs
+    rows = [(i, i, None) for i in range(config.n)]
+    rows += [(e, o, (a, t)) for o, e, a, t in zip(p.original, p.edited, p.attribute, p.to)]
+    for row, index, edit in rows:
+        codes, embedding, output, clean = synthesize_sample(config, int(index), edit)
+        assert np.array_equal(dataset.codes[row], codes)
+        assert bits(dataset.embeddings[row]) == bits(embedding)
+        assert bits(dataset.outputs[row]) == bits(output)
+        assert bits(truth.clean_logits[row]) == bits(clean)
+        assert dataset.gold[row] == np.argmax(clean)
+
+
+# --- JSONL reader: the per-line reader it replaced -----------------------------------
+
+
+def reference_read_jsonl(path, what, types, defaults=None, head=None):
+    """read_jsonl as it was: one `_parse_json` call per non-blank line."""
+    rows, lines = [], []
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            if not line.isspace():
+                rows.append(_parse_json(line, path, number))
+                lines.append(number)
+    if set(map(type, rows)) - {dict}:
+        i = next(i for i, row in enumerate(rows) if type(row) is not dict)
+        raise ValidationError(f"{path}:{lines[i]}: expected a JSON object")
+    header = {}
+    if head is not None and lines[:1] == [1] and head in rows[0]:
+        header, rows, lines = rows[0][head], rows[1:], lines[1:]
+        if type(header) is not dict:
+            raise ValidationError(f"{path}:1: {head!r} must be a JSON object")
+    columns = {}
+    for key, names in types.items():
+        default = (defaults or {}).get(key, _ABSENT)
+        column = columns[key] = [row.get(key, default) for row in rows]
+        allowed = tuple(_JSON_TYPES[name] for name in names.split("|"))
+        if set(map(type, column)).difference(allowed):
+            i = next(i for i, value in enumerate(column) if type(value) not in allowed)
+            if column[i] is _ABSENT:
+                raise ValidationError(f"{path}:{lines[i]}: missing required key {key!r}")
+            raise ValidationError(f"{path}:{lines[i]}: {key!r} must be {names.replace('|', ' or ')}")
+    return header, columns
+
+
+jsonl_rows = st.fixed_dictionaries(
+    {"id": st.one_of(names, st.sampled_from(["NaN", "a,NaN,b", "]", ",NaN,"]))},
+    optional={
+        "v": st.lists(finite_floats, max_size=3),
+        "g": st.one_of(st.none(), st.integers()),
+        "x": st.recursive(st.none() | st.booleans() | names, st.lists, max_leaves=4),
+    },
+).map(json.dumps)
+# Runs of lines that are wrong alone or together. The first four decode
+# as an array once joined around NaN separators, and each defeats one of
+# the chunk guard's conditions: the element count (twice), the NaN-token
+# count, and the separator kept out of a string.
+TRICKY_RUNS = [
+    ['{"a": [{}', "{}]}", '{"x": 1}, {"y": 2}'],
+    ['{"id": "p", "v": [1', "2]}"],
+    ['{"id": "p", "v": [1', '2]}, NaN, {"id": "q"}'],
+    ['{"id": "p"}, NaN, {"id": "x', 'y"}'],
+    ['{"id": "p", "v": [NaN]}'],
+    ['{"id": "p", "v": [Infinity]}'],
+    ['{"id": "p", "v": [-Infinity]}'],
+    ["NaN"],
+    ["[1, 2]"],
+    ['"text"'],
+    ['{"id": "p"} {"id": "q"}'],
+    ['{"id": "p"},'],
+    [',{"id": "p"}'],
+    ["{"],
+    ["}"],
+    ['{"id": 5}'],
+    ['{"meta": [1]}'],
+]
+
+
+@st.composite
+def jsonl_files(draw):
+    """JSONL text around the decoder's chunk boundaries, with blank lines and bad runs."""
+    count = draw(st.sampled_from([0, 1, 1023, 1024, 1025, 2049]))
+    pool = draw(st.lists(jsonl_rows, min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = [pool[i] for i in rng.integers(len(pool), size=count)]
+    near_edges = st.sampled_from([0, 1, 1022, 1023, 1024, 1025, 2047, 2048, count])
+    places = st.one_of(near_edges, st.integers(0, count)).map(lambda at: min(at, count))
+    for at in draw(st.lists(places, max_size=6)):
+        lines.insert(at, draw(st.sampled_from(["", " ", "\t"])))
+    if draw(st.booleans()):
+        lines.insert(0, json.dumps({"meta": draw(st.dictionaries(names, names, max_size=2))}))
+    if draw(st.booleans()):
+        at = min(draw(places), len(lines))
+        lines[at:at] = draw(st.sampled_from(TRICKY_RUNS))
+    return "".join(line + "\n" for line in lines)
+
+
+def read_outcome(read, path):
+    try:
+        return repr(read(path, "rows", {"id": "string", "v": "list", "g": "integer|null"},
+                         {"v": [], "g": None}, head="meta"))
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(jsonl_files())
+def test_read_jsonl_equals_per_line_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("jsonl") / "rows.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert read_outcome(read_jsonl, path) == read_outcome(reference_read_jsonl, path)
+
+
+@pytest.mark.parametrize("run", TRICKY_RUNS)
+def test_read_jsonl_tricky_runs_equal_per_line_reference(tmp_path, run):
+    rows = ['{"id": "s%d", "v": [0.5]}' % i for i in range(3)]
+    path = tmp_path / "rows.jsonl"
+    path.write_text("".join(line + "\n" for line in [*rows[:2], *run, rows[2]]), encoding="utf-8")
+    got = read_outcome(read_jsonl, path)
+    assert got == read_outcome(reference_read_jsonl, path)
+    assert got.startswith("ValidationError: ")

@@ -222,3 +222,12 @@ def test_make_pairs_refuses_existing_pairs():
     ds = make_pairs(ds, truth, cfg)
     with pytest.raises(ValidationError):
         make_pairs(ds, truth, cfg)
+
+
+def test_make_pairs_needs_the_draws_generate_kept(tmp_path):
+    cfg = small_config()
+    ds, truth = generate(cfg)
+    loaded = load_ground_truth(save_ground_truth(truth, tmp_path / "ground_truth.json"))
+    assert loaded.draws is None  # the draws are not written
+    with pytest.raises(ValidationError, match="noise draws"):
+        make_pairs(ds, loaded, cfg)
