@@ -31,8 +31,9 @@ from .data import (
 from .errors import NumericalError, ValidationError
 from .evaluation import METRICS, icace_error, macro_f1
 from .explainers import (
+    TARGET_GOLD,
+    TARGET_OUTPUT,
     Effects,
-    MCCEModel,
     build_label_index,
     explain_approx,
     explain_mcce,
@@ -68,10 +69,20 @@ def _parse_hidden(value: str | None) -> frozenset[str]:
     return frozenset(_split_csv(value)) if value else frozenset()
 
 
+def _distinct(items: list, what: str) -> list:
+    """`items`, which must hold at least one value and none twice; `what` names one."""
+    if not items:
+        raise ValidationError(f"at least one {what} is required")
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise ValidationError(f"{what} {item!r} is given twice")
+        seen.add(item)
+    return items
+
+
 def _parse_metrics(value: str) -> list[str]:
-    metrics = _split_csv(value)
-    if not metrics:
-        raise ValidationError("at least one metric is required")
+    metrics = _distinct(_split_csv(value), "metric")
     for metric in metrics:
         if metric not in METRICS:
             raise ValidationError(f"unknown metric {metric!r}, expected one of {METRICS}")
@@ -83,9 +94,7 @@ def _parse_seeds(value: str) -> list[int]:
         seeds = [int(item) for item in _split_csv(value)]
     except ValueError:
         raise ValidationError(f"seeds must be a comma-separated list of integers, got {value!r}") from None
-    if not seeds:
-        raise ValidationError("at least one seed is required")
-    return seeds
+    return _distinct(seeds, "seed")
 
 
 def _pair_seed(run_seed: int, original_id: str, attribute: str, to_level: str) -> int:
@@ -95,21 +104,47 @@ def _pair_seed(run_seed: int, original_id: str, attribute: str, to_level: str) -
 
 
 # ---------------------------------------------------------------------------
-# explain/evaluate plumbing shared by cmd_explain and cmd_experiment
+# fit/explain/evaluate plumbing shared by the single-step commands and cmd_experiment
+
+
+def _fit(dataset: Dataset, method: str, j, ridge: float, targets: str):
+    """Fit `method` on the dataset's visible attributes and return the model.
+
+    An mcce fit whose concept design has less than full rank prints one
+    warning line on stderr.
+    """
+    if method == "slearner":
+        if targets == TARGET_GOLD:
+            raise ValidationError("predictor mode (gold targets) is mcce-only")
+        return fit_slearner(dataset)
+    model = fit_mcce(dataset, n_pseudo=j, ridge=ridge, target_kind=targets)
+    rank = model.diagnostics["design_rank"]
+    # each visible block's columns sum to the ones vector, so a design
+    # that observes every level in general position has this rank
+    n_visible = len(dataset.schema.visible_names(dataset.hidden_attributes))
+    full_rank = dataset.visible_width - n_visible + 1
+    if rank < full_rank:
+        print(
+            f"warning: concept design rank {rank} is below {full_rank}: "
+            "some visible level is never observed, or levels always co-occur, "
+            "so their effects are not identified",
+            file=sys.stderr,
+        )
+    return model
 
 
 @np.errstate(over="ignore", invalid="ignore")  # write_effects reports non-finite estimates
-def _explain(dataset: Dataset, method: str, model, seed: int, hidden, path: Path, truth=None):
+def _explain(dataset: Dataset, method: str, model, seed: int, path: Path, truth=None):
     """Estimate the first pair of each key, in pairs-file order, and write the effects file.
 
-    mcce and slearner skip (and count) pairs that edit an attribute
-    hidden from the model. Returns (effects, metadata).
+    The dataset's mask is the run's: mcce and slearner skip (and count)
+    pairs that edit an attribute it hides. Returns (effects, metadata).
     """
     p = dataset.pairs
     pairs = dataset.unique_pairs()
     skipped = 0
     if method in ("mcce", "slearner"):
-        visible = dataset.schema.visible_mask(model.hidden_attributes)
+        visible = dataset.schema.visible_mask(dataset.hidden_attributes)
         skipped = int(np.sum(~visible[p.attribute]))
         pairs = pairs[visible[p.attribute[pairs]]]
     rows, attribute, to = p.original[pairs], p.attribute[pairs], p.to[pairs]
@@ -135,7 +170,7 @@ def _explain(dataset: Dataset, method: str, model, seed: int, hidden, path: Path
     metadata = {
         "method": method,
         "space": dataset.space,
-        "hidden": sorted(hidden),
+        "hidden": sorted(dataset.hidden_attributes),
         "seed": seed,
         "pairs_total": len(p),
         "pairs_skipped": skipped,
@@ -174,12 +209,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.method == "slearner" and args.j is not None:
+        raise ValidationError("--j applies to the mcce method only")
     hidden = _parse_hidden(args.hidden)
     dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space).mask(hidden)
+    model = _fit(dataset, args.method, args.j, args.ridge, args.targets)
     if args.method == "mcce":
-        model = fit_mcce(
-            dataset, n_pseudo=args.j, ridge=args.ridge, target_kind=args.targets
-        )
         d = model.diagnostics
         print(
             f"fit mcce: n_fit={d['n_fit']} k_vis={dataset.visible_width} "
@@ -188,22 +223,7 @@ def cmd_fit(args) -> int:
             f"residual_sos={d['fit_residual_sos']:.6e} "
             f"orthogonality_max={d['orthogonality_max']:.6e}"
         )
-        # each visible block's columns sum to the ones vector, so a design
-        # that observes every level in general position has this rank
-        full_rank = dataset.visible_width - len(dataset.schema.visible_names(hidden)) + 1
-        if d["design_rank"] < full_rank:
-            print(
-                f"warning: concept design rank {d['design_rank']} is below {full_rank}: "
-                "some visible level is never observed, or levels always co-occur, "
-                "so their effects are not identified",
-                file=sys.stderr,
-            )
     else:
-        if args.targets == "gold":
-            raise ValidationError("predictor mode (gold targets) is mcce-only")
-        if args.j is not None:
-            raise ValidationError("--j applies to the mcce method only")
-        model = fit_slearner(dataset)
         print(
             f"fit slearner: n_fit={dataset.fit_rows.size} "
             f"k_vis={dataset.visible_width} iterations={model.iterations} "
@@ -226,26 +246,15 @@ def cmd_explain(args) -> int:
         model = load_model(args.model)
         if model.kind != method:
             raise ValidationError(f"model file holds a {model.kind!r} model, requested {method!r}")
-        if model.schema != dataset.schema:
-            raise ValidationError("model and dataset schemas differ")
-        model_space = model.space if method == "mcce" else model.input_space
-        if model_space != dataset.space:
-            raise ValidationError(
-                f"model was fit in {model_space!r} space but the dataset was loaded "
-                f"in {dataset.space!r} space"
-            )
-        hidden = model.hidden_attributes
+        dataset = dataset.mask(model.hidden_attributes)
     elif method == "approx":
-        hidden = _parse_hidden(args.hidden)
-        dataset = dataset.mask(hidden)
+        dataset = dataset.mask(_parse_hidden(args.hidden))
     else:  # oracle
         if not args.ground_truth:
             raise ValidationError("--ground-truth is required for method 'oracle'")
         truth = load_ground_truth(args.ground_truth)
-        hidden = frozenset()
 
-    out = Path(args.out)
-    effects, metadata = _explain(dataset, method, model, args.seed, hidden, out, truth)
+    effects, metadata = _explain(dataset, method, model, args.seed, Path(args.out), truth)
     print(
         f"explain {method}: wrote {len(effects)} estimates to {args.out} "
         f"({metadata['pairs_skipped']} hidden-attribute pairs skipped)"
@@ -278,28 +287,21 @@ def cmd_evaluate(args) -> int:
 
 
 def _experiment_run(dataset, method, metrics, seed, run_dir, j, ridge):
-    if method == "mcce":
-        model = fit_mcce(dataset, n_pseudo=j, ridge=ridge)
+    model = None
+    if method != "approx":
+        model = _fit(dataset, method, j, ridge, TARGET_OUTPUT)
         save_model(model, run_dir / "model.json")
-    elif method == "slearner":
-        model = fit_slearner(dataset)
-        save_model(model, run_dir / "model.json")
-    else:
-        model = None
-    hidden = dataset.hidden_attributes
-    effects, metadata = _explain(dataset, method, model, seed, hidden, run_dir / "effects.jsonl")
-    return _write_reports(run_dir, dataset, effects, metrics, metadata, hidden)
+    effects, metadata = _explain(dataset, method, model, seed, run_dir / "effects.jsonl")
+    return _write_reports(run_dir, dataset, effects, metrics, metadata, dataset.hidden_attributes)
 
 
 def cmd_experiment(args) -> int:
-    methods = _split_csv(args.methods)
+    methods = _distinct(_split_csv(args.methods), "method")
     for method in methods:
         if method not in EXPERIMENT_METHODS:
             raise ValidationError(
                 f"unknown experiment method {method!r}, expected one of {EXPERIMENT_METHODS}"
             )
-    if not methods:
-        raise ValidationError("at least one method is required")
     metrics = _parse_metrics(args.metrics)
     seeds = _parse_seeds(args.seeds)
     if "slearner" in methods and args.space != SPACE_PROBABILITY:
@@ -311,6 +313,8 @@ def cmd_experiment(args) -> int:
         sizes = sorted({int(s) for s in _split_csv(args.mask_sizes)})
     except ValueError:
         raise ValidationError(f"mask sizes must be integers, got {args.mask_sizes!r}") from None
+    if not sizes:
+        raise ValidationError("at least one mask size is required")
     dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
     names = dataset.schema.names
     if any(size < 1 or size > len(names) - 1 for size in sizes):
@@ -321,13 +325,13 @@ def cmd_experiment(args) -> int:
     masks = [combo for size in sizes for combo in itertools.combinations(names, size)]
 
     out_dir = Path(args.out)
-    results: dict[tuple, float] = {}
+    scores = np.empty((len(masks), len(methods), len(metrics), len(seeds)))  # macro means
     run_rows = []
-    for mask in masks:
+    for m, mask in enumerate(masks):
         masked = dataset.mask(mask)
         mask_dir = "+".join(mask)
-        for method in methods:
-            for seed in seeds:
+        for h, method in enumerate(methods):
+            for s, seed in enumerate(seeds):
                 run_dir = out_dir / "runs" / method / mask_dir / f"seed{seed}"
                 try:
                     reports = _experiment_run(
@@ -337,8 +341,9 @@ def cmd_experiment(args) -> int:
                     raise type(exc)(
                         f"experiment run method={method} mask={mask_dir} seed={seed}: {exc}"
                     ) from exc
-                for metric, report in reports.items():
-                    results[(mask, method, metric, seed)] = report.macro_mean
+                for k, metric in enumerate(metrics):
+                    report = reports[metric]
+                    scores[m, h, k, s] = report.macro_mean
                     run_rows.append(
                         {
                             "mask": list(mask),
@@ -353,22 +358,20 @@ def cmd_experiment(args) -> int:
                         }
                     )
 
+    # Every mean below is over the contiguous last axis of a copy: numpy
+    # sums such an axis pairwise, and a strided one in order, which can
+    # round differently from the mean of the same values as one list.
+    mask_sizes = np.array([len(mask) for mask in masks])
     cells = []
     for size in sizes:
-        size_masks = [m for m in masks if len(m) == size]
-        for method in methods:
-            for metric in metrics:
-                all_values = [results[(m, method, metric, s)] for m in size_masks for s in seeds]
-                by_mask = [
-                    float(np.mean([results[(m, method, metric, s)] for s in seeds]))
-                    for m in size_masks
-                ]
-                by_seed = [
-                    float(np.mean([results[(m, method, metric, s)] for m in size_masks]))
-                    for s in seeds
-                ]
-                stats = (np.mean(all_values), np.std(by_mask), np.std(by_seed))
-                row = (size, method, metric, *map(float, stats), len(size_masks), len(seeds))
+        of_size = scores[mask_sizes == size]
+        for h, method in enumerate(methods):
+            for k, metric in enumerate(metrics):
+                block = np.ascontiguousarray(of_size[:, h, k])  # (masks, seeds)
+                by_mask = block.mean(axis=1)
+                by_seed = np.ascontiguousarray(block.T).mean(axis=1)
+                stats = (block.mean(), by_mask.std(), by_seed.std())
+                row = (size, method, metric, *map(float, stats), *block.shape)
                 cells.append(dict(zip(SUMMARY_COLUMNS, row)))
 
     summary = {
@@ -397,8 +400,6 @@ def cmd_experiment(args) -> int:
 
 def cmd_report(args) -> int:
     model = load_model(args.model)
-    if not isinstance(model, MCCEModel):
-        raise ValidationError("the coefficient report requires an mcce model")
     report = global_report(model, args.baseline_class)
     write_text_atomic(args.out, report.to_csv())
     print(
@@ -410,12 +411,7 @@ def cmd_report(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    if not isinstance(model, MCCEModel):
-        raise ValidationError("prediction requires an mcce model")
-    dataset = load_dataset(args.samples, None, args.schema)
-    if len(dataset) == 0:
-        raise ValidationError("cannot predict on an empty dataset")
-    dataset = dataset.mask(model.hidden_attributes)
+    dataset = load_dataset(args.samples, None, args.schema).mask(model.hidden_attributes)
     predictions = predict_labels(model, dataset)
     gold = [None if g < 0 else g for g in dataset.gold.tolist()]
     write_jsonl(args.out, {"id": dataset.ids, "predicted": predictions, "gold": gold})

@@ -43,6 +43,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -115,7 +116,10 @@ class ConceptSchema:
 
     The one-hot layout gives each visible attribute a contiguous block of
     columns, one column per level, in declaration order. A level code is
-    the index of a level within its attribute's tuple.
+    the index of a level within its attribute's tuple. The schema owns
+    that layout: `offsets` holds each attribute's first column when
+    nothing is hidden, the `visible_*` methods derive the masked layout
+    from `visible_mask`, and `one_hot` encodes codes in it.
     """
 
     attributes: tuple[tuple[str, tuple[str, ...]], ...]
@@ -138,18 +142,23 @@ class ConceptSchema:
         """Build from any iterable of (name, levels) pairs."""
         return cls(tuple((str(n), tuple(str(l) for l in ls)) for n, ls in pairs))
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.attributes)
-
-    @property
-    def width(self) -> int:
-        return sum(len(levels) for _, levels in self.attributes)
 
     @cached_property
     def sizes(self) -> np.ndarray:
         """Level count of each attribute."""
         return np.array([len(levels) for _, levels in self.attributes], dtype=np.int64)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """First column of each attribute in the complete layout."""
+        return _starts(self.sizes)
+
+    @property
+    def width(self) -> int:
+        return int(self.sizes.sum())
 
     def levels(self, attribute: str) -> tuple[str, ...]:
         for name, levels in self.attributes:
@@ -172,7 +181,7 @@ class ConceptSchema:
     def level_names(self, attributes, codes) -> np.ndarray:
         """Level name of each (attribute index, code); the arguments broadcast."""
         table = np.array([level for _, levels in self.attributes for level in levels])
-        return table[(np.cumsum(self.sizes) - self.sizes)[attributes] + codes]
+        return table[self.offsets[attributes] + codes]
 
     def check_hidden(self, hidden) -> frozenset[str]:
         hidden = frozenset(str(h) for h in hidden)
@@ -189,35 +198,18 @@ class ConceptSchema:
         return np.array([name not in hidden for name in self.names])
 
     def visible_names(self, hidden=frozenset()) -> tuple[str, ...]:
-        hidden = self.check_hidden(hidden)
-        return tuple(name for name in self.names if name not in hidden)
+        return tuple(compress(self.names, self.visible_mask(hidden)))
 
     def visible_width(self, hidden=frozenset()) -> int:
-        hidden = self.check_hidden(hidden)
-        return sum(len(levels) for name, levels in self.attributes if name not in hidden)
+        return int(self.sizes[self.visible_mask(hidden)].sum())
 
     def visible_blocks(self, hidden=frozenset()) -> dict[str, slice]:
         """Column block of each visible attribute within the visible layout."""
-        hidden = self.check_hidden(hidden)
-        blocks: dict[str, slice] = {}
-        offset = 0
-        for name, levels in self.attributes:
-            if name in hidden:
-                continue
-            blocks[name] = slice(offset, offset + len(levels))
-            offset += len(levels)
-        return blocks
-
-    def visible_columns(self, hidden=frozenset()) -> list[int]:
-        """Complete-layout column index of each visible-layout column."""
-        hidden = self.check_hidden(hidden)
-        cols: list[int] = []
-        offset = 0
-        for name, levels in self.attributes:
-            if name not in hidden:
-                cols.extend(range(offset, offset + len(levels)))
-            offset += len(levels)
-        return cols
+        visible = self.visible_mask(hidden)
+        sizes = self.sizes[visible]
+        starts = _starts(sizes)
+        ends = starts + sizes
+        return dict(zip(compress(self.names, visible), map(slice, starts.tolist(), ends.tolist())))
 
     def to_obj(self) -> dict:
         return {
@@ -239,6 +231,11 @@ class ConceptSchema:
         return cls.of(pairs)
 
 
+def _starts(sizes) -> np.ndarray:
+    """First column of each block of a layout whose blocks have these sizes."""
+    return np.cumsum(sizes) - sizes
+
+
 def one_hot(schema: ConceptSchema, codes, hidden=frozenset()) -> np.ndarray:
     """Visible one-hot layout of an (m, n_attrs) matrix of valid level codes."""
     codes = np.asarray(codes, dtype=np.int64)
@@ -249,7 +246,7 @@ def one_hot(schema: ConceptSchema, codes, hidden=frozenset()) -> np.ndarray:
     visible = schema.visible_mask(hidden)
     sizes = schema.sizes[visible]
     out = np.zeros((len(codes), int(sizes.sum())))
-    out[np.arange(len(codes))[:, None], np.cumsum(sizes) - sizes + codes[:, visible]] = 1.0
+    out[np.arange(len(codes))[:, None], _starts(sizes) + codes[:, visible]] = 1.0
     return out
 
 

@@ -190,8 +190,6 @@ def fit_mcce(
     if rows.size == 0:
         raise ValidationError("dataset has no factual samples to fit on")
     k_vis = dataset.visible_width
-    if k_vis == 0:
-        raise ValidationError("empty visible concept set: every attribute is hidden")
     C = dataset.design_matrix(rows)
     H = dataset.embeddings[rows]
     T, kind = _resolve_targets(dataset, rows, target_kind, targets)
@@ -245,13 +243,19 @@ def _edited_design(model, dataset: Dataset, rows, attribute, to):
     """(rows, design): the model's visible one-hot design of each row after its edit.
 
     Edit i sets attribute index `attribute[i]` of row `rows[i]` to level
-    code `to[i]`; the three arguments broadcast.
+    code `to[i]`; the three arguments broadcast. The dataset must have
+    the model's schema and be in the space the model was fit in.
     """
     edits = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in (rows, attribute, to)))
     rows, attribute, to = (np.ravel(column) for column in edits)
     schema = model.schema
     if schema != dataset.schema:
         raise ValidationError("model and dataset schemas differ")
+    if model.space != dataset.space:
+        raise ValidationError(
+            f"model was fit in {model.space!r} space but the dataset is in "
+            f"{dataset.space!r} space"
+        )
     if np.any((attribute < 0) | (attribute >= len(schema.names))):
         raise ValidationError(f"unknown attribute index in {np.unique(attribute).tolist()}")
     hidden = ~schema.visible_mask(model.hidden_attributes)[attribute]
@@ -289,7 +293,7 @@ class SLearnerModel:
     hidden_attributes: frozenset[str]
     weights: np.ndarray  # (k_vis, q)
     bias: np.ndarray  # (q,)
-    input_space: str  # space of the dataset the model was fit on
+    space: str  # of the dataset the model was fit on; the file key is "input_space"
     iterations: int
     final_loss: float
     converged: bool | None
@@ -347,19 +351,10 @@ def fit_slearner(dataset: Dataset, targets=None) -> SLearnerModel:
     rows = dataset.fit_rows
     if rows.size == 0:
         raise ValidationError("dataset has no factual samples to fit on")
-    if dataset.visible_width == 0:
-        raise ValidationError("empty visible concept set: every attribute is hidden")
     X = dataset.design_matrix(rows)
-    if targets is not None:
-        T = as_matrix(targets, "targets")
-        if T.shape[0] != rows.size:
-            raise ValidationError(
-                f"targets must have one row per fit sample ({rows.size}), got {T.shape[0]}"
-            )
-    else:
-        T = dataset.outputs[rows]
-        if dataset.space == SPACE_LOGIT:
-            T = softmax(T)
+    T, _ = _resolve_targets(dataset, rows, None, targets)
+    if targets is None and dataset.space == SPACE_LOGIT:
+        T = softmax(T)
     if T.shape[1] < 2:
         raise ValidationError("logistic baseline needs at least 2 output classes")
     if np.any(T < -1e-12) or np.max(np.abs(T.sum(axis=1) - 1.0)) > 1e-6:
@@ -404,7 +399,7 @@ def fit_slearner(dataset: Dataset, targets=None) -> SLearnerModel:
         hidden_attributes=dataset.hidden_attributes,
         weights=Wa[:k].copy(),
         bias=Wa[k].copy(),
-        input_space=dataset.space,
+        space=dataset.space,
         iterations=iterations,
         final_loss=loss,
         converged=converged,
@@ -421,7 +416,7 @@ def explain_slearner(model: SLearnerModel, dataset: Dataset, rows, attribute, to
     """
     rows, C = _edited_design(model, dataset, rows, attribute, to)
     baseline = dataset.outputs[rows]
-    if model.input_space == SPACE_LOGIT:
+    if model.space == SPACE_LOGIT:
         baseline = softmax(baseline)
     return model.predict_proba(C) - baseline
 
@@ -515,7 +510,7 @@ def explain_approx(
 # global report and predictor mode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientReport:
     """Per-(attribute, level) coefficient contrasts against a baseline class."""
 
@@ -523,17 +518,15 @@ class CoefficientReport:
     n_classes: int
     attributes: tuple[str, ...]
     levels: tuple[str, ...]
-    contrasts: tuple[tuple[float, ...], ...]  # one row per (attribute, level)
+    contrasts: np.ndarray  # (n_rows, n_classes), one row per (attribute, level)
 
     def matrix(self) -> np.ndarray:
-        if not self.contrasts:
-            return np.zeros((0, self.n_classes))
-        return np.asarray(self.contrasts, dtype=np.float64)
+        return self.contrasts
 
     def to_csv(self) -> str:
-        classes = [f"class_{c}" for c in range(self.n_classes)] if self.contrasts else []
-        rows = ([a, l, *row] for a, l, row in zip(self.attributes, self.levels, self.contrasts))
-        return csv_text(["attribute", "level"] + classes, rows)
+        classes = [f"class_{c}" for c in range(self.n_classes)] if len(self.contrasts) else []
+        rows = zip(self.attributes, self.levels, self.contrasts.tolist())
+        return csv_text(["attribute", "level"] + classes, ([a, l, *row] for a, l, row in rows))
 
 
 def global_report(model: MCCEModel, baseline_class: int) -> CoefficientReport:
@@ -548,21 +541,17 @@ def global_report(model: MCCEModel, baseline_class: int) -> CoefficientReport:
     q = model.n_outputs
     if not isinstance(baseline_class, (int, np.integer)) or not 0 <= int(baseline_class) < q:
         raise ValidationError(f"baseline_class must be in [0, {q}), got {baseline_class!r}")
-    baseline_class = int(baseline_class)
+    b = int(baseline_class)
     if q == 1:
-        return CoefficientReport(baseline_class, q, (), (), ())
-    attrs: list[str] = []
-    levels: list[str] = []
-    rows: list[tuple[float, ...]] = []
-    blocks = model.schema.visible_blocks(model.hidden_attributes)
-    for name in model.schema.visible_names(model.hidden_attributes):
-        block = blocks[name]
-        for i, level in enumerate(model.schema.levels(name)):
-            coef_row = model.concept_coef[block.start + i]
-            attrs.append(name)
-            levels.append(level)
-            rows.append(tuple(float(v) for v in coef_row - coef_row[baseline_class]))
-    return CoefficientReport(baseline_class, q, tuple(attrs), tuple(levels), tuple(rows))
+        return CoefficientReport(b, q, (), (), np.zeros((0, q)))
+    schema, coef = model.schema, model.concept_coef
+    rows = [
+        (name, level)
+        for name in schema.visible_names(model.hidden_attributes)
+        for level in schema.levels(name)
+    ]
+    attributes, levels = zip(*rows)
+    return CoefficientReport(b, q, attributes, levels, coef - coef[:, [b]])
 
 
 def predict_labels(model: MCCEModel, dataset: Dataset) -> np.ndarray:
@@ -614,7 +603,7 @@ def save_model(model: MCCEModel | SLearnerModel, path: str | Path) -> Path:
         )
     else:
         obj.update(
-            input_space=model.input_space,
+            input_space=model.space,
             weights=model.weights.tolist(),
             bias=model.bias.tolist(),
             iterations=model.iterations,
@@ -670,7 +659,7 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
             hidden_attributes=hidden,
             weights=weights,
             bias=bias,
-            input_space=str(obj["input_space"]),
+            space=str(obj["input_space"]),
             iterations=int(obj["iterations"]),
             final_loss=float(obj["final_loss"]),
             # files written before these were recorded lack both

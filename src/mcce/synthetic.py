@@ -41,6 +41,7 @@ from .data import (
     Dataset,
     EditPairs,
     index_of,
+    one_hot,
     read_json,
     softmax,
     write_json,
@@ -166,8 +167,7 @@ def synthesize_sample(config: SynthConfig, index: int, edit: tuple[int, int] | N
     g_out = rng.standard_normal(config.n_outputs)
     if edit is not None:
         codes[edit[0]] = edit[1]
-    c = np.zeros(config.width)
-    c[np.cumsum(config.schema.sizes) - config.schema.sizes + codes] = 1.0
+    c = one_hot(config.schema, codes[None])[0]
     clean = c @ config.outcome_coef
     embedding = config.embed_map @ c + config.embed_noise * g_embed
     return codes, embedding, clean + config.outcome_noise * g_out, clean
@@ -180,8 +180,7 @@ def _rows(config: SynthConfig, codes: np.ndarray, draws: np.ndarray):
     batched matrix product may round differently in the last bit.
     """
     m, dim = len(codes), config.embed_dim
-    c = np.zeros((m, config.width))
-    c[np.arange(m)[:, None], np.cumsum(config.schema.sizes) - config.schema.sizes + codes] = 1.0
+    c = one_hot(config.schema, codes)
     clean, embeddings = np.empty((m, config.n_outputs)), np.empty((m, dim))
     for k in range(m):
         clean[k] = c[k] @ config.outcome_coef
@@ -346,10 +345,8 @@ def default_config(
     outcome_coef = beta_scale * rng.standard_normal((schema.width, n_classes))
     # Concepts matter unequally for the outcome, in schema order; mirrors
     # benchmarks where one or two concepts dominate the prediction.
-    col = 0
-    for a, (_, levels) in enumerate(schema.attributes):
-        outcome_coef[col : col + len(levels)] *= beta_decay**a
-        col += len(levels)
+    for a, (start, size) in enumerate(zip(schema.offsets.tolist(), schema.sizes.tolist())):
+        outcome_coef[start : start + size] *= beta_decay**a
     return SynthConfig(
         n=n,
         exo_dim=exo_dim,
@@ -369,6 +366,18 @@ def default_config(
 # config and ground-truth files
 
 
+# keys either config form accepts
+_COMMON_KEYS = frozenset(
+    ("n", "seed", "attributes", "hidden", "embed_noise", "outcome_noise", "exact_recovery",
+     "edits_per_sample")
+)
+_MATRIX_KEYS = frozenset(("mixing", "embed_map", "outcome_coef"))
+# the `default_config` knobs that only the generated form accepts
+_KNOB_KEYS = frozenset(
+    ("n_classes", "embed_dim", "confounding", "beta_scale", "beta_decay", "param_seed")
+)
+
+
 def load_synth_config(path: str | Path) -> tuple[SynthConfig, int]:
     """Read a config JSON; returns (config, edits_per_sample).
 
@@ -376,18 +385,25 @@ def load_synth_config(path: str | Path) -> tuple[SynthConfig, int]:
     (`mixing`, `embed_map`, `outcome_coef`, `exo_dim`). The generated
     form omits all of them and instead accepts the `default_config`
     knobs (`n_classes`, `embed_dim`, `confounding`, `beta_scale`,
-    `param_seed`). Common keys: n, seed, attributes, hidden,
-    embed_noise, outcome_noise, exact_recovery, edits_per_sample.
+    `beta_decay`, `param_seed`). Common keys: n, seed, attributes,
+    hidden, embed_noise, outcome_noise, exact_recovery,
+    edits_per_sample. A key that the config's form does not accept is
+    an error.
     """
     obj = read_json(path, "config")
     edits = obj.get("edits_per_sample", 1)
-    explicit_keys = {"mixing", "embed_map", "outcome_coef"}
-    present = explicit_keys & set(obj)
-    if present and present != explicit_keys:
+    present = _MATRIX_KEYS & set(obj)
+    if present and present != _MATRIX_KEYS:
         raise ValidationError(
-            f"{path}: explicit configs need all of {sorted(explicit_keys)}, got {sorted(present)}"
+            f"{path}: explicit configs need all of {sorted(_MATRIX_KEYS)}, got {sorted(present)}"
         )
+    form = "explicit" if present else "generated"
+    accepted = _COMMON_KEYS | (_MATRIX_KEYS | {"exo_dim"} if present else _KNOB_KEYS)
+    unknown = sorted(set(obj) - accepted)
+    if unknown:
+        raise ValidationError(f"{path}: unknown key {unknown[0]!r} for a {form} config")
     try:
+        hidden = frozenset(obj.get("hidden", ()))
         if present:
             config = SynthConfig(
                 n=obj["n"],
@@ -398,21 +414,19 @@ def load_synth_config(path: str | Path) -> tuple[SynthConfig, int]:
                 outcome_coef=obj["outcome_coef"],
                 embed_noise=float(obj.get("embed_noise", 0.0)),
                 outcome_noise=float(obj.get("outcome_noise", 0.0)),
-                hidden=frozenset(obj.get("hidden", ())),
+                hidden=hidden,
                 seed=int(obj.get("seed", 0)),
                 exact_recovery=bool(obj.get("exact_recovery", False)),
             )
         else:
             attributes = ConceptSchema.from_obj(obj).attributes if "attributes" in obj else None
-            knobs = ("n_classes", "embed_dim", "confounding", "beta_scale", "embed_noise",
-                     "outcome_noise", "param_seed", "exact_recovery")
-            kwargs = {key: obj[key] for key in knobs if key in obj}
+            knobs = _KNOB_KEYS | {"embed_noise", "outcome_noise", "exact_recovery"}
             config = default_config(
                 n=obj.get("n", 2000),
                 seed=int(obj.get("seed", 0)),
-                hidden=frozenset(obj.get("hidden", ())),
+                hidden=hidden,
                 attributes=attributes,
-                **kwargs,
+                **{key: obj[key] for key in knobs & set(obj)},
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed config ({exc})") from exc

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import mcce
+from mcce import Dataset, default_config, generate, make_pairs, save_dataset
 from mcce.cli import main
 
 
@@ -357,6 +358,17 @@ class TestExplainEvaluate:
         assert code == 2
         assert "probability" in capsys.readouterr().err
 
+    def test_evaluate_rejects_a_repeated_metric(self, synth_dir, oracle_report, tmp_path, capsys):
+        code = run(
+            "evaluate", *dataset_flags(synth_dir),
+            "--effects", oracle_report.parent / "effects.jsonl",
+            "--metric", "l2,cosine,l2",
+            "--out", tmp_path / "eval",
+        )
+        assert code == 2
+        assert "metric 'l2' is given twice" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
     def test_non_finite_effects_exit_3_without_traceback(self, synth_dir, tmp_path, capsys):
         model = tmp_path / "m.json"
         assert run("fit", *dataset_flags(synth_dir), "--method", "mcce", "--out", model) == 0
@@ -428,6 +440,44 @@ class TestExperiment:
         )
         assert code == 2
         assert "probability" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--mask-sizes", ""], "at least one mask size is required"),
+            (["--methods", "mcce,approx,mcce"], "method 'mcce' is given twice"),
+            (["--metrics", "l2,l2"], "metric 'l2' is given twice"),
+            (["--seeds", "0,0"], "seed 0 is given twice"),
+        ],
+    )
+    def test_empty_or_repeated_lists_exit_2(self, exp_dir, tmp_path, capsys, flags, message):
+        data, _ = exp_dir
+        code = run(
+            "experiment", *dataset_flags(data), "--methods", "mcce", *flags, "--out", tmp_path / "o"
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_rank_collapse_warns_once_per_affected_mcce_run(self, tmp_path):
+        config = default_config(n=150, seed=5)
+        dataset, truth = generate(config)
+        food = dataset.schema.names.index("food")
+        codes = dataset.codes.copy()
+        codes[codes[:, food] == 2, food] = 0  # no factual row has food=pos
+        dataset = Dataset(dataset.schema, dataset.ids, codes, dataset.embeddings, dataset.outputs)
+        save_dataset(make_pairs(dataset, truth, config), tmp_path / "data")
+        proc = run_process(
+            "experiment", *dataset_flags(tmp_path / "data"),
+            "--methods", "mcce,approx", "--metrics", "l2", "--mask-sizes", "1", "--seeds", "0,1",
+            "--out", tmp_path / "o",
+        )
+        assert proc.returncode == 0, proc.stderr
+        # food stays visible under three of the four masks; each is run for two seeds
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 6, proc.stderr
+        assert all(line.startswith("warning: concept design rank 6 is below 7") for line in lines)
 
 
 class TestReport:
@@ -697,6 +747,17 @@ class TestLoaderErrors:
         config.write_text('{"n": 20, "outcome_noise": NaN}')
         assert run("synth", "--config", config, "--out", tmp_path / "d") == 2
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "obj, key",
+        [({"n": 20, "n_clases": 3}, "n_clases"), ({"n": 20, "exo_dim": 3}, "exo_dim")],
+    )
+    def test_synth_config_rejects_an_unknown_key(self, tmp_path, capsys, obj, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(obj))
+        assert run("synth", "--config", config, "--out", tmp_path / "d") == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     # The JSONL reader decodes 1024 lines per call and falls back to one
     # call per line on any doubt; these pin what the fallback reports.

@@ -49,7 +49,8 @@ def test_schema_shapes_and_blocks():
     assert SCHEMA.visible_width({"a"}) == 3
     assert SCHEMA.visible_blocks() == {"a": slice(0, 2), "b": slice(2, 5)}
     assert SCHEMA.visible_blocks({"a"}) == {"b": slice(0, 3)}
-    assert SCHEMA.visible_columns({"a"}) == [2, 3, 4]
+    assert SCHEMA.offsets.tolist() == [0, 2]
+    assert SCHEMA.visible_names({"a"}) == ("b",)
     assert RESTAURANT.visible_width({"ambiance"}) == 9
 
 

@@ -237,6 +237,19 @@ def test_explain_rejects_hidden_or_unknown():
         explain_mcce(model, ds, 0, 2, 0)  # no third attribute
 
 
+@pytest.mark.parametrize(
+    "fit, explain", [(fit_mcce, explain_mcce), (fit_slearner, explain_slearner)]
+)
+def test_explainers_reject_a_dataset_in_the_other_space(fit, explain):
+    logit, _, _ = linear_dataset(noise=0.2, seed=20)
+    probability = logit.to_space("probability")
+    for fitted_on, other in ((logit, probability), (probability, logit)):
+        model = fit(fitted_on)
+        assert explain(model, fitted_on, [0, 1], 1, 2).shape == (2, 4)
+        with pytest.raises(ValidationError, match=f"fit in '{fitted_on.space}' space"):
+            explain(model, other, [0, 1], 1, 2)
+
+
 # --- s-learner ---------------------------------------------------------------
 
 def test_slearner_uniform_targets_stop_immediately():

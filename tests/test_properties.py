@@ -9,6 +9,8 @@ bit for bit; `synthesize_sample` is the per-sample reference of the
 generator.
 """
 
+import csv
+import io
 import json
 import struct
 import warnings
@@ -34,6 +36,7 @@ from mcce import (
     fit_mcce,
     generate,
     get_distance,
+    global_report,
     icace_error,
     load_dataset,
     load_ground_truth,
@@ -516,7 +519,7 @@ def test_slearner_model_round_trips_bit_exactly(tmp_path_factory, masked, data):
         hidden_attributes=hidden,
         weights=data.draw(float_matrices(k, q)),
         bias=data.draw(float_matrices(1, q)).reshape(q),
-        input_space=data.draw(st.sampled_from(["logit", "probability"])),
+        space=data.draw(st.sampled_from(["logit", "probability"])),
         iterations=data.draw(st.integers(0, 50)),
         final_loss=data.draw(finite_floats),
         converged=converged,
@@ -528,7 +531,7 @@ def test_slearner_model_round_trips_bit_exactly(tmp_path_factory, masked, data):
     assert (back.schema, back.hidden_attributes) == (schema, hidden)
     for name in ("weights", "bias", "final_loss"):
         assert bits(getattr(back, name)) == bits(getattr(model, name)), name
-    assert (back.input_space, back.iterations) == (model.input_space, model.iterations)
+    assert (back.space, back.iterations) == (model.space, model.iterations)
     assert back.converged is model.converged
     assert model.grad_norm is None if back.grad_norm is None else (
         bits(back.grad_norm) == bits(model.grad_norm)
@@ -780,3 +783,91 @@ def test_read_jsonl_tricky_runs_equal_per_line_reference(tmp_path, run):
     got = read_outcome(read_jsonl, path)
     assert got == read_outcome(reference_read_jsonl, path)
     assert got.startswith("ValidationError: ")
+
+
+# --- global report: the per-level reference ------------------------------------------
+
+
+def reference_report_csv(model, baseline_class):
+    """CSV of the earlier `global_report`, which built the contrasts level by level."""
+    q = model.n_outputs
+    rows = []
+    if q > 1:
+        row = 0
+        for name, levels in model.schema.attributes:
+            if name in model.hidden_attributes:
+                continue
+            for level in levels:
+                coef_row = model.concept_coef[row]
+                rows.append([name, level, *(float(v) for v in coef_row - coef_row[baseline_class])])
+                row += 1
+    classes = [f"class_{c}" for c in range(q)] if rows else []
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([["attribute", "level"] + classes, *rows])
+    return buf.getvalue()
+
+
+# large enough to stress float formatting, small enough that no difference overflows
+report_floats = st.one_of(
+    edge_floats.filter(lambda v: abs(v) <= 1e300), st.floats(min_value=-1e300, max_value=1e300)
+)
+
+
+def report_model(schema, hidden, concept_coef):
+    k, q = concept_coef.shape
+    return MCCEModel(
+        schema=schema,
+        hidden_attributes=hidden,
+        embed_coef=np.zeros((k, 1)),
+        pseudo_basis=np.zeros((1, 1)),
+        concept_coef=concept_coef,
+        pseudo_coef=np.zeros((1, q)),
+        ridge=0.0,
+        n_pseudo=1,
+        space="logit",
+        target_kind="output",
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(masked_schemas(), st.data())
+def test_global_report_csv_equals_per_level_reference(masked, data):
+    schema, hidden = masked
+    q = data.draw(st.integers(1, 4))
+    coef = np.array(
+        data.draw(st.lists(report_floats, min_size=schema.visible_width(hidden) * q,
+                           max_size=schema.visible_width(hidden) * q)),
+        dtype=np.float64,
+    ).reshape(-1, q)
+    model = report_model(schema, hidden, coef)
+    baseline = data.draw(st.integers(0, q - 1))
+    report = global_report(model, baseline)
+    assert report.to_csv() == reference_report_csv(model, baseline)
+    assert report.matrix().shape == ((coef.shape[0] if q > 1 else 0), q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(masked_schemas(), st.data())
+def test_global_report_level_contrasts_ignore_a_block_shift(masked, data):
+    # adding one vector to every row of a block moves each of its class
+    # contrasts by the same amount, so differences between its levels stay
+    schema, hidden = masked
+    q = data.draw(st.integers(2, 4))
+    bounded = st.floats(min_value=-1e3, max_value=1e3)
+    k = schema.visible_width(hidden)
+    coef = np.array(data.draw(st.lists(bounded, min_size=k * q, max_size=k * q))).reshape(k, q)
+    blocks = list(schema.visible_blocks(hidden).values())
+    block = data.draw(st.sampled_from(blocks))
+    shift = np.array(data.draw(st.lists(bounded, min_size=q, max_size=q)))
+    shifted = coef.copy()
+    shifted[block] += shift
+    baseline = data.draw(st.integers(0, q - 1))
+    before = global_report(report_model(schema, hidden, coef), baseline).matrix()
+    after = global_report(report_model(schema, hidden, shifted), baseline).matrix()
+    tol = 1e-12 * (1.0 + np.abs(coef).max() + np.abs(shift).max())
+    for b in blocks:
+        level_diff = before[b] - before[b.start]
+        assert np.abs((after[b] - after[b.start]) - level_diff).max() <= 8 * tol
+    untouched = np.ones(k, dtype=bool)
+    untouched[block] = False
+    assert np.array_equal(after[untouched], before[untouched])

@@ -139,19 +139,16 @@ def test_omitted_variable_bias_is_measurable():
         C = d.design_matrix(d.fit_rows)
         T = d.outputs[d.fit_rows]
         coef = lstsq(C, T).coefficients
-        cols = d.schema.visible_columns(d.hidden_attributes)
-        ref = truth.outcome_coef[cols]
+        visible = d.schema.visible_mask(d.hidden_attributes)
+        ref = truth.outcome_coef[np.repeat(visible, d.schema.sizes)]
         gap = 0.0
-        offset = 0
-        for name in d.schema.visible_names(d.hidden_attributes):
-            L = len(d.schema.levels(name))
-            est = coef[offset : offset + L]
-            want = ref[offset : offset + L]
+        for block in d.schema.visible_blocks(d.hidden_attributes).values():
+            est = coef[block]
+            want = ref[block]
             gap = max(
                 gap,
                 float(np.max(np.abs((est - est[0]) - (want - want[0])))),
             )
-            offset += L
         return gap
 
     recovery = contrast_gap(ds, frozenset())
@@ -199,6 +196,37 @@ def test_config_file_roundtrip(tmp_path):
     path.write_text(json.dumps({"n": 10, "edits_per_sample": -1}))
     with pytest.raises(ValidationError):
         load_synth_config(path)
+
+
+def test_config_file_passes_beta_decay(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": 10, "beta_decay": 1.0}))
+    cfg, _ = load_synth_config(path)
+    assert np.array_equal(cfg.outcome_coef, default_config(n=10, beta_decay=1.0).outcome_coef)
+    assert not np.array_equal(cfg.outcome_coef, default_config(n=10).outcome_coef)
+
+
+def test_config_file_rejects_keys_its_form_does_not_accept(tmp_path):
+    path = tmp_path / "config.json"
+    cfg = small_config()
+    explicit = {
+        "n": 10,
+        "exo_dim": cfg.exo_dim,
+        **cfg.schema.to_obj(),
+        "mixing": {name: m.tolist() for name, m in cfg.mixing.items()},
+        "embed_map": cfg.embed_map.tolist(),
+        "outcome_coef": cfg.outcome_coef.tolist(),
+    }
+    path.write_text(json.dumps(explicit))
+    assert np.array_equal(load_synth_config(path)[0].outcome_coef, cfg.outcome_coef)
+    for obj, key in (
+        ({**explicit, "beta_scale": 0.4}, "beta_scale"),  # a knob of the generated form
+        ({"n": 10, "n_clases": 3}, "n_clases"),
+        ({"n": 10, "exo_dim": 3}, "exo_dim"),  # a key of the explicit form
+    ):
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match=f"unknown key '{key}'"):
+            load_synth_config(path)
 
 
 def test_ground_truth_roundtrip(tmp_path):
