@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import itertools
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -134,11 +135,12 @@ def _fit(dataset: Dataset, method: str, j, ridge: float, targets: str):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # write_effects reports non-finite estimates
-def _explain(dataset: Dataset, method: str, model, seed: int, path: Path, truth=None):
-    """Estimate the first pair of each key, in pairs-file order, and write the effects file.
+def _explain(dataset: Dataset, method: str, model, seed: int, truth=None):
+    """Estimate the first pair of each key, in pairs-file order.
 
     The dataset's mask is the run's: mcce and slearner skip (and count)
-    pairs that edit an attribute it hides. Returns (effects, metadata).
+    pairs that edit an attribute it hides. Returns (effects, metadata),
+    the effects file's contents.
     """
     p = dataset.pairs
     pairs = dataset.unique_pairs()
@@ -175,18 +177,20 @@ def _explain(dataset: Dataset, method: str, model, seed: int, path: Path, truth=
         "pairs_total": len(p),
         "pairs_skipped": skipped,
     }
-    write_effects(path, effects, metadata)
     return effects, metadata
 
 
-def _write_reports(out_dir: Path, dataset, effects, metrics, metadata, hidden):
-    reports = {}
-    for metric in metrics:
-        report = icace_error(effects, dataset, metric, metadata=dict(metadata), hidden=hidden)
+def _reports(dataset, effects, metrics, metadata, hidden) -> dict:
+    return {
+        metric: icace_error(effects, dataset, metric, metadata=dict(metadata), hidden=hidden)
+        for metric in metrics
+    }
+
+
+def _write_reports(out_dir: Path, reports: dict) -> None:
+    for metric, report in reports.items():
         write_json(out_dir / f"report_{metric}.json", report.to_json_obj())
         write_text_atomic(out_dir / f"report_{metric}.csv", report.to_csv())
-        reports[metric] = report
-    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +258,8 @@ def cmd_explain(args) -> int:
             raise ValidationError("--ground-truth is required for method 'oracle'")
         truth = load_ground_truth(args.ground_truth)
 
-    effects, metadata = _explain(dataset, method, model, args.seed, Path(args.out), truth)
+    effects, metadata = _explain(dataset, method, model, args.seed, truth)
+    write_effects(args.out, effects, metadata)
     print(
         f"explain {method}: wrote {len(effects)} estimates to {args.out} "
         f"({metadata['pairs_skipped']} hidden-attribute pairs skipped)"
@@ -274,7 +279,8 @@ def cmd_evaluate(args) -> int:
         )
     hidden = frozenset(meta.get("hidden", ()))
     metadata = {"method": meta.get("method"), "hidden": sorted(hidden), "seed": meta.get("seed")}
-    reports = _write_reports(Path(args.out), dataset, effects, metrics, metadata, hidden)
+    reports = _reports(dataset, effects, metrics, metadata, hidden)
+    _write_reports(Path(args.out), reports)
     for metric in metrics:
         report = reports[metric]
         print(
@@ -286,13 +292,24 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _experiment_run(dataset, method, metrics, seed, run_dir, j, ridge):
-    model = None
-    if method != "approx":
-        model = _fit(dataset, method, j, ridge, TARGET_OUTPUT)
-        save_model(model, run_dir / "model.json")
-    effects, metadata = _explain(dataset, method, model, seed, run_dir / "effects.jsonl")
-    return _write_reports(run_dir, dataset, effects, metrics, metadata, dataset.hidden_attributes)
+def _experiment_run(dataset, method, metrics, seed, j, ridge, reuse=None):
+    """Fit, explain and score one run; returns (model, effects, metadata, reports).
+
+    Only approx's draws depend on the seed. For mcce and slearner, the
+    run of an earlier seed may be passed as `reuse`; it is returned with
+    this seed in its metadata, as a fresh run would be.
+    """
+    if reuse is not None and method != "approx":
+        model, effects, metadata, reports = reuse
+        reports = {
+            metric: replace(report, metadata={**report.metadata, "seed": seed})
+            for metric, report in reports.items()
+        }
+        return model, effects, {**metadata, "seed": seed}, reports
+    model = None if method == "approx" else _fit(dataset, method, j, ridge, TARGET_OUTPUT)
+    effects, metadata = _explain(dataset, method, model, seed)
+    reports = _reports(dataset, effects, metrics, metadata, dataset.hidden_attributes)
+    return model, effects, metadata, reports
 
 
 def cmd_experiment(args) -> int:
@@ -331,12 +348,16 @@ def cmd_experiment(args) -> int:
         masked = dataset.mask(mask)
         mask_dir = "+".join(mask)
         for h, method in enumerate(methods):
+            run = None
             for s, seed in enumerate(seeds):
                 run_dir = out_dir / "runs" / method / mask_dir / f"seed{seed}"
                 try:
-                    reports = _experiment_run(
-                        masked, method, metrics, seed, run_dir, args.j, args.ridge
-                    )
+                    run = _experiment_run(masked, method, metrics, seed, args.j, args.ridge, run)
+                    model, effects, metadata, reports = run
+                    if model is not None:
+                        save_model(model, run_dir / "model.json")
+                    write_effects(run_dir / "effects.jsonl", effects, metadata)
+                    _write_reports(run_dir, reports)
                 except (ValidationError, NumericalError) as exc:
                     raise type(exc)(
                         f"experiment run method={method} mask={mask_dir} seed={seed}: {exc}"

@@ -27,8 +27,10 @@ it one-hot encodes the visible attributes only.
 This is the one module that knows JSON, JSONL and CSV syntax. Models,
 effects, ground truth, configs, reports and predictions are read and
 written by other modules through `read_json`, `write_json`,
-`read_jsonl` (columns, with file:line errors), `write_jsonl` (built a
-column at a time) and `csv_text`.
+`read_jsonl` (typed columns, with file:line errors), `write_jsonl`
+(built a column at a time), `float_array` (JSON numbers only) and
+`csv_text`. JSONL files are read and written a chunk of rows at a time,
+so no file is held whole as Python objects.
 """
 
 from __future__ import annotations
@@ -41,9 +43,10 @@ import io
 import json
 import os
 import tempfile
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -84,19 +87,23 @@ _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 
 
-def write_text_atomic(path: str | Path, text: str) -> Path:
+def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> Path:
     """Write text via a temp file and rename, so readers never see partial files.
 
-    Each call gets its own temp file beside `path`, so concurrent writers
-    to one path never share it; a failed write removes it. The final
-    file gets the mode a plain open() would give it under the umask.
+    `text` is one string or an iterable of string pieces, written in
+    order; a generator of pieces lets the caller build a large file a
+    part at a time instead of holding its whole text. Each call gets its
+    own temp file beside `path`, so concurrent writers to one path never
+    share it; a failed write, including one raised while a piece is
+    built, removes it. The final file gets the mode a plain open() would
+    give it under the umask.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.chmod(tmp, 0o666 & ~_UMASK)  # mkstemp creates files as 0600
         os.replace(tmp, path)
     except BaseException:
@@ -367,55 +374,9 @@ class Dataset:
         attribute, from_level, to_level).
         """
         ids = np.asarray(ids, dtype=str).reshape(-1)
-        names = schema.names
-        try:
-            labels = np.array([[c.get(a) for a in names] for c in concepts], dtype=object)
-            labels = labels.reshape(ids.size, len(names))
-        except ValueError:
-            raise ValidationError("concept labels must be one level name per attribute") from None
-        absent = np.equal(labels, None)
-        if absent.any():
-            i, a = np.argwhere(absent)[0]
-            raise ValidationError(f"sample {ids[i]!r}: missing label for {names[a]!r}")
-        extra = np.fromiter(map(len, concepts), np.int64, ids.size) != len(names)
-        if extra.any():
-            raise ValidationError(
-                f"sample {ids[np.argmax(extra)]!r}: labels for unknown attributes"
-            )
-        labels = labels.astype(str)
-        codes = schema.level_codes(np.arange(len(names)), labels)
-        if np.any(codes < 0):
-            i, a = np.argwhere(codes < 0)[0]
-            raise ValidationError(f"sample {ids[i]!r}: illegal label {names[a]}={labels[i, a]!r}")
-        if gold is not None:
-            gold = np.array(gold, dtype=object).reshape(-1)
-            missing = np.equal(gold, None)
-            gold[missing] = -1
-            try:
-                gold = gold.astype(np.int64)
-            except (TypeError, ValueError):
-                raise ValidationError("gold labels must be integers") from None
-            if np.any(gold[~missing] < 0):
-                raise ValidationError("gold label must be >= 0")
-
-        cols = [np.asarray(col, dtype=str) for col in zip(*pairs)] or [np.zeros(0, str)] * 5
-        original, edited = index_of(ids, cols[0]), index_of(ids, cols[1])
-        for rows, wanted in ((original, cols[0]), (edited, cols[1])):
-            if np.any(rows < 0):
-                raise ValidationError(f"pair references unknown sample {wanted[np.argmin(rows)]!r}")
-        attribute = index_of(np.array(names), cols[2])
-        if np.any(attribute < 0):
-            raise ValidationError(f"pair names unknown attribute {cols[2][np.argmin(attribute)]!r}")
-        from_codes = schema.level_codes(attribute, cols[3])
-        to = schema.level_codes(attribute, cols[4])
-        bad = (from_codes < 0) | (to < 0) | (from_codes != codes[original, attribute])
-        if bad.any():
-            i = np.argmax(bad)
-            raise ValidationError(
-                f"pair {cols[0][i]!r}->{cols[1][i]!r}: illegal level, or the original's "
-                f"{cols[2][i]!r} label is not {cols[3][i]!r}"
-            )
-        pairs = EditPairs(original, edited, attribute, to)
+        codes = _label_codes(schema, ids, concepts)
+        gold = None if gold is None else _gold_labels(gold)
+        pairs = _resolve_pairs(schema, ids, codes, zip(*pairs))
         return cls(schema, ids, codes, embeddings, outputs, gold, pairs)
 
     # -- views ------------------------------------------------------------
@@ -488,6 +449,67 @@ class Dataset:
         return np.sort(np.unique(key, return_index=True)[1])
 
 
+def _label_codes(schema: ConceptSchema, ids, concepts) -> np.ndarray:
+    """(n, n_attrs) level codes of `concepts`, one {attribute: level} dict per id in `ids`."""
+    ids = np.asarray(ids, dtype=str).reshape(-1)
+    names = schema.names
+    try:
+        labels = np.array([[c.get(a) for a in names] for c in concepts], dtype=object)
+        labels = labels.reshape(ids.size, len(names))
+    except ValueError:
+        raise ValidationError("concept labels must be one level name per attribute") from None
+    absent = np.equal(labels, None)
+    if absent.any():
+        i, a = np.argwhere(absent)[0]
+        raise ValidationError(f"sample {ids[i]!r}: missing label for {names[a]!r}")
+    extra = np.fromiter(map(len, concepts), np.int64, ids.size) != len(names)
+    if extra.any():
+        raise ValidationError(f"sample {ids[np.argmax(extra)]!r}: labels for unknown attributes")
+    labels = labels.astype(str)
+    codes = schema.level_codes(np.arange(len(names)), labels)
+    if np.any(codes < 0):
+        i, a = np.argwhere(codes < 0)[0]
+        raise ValidationError(f"sample {ids[i]!r}: illegal label {names[a]}={labels[i, a]!r}")
+    return codes
+
+
+def _gold_labels(gold) -> np.ndarray:
+    """Gold labels, one int or None per row, as int64 with -1 for None."""
+    gold = np.array(gold, dtype=object).reshape(-1)
+    missing = np.equal(gold, None)
+    gold[missing] = -1
+    try:
+        gold = gold.astype(np.int64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("gold labels must be integers") from None
+    if np.any(gold[~missing] < 0):
+        raise ValidationError("gold label must be >= 0")
+    return gold
+
+
+def _resolve_pairs(schema: ConceptSchema, ids: np.ndarray, codes: np.ndarray, columns) -> EditPairs:
+    """Edit pairs from their five name columns (original_id, edited_id, attribute, from, to)."""
+    cols = [np.asarray(col, dtype=str) for col in columns] or [np.zeros(0, str)] * 5
+    original, edited = index_of(ids, cols[0]), index_of(ids, cols[1])
+    for rows, wanted in ((original, cols[0]), (edited, cols[1])):
+        if np.any(rows < 0):
+            raise ValidationError(f"pair references unknown sample {wanted[np.argmin(rows)]!r}")
+    names = schema.names
+    attribute = index_of(np.array(names), cols[2])
+    if np.any(attribute < 0):
+        raise ValidationError(f"pair names unknown attribute {cols[2][np.argmin(attribute)]!r}")
+    from_codes = schema.level_codes(attribute, cols[3])
+    to = schema.level_codes(attribute, cols[4])
+    bad = (from_codes < 0) | (to < 0) | (from_codes != codes[original, attribute])
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValidationError(
+            f"pair {cols[0][i]!r}->{cols[1][i]!r}: illegal level, or the original's "
+            f"{cols[2][i]!r} label is not {cols[3][i]!r}"
+        )
+    return EditPairs(original, edited, attribute, to)
+
+
 # ---------------------------------------------------------------------------
 # file IO: the one module that knows JSON, JSONL and CSV syntax
 
@@ -499,15 +521,22 @@ def _reject_constant(token: str):
 # One decoder for every parse and one encoder for every JSONL row:
 # json.loads and json.dumps would build a new one per call.
 _STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant)
-# Non-blank lines per `_decode_lines` call. It bounds the joined text held
-# at once; a whole-file decode would raise a load's peak memory.
+# Non-blank lines per `_decode_lines` call, and rows per chunk that
+# `read_jsonl` holds as Python objects and `write_jsonl` encodes at once.
+# It bounds the text and row objects held at a time; whole files of
+# them would multiply a load's or save's peak memory.
 _CHUNK_LINES = 1024
+# `iterencode` pieces per text batch that `write_json` hands the writer
+_DOC_PIECES = 4096
 _ROW_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
 _DOC_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
-# the Python type that each JSON type named in a `read_jsonl` spec decodes to
+# The Python type that each JSON type named in a `read_jsonl` spec decodes
+# to. "numbers" is a list of JSON numbers; errors call it a list.
 _JSON_TYPES = {
-    "string": str, "integer": int, "boolean": bool, "list": list, "object": dict, "null": type(None)
+    "string": str, "integer": int, "boolean": bool, "list": list, "numbers": list,
+    "object": dict, "null": type(None),
 }
+_NUMBER_TYPES = {int, float}
 # A JSONL value that leaves its key out of the row (a missing key, when read).
 _ABSENT = object()
 # JSON text of each scalar a JSONL column may hold; "" for _ABSENT, which no value encodes to.
@@ -579,6 +608,37 @@ def _decode_lines(texts: list[str], numbers: list[int], path: str | Path) -> lis
     return [_parse_json(text, path, number) for text, number in zip(texts, numbers)]
 
 
+def _numeric(value) -> bool:
+    """Whether `value` is a JSON number, or lists nested to any depth whose items all are."""
+    items = [value]
+    while items:
+        kinds = set(map(type, items))
+        if kinds <= _NUMBER_TYPES:
+            return True
+        if kinds != {list}:
+            return False
+        items = list(chain.from_iterable(items))
+    return True
+
+
+def float_array(value, where: str) -> np.ndarray:
+    """`value`, decoded JSON, as a float64 array when it holds only numbers.
+
+    `value` is a number or lists nested to any depth. A number is a JSON
+    int or float, never a bool, string or null; any other item, or an
+    int too large for a float, raises ValidationError with a message
+    that starts with `where`. Lists of unequal length raise numpy's
+    ValueError for the caller to word, and the shape is the caller's to
+    check.
+    """
+    if not _numeric(value):
+        raise ValidationError(f"{where} must hold only numbers")
+    try:
+        return np.array(value, dtype=np.float64)
+    except OverflowError:
+        raise ValidationError(f"{where} holds a number too large for a float") from None
+
+
 def read_json(path: str | Path, what: str) -> dict:
     """The JSON object that file `path` holds; `what` names the file in errors."""
     with _reading(path, what) as handle:
@@ -588,30 +648,125 @@ def read_json(path: str | Path, what: str) -> dict:
     return obj
 
 
+def _batches(pieces: Iterable[str], size: int):
+    """The strings of `pieces` joined `size` at a time."""
+    pieces = iter(pieces)
+    while batch := list(islice(pieces, size)):
+        yield "".join(batch)
+
+
 def write_json(path: str | Path, obj) -> Path:
-    """Write `obj` atomically as an indented JSON document with sorted keys."""
-    return write_text_atomic(path, _DOC_JSON.encode(obj) + "\n")
+    """Write `obj` atomically as an indented JSON document with sorted keys.
+
+    The file holds `_DOC_JSON.encode(obj)` and a newline. It is written
+    as `_DOC_JSON.iterencode(obj)` pieces joined `_DOC_PIECES` at a time,
+    the pieces that `encode` joins whole, so the bytes are the same and
+    the document's text is never held at once.
+    """
+    return write_text_atomic(path, chain(_batches(_DOC_JSON.iterencode(obj), _DOC_PIECES), ["\n"]))
+
+
+def _float_rows(column: list, lines: list[int], path: str | Path, key: str):
+    """One chunk's "numbers" column as an (m, width) float64 block.
+
+    A row that holds anything but numbers is an error naming its line.
+    Rows of unequal length are returned as they are, for the caller to
+    reject as a whole.
+    """
+    try:
+        return float_array(column, f"{path}: {key!r}")
+    except ValidationError:
+        for row, line in zip(column, lines):
+            float_array(row, f"{path}:{line}: {key!r}")  # raises at the first row at fault
+    except ValueError:
+        pass
+    return column  # rows of unequal length or depth
+
+
+def _chunk_columns(rows: list, lines: list[int], path: str | Path, types: dict, defaults: dict):
+    """Each key's values in `rows`, the objects on lines `lines` of `path`, checked and typed."""
+    columns = {}
+    for key, names in types.items():
+        default = defaults.get(key, _ABSENT)
+        column = [row.get(key, default) for row in rows]
+        allowed = tuple(_JSON_TYPES[name] for name in names.split("|"))
+        if set(map(type, column)).difference(allowed):
+            i = next(i for i, value in enumerate(column) if type(value) not in allowed)
+            if column[i] is _ABSENT:
+                raise ValidationError(f"{path}:{lines[i]}: missing required key {key!r}")
+            kinds = names.replace("|", " or ").replace("numbers", "list")
+            raise ValidationError(f"{path}:{lines[i]}: {key!r} must be {kinds}")
+        if names == "string":
+            column = np.array(column, dtype=str)
+        elif names == "numbers":
+            column = _float_rows(column, lines, path, key)
+        columns[key] = column
+    return columns
+
+
+def _join(blocks: list):
+    """One column from its chunks' blocks: an array if every block is one and they stack.
+
+    Otherwise, as when float rows change length, the list of all rows.
+    """
+    if all(isinstance(block, np.ndarray) for block in blocks):
+        blocks = [block for block in blocks if len(block)] or blocks[:1]
+        with contextlib.suppress(ValueError):
+            return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    lists = (block.tolist() if isinstance(block, np.ndarray) else block for block in blocks)
+    return list(chain.from_iterable(lists))
 
 
 def read_jsonl(
-    path: str | Path, what: str, types: dict, defaults: dict | None = None, head: str | None = None
-) -> tuple[dict, dict[str, list]]:
+    path: str | Path,
+    what: str,
+    types: dict,
+    defaults: dict | None = None,
+    head: str | None = None,
+    convert: Callable[[dict], dict] | None = None,
+) -> tuple[dict, dict]:
     """Columns of a file that holds one JSON object per non-blank line.
 
     Returns (header, columns): `columns` maps each key of `types` to its
     values in line order, and `types[key]` names the JSON types they may
-    take, as in "integer|null". A key of `defaults` may be absent and then
-    reads as its default. If line 1 holds the key `head`, it is the header,
-    whose value must be an object (else the header is {}). Errors name
-    the file, and the line when one is at fault.
+    take, as in "integer|null". A "string" column is returned as a numpy
+    string array and a "numbers" column (rows that are lists of JSON
+    numbers) as an (n, width) float64 array, or as its list of rows if
+    they differ in length; any other column is a list. A key of
+    `defaults` may be absent and then reads as its default. If line 1
+    holds the key `head`, it is the header, whose value must be an
+    object (else the header is {}). Errors name the file, and the line
+    when one is at fault.
 
-    Lines are decoded up to `_CHUNK_LINES` non-blank lines per call (see
-    `_decode_lines`); the result is the same as decoding each on its own.
-    The cyclic garbage collector is paused meanwhile: decoded JSON holds
-    no reference cycles, and collections triggered by the many new
-    objects would only scan them.
+    The file is read a chunk of `_CHUNK_LINES` non-blank lines at a time,
+    and only one chunk's row objects are held at once. Each chunk is
+    decoded in one call (see `_decode_lines`), its columns are checked
+    and typed, and then `convert`, when given, maps that chunk's columns
+    to the blocks to keep (for example, label dicts to level codes).
+    Each key's blocks are joined at the end, so the result is that of
+    reading the whole file at once. The cyclic garbage collector is
+    paused meanwhile: decoded JSON holds no reference cycles, and
+    collections triggered by the many new objects would only scan them.
     """
-    rows, lines, texts = [], [], []
+    header, blocks = {}, {key: [] for key in types}
+    texts, lines = [], []
+
+    def take_chunk():
+        nonlocal header
+        rows = _decode_lines(texts, lines, path)
+        if set(map(type, rows)) - {dict}:
+            i = next(i for i, row in enumerate(rows) if type(row) is not dict)
+            raise ValidationError(f"{path}:{lines[i]}: expected a JSON object")
+        row_lines = lines
+        if head is not None and lines[:1] == [1] and head in rows[0]:
+            header, rows, row_lines = rows[0][head], rows[1:], lines[1:]
+            if type(header) is not dict:
+                raise ValidationError(f"{path}:1: {head!r} must be a JSON object")
+        columns = _chunk_columns(rows, row_lines, path, types, defaults or {})
+        del rows
+        for key, block in (convert(columns) if convert else columns).items():
+            blocks[key].append(block)
+
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -621,31 +776,13 @@ def read_jsonl(
                     texts.append(line)
                     lines.append(number)
                     if len(texts) == _CHUNK_LINES:
-                        rows += _decode_lines(texts, lines[-len(texts):], path)
-                        texts = []
-        rows += _decode_lines(texts, lines[len(rows):], path)
+                        take_chunk()
+                        texts, lines = [], []
+        take_chunk()
     finally:
         if collecting:
             gc.enable()
-    if set(map(type, rows)) - {dict}:
-        i = next(i for i, row in enumerate(rows) if type(row) is not dict)
-        raise ValidationError(f"{path}:{lines[i]}: expected a JSON object")
-    header = {}
-    if head is not None and lines[:1] == [1] and head in rows[0]:
-        header, rows, lines = rows[0][head], rows[1:], lines[1:]
-        if type(header) is not dict:
-            raise ValidationError(f"{path}:1: {head!r} must be a JSON object")
-    columns = {}
-    for key, names in types.items():
-        default = (defaults or {}).get(key, _ABSENT)
-        column = columns[key] = [row.get(key, default) for row in rows]
-        allowed = tuple(_JSON_TYPES[name] for name in names.split("|"))
-        if set(map(type, column)).difference(allowed):
-            i = next(i for i, value in enumerate(column) if type(value) not in allowed)
-            if column[i] is _ABSENT:
-                raise ValidationError(f"{path}:{lines[i]}: missing required key {key!r}")
-            raise ValidationError(f"{path}:{lines[i]}: {key!r} must be {names.replace('|', ' or ')}")
-    return header, columns
+    return header, {key: _join(blocks.pop(key)) for key in types}
 
 
 def _encode_column(column) -> tuple[str, list[str] | None, str]:
@@ -687,6 +824,25 @@ def _encode_rows(columns: dict) -> str:
     return "".join(parts)
 
 
+def _row_count(columns: dict) -> int:
+    """Rows of a `write_jsonl` column dict: the length of its first non-constant column."""
+    for column in columns.values():
+        if isinstance(column, dict):
+            return _row_count(column)
+        if column is not None and not isinstance(column, str):
+            return len(column)
+    raise ValidationError("a JSONL column dict needs a column with one value per row")
+
+
+def _row_slice(columns: dict, rows: slice) -> dict:
+    """The `rows` of every column of a `write_jsonl` column dict; constants stay as they are."""
+    return {
+        key: _row_slice(column, rows) if isinstance(column, dict)
+        else column if column is None or isinstance(column, str) else column[rows]
+        for key, column in columns.items()
+    }
+
+
 def write_jsonl(path: str | Path, columns: dict, head=()) -> Path:
     """Write the `head` objects, then one object per row of `columns`, one per line.
 
@@ -695,9 +851,14 @@ def write_jsonl(path: str | Path, columns: dict, head=()) -> Path:
     a dict of columns (an object per row), an array or list of strings,
     ints, bools or None, or one string or None for every row. `_ABSENT` in
     a list leaves the key out of that row; the first key in sorted order
-    is never left out.
+    is never left out. Rows are encoded and written `_CHUNK_LINES` at a
+    time, so the text of only one chunk is held at once.
     """
-    text = "".join(_ROW_JSON.encode(obj) + "\n" for obj in head) + _encode_rows(columns)
+    starts = range(0, _row_count(columns), _CHUNK_LINES)
+    text = chain(
+        (_ROW_JSON.encode(obj) + "\n" for obj in head),
+        (_encode_rows(_row_slice(columns, slice(i, i + _CHUNK_LINES))) for i in starts),
+    )
     return write_text_atomic(path, text)
 
 
@@ -713,7 +874,8 @@ def load_schema(schema_path: str | Path) -> ConceptSchema:
 
 
 _SAMPLE_TYPES = {
-    "id": "string", "concepts": "object", "embedding": "list", "logits": "list", "gold": "integer|null"
+    "id": "string", "concepts": "object", "embedding": "numbers", "logits": "numbers",
+    "gold": "integer|null",
 }
 _PAIR_KEYS = ("original_id", "edited_id", "attribute", "from", "to")
 
@@ -728,16 +890,24 @@ def load_dataset(
 
     Parse errors carry file and line; NaN/Infinity tokens are rejected.
     With space="probability" a softmax is applied to every output row.
+    Each chunk of samples has its labels turned into level codes, by the
+    conversion that `Dataset.from_records` uses, before the next chunk
+    is read, so no file is held as row objects whole.
     """
     schema = load_schema(schema_path)
-    # each file's parsed objects are dropped before the next file is read
-    _, samples = read_jsonl(samples_path, "samples", _SAMPLE_TYPES, {"gold": None})
-    pairs = ()
+
+    def codes(chunk: dict) -> dict:
+        chunk["concepts"] = _label_codes(schema, chunk["id"], chunk["concepts"])
+        chunk["gold"] = _gold_labels(chunk["gold"])
+        return chunk
+
+    _, samples = read_jsonl(samples_path, "samples", _SAMPLE_TYPES, {"gold": None}, convert=codes)
+    ids, codes, embeddings, outputs, gold = samples.values()  # _SAMPLE_TYPES order
+    pairs = EditPairs()
     if pairs_path is not None:
         _, columns = read_jsonl(pairs_path, "pairs", dict.fromkeys(_PAIR_KEYS, "string"))
-        pairs = zip(*columns.values())
-    dataset = Dataset.from_records(schema, *samples.values(), pairs)  # _SAMPLE_TYPES order
-    return dataset.to_space(space)
+        pairs = _resolve_pairs(schema, ids, codes, columns.values())
+    return Dataset(schema, ids, codes, embeddings, outputs, gold, pairs).to_space(space)
 
 
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:

@@ -48,6 +48,7 @@ from .data import (
     ConceptSchema,
     Dataset,
     csv_text,
+    float_array,
     one_hot,
     read_json,
     read_jsonl,
@@ -619,6 +620,10 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
     kind = obj.get("kind")
     if kind not in ("mcce", "slearner"):
         raise ValidationError(f"{path}: unknown model kind {kind!r}")
+
+    def matrix(key: str) -> np.ndarray:
+        return as_matrix(float_array(obj[key], f"{path}: {key!r}"), key)
+
     try:
         schema = ConceptSchema.from_obj(obj["schema"])
         hidden = schema.check_hidden(obj["hidden"])
@@ -627,10 +632,10 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
             model = MCCEModel(
                 schema=schema,
                 hidden_attributes=hidden,
-                embed_coef=as_matrix(obj["embed_coef"], "embed_coef"),
-                pseudo_basis=as_matrix(obj["pseudo_basis"], "pseudo_basis"),
-                concept_coef=as_matrix(obj["concept_coef"], "concept_coef"),
-                pseudo_coef=as_matrix(obj["pseudo_coef"], "pseudo_coef"),
+                embed_coef=matrix("embed_coef"),
+                pseudo_basis=matrix("pseudo_basis"),
+                concept_coef=matrix("concept_coef"),
+                pseudo_coef=matrix("pseudo_coef"),
                 ridge=float(obj["ridge"]),
                 n_pseudo=int(obj["n_pseudo"]),
                 space=str(obj["space"]),
@@ -647,8 +652,8 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
             if model.concept_coef.shape[1] != model.pseudo_coef.shape[1]:
                 raise ValidationError("coefficient blocks disagree on output width")
             return model
-        weights = as_matrix(obj["weights"], "weights")
-        bias = np.asarray(obj["bias"], dtype=np.float64)
+        weights = matrix("weights")
+        bias = float_array(obj["bias"], f"{path}: 'bias'")
         if weights.shape[0] != schema.visible_width(hidden):
             raise ValidationError("weight rows do not match the schema/mask width")
         if bias.shape != (weights.shape[1],):
@@ -666,14 +671,16 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
             converged=None if converged is None else bool(converged),
             grad_norm=None if grad_norm is None else float(grad_norm),
         )
-    except (KeyError, TypeError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: ragged matrices, bad scalars
         raise ValidationError(f"{path}: malformed model document ({exc})") from exc
 
 
 # The effects file's key for each `Effects` field, in field order, and its JSON types.
 _EFFECT_TYPES = {
     **dict.fromkeys(("sample_id", "attribute", "from", "to"), "string"),
-    "effect": "list", "method": "string|null", "space": "string|null", "fallback": "boolean",
+    "effect": "numbers", "method": "string|null", "space": "string|null", "fallback": "boolean",
 }
 
 
@@ -707,10 +714,10 @@ def read_effects(path: str | Path) -> tuple[Effects, dict]:
         raise ValidationError(f"{path}: estimates mix methods or spaces: {sorted(kinds, key=str)}")
     method, space = kinds.pop() if kinds else (metadata.get("method"), metadata.get("space"))
     try:
-        effect = np.array(columns["effect"], dtype=np.float64)
-    except (TypeError, ValueError):
+        effect = np.asarray(columns["effect"], dtype=np.float64)
+    except ValueError:  # rows of unequal length
         effect = None
-    if effect is None or (columns["effect"] and effect.ndim != 2) or not np.isfinite(effect).all():
+    if effect is None or (len(effect) and effect.ndim != 2) or not np.isfinite(effect).all():
         raise ValidationError(
             f"{path}: every 'effect' must be a finite list of numbers, all of one length"
         )

@@ -40,6 +40,7 @@ from .data import (
     ConceptSchema,
     Dataset,
     EditPairs,
+    float_array,
     index_of,
     one_hot,
     read_json,
@@ -454,12 +455,15 @@ def load_ground_truth(path: str | Path) -> SynthGroundTruth:
     """
     obj = read_json(path, "ground truth")
     try:
-        coef = np.asarray(obj["outcome_coef"], dtype=np.float64)
+        coef = float_array(obj["outcome_coef"], f"{path}: 'outcome_coef'")
         logits = obj["clean_logits"]
         ids = np.array(list(logits), dtype=str)
-        clean = np.array(list(logits.values()), dtype=np.float64).reshape(ids.size, coef.shape[1])
+        clean = float_array(list(logits.values()), f"{path}: 'clean_logits'")
+        clean = clean.reshape(ids.size, coef.shape[1])
         seed, hidden = int(obj.get("seed", 0)), tuple(obj.get("hidden", ()))
         truth = SynthGroundTruth(coef, ids, clean, seed, hidden)
+    except ValidationError:
+        raise
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise ValidationError(f"{path}: malformed ground truth ({exc})") from exc
     if coef.ndim != 2 or not (np.isfinite(coef).all() and np.isfinite(clean).all()):

@@ -474,9 +474,9 @@ class TestExperiment:
             "--out", tmp_path / "o",
         )
         assert proc.returncode == 0, proc.stderr
-        # food stays visible under three of the four masks; each is run for two seeds
+        # food stays visible under three of the four masks; each is fit once for both seeds
         lines = proc.stderr.splitlines()
-        assert len(lines) == 6, proc.stderr
+        assert len(lines) == 3, proc.stderr
         assert all(line.startswith("warning: concept design rank 6 is below 7") for line in lines)
 
 
@@ -713,6 +713,70 @@ class TestLoaderErrors:
         }
         assert self.evaluate(synth_dir, tmp_path, [json.dumps(row)]) == 2
         assert "effect" in capsys.readouterr().err
+
+    # Float rows and matrices take JSON numbers only: numpy alone would read
+    # "0.5" as 0.5 and true as 1.0, and the command would exit 0.
+
+    @pytest.mark.parametrize("key, bad", [("embedding", "0.5"), ("logits", True)])
+    def test_sample_rows_must_hold_numbers(self, synth_dir, tmp_path, capsys, key, bad):
+        row = json.loads((synth_dir / "samples.jsonl").read_text().splitlines()[4])
+        assert self.fit_with(synth_dir, tmp_path, 5, key, [bad, *row[key][1:]]) == 2
+        err = capsys.readouterr().err
+        assert f"samples.jsonl:5: {key!r} must hold only numbers" in err and "Traceback" not in err
+
+    def test_effect_rows_must_hold_numbers(self, synth_dir, oracle_report, tmp_path, capsys):
+        lines = (oracle_report.parent / "effects.jsonl").read_text().splitlines()
+        row = json.loads(lines[2])
+        row["effect"][1] = "0.5"
+        lines[2] = json.dumps(row)
+        assert self.evaluate(synth_dir, tmp_path, lines) == 2
+        err = capsys.readouterr().err
+        assert "e.jsonl:3: 'effect' must hold only numbers" in err and "Traceback" not in err
+
+    def fitted(self, synth_dir, tmp_path, method):
+        """Path and JSON object of a `method` model fit on the synth data."""
+        model = tmp_path / "m.json"
+        flags = ["--schema", synth_dir / "schema.json", "--samples", synth_dir / "samples.jsonl"]
+        assert run("fit", *flags, "--method", method, "--out", model) == 0
+        return model, json.loads(model.read_text())
+
+    @pytest.mark.parametrize(
+        "method, key, bad", [("mcce", "concept_coef", "1.5"), ("slearner", "bias", False)]
+    )
+    def test_model_matrices_must_hold_numbers(self, synth_dir, tmp_path, capsys, method, key, bad):
+        model, obj = self.fitted(synth_dir, tmp_path, method)
+        if key == "bias":
+            obj[key][0] = bad
+        else:
+            obj[key][0][0] = bad
+        model.write_text(json.dumps(obj))
+        capsys.readouterr()
+        code = run(
+            "explain", *dataset_flags(synth_dir), "--method", method, "--model", model,
+            "--space", "probability" if method == "slearner" else "logit",
+            "--out", tmp_path / "e.jsonl",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"m.json: {key!r} must hold only numbers" in err and "Traceback" not in err
+
+    def test_model_with_a_ragged_matrix_exits_2(self, synth_dir, tmp_path, capsys):
+        model, obj = self.fitted(synth_dir, tmp_path, "mcce")
+        obj["concept_coef"][0].append(0.5)
+        model.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run("report", "--model", model, "--out", tmp_path / "r.csv") == 2
+        assert "m.json: malformed model document" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, bad", [("outcome_coef", "0.5"), ("clean_logits", True)])
+    def test_ground_truth_must_hold_numbers(self, synth_dir, tmp_path, capsys, key, bad):
+        obj = json.loads((synth_dir / "ground_truth.json").read_text())
+        rows = obj[key] if key == "outcome_coef" else list(obj[key].values())
+        rows[0][0] = bad
+        assert self.oracle(synth_dir, tmp_path, json.dumps(obj)) == 2
+        err = capsys.readouterr().err
+        assert f"ground_truth.json: {key!r} must hold only numbers" in err
+        assert not (tmp_path / "e.jsonl").exists()
 
     def oracle(self, synth_dir, tmp_path, truth_text):
         truth = tmp_path / "ground_truth.json"

@@ -2,6 +2,7 @@
 
 import json
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from mcce import (
     ConceptSchema,
     Dataset,
     ValidationError,
+    default_config,
+    generate,
     load_dataset,
+    make_pairs,
     one_hot,
     save_dataset,
     softmax,
@@ -330,3 +334,59 @@ def test_write_text_atomic_failure_leaves_no_stray_file(tmp_path):
         write_text_atomic(path, "lone surrogate \ud800")  # not encodable as UTF-8
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
     assert path.read_text() == "old\n"
+
+
+def test_write_text_atomic_writes_pieces_and_a_failing_piece_leaves_no_stray_file(tmp_path):
+    path = write_text_atomic(tmp_path / "out.txt", (piece for piece in ("a", "", "bc\n")))
+    assert path.read_text() == "abc\n"
+
+    def pieces():
+        yield "new"
+        raise ValueError("no more")
+
+    with pytest.raises(ValueError):
+        write_text_atomic(path, pieces())
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    assert path.read_text() == "abc\n"
+
+
+# --- memory: files are read and written a chunk of rows at a time ----------------
+# Measured with tracemalloc on the 9000 rows below: load_dataset peaks at
+# 1.9x the bytes of the arrays it returns and save_dataset at 0.6x the size
+# of samples.jsonl; readers and writers that held whole files as row
+# objects peaked at 6.9x and 2.6x.
+LOAD_PEAK_PER_ARRAY_BYTE = 3.0
+SAVE_PEAK_PER_FILE_BYTE = 1.25
+
+
+@pytest.fixture(scope="module")
+def rows_9000():
+    config = default_config(n=3000, seed=1)
+    dataset, truth = generate(config)
+    return make_pairs(dataset, truth, config, edits_per_sample=2)
+
+
+def traced_peak(call):
+    """(result, peak bytes traced while `call()` ran)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_dataset_peak_memory_is_a_small_multiple_of_its_arrays(rows_9000, tmp_path):
+    paths = save_dataset(rows_9000, tmp_path)
+    files = (paths["samples"], paths["pairs"], paths["schema"])
+    loaded, peak = traced_peak(lambda: load_dataset(*files))
+    assert len(loaded) == len(rows_9000) == 9000
+    p = loaded.pairs
+    arrays = (loaded.ids, loaded.codes, loaded.embeddings, loaded.outputs, loaded.gold)
+    nbytes = sum(a.nbytes for a in (*arrays, p.original, p.edited, p.attribute, p.to))
+    assert peak < LOAD_PEAK_PER_ARRAY_BYTE * nbytes, peak / nbytes
+
+
+def test_save_dataset_peak_memory_is_below_its_file_size(rows_9000, tmp_path):
+    paths, peak = traced_peak(lambda: save_dataset(rows_9000, tmp_path))
+    size = paths["samples"].stat().st_size
+    assert peak < SAVE_PEAK_PER_FILE_BYTE * size, peak / size

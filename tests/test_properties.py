@@ -50,7 +50,17 @@ from mcce import (
     synthesize_sample,
     write_effects,
 )
-from mcce.data import _ABSENT, _JSON_TYPES, _ROW_JSON, _parse_json, read_jsonl
+from mcce.data import (
+    _ABSENT,
+    _JSON_TYPES,
+    _PAIR_KEYS,
+    _ROW_JSON,
+    _SAMPLE_TYPES,
+    _parse_json,
+    load_schema,
+    read_jsonl,
+)
+from mcce.explainers import _EFFECT_TYPES
 from mcce.errors import ValidationError
 
 
@@ -679,7 +689,10 @@ def test_generated_and_edited_rows_equal_per_sample_draws(problem):
 
 
 def reference_read_jsonl(path, what, types, defaults=None, head=None):
-    """read_jsonl as it was: one `_parse_json` call per non-blank line."""
+    """read_jsonl as it was: one `_parse_json` call per non-blank line, whole file at once.
+
+    As in read_jsonl, a "string" column is returned as a numpy string array.
+    """
     rows, lines = [], []
     with open(path, encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
@@ -704,6 +717,8 @@ def reference_read_jsonl(path, what, types, defaults=None, head=None):
             if column[i] is _ABSENT:
                 raise ValidationError(f"{path}:{lines[i]}: missing required key {key!r}")
             raise ValidationError(f"{path}:{lines[i]}: {key!r} must be {names.replace('|', ' or ')}")
+        if names == "string":
+            columns[key] = np.array(column, dtype=str)
     return header, columns
 
 
@@ -760,11 +775,14 @@ def jsonl_files(draw):
 
 
 def read_outcome(read, path):
+    """repr of the header and columns `read` returns, each array as its list, or the error."""
     try:
-        return repr(read(path, "rows", {"id": "string", "v": "list", "g": "integer|null"},
-                         {"v": [], "g": None}, head="meta"))
+        header, columns = read(path, "rows", {"id": "string", "v": "list", "g": "integer|null"},
+                               {"v": [], "g": None}, head="meta")
     except ValidationError as exc:
         return f"ValidationError: {exc}"
+    listed = {k: c.tolist() if isinstance(c, np.ndarray) else c for k, c in columns.items()}
+    return repr((header, listed))
 
 
 @settings(max_examples=40, deadline=None)
@@ -783,6 +801,221 @@ def test_read_jsonl_tricky_runs_equal_per_line_reference(tmp_path, run):
     got = read_outcome(read_jsonl, path)
     assert got == read_outcome(reference_read_jsonl, path)
     assert got.startswith("ValidationError: ")
+
+
+# --- dataset and effects files across chunk boundaries ------------------------------
+
+
+def reference_load_dataset(samples_path, pairs_path, schema_path):
+    """load_dataset as it was: whole files through the reference reader, then from_records."""
+    schema = load_schema(schema_path)
+    _, samples = reference_read_jsonl(samples_path, "samples", _SAMPLE_TYPES, {"gold": None})
+    _, pairs = reference_read_jsonl(pairs_path, "pairs", dict.fromkeys(_PAIR_KEYS, "string"))
+    return Dataset.from_records(schema, *samples.values(), zip(*pairs.values()))
+
+
+def reference_read_effects(path):
+    """read_effects as it was, on the whole-file reference reader."""
+    read = reference_read_jsonl(path, "effects", _EFFECT_TYPES, {"fallback": False}, "meta")
+    metadata, columns = read
+    hidden = metadata.get("hidden", [])
+    if type(hidden) is not list or set(map(type, hidden)) - {str}:
+        raise ValidationError(f"{path}:1: 'meta.hidden' must be a list of strings")
+    kinds = set(zip(columns["method"], columns["space"]))
+    if len(kinds) > 1:
+        raise ValidationError(f"{path}: estimates mix methods or spaces: {sorted(kinds, key=str)}")
+    method, space = kinds.pop() if kinds else (metadata.get("method"), metadata.get("space"))
+    try:
+        effect = np.array(columns["effect"], dtype=np.float64)
+    except (TypeError, ValueError):
+        effect = None
+    if effect is None or (columns["effect"] and effect.ndim != 2) or not np.isfinite(effect).all():
+        raise ValidationError(
+            f"{path}: every 'effect' must be a finite list of numbers, all of one length"
+        )
+    columns.update(effect=effect, method=method, space=space)
+    return Effects(*columns.values()), metadata
+
+
+CHUNK_SCHEMA = ConceptSchema.of([("a", ("x", "y", "z")), ("b", ("p", "q"))])
+# a float that no draw below produces, for a defect that rewrites it as text
+MARK = 12345.5
+
+
+def truncate(row):
+    return json.dumps(row)[:-1]
+
+
+def with_text(key, text):
+    def defect(row):
+        row[key][0] = MARK
+        return json.dumps(row).replace(repr(MARK), text)
+    return defect
+
+
+def setting(key, value):
+    def defect(row):
+        row[key] = value
+    return defect
+
+
+def dropping(key):
+    def defect(row):
+        del row[key]
+    return defect
+
+
+def extending(key):
+    def defect(row):
+        row[key].append(0.5)
+    return defect
+
+
+def relabel(row):
+    row["concepts"]["a"] = "w"
+
+
+def unlabel(row):
+    del row["concepts"]["b"]
+
+
+# Each defect was an error before the reader went chunk-wise; none is a
+# non-number in a float row, which the earlier reader let through.
+CHUNK_DEFECTS = [
+    ("samples", truncate),
+    ("samples", with_text("embedding", "NaN")),
+    ("samples", with_text("logits", "1e400")),
+    ("samples", setting("id", 5)),
+    ("samples", setting("gold", -3)),
+    ("samples", setting("gold", 1.5)),
+    ("samples", dropping("logits")),
+    ("samples", extending("embedding")),
+    ("samples", relabel),
+    ("samples", unlabel),
+    ("samples", lambda row: "[1]"),
+    ("pairs", truncate),
+    ("pairs", setting("original_id", "nobody")),
+    ("pairs", setting("to", "w")),
+    ("effects", truncate),
+    ("effects", with_text("effect", "Infinity")),
+    ("effects", with_text("effect", "1e400")),
+    ("effects", setting("fallback", "no")),
+    ("effects", setting("method", "mcce")),
+    ("effects", extending("effect")),
+]
+
+
+@st.composite
+def chunked_files(draw, defective=False):
+    """Samples, pairs and effects texts of one row count around the chunk size.
+
+    Floats reach the ends of the range and some values are JSON ints;
+    blank lines fall near the chunk edges. If `defective`, one row of one
+    file, on either side of a chunk edge where the file has one, holds a
+    defect.
+    """
+    counts = [1, 1023, 1024, 1025, 2049]  # a defect needs a row
+    count = draw(st.sampled_from(counts if defective else [0, *counts]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edge = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308]
+
+    def float_rows(width):
+        scale = 10.0 ** rng.integers(-300, 300, (count, width))
+        values = rng.standard_normal((count, width)) * scale
+        picked = rng.random((count, width)) < 0.1
+        values[picked] = rng.choice(edge, int(picked.sum()))
+        rows = values.tolist()
+        for row in rows[:: max(count // 7, 1)]:
+            row[0] = int(rng.integers(-3, 4))
+        return rows
+
+    d, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    embeddings, logits, effect = float_rows(d), float_rows(q), float_rows(q)
+    codes = np.column_stack([rng.integers(size, size=count) for size in CHUNK_SCHEMA.sizes])
+    gold = rng.integers(-1, q + 1, size=count)  # -1: key left out, q: null
+    samples, pairs, effects = [], [], [{"meta": {"method": "approx", "space": "logit"}}]
+    for i in range(count):
+        labels = dict(zip(CHUNK_SCHEMA.names, CHUNK_SCHEMA.level_names(np.arange(2), codes[i]).tolist()))
+        row = {"id": f"s{i}", "concepts": labels, "embedding": embeddings[i], "logits": logits[i]}
+        if gold[i] >= 0:
+            row["gold"] = None if gold[i] == q else int(gold[i])
+        samples.append(row)
+        name = CHUNK_SCHEMA.names[i % 2]
+        ends = {"attribute": name, "from": labels[name], "to": labels[name]}
+        pairs.append({"original_id": f"s{i}", "edited_id": f"s{i}", **ends})
+        estimate = {"sample_id": f"s{i}", **ends, "effect": effect[i]}
+        estimate.update(method="approx", space="logit")
+        if i % 3:
+            estimate["fallback"] = bool(i % 2)
+        effects.append(estimate)
+    rows = {"samples": samples, "pairs": pairs, "effects": effects}
+    texts = {file: [json.dumps(row) for row in file_rows] for file, file_rows in rows.items()}
+    if defective:
+        file, defect = draw(st.sampled_from(CHUNK_DEFECTS))
+        at = min(draw(st.sampled_from([1022, 1023, 1024, 1025, 2047, 2048])), count - 1)
+        at += file == "effects"  # past the meta line
+        row = rows[file][at]
+        texts[file][at] = defect(row) or json.dumps(row)
+    edges = st.sampled_from([1, 1022, 1023, 1024, 1025, 2047, 2048, 2049, 2050])
+    for lines in texts.values():
+        for at in draw(st.lists(edges, max_size=4)):
+            lines.insert(min(at, len(lines)), draw(st.sampled_from(["", " ", "\t"])))
+    return {file: "".join(line + "\n" for line in lines) for file, lines in texts.items()}
+
+
+def array_bits(*arrays):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def dataset_bits(dataset):
+    p = dataset.pairs
+    return array_bits(
+        dataset.ids, dataset.codes, dataset.embeddings, dataset.outputs, dataset.gold,
+        p.original, p.edited, p.attribute, p.to, dataset.fit_rows,
+    )
+
+
+def effects_bits(effects):
+    columns = (effects.sample_id, effects.attribute, effects.from_level, effects.to_level)
+    return array_bits(*columns, effects.effect, effects.fallback), effects.method, effects.space
+
+
+def write_chunked_files(tmp_path_factory, texts):
+    root = tmp_path_factory.mktemp("chunks")
+    for file, text in texts.items():
+        (root / f"{file}.jsonl").write_text(text, encoding="utf-8")
+    (root / "schema.json").write_text(json.dumps(CHUNK_SCHEMA.to_obj()), encoding="utf-8")
+    return root
+
+
+def load_error(load, *paths):
+    """The message of the ValidationError that `load` raises, or None."""
+    try:
+        load(*paths)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=20, deadline=None)
+@given(chunked_files())
+def test_chunked_loads_equal_whole_file_reference(tmp_path_factory, texts):
+    root = write_chunked_files(tmp_path_factory, texts)
+    paths = (root / "samples.jsonl", root / "pairs.jsonl", root / "schema.json")
+    assert dataset_bits(load_dataset(*paths)) == dataset_bits(reference_load_dataset(*paths))
+    effects, metadata = read_effects(root / "effects.jsonl")
+    want, want_metadata = reference_read_effects(root / "effects.jsonl")
+    assert effects_bits(effects) == effects_bits(want) and metadata == want_metadata
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunked_files(defective=True))
+def test_chunked_load_errors_equal_whole_file_reference(tmp_path_factory, texts):
+    root = write_chunked_files(tmp_path_factory, texts)
+    paths = (root / "samples.jsonl", root / "pairs.jsonl", root / "schema.json")
+    assert load_error(load_dataset, *paths) == load_error(reference_load_dataset, *paths)
+    path = root / "effects.jsonl"
+    assert load_error(read_effects, path) == load_error(reference_read_effects, path)
 
 
 # --- global report: the per-level reference ------------------------------------------
