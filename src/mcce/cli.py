@@ -98,10 +98,19 @@ def _parse_seeds(value: str) -> list[int]:
     return _distinct(seeds, "seed")
 
 
-def _pair_seed(run_seed: int, original_id: str, attribute: str, to_level: str) -> int:
-    """Stable per-pair seed so duplicate pair keys share one estimate."""
-    digest = hashlib.sha256(f"{run_seed}|{original_id}|{attribute}|{to_level}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+def _pair_seeds(dataset: Dataset, run_seed: int) -> list[int]:
+    """A stable seed for each of `dataset.unique_pairs()`, in that order.
+
+    A pair's seed hashes the run seed with the pair's original id,
+    attribute and target level. It does not depend on the mask, so one
+    list serves every mask of a run seed.
+    """
+    sample_ids, names, _, levels = dataset.pair_names(dataset.unique_pairs())
+    keys = zip(sample_ids.tolist(), names.tolist(), levels.tolist())
+    return [
+        int.from_bytes(hashlib.sha256(f"{run_seed}|{sid}|{name}|{level}".encode()).digest()[:8], "big")
+        for sid, name, level in keys
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +144,13 @@ def _fit(dataset: Dataset, method: str, j, ridge: float, targets: str):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # write_effects reports non-finite estimates
-def _explain(dataset: Dataset, method: str, model, seed: int, truth=None):
+def _explain(dataset: Dataset, method: str, model, seed: int, truth=None, pair_seeds=None):
     """Estimate the first pair of each key, in pairs-file order.
 
     The dataset's mask is the run's: mcce and slearner skip (and count)
-    pairs that edit an attribute it hides. Returns (effects, metadata),
+    pairs that edit an attribute it hides. approx skips none and draws
+    each estimate under its pair's seed from `pair_seeds`, the
+    `_pair_seeds` of the dataset and `seed`. Returns (effects, metadata),
     the effects file's contents.
     """
     p = dataset.pairs
@@ -157,10 +168,9 @@ def _explain(dataset: Dataset, method: str, model, seed: int, truth=None):
         effect, space = explain_slearner(model, dataset, rows, attribute, to), SPACE_PROBABILITY
     elif method == "approx":
         index = build_label_index(dataset)
-        sample_ids, names, _, levels = (col.tolist() for col in dataset.pair_names(pairs))
         estimates = [
-            explain_approx(dataset, r, a, t, seed=_pair_seed(seed, sid, name, level), index=index)
-            for r, a, t, sid, name, level in zip(rows, attribute, to, sample_ids, names, levels)
+            explain_approx(dataset, r, a, t, seed=pair_seed, index=index)
+            for r, a, t, pair_seed in zip(rows.tolist(), attribute.tolist(), to.tolist(), pair_seeds)
         ]
         effect = np.reshape([e.effect for e in estimates], (pairs.size, dataset.outputs.shape[1]))
         fallback = [e.fallback for e in estimates]
@@ -240,10 +250,14 @@ def cmd_fit(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
     method = args.method
-    model = None
-    truth = None
+    model = truth = pair_seeds = None
+    if method == "oracle":
+        if not args.ground_truth:
+            raise ValidationError("--ground-truth is required for method 'oracle'")
+        # read before the dataset, so the peaks of the two reads do not stack
+        truth = load_ground_truth(args.ground_truth)
+    dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
     if method in ("mcce", "slearner"):
         if not args.model:
             raise ValidationError(f"--model is required for method {method!r}")
@@ -253,12 +267,9 @@ def cmd_explain(args) -> int:
         dataset = dataset.mask(model.hidden_attributes)
     elif method == "approx":
         dataset = dataset.mask(_parse_hidden(args.hidden))
-    else:  # oracle
-        if not args.ground_truth:
-            raise ValidationError("--ground-truth is required for method 'oracle'")
-        truth = load_ground_truth(args.ground_truth)
+        pair_seeds = _pair_seeds(dataset, args.seed)
 
-    effects, metadata = _explain(dataset, method, model, args.seed, truth)
+    effects, metadata = _explain(dataset, method, model, args.seed, truth, pair_seeds)
     write_effects(args.out, effects, metadata)
     print(
         f"explain {method}: wrote {len(effects)} estimates to {args.out} "
@@ -292,12 +303,13 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _experiment_run(dataset, method, metrics, seed, j, ridge, reuse=None):
+def _experiment_run(dataset, method, metrics, seed, j, ridge, reuse=None, pair_seeds=None):
     """Fit, explain and score one run; returns (model, effects, metadata, reports).
 
-    Only approx's draws depend on the seed. For mcce and slearner, the
-    run of an earlier seed may be passed as `reuse`; it is returned with
-    this seed in its metadata, as a fresh run would be.
+    Only approx's draws depend on the seed, through `pair_seeds` (see
+    `_explain`). For mcce and slearner, the run of an earlier seed may be
+    passed as `reuse`; it is returned with this seed in its metadata, as
+    a fresh run would be.
     """
     if reuse is not None and method != "approx":
         model, effects, metadata, reports = reuse
@@ -307,7 +319,7 @@ def _experiment_run(dataset, method, metrics, seed, j, ridge, reuse=None):
         }
         return model, effects, {**metadata, "seed": seed}, reports
     model = None if method == "approx" else _fit(dataset, method, j, ridge, TARGET_OUTPUT)
-    effects, metadata = _explain(dataset, method, model, seed)
+    effects, metadata = _explain(dataset, method, model, seed, pair_seeds=pair_seeds)
     reports = _reports(dataset, effects, metrics, metadata, dataset.hidden_attributes)
     return model, effects, metadata, reports
 
@@ -340,6 +352,8 @@ def cmd_experiment(args) -> int:
             f"visible, got {sizes}"
         )
     masks = [combo for size in sizes for combo in itertools.combinations(names, size)]
+    # approx skips no pair, so each run seed's pair seeds serve every mask
+    pair_seeds = {seed: _pair_seeds(dataset, seed) for seed in seeds} if "approx" in methods else {}
 
     out_dir = Path(args.out)
     scores = np.empty((len(masks), len(methods), len(metrics), len(seeds)))  # macro means
@@ -352,7 +366,9 @@ def cmd_experiment(args) -> int:
             for s, seed in enumerate(seeds):
                 run_dir = out_dir / "runs" / method / mask_dir / f"seed{seed}"
                 try:
-                    run = _experiment_run(masked, method, metrics, seed, args.j, args.ridge, run)
+                    run = _experiment_run(
+                        masked, method, metrics, seed, args.j, args.ridge, run, pair_seeds.get(seed)
+                    )
                     model, effects, metadata, reports = run
                     if model is not None:
                         save_model(model, run_dir / "model.json")

@@ -536,6 +536,12 @@ _JSON_TYPES = {
     "string": str, "integer": int, "boolean": bool, "list": list, "numbers": list,
     "object": dict, "null": type(None),
 }
+# The same for a `json_field` spec, which also names "number" (an int or
+# a float, never a bool) and "strings", a list of strings.
+_FIELD_TYPES = {
+    **{name: (kind,) for name, kind in _JSON_TYPES.items() if name != "numbers"},
+    "number": (int, float), "strings": (list,),
+}
 _NUMBER_TYPES = {int, float}
 # A JSONL value that leaves its key out of the row (a missing key, when read).
 _ABSENT = object()
@@ -655,15 +661,56 @@ def _batches(pieces: Iterable[str], size: int):
         yield "".join(batch)
 
 
-def write_json(path: str | Path, obj) -> Path:
+def write_json(path: str | Path, obj, rows: tuple[str, np.ndarray, np.ndarray] | None = None) -> Path:
     """Write `obj` atomically as an indented JSON document with sorted keys.
 
     The file holds `_DOC_JSON.encode(obj)` and a newline. It is written
     as `_DOC_JSON.iterencode(obj)` pieces joined `_DOC_PIECES` at a time,
     the pieces that `encode` joins whole, so the bytes are the same and
     the document's text is never held at once.
+
+    `rows`, when given, is (key, ids, matrix), and the file then holds
+    the document of `obj` with top-level `key` set to the object that
+    maps `ids[i]` to the list `matrix[i]` (the last row of an id that
+    occurs twice). That object is never built: `_indented_rows` writes
+    its members a chunk at a time.
     """
-    return write_text_atomic(path, chain(_batches(_DOC_JSON.iterencode(obj), _DOC_PIECES), ["\n"]))
+    if rows is None:
+        return write_text_atomic(path, chain(_batches(_DOC_JSON.iterencode(obj), _DOC_PIECES), ["\n"]))
+    key, ids, matrix = rows
+    # A top-level member starts a line with exactly two spaces; deeper
+    # ones have more, and no encoded string holds a raw newline.
+    member = "\n  " + encode_basestring_ascii(key) + ": "
+    head, _, tail = _DOC_JSON.encode({**obj, key: {}}).partition(member + "{}")
+    return write_text_atomic(path, chain([head, member], _indented_rows(ids, matrix), [tail, "\n"]))
+
+
+def _indented_rows(ids: np.ndarray, matrix: np.ndarray):
+    """Pieces of `_DOC_JSON`'s text for {ids[i]: matrix[i]} as a top-level value.
+
+    Members come in sorted-id order, `_CHUNK_LINES` at a time. Each
+    chunk's rows are encoded by one `_ROW_JSON` call and indented after:
+    the text of a float holds no ", ", "[" or "]", so ", " separates
+    values and "], [" rows.
+    """
+    last = dict(zip(ids.tolist(), range(len(ids))))  # the row dict(zip(ids, rows)) keeps
+    if not last:
+        yield "{}"
+        return
+    keys, order = zip(*sorted(last.items()))
+    between = ",\n      "  # between two values of a row
+    for start in range(0, len(keys), _CHUNK_LINES):
+        chunk = list(order[start : start + _CHUNK_LINES])
+        if matrix.shape[1]:
+            text = _ROW_JSON.encode(matrix[chunk].tolist())[2:-2].replace(", ", between)
+            texts = ["[\n      " + row + "\n    ]" for row in text.split("]" + between + "[")]
+        else:
+            texts = ["[]"] * len(chunk)
+        names = map(encode_basestring_ascii, keys[start : start + _CHUNK_LINES])
+        yield ("{" if start == 0 else ",") + ",".join(
+            f"\n    {name}: {row}" for name, row in zip(names, texts)
+        )
+    yield "\n  }"
 
 
 def _float_rows(column: list, lines: list[int], path: str | Path, key: str):
@@ -681,6 +728,32 @@ def _float_rows(column: list, lines: list[int], path: str | Path, key: str):
     except ValueError:
         pass
     return column  # rows of unequal length or depth
+
+
+def json_field(obj: dict, key: str, names: str, where: str | Path, default=_ABSENT):
+    """`obj[key]`, decoded JSON whose type must be one named in `names`.
+
+    `names` joins with "|" the names of `_FIELD_TYPES`, as in
+    "number|null". A bool is never an integer or number, and a number is
+    returned as a float. A missing key reads as `default` when one is
+    given. Otherwise it, and a value of another type, raise
+    ValidationError naming `where` and the key.
+    """
+    value = obj.get(key, default)
+    if value is _ABSENT:
+        raise ValidationError(f"{where}: missing required key {key!r}")
+    kinds = names.split("|")
+    allowed = tuple(chain.from_iterable(_FIELD_TYPES[kind] for kind in kinds))
+    strings = "strings" in kinds and type(value) is list
+    if type(value) not in allowed or (strings and set(map(type, value)) - {str}):
+        wording = names.replace("|", " or ").replace("strings", "a list of strings")
+        raise ValidationError(f"{where}: {key!r} must be {wording}")
+    if "number" in kinds and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValidationError(f"{where}: {key!r} is too large for a float") from None
+    return value
 
 
 def _chunk_columns(rows: list, lines: list[int], path: str | Path, types: dict, defaults: dict):

@@ -15,7 +15,7 @@ arrays and returns m distances, row by row):
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,7 +116,10 @@ class EvalReport:
         }
 
     def to_csv(self) -> str:
-        rows = map(astuple, self.groups)  # EvalGroup fields are in CSV column order
+        rows = (
+            (g.attribute, g.from_level, g.to_level, g.metric, g.mean, g.std, g.count)
+            for g in self.groups
+        )
         return csv_text(["attribute", "from", "to", "metric", "mean", "std", "count"], rows)
 
 

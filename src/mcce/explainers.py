@@ -29,11 +29,13 @@ mcce and slearner explain a batch of edits in one call: row i of the
 result is the effect of setting attribute `attribute[i]` of dataset row
 `rows[i]` to level code `to[i]`. approx draws from a seeded stream per
 edit, so it explains one edit per call; the work that no edit changes is
-done once per run by `build_label_index`.
+done once per run by `build_label_index`, and `seeded_index` keeps each
+seed's first draw, so runs that share pair seeds seed each stream once.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 import warnings
 from bisect import bisect_left, bisect_right
@@ -49,6 +51,7 @@ from .data import (
     Dataset,
     csv_text,
     float_array,
+    json_field,
     one_hot,
     read_json,
     read_jsonl,
@@ -462,6 +465,38 @@ def build_label_index(dataset: Dataset) -> LabelIndex:
     return LabelIndex(profiles[order].tolist(), order, profiles.tolist(), stride.tolist(), visible)
 
 
+# An entry (a 64-bit seed, a 32-bit output and the cache's links) takes
+# about 190 bytes, so a full cache holds about 6 MB; 2**15 entries cover
+# the 22000 pair seeds of an 11-seed experiment on 2000 pairs.
+@functools.lru_cache(maxsize=1 << 15)
+def _first_uint32(seed: int) -> int:
+    """The first 32-bit output of `np.random.default_rng(seed)`'s stream.
+
+    PCG64 hands out the low half of its first 64-bit output first.
+    """
+    return int(np.random.PCG64(seed).random_raw()) & 0xFFFFFFFF
+
+
+def seeded_index(seed: int, count: int) -> int:
+    """`int(np.random.default_rng(seed).integers(count))`, seeding PCG64 once per seed.
+
+    For 0 < count < 2**32, numpy draws by Lemire's multiply-shift (Lemire
+    2019, "Fast random integer generation in an interval"): with w the
+    stream's first 32-bit output, the draw is (w * count) >> 32 unless the
+    low 32 bits of w * count fall below count, where numpy may reject w
+    and draw again. w is kept per int seed in a bounded cache (2**15
+    seeds, about 6 MB at most). That possible rejection, a count of
+    2**32 or more (numpy's 64-bit path) and a seed that is not an int are
+    handed to numpy itself, so every value is numpy's.
+    """
+    count = operator.index(count)
+    if type(seed) is int and 0 < count < 1 << 32:
+        scaled = _first_uint32(seed) * count
+        if scaled & 0xFFFFFFFF >= count:
+            return scaled >> 32
+    return int(np.random.default_rng(seed).integers(count))
+
+
 def explain_approx(
     dataset: Dataset, row: int, attribute: int, to: int, seed: int, index: LabelIndex | None = None
 ) -> ApproxEstimate:
@@ -470,13 +505,16 @@ def explain_approx(
     The match target is the row's visible labels with attribute index
     `attribute` set to level code `to` (a hidden attribute cannot enter
     the profile, so the target degrades to the visible labels alone).
-    Ties are broken uniformly under `seed`; when no row matches exactly,
-    the rows closest by Hamming distance over visible labels are used and
-    the estimate is flagged.
+    Ties are broken uniformly under `seed`: of the `count` tied rows, in
+    row order, the one at `seeded_index(seed, count)`, which is
+    `np.random.default_rng(seed).integers(count)`. When no row matches
+    exactly, the rows closest by Hamming distance over visible labels are
+    used and the estimate is flagged.
 
     Pass the dataset's `build_label_index` as `index` to explain many
     edits: the sort is then done once per run, and an edit with an exact
-    match costs one integer key, two bisections and one seeded draw.
+    match costs one integer key, two bisections and one `seeded_index`
+    draw, which seeds a stream only the first time its seed is seen.
     """
     n = len(dataset)
     if n == 0:
@@ -503,7 +541,7 @@ def explain_approx(
         target = target[visible]
         distance = np.sum(dataset.codes[:, visible] != target, axis=1)
         positions = np.flatnonzero(distance == distance.min())
-    choice = positions[int(np.random.default_rng(seed).integers(positions.size))]
+    choice = positions[seeded_index(seed, positions.size)]
     return ApproxEstimate(dataset.outputs[choice] - dataset.outputs[row], fallback)
 
 
@@ -626,7 +664,7 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
 
     try:
         schema = ConceptSchema.from_obj(obj["schema"])
-        hidden = schema.check_hidden(obj["hidden"])
+        hidden = schema.check_hidden(json_field(obj, "hidden", "strings", path))
         if kind == "mcce":
             k_vis = schema.visible_width(hidden)
             model = MCCEModel(
@@ -636,11 +674,11 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
                 pseudo_basis=matrix("pseudo_basis"),
                 concept_coef=matrix("concept_coef"),
                 pseudo_coef=matrix("pseudo_coef"),
-                ridge=float(obj["ridge"]),
-                n_pseudo=int(obj["n_pseudo"]),
-                space=str(obj["space"]),
-                target_kind=str(obj["target_kind"]),
-                diagnostics=dict(obj.get("diagnostics", {})),
+                ridge=json_field(obj, "ridge", "number", path),
+                n_pseudo=json_field(obj, "n_pseudo", "integer", path),
+                space=json_field(obj, "space", "string", path),
+                target_kind=json_field(obj, "target_kind", "string", path),
+                diagnostics=json_field(obj, "diagnostics", "object", path, {}),
             )
             d = model.embed_coef.shape[1]
             if model.embed_coef.shape[0] != k_vis or model.concept_coef.shape[0] != k_vis:
@@ -658,18 +696,17 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
             raise ValidationError("weight rows do not match the schema/mask width")
         if bias.shape != (weights.shape[1],):
             raise ValidationError("bias length does not match weight columns")
-        converged, grad_norm = obj.get("converged"), obj.get("grad_norm")
         return SLearnerModel(
             schema=schema,
             hidden_attributes=hidden,
             weights=weights,
             bias=bias,
-            space=str(obj["input_space"]),
-            iterations=int(obj["iterations"]),
-            final_loss=float(obj["final_loss"]),
+            space=json_field(obj, "input_space", "string", path),
+            iterations=json_field(obj, "iterations", "integer", path),
+            final_loss=json_field(obj, "final_loss", "number", path),
             # files written before these were recorded lack both
-            converged=None if converged is None else bool(converged),
-            grad_norm=None if grad_norm is None else float(grad_norm),
+            converged=json_field(obj, "converged", "boolean|null", path, None),
+            grad_norm=json_field(obj, "grad_norm", "number|null", path, None),
         )
     except ValidationError:
         raise

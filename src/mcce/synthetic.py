@@ -42,6 +42,7 @@ from .data import (
     EditPairs,
     float_array,
     index_of,
+    json_field,
     one_hot,
     read_json,
     softmax,
@@ -437,13 +438,13 @@ def load_synth_config(path: str | Path) -> tuple[SynthConfig, int]:
 
 
 def save_ground_truth(truth: SynthGroundTruth, path: str | Path) -> Path:
+    """Write ground_truth.json; `clean_logits` maps each id to its row, written a chunk at a time."""
     obj = {
         "outcome_coef": truth.outcome_coef.tolist(),
-        "clean_logits": dict(zip(truth.ids.tolist(), truth.clean_logits.tolist())),
         "seed": truth.seed,
         "hidden": list(truth.hidden),
     }
-    return write_json(path, obj)
+    return write_json(path, obj, rows=("clean_logits", truth.ids, truth.clean_logits))
 
 
 def load_ground_truth(path: str | Path) -> SynthGroundTruth:
@@ -460,7 +461,8 @@ def load_ground_truth(path: str | Path) -> SynthGroundTruth:
         ids = np.array(list(logits), dtype=str)
         clean = float_array(list(logits.values()), f"{path}: 'clean_logits'")
         clean = clean.reshape(ids.size, coef.shape[1])
-        seed, hidden = int(obj.get("seed", 0)), tuple(obj.get("hidden", ()))
+        seed = json_field(obj, "seed", "integer", path, 0)
+        hidden = tuple(json_field(obj, "hidden", "strings", path, []))
         truth = SynthGroundTruth(coef, ids, clean, seed, hidden)
     except ValidationError:
         raise

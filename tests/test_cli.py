@@ -644,6 +644,26 @@ class TestApproxExplain:
         assert len(body) == 150
         assert all("effect" in row for row in body)
 
+    def test_experiment_runs_equal_single_explains(self, synth_dir, tmp_path):
+        """Draws cached across the masks and seeds of one experiment leak into none of its runs."""
+        out = tmp_path / "exp"
+        assert run(
+            "experiment", *dataset_flags(synth_dir), "--methods", "approx", "--metrics", "l2",
+            "--mask-sizes", "1,2", "--seeds", "0,1", "--out", out,
+        ) == 0
+        masks = json.loads((out / "summary.json").read_text())["masks"]
+        assert len(masks) == 10
+        for mask in masks:
+            for seed in (0, 1):
+                single = tmp_path / f"{'+'.join(mask)}-{seed}.jsonl"
+                assert run(
+                    "explain", *dataset_flags(synth_dir), "--method", "approx",
+                    "--hidden", ",".join(mask), "--seed", seed, "--space", "probability",
+                    "--out", single,
+                ) == 0
+                effects = out / "runs" / "approx" / "+".join(mask) / f"seed{seed}" / "effects.jsonl"
+                assert effects.read_bytes() == single.read_bytes(), (mask, seed)
+
 
 def dataset_flags(data):
     return [
@@ -760,6 +780,41 @@ class TestLoaderErrors:
         err = capsys.readouterr().err
         assert f"m.json: {key!r} must hold only numbers" in err and "Traceback" not in err
 
+    # Model and ground-truth scalars take their own JSON type only: bool(),
+    # int(), float() and str() would read "false" as True and "7" as 7.
+
+    @pytest.mark.parametrize(
+        "method, key, bad, kind",
+        [
+            ("slearner", "converged", "false", "boolean or null"),
+            ("slearner", "iterations", "7", "integer"),
+            ("slearner", "iterations", True, "integer"),
+            ("slearner", "final_loss", "0.5", "number"),
+            ("slearner", "input_space", 1, "string"),
+            ("mcce", "space", 1, "string"),
+            ("mcce", "target_kind", None, "string"),
+            ("mcce", "n_pseudo", 2.0, "integer"),
+            ("mcce", "ridge", False, "number"),
+            ("mcce", "hidden", "ab", "a list of strings"),
+        ],
+    )
+    def test_model_scalars_must_have_their_json_type(
+        self, synth_dir, tmp_path, capsys, method, key, bad, kind
+    ):
+        model, obj = self.fitted(synth_dir, tmp_path, method)
+        obj[key] = bad
+        model.write_text(json.dumps(obj))
+        capsys.readouterr()
+        code = run(
+            "explain", *dataset_flags(synth_dir), "--method", method, "--model", model,
+            "--space", "probability" if method == "slearner" else "logit",
+            "--out", tmp_path / "e.jsonl",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"m.json: {key!r} must be {kind}" in err and "Traceback" not in err
+        assert not (tmp_path / "e.jsonl").exists()
+
     def test_model_with_a_ragged_matrix_exits_2(self, synth_dir, tmp_path, capsys):
         model, obj = self.fitted(synth_dir, tmp_path, "mcce")
         obj["concept_coef"][0].append(0.5)
@@ -785,6 +840,26 @@ class TestLoaderErrors:
             "explain", *dataset_flags(synth_dir), "--method", "oracle",
             "--ground-truth", truth, "--out", tmp_path / "e.jsonl",
         )
+
+    @pytest.mark.parametrize(
+        "key, bad, kind",
+        [
+            ("seed", "3", "integer"),
+            ("seed", 2.7, "integer"),
+            ("seed", True, "integer"),
+            ("hidden", "ab", "a list of strings"),
+            ("hidden", [1], "a list of strings"),
+        ],
+    )
+    def test_ground_truth_scalars_must_have_their_json_type(
+        self, synth_dir, tmp_path, capsys, key, bad, kind
+    ):
+        obj = json.loads((synth_dir / "ground_truth.json").read_text())
+        obj[key] = bad
+        assert self.oracle(synth_dir, tmp_path, json.dumps(obj)) == 2
+        err = capsys.readouterr().err
+        assert f"ground_truth.json: {key!r} must be {kind}" in err and "Traceback" not in err
+        assert not (tmp_path / "e.jsonl").exists()
 
     def test_ground_truth_rejects_nan(self, synth_dir, tmp_path, capsys):
         obj = json.loads((synth_dir / "ground_truth.json").read_text())

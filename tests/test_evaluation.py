@@ -3,6 +3,9 @@
 Group means/stds below are worked out by hand before being frozen in.
 """
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,8 @@ from mcce import (
     ConceptSchema,
     Dataset,
     Effects,
+    EvalGroup,
+    EvalReport,
     ValidationError,
     coefficient_error,
     dist_cosine,
@@ -155,6 +160,20 @@ def test_report_serialization(tmp_path):
     assert lines[1].startswith("a,x,y,l2,2.0,1.0,2")
     # repr floats round-trip
     assert float(lines[1].split(",")[4]) == 2.0
+
+
+def test_report_csv_rows_are_the_group_fields_in_order():
+    groups = (
+        EvalGroup('a,"b"', "x\ny", "é", "l2", -0.0, 5e-324, 3),
+        EvalGroup("c", "", "z", "cosine", 1e308, 0.1, 0),
+    )
+    report = EvalReport(groups, 0.5, 0.25)
+    rows = [[g.attribute, g.from_level, g.to_level, g.metric, g.mean, g.std, g.count] for g in groups]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [["attribute", "from", "to", "metric", "mean", "std", "count"], *rows]
+    )
+    assert report.to_csv() == buf.getvalue()
 
 
 # --- coefficient error ---------------------------------------------------

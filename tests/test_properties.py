@@ -52,6 +52,7 @@ from mcce import (
 )
 from mcce.data import (
     _ABSENT,
+    _DOC_JSON,
     _JSON_TYPES,
     _PAIR_KEYS,
     _ROW_JSON,
@@ -60,7 +61,7 @@ from mcce.data import (
     load_schema,
     read_jsonl,
 )
-from mcce.explainers import _EFFECT_TYPES
+from mcce.explainers import _EFFECT_TYPES, seeded_index
 from mcce.errors import ValidationError
 
 
@@ -327,6 +328,34 @@ def test_explain_approx_matches_per_edit_reference(problem):
         assert visible[a] or not got.fallback  # a hidden edit keeps the row's own profile
 
 
+# Counts in [2**31, 2**32] make numpy's rejection step, and so the
+# fallback to numpy, likely; counts past 2**32 take numpy's 64-bit path.
+draw_counts = st.one_of(
+    st.integers(2**31, 2**32), st.integers(1, 2**32 + 2**20), st.integers(1, 64), st.just(2**32)
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**64 - 1), draw_counts)
+def test_seeded_index_equals_numpy_draw(seed, count):
+    want = int(np.random.default_rng(seed).integers(count))
+    assert seeded_index(seed, count) == want
+    assert seeded_index(seed, count) == want  # from the cached first output
+    assert seeded_index(np.uint64(seed), np.int64(count)) == want
+
+
+def test_seeded_index_covers_the_rejection_case():
+    """Seeds whose multiply-shift lands in numpy's rejection zone still draw as numpy does."""
+    count = 3 * 2**30
+    checked = 0
+    for seed in range(2000):
+        w = int(np.random.PCG64(seed).random_raw()) & 0xFFFFFFFF
+        if (w * count) & 0xFFFFFFFF < count:
+            assert seeded_index(seed, count) == int(np.random.default_rng(seed).integers(count))
+            checked += 1
+    assert checked > 100
+
+
 # --- effects file: the per-row writer it replaced ----------------------------------
 
 
@@ -572,6 +601,45 @@ def test_ground_truth_round_trips_bit_exactly(tmp_path_factory, ids, data):
     assert back.clean_logits.shape == truth.clean_logits.shape
     assert rows_by_id(back) == rows_by_id(truth)
     assert (back.seed, back.hidden) == (truth.seed, truth.hidden)
+
+
+@st.composite
+def ground_truths(draw):
+    """A ground truth of 0, 1, a few or more than a chunk of rows, ids maybe repeated."""
+    m = draw(st.sampled_from([0, 1, 2, 5, 1024, 1025, 2100]))
+    q = draw(st.integers(0, 3))
+    if m <= 5:
+        ids = draw(st.lists(names, min_size=m, max_size=m))
+        clean = draw(float_matrices(m, q))
+    else:
+        stems = draw(st.lists(names, min_size=1, max_size=4))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        ids = [stems[i % len(stems)] + f"|{i}" for i in rng.permutation(m).tolist()]
+        # magnitudes from subnormal (and underflow to 0) up to 1e308
+        clean = rng.uniform(-1, 1, (m, q)) * 10.0 ** rng.integers(-330, 309, size=(m, q))
+        if clean.size:
+            edges = draw(st.lists(edge_floats, max_size=8))
+            clean.flat[rng.integers(clean.size, size=len(edges))] = edges
+    return SynthGroundTruth(
+        draw(float_matrices(draw(st.integers(1, 3)), q)),
+        np.array(ids, dtype=str).reshape(-1),
+        clean,
+        draw(st.integers(0, 2**63 - 1)),
+        tuple(draw(st.lists(names, max_size=3))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(ground_truths())
+def test_save_ground_truth_bytes_equal_whole_document_encoding(tmp_path_factory, truth):
+    obj = {
+        "outcome_coef": truth.outcome_coef.tolist(),
+        "clean_logits": dict(zip(truth.ids.tolist(), truth.clean_logits.tolist())),
+        "seed": truth.seed,
+        "hidden": list(truth.hidden),
+    }
+    path = save_ground_truth(truth, tmp_path_factory.mktemp("truth") / "ground_truth.json")
+    assert path.read_bytes() == (_DOC_JSON.encode(obj) + "\n").encode()
 
 
 # --- fitted mcce invariants -------------------------------------------------------
