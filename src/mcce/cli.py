@@ -120,8 +120,9 @@ def _pair_seeds(dataset: Dataset, run_seed: int) -> list[int]:
 def _fit(dataset: Dataset, method: str, j, ridge: float, targets: str):
     """Fit `method` on the dataset's visible attributes and return the model.
 
-    An mcce fit whose concept design has less than full rank prints one
-    warning line on stderr.
+    An mcce fit prints one warning line on stderr when its concept design
+    has less than full rank, and one when it has fewer pseudo-concepts
+    than the hidden blocks' rank.
     """
     if method == "slearner":
         if targets == TARGET_GOLD:
@@ -129,15 +130,24 @@ def _fit(dataset: Dataset, method: str, j, ridge: float, targets: str):
         return fit_slearner(dataset)
     model = fit_mcce(dataset, n_pseudo=j, ridge=ridge, target_kind=targets)
     rank = model.diagnostics["design_rank"]
-    # each visible block's columns sum to the ones vector, so a design
-    # that observes every level in general position has this rank
-    n_visible = len(dataset.schema.visible_names(dataset.hidden_attributes))
-    full_rank = dataset.visible_width - n_visible + 1
+    visible = dataset.schema.visible_mask(dataset.hidden_attributes)
+    # each block's columns sum to the ones vector, so a visible design
+    # that observes every level in general position has this rank, and
+    # each hidden block adds one dimension fewer than its levels
+    full_rank = dataset.visible_width - int(visible.sum()) + 1
+    hidden_rank = int(np.sum(dataset.schema.sizes[~visible] - 1))
     if rank < full_rank:
         print(
             f"warning: concept design rank {rank} is below {full_rank}: "
             "some visible level is never observed, or levels always co-occur, "
             "so their effects are not identified",
+            file=sys.stderr,
+        )
+    if model.n_pseudo < hidden_rank:
+        print(
+            f"warning: n_pseudo {model.n_pseudo} is below the hidden blocks' rank {hidden_rank}: "
+            "the pseudo-concepts cannot span every hidden concept, so the effects may stay "
+            f"biased (set --j {hidden_rank} or more)",
             file=sys.stderr,
         )
     return model
@@ -252,15 +262,14 @@ def cmd_fit(args) -> int:
 def cmd_explain(args) -> int:
     method = args.method
     model = truth = pair_seeds = None
-    if method == "oracle":
-        if not args.ground_truth:
-            raise ValidationError("--ground-truth is required for method 'oracle'")
-        # read before the dataset, so the peaks of the two reads do not stack
-        truth = load_ground_truth(args.ground_truth)
+    if method == "oracle" and not args.ground_truth:
+        raise ValidationError("--ground-truth is required for method 'oracle'")
+    if method in ("mcce", "slearner") and not args.model:
+        raise ValidationError(f"--model is required for method {method!r}")
     dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
-    if method in ("mcce", "slearner"):
-        if not args.model:
-            raise ValidationError(f"--model is required for method {method!r}")
+    if method == "oracle":
+        truth = load_ground_truth(args.ground_truth)
+    elif method in ("mcce", "slearner"):
         model = load_model(args.model)
         if model.kind != method:
             raise ValidationError(f"model file holds a {model.kind!r} model, requested {method!r}")
@@ -269,7 +278,12 @@ def cmd_explain(args) -> int:
         dataset = dataset.mask(_parse_hidden(args.hidden))
         pair_seeds = _pair_seeds(dataset, args.seed)
 
-    effects, metadata = _explain(dataset, method, model, args.seed, truth, pair_seeds)
+    try:
+        effects, metadata = _explain(dataset, method, model, args.seed, truth, pair_seeds)
+    except ValidationError as exc:
+        if truth is None:
+            raise
+        raise ValidationError(f"{args.ground_truth}: {exc}") from exc  # the truth and dataset disagree
     write_effects(args.out, effects, metadata)
     print(
         f"explain {method}: wrote {len(effects)} estimates to {args.out} "

@@ -227,15 +227,21 @@ class ConceptSchema:
 
     @classmethod
     def from_obj(cls, obj) -> "ConceptSchema":
-        if not isinstance(obj, dict) or "attributes" not in obj:
+        """Read decoded `to_obj` JSON: each name a string, each levels a list of strings.
+
+        Unlike `of`, it converts nothing, so a number or a string of
+        levels is an error, not a schema.
+        """
+        if not isinstance(obj, dict) or type(obj.get("attributes")) is not list:
             raise ValidationError("schema object must have an 'attributes' list")
         pairs = []
         for entry in obj["attributes"]:
-            try:
-                pairs.append((entry["name"], entry["levels"]))
-            except (TypeError, KeyError) as exc:
-                raise ValidationError(f"bad schema attribute entry {entry!r}") from exc
-        return cls.of(pairs)
+            if type(entry) is not dict:
+                raise ValidationError(f"bad schema attribute entry {entry!r}")
+            name = json_field(entry, "name", "string", "schema attribute entry")
+            levels = json_field(entry, "levels", "strings", f"schema attribute {name!r}")
+            pairs.append((name, tuple(levels)))
+        return cls(tuple(pairs))
 
 
 def _starts(sizes) -> np.ndarray:
@@ -661,56 +667,15 @@ def _batches(pieces: Iterable[str], size: int):
         yield "".join(batch)
 
 
-def write_json(path: str | Path, obj, rows: tuple[str, np.ndarray, np.ndarray] | None = None) -> Path:
+def write_json(path: str | Path, obj) -> Path:
     """Write `obj` atomically as an indented JSON document with sorted keys.
 
     The file holds `_DOC_JSON.encode(obj)` and a newline. It is written
     as `_DOC_JSON.iterencode(obj)` pieces joined `_DOC_PIECES` at a time,
     the pieces that `encode` joins whole, so the bytes are the same and
     the document's text is never held at once.
-
-    `rows`, when given, is (key, ids, matrix), and the file then holds
-    the document of `obj` with top-level `key` set to the object that
-    maps `ids[i]` to the list `matrix[i]` (the last row of an id that
-    occurs twice). That object is never built: `_indented_rows` writes
-    its members a chunk at a time.
     """
-    if rows is None:
-        return write_text_atomic(path, chain(_batches(_DOC_JSON.iterencode(obj), _DOC_PIECES), ["\n"]))
-    key, ids, matrix = rows
-    # A top-level member starts a line with exactly two spaces; deeper
-    # ones have more, and no encoded string holds a raw newline.
-    member = "\n  " + encode_basestring_ascii(key) + ": "
-    head, _, tail = _DOC_JSON.encode({**obj, key: {}}).partition(member + "{}")
-    return write_text_atomic(path, chain([head, member], _indented_rows(ids, matrix), [tail, "\n"]))
-
-
-def _indented_rows(ids: np.ndarray, matrix: np.ndarray):
-    """Pieces of `_DOC_JSON`'s text for {ids[i]: matrix[i]} as a top-level value.
-
-    Members come in sorted-id order, `_CHUNK_LINES` at a time. Each
-    chunk's rows are encoded by one `_ROW_JSON` call and indented after:
-    the text of a float holds no ", ", "[" or "]", so ", " separates
-    values and "], [" rows.
-    """
-    last = dict(zip(ids.tolist(), range(len(ids))))  # the row dict(zip(ids, rows)) keeps
-    if not last:
-        yield "{}"
-        return
-    keys, order = zip(*sorted(last.items()))
-    between = ",\n      "  # between two values of a row
-    for start in range(0, len(keys), _CHUNK_LINES):
-        chunk = list(order[start : start + _CHUNK_LINES])
-        if matrix.shape[1]:
-            text = _ROW_JSON.encode(matrix[chunk].tolist())[2:-2].replace(", ", between)
-            texts = ["[\n      " + row + "\n    ]" for row in text.split("]" + between + "[")]
-        else:
-            texts = ["[]"] * len(chunk)
-        names = map(encode_basestring_ascii, keys[start : start + _CHUNK_LINES])
-        yield ("{" if start == 0 else ",") + ",".join(
-            f"\n    {name}: {row}" for name, row in zip(names, texts)
-        )
-    yield "\n  }"
+    return write_text_atomic(path, chain(_batches(_DOC_JSON.iterencode(obj), _DOC_PIECES), ["\n"]))
 
 
 def _float_rows(column: list, lines: list[int], path: str | Path, key: str):
@@ -943,7 +908,11 @@ def csv_text(header, rows) -> str:
 
 
 def load_schema(schema_path: str | Path) -> ConceptSchema:
-    return ConceptSchema.from_obj(read_json(schema_path, "schema"))
+    obj = read_json(schema_path, "schema")
+    try:
+        return ConceptSchema.from_obj(obj)
+    except ValidationError as exc:
+        raise ValidationError(f"{schema_path}: {exc}") from None
 
 
 _SAMPLE_TYPES = {

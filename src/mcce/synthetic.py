@@ -20,6 +20,11 @@ exact embedding-map contrast. `generate` keeps those draws in memory
 `synthesize_sample` is the per-sample reference that both must equal
 bit for bit.
 
+The oracle needs no stored outputs: a row's clean outputs are
+`one_hot(complete labels) @ outcome_coef`, which `oracle_effect`
+recomputes from the dataset's labels by the same per-row product
+(`_clean_outputs`) that made them.
+
 Stream layout (numpy SeedSequence spawn keys, portable across runs):
 
     (0, i)  per-sample draws for sample i, in order: latent state,
@@ -41,7 +46,6 @@ from .data import (
     Dataset,
     EditPairs,
     float_array,
-    index_of,
     json_field,
     one_hot,
     read_json,
@@ -101,9 +105,10 @@ class SynthConfig:
             raise ValidationError(
                 f"embed_map must have {width} columns, got shape {self.embed_map.shape}"
             )
-        if self.outcome_coef.ndim != 2 or self.outcome_coef.shape[0] != width:
+        if self.outcome_coef.ndim != 2 or self.outcome_coef.shape[0] != width or not self.n_outputs:
             raise ValidationError(
-                f"outcome_coef must have {width} rows, got shape {self.outcome_coef.shape}"
+                f"outcome_coef must have {width} rows and at least one column, "
+                f"got shape {self.outcome_coef.shape}"
             )
         if not (np.isfinite(self.embed_map).all() and np.isfinite(self.outcome_coef).all()):
             raise ValidationError("embed_map or outcome_coef contains non-finite entries")
@@ -133,17 +138,14 @@ class SynthConfig:
 
 @dataclass(eq=False)
 class SynthGroundTruth:
-    """Oracle bookkeeping: the outcome coefficients and each row's clean logits.
+    """Oracle bookkeeping: the outcome coefficients the clean outputs come from.
 
-    `clean_logits[i]` is the noise-free output vector of sample `ids[i]`.
     `draws` holds, for each factual row of `generate`, its standard
     normal embedding draws followed by its output draws, for `make_pairs`;
     it is not saved, so a loaded ground truth has None.
     """
 
     outcome_coef: np.ndarray
-    ids: np.ndarray
-    clean_logits: np.ndarray
     seed: int = 0
     hidden: tuple[str, ...] = ()
     draws: np.ndarray | None = field(default=None, repr=False)
@@ -175,17 +177,28 @@ def synthesize_sample(config: SynthConfig, index: int, edit: tuple[int, int] | N
     return codes, embedding, clean + config.outcome_noise * g_out, clean
 
 
-def _rows(config: SynthConfig, codes: np.ndarray, draws: np.ndarray):
-    """(embeddings, outputs, clean outputs) of rows with level `codes` and noise `draws`.
+def _clean_outputs(c: np.ndarray, outcome_coef: np.ndarray) -> np.ndarray:
+    """Noise-free outputs `c @ outcome_coef` of the complete one-hot rows `c`.
 
     The products stay one row at a time, as in `synthesize_sample`: a
     batched matrix product may round differently in the last bit.
     """
-    m, dim = len(codes), config.embed_dim
+    clean = np.empty((len(c), outcome_coef.shape[1]))
+    for k in range(len(c)):
+        clean[k] = c[k] @ outcome_coef
+    return clean
+
+
+def _rows(config: SynthConfig, codes: np.ndarray, draws: np.ndarray):
+    """(embeddings, outputs, clean outputs) of rows with level `codes` and noise `draws`.
+
+    Like the clean outputs, the embeddings are one product per row.
+    """
+    dim = config.embed_dim
     c = one_hot(config.schema, codes)
-    clean, embeddings = np.empty((m, config.n_outputs)), np.empty((m, dim))
-    for k in range(m):
-        clean[k] = c[k] @ config.outcome_coef
+    clean = _clean_outputs(c, config.outcome_coef)
+    embeddings = np.empty((len(codes), dim))
+    for k in range(len(codes)):
         embeddings[k] = config.embed_map @ c[k]
     embeddings += config.embed_noise * draws[:, :dim]
     return embeddings, clean + config.outcome_noise * draws[:, dim:], clean
@@ -216,7 +229,7 @@ def generate(config: SynthConfig) -> tuple[Dataset, SynthGroundTruth]:
         hidden_attributes=config.hidden,
     )
     hidden = tuple(sorted(config.hidden))
-    truth = SynthGroundTruth(config.outcome_coef.copy(), ids, clean, config.seed, hidden, draws)
+    truth = SynthGroundTruth(config.outcome_coef.copy(), config.seed, hidden, draws)
     return dataset, truth
 
 
@@ -226,7 +239,7 @@ def make_pairs(
     config: SynthConfig,
     edits_per_sample: int = 1,
 ) -> Dataset:
-    """Append counterfactual edits of every sample and register their clean logits.
+    """Append counterfactual edits of every sample.
 
     Each sample gets `edits_per_sample` flips on distinct attributes
     (chosen from the pair-selection stream; any attribute may flip,
@@ -263,12 +276,9 @@ def make_pairs(
     names = np.array(schema.names)[attribute]
     parts = (dataset.ids[original], names, schema.level_names(attribute, to))
     edited_ids = ["__".join(names) for names in zip(*(col.tolist() for col in parts))]
-    ids = np.concatenate([dataset.ids, edited_ids])
-    truth.ids = np.concatenate([truth.ids, edited_ids])
-    truth.clean_logits = np.concatenate([truth.clean_logits, clean])
     return Dataset(
         dataset.schema,
-        ids,
+        np.concatenate([dataset.ids, edited_ids]),
         np.concatenate([dataset.codes, codes]),
         np.concatenate([dataset.embeddings, embeddings]),
         np.concatenate([dataset.outputs, outputs]),
@@ -280,19 +290,26 @@ def make_pairs(
 
 
 def oracle_effect(truth: SynthGroundTruth, dataset: Dataset, space: str) -> np.ndarray:
-    """Exact effect of every pair of `dataset`, in the requested space, from the clean logits."""
+    """Exact effect of every pair of `dataset`, in the requested space.
+
+    Each row's clean logits are its complete labels' one-hot row times
+    `truth.outcome_coef`, computed once per row however many pairs it
+    is in, by the product `generate` and `make_pairs` take.
+    """
     if space not in ("logit", "probability"):
         raise ValidationError(f"space must be 'logit' or 'probability', got {space!r}")
+    coef, width = truth.outcome_coef, dataset.schema.width
+    if coef.shape[0] != width:
+        raise ValidationError(
+            f"'outcome_coef' has {coef.shape[0]} rows, but the dataset's complete "
+            f"one-hot layout has {width} columns"
+        )
     p = dataset.pairs
-    original = index_of(truth.ids, dataset.ids[p.original])
-    edited = index_of(truth.ids, dataset.ids[p.edited])
-    missing = (original < 0) | (edited < 0)
-    if missing.any():
-        i = np.argmax(missing)
-        pair = (str(dataset.ids[p.original[i]]), str(dataset.ids[p.edited[i]]))
-        raise ValidationError(f"pair {pair!r} is not registered in the ground truth")
-    clean = truth.clean_logits if space == "logit" else softmax(truth.clean_logits)
-    return clean[edited] - clean[original]
+    rows, inverse = np.unique(np.concatenate([p.original, p.edited]), return_inverse=True)
+    clean = _clean_outputs(one_hot(dataset.schema, dataset.codes[rows]), coef)
+    if space == "probability":
+        clean = softmax(clean)
+    return clean[inverse[len(p) :]] - clean[inverse[: len(p)]]
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +395,14 @@ _MATRIX_KEYS = frozenset(("mixing", "embed_map", "outcome_coef"))
 _KNOB_KEYS = frozenset(
     ("n_classes", "embed_dim", "confounding", "beta_scale", "beta_decay", "param_seed")
 )
+# the JSON type of every key but the schema and the matrices, as `json_field` names it
+_SCALAR_TYPES = {
+    "n": "integer", "seed": "integer", "hidden": "strings", "embed_noise": "number",
+    "outcome_noise": "number", "exact_recovery": "boolean", "edits_per_sample": "integer",
+    "exo_dim": "integer", "n_classes": "integer", "embed_dim": "integer",
+    "confounding": "number", "beta_scale": "number", "beta_decay": "number",
+    "param_seed": "integer",
+}
 
 
 def load_synth_config(path: str | Path) -> tuple[SynthConfig, int]:
@@ -389,11 +414,11 @@ def load_synth_config(path: str | Path) -> tuple[SynthConfig, int]:
     knobs (`n_classes`, `embed_dim`, `confounding`, `beta_scale`,
     `beta_decay`, `param_seed`). Common keys: n, seed, attributes,
     hidden, embed_noise, outcome_noise, exact_recovery,
-    edits_per_sample. A key that the config's form does not accept is
-    an error.
+    edits_per_sample. A key that the config's form does not accept, or
+    a value of another JSON type than the key's, is an error: a bool is
+    never an integer, and no string is read as a number.
     """
     obj = read_json(path, "config")
-    edits = obj.get("edits_per_sample", 1)
     present = _MATRIX_KEYS & set(obj)
     if present and present != _MATRIX_KEYS:
         raise ValidationError(
@@ -404,70 +429,60 @@ def load_synth_config(path: str | Path) -> tuple[SynthConfig, int]:
     unknown = sorted(set(obj) - accepted)
     if unknown:
         raise ValidationError(f"{path}: unknown key {unknown[0]!r} for a {form} config")
+    # the keys present; each form's own defaults fill in the others
+    given = {key: json_field(obj, key, kind, path) for key, kind in _SCALAR_TYPES.items() if key in obj}
+    edits = given.pop("edits_per_sample", 1)
+    if edits < 0:
+        raise ValidationError(f"{path}: edits_per_sample must be a nonnegative integer")
+    given["hidden"] = frozenset(given.get("hidden", ()))
+    if present:
+        for key in ("n", "exo_dim"):  # the explicit form has no default for these
+            json_field(obj, key, "integer", path)
+        mixing = json_field(obj, "mixing", "object", path)
+    # errors below name no file; ValidationError is a ValueError
     try:
-        hidden = frozenset(obj.get("hidden", ()))
         if present:
             config = SynthConfig(
-                n=obj["n"],
-                exo_dim=obj["exo_dim"],
                 schema=ConceptSchema.from_obj(obj),
-                mixing=obj["mixing"],
-                embed_map=obj["embed_map"],
-                outcome_coef=obj["outcome_coef"],
-                embed_noise=float(obj.get("embed_noise", 0.0)),
-                outcome_noise=float(obj.get("outcome_noise", 0.0)),
-                hidden=hidden,
-                seed=int(obj.get("seed", 0)),
-                exact_recovery=bool(obj.get("exact_recovery", False)),
+                mixing={name: float_array(m, f"mixing[{name!r}]") for name, m in mixing.items()},
+                embed_map=float_array(obj["embed_map"], "'embed_map'"),
+                outcome_coef=float_array(obj["outcome_coef"], "'outcome_coef'"),
+                **given,
             )
         else:
             attributes = ConceptSchema.from_obj(obj).attributes if "attributes" in obj else None
-            knobs = _KNOB_KEYS | {"embed_noise", "outcome_noise", "exact_recovery"}
-            config = default_config(
-                n=obj.get("n", 2000),
-                seed=int(obj.get("seed", 0)),
-                hidden=hidden,
-                attributes=attributes,
-                **{key: obj[key] for key in knobs & set(obj)},
-            )
-    except (KeyError, TypeError, ValueError) as exc:
+            config = default_config(attributes=attributes, **given)
+    except ValueError as exc:
         raise ValidationError(f"{path}: malformed config ({exc})") from exc
-    if not isinstance(edits, (int, np.integer)) or edits < 0:
-        raise ValidationError(f"{path}: edits_per_sample must be a nonnegative integer")
-    return config, int(edits)
+    return config, edits
 
 
 def save_ground_truth(truth: SynthGroundTruth, path: str | Path) -> Path:
-    """Write ground_truth.json; `clean_logits` maps each id to its row, written a chunk at a time."""
+    """Write ground_truth.json: `outcome_coef`, `seed` and `hidden`."""
     obj = {
         "outcome_coef": truth.outcome_coef.tolist(),
         "seed": truth.seed,
         "hidden": list(truth.hidden),
     }
-    return write_json(path, obj, rows=("clean_logits", truth.ids, truth.clean_logits))
+    return write_json(path, obj)
 
 
 def load_ground_truth(path: str | Path) -> SynthGroundTruth:
-    """Read ground_truth.json; keys this version does not use ("labels", "pairs") are ignored.
+    """Read ground_truth.json; keys this version does not use are ignored.
 
-    `clean_logits` is saved as an object with sorted keys, so the rows
-    come back in id order, not in the order of the saved `ids`; callers
-    look rows up by id. The noise draws are not saved (`draws` is None).
+    Older files also hold "clean_logits", "labels" or "pairs"; the
+    oracle recomputes what they held. The noise draws are not saved
+    (`draws` is None).
     """
     obj = read_json(path, "ground truth")
     try:
         coef = float_array(obj["outcome_coef"], f"{path}: 'outcome_coef'")
-        logits = obj["clean_logits"]
-        ids = np.array(list(logits), dtype=str)
-        clean = float_array(list(logits.values()), f"{path}: 'clean_logits'")
-        clean = clean.reshape(ids.size, coef.shape[1])
-        seed = json_field(obj, "seed", "integer", path, 0)
-        hidden = tuple(json_field(obj, "hidden", "strings", path, []))
-        truth = SynthGroundTruth(coef, ids, clean, seed, hidden)
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+    except KeyError:
+        raise ValidationError(f"{path}: missing required key 'outcome_coef'") from None
+    except ValueError as exc:
         raise ValidationError(f"{path}: malformed ground truth ({exc})") from exc
-    if coef.ndim != 2 or not (np.isfinite(coef).all() and np.isfinite(clean).all()):
-        raise ValidationError(f"{path}: outcome_coef and clean_logits must be finite")
-    return truth
+    if coef.ndim != 2 or not np.isfinite(coef).all():
+        raise ValidationError(f"{path}: 'outcome_coef' must be a matrix of finite numbers")
+    seed = json_field(obj, "seed", "integer", path, 0)
+    hidden = tuple(json_field(obj, "hidden", "strings", path, []))
+    return SynthGroundTruth(coef, seed, hidden)

@@ -149,6 +149,24 @@ class TestFit:
         warnings = proc.stderr.splitlines()
         assert len(warnings) == 1 and "design rank 6 is below 7" in warnings[0], proc.stderr
 
+    @pytest.mark.parametrize("hidden", ["ambiance,food", "ambiance,food,noise"])
+    def test_too_few_pseudo_concepts_warn(self, synth_dir, tmp_path, hidden):
+        proc = run_process(
+            "fit",
+            "--schema", synth_dir / "schema.json",
+            "--samples", synth_dir / "samples.jsonl",
+            "--method", "mcce",
+            "--hidden", hidden,
+            "--out", tmp_path / "model.json",
+        )
+        assert proc.returncode == 0, proc.stderr
+        if hidden == "ambiance,food":  # default n_pseudo 6 = the visible width >= rank 4
+            assert proc.stderr == ""
+        else:  # the default n_pseudo 3 < rank 3 * (3 - 1) = 6
+            warnings = proc.stderr.splitlines()
+            assert len(warnings) == 1, proc.stderr
+            assert warnings[0].startswith("warning: n_pseudo 3 is below the hidden blocks' rank 6")
+
     def test_slearner_rejects_gold_targets(self, synth_dir, tmp_path, capsys):
         code = run(
             "fit",
@@ -823,11 +841,10 @@ class TestLoaderErrors:
         assert run("report", "--model", model, "--out", tmp_path / "r.csv") == 2
         assert "m.json: malformed model document" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, bad", [("outcome_coef", "0.5"), ("clean_logits", True)])
+    @pytest.mark.parametrize("key, bad", [("outcome_coef", "0.5")])
     def test_ground_truth_must_hold_numbers(self, synth_dir, tmp_path, capsys, key, bad):
         obj = json.loads((synth_dir / "ground_truth.json").read_text())
-        rows = obj[key] if key == "outcome_coef" else list(obj[key].values())
-        rows[0][0] = bad
+        obj[key][0][0] = bad
         assert self.oracle(synth_dir, tmp_path, json.dumps(obj)) == 2
         err = capsys.readouterr().err
         assert f"ground_truth.json: {key!r} must hold only numbers" in err
@@ -863,23 +880,34 @@ class TestLoaderErrors:
 
     def test_ground_truth_rejects_nan(self, synth_dir, tmp_path, capsys):
         obj = json.loads((synth_dir / "ground_truth.json").read_text())
-        first = next(iter(obj["clean_logits"]))
-        obj["clean_logits"][first][0] = float("nan")
+        obj["outcome_coef"][0][0] = float("nan")
         assert self.oracle(synth_dir, tmp_path, json.dumps(obj)) == 2  # bare NaN token
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "e.jsonl").exists()
 
-    def test_ground_truth_rejects_ragged_clean_logits(self, synth_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("change", ["drop_row", "add_row"])
+    def test_ground_truth_must_fit_the_schema_width(self, synth_dir, tmp_path, capsys, change):
         obj = json.loads((synth_dir / "ground_truth.json").read_text())
-        first = next(iter(obj["clean_logits"]))
-        obj["clean_logits"][first].append(0.0)
+        coef = obj["outcome_coef"]
+        obj["outcome_coef"] = coef[:-1] if change == "drop_row" else coef + coef[:1]
         assert self.oracle(synth_dir, tmp_path, json.dumps(obj)) == 2
-        assert "ground truth" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        rows = 11 if change == "drop_row" else 13
+        assert f"ground_truth.json: 'outcome_coef' has {rows} rows" in err, err
+        assert "one-hot layout has 12 columns" in err and "Traceback" not in err
+        assert not (tmp_path / "e.jsonl").exists()
 
     def test_ground_truth_with_legacy_keys_still_loads(self, synth_dir, tmp_path):
-        obj = json.loads((synth_dir / "ground_truth.json").read_text())
+        text = (synth_dir / "ground_truth.json").read_text()
+        assert self.oracle(synth_dir, tmp_path, text) == 0
+        expected = (tmp_path / "e.jsonl").read_bytes()
+        obj = json.loads(text)
+        # files written before the oracle was computed from outcome_coef
+        # also held each row's clean logits, keyed by sample id
         obj["labels"], obj["pairs"] = {}, []
+        obj["clean_logits"] = {"s000000": [0.0] * len(obj["outcome_coef"][0])}
         assert self.oracle(synth_dir, tmp_path, json.dumps(obj)) == 0
+        assert (tmp_path / "e.jsonl").read_bytes() == expected
 
     def test_synth_config_rejects_nan(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -896,6 +924,89 @@ class TestLoaderErrors:
         config.write_text(json.dumps(obj))
         assert run("synth", "--config", config, "--out", tmp_path / "d") == 2
         assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @staticmethod
+    def explicit_config(**changes):
+        config = default_config(n=20, seed=1)
+        return {
+            "n": 20, "exo_dim": config.exo_dim, **config.schema.to_obj(),
+            "mixing": {name: m.tolist() for name, m in config.mixing.items()},
+            "embed_map": config.embed_map.tolist(),
+            "outcome_coef": config.outcome_coef.tolist(),
+            **changes,
+        }
+
+    @pytest.mark.parametrize(
+        "form, changes, key, kind",
+        [
+            # "false" is a true string: read with bool() it turned exact recovery on
+            ("generated", {"embed_noise": 0.1, "exact_recovery": "false"}, "exact_recovery", "boolean"),
+            ("explicit", {"embed_noise": 0.1, "exact_recovery": "false"}, "exact_recovery", "boolean"),
+            ("generated", {"seed": 2.7}, "seed", "integer"),  # read with int() it ran as seed 2
+            ("explicit", {"seed": 2.7}, "seed", "integer"),
+            ("generated", {"edits_per_sample": True}, "edits_per_sample", "integer"),
+            ("generated", {"embed_dim": True}, "embed_dim", "integer"),  # a knob
+            ("generated", {"confounding": "1"}, "confounding", "number"),
+            ("explicit", {"n": True}, "n", "integer"),
+        ],
+    )
+    def test_synth_config_values_must_have_their_json_type(
+        self, tmp_path, capsys, form, changes, key, kind
+    ):
+        obj = {"n": 20, **changes} if form == "generated" else self.explicit_config(**changes)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(obj))
+        assert run("synth", "--config", config, "--out", tmp_path / "d") == 2
+        err = capsys.readouterr().err
+        assert f"config.json: {key!r} must be {kind}" in err and "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
+    def test_synth_config_explicit_form_passes_its_scalars(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        obj = self.explicit_config(seed=3, exact_recovery=True, outcome_noise=1, edits_per_sample=2)
+        config.write_text(json.dumps(obj))
+        loaded, edits = mcce.load_synth_config(config)
+        assert (loaded.n, loaded.seed, loaded.exact_recovery, edits) == (20, 3, True, 2)
+        assert type(loaded.outcome_noise) is float and loaded.outcome_noise == 1.0
+        assert run("synth", "--config", config, "--out", tmp_path / "d") == 0
+        assert "wrote 60 samples (20 factual)" in capsys.readouterr().out
+
+    def test_synth_config_needs_an_output_column(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 20, "n_classes": 0}))
+        assert run("synth", "--config", config, "--out", tmp_path / "d") == 2
+        assert "at least one column" in capsys.readouterr().err
+
+    BAD_ATTRIBUTES = [
+        # a string of levels was read as its characters, numbers as their text
+        ([{"name": "a", "levels": "xy"}, {"name": "b", "levels": ["u", "v"]}],
+         "schema attribute 'a': 'levels' must be a list of strings"),
+        ([{"name": 5, "levels": [1, 2]}], "schema attribute entry: 'name' must be string"),
+        ([{"name": "a", "levels": ["x", 2]}], "schema attribute 'a': 'levels' must be a list of strings"),
+    ]
+
+    @pytest.mark.parametrize("attributes, message", BAD_ATTRIBUTES)
+    def test_schema_file_names_and_levels_must_be_strings(
+        self, synth_dir, tmp_path, capsys, attributes, message
+    ):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"attributes": attributes}))
+        code = run(
+            "fit", "--schema", schema, "--samples", synth_dir / "samples.jsonl",
+            "--out", tmp_path / "m.json",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"schema.json: {message}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("attributes, message", BAD_ATTRIBUTES)
+    def test_synth_config_names_and_levels_must_be_strings(self, tmp_path, capsys, attributes, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 20, "attributes": attributes}))
+        assert run("synth", "--config", config, "--out", tmp_path / "d") == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not (tmp_path / "d").exists()
 
     # The JSONL reader decodes 1024 lines per call and falls back to one

@@ -14,6 +14,7 @@ import io
 import json
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,8 @@ from mcce import (
     load_ground_truth,
     load_model,
     make_pairs,
+    one_hot,
+    oracle_effect,
     read_effects,
     save_dataset,
     save_ground_truth,
@@ -577,53 +580,11 @@ def test_slearner_model_round_trips_bit_exactly(tmp_path_factory, masked, data):
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(names, max_size=6, unique=True), st.data())
-def test_ground_truth_round_trips_bit_exactly(tmp_path_factory, ids, data):
-    ids = np.array(ids, dtype=str).reshape(-1)
-    assume(np.unique(ids).size == ids.size)  # numpy drops trailing NULs from names
-    k, q = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
-    truth = SynthGroundTruth(
-        data.draw(float_matrices(k, q)),
-        ids,
-        data.draw(float_matrices(ids.size, q)),
-        data.draw(st.integers(0, 2**63 - 1)),
-        tuple(data.draw(st.lists(names, max_size=3))),
-    )
-    path = save_ground_truth(truth, tmp_path_factory.mktemp("truth") / "ground_truth.json")
-    back = load_ground_truth(path)
-    assert bits(back.outcome_coef) == bits(truth.outcome_coef)
-    # clean_logits is stored as an object keyed by id (rows are looked up
-    # by id), so the rows come back in key order: compare id -> row
-    def rows_by_id(t):
-        return {sid: bits(row) for sid, row in zip(t.ids.tolist(), t.clean_logits)}
-
-    assert back.clean_logits.shape == truth.clean_logits.shape
-    assert rows_by_id(back) == rows_by_id(truth)
-    assert (back.seed, back.hidden) == (truth.seed, truth.hidden)
-
-
 @st.composite
 def ground_truths(draw):
-    """A ground truth of 0, 1, a few or more than a chunk of rows, ids maybe repeated."""
-    m = draw(st.sampled_from([0, 1, 2, 5, 1024, 1025, 2100]))
-    q = draw(st.integers(0, 3))
-    if m <= 5:
-        ids = draw(st.lists(names, min_size=m, max_size=m))
-        clean = draw(float_matrices(m, q))
-    else:
-        stems = draw(st.lists(names, min_size=1, max_size=4))
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        ids = [stems[i % len(stems)] + f"|{i}" for i in rng.permutation(m).tolist()]
-        # magnitudes from subnormal (and underflow to 0) up to 1e308
-        clean = rng.uniform(-1, 1, (m, q)) * 10.0 ** rng.integers(-330, 309, size=(m, q))
-        if clean.size:
-            edges = draw(st.lists(edge_floats, max_size=8))
-            clean.flat[rng.integers(clean.size, size=len(edges))] = edges
+    """A ground truth whose coefficients hold any finite floats, edge cases included."""
     return SynthGroundTruth(
-        draw(float_matrices(draw(st.integers(1, 3)), q)),
-        np.array(ids, dtype=str).reshape(-1),
-        clean,
+        draw(float_matrices(draw(st.integers(1, 5)), draw(st.integers(0, 4)))),
         draw(st.integers(0, 2**63 - 1)),
         tuple(draw(st.lists(names, max_size=3))),
     )
@@ -631,10 +592,19 @@ def ground_truths(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(ground_truths())
+def test_ground_truth_round_trips_bit_exactly(tmp_path_factory, truth):
+    assume(truth.outcome_coef.shape[1])  # [[]] reads back as one empty row
+    path = save_ground_truth(truth, tmp_path_factory.mktemp("truth") / "ground_truth.json")
+    back = load_ground_truth(path)
+    assert bits(back.outcome_coef) == bits(truth.outcome_coef)
+    assert (back.seed, back.hidden) == (truth.seed, truth.hidden)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ground_truths())
 def test_save_ground_truth_bytes_equal_whole_document_encoding(tmp_path_factory, truth):
     obj = {
         "outcome_coef": truth.outcome_coef.tolist(),
-        "clean_logits": dict(zip(truth.ids.tolist(), truth.clean_logits.tolist())),
         "seed": truth.seed,
         "hidden": list(truth.hidden),
     }
@@ -749,8 +719,87 @@ def test_generated_and_edited_rows_equal_per_sample_draws(problem):
         assert np.array_equal(dataset.codes[row], codes)
         assert bits(dataset.embeddings[row]) == bits(embedding)
         assert bits(dataset.outputs[row]) == bits(output)
-        assert bits(truth.clean_logits[row]) == bits(clean)
         assert dataset.gold[row] == np.argmax(clean)
+
+
+@st.composite
+def hidden_synth_configs(draw):
+    """A `synth_configs` draw with a random proper subset of its attributes hidden."""
+    config, edits_per_sample = draw(synth_configs())
+    names = config.schema.names
+    hidden = draw(st.lists(st.sampled_from(names), max_size=len(names) - 1, unique=True))
+    return replace(config, hidden=frozenset(hidden)), edits_per_sample
+
+
+@settings(max_examples=60, deadline=None)
+@given(hidden_synth_configs(), st.sampled_from(["logit", "probability"]))
+def test_oracle_effect_equals_per_sample_clean_contrasts(problem, space):
+    # the oracle recomputes each row's clean outputs from outcome_coef and
+    # the complete labels; they must be the generator's, bit for bit
+    config, edits_per_sample = problem
+    dataset, truth = generate(config)
+    dataset = make_pairs(dataset, truth, config, edits_per_sample)
+    got = oracle_effect(truth, dataset, space)
+    p = dataset.pairs
+    assert got.shape == (len(p), config.n_outputs)
+    for k, (original, attribute, to) in enumerate(zip(p.original, p.attribute, p.to)):
+        before = synthesize_sample(config, int(original))[3]
+        after = synthesize_sample(config, int(original), (int(attribute), int(to)))[3]
+        if space == "probability":
+            before, after = softmax(before), softmax(after)
+        assert bits(got[k]) == bits(after - before)
+
+
+@st.composite
+def recoverable_configs(draw):
+    """A noiseless exact-recovery config with something hidden, and a pseudo-concept
+    count no smaller than the hidden blocks' rank."""
+    level_counts = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
+    attributes = [
+        (f"a{i}", [f"l{j}" for j in range(count)]) for i, count in enumerate(level_counts)
+    ]
+    hidden = draw(
+        st.lists(st.sampled_from(range(len(level_counts))), min_size=1,
+                 max_size=len(level_counts) - 1, unique=True)
+    )
+    width = sum(level_counts)
+    config = default_config(
+        n=draw(st.integers(80, 200)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        hidden=[f"a{a}" for a in hidden],
+        attributes=attributes,
+        n_classes=draw(st.integers(2, 5)),
+        embed_dim=draw(st.integers(width, width + 4)),
+        confounding=draw(st.sampled_from([0.0, 1.0, 3.0])),
+        embed_noise=0.0,
+        outcome_noise=0.0,
+        param_seed=draw(st.integers(0, 1000)),
+        exact_recovery=True,
+    )
+    hidden_rank = sum(level_counts[a] - 1 for a in hidden)
+    return config, draw(st.integers(hidden_rank, config.embed_dim))
+
+
+@settings(max_examples=40, deadline=None)
+@given(recoverable_configs())
+def test_mcce_recovers_the_oracle_when_pseudo_concepts_span_the_hidden_blocks(problem):
+    # The paper's claim: the embedding residual stands in for the hidden
+    # concepts, so with exact recovery, no outcome noise and enough
+    # pseudo-concepts the visible edits' effects are the oracle's.
+    config, n_pseudo = problem
+    dataset, truth = generate(config)
+    dataset = make_pairs(dataset, truth, config)
+    schema, rows = config.schema, dataset.fit_rows
+    # the claim needs every label combination's effect identified
+    complete = one_hot(schema, dataset.codes[rows])
+    assume(np.linalg.matrix_rank(complete) == schema.width - len(schema.names) + 1)
+    model = fit_mcce(dataset, n_pseudo=n_pseudo)
+    p = dataset.pairs
+    visible = schema.visible_mask(config.hidden)[p.attribute]
+    assume(visible.any())
+    got = explain_mcce(model, dataset, p.original[visible], p.attribute[visible], p.to[visible])
+    want = oracle_effect(truth, dataset, "logit")[visible]
+    assert np.max(np.abs(got - want)) < 1e-8
 
 
 # --- JSONL reader: the per-line reader it replaced -----------------------------------

@@ -34,7 +34,8 @@ def test_generate_is_deterministic():
     assert len(ds1.samples) == 60
     for column in ("ids", "codes", "embeddings", "outputs", "gold"):
         assert np.array_equal(getattr(ds1, column), getattr(ds2, column)), column
-    assert np.array_equal(t1.clean_logits, t2.clean_logits)
+    assert np.array_equal(t1.outcome_coef, t2.outcome_coef)
+    assert np.array_equal(t1.draws, t2.draws)
     # different data seed, same parameters
     ds3, _ = generate(small_config(seed=2))
     assert not np.array_equal(ds1.outputs, ds3.outputs)
@@ -67,7 +68,7 @@ def test_zero_flip_reproduces_sample_exactly():
             assert np.array_equal(codes, ds.codes[i])
             assert np.array_equal(embedding, ds.embeddings[i])
             assert np.array_equal(output, ds.outputs[i])
-            assert np.array_equal(clean, truth.clean_logits[i])
+            assert np.argmax(clean) == ds.gold[i]
 
 
 def test_edited_embedding_is_exact_map_contrast():
@@ -105,7 +106,8 @@ def test_oracle_effect_probability_space():
     p = ds.pairs
     want = softmax(ds.outputs[p.edited[:1]])[0] - softmax(ds.outputs[p.original[:1]])[0]
     assert np.allclose(oracle_effect(truth, ds, "probability")[0], want, atol=1e-12)
-    logit = truth.clean_logits[p.edited] - truth.clean_logits[p.original]
+    # outcome noise 0: the outputs are the clean logits themselves
+    logit = ds.outputs[p.edited] - ds.outputs[p.original]
     assert np.array_equal(oracle_effect(truth, ds, "logit"), logit)
 
 
@@ -238,10 +240,10 @@ def test_ground_truth_roundtrip(tmp_path):
     back = load_ground_truth(path)
     assert np.array_equal(back.outcome_coef, truth.outcome_coef)
     assert np.array_equal(oracle_effect(back, ds, "logit"), oracle_effect(truth, ds, "logit"))
-    partial = load_ground_truth(path)
-    partial.ids, partial.clean_logits = back.ids[:-1], back.clean_logits[:-1]
-    with pytest.raises(ValidationError):
-        oracle_effect(partial, ds, "logit")
+    narrow = load_ground_truth(path)
+    narrow.outcome_coef = back.outcome_coef[:-1]
+    with pytest.raises(ValidationError, match="'outcome_coef' has 11 rows.* has 12 columns"):
+        oracle_effect(narrow, ds, "logit")
 
 
 def test_make_pairs_refuses_existing_pairs():
