@@ -161,7 +161,8 @@ def _explain(dataset: Dataset, method: str, model, seed: int, truth=None, pair_s
     pairs that edit an attribute it hides. approx skips none and draws
     each estimate under its pair's seed from `pair_seeds`, the
     `_pair_seeds` of the dataset and `seed`. Returns (effects, metadata),
-    the effects file's contents.
+    the effects file's contents; `write_effects` adds the estimates'
+    method and space to the metadata line.
     """
     p = dataset.pairs
     pairs = dataset.unique_pairs()
@@ -191,7 +192,6 @@ def _explain(dataset: Dataset, method: str, model, seed: int, truth=None, pair_s
     effects = Effects.for_pairs(dataset, pairs, effect, method, space, fallback)
     metadata = {
         "method": method,
-        "space": dataset.space,
         "hidden": sorted(dataset.hidden_attributes),
         "seed": seed,
         "pairs_total": len(p),
@@ -296,14 +296,8 @@ def cmd_evaluate(args) -> int:
     metrics = _parse_metrics(args.metric)
     dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
     effects, meta = read_effects(args.effects)
-    effects_space = meta.get("space")
-    if effects_space is not None and effects_space != dataset.space:
-        raise ValidationError(
-            f"mixed-space comparison refused: estimates are in {effects_space!r} space, "
-            f"dataset was loaded in {dataset.space!r} space"
-        )
     hidden = frozenset(meta.get("hidden", ()))
-    metadata = {"method": meta.get("method"), "hidden": sorted(hidden), "seed": meta.get("seed")}
+    metadata = {"method": effects.method, "hidden": sorted(hidden), "seed": meta.get("seed")}
     reports = _reports(dataset, effects, metrics, metadata, hidden)
     _write_reports(Path(args.out), reports)
     for metric in metrics:

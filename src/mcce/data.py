@@ -46,7 +46,7 @@ import tempfile
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -532,8 +532,6 @@ _STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant)
 # It bounds the text and row objects held at a time; whole files of
 # them would multiply a load's or save's peak memory.
 _CHUNK_LINES = 1024
-# `iterencode` pieces per text batch that `write_json` hands the writer
-_DOC_PIECES = 4096
 _ROW_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
 _DOC_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 # The Python type that each JSON type named in a `read_jsonl` spec decodes
@@ -660,22 +658,13 @@ def read_json(path: str | Path, what: str) -> dict:
     return obj
 
 
-def _batches(pieces: Iterable[str], size: int):
-    """The strings of `pieces` joined `size` at a time."""
-    pieces = iter(pieces)
-    while batch := list(islice(pieces, size)):
-        yield "".join(batch)
-
-
 def write_json(path: str | Path, obj) -> Path:
     """Write `obj` atomically as an indented JSON document with sorted keys.
 
-    The file holds `_DOC_JSON.encode(obj)` and a newline. It is written
-    as `_DOC_JSON.iterencode(obj)` pieces joined `_DOC_PIECES` at a time,
-    the pieces that `encode` joins whole, so the bytes are the same and
-    the document's text is never held at once.
+    Documents are small (the largest is a model or an experiment summary),
+    so the text is encoded in one call.
     """
-    return write_text_atomic(path, chain(_batches(_DOC_JSON.iterencode(obj), _DOC_PIECES), ["\n"]))
+    return write_text_atomic(path, _DOC_JSON.encode(obj) + "\n")
 
 
 def _float_rows(column: list, lines: list[int], path: str | Path, key: str):
@@ -728,6 +717,8 @@ def _chunk_columns(rows: list, lines: list[int], path: str | Path, types: dict, 
         default = defaults.get(key, _ABSENT)
         column = [row.get(key, default) for row in rows]
         allowed = tuple(_JSON_TYPES[name] for name in names.split("|"))
+        if default is not _ABSENT:
+            allowed += (type(default),)
         if set(map(type, column)).difference(allowed):
             i = next(i for i, value in enumerate(column) if type(value) not in allowed)
             if column[i] is _ABSENT:
@@ -771,7 +762,9 @@ def read_jsonl(
     string array and a "numbers" column (rows that are lists of JSON
     numbers) as an (n, width) float64 array, or as its list of rows if
     they differ in length; any other column is a list. A key of
-    `defaults` may be absent and then reads as its default. If line 1
+    `defaults` may be absent and then reads as its default, which may be
+    of any type: a sentinel of a type that no JSON value has tells a
+    key left out from every value a row can state. If line 1
     holds the key `head`, it is the header, whose value must be an
     object (else the header is {}). Errors name the file, and the line
     when one is at fault.

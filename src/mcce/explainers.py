@@ -39,13 +39,14 @@ import functools
 import operator
 import warnings
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import (
+    _ABSENT,
     SPACE_LOGIT,
     ConceptSchema,
     Dataset,
@@ -714,17 +715,26 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
         raise ValidationError(f"{path}: malformed model document ({exc})") from exc
 
 
-# The effects file's key for each `Effects` field, in field order, and its JSON types.
+# The JSON types of an effects row's keys. A row may leave out `fallback`,
+# which then reads as false, and `method` and `space`, which then read as
+# the meta line's; rows of files written before the two moved to the meta
+# line state them.
 _EFFECT_TYPES = {
     **dict.fromkeys(("sample_id", "attribute", "from", "to"), "string"),
     "effect": "numbers", "method": "string|null", "space": "string|null", "fallback": "boolean",
 }
+_UNSTATED = object()  # a row's `method` or `space` left out
+_EFFECT_DEFAULTS = {"fallback": False, "method": _UNSTATED, "space": _UNSTATED}
 
 
 def write_effects(path: str | Path, effects: Effects, metadata: dict) -> Path:
     """Write effect estimates as JSONL, one line per estimate after a metadata line.
 
-    Non-finite effects raise NumericalError, since JSON cannot hold them.
+    The metadata line holds `metadata` with the estimates' `method` and
+    `space`, which no estimate's line repeats. Each estimate's line holds
+    `sample_id`, `attribute`, `from`, `to` and `effect`, and
+    `"fallback": true` when the estimate is flagged. Non-finite effects
+    raise NumericalError, since JSON cannot hold them.
     """
     bad = ~np.isfinite(effects.effect).all(axis=1)
     if bad.any():
@@ -732,24 +742,46 @@ def write_effects(path: str | Path, effects: Effects, metadata: dict) -> Path:
             f"{int(bad.sum())} of {len(effects)} effect estimates are not finite "
             f"(first: sample {str(effects.sample_id[np.argmax(bad)])!r}); not writing {path}"
         )
-    values = (getattr(effects, f.name) for f in fields(Effects))
-    return write_jsonl(path, dict(zip(_EFFECT_TYPES, values)), head=[{"meta": metadata}])
+    columns = {
+        "sample_id": effects.sample_id,
+        "attribute": effects.attribute,
+        "from": effects.from_level,
+        "to": effects.to_level,
+        "effect": effects.effect,
+        "fallback": [True if flagged else _ABSENT for flagged in effects.fallback.tolist()],
+    }
+    meta = {**metadata, "method": effects.method, "space": effects.space}
+    return write_jsonl(path, columns, head=[{"meta": meta}])
 
 
 def read_effects(path: str | Path) -> tuple[Effects, dict]:
     """Read an effects file; every estimate in it must share one method and space.
 
     The metadata line, when present, is line 1; its `hidden` entry, when
-    present, must be a list of attribute names.
+    present, must be a list of attribute names. The estimates' method
+    and space are the metadata's `method` and `space` (strings or null),
+    except where estimate lines state their own, as files written before
+    the two moved to the metadata line do: those lines' values stand.
     """
-    metadata, columns = read_jsonl(path, "effects", _EFFECT_TYPES, {"fallback": False}, "meta")
+    metadata, columns = read_jsonl(path, "effects", _EFFECT_TYPES, _EFFECT_DEFAULTS, "meta")
     hidden = metadata.get("hidden", [])
     if type(hidden) is not list or set(map(type, hidden)) - {str}:
         raise ValidationError(f"{path}:1: 'meta.hidden' must be a list of strings")
-    kinds = set(zip(columns["method"], columns["space"]))
+
+    def stated(key: str, value):
+        """An estimate line's `key`, or the metadata's where the line leaves it out."""
+        if value is not _UNSTATED:
+            return value
+        value = metadata.get(key)
+        if value is not None and type(value) is not str:
+            raise ValidationError(f"{path}:1: 'meta.{key}' must be a string or null")
+        return value
+
+    rows = set(zip(columns.pop("method"), columns.pop("space"))) or {(_UNSTATED, _UNSTATED)}
+    kinds = {(stated("method", method), stated("space", space)) for method, space in rows}
     if len(kinds) > 1:
         raise ValidationError(f"{path}: estimates mix methods or spaces: {sorted(kinds, key=str)}")
-    method, space = kinds.pop() if kinds else (metadata.get("method"), metadata.get("space"))
+    ((method, space),) = kinds
     try:
         effect = np.asarray(columns["effect"], dtype=np.float64)
     except ValueError:  # rows of unequal length
@@ -758,5 +790,5 @@ def read_effects(path: str | Path) -> tuple[Effects, dict]:
         raise ValidationError(
             f"{path}: every 'effect' must be a finite list of numbers, all of one length"
         )
-    columns.update(effect=effect, method=method, space=space)
-    return Effects(*columns.values()), metadata
+    names = (columns[key] for key in ("sample_id", "attribute", "from", "to"))
+    return Effects(*names, effect, method, space, columns["fallback"]), metadata

@@ -376,6 +376,36 @@ class TestExplainEvaluate:
         assert code == 2
         assert "probability" in capsys.readouterr().err
 
+    def test_slearner_effects_on_logit_data_are_scored_in_probability_space(
+        self, synth_dir, tmp_path, capsys
+    ):
+        # S-Learner effects are differences of predicted distributions, so
+        # they are in probability space whatever space the data was loaded in
+        model, effects = tmp_path / "m.json", tmp_path / "e.jsonl"
+        flags = dataset_flags(synth_dir)
+        assert run("fit", *flags, "--method", "slearner", "--space", "logit", "--out", model) == 0
+        assert run(
+            "explain", *flags, "--method", "slearner", "--model", model, "--space", "logit",
+            "--out", effects,
+        ) == 0
+        meta = json.loads(effects.read_text().splitlines()[0])["meta"]
+        assert meta["space"] == "probability"
+        out = tmp_path / "eval"
+        assert run(
+            "evaluate", *flags, "--effects", effects, "--space", "probability", "--metric", "l2",
+            "--out", out,
+        ) == 0
+        report = read_report(out / "report_l2.json")
+        scored = meta["pairs_total"] - meta["pairs_skipped"]
+        assert report["metadata"]["pairs_evaluated"] == scored > 0
+        capsys.readouterr()
+        code = run(
+            "evaluate", *flags, "--effects", effects, "--space", "logit",
+            "--out", tmp_path / "eval_logit",
+        )
+        assert code == 2
+        assert "estimates are in 'probability' space" in capsys.readouterr().err
+
     def test_evaluate_rejects_a_repeated_metric(self, synth_dir, oracle_report, tmp_path, capsys):
         code = run(
             "evaluate", *dataset_flags(synth_dir),
@@ -708,6 +738,25 @@ class TestLoaderErrors:
         assert self.evaluate(synth_dir, tmp_path, ['{"meta": {"hidden": 5}}']) == 2
         err = capsys.readouterr().err
         assert "e.jsonl:1: 'meta.hidden'" in err and "Traceback" not in err
+
+    def test_effects_meta_method_and_space_must_be_strings(self, synth_dir, tmp_path, capsys):
+        assert self.evaluate(synth_dir, tmp_path, ['{"meta": {"space": 5}}']) == 2
+        err = capsys.readouterr().err
+        assert "e.jsonl:1: 'meta.space' must be a string or null" in err and "Traceback" not in err
+
+    def test_effects_rows_that_mix_methods_exit_2(self, synth_dir, tmp_path, capsys):
+        # rows of files written before method and space moved to the meta
+        # line state both, and must agree
+        rows = [
+            {
+                "sample_id": "s000000", "attribute": "food", "from": "neg", "to": "pos",
+                "effect": [0.0] * 5, "method": method, "space": "logit", "fallback": False,
+            }
+            for method in ("mcce", "approx")
+        ]
+        lines = ['{"meta": {"method": "mcce", "space": "logit"}}', *map(json.dumps, rows)]
+        assert self.evaluate(synth_dir, tmp_path, lines) == 2
+        assert "e.jsonl: estimates mix methods or spaces" in capsys.readouterr().err
 
     def test_effects_fallback_must_be_boolean(self, synth_dir, tmp_path, capsys):
         row = {

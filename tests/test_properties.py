@@ -6,7 +6,8 @@ a changed label, and the closed-form mcce effect of one edit. The approx,
 effects-file and JSONL-reader references are earlier per-edit and
 per-row versions of the library code, kept to pin the faster versions
 bit for bit; `synthesize_sample` is the per-sample reference of the
-generator.
+generator. Effects files in the older layout, whose every row states its
+method and space, are written here too, for the reader to keep reading.
 """
 
 import csv
@@ -64,8 +65,9 @@ from mcce.data import (
     load_schema,
     read_jsonl,
 )
-from mcce.explainers import _EFFECT_TYPES, seeded_index
+from mcce.explainers import _EFFECT_DEFAULTS, _EFFECT_TYPES, _UNSTATED, seeded_index
 from mcce.errors import ValidationError
+from mcce.linalg import lstsq
 
 
 def reference_one_hot(schema, labels, hidden):
@@ -214,7 +216,7 @@ def test_dataset_and_effects_round_trip_bit_exactly(tmp_path_factory, dataset, d
     effects = Effects.for_pairs(dataset, np.arange(m), effect, "approx", "logit", fallback)
     write_effects(out / "effects.jsonl", effects, {"method": "approx"})
     read, meta = read_effects(out / "effects.jsonl")
-    assert meta == {"method": "approx"}
+    assert meta == {"method": "approx", "space": "logit"}
     assert (read.method, read.space) == ("approx", "logit")
     for column in ("sample_id", "attribute", "from_level", "to_level", "effect", "fallback"):
         assert np.array_equal(getattr(read, column), getattr(effects, column)), column
@@ -359,26 +361,37 @@ def test_seeded_index_covers_the_rejection_case():
     assert checked > 100
 
 
-# --- effects file: the per-row writer it replaced ----------------------------------
+# --- effects file: the per-row writer it replaced, and the older layout -------------
 
 
-def reference_effects_text(effects, metadata):
-    """write_effects' text as it was: one encoder call per estimate."""
-    lines = [_ROW_JSON.encode({"meta": metadata})]
+def effects_row_objects(effects):
+    """Each estimate's sample_id, attribute, from, to, effect and fallback flag."""
     columns = (effects.sample_id, effects.attribute, effects.from_level, effects.to_level)
     for sid, attribute, from_level, to_level, effect, fallback in zip(
         *(col.tolist() for col in columns), effects.effect.tolist(), effects.fallback.tolist()
     ):
-        obj = {
-            "sample_id": sid,
-            "attribute": attribute,
-            "from": from_level,
-            "to": to_level,
-            "effect": effect,
-            "method": effects.method,
-            "space": effects.space,
-            "fallback": fallback,
-        }
+        row = {"sample_id": sid, "attribute": attribute, "from": from_level, "to": to_level}
+        yield {**row, "effect": effect}, fallback
+
+
+def reference_effects_text(effects, metadata):
+    """write_effects' text, one encoder call per estimate."""
+    meta = {**metadata, "method": effects.method, "space": effects.space}
+    lines = [_ROW_JSON.encode({"meta": meta})]
+    for obj, fallback in effects_row_objects(effects):
+        lines.append(_ROW_JSON.encode({**obj, "fallback": True} if fallback else obj))
+    return "\n".join(lines) + "\n"
+
+
+def old_layout_effects_text(effects, metadata):
+    """An effects file as written before method and space moved to the meta line.
+
+    The meta line holds `metadata` as given; every estimate's line
+    states the method, the space and the fallback flag.
+    """
+    lines = [_ROW_JSON.encode({"meta": metadata})]
+    for obj, fallback in effects_row_objects(effects):
+        obj.update(method=effects.method, space=effects.space, fallback=fallback)
         lines.append(_ROW_JSON.encode(obj))
     return "\n".join(lines) + "\n"
 
@@ -415,6 +428,35 @@ def effects_tables(draw):
 def test_write_effects_bytes_equal_per_row_encoding(tmp_path_factory, effects, metadata):
     path = write_effects(tmp_path_factory.mktemp("effects") / "e.jsonl", effects, metadata)
     assert path.read_bytes() == reference_effects_text(effects, metadata).encode("utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(effects_tables(), st.dictionaries(names, st.one_of(st.none(), st.integers(), names)))
+def test_old_and_new_effects_layouts_read_to_equal_effects(tmp_path_factory, effects, metadata):
+    # the meta line of an old file held what its writer was given; the
+    # command line always gave the method and space
+    meta = {**metadata, "method": effects.method, "space": effects.space}
+    root = tmp_path_factory.mktemp("layouts")
+    new = write_effects(root / "new.jsonl", effects, metadata)
+    old = root / "old.jsonl"
+    old.write_text(old_layout_effects_text(effects, meta), encoding="utf-8")
+    for path in (new, old):
+        read, read_meta = read_effects(path)
+        assert effects_bits(read) == effects_bits(effects) and read_meta == meta
+
+
+def test_old_slearner_file_on_logit_data_reads_as_probability(tmp_path):
+    # before the estimates' space moved to the meta line, an S-Learner run on
+    # logit data wrote the data's space there above probability-space rows
+    effect = np.array([[0.25, -0.25], [0.5, -0.5]])
+    effects = Effects(["s0", "s1"], ["a", "a"], ["x", "x"], ["y", "y"], effect, "slearner",
+                      "probability", [False, True])
+    path = tmp_path / "old.jsonl"
+    meta = {"method": "slearner", "space": "logit", "seed": 0}
+    path.write_text(old_layout_effects_text(effects, meta), encoding="utf-8")
+    read, read_meta = read_effects(path)
+    assert (read.method, read.space) == ("slearner", "probability")
+    assert effects_bits(read) == effects_bits(effects) and read_meta == meta
 
 
 # --- dataset files: the per-row writer they replaced --------------------------------
@@ -751,19 +793,21 @@ def test_oracle_effect_equals_per_sample_clean_contrasts(problem, space):
 
 
 @st.composite
-def recoverable_configs(draw):
-    """A noiseless exact-recovery config with something hidden, and a pseudo-concept
-    count no smaller than the hidden blocks' rank."""
+def noiseless_configs(draw, hide=True):
+    """A noiseless exact-recovery config; if `hide`, some but not all of its
+    attributes are hidden, else none is."""
     level_counts = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
     attributes = [
         (f"a{i}", [f"l{j}" for j in range(count)]) for i, count in enumerate(level_counts)
     ]
-    hidden = draw(
-        st.lists(st.sampled_from(range(len(level_counts))), min_size=1,
-                 max_size=len(level_counts) - 1, unique=True)
-    )
+    hidden = []
+    if hide:
+        hidden = draw(
+            st.lists(st.sampled_from(range(len(level_counts))), min_size=1,
+                     max_size=len(level_counts) - 1, unique=True)
+        )
     width = sum(level_counts)
-    config = default_config(
+    return default_config(
         n=draw(st.integers(80, 200)),
         seed=draw(st.integers(0, 2**32 - 1)),
         hidden=[f"a{a}" for a in hidden],
@@ -776,7 +820,15 @@ def recoverable_configs(draw):
         param_seed=draw(st.integers(0, 1000)),
         exact_recovery=True,
     )
-    hidden_rank = sum(level_counts[a] - 1 for a in hidden)
+
+
+@st.composite
+def recoverable_configs(draw):
+    """A `noiseless_configs` draw with something hidden, and a pseudo-concept
+    count no smaller than the hidden blocks' rank."""
+    config = draw(noiseless_configs())
+    schema = config.schema
+    hidden_rank = int(np.sum(schema.sizes[~schema.visible_mask(config.hidden)] - 1))
     return config, draw(st.integers(hidden_rank, config.embed_dim))
 
 
@@ -800,6 +852,58 @@ def test_mcce_recovers_the_oracle_when_pseudo_concepts_span_the_hidden_blocks(pr
     got = explain_mcce(model, dataset, p.original[visible], p.attribute[visible], p.to[visible])
     want = oracle_effect(truth, dataset, "logit")[visible]
     assert np.max(np.abs(got - want)) < 1e-8
+
+
+def observed_regression(config, dataset):
+    """The fit of the outputs on the visible design alone, on a draw of `config`.
+
+    Returns (design, coefficients, visible pairs, each visible pair's
+    design change Δc_v); the draw is skipped unless the design has the
+    rank of one that observes every visible level, and has a visible pair.
+    """
+    schema, rows, p = config.schema, dataset.fit_rows, dataset.pairs
+    C_v = dataset.design_matrix(rows)
+    visible = schema.visible_mask(config.hidden)
+    assume(np.linalg.matrix_rank(C_v) == C_v.shape[1] - int(visible.sum()) + 1)
+    pairs = np.flatnonzero(visible[p.attribute])
+    assume(pairs.size)
+    codes = dataset.codes[p.original[pairs]]
+    edited = codes.copy()
+    edited[np.arange(pairs.size), p.attribute[pairs]] = p.to[pairs]
+    delta = one_hot(schema, edited, config.hidden) - one_hot(schema, codes, config.hidden)
+    return C_v, lstsq(C_v, dataset.outputs[rows]).coefficients, pairs, delta
+
+
+@settings(max_examples=40, deadline=None)
+@given(noiseless_configs())
+def test_observed_only_regression_error_is_the_omitted_variable_term(config):
+    # The paper's bias claim as an identity: fit on the visible concepts
+    # alone, the outputs' hidden part C_h β_h leaks into the visible
+    # coefficients through C_v⁺, and each visible edit's effect is off by
+    # exactly Δc_v · C_v⁺ C_h β_h.
+    dataset, truth = generate(config)
+    dataset = make_pairs(dataset, truth, config)
+    C_v, coef, pairs, delta = observed_regression(config, dataset)
+    schema = config.schema
+    shown = np.repeat(schema.visible_mask(config.hidden), schema.sizes)  # complete-layout columns
+    C_h = one_hot(schema, dataset.codes[dataset.fit_rows])[:, ~shown]
+    term = delta @ np.linalg.pinv(C_v) @ C_h @ truth.outcome_coef[~shown]
+    error = delta @ coef - oracle_effect(truth, dataset, "logit")[pairs]
+    assert np.max(np.abs(error - term)) < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(noiseless_configs(hide=False))
+def test_mcce_equals_the_observed_only_regression_when_nothing_is_hidden(config):
+    # with nothing hidden the embedding residual is rounding noise, and
+    # the pseudo-concepts add nothing to the visible fit
+    dataset, truth = generate(config)
+    dataset = make_pairs(dataset, truth, config)
+    _, coef, pairs, delta = observed_regression(config, dataset)
+    p = dataset.pairs
+    edits = p.original[pairs], p.attribute[pairs], p.to[pairs]
+    got = explain_mcce(fit_mcce(dataset), dataset, *edits)
+    assert np.max(np.abs(got - delta @ coef)) < 1e-8
 
 
 # --- JSONL reader: the per-line reader it replaced -----------------------------------
@@ -829,6 +933,8 @@ def reference_read_jsonl(path, what, types, defaults=None, head=None):
         default = (defaults or {}).get(key, _ABSENT)
         column = columns[key] = [row.get(key, default) for row in rows]
         allowed = tuple(_JSON_TYPES[name] for name in names.split("|"))
+        if default is not _ABSENT:
+            allowed += (type(default),)
         if set(map(type, column)).difference(allowed):
             i = next(i for i, value in enumerate(column) if type(value) not in allowed)
             if column[i] is _ABSENT:
@@ -932,16 +1038,25 @@ def reference_load_dataset(samples_path, pairs_path, schema_path):
 
 
 def reference_read_effects(path):
-    """read_effects as it was, on the whole-file reference reader."""
-    read = reference_read_jsonl(path, "effects", _EFFECT_TYPES, {"fallback": False}, "meta")
+    """read_effects on the whole-file reference reader."""
+    read = reference_read_jsonl(path, "effects", _EFFECT_TYPES, _EFFECT_DEFAULTS, "meta")
     metadata, columns = read
     hidden = metadata.get("hidden", [])
     if type(hidden) is not list or set(map(type, hidden)) - {str}:
         raise ValidationError(f"{path}:1: 'meta.hidden' must be a list of strings")
-    kinds = set(zip(columns["method"], columns["space"]))
+
+    def stated(key, value):
+        if value is _UNSTATED:
+            value = metadata.get(key)
+            if value is not None and type(value) is not str:
+                raise ValidationError(f"{path}:1: 'meta.{key}' must be a string or null")
+        return value
+
+    rows = list(zip(columns.pop("method"), columns.pop("space"))) or [(_UNSTATED, _UNSTATED)]
+    kinds = {(stated("method", method), stated("space", space)) for method, space in rows}
     if len(kinds) > 1:
         raise ValidationError(f"{path}: estimates mix methods or spaces: {sorted(kinds, key=str)}")
-    method, space = kinds.pop() if kinds else (metadata.get("method"), metadata.get("space"))
+    method, space = kinds.pop()
     try:
         effect = np.array(columns["effect"], dtype=np.float64)
     except (TypeError, ValueError):
@@ -950,8 +1065,8 @@ def reference_read_effects(path):
         raise ValidationError(
             f"{path}: every 'effect' must be a finite list of numbers, all of one length"
         )
-    columns.update(effect=effect, method=method, space=space)
-    return Effects(*columns.values()), metadata
+    names = (columns[key] for key in ("sample_id", "attribute", "from", "to"))
+    return Effects(*names, effect, method, space, columns["fallback"]), metadata
 
 
 CHUNK_SCHEMA = ConceptSchema.of([("a", ("x", "y", "z")), ("b", ("p", "q"))])
@@ -1027,7 +1142,9 @@ def chunked_files(draw, defective=False):
     """Samples, pairs and effects texts of one row count around the chunk size.
 
     Floats reach the ends of the range and some values are JSON ints;
-    blank lines fall near the chunk edges. If `defective`, one row of one
+    blank lines fall near the chunk edges. The effects rows all state
+    their method and space, as files written before the two moved to the
+    meta line do, or all leave them out. If `defective`, one row of one
     file, on either side of a chunk edge where the file has one, holds a
     defect.
     """
@@ -1050,6 +1167,7 @@ def chunked_files(draw, defective=False):
     embeddings, logits, effect = float_rows(d), float_rows(q), float_rows(q)
     codes = np.column_stack([rng.integers(size, size=count) for size in CHUNK_SCHEMA.sizes])
     gold = rng.integers(-1, q + 1, size=count)  # -1: key left out, q: null
+    old_layout = draw(st.booleans())
     samples, pairs, effects = [], [], [{"meta": {"method": "approx", "space": "logit"}}]
     for i in range(count):
         labels = dict(zip(CHUNK_SCHEMA.names, CHUNK_SCHEMA.level_names(np.arange(2), codes[i]).tolist()))
@@ -1061,7 +1179,8 @@ def chunked_files(draw, defective=False):
         ends = {"attribute": name, "from": labels[name], "to": labels[name]}
         pairs.append({"original_id": f"s{i}", "edited_id": f"s{i}", **ends})
         estimate = {"sample_id": f"s{i}", **ends, "effect": effect[i]}
-        estimate.update(method="approx", space="logit")
+        if old_layout:  # rows that state their method and space
+            estimate.update(method="approx", space="logit")
         if i % 3:
             estimate["fallback"] = bool(i % 2)
         effects.append(estimate)
