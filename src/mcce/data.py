@@ -6,15 +6,20 @@ schema.json
     {"attributes": [{"name": "food", "levels": ["neg", "unk", "pos"]}, ...]}
 
 samples.jsonl
-    {"id": "s000001", "concepts": {"food": "pos", ...},
-     "embedding": [...], "logits": [...], "gold": 3}
-    `gold` is optional: an integer label or null. `logits` always holds
-    the raw black-box outputs; probability-space operation applies a
-    softmax at load time.
+    {"meta": {"columns": ["id", "concepts", "embedding", "logits", "gold"]}}
+    ["s000001", {"food": "pos", ...}, [...], [...], 3]
+    `gold` is an integer label or null. `logits` always holds the raw
+    black-box outputs; probability-space operation applies a softmax at
+    load time.
 
 pairs.jsonl
-    {"original_id": "s000001", "edited_id": "s000001__food__neg",
-     "attribute": "food", "from": "pos", "to": "neg"}
+    {"meta": {"columns": ["original_id", "edited_id", "attribute", "from", "to"]}}
+    ["s000001", "s000001__food__neg", "food", "pos", "neg"]
+
+Every JSONL file is a table: line 1 names the columns in its meta
+object, and each later line is the array of one row's values in that
+order. Files of one object per row, as written by hand or by earlier
+versions, still read: `read_jsonl` gives both layouts the same columns.
 
 In memory a `Dataset` holds columns: sample ids, an (n, n_attrs) matrix
 of level codes (each an index into its attribute's levels), embeddings,
@@ -46,7 +51,7 @@ import tempfile
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -134,6 +139,8 @@ class ConceptSchema:
     def __post_init__(self):
         if not self.attributes:
             raise ValidationError("schema needs at least one attribute")
+        if _holds_nul(chain.from_iterable((name, *levels) for name, levels in self.attributes)):
+            raise ValidationError("attribute names and levels must not hold U+0000")
         seen: set[str] = set()
         for name, levels in self.attributes:
             if name in seen:
@@ -242,6 +249,15 @@ class ConceptSchema:
             levels = json_field(entry, "levels", "strings", f"schema attribute {name!r}")
             pairs.append((name, tuple(levels)))
         return cls(tuple(pairs))
+
+
+def _holds_nul(strings) -> bool:
+    """Whether any of `strings` holds U+0000.
+
+    numpy string arrays drop trailing NULs, so a name with one would
+    silently become another; no name may hold it.
+    """
+    return "\0" in "".join(strings)
 
 
 def _starts(sizes) -> np.ndarray:
@@ -547,15 +563,14 @@ _FIELD_TYPES = {
     "number": (int, float), "strings": (list,),
 }
 _NUMBER_TYPES = {int, float}
-# A JSONL value that leaves its key out of the row (a missing key, when read).
+# A key that a row or a `json_field` object leaves out.
 _ABSENT = object()
-# JSON text of each scalar a JSONL column may hold; "" for _ABSENT, which no value encodes to.
+# JSON text of each scalar a JSONL column may hold.
 _SCALAR_JSON = {
     str: encode_basestring_ascii,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
-    object: lambda _: "",
 }
 
 
@@ -689,9 +704,10 @@ def json_field(obj: dict, key: str, names: str, where: str | Path, default=_ABSE
 
     `names` joins with "|" the names of `_FIELD_TYPES`, as in
     "number|null". A bool is never an integer or number, and a number is
-    returned as a float. A missing key reads as `default` when one is
-    given. Otherwise it, and a value of another type, raise
-    ValidationError naming `where` and the key.
+    returned as a float. A "strings" list holds names (levels, hidden
+    attributes), so none may hold U+0000 (see `_holds_nul`). A missing
+    key reads as `default` when one is given. Otherwise it, and a value
+    of another type, raise ValidationError naming `where` and the key.
     """
     value = obj.get(key, default)
     if value is _ABSENT:
@@ -702,6 +718,8 @@ def json_field(obj: dict, key: str, names: str, where: str | Path, default=_ABSE
     if type(value) not in allowed or (strings and set(map(type, value)) - {str}):
         wording = names.replace("|", " or ").replace("strings", "a list of strings")
         raise ValidationError(f"{where}: {key!r} must be {wording}")
+    if strings and _holds_nul(value):
+        raise ValidationError(f"{where}: {key!r} must not hold U+0000")
     if "number" in kinds and type(value) is int:
         try:
             return float(value)
@@ -710,12 +728,63 @@ def json_field(obj: dict, key: str, names: str, where: str | Path, default=_ABSE
     return value
 
 
-def _chunk_columns(rows: list, lines: list[int], path: str | Path, types: dict, defaults: dict):
-    """Each key's values in `rows`, the objects on lines `lines` of `path`, checked and typed."""
+def _header(meta, path: str | Path, types: dict, defaults: dict) -> tuple[dict, list | None]:
+    """(metadata, column names) of a line-1 meta object; the names are None without `columns`.
+
+    A table's meta object lists its columns in `columns`: distinct
+    strings that include every key of `types` without a default. The
+    metadata is the rest of the meta object.
+    """
+    if type(meta) is not dict:
+        raise ValidationError(f"{path}:1: 'meta' must be a JSON object")
+    if "columns" not in meta:
+        return meta, None
+    meta = dict(meta)
+    names = meta.pop("columns")
+    if type(names) is not list or set(map(type, names)) - {str} or len(set(names)) < len(names):
+        raise ValidationError(f"{path}:1: 'meta.columns' must be a list of distinct strings")
+    missing = [key for key in types if key not in names and key not in defaults]
+    if missing:
+        raise ValidationError(f"{path}:1: 'meta.columns' lacks the required column {missing[0]!r}")
+    return meta, names
+
+
+def _row_values(rows: list, lines: list[int], path: str | Path, names, types: dict, defaults: dict):
+    """Each key of `types` mapped to its values in `rows`, the rows on lines `lines` of `path`.
+
+    With `names`, a table's columns, each row must be an array of one
+    value per column; without, each must be an object. A key that the
+    header or a row leaves out takes its default, else `_ABSENT`.
+    """
+    if names is None:
+        if set(map(type, rows)) - {dict}:
+            i = next(i for i, row in enumerate(rows) if type(row) is not dict)
+            raise ValidationError(f"{path}:{lines[i]}: expected a JSON object")
+        return {key: [row.get(key, defaults.get(key, _ABSENT)) for row in rows] for key in types}
+    width = len(names)
+    if set(map(type, rows)) - {list} or set(map(len, rows)) - {width}:
+        i = next(i for i, row in enumerate(rows) if type(row) is not list or len(row) != width)
+        raise ValidationError(
+            f"{path}:{lines[i]}: expected a JSON array of {width} values, one per column"
+        )
+    columns = dict(zip(names, map(list, zip(*rows))))
+    return {key: columns.get(key, [defaults.get(key, _ABSENT)] * len(rows)) for key in types}
+
+
+def _strings(column: list, names: str) -> list:
+    """The strings of a "string" column, or the string values of an "object" column's objects."""
+    if names == "string":
+        return column
+    values = list(chain.from_iterable(map(dict.values, column)))
+    return values if set(map(type, values)) <= {str} else [v for v in values if type(v) is str]
+
+
+def _chunk_columns(values: dict, lines: list[int], path: str | Path, types: dict, defaults: dict):
+    """Each key's `values`, those on lines `lines` of `path`, checked and typed."""
     columns = {}
     for key, names in types.items():
         default = defaults.get(key, _ABSENT)
-        column = [row.get(key, default) for row in rows]
+        column = values[key]
         allowed = tuple(_JSON_TYPES[name] for name in names.split("|"))
         if default is not _ABSENT:
             allowed += (type(default),)
@@ -725,6 +794,9 @@ def _chunk_columns(rows: list, lines: list[int], path: str | Path, types: dict, 
                 raise ValidationError(f"{path}:{lines[i]}: missing required key {key!r}")
             kinds = names.replace("|", " or ").replace("numbers", "list")
             raise ValidationError(f"{path}:{lines[i]}: {key!r} must be {kinds}")
+        if names in ("string", "object") and _holds_nul(_strings(column, names)):
+            i = next(i for i, value in enumerate(column) if _holds_nul(_strings([value], names)))
+            raise ValidationError(f"{path}:{lines[i]}: {key!r} must not hold U+0000")
         if names == "string":
             column = np.array(column, dtype=str)
         elif names == "numbers":
@@ -751,10 +823,9 @@ def read_jsonl(
     what: str,
     types: dict,
     defaults: dict | None = None,
-    head: str | None = None,
     convert: Callable[[dict], dict] | None = None,
 ) -> tuple[dict, dict]:
-    """Columns of a file that holds one JSON object per non-blank line.
+    """Columns of a JSONL table, or of a file of one JSON object per non-blank line.
 
     Returns (header, columns): `columns` maps each key of `types` to its
     values in line order, and `types[key]` names the JSON types they may
@@ -764,13 +835,21 @@ def read_jsonl(
     they differ in length; any other column is a list. A key of
     `defaults` may be absent and then reads as its default, which may be
     of any type: a sentinel of a type that no JSON value has tells a
-    key left out from every value a row can state. If line 1
-    holds the key `head`, it is the header, whose value must be an
-    object (else the header is {}). Errors name the file, and the line
-    when one is at fault.
+    key left out from every value a row can state. A string, or a string
+    value of an "object" column's object, must not hold U+0000.
+
+    A line-1 object whose one key is "meta" is the header, whose value
+    must be an object; `header` is that object without its `columns`,
+    or {} when there is no header. When the header lists `columns`, the
+    file is a table: each later non-blank line is a JSON array of one
+    row's values in that order, and a column the header leaves out reads
+    as its default. Otherwise each line is a JSON object whose keys name
+    its row's values. Both layouts go through the same checks, so the
+    same rows read to the same columns. Errors name the file, and the
+    line when one is at fault.
 
     The file is read a chunk of `_CHUNK_LINES` non-blank lines at a time,
-    and only one chunk's row objects are held at once. Each chunk is
+    and only one chunk's row values are held at once. Each chunk is
     decoded in one call (see `_decode_lines`), its columns are checked
     and typed, and then `convert`, when given, maps that chunk's columns
     to the blocks to keep (for example, label dicts to level codes).
@@ -779,22 +858,20 @@ def read_jsonl(
     paused meanwhile: decoded JSON holds no reference cycles, and
     collections triggered by the many new objects would only scan them.
     """
-    header, blocks = {}, {key: [] for key in types}
+    defaults = defaults or {}
+    header, names, blocks = {}, None, {key: [] for key in types}
     texts, lines = [], []
 
     def take_chunk():
-        nonlocal header
-        rows = _decode_lines(texts, lines, path)
-        if set(map(type, rows)) - {dict}:
-            i = next(i for i, row in enumerate(rows) if type(row) is not dict)
-            raise ValidationError(f"{path}:{lines[i]}: expected a JSON object")
-        row_lines = lines
-        if head is not None and lines[:1] == [1] and head in rows[0]:
-            header, rows, row_lines = rows[0][head], rows[1:], lines[1:]
-            if type(header) is not dict:
-                raise ValidationError(f"{path}:1: {head!r} must be a JSON object")
-        columns = _chunk_columns(rows, row_lines, path, types, defaults or {})
+        nonlocal header, names
+        rows, row_lines = _decode_lines(texts, lines, path), lines
+        if lines[:1] == [1] and type(rows[0]) is dict and rows[0].keys() == {"meta"}:
+            header, names = _header(rows[0]["meta"], path, types, defaults)
+            rows, row_lines = rows[1:], lines[1:]
+        values = _row_values(rows, row_lines, path, names, types, defaults)
         del rows
+        columns = _chunk_columns(values, row_lines, path, types, defaults)
+        del values
         for key, block in (convert(columns) if convert else columns).items():
             blocks[key].append(block)
 
@@ -816,81 +893,77 @@ def read_jsonl(
     return header, {key: _join(blocks.pop(key)) for key in types}
 
 
-def _encode_column(column) -> tuple[str, list[str] | None, str]:
-    """(open, texts, close): a JSONL column's value in each row is open + text + close.
+def _encode_column(column) -> tuple[str, list[str], str]:
+    """(open, texts, close): a `write_jsonl` column's value in each row is open + text + close.
 
-    A constant (one string or None for every row) has no texts; `open` is its JSON.
+    The column holds at least one row.
     """
-    if column is None or isinstance(column, str):
-        return _ROW_JSON.encode(column), None, ""
     if isinstance(column, dict):
-        # escaped text holds no raw newline, so each row is one line
-        return "", _encode_rows(column).split("\n")[:-1], ""
+        return "", _encode_objects(column), ""
     if not isinstance(column, np.ndarray):
         return "", [_SCALAR_JSON[type(value)](value) for value in column], ""
-    if column.ndim == 2 and len(column):
+    if column.ndim == 2:
         # the matrix holds only floats, so "], [" occurs only between rows
         return "[", _ROW_JSON.encode(column.tolist())[2:-2].split("], ["), "]"
     values = column.tolist()  # one dtype, so one type
-    return "", list(map(_SCALAR_JSON[type(values[0])], values)) if values else [], ""
+    return "", list(map(_SCALAR_JSON[type(values[0])], values)), ""
 
 
-def _encode_rows(columns: dict) -> str:
-    """One line per row; each holds the bytes `_ROW_JSON.encode` gives the row's object."""
+def _join_rows(labels: list[str], columns: list, end: str) -> list[str]:
+    """Each row's text: each column's label, the same in every row, and value in turn, then `end`."""
+    pieces, close = [], ""
+    for label, column in zip(labels, columns):
+        open_, texts, close_ = _encode_column(column)
+        pieces += [close + label + open_, texts]
+        close = close_
+    pieces.append(close + end)
+    return list(map("".join, zip(*(repeat(p) if isinstance(p, str) else p for p in pieces))))
+
+
+def _encode_objects(columns: dict) -> list[str]:
+    """Each row's object of a dict of columns, as `_ROW_JSON.encode` gives it: keys sorted."""
     keys = sorted(columns)
-    encoded = [_encode_column(columns[key]) for key in keys]
-    m = next(len(texts) for _, texts, _ in encoded if texts is not None)
-    step = 2 * len(keys) + 1
-    parts, close = [""] * (m * step), ""
-    for i, (key, (open_, texts, end)) in enumerate(zip(keys, encoded)):
-        fragment = close + (", " if i else "{") + encode_basestring_ascii(key) + ": " + open_
-        fragments = [fragment] * m
-        if isinstance(columns[key], list) and "" in texts:  # values left out
-            fragments = [fragment if text else close for text in texts]
-        parts[2 * i :: step] = fragments
-        if texts is not None:
-            parts[2 * i + 1 :: step] = texts
-        close = end
-    parts[step - 1 :: step] = [close + "}\n"] * m
-    return "".join(parts)
+    labels = [(", " if i else "{") + encode_basestring_ascii(key) + ": " for i, key in enumerate(keys)]
+    return _join_rows(labels, [columns[key] for key in keys], "}")
+
+
+def _encode_table(columns: dict) -> str:
+    """One line per row: the array of its values in column order, as `_ROW_JSON.encode` gives it."""
+    labels = ["["] + [", "] * (len(columns) - 1)
+    return "".join(_join_rows(labels, list(columns.values()), "]\n"))
 
 
 def _row_count(columns: dict) -> int:
-    """Rows of a `write_jsonl` column dict: the length of its first non-constant column."""
-    for column in columns.values():
-        if isinstance(column, dict):
-            return _row_count(column)
-        if column is not None and not isinstance(column, str):
-            return len(column)
-    raise ValidationError("a JSONL column dict needs a column with one value per row")
+    """Rows of a `write_jsonl` column dict, every column of which must have that many."""
+    counts = {_row_count(c) if isinstance(c, dict) else len(c) for c in columns.values()}
+    if len(counts) != 1:
+        raise ValidationError(f"JSONL columns need one common length, got {sorted(counts)}")
+    return counts.pop()
 
 
 def _row_slice(columns: dict, rows: slice) -> dict:
-    """The `rows` of every column of a `write_jsonl` column dict; constants stay as they are."""
+    """The `rows` of every column of a `write_jsonl` column dict."""
     return {
-        key: _row_slice(column, rows) if isinstance(column, dict)
-        else column if column is None or isinstance(column, str) else column[rows]
+        key: _row_slice(column, rows) if isinstance(column, dict) else column[rows]
         for key, column in columns.items()
     }
 
 
-def write_jsonl(path: str | Path, columns: dict, head=()) -> Path:
-    """Write the `head` objects, then one object per row of `columns`, one per line.
+def write_jsonl(path: str | Path, columns: dict, meta: dict | None = None) -> Path:
+    """Write `columns` as a JSONL table, one row per line after a meta line.
 
-    Each line holds the bytes `_ROW_JSON.encode` gives its object, but is
-    built a column at a time. A column is a float matrix (a list per row),
-    a dict of columns (an object per row), an array or list of strings,
-    ints, bools or None, or one string or None for every row. `_ABSENT` in
-    a list leaves the key out of that row; the first key in sorted order
-    is never left out. Rows are encoded and written `_CHUNK_LINES` at a
-    time, so the text of only one chunk is held at once.
+    Line 1 is `{"meta": ...}`, whose object is `meta` with `columns`, the
+    keys of `columns` in order. Each later line is the array of one
+    row's values in that order, as `_ROW_JSON.encode` gives it, but built
+    a column at a time. A column is a float matrix (a list per row), a
+    dict of columns (an object per row), or an array or list of strings,
+    ints, bools or None. Rows are encoded and written `_CHUNK_LINES` at
+    a time, so the text of only one chunk is held at once.
     """
+    head = _ROW_JSON.encode({"meta": {**(meta or {}), "columns": list(columns)}}) + "\n"
     starts = range(0, _row_count(columns), _CHUNK_LINES)
-    text = chain(
-        (_ROW_JSON.encode(obj) + "\n" for obj in head),
-        (_encode_rows(_row_slice(columns, slice(i, i + _CHUNK_LINES))) for i in starts),
-    )
-    return write_text_atomic(path, text)
+    chunks = (_encode_table(_row_slice(columns, slice(i, i + _CHUNK_LINES))) for i in starts)
+    return write_text_atomic(path, chain([head], chunks))
 
 
 def csv_text(header, rows) -> str:
@@ -966,9 +1039,10 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
         "concepts": {name: labels[:, a] for a, name in enumerate(schema.names)},
         "embedding": dataset.embeddings,
         "logits": dataset.outputs,
-        "gold": [g if g >= 0 else _ABSENT for g in dataset.gold.tolist()],
+        "gold": [g if g >= 0 else None for g in dataset.gold.tolist()],
     }
     write_jsonl(paths["samples"], samples)
-    pairs = dict(zip(("original_id", "attribute", "from", "to"), dataset.pair_names(slice(None))))
-    write_jsonl(paths["pairs"], {"edited_id": ids[dataset.pairs.edited], **pairs})
+    original_id, attribute, from_level, to_level = dataset.pair_names(slice(None))
+    pairs = (original_id, ids[dataset.pairs.edited], attribute, from_level, to_level)
+    write_jsonl(paths["pairs"], dict(zip(_PAIR_KEYS, pairs)))
     return paths

@@ -46,7 +46,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (
-    _ABSENT,
     SPACE_LOGIT,
     ConceptSchema,
     Dataset,
@@ -715,10 +714,10 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
         raise ValidationError(f"{path}: malformed model document ({exc})") from exc
 
 
-# The JSON types of an effects row's keys. A row may leave out `fallback`,
-# which then reads as false, and `method` and `space`, which then read as
-# the meta line's; rows of files written before the two moved to the meta
-# line state them.
+# The JSON types of an effects row's values. A file may leave out
+# `fallback`, which then reads as false, and `method` and `space`, which
+# then read as the meta line's; rows of files written before the two
+# moved to the meta line state them.
 _EFFECT_TYPES = {
     **dict.fromkeys(("sample_id", "attribute", "from", "to"), "string"),
     "effect": "numbers", "method": "string|null", "space": "string|null", "fallback": "boolean",
@@ -728,13 +727,13 @@ _EFFECT_DEFAULTS = {"fallback": False, "method": _UNSTATED, "space": _UNSTATED}
 
 
 def write_effects(path: str | Path, effects: Effects, metadata: dict) -> Path:
-    """Write effect estimates as JSONL, one line per estimate after a metadata line.
+    """Write effect estimates as a JSONL table, one line per estimate after a meta line.
 
-    The metadata line holds `metadata` with the estimates' `method` and
-    `space`, which no estimate's line repeats. Each estimate's line holds
-    `sample_id`, `attribute`, `from`, `to` and `effect`, and
-    `"fallback": true` when the estimate is flagged. Non-finite effects
-    raise NumericalError, since JSON cannot hold them.
+    The meta line holds `metadata` with the estimates' `method` and
+    `space`, which no estimate's line repeats. The columns are
+    `sample_id`, `attribute`, `from`, `to` and `effect`, and `fallback`
+    when an estimate is flagged. Non-finite effects raise NumericalError,
+    since JSON cannot hold them.
     """
     bad = ~np.isfinite(effects.effect).all(axis=1)
     if bad.any():
@@ -748,25 +747,27 @@ def write_effects(path: str | Path, effects: Effects, metadata: dict) -> Path:
         "from": effects.from_level,
         "to": effects.to_level,
         "effect": effects.effect,
-        "fallback": [True if flagged else _ABSENT for flagged in effects.fallback.tolist()],
     }
+    if effects.fallback.any():
+        columns["fallback"] = effects.fallback
     meta = {**metadata, "method": effects.method, "space": effects.space}
-    return write_jsonl(path, columns, head=[{"meta": meta}])
+    return write_jsonl(path, columns, meta)
 
 
 def read_effects(path: str | Path) -> tuple[Effects, dict]:
     """Read an effects file; every estimate in it must share one method and space.
 
     The metadata line, when present, is line 1; its `hidden` entry, when
-    present, must be a list of attribute names. The estimates' method
-    and space are the metadata's `method` and `space` (strings or null),
-    except where estimate lines state their own, as files written before
-    the two moved to the metadata line do: those lines' values stand.
+    present, must be a list of attribute names, and its `seed` an
+    integer or null. The estimates' method and space are the metadata's
+    `method` and `space` (strings or null), except where estimate lines
+    state their own, as files written before the two moved to the
+    metadata line do: those lines' values stand.
     """
-    metadata, columns = read_jsonl(path, "effects", _EFFECT_TYPES, _EFFECT_DEFAULTS, "meta")
-    hidden = metadata.get("hidden", [])
-    if type(hidden) is not list or set(map(type, hidden)) - {str}:
-        raise ValidationError(f"{path}:1: 'meta.hidden' must be a list of strings")
+    metadata, columns = read_jsonl(path, "effects", _EFFECT_TYPES, _EFFECT_DEFAULTS)
+    meta = {f"meta.{key}": value for key, value in metadata.items()}  # keys as errors name them
+    json_field(meta, "meta.hidden", "strings", f"{path}:1", [])
+    json_field(meta, "meta.seed", "integer|null", f"{path}:1", None)
 
     def stated(key: str, value):
         """An estimate line's `key`, or the metadata's where the line leaves it out."""

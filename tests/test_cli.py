@@ -41,6 +41,23 @@ def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def table_rows(path):
+    """The rows of a JSONL table as objects: each array keyed by the header's columns."""
+    head, *lines = path.read_text().splitlines()
+    columns = json.loads(head)["meta"]["columns"]
+    return [dict(zip(columns, json.loads(line))) for line in lines]
+
+
+def write_object_rows(path, rows):
+    """Write `rows` one object per line with no meta line, as a hand-made file holds them."""
+    return write_lines(path, map(json.dumps, rows))
+
+
+def write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -74,8 +91,8 @@ class TestSynth:
         for name in ("schema.json", "samples.jsonl", "pairs.jsonl", "ground_truth.json"):
             assert (synth_dir / name).exists(), name
         lines = (synth_dir / "samples.jsonl").read_text().splitlines()
-        assert len(lines) == 300  # 150 factual + 150 edited
-        assert len((synth_dir / "pairs.jsonl").read_text().splitlines()) == 150
+        assert len(lines) == 301  # the meta line, 150 factual and 150 edited rows
+        assert len((synth_dir / "pairs.jsonl").read_text().splitlines()) == 151
 
     def test_rerun_is_byte_identical(self, synth_dir, tmp_path):
         config = tmp_path / "config.json"
@@ -91,7 +108,8 @@ class TestSynth:
         assert run("synth", "--config", config, "--out", tmp_path / "d") == 0
         # the file is still written so downstream commands can always pass
         # --pairs; it simply has no rows
-        assert (tmp_path / "d" / "pairs.jsonl").read_text() == ""
+        columns = '["original_id", "edited_id", "attribute", "from", "to"]'
+        assert (tmp_path / "d" / "pairs.jsonl").read_text() == f'{{"meta": {{"columns": {columns}}}}}\n'
 
 
 class TestFit:
@@ -129,12 +147,11 @@ class TestFit:
             assert "converged=True" in proc.stdout and "grad_norm=" in proc.stdout
 
     def test_unobserved_level_warns_once(self, synth_dir, tmp_path):
-        rows = [json.loads(line) for line in (synth_dir / "samples.jsonl").read_text().splitlines()]
+        rows = table_rows(synth_dir / "samples.jsonl")
         for row in rows:
             if row["concepts"]["food"] == "pos":
                 row["concepts"]["food"] = "neg"
-        samples = tmp_path / "samples.jsonl"
-        samples.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        samples = write_object_rows(tmp_path / "samples.jsonl", rows)
         proc = run_process(
             "fit",
             "--schema", synth_dir / "schema.json",
@@ -327,9 +344,7 @@ class TestExplainEvaluate:
         capsys.readouterr()
         meta = json.loads(effects.read_text().splitlines()[0])["meta"]
         n_ambiance = sum(
-            1
-            for line in (synth_dir / "pairs.jsonl").read_text().splitlines()
-            if json.loads(line)["attribute"] == "ambiance"
+            1 for row in table_rows(synth_dir / "pairs.jsonl") if row["attribute"] == "ambiance"
         )
         assert meta["pairs_skipped"] == n_ambiance > 0
         assert meta["pairs_total"] == 150
@@ -573,7 +588,7 @@ class TestPredict:
         ) == 0
         out = capsys.readouterr().out
         assert "macro_f1" in out
-        lines = [json.loads(l) for l in preds.read_text().splitlines()]
+        lines = table_rows(preds)
         assert len(lines) == 300
         assert all(set(l) == {"id", "predicted", "gold"} for l in lines)
         score = float(out.split("macro_f1")[1].split()[0])
@@ -614,11 +629,10 @@ class TestPredict:
 
     def test_prediction_lines_equal_per_row_dumps(self, synth_dir, tmp_path, capsys):
         model = self.fit_gold_model(synth_dir, tmp_path, capsys)
-        rows = [json.loads(l) for l in (synth_dir / "samples.jsonl").read_text().splitlines()]
+        rows = table_rows(synth_dir / "samples.jsonl")
         for row in rows[::3]:
             del row["gold"]
-        samples = tmp_path / "samples.jsonl"
-        samples.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        samples = write_object_rows(tmp_path / "samples.jsonl", rows)
         preds = tmp_path / "predictions.jsonl"
         flags = ["--schema", synth_dir / "schema.json", "--samples", samples]
         assert run("predict", "--model", model, *flags, "--out", preds) == 0
@@ -626,9 +640,8 @@ class TestPredict:
         loaded = mcce.load_model(model)
         dataset = mcce.load_dataset(samples, None, synth_dir / "schema.json")
         predicted = mcce.predict_labels(loaded, dataset.mask(loaded.hidden_attributes)).tolist()
-        want = "".join(
-            json.dumps({"id": row["id"], "predicted": label, "gold": row.get("gold")}, sort_keys=True)
-            + "\n"
+        want = '{"meta": {"columns": ["id", "predicted", "gold"]}}\n' + "".join(
+            json.dumps([row["id"], label, row.get("gold")]) + "\n"
             for row, label in zip(rows, predicted)
         )
         assert preds.read_text() == want
@@ -688,7 +701,7 @@ class TestApproxExplain:
             ) == 0
             outs.append(digest(path))
         assert outs[0] == outs[1]
-        body = [json.loads(l) for l in (tmp_path / "a.jsonl").read_text().splitlines()[1:]]
+        body = table_rows(tmp_path / "a.jsonl")
         assert len(body) == 150
         assert all("effect" in row for row in body)
 
@@ -768,13 +781,10 @@ class TestLoaderErrors:
         assert "e.jsonl:2: 'fallback' must be boolean" in capsys.readouterr().err
 
     def fit_with(self, synth_dir, tmp_path, line, key, value):
-        """`mcce fit` on the samples file with `key` of line `line` set to `value`."""
-        lines = (synth_dir / "samples.jsonl").read_text().splitlines()
-        row = json.loads(lines[line - 1])
-        row[key] = value
-        lines[line - 1] = json.dumps(row)
-        samples = tmp_path / "samples.jsonl"
-        samples.write_text("\n".join(lines) + "\n")
+        """`mcce fit` on the samples as object rows, with `key` of line `line` set to `value`."""
+        rows = table_rows(synth_dir / "samples.jsonl")
+        rows[line - 1][key] = value
+        samples = write_object_rows(tmp_path / "samples.jsonl", rows)
         flags = ["--schema", synth_dir / "schema.json", "--samples", samples]
         return run("fit", *flags, "--out", tmp_path / "m.json")
 
@@ -806,7 +816,7 @@ class TestLoaderErrors:
 
     @pytest.mark.parametrize("key, bad", [("embedding", "0.5"), ("logits", True)])
     def test_sample_rows_must_hold_numbers(self, synth_dir, tmp_path, capsys, key, bad):
-        row = json.loads((synth_dir / "samples.jsonl").read_text().splitlines()[4])
+        row = table_rows(synth_dir / "samples.jsonl")[4]
         assert self.fit_with(synth_dir, tmp_path, 5, key, [bad, *row[key][1:]]) == 2
         err = capsys.readouterr().err
         assert f"samples.jsonl:5: {key!r} must hold only numbers" in err and "Traceback" not in err
@@ -814,7 +824,7 @@ class TestLoaderErrors:
     def test_effect_rows_must_hold_numbers(self, synth_dir, oracle_report, tmp_path, capsys):
         lines = (oracle_report.parent / "effects.jsonl").read_text().splitlines()
         row = json.loads(lines[2])
-        row["effect"][1] = "0.5"
+        row[json.loads(lines[0])["meta"]["columns"].index("effect")][1] = "0.5"
         lines[2] = json.dumps(row)
         assert self.evaluate(synth_dir, tmp_path, lines) == 2
         err = capsys.readouterr().err
@@ -1085,7 +1095,7 @@ class TestLoaderErrors:
     def test_nan_past_a_chunk_boundary_names_its_line(self, long_data, tmp_path, capsys):
         lines = (long_data / "samples.jsonl").read_text().splitlines()
         row = json.loads(lines[1024])
-        row["logits"][0] = float("nan")
+        row[json.loads(lines[0])["meta"]["columns"].index("logits")][0] = float("nan")
         lines[1024] = json.dumps(row)  # a bare NaN token on line 1025
         assert self.fit_lines(long_data, tmp_path, lines) == 2
         err = capsys.readouterr().err
@@ -1104,7 +1114,7 @@ class TestLoaderErrors:
     def test_missing_concept_label_is_named(self, synth_dir, tmp_path, capsys):
         lines = (synth_dir / "samples.jsonl").read_text().splitlines()
         row = json.loads(lines[3])
-        del row["concepts"]["food"]
+        del row[json.loads(lines[0])["meta"]["columns"].index("concepts")]["food"]
         lines[3] = json.dumps(row)
         assert self.fit_lines(synth_dir, tmp_path, lines) == 2
         err = capsys.readouterr().err
@@ -1118,4 +1128,194 @@ def test_experiment_mask_size_must_leave_an_attribute_visible(synth_dir, tmp_pat
     )
     assert code == 2
     assert "[1, 3]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+
+def edit_line(number, edit):
+    """A change to a list of JSONL lines: line `number`, decoded, goes through `edit`."""
+    def change(lines):
+        value = json.loads(lines[number - 1])
+        value = edit(value) or value
+        return [*lines[: number - 1], json.dumps(value), *lines[number:]]
+    return change
+
+
+def set_columns(columns):
+    def edit(head):
+        head["meta"]["columns"] = columns
+    return edit_line(1, edit)
+
+
+def drop_column(name):
+    """A change that takes column `name` out of a table's header and rows."""
+    def change(lines):
+        head, *rows = map(json.loads, lines)
+        at = head["meta"]["columns"].index(name)
+        for row in [head["meta"]["columns"], *rows]:
+            del row[at]
+        return [json.dumps(head), *map(json.dumps, rows)]
+    return change
+
+
+def as_object_rows(lines):
+    """A table's lines as object rows, with no meta line."""
+    head, *rows = map(json.loads, lines)
+    return [json.dumps(dict(zip(head["meta"]["columns"], row))) for row in rows]
+
+
+SAMPLE_COLUMNS = ["id", "concepts", "embedding", "logits", "gold"]
+
+
+class TestTableLayout:
+    """Every JSONL file mcce writes is a table; a malformed one exits 2 naming its file and line."""
+
+    def test_every_jsonl_file_starts_with_a_meta_line_naming_its_columns(
+        self, synth_dir, oracle_report, exp_dir, tmp_path, capsys
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 20, "seed": 1, "edits_per_sample": 0}))
+        assert run("synth", "--config", config, "--out", tmp_path / "d") == 0
+        model = tmp_path / "m.json"
+        flags = ["--schema", synth_dir / "schema.json", "--samples", synth_dir / "samples.jsonl"]
+        assert run("fit", *flags, "--targets", "gold", "--out", model) == 0
+        assert run("predict", "--model", model, *flags, "--out", tmp_path / "p.jsonl") == 0
+        approx = ["--method", "approx", "--out", tmp_path / "a.jsonl"]
+        assert run("explain", *dataset_flags(synth_dir), *approx) == 0
+        capsys.readouterr()
+        roots = (synth_dir, oracle_report.parent, *exp_dir, tmp_path)
+        paths = [path for root in roots for path in sorted(root.rglob("*.jsonl"))]
+        # samples, pairs, effects and predictions: written by synth, explain, experiment, predict
+        assert {path.name for path in paths} >= {"samples.jsonl", "pairs.jsonl", "effects.jsonl",
+                                                 "p.jsonl", "a.jsonl"}
+        for path in paths:
+            first = path.read_text().splitlines()[0]
+            assert first.startswith('{"meta": {'), path
+            columns = json.loads(first)["meta"]["columns"]
+            assert columns and all(type(name) is str for name in columns), path
+
+    @pytest.mark.parametrize("flags", [[False, False], [False, True]])
+    def test_fallback_column_only_when_an_estimate_is_flagged(self, tmp_path, flags):
+        effects = mcce.Effects(["s0", "s1"], ["a", "a"], ["x", "x"], ["y", "y"], np.zeros((2, 1)),
+                               "approx", "logit", flags)
+        path = mcce.write_effects(tmp_path / "e.jsonl", effects, {})
+        head, *rows = map(json.loads, path.read_text().splitlines())
+        flagged = ["fallback"] if any(flags) else []
+        assert head["meta"]["columns"] == ["sample_id", "attribute", "from", "to", "effect", *flagged]
+        assert [row[5:] for row in rows] == [[flag][: len(flagged)] for flag in flags]
+        assert mcce.read_effects(path)[0].fallback.tolist() == flags
+
+    MALFORMED = [
+        (set_columns("id"), ":1: 'meta.columns' must be a list of distinct strings"),
+        (set_columns([*SAMPLE_COLUMNS, "id"]), ":1: 'meta.columns' must be a list of distinct strings"),
+        (set_columns([1, *SAMPLE_COLUMNS[1:]]), ":1: 'meta.columns' must be a list of distinct strings"),
+        (drop_column("logits"), ":1: 'meta.columns' lacks the required column 'logits'"),
+        (edit_line(3, lambda row: row[:-1]), ":3: expected a JSON array of 5 values, one per column"),
+        (edit_line(3, lambda row: "s"), ":3: expected a JSON array of 5 values, one per column"),
+        (edit_line(3, lambda row: dict(zip(SAMPLE_COLUMNS, row))),
+         ":3: expected a JSON array of 5 values, one per column"),
+        (lambda lines: edit_line(3, lambda row: list(row.values()))(as_object_rows(lines)),
+         ":3: expected a JSON object"),
+    ]
+
+    @pytest.mark.parametrize("change, message", MALFORMED)
+    def test_malformed_header_or_row_exits_2(self, synth_dir, tmp_path, capsys, change, message):
+        lines = change((synth_dir / "samples.jsonl").read_text().splitlines())
+        samples = write_lines(tmp_path / "samples.jsonl", lines)
+        flags = ["--schema", synth_dir / "schema.json", "--samples", samples]
+        assert run("fit", *flags, "--out", tmp_path / "m.json") == 2
+        err = capsys.readouterr().err
+        assert f"samples.jsonl{message}" in err and "Traceback" not in err
+
+    def test_dropped_optional_column_reads_as_its_default(self, synth_dir, tmp_path, capsys):
+        lines = drop_column("gold")((synth_dir / "samples.jsonl").read_text().splitlines())
+        samples = write_lines(tmp_path / "samples.jsonl", lines)
+        dataset = mcce.load_dataset(samples, synth_dir / "pairs.jsonl", synth_dir / "schema.json")
+        assert (dataset.gold == -1).all() and len(dataset) == 300
+
+
+def nul(name):
+    """`name` with U+0000 after it, which numpy string arrays would drop."""
+    return name + "\x00"
+
+
+class TestNulInNames:
+    """A name in a file that holds U+0000 exits 2: numpy string arrays drop trailing NULs,
+    so "x\\x00" would read as "x"."""
+
+    def fit(self, data, tmp_path, samples=None, pairs=None, schema=None):
+        return run(
+            "fit", "--schema", schema or data / "schema.json",
+            "--samples", samples or data / "samples.jsonl",
+            "--pairs", pairs or data / "pairs.jsonl", "--out", tmp_path / "m.json",
+        )
+
+    @pytest.mark.parametrize("where, message", [
+        ("name", "schema.json: attribute names and levels must not hold U+0000"),
+        ("level", "schema.json: schema attribute 'ambiance': 'levels' must not hold U+0000"),
+    ])
+    def test_schema_names_and_levels(self, synth_dir, tmp_path, capsys, where, message):
+        obj = json.loads((synth_dir / "schema.json").read_text())
+        first = obj["attributes"][0]
+        if where == "name":
+            first["name"] = nul(first["name"])
+        else:  # levels "x" and "x\x00" were one level once numpy held them
+            first["levels"].append(nul(first["levels"][0]))
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(obj))
+        assert self.fit(synth_dir, tmp_path, schema=schema) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("column", ["id", "concepts"])
+    def test_sample_ids_and_labels(self, synth_dir, tmp_path, capsys, column):
+        def edit(row):
+            if column == "id":
+                row[0] = nul(row[0])
+            else:
+                row[1]["food"] = nul(row[1]["food"])
+        lines = edit_line(2, edit)((synth_dir / "samples.jsonl").read_text().splitlines())
+        samples = write_lines(tmp_path / "samples.jsonl", lines)
+        assert self.fit(synth_dir, tmp_path, samples=samples) == 2
+        err = capsys.readouterr().err
+        assert f"samples.jsonl:2: {column!r} must not hold U+0000" in err and "Traceback" not in err
+
+    def test_pairs(self, synth_dir, tmp_path, capsys):
+        rows = table_rows(synth_dir / "pairs.jsonl")
+        rows[0]["to"] = nul(rows[0]["to"])
+        pairs = write_object_rows(tmp_path / "pairs.jsonl", rows)  # checked as a table's are
+        assert self.fit(synth_dir, tmp_path, pairs=pairs) == 2
+        err = capsys.readouterr().err
+        assert "pairs.jsonl:1: 'to' must not hold U+0000" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("line, message", [
+        (1, "e.jsonl:1: 'meta.hidden' must not hold U+0000"),
+        (2, "e.jsonl:2: 'to' must not hold U+0000"),
+    ])
+    def test_effects_columns_and_hidden(self, synth_dir, oracle_report, tmp_path, capsys, line,
+                                        message):
+        def edit(value):
+            if line == 1:
+                value["meta"]["hidden"] = [nul("food")]
+            else:
+                value[3] = nul(value[3])
+        lines = edit_line(line, edit)((oracle_report.parent / "effects.jsonl").read_text().splitlines())
+        effects = write_lines(tmp_path / "e.jsonl", lines)
+        code = run("evaluate", *dataset_flags(synth_dir), "--effects", effects, "--out", tmp_path / "o")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [{"x": [1, 2]}, "0", 1.5, True])
+def test_evaluate_rejects_a_seed_that_is_not_an_integer(synth_dir, oracle_report, tmp_path, capsys,
+                                                         seed):
+    def edit(head):
+        head["meta"]["seed"] = seed
+    lines = edit_line(1, edit)((oracle_report.parent / "effects.jsonl").read_text().splitlines())
+    effects = write_lines(tmp_path / "e.jsonl", lines)
+    code = run("evaluate", *dataset_flags(synth_dir), "--effects", effects, "--out", tmp_path / "o")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "e.jsonl:1: 'meta.seed' must be integer or null" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()

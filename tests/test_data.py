@@ -19,7 +19,7 @@ from mcce import (
     save_dataset,
     softmax,
 )
-from mcce.data import write_text_atomic
+from mcce.data import write_jsonl, write_text_atomic
 
 SCHEMA = ConceptSchema.of([("a", ("x", "y")), ("b", ("u", "v", "w"))])
 
@@ -334,6 +334,13 @@ def test_write_text_atomic_failure_leaves_no_stray_file(tmp_path):
         write_text_atomic(path, "lone surrogate \ud800")  # not encodable as UTF-8
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
     assert path.read_text() == "old\n"
+
+
+def test_write_jsonl_rejects_columns_of_unequal_length(tmp_path):
+    # rows are zipped from the columns, which would drop the longer columns' tails
+    with pytest.raises(ValidationError, match="one common length"):
+        write_jsonl(tmp_path / "t.jsonl", {"a": ["x", "y"], "b": {"c": ["z"]}})
+    assert not (tmp_path / "t.jsonl").exists()
 
 
 def test_write_text_atomic_writes_pieces_and_a_failing_piece_leaves_no_stray_file(tmp_path):

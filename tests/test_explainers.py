@@ -588,8 +588,8 @@ def test_read_effects_rejects_non_finite_tokens(tmp_path):
     path = tmp_path / "effects.jsonl"
     write_effects(path, current_b_effects(ds, model, np.arange(1)), {"method": "mcce"})
     meta, row = path.read_text().splitlines()
-    obj = json.loads(row)
-    obj["effect"][0] = float("inf")
-    path.write_text(meta + "\n" + json.dumps(obj) + "\n")  # bare Infinity token
+    values = json.loads(row)
+    values[json.loads(meta)["meta"]["columns"].index("effect")][0] = float("inf")
+    path.write_text(meta + "\n" + json.dumps(values) + "\n")  # bare Infinity token
     with pytest.raises(ValidationError, match="non-finite"):
         read_effects(path)

@@ -1,0 +1,41 @@
+"""The package namespace: `import mcce` is lazy, and every exported name resolves."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mcce
+
+SRC = str(Path(mcce.__file__).resolve().parents[1])
+
+CHECK = """
+import sys
+import mcce
+loaded = sorted(name for name in sys.modules if name == "numpy" or name.startswith("mcce."))
+assert not loaded, loaded
+for name in mcce.__all__:
+    getattr(mcce, name)
+assert "numpy" in sys.modules
+namespace = {}
+exec("from mcce import *", namespace)
+assert set(mcce.__all__) <= set(namespace), set(mcce.__all__) - set(namespace)
+from mcce import cli, explainers, linalg
+print("ok")
+"""
+
+
+def test_import_loads_no_submodule_and_every_name_resolves():
+    # a fresh interpreter: this one has imported numpy and the submodules already
+    proc = subprocess.run(
+        [sys.executable, "-c", CHECK], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mcce.no_such_name

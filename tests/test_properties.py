@@ -6,8 +6,9 @@ a changed label, and the closed-form mcce effect of one edit. The approx,
 effects-file and JSONL-reader references are earlier per-edit and
 per-row versions of the library code, kept to pin the faster versions
 bit for bit; `synthesize_sample` is the per-sample reference of the
-generator. Effects files in the older layout, whose every row states its
-method and space, are written here too, for the reader to keep reading.
+generator. Data and effects files of one object per row, the layouts
+written before the table layout, are written here too, for the reader to
+keep reading them to the same columns as their tables.
 """
 
 import csv
@@ -64,6 +65,7 @@ from mcce.data import (
     _parse_json,
     load_schema,
     read_jsonl,
+    write_jsonl,
 )
 from mcce.explainers import _EFFECT_DEFAULTS, _EFFECT_TYPES, _UNSTATED, seeded_index
 from mcce.errors import ValidationError
@@ -361,7 +363,7 @@ def test_seeded_index_covers_the_rejection_case():
     assert checked > 100
 
 
-# --- effects file: the per-row writer it replaced, and the older layout -------------
+# --- effects file: per-row writers of its layouts ----------------------------------
 
 
 def effects_row_objects(effects):
@@ -375,7 +377,25 @@ def effects_row_objects(effects):
 
 
 def reference_effects_text(effects, metadata):
-    """write_effects' text, one encoder call per estimate."""
+    """write_effects' table, one encoder call per estimate.
+
+    The `fallback` column is there only when an estimate is flagged.
+    """
+    columns = ["sample_id", "attribute", "from", "to", "effect"]
+    flagged = bool(effects.fallback.any())
+    meta = {**metadata, "method": effects.method, "space": effects.space}
+    lines = [_ROW_JSON.encode({"meta": {**meta, "columns": columns + ["fallback"] * flagged}})]
+    for obj, fallback in effects_row_objects(effects):
+        lines.append(_ROW_JSON.encode([*obj.values(), *[fallback] * flagged]))
+    return "\n".join(lines) + "\n"
+
+
+def object_rows_effects_text(effects, metadata):
+    """An effects file of one object per estimate, whose meta line states the method and space.
+
+    Files were written this way after the two moved to the meta line and
+    before the table layout: a row holds `"fallback": true` when flagged.
+    """
     meta = {**metadata, "method": effects.method, "space": effects.space}
     lines = [_ROW_JSON.encode({"meta": meta})]
     for obj, fallback in effects_row_objects(effects):
@@ -396,9 +416,16 @@ def old_layout_effects_text(effects, metadata):
     return "\n".join(lines) + "\n"
 
 
-# names with JSON escapes, non-ASCII text and the row separator of an encoded matrix
+# Names with JSON escapes, non-ASCII text and the row separator of an
+# encoded matrix. No name holds U+0000, which the readers reject.
 pieces = ['"', "\\", "], [", "[[", "]]", "é", "\u20ac", "😀", "\n", "a"]
-names = st.one_of(st.text(max_size=6), st.lists(st.sampled_from(pieces), max_size=4).map("".join))
+names = st.one_of(
+    st.text(st.characters(exclude_characters="\x00"), max_size=6),
+    st.lists(st.sampled_from(pieces), max_size=4).map("".join),
+)
+# metadata keys: a meta line's `columns` is the writer's own
+meta_keys = names.filter(lambda name: name != "columns")
+metadata_dicts = st.dictionaries(meta_keys, st.one_of(st.none(), st.integers(), names))
 edge_floats = st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1.7976931348623157e308]
 )
@@ -424,23 +451,24 @@ def effects_tables(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(effects_tables(), st.dictionaries(names, st.one_of(st.none(), st.integers(), names)))
+@given(effects_tables(), metadata_dicts)
 def test_write_effects_bytes_equal_per_row_encoding(tmp_path_factory, effects, metadata):
     path = write_effects(tmp_path_factory.mktemp("effects") / "e.jsonl", effects, metadata)
     assert path.read_bytes() == reference_effects_text(effects, metadata).encode("utf-8")
 
 
 @settings(max_examples=100, deadline=None)
-@given(effects_tables(), st.dictionaries(names, st.one_of(st.none(), st.integers(), names)))
+@given(effects_tables(), metadata_dicts)
 def test_old_and_new_effects_layouts_read_to_equal_effects(tmp_path_factory, effects, metadata):
     # the meta line of an old file held what its writer was given; the
     # command line always gave the method and space
     meta = {**metadata, "method": effects.method, "space": effects.space}
     root = tmp_path_factory.mktemp("layouts")
     new = write_effects(root / "new.jsonl", effects, metadata)
-    old = root / "old.jsonl"
+    objects, old = root / "objects.jsonl", root / "old.jsonl"
+    objects.write_text(object_rows_effects_text(effects, metadata), encoding="utf-8")
     old.write_text(old_layout_effects_text(effects, meta), encoding="utf-8")
-    for path in (new, old):
+    for path in (new, objects, old):
         read, read_meta = read_effects(path)
         assert effects_bits(read) == effects_bits(effects) and read_meta == meta
 
@@ -459,11 +487,11 @@ def test_old_slearner_file_on_logit_data_reads_as_probability(tmp_path):
     assert effects_bits(read) == effects_bits(effects) and read_meta == meta
 
 
-# --- dataset files: the per-row writer they replaced --------------------------------
+# --- dataset files: per-row writers of their layouts --------------------------------
 
 
-def reference_dataset_texts(dataset):
-    """save_dataset's samples.jsonl and pairs.jsonl as they were: one encoder call per row."""
+def dataset_row_objects(dataset):
+    """Each sample's object, without `gold` when it has none, and each pair's object."""
     schema, ids, codes, p = dataset.schema, dataset.ids.tolist(), dataset.codes, dataset.pairs
     samples = []
     for i, sid in enumerate(ids):
@@ -476,7 +504,7 @@ def reference_dataset_texts(dataset):
         }
         if dataset.gold[i] >= 0:
             obj["gold"] = int(dataset.gold[i])
-        samples.append(_ROW_JSON.encode(obj) + "\n")
+        samples.append(obj)
     pairs = []
     for original, edited, a, to in zip(p.original, p.edited, p.attribute, p.to):
         name, levels = schema.attributes[a]
@@ -487,19 +515,35 @@ def reference_dataset_texts(dataset):
             "from": levels[codes[original, a]],
             "to": levels[to],
         }
-        pairs.append(_ROW_JSON.encode(obj) + "\n")
-    return "".join(samples), "".join(pairs)
+        pairs.append(obj)
+    return samples, pairs
 
 
-# numpy string arrays drop trailing NULs, which would change a name in a file
-file_names = names.filter(lambda name: not name.endswith("\x00"))
+SAMPLE_COLUMNS = ["id", "concepts", "embedding", "logits", "gold"]
+PAIR_COLUMNS = ["original_id", "edited_id", "attribute", "from", "to"]
+
+
+def reference_dataset_texts(dataset):
+    """save_dataset's samples.jsonl and pairs.jsonl tables: one encoder call per row."""
+    texts = []
+    for rows, columns in zip(dataset_row_objects(dataset), (SAMPLE_COLUMNS, PAIR_COLUMNS)):
+        lines = [_ROW_JSON.encode({"meta": {"columns": columns}})]
+        lines += [_ROW_JSON.encode([row.get(key) for key in columns]) for row in rows]
+        texts.append("".join(line + "\n" for line in lines))
+    return texts
+
+
+def object_rows_dataset_texts(dataset):
+    """samples.jsonl and pairs.jsonl of one object per row and no meta line, as written before."""
+    rows = dataset_row_objects(dataset)
+    return ["".join(_ROW_JSON.encode(row) + "\n" for row in file_rows) for file_rows in rows]
 
 
 @st.composite
 def file_datasets(draw):
     """Random names, floats at the edges of the range, gold on some rows, and edit pairs."""
-    attribute_names = draw(st.lists(file_names, min_size=1, max_size=3, unique=True))
-    level_lists = st.lists(file_names, min_size=2, max_size=3, unique=True)
+    attribute_names = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    level_lists = st.lists(names, min_size=2, max_size=3, unique=True)
     schema = ConceptSchema.of((name, draw(level_lists)) for name in attribute_names)
     n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -511,7 +555,7 @@ def file_datasets(draw):
     edited_codes[np.arange(original.size), attribute] = to
     codes = np.concatenate([codes, edited_codes])
     rows = len(codes)
-    ids = draw(st.lists(file_names, min_size=rows, max_size=rows, unique=True))
+    ids = draw(st.lists(names, min_size=rows, max_size=rows, unique=True))
     d, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     gold = draw(st.lists(st.one_of(st.just(-1), st.integers(0, 2**62)), min_size=rows, max_size=rows))
     return Dataset(
@@ -532,6 +576,18 @@ def test_save_dataset_bytes_equal_per_row_encoding(tmp_path_factory, dataset):
     samples, pairs = reference_dataset_texts(dataset)
     assert paths["samples"].read_bytes() == samples.encode("utf-8")
     assert paths["pairs"].read_bytes() == pairs.encode("utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(file_datasets())
+def test_object_rows_and_table_datasets_load_bit_equal(tmp_path_factory, dataset):
+    paths = save_dataset(dataset, tmp_path_factory.mktemp("dataset"))
+    root = tmp_path_factory.mktemp("objects")
+    for name, text in zip(("samples", "pairs"), object_rows_dataset_texts(dataset)):
+        (root / f"{name}.jsonl").write_text(text, encoding="utf-8")
+    table = load_dataset(paths["samples"], paths["pairs"], paths["schema"])
+    objects = load_dataset(root / "samples.jsonl", root / "pairs.jsonl", paths["schema"])
+    assert dataset_bits(objects) == dataset_bits(table)
 
 
 # --- model and ground-truth files --------------------------------------------------
@@ -990,18 +1046,23 @@ def jsonl_files(draw):
     for at in draw(st.lists(places, max_size=6)):
         lines.insert(at, draw(st.sampled_from(["", " ", "\t"])))
     if draw(st.booleans()):
-        lines.insert(0, json.dumps({"meta": draw(st.dictionaries(names, names, max_size=2))}))
+        lines.insert(0, json.dumps({"meta": draw(st.dictionaries(meta_keys, names, max_size=2))}))
     if draw(st.booleans()):
         at = min(draw(places), len(lines))
         lines[at:at] = draw(st.sampled_from(TRICKY_RUNS))
     return "".join(line + "\n" for line in lines)
 
 
+def reference_object_reader(path, what, types, defaults=None):
+    """The reference reader on a file of object rows, whose header is a line-1 "meta" object."""
+    return reference_read_jsonl(path, what, types, defaults, head="meta")
+
+
 def read_outcome(read, path):
     """repr of the header and columns `read` returns, each array as its list, or the error."""
     try:
         header, columns = read(path, "rows", {"id": "string", "v": "list", "g": "integer|null"},
-                               {"v": [], "g": None}, head="meta")
+                               {"v": [], "g": None})
     except ValidationError as exc:
         return f"ValidationError: {exc}"
     listed = {k: c.tolist() if isinstance(c, np.ndarray) else c for k, c in columns.items()}
@@ -1013,7 +1074,7 @@ def read_outcome(read, path):
 def test_read_jsonl_equals_per_line_reference(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("jsonl") / "rows.jsonl"
     path.write_text(text, encoding="utf-8")
-    assert read_outcome(read_jsonl, path) == read_outcome(reference_read_jsonl, path)
+    assert read_outcome(read_jsonl, path) == read_outcome(reference_object_reader, path)
 
 
 @pytest.mark.parametrize("run", TRICKY_RUNS)
@@ -1022,7 +1083,7 @@ def test_read_jsonl_tricky_runs_equal_per_line_reference(tmp_path, run):
     path = tmp_path / "rows.jsonl"
     path.write_text("".join(line + "\n" for line in [*rows[:2], *run, rows[2]]), encoding="utf-8")
     got = read_outcome(read_jsonl, path)
-    assert got == read_outcome(reference_read_jsonl, path)
+    assert got == read_outcome(reference_object_reader, path)
     assert got.startswith("ValidationError: ")
 
 
@@ -1252,6 +1313,132 @@ def test_chunked_load_errors_equal_whole_file_reference(tmp_path_factory, texts)
     assert load_error(load_dataset, *paths) == load_error(reference_load_dataset, *paths)
     path = root / "effects.jsonl"
     assert load_error(read_effects, path) == load_error(reference_read_effects, path)
+
+
+EFFECT_COLUMNS = ["sample_id", "attribute", "from", "to", "effect"]
+
+
+def as_table(text, columns, defaults):
+    """An object-row JSONL text as a table of `columns`, with its blank lines kept.
+
+    A key that a row leaves out is written as its default, and the
+    entries of a line-1 meta object are kept in the table's.
+    """
+    meta, lines = {}, text.split("\n")[:-1]
+    if lines and lines[0].strip() and json.loads(lines[0]).keys() == {"meta"}:
+        meta, lines = json.loads(lines[0])["meta"], lines[1:]
+    rows = [
+        line if not line.strip() else json.dumps([json.loads(line).get(k, defaults.get(k)) for k in columns])
+        for line in lines
+    ]
+    head = json.dumps({"meta": {**meta, "columns": columns}})
+    return "".join(line + "\n" for line in [head, *rows])
+
+
+@settings(max_examples=20, deadline=None)
+@given(chunked_files())
+def test_chunked_tables_load_equal_object_rows(tmp_path_factory, texts):
+    stated = '"method"' in texts["effects"].split("\n", 2)[1]  # rows of the older layout
+    tables = {
+        "samples": as_table(texts["samples"], SAMPLE_COLUMNS, {}),
+        "pairs": as_table(texts["pairs"], PAIR_COLUMNS, {}),
+        "effects": as_table(
+            texts["effects"], EFFECT_COLUMNS + ["fallback"] + ["method", "space"] * stated,
+            {"fallback": False},
+        ),
+    }
+    loaded = []
+    for files in (texts, tables):
+        root = write_chunked_files(tmp_path_factory, files)
+        dataset = load_dataset(root / "samples.jsonl", root / "pairs.jsonl", root / "schema.json")
+        effects, metadata = read_effects(root / "effects.jsonl")
+        loaded.append((dataset_bits(dataset), effects_bits(effects), metadata))
+    assert loaded[0] == loaded[1]
+
+
+# --- JSONL tables of random columns --------------------------------------------------
+
+LEFT_OUT = "left out"  # a column of the read spec that no table below holds
+
+
+@st.composite
+def jsonl_tables(draw):
+    """(columns, types, metadata, m) for a table of m = 0, 1, 2, 1024 or 1025 rows.
+
+    Each column holds strings, integers or null, booleans, rows of
+    floats, or objects whose values are strings.
+    """
+    m = draw(st.sampled_from([0, 1, 2, 1024, 1025]))
+    keys = draw(st.lists(names.filter(lambda key: key != LEFT_OUT), min_size=1, max_size=5, unique=True))
+    pool = np.array(draw(st.lists(names, min_size=1, max_size=4)), dtype=object)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def strings():
+        return np.array(pool[rng.integers(len(pool), size=m)].tolist(), dtype=str)
+
+    columns, types = {}, {}
+    for key in keys:
+        kind = types[key] = draw(st.sampled_from(["string", "integer|null", "boolean", "numbers", "object"]))
+        if kind == "string":
+            columns[key] = strings()
+        elif kind == "integer|null":
+            values = rng.integers(-(2**62), 2**62, size=m).tolist()
+            columns[key] = [None if rng.random() < 0.3 else value for value in values]
+        elif kind == "boolean":
+            columns[key] = rng.random(m) < 0.5
+        elif kind == "numbers":
+            width = int(rng.integers(0, 4))
+            edge = [0.0, -0.0, 5e-324, 1e308, -1.7976931348623157e308]
+            values = rng.standard_normal((m, width)) * 10.0 ** rng.integers(-300, 300, (m, width))
+            picked = rng.random((m, width)) < 0.2
+            values[picked] = rng.choice(edge, int(picked.sum()))
+            columns[key] = values
+        else:
+            inner = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+            columns[key] = {name: strings() for name in inner}
+    return columns, types, draw(metadata_dicts), m
+
+
+def row_values(columns, m):
+    """Each row's values, in column order, as the JSON encoder takes them."""
+    def value(column, i):
+        if isinstance(column, dict):
+            return {name: value(inner, i) for name, inner in column.items()}
+        item = column[i]
+        return item.tolist() if isinstance(item, np.generic | np.ndarray) else item
+    return [[value(column, i) for column in columns.values()] for i in range(m)]
+
+
+def column_bits(columns):
+    return {
+        key: (c.dtype.str, c.shape, c.tobytes()) if isinstance(c, np.ndarray) else repr(c)
+        for key, c in columns.items()
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(jsonl_tables())
+def test_jsonl_tables_round_trip_and_equal_object_rows(tmp_path_factory, table):
+    columns, types, metadata, m = table
+    rows = row_values(columns, m)
+    root = tmp_path_factory.mktemp("table")
+    path = write_jsonl(root / "table.jsonl", columns, metadata)
+    head = _ROW_JSON.encode({"meta": {**metadata, "columns": list(columns)}})
+    want = "".join(line + "\n" for line in [head, *map(_ROW_JSON.encode, rows)])
+    assert path.read_bytes() == want.encode("utf-8")
+
+    objects = root / "objects.jsonl"
+    lines = [{"meta": metadata}, *(dict(zip(columns, row)) for row in rows)]
+    objects.write_text("".join(_ROW_JSON.encode(line) + "\n" for line in lines), encoding="utf-8")
+    spec, defaults = {**types, LEFT_OUT: "integer"}, {LEFT_OUT: None}
+    header, read = read_jsonl(path, "table", spec, defaults)
+    object_header, object_read = read_jsonl(objects, "objects", spec, defaults)
+    assert header == object_header == metadata
+    assert column_bits(read) == column_bits(object_read)
+    assert read.pop(LEFT_OUT) == [None] * m
+    for key, column in columns.items():
+        got = read[key].tolist() if isinstance(read[key], np.ndarray) else read[key]
+        assert got == [row[list(columns).index(key)] for row in rows], key
 
 
 # --- global report: the per-level reference ------------------------------------------
