@@ -1,16 +1,22 @@
 """Concept schemas, columnar datasets, and every file format of the package.
 
-A dataset is three files:
+A dataset is five files:
 
 schema.json
     {"attributes": [{"name": "food", "levels": ["neg", "unk", "pos"]}, ...]}
 
 samples.jsonl
-    {"meta": {"columns": ["id", "concepts", "embedding", "logits", "gold"]}}
-    ["s000001", {"food": "pos", ...}, [...], [...], 3]
-    `gold` is an integer label or null. `logits` always holds the raw
-    black-box outputs; probability-space operation applies a softmax at
-    load time.
+    {"meta": {"columns": ["id", "concepts", "gold"],
+              "embedding": "samples.embedding.npy", "logits": "samples.logits.npy"}}
+    ["s000001", {"food": "pos", ...}, 3]
+    `gold` is an integer label or null. The meta line names, by bare file
+    name, the two .npy files beside it that hold the float columns.
+
+samples.embedding.npy, samples.logits.npy
+    One row per sample, in the order of samples.jsonl: little-endian
+    float64 matrices in C order, in numpy's .npy format. `logits` always
+    holds the raw black-box outputs; probability-space operation applies
+    a softmax at load time.
 
 pairs.jsonl
     {"meta": {"columns": ["original_id", "edited_id", "attribute", "from", "to"]}}
@@ -20,6 +26,8 @@ Every JSONL file is a table: line 1 names the columns in its meta
 object, and each later line is the array of one row's values in that
 order. Files of one object per row, as written by hand or by earlier
 versions, still read: `read_jsonl` gives both layouts the same columns.
+So do samples files whose `embedding` and `logits` columns are inline,
+lists of JSON numbers, in either layout.
 
 In memory a `Dataset` holds columns: sample ids, an (n, n_attrs) matrix
 of level codes (each an index into its attribute's levels), embeddings,
@@ -29,13 +37,14 @@ complete labels even when attributes are masked; masking is a view
 (`Dataset.mask`), and `design_matrix` is where the mask takes effect:
 it one-hot encodes the visible attributes only.
 
-This is the one module that knows JSON, JSONL and CSV syntax. Models,
-effects, ground truth, configs, reports and predictions are read and
-written by other modules through `read_json`, `write_json`,
+This is the one module that knows JSON, JSONL, .npy and CSV syntax.
+Models, effects, ground truth, configs, reports and predictions are
+read and written by other modules through `read_json`, `write_json`,
 `read_jsonl` (typed columns, with file:line errors), `write_jsonl`
-(built a column at a time), `float_array` (JSON numbers only) and
-`csv_text`. JSONL files are read and written a chunk of rows at a time,
-so no file is held whole as Python objects.
+(built a column at a time; float matrices may go to .npy files),
+`float_array` (JSON numbers only) and `csv_text`. JSONL files are read
+and written a chunk of rows at a time, so no file is held whole as
+Python objects.
 """
 
 from __future__ import annotations
@@ -92,30 +101,52 @@ _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 
 
-def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> Path:
-    """Write text via a temp file and rename, so readers never see partial files.
+@contextlib.contextmanager
+def _atomic_file(path: str | Path, mode: str):
+    """A new file, open in `mode` ("w" for UTF-8 text, "wb" for bytes), that replaces `path`.
 
-    `text` is one string or an iterable of string pieces, written in
-    order; a generator of pieces lets the caller build a large file a
-    part at a time instead of holding its whole text. Each call gets its
-    own temp file beside `path`, so concurrent writers to one path never
-    share it; a failed write, including one raised while a piece is
-    built, removes it. The final file gets the mode a plain open() would
-    give it under the umask.
+    The file is a temp file beside `path`, renamed over it when the block
+    ends, so readers never see a partial file. Each call gets its own
+    temp file, so concurrent writers to one path never share it; a block
+    that raises removes it. The final file gets the mode a plain open()
+    would give it under the umask.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.writelines([text] if isinstance(text, str) else text)
+        with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as handle:
+            yield handle
         os.chmod(tmp, 0o666 & ~_UMASK)  # mkstemp creates files as 0600
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
-    return path
+
+
+def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> Path:
+    """Write text via a temp file and rename, so readers never see partial files.
+
+    `text` is one string or an iterable of string pieces, written in
+    order; a generator of pieces lets the caller build a large file a
+    part at a time instead of holding its whole text. A failed write,
+    including one raised while a piece is built, leaves `path` as it was.
+    """
+    with _atomic_file(path, "w") as handle:
+        handle.writelines([text] if isinstance(text, str) else text)
+    return Path(path)
+
+
+def write_npy(path: str | Path, matrix) -> Path:
+    """Write `matrix` atomically as a .npy file of little-endian float64 in C order.
+
+    `np.save` writes a fixed header and then the values' bytes, so equal
+    matrices give equal files.
+    """
+    with _atomic_file(path, "wb") as handle:
+        np.save(handle, np.ascontiguousarray(matrix, dtype="<f8"), allow_pickle=False)
+    return Path(path)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +582,8 @@ _CHUNK_LINES = 1024
 _ROW_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
 _DOC_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 # The Python type that each JSON type named in a `read_jsonl` spec decodes
-# to. "numbers" is a list of JSON numbers; errors call it a list.
+# to. "numbers" is a list of JSON numbers; errors call it a list. In a
+# `read_jsonl` spec an "object" maps names to strings, as concept labels do.
 _JSON_TYPES = {
     "string": str, "integer": int, "boolean": bool, "list": list, "numbers": list,
     "object": dict, "null": type(None),
@@ -728,25 +760,70 @@ def json_field(obj: dict, key: str, names: str, where: str | Path, default=_ABSE
     return value
 
 
-def _header(meta, path: str | Path, types: dict, defaults: dict) -> tuple[dict, list | None]:
-    """(metadata, column names) of a line-1 meta object; the names are None without `columns`.
+def _header(
+    meta, path: str | Path, types: dict, defaults: dict, arrays: Iterable[str]
+) -> tuple[dict, list | None, dict]:
+    """(metadata, column names, array files) of a line-1 meta object.
 
-    A table's meta object lists its columns in `columns`: distinct
-    strings that include every key of `types` without a default. The
-    metadata is the rest of the meta object.
+    The meta object may name, under a key of `arrays`, the .npy file in
+    the directory of `path` that holds that column; array files maps
+    each such key to its file's path. A table's meta object lists its
+    columns in `columns`: distinct strings that include every key of
+    `types` without a default or a file, and none with a file. The names
+    are None without `columns`. The metadata is the rest of the meta
+    object.
     """
     if type(meta) is not dict:
         raise ValidationError(f"{path}:1: 'meta' must be a JSON object")
-    if "columns" not in meta:
-        return meta, None
     meta = dict(meta)
+    files = {key: _array_file(path, key, meta.pop(key)) for key in arrays if key in meta}
+    if "columns" not in meta:
+        return meta, None, files
     names = meta.pop("columns")
     if type(names) is not list or set(map(type, names)) - {str} or len(set(names)) < len(names):
         raise ValidationError(f"{path}:1: 'meta.columns' must be a list of distinct strings")
-    missing = [key for key in types if key not in names and key not in defaults]
+    twice = [key for key in files if key in names]
+    if twice:
+        raise ValidationError(f"{path}:1: column {twice[0]!r} is both in 'meta.columns' and in a file")
+    missing = [key for key in types if key not in names and key not in defaults and key not in files]
     if missing:
         raise ValidationError(f"{path}:1: 'meta.columns' lacks the required column {missing[0]!r}")
-    return meta, names
+    return meta, names, files
+
+
+def _array_file(path: str | Path, key: str, name) -> Path:
+    """The file beside `path` that a meta line names under `key`: a bare file name."""
+    if type(name) is not str or name in ("", ".", "..") or set(name) & {"/", "\\", "\0"}:
+        raise ValidationError(f"{path}:1: 'meta.{key}' must be the name of a file in its directory")
+    return Path(path).parent / name
+
+
+def _read_matrix(path: Path, rows: int) -> np.ndarray:
+    """The matrix that .npy file `path` holds: finite '<f8' values, 2-D, `rows` rows.
+
+    It is read with `np.load(allow_pickle=False)`, so no file can run
+    code; anything else, an .npz archive or a truncated file included,
+    raises ValidationError naming the file.
+    """
+    try:
+        with open(path, "rb") as handle:
+            matrix = np.load(handle, allow_pickle=False)
+    except FileNotFoundError:
+        raise ValidationError(f"array file not found: {path}") from None
+    except (OSError, ValueError, EOFError) as exc:
+        raise ValidationError(f"{path}: not a readable .npy file ({exc})") from None
+    if not isinstance(matrix, np.ndarray):
+        matrix.close()
+        raise ValidationError(f"{path}: an .npz archive, not a .npy file")
+    if matrix.dtype != np.dtype("<f8") or matrix.ndim != 2 or matrix.shape[0] != rows:
+        raise ValidationError(
+            f"{path}: must hold a '<f8' matrix of {rows} rows, one per row of its table; "
+            f"got {matrix.dtype.str} of shape {matrix.shape}"
+        )
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"{path}: non-finite value in row {np.argmin(finite)} (from 0)")
+    return matrix
 
 
 def _row_values(rows: list, lines: list[int], path: str | Path, names, types: dict, defaults: dict):
@@ -772,11 +849,8 @@ def _row_values(rows: list, lines: list[int], path: str | Path, names, types: di
 
 
 def _strings(column: list, names: str) -> list:
-    """The strings of a "string" column, or the string values of an "object" column's objects."""
-    if names == "string":
-        return column
-    values = list(chain.from_iterable(map(dict.values, column)))
-    return values if set(map(type, values)) <= {str} else [v for v in values if type(v) is str]
+    """The strings of a "string" column, or the values of an "object" column's objects."""
+    return column if names == "string" else list(chain.from_iterable(map(dict.values, column)))
 
 
 def _chunk_columns(values: dict, lines: list[int], path: str | Path, types: dict, defaults: dict):
@@ -794,7 +868,11 @@ def _chunk_columns(values: dict, lines: list[int], path: str | Path, types: dict
                 raise ValidationError(f"{path}:{lines[i]}: missing required key {key!r}")
             kinds = names.replace("|", " or ").replace("numbers", "list")
             raise ValidationError(f"{path}:{lines[i]}: {key!r} must be {kinds}")
-        if names in ("string", "object") and _holds_nul(_strings(column, names)):
+        strings = _strings(column, names) if names in ("string", "object") else []
+        if set(map(type, strings)) - {str}:
+            i = next(i for i, value in enumerate(column) if set(map(type, value.values())) - {str})
+            raise ValidationError(f"{path}:{lines[i]}: {key!r} values must be strings")
+        if _holds_nul(strings):
             i = next(i for i, value in enumerate(column) if _holds_nul(_strings([value], names)))
             raise ValidationError(f"{path}:{lines[i]}: {key!r} must not hold U+0000")
         if names == "string":
@@ -824,6 +902,7 @@ def read_jsonl(
     types: dict,
     defaults: dict | None = None,
     convert: Callable[[dict], dict] | None = None,
+    arrays: Iterable[str] = (),
 ) -> tuple[dict, dict]:
     """Columns of a JSONL table, or of a file of one JSON object per non-blank line.
 
@@ -835,8 +914,9 @@ def read_jsonl(
     they differ in length; any other column is a list. A key of
     `defaults` may be absent and then reads as its default, which may be
     of any type: a sentinel of a type that no JSON value has tells a
-    key left out from every value a row can state. A string, or a string
-    value of an "object" column's object, must not hold U+0000.
+    key left out from every value a row can state. An "object" column's
+    objects must have string values. A string, or a value of an "object"
+    column's object, must not hold U+0000.
 
     A line-1 object whose one key is "meta" is the header, whose value
     must be an object; `header` is that object without its `columns`,
@@ -847,6 +927,11 @@ def read_jsonl(
     its row's values. Both layouts go through the same checks, so the
     same rows read to the same columns. Errors name the file, and the
     line when one is at fault.
+
+    A "numbers" column whose key is in `arrays` may instead be held in a
+    .npy file beside `path`, which the header names under that key (see
+    `_header`); then the rows do not hold it, and the file must hold a
+    finite '<f8' matrix of one row per row (see `_read_matrix`).
 
     The file is read a chunk of `_CHUNK_LINES` non-blank lines at a time,
     and only one chunk's row values are held at once. Each chunk is
@@ -859,18 +944,20 @@ def read_jsonl(
     collections triggered by the many new objects would only scan them.
     """
     defaults = defaults or {}
-    header, names, blocks = {}, None, {key: [] for key in types}
-    texts, lines = [], []
+    header, names, files, blocks = {}, None, {}, {key: [] for key in types}
+    texts, lines, count = [], [], 0
 
     def take_chunk():
-        nonlocal header, names
+        nonlocal header, names, files, count
         rows, row_lines = _decode_lines(texts, lines, path), lines
         if lines[:1] == [1] and type(rows[0]) is dict and rows[0].keys() == {"meta"}:
-            header, names = _header(rows[0]["meta"], path, types, defaults)
+            header, names, files = _header(rows[0]["meta"], path, types, defaults, arrays)
             rows, row_lines = rows[1:], lines[1:]
-        values = _row_values(rows, row_lines, path, names, types, defaults)
+        count += len(rows)
+        row_types = {key: kind for key, kind in types.items() if key not in files}
+        values = _row_values(rows, row_lines, path, names, row_types, defaults)
         del rows
-        columns = _chunk_columns(values, row_lines, path, types, defaults)
+        columns = _chunk_columns(values, row_lines, path, row_types, defaults)
         del values
         for key, block in (convert(columns) if convert else columns).items():
             blocks[key].append(block)
@@ -890,7 +977,10 @@ def read_jsonl(
     finally:
         if collecting:
             gc.enable()
-    return header, {key: _join(blocks.pop(key)) for key in types}
+    return header, {
+        key: _read_matrix(files[key], count) if key in files else _join(blocks.pop(key))
+        for key in types
+    }
 
 
 def _encode_column(column) -> tuple[str, list[str], str]:
@@ -949,7 +1039,15 @@ def _row_slice(columns: dict, rows: slice) -> dict:
     }
 
 
-def write_jsonl(path: str | Path, columns: dict, meta: dict | None = None) -> Path:
+def array_path(path: str | Path, key: str) -> Path:
+    """The .npy file in which `write_jsonl` writes the column `key` of the table at `path`."""
+    path = Path(path)
+    return path.with_name(f"{path.stem}.{key}.npy")
+
+
+def write_jsonl(
+    path: str | Path, columns: dict, meta: dict | None = None, arrays: dict | None = None
+) -> Path:
     """Write `columns` as a JSONL table, one row per line after a meta line.
 
     Line 1 is `{"meta": ...}`, whose object is `meta` with `columns`, the
@@ -959,9 +1057,16 @@ def write_jsonl(path: str | Path, columns: dict, meta: dict | None = None) -> Pa
     dict of columns (an object per row), or an array or list of strings,
     ints, bools or None. Rows are encoded and written `_CHUNK_LINES` at
     a time, so the text of only one chunk is held at once.
+
+    Each of `arrays`, a float matrix with one row per row, is written
+    first, by `write_npy`, to its `array_path`, and the meta object
+    names that file's bare name under the array's key.
     """
-    head = _ROW_JSON.encode({"meta": {**(meta or {}), "columns": list(columns)}}) + "\n"
-    starts = range(0, _row_count(columns), _CHUNK_LINES)
+    arrays = arrays or {}
+    rows = _row_count({**columns, **arrays})
+    files = {key: write_npy(array_path(path, key), matrix).name for key, matrix in arrays.items()}
+    head = _ROW_JSON.encode({"meta": {**(meta or {}), **files, "columns": list(columns)}}) + "\n"
+    starts = range(0, rows, _CHUNK_LINES)
     chunks = (_encode_table(_row_slice(columns, slice(i, i + _CHUNK_LINES))) for i in starts)
     return write_text_atomic(path, chain([head], chunks))
 
@@ -985,6 +1090,8 @@ _SAMPLE_TYPES = {
     "id": "string", "concepts": "object", "embedding": "numbers", "logits": "numbers",
     "gold": "integer|null",
 }
+# The float columns that `save_dataset` writes as .npy files beside samples.jsonl.
+_SAMPLE_ARRAYS = ("embedding", "logits")
 _PAIR_KEYS = ("original_id", "edited_id", "attribute", "from", "to")
 
 
@@ -997,6 +1104,8 @@ def load_dataset(
     """Load the three-file dataset format; `pairs_path` may be None.
 
     Parse errors carry file and line; NaN/Infinity tokens are rejected.
+    Embeddings and logits come from the .npy files that the samples meta
+    line names, or from the rows when it names none.
     With space="probability" a softmax is applied to every output row.
     Each chunk of samples has its labels turned into level codes, by the
     conversion that `Dataset.from_records` uses, before the next chunk
@@ -1009,7 +1118,9 @@ def load_dataset(
         chunk["gold"] = _gold_labels(chunk["gold"])
         return chunk
 
-    _, samples = read_jsonl(samples_path, "samples", _SAMPLE_TYPES, {"gold": None}, convert=codes)
+    _, samples = read_jsonl(
+        samples_path, "samples", _SAMPLE_TYPES, {"gold": None}, convert=codes, arrays=_SAMPLE_ARRAYS
+    )
     ids, codes, embeddings, outputs, gold = samples.values()  # _SAMPLE_TYPES order
     pairs = EditPairs()
     if pairs_path is not None:
@@ -1019,16 +1130,20 @@ def load_dataset(
 
 
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
-    """Write schema.json, samples.jsonl, pairs.jsonl; logit-space datasets only.
+    """Write schema.json, samples.jsonl and its two .npy files, pairs.jsonl; logit-space only.
 
-    Serialized floats round-trip bit-exactly through `load_dataset`.
+    Returns the path of each file, keyed "schema", "samples", "embedding",
+    "logits" and "pairs". Floats round-trip bit-exactly through
+    `load_dataset`.
     """
     if dataset.space != SPACE_LOGIT:
         raise ValidationError("only logit-space datasets can be serialized")
     out_dir = Path(out_dir)
+    samples_path = out_dir / "samples.jsonl"
     paths = {
         "schema": out_dir / "schema.json",
-        "samples": out_dir / "samples.jsonl",
+        "samples": samples_path,
+        **{key: array_path(samples_path, key) for key in _SAMPLE_ARRAYS},
         "pairs": out_dir / "pairs.jsonl",
     }
     schema, ids = dataset.schema, dataset.ids
@@ -1037,11 +1152,10 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
     samples = {
         "id": ids,
         "concepts": {name: labels[:, a] for a, name in enumerate(schema.names)},
-        "embedding": dataset.embeddings,
-        "logits": dataset.outputs,
         "gold": [g if g >= 0 else None for g in dataset.gold.tolist()],
     }
-    write_jsonl(paths["samples"], samples)
+    arrays = dict(zip(_SAMPLE_ARRAYS, (dataset.embeddings, dataset.outputs)))
+    write_jsonl(samples_path, samples, arrays=arrays)
     original_id, attribute, from_level, to_level = dataset.pair_names(slice(None))
     pairs = (original_id, ids[dataset.pairs.edited], attribute, from_level, to_level)
     write_jsonl(paths["pairs"], dict(zip(_PAIR_KEYS, pairs)))

@@ -663,8 +663,12 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
         return as_matrix(float_array(obj[key], f"{path}: {key!r}"), key)
 
     try:
-        schema = ConceptSchema.from_obj(obj["schema"])
-        hidden = schema.check_hidden(json_field(obj, "hidden", "strings", path))
+        hidden = json_field(obj, "hidden", "strings", path)
+        try:
+            schema = ConceptSchema.from_obj(obj["schema"])
+            hidden = schema.check_hidden(hidden)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
         if kind == "mcce":
             k_vis = schema.visible_width(hidden)
             model = MCCEModel(

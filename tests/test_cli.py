@@ -7,6 +7,7 @@ pytest captures warnings before they would reach stderr.
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -42,10 +43,29 @@ def digest(path):
 
 
 def table_rows(path):
-    """The rows of a JSONL table as objects: each array keyed by the header's columns."""
+    """The rows of a JSONL table as objects: each array keyed by the header's columns.
+
+    A column that the header keeps in a .npy file is read from it, so the
+    rows hold every value, as a hand-made file's rows do.
+    """
     head, *lines = path.read_text().splitlines()
-    columns = json.loads(head)["meta"]["columns"]
-    return [dict(zip(columns, json.loads(line))) for line in lines]
+    meta = json.loads(head)["meta"]
+    rows = [dict(zip(meta["columns"], json.loads(line))) for line in lines]
+    for key in ("embedding", "logits"):
+        if key in meta:
+            for row, values in zip(rows, np.load(path.parent / meta[key]).tolist()):
+                row[key] = values
+    return rows
+
+
+SAMPLE_COLUMNS = ["id", "concepts", "embedding", "logits", "gold"]
+
+
+def inline_lines(samples):
+    """The lines of samples table `samples` with its float columns inline, as earlier versions wrote them."""
+    rows = table_rows(samples)
+    head = json.dumps({"meta": {"columns": SAMPLE_COLUMNS}})
+    return [head, *(json.dumps([row[key] for key in SAMPLE_COLUMNS]) for row in rows)]
 
 
 def write_object_rows(path, rows):
@@ -86,12 +106,23 @@ class TestParsing:
         assert "nope.json" in capsys.readouterr().err
 
 
+SYNTH_FILES = ("schema.json", "samples.jsonl", "samples.embedding.npy", "samples.logits.npy",
+               "pairs.jsonl", "ground_truth.json")
+
+
 class TestSynth:
     def test_outputs(self, synth_dir):
-        for name in ("schema.json", "samples.jsonl", "pairs.jsonl", "ground_truth.json"):
+        for name in SYNTH_FILES:
             assert (synth_dir / name).exists(), name
         lines = (synth_dir / "samples.jsonl").read_text().splitlines()
         assert len(lines) == 301  # the meta line, 150 factual and 150 edited rows
+        meta = json.loads(lines[0])["meta"]
+        assert meta == {"columns": ["id", "concepts", "gold"], "embedding": "samples.embedding.npy",
+                        "logits": "samples.logits.npy"}
+        for key, width in (("embedding", 16), ("logits", 5)):
+            matrix = np.load(synth_dir / meta[key], allow_pickle=False)
+            assert matrix.dtype.str == "<f8" and matrix.shape == (300, width)
+            assert matrix.flags.c_contiguous
         assert len((synth_dir / "pairs.jsonl").read_text().splitlines()) == 151
 
     def test_rerun_is_byte_identical(self, synth_dir, tmp_path):
@@ -99,7 +130,8 @@ class TestSynth:
         config.write_text(json.dumps({"n": 150, "seed": 5, "edits_per_sample": 1}))
         again = tmp_path / "data"
         assert run("synth", "--config", config, "--out", again) == 0
-        for name in ("schema.json", "samples.jsonl", "pairs.jsonl", "ground_truth.json"):
+        assert sorted(path.name for path in again.iterdir()) == sorted(SYNTH_FILES)
+        for name in SYNTH_FILES:
             assert digest(synth_dir / name) == digest(again / name), name
 
     def test_no_edits_skips_pairs(self, tmp_path):
@@ -1093,7 +1125,7 @@ class TestLoaderErrors:
         assert "samples.jsonl:1: invalid JSON" in err and "Traceback" not in err
 
     def test_nan_past_a_chunk_boundary_names_its_line(self, long_data, tmp_path, capsys):
-        lines = (long_data / "samples.jsonl").read_text().splitlines()
+        lines = inline_lines(long_data / "samples.jsonl")
         row = json.loads(lines[1024])
         row[json.loads(lines[0])["meta"]["columns"].index("logits")][0] = float("nan")
         lines[1024] = json.dumps(row)  # a bare NaN token on line 1025
@@ -1104,7 +1136,7 @@ class TestLoaderErrors:
     def test_blank_lines_across_a_chunk_boundary_keep_line_numbers(
         self, long_data, tmp_path, capsys
     ):
-        rows = (long_data / "samples.jsonl").read_text().splitlines()
+        rows = inline_lines(long_data / "samples.jsonl")
         bad = rows[1024][:-1]  # the 1025th row, without its closing brace
         lines = [*rows[:1023], "", rows[1023], "", "  ", bad, *rows[1025:]]
         assert self.fit_lines(long_data, tmp_path, lines) == 2
@@ -1112,7 +1144,7 @@ class TestLoaderErrors:
         assert "samples.jsonl:1028: invalid JSON" in err and "Traceback" not in err
 
     def test_missing_concept_label_is_named(self, synth_dir, tmp_path, capsys):
-        lines = (synth_dir / "samples.jsonl").read_text().splitlines()
+        lines = inline_lines(synth_dir / "samples.jsonl")
         row = json.loads(lines[3])
         del row[json.loads(lines[0])["meta"]["columns"].index("concepts")]["food"]
         lines[3] = json.dumps(row)
@@ -1162,9 +1194,6 @@ def as_object_rows(lines):
     """A table's lines as object rows, with no meta line."""
     head, *rows = map(json.loads, lines)
     return [json.dumps(dict(zip(head["meta"]["columns"], row))) for row in rows]
-
-
-SAMPLE_COLUMNS = ["id", "concepts", "embedding", "logits", "gold"]
 
 
 class TestTableLayout:
@@ -1220,7 +1249,7 @@ class TestTableLayout:
 
     @pytest.mark.parametrize("change, message", MALFORMED)
     def test_malformed_header_or_row_exits_2(self, synth_dir, tmp_path, capsys, change, message):
-        lines = change((synth_dir / "samples.jsonl").read_text().splitlines())
+        lines = change(inline_lines(synth_dir / "samples.jsonl"))
         samples = write_lines(tmp_path / "samples.jsonl", lines)
         flags = ["--schema", synth_dir / "schema.json", "--samples", samples]
         assert run("fit", *flags, "--out", tmp_path / "m.json") == 2
@@ -1228,7 +1257,7 @@ class TestTableLayout:
         assert f"samples.jsonl{message}" in err and "Traceback" not in err
 
     def test_dropped_optional_column_reads_as_its_default(self, synth_dir, tmp_path, capsys):
-        lines = drop_column("gold")((synth_dir / "samples.jsonl").read_text().splitlines())
+        lines = drop_column("gold")(inline_lines(synth_dir / "samples.jsonl"))
         samples = write_lines(tmp_path / "samples.jsonl", lines)
         dataset = mcce.load_dataset(samples, synth_dir / "pairs.jsonl", synth_dir / "schema.json")
         assert (dataset.gold == -1).all() and len(dataset) == 300
@@ -1274,7 +1303,7 @@ class TestNulInNames:
                 row[0] = nul(row[0])
             else:
                 row[1]["food"] = nul(row[1]["food"])
-        lines = edit_line(2, edit)((synth_dir / "samples.jsonl").read_text().splitlines())
+        lines = edit_line(2, edit)(inline_lines(synth_dir / "samples.jsonl"))
         samples = write_lines(tmp_path / "samples.jsonl", lines)
         assert self.fit(synth_dir, tmp_path, samples=samples) == 2
         err = capsys.readouterr().err
@@ -1287,6 +1316,26 @@ class TestNulInNames:
         assert self.fit(synth_dir, tmp_path, pairs=pairs) == 2
         err = capsys.readouterr().err
         assert "pairs.jsonl:1: 'to' must not hold U+0000" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("where, message", [
+        ("name", "m.json: attribute names and levels must not hold U+0000"),
+        ("level", "m.json: schema attribute 'ambiance': 'levels' must not hold U+0000"),
+    ])
+    def test_model_schema_names_the_model_file(self, synth_dir, tmp_path, capsys, where, message):
+        model = tmp_path / "m.json"
+        flags = ["--schema", synth_dir / "schema.json", "--samples", synth_dir / "samples.jsonl"]
+        assert run("fit", *flags, "--targets", "gold", "--out", model) == 0
+        obj = json.loads(model.read_text())
+        first = obj["schema"]["attributes"][0]
+        if where == "name":
+            first["name"] = nul(first["name"])
+        else:
+            first["levels"].append(nul(first["levels"][0]))
+        model.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run("predict", "--model", model, *flags, "--out", tmp_path / "p.jsonl") == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("line, message", [
         (1, "e.jsonl:1: 'meta.hidden' must not hold U+0000"),
@@ -1319,3 +1368,137 @@ def test_evaluate_rejects_a_seed_that_is_not_an_integer(synth_dir, oracle_report
     err = capsys.readouterr().err
     assert "e.jsonl:1: 'meta.seed' must be integer or null" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("layout", ["objects", "table"])
+@pytest.mark.parametrize("label", [1, None, True, ["pos"], {"x": "pos"}])
+def test_concept_labels_must_be_strings(synth_dir, tmp_path, capsys, layout, label):
+    # labels were turned into strings, so {"food": 1} fit against a level "1"
+    lines = edit_line(4, lambda row: row[1].update(food=label))(inline_lines(synth_dir / "samples.jsonl"))
+    if layout == "objects":
+        lines = as_object_rows(lines)
+    samples = write_lines(tmp_path / "samples.jsonl", lines)
+    line = 3 if layout == "objects" else 4
+    flags = ["--schema", synth_dir / "schema.json", "--samples", samples]
+    assert run("fit", *flags, "--out", tmp_path / "m.json") == 2
+    err = capsys.readouterr().err
+    assert f"samples.jsonl:{line}: 'concepts' values must be strings" in err
+    assert "Traceback" not in err
+
+
+def array_file_copy(synth_dir, root):
+    """A copy of the synth samples, its .npy files and the schema, in `root`."""
+    root.mkdir()
+    for name in ("schema.json", "samples.jsonl", "samples.embedding.npy", "samples.logits.npy"):
+        shutil.copy(synth_dir / name, root / name)
+    return root
+
+
+def save_in(path, edit):
+    """Rewrite .npy file `path` with `edit(matrix)`."""
+    np.save(path, edit(np.load(path)))
+
+
+def with_nan(matrix):
+    matrix[7, 1] = np.nan
+    return matrix
+
+
+def with_inf(matrix):
+    matrix[299, 0] = -np.inf
+    return matrix
+
+
+def pickled(path):
+    rows = np.empty(300, dtype=object)
+    rows[:] = [[0.0] * 16] * 300
+    np.save(path, rows, allow_pickle=True)
+
+
+def npz(path):
+    with open(path, "wb") as handle:
+        np.savez(handle, embedding=np.zeros((300, 16)))
+
+
+def truncate(length):
+    def change(path):
+        path.write_bytes(path.read_bytes()[:length])
+    return change
+
+
+BAD_ARRAY_FILES = {
+    "missing": lambda path: path.unlink(),
+    "float32": lambda path: save_in(path, lambda m: m.astype(np.float32)),
+    "big-endian": lambda path: save_in(path, lambda m: m.astype(">f8")),
+    "1-D": lambda path: save_in(path, lambda m: m[:, 0]),
+    "short": lambda path: save_in(path, lambda m: m[:-1]),
+    "long": lambda path: save_in(path, lambda m: np.vstack([m, m[:1]])),
+    "nan": lambda path: save_in(path, with_nan),
+    "inf": lambda path: save_in(path, with_inf),
+    "pickled": pickled,
+    "npz": npz,
+    "truncated data": truncate(1000),
+    "truncated header": truncate(40),
+    "empty": truncate(0),
+    "directory": lambda path: (path.unlink(), path.mkdir()),
+}
+
+
+class TestArrayFiles:
+    """A samples table keeps its float columns in .npy files that its meta line names.
+
+    Each file must hold a finite '<f8' matrix of one row per sample, read
+    without unpickling; anything else exits 2 naming the file.
+    """
+
+    def fit(self, root, tmp_path):
+        flags = ["--schema", root / "schema.json", "--samples", root / "samples.jsonl"]
+        return run("fit", *flags, "--out", tmp_path / "m.json")
+
+    @pytest.mark.parametrize("key", ["embedding", "logits"])
+    @pytest.mark.parametrize("case", list(BAD_ARRAY_FILES))
+    def test_a_bad_array_file_exits_2_naming_it(self, synth_dir, tmp_path, capsys, key, case):
+        root = array_file_copy(synth_dir, tmp_path / "data")
+        path = root / f"samples.{key}.npy"
+        BAD_ARRAY_FILES[case](path)
+        assert self.fit(root, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("name", [
+        "../data/samples.embedding.npy", "sub/samples.embedding.npy", "sub\\samples.embedding.npy",
+        str(Path(__file__).resolve()), ".", "..", "", 5, None, ["samples.embedding.npy"],
+        {"file": "samples.embedding.npy"},
+    ])
+    def test_meta_must_name_a_file_in_the_same_directory(self, synth_dir, tmp_path, capsys, name):
+        root = array_file_copy(synth_dir, tmp_path / "data")
+        (root / "sub").mkdir()
+        shutil.copy(root / "samples.embedding.npy", root / "sub")
+        def edit(head):
+            head["meta"]["embedding"] = name
+        samples = root / "samples.jsonl"
+        write_lines(samples, edit_line(1, edit)(samples.read_text().splitlines()))
+        assert self.fit(root, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "samples.jsonl:1: 'meta.embedding' must be the name of a file in its directory" in err
+        assert "Traceback" not in err
+
+    def test_a_column_both_inline_and_in_a_file_exits_2(self, synth_dir, tmp_path, capsys):
+        root = array_file_copy(synth_dir, tmp_path / "data")
+        def edit(head):
+            head["meta"]["logits"] = "samples.logits.npy"
+        samples = root / "samples.jsonl"
+        write_lines(samples, edit_line(1, edit)(inline_lines(samples)))
+        assert self.fit(root, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "samples.jsonl:1: column 'logits' is both in 'meta.columns' and in a file" in err
+
+    def test_moved_dataset_reads_its_files_beside_the_table(self, synth_dir, tmp_path):
+        root = array_file_copy(synth_dir, tmp_path / "data")
+        moved = mcce.load_dataset(root / "samples.jsonl", synth_dir / "pairs.jsonl",
+                                  root / "schema.json")
+        here = mcce.load_dataset(synth_dir / "samples.jsonl", synth_dir / "pairs.jsonl",
+                                 synth_dir / "schema.json")
+        for column in ("embeddings", "outputs"):
+            assert getattr(moved, column).tobytes() == getattr(here, column).tobytes()

@@ -19,7 +19,7 @@ from mcce import (
     save_dataset,
     softmax,
 )
-from mcce.data import write_jsonl, write_text_atomic
+from mcce.data import write_jsonl, write_npy, write_text_atomic
 
 SCHEMA = ConceptSchema.of([("a", ("x", "y")), ("b", ("u", "v", "w"))])
 
@@ -340,7 +340,32 @@ def test_write_jsonl_rejects_columns_of_unequal_length(tmp_path):
     # rows are zipped from the columns, which would drop the longer columns' tails
     with pytest.raises(ValidationError, match="one common length"):
         write_jsonl(tmp_path / "t.jsonl", {"a": ["x", "y"], "b": {"c": ["z"]}})
-    assert not (tmp_path / "t.jsonl").exists()
+    with pytest.raises(ValidationError, match="one common length"):
+        write_jsonl(tmp_path / "t.jsonl", {"a": ["x", "y"]}, arrays={"m": np.zeros((3, 1))})
+    assert not any(tmp_path.iterdir())
+
+
+# The bytes `write_npy` gives a fixed 2x3 matrix: NEP 1's format 1.0, a
+# header padded to 128 bytes, then the values as little-endian float64 in
+# C order. Equal bytes on every supported numpy keep reruns of `synth`
+# byte-identical across numpy versions.
+NPY_2X3 = (
+    b"\x93NUMPY\x01\x00v\x00{'descr': '<f8', 'fortran_order': False, 'shape': (2, 3), }"
+    + b" " * 58 + b"\n"
+    + bytes.fromhex(
+        "000000000000f83f" "0000000000000080" "0100000000000000"
+        "a0c8eb85f3cce17f" "00000000000000c0" "9a9999999999b93f"
+    )
+)
+
+
+def test_write_npy_bytes_are_pinned(tmp_path):
+    matrix = np.array([[1.5, -0.0, 5e-324], [1e308, -2.0, 0.1]])
+    assert write_npy(tmp_path / "m.npy", matrix).read_bytes() == NPY_2X3
+    # the same values in another layout or byte order give the same file
+    twisted = np.asfortranarray(matrix).astype(">f8")
+    assert write_npy(tmp_path / "f.npy", twisted).read_bytes() == NPY_2X3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.npy", "m.npy"]
 
 
 def test_write_text_atomic_writes_pieces_and_a_failing_piece_leaves_no_stray_file(tmp_path):
@@ -359,9 +384,10 @@ def test_write_text_atomic_writes_pieces_and_a_failing_piece_leaves_no_stray_fil
 
 # --- memory: files are read and written a chunk of rows at a time ----------------
 # Measured with tracemalloc on the 9000 rows below: load_dataset peaks at
-# 1.9x the bytes of the arrays it returns and save_dataset at 0.6x the size
-# of samples.jsonl; readers and writers that held whole files as row
-# objects peaked at 6.9x and 2.6x.
+# 1.9x the bytes of the arrays it returns and save_dataset at 1.0x the size
+# of the samples' files (samples.jsonl and its two .npy files), most of it
+# while writing pairs.jsonl; readers and writers that held whole files as
+# row objects peaked at 6.9x and, with the floats inline, 2.6x.
 LOAD_PEAK_PER_ARRAY_BYTE = 3.0
 SAVE_PEAK_PER_FILE_BYTE = 1.25
 
@@ -395,5 +421,5 @@ def test_load_dataset_peak_memory_is_a_small_multiple_of_its_arrays(rows_9000, t
 
 def test_save_dataset_peak_memory_is_below_its_file_size(rows_9000, tmp_path):
     paths, peak = traced_peak(lambda: save_dataset(rows_9000, tmp_path))
-    size = paths["samples"].stat().st_size
+    size = sum(paths[key].stat().st_size for key in ("samples", "embedding", "logits"))
     assert peak < SAVE_PEAK_PER_FILE_BYTE * size, peak / size

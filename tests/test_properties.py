@@ -7,8 +7,9 @@ effects-file and JSONL-reader references are earlier per-edit and
 per-row versions of the library code, kept to pin the faster versions
 bit for bit; `synthesize_sample` is the per-sample reference of the
 generator. Data and effects files of one object per row, the layouts
-written before the table layout, are written here too, for the reader to
-keep reading them to the same columns as their tables.
+written before the table layout, and samples tables that hold their
+float columns inline, as written before the .npy files, are written here
+too, for the reader to keep reading them to the same columns.
 """
 
 import csv
@@ -521,16 +522,39 @@ def dataset_row_objects(dataset):
 
 SAMPLE_COLUMNS = ["id", "concepts", "embedding", "logits", "gold"]
 PAIR_COLUMNS = ["original_id", "edited_id", "attribute", "from", "to"]
+ARRAY_FILES = {"embedding": "samples.embedding.npy", "logits": "samples.logits.npy"}
 
 
-def reference_dataset_texts(dataset):
-    """save_dataset's samples.jsonl and pairs.jsonl tables: one encoder call per row."""
+def table_texts(dataset, sample_columns, meta):
+    """samples.jsonl and pairs.jsonl as tables of these sample columns: one encoder call per row."""
     texts = []
-    for rows, columns in zip(dataset_row_objects(dataset), (SAMPLE_COLUMNS, PAIR_COLUMNS)):
-        lines = [_ROW_JSON.encode({"meta": {"columns": columns}})]
+    for rows, columns, head in zip(dataset_row_objects(dataset), (sample_columns, PAIR_COLUMNS),
+                                   (meta, {})):
+        lines = [_ROW_JSON.encode({"meta": {**head, "columns": columns}})]
         lines += [_ROW_JSON.encode([row.get(key) for key in columns]) for row in rows]
         texts.append("".join(line + "\n" for line in lines))
     return texts
+
+
+def reference_dataset_files(dataset):
+    """The bytes of each file save_dataset writes but schema.json, by name.
+
+    samples.jsonl holds no float column; each float matrix is `np.save`d
+    on its own, in the file that the meta line names.
+    """
+    columns = [key for key in SAMPLE_COLUMNS if key not in ARRAY_FILES]
+    samples, pairs = table_texts(dataset, columns, ARRAY_FILES)
+    files = {"samples.jsonl": samples.encode("utf-8"), "pairs.jsonl": pairs.encode("utf-8")}
+    for key, matrix in (("embedding", dataset.embeddings), ("logits", dataset.outputs)):
+        buffer = io.BytesIO()
+        np.save(buffer, matrix)
+        files[ARRAY_FILES[key]] = buffer.getvalue()
+    return files
+
+
+def inline_dataset_texts(dataset):
+    """samples.jsonl and pairs.jsonl tables with the float columns inline, as written before."""
+    return table_texts(dataset, SAMPLE_COLUMNS, {})
 
 
 def object_rows_dataset_texts(dataset):
@@ -572,22 +596,64 @@ def file_datasets(draw):
 @settings(max_examples=150, deadline=None)
 @given(file_datasets())
 def test_save_dataset_bytes_equal_per_row_encoding(tmp_path_factory, dataset):
+    root = tmp_path_factory.mktemp("dataset")
+    save_dataset(dataset, root)
+    written = {path.name: path.read_bytes() for path in root.iterdir() if path.name != "schema.json"}
+    assert written == reference_dataset_files(dataset)
+
+
+@st.composite
+def sized_datasets(draw):
+    """Datasets of 0, 1, 1025 or 1100 factual rows, with edits, whose floats include every edge value."""
+    schema = ConceptSchema.of([("a", ("x", "y", "z")), ("b", ("u", "v"))])
+    n = draw(st.sampled_from([0, 1, 1025, 1100]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = np.column_stack([rng.integers(size, size=n) for size in schema.sizes])
+    original = rng.choice(n, size=min(n, 40), replace=False)
+    attribute = rng.integers(2, size=original.size)
+    to = (codes[original, attribute] + 1) % schema.sizes[attribute]
+    edited = codes[original]
+    edited[np.arange(original.size), attribute] = to
+    codes = np.concatenate([codes, edited])
+    rows = len(codes)
+    edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+            1.7976931348623157e308, -1.7976931348623157e308]
+
+    def floats(width):
+        values = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+        picked = rng.random((rows, width)) < 0.3
+        values[picked] = rng.choice(edge, int(picked.sum()))
+        return values
+
+    d, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    gold = np.where(rng.random(rows) < 0.3, -1, rng.integers(0, 2**62, size=rows))
+    ids = [f"s{i}" for i in rng.permutation(rows)]
+    pairs = EditPairs(original, np.arange(n, rows), attribute, to)
+    return Dataset(schema, ids, codes, floats(d), floats(q), gold, pairs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(sized_datasets(), file_datasets()))
+def test_save_load_round_trips_bit_exactly(tmp_path_factory, dataset):
     paths = save_dataset(dataset, tmp_path_factory.mktemp("dataset"))
-    samples, pairs = reference_dataset_texts(dataset)
-    assert paths["samples"].read_bytes() == samples.encode("utf-8")
-    assert paths["pairs"].read_bytes() == pairs.encode("utf-8")
+    loaded = load_dataset(paths["samples"], paths["pairs"], paths["schema"])
+    assert dataset_bits(loaded) == dataset_bits(dataset)
 
 
 @settings(max_examples=100, deadline=None)
 @given(file_datasets())
 def test_object_rows_and_table_datasets_load_bit_equal(tmp_path_factory, dataset):
+    # the floats in .npy files, inline in a table, and inline in object rows
     paths = save_dataset(dataset, tmp_path_factory.mktemp("dataset"))
-    root = tmp_path_factory.mktemp("objects")
-    for name, text in zip(("samples", "pairs"), object_rows_dataset_texts(dataset)):
-        (root / f"{name}.jsonl").write_text(text, encoding="utf-8")
-    table = load_dataset(paths["samples"], paths["pairs"], paths["schema"])
-    objects = load_dataset(root / "samples.jsonl", root / "pairs.jsonl", paths["schema"])
-    assert dataset_bits(objects) == dataset_bits(table)
+    want = dataset_bits(load_dataset(paths["samples"], paths["pairs"], paths["schema"]))
+    if not len(dataset):  # only rows state a width inline, so without any the matrices are (0, 0)
+        want[2:4] = [("<f8", (0, 0), b"")] * 2
+    for texts in (inline_dataset_texts(dataset), object_rows_dataset_texts(dataset)):
+        root = tmp_path_factory.mktemp("inline")
+        for name, text in zip(("samples", "pairs"), texts):
+            (root / f"{name}.jsonl").write_text(text, encoding="utf-8")
+        loaded = load_dataset(root / "samples.jsonl", root / "pairs.jsonl", paths["schema"])
+        assert dataset_bits(loaded) == want
 
 
 # --- model and ground-truth files --------------------------------------------------
