@@ -22,12 +22,13 @@ pairs.jsonl
     {"meta": {"columns": ["original_id", "edited_id", "attribute", "from", "to"]}}
     ["s000001", "s000001__food__neg", "food", "pos", "neg"]
 
-Every JSONL file is a table: line 1 names the columns in its meta
-object, and each later line is the array of one row's values in that
-order. Files of one object per row, as written by hand or by earlier
-versions, still read: `read_jsonl` gives both layouts the same columns.
-So do samples files whose `embedding` and `logits` columns are inline,
-lists of JSON numbers, in either layout.
+Every JSONL file is a table: line 1 is a meta object that names the
+columns, and each later line is the array of one row's values in that
+order. No JSONL file holds a float: a float matrix with one row per row
+of a table is a .npy file beside it, which the meta object names under
+the matrix's key. That is the one layout `read_jsonl` reads; a file
+without the meta line, or whose meta line names no `columns` or no file
+for a float column, is an error at its line 1.
 
 In memory a `Dataset` holds columns: sample ids, an (n, n_attrs) matrix
 of level codes (each an index into its attribute's levels), embeddings,
@@ -41,7 +42,7 @@ This is the one module that knows JSON, JSONL, .npy and CSV syntax.
 Models, effects, ground truth, configs, reports and predictions are
 read and written by other modules through `read_json`, `write_json`,
 `read_jsonl` (typed columns, with file:line errors), `write_jsonl`
-(built a column at a time; float matrices may go to .npy files),
+(built a column at a time; float matrices go to .npy files),
 `float_array` (JSON numbers only) and `csv_text`. JSONL files are read
 and written a chunk of rows at a time, so no file is held whole as
 Python objects.
@@ -582,20 +583,19 @@ _CHUNK_LINES = 1024
 _ROW_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
 _DOC_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 # The Python type that each JSON type named in a `read_jsonl` spec decodes
-# to. "numbers" is a list of JSON numbers; errors call it a list. In a
-# `read_jsonl` spec an "object" maps names to strings, as concept labels do.
+# to. In a `read_jsonl` spec an "object" maps names to strings, as concept
+# labels do.
 _JSON_TYPES = {
-    "string": str, "integer": int, "boolean": bool, "list": list, "numbers": list,
-    "object": dict, "null": type(None),
+    "string": str, "integer": int, "boolean": bool, "list": list, "object": dict,
+    "null": type(None),
 }
 # The same for a `json_field` spec, which also names "number" (an int or
 # a float, never a bool) and "strings", a list of strings.
-_FIELD_TYPES = {
-    **{name: (kind,) for name, kind in _JSON_TYPES.items() if name != "numbers"},
+_FIELD_TYPES = {name: (kind,) for name, kind in _JSON_TYPES.items()} | {
     "number": (int, float), "strings": (list,),
 }
 _NUMBER_TYPES = {int, float}
-# A key that a row or a `json_field` object leaves out.
+# A key that a `json_field` object leaves out.
 _ABSENT = object()
 # JSON text of each scalar a JSONL column may hold.
 _SCALAR_JSON = {
@@ -714,23 +714,6 @@ def write_json(path: str | Path, obj) -> Path:
     return write_text_atomic(path, _DOC_JSON.encode(obj) + "\n")
 
 
-def _float_rows(column: list, lines: list[int], path: str | Path, key: str):
-    """One chunk's "numbers" column as an (m, width) float64 block.
-
-    A row that holds anything but numbers is an error naming its line.
-    Rows of unequal length are returned as they are, for the caller to
-    reject as a whole.
-    """
-    try:
-        return float_array(column, f"{path}: {key!r}")
-    except ValidationError:
-        for row, line in zip(column, lines):
-            float_array(row, f"{path}:{line}: {key!r}")  # raises at the first row at fault
-    except ValueError:
-        pass
-    return column  # rows of unequal length or depth
-
-
 def json_field(obj: dict, key: str, names: str, where: str | Path, default=_ABSENT):
     """`obj[key]`, decoded JSON whose type must be one named in `names`.
 
@@ -761,31 +744,37 @@ def json_field(obj: dict, key: str, names: str, where: str | Path, default=_ABSE
 
 
 def _header(
-    meta, path: str | Path, types: dict, defaults: dict, arrays: Iterable[str]
-) -> tuple[dict, list | None, dict]:
-    """(metadata, column names, array files) of a line-1 meta object.
+    first, path: str | Path, types: dict, defaults: dict, arrays: tuple[str, ...]
+) -> tuple[dict, list, dict]:
+    """(metadata, column names, array files) of a table whose line 1 decodes to `first`.
 
-    The meta object may name, under a key of `arrays`, the .npy file in
-    the directory of `path` that holds that column; array files maps
-    each such key to its file's path. A table's meta object lists its
-    columns in `columns`: distinct strings that include every key of
-    `types` without a default or a file, and none with a file. The names
-    are None without `columns`. The metadata is the rest of the meta
-    object.
+    `first` is None when line 1 is blank or absent. It must be
+    `{"meta": {...}}`, whose object lists the table's columns in
+    `columns`: distinct strings that include every key of `types`
+    without a default, and no key of `arrays`. Under each key of
+    `arrays` it names the .npy file, in the directory of `path`, that
+    holds that column; array files maps each such key to its file's
+    path. The metadata is the rest of the meta object.
     """
+    files = ", ".join(map(repr, arrays))
+    needs = "must list 'columns'" + (f" and name the .npy file of {files}" if arrays else "")
+    if type(first) is not dict or first.keys() != {"meta"}:
+        raise ValidationError(f'{path}:1: expected a meta line, {{"meta": {{...}}}}; it {needs}')
+    meta = first["meta"]
     if type(meta) is not dict:
         raise ValidationError(f"{path}:1: 'meta' must be a JSON object")
+    missing = ", ".join(repr(key) for key in ("columns", *arrays) if key not in meta)
+    if missing:
+        raise ValidationError(f"{path}:1: 'meta' lacks {missing}; the meta line {needs}")
     meta = dict(meta)
-    files = {key: _array_file(path, key, meta.pop(key)) for key in arrays if key in meta}
-    if "columns" not in meta:
-        return meta, None, files
+    files = {key: _array_file(path, key, meta.pop(key)) for key in arrays}
     names = meta.pop("columns")
     if type(names) is not list or set(map(type, names)) - {str} or len(set(names)) < len(names):
         raise ValidationError(f"{path}:1: 'meta.columns' must be a list of distinct strings")
-    twice = [key for key in files if key in names]
+    twice = [key for key in arrays if key in names]
     if twice:
         raise ValidationError(f"{path}:1: column {twice[0]!r} is both in 'meta.columns' and in a file")
-    missing = [key for key in types if key not in names and key not in defaults and key not in files]
+    missing = [key for key in types if key not in names and key not in defaults]
     if missing:
         raise ValidationError(f"{path}:1: 'meta.columns' lacks the required column {missing[0]!r}")
     return meta, names, files
@@ -829,15 +818,9 @@ def _read_matrix(path: Path, rows: int) -> np.ndarray:
 def _row_values(rows: list, lines: list[int], path: str | Path, names, types: dict, defaults: dict):
     """Each key of `types` mapped to its values in `rows`, the rows on lines `lines` of `path`.
 
-    With `names`, a table's columns, each row must be an array of one
-    value per column; without, each must be an object. A key that the
-    header or a row leaves out takes its default, else `_ABSENT`.
+    Each row must be an array of one value per column of `names`. A key
+    that the columns leave out takes its default.
     """
-    if names is None:
-        if set(map(type, rows)) - {dict}:
-            i = next(i for i, row in enumerate(rows) if type(row) is not dict)
-            raise ValidationError(f"{path}:{lines[i]}: expected a JSON object")
-        return {key: [row.get(key, defaults.get(key, _ABSENT)) for row in rows] for key in types}
     width = len(names)
     if set(map(type, rows)) - {list} or set(map(len, rows)) - {width}:
         i = next(i for i, row in enumerate(rows) if type(row) is not list or len(row) != width)
@@ -845,7 +828,7 @@ def _row_values(rows: list, lines: list[int], path: str | Path, names, types: di
             f"{path}:{lines[i]}: expected a JSON array of {width} values, one per column"
         )
     columns = dict(zip(names, map(list, zip(*rows))))
-    return {key: columns.get(key, [defaults.get(key, _ABSENT)] * len(rows)) for key in types}
+    return {key: columns.get(key, [defaults.get(key)] * len(rows)) for key in types}
 
 
 def _strings(column: list, names: str) -> list:
@@ -853,21 +836,15 @@ def _strings(column: list, names: str) -> list:
     return column if names == "string" else list(chain.from_iterable(map(dict.values, column)))
 
 
-def _chunk_columns(values: dict, lines: list[int], path: str | Path, types: dict, defaults: dict):
+def _chunk_columns(values: dict, lines: list[int], path: str | Path, types: dict):
     """Each key's `values`, those on lines `lines` of `path`, checked and typed."""
     columns = {}
     for key, names in types.items():
-        default = defaults.get(key, _ABSENT)
         column = values[key]
         allowed = tuple(_JSON_TYPES[name] for name in names.split("|"))
-        if default is not _ABSENT:
-            allowed += (type(default),)
         if set(map(type, column)).difference(allowed):
             i = next(i for i, value in enumerate(column) if type(value) not in allowed)
-            if column[i] is _ABSENT:
-                raise ValidationError(f"{path}:{lines[i]}: missing required key {key!r}")
-            kinds = names.replace("|", " or ").replace("numbers", "list")
-            raise ValidationError(f"{path}:{lines[i]}: {key!r} must be {kinds}")
+            raise ValidationError(f"{path}:{lines[i]}: {key!r} must be {names.replace('|', ' or ')}")
         strings = _strings(column, names) if names in ("string", "object") else []
         if set(map(type, strings)) - {str}:
             i = next(i for i, value in enumerate(column) if set(map(type, value.values())) - {str})
@@ -875,25 +852,16 @@ def _chunk_columns(values: dict, lines: list[int], path: str | Path, types: dict
         if _holds_nul(strings):
             i = next(i for i, value in enumerate(column) if _holds_nul(_strings([value], names)))
             raise ValidationError(f"{path}:{lines[i]}: {key!r} must not hold U+0000")
-        if names == "string":
-            column = np.array(column, dtype=str)
-        elif names == "numbers":
-            column = _float_rows(column, lines, path, key)
-        columns[key] = column
+        columns[key] = np.array(column, dtype=str) if names == "string" else column
     return columns
 
 
 def _join(blocks: list):
-    """One column from its chunks' blocks: an array if every block is one and they stack.
-
-    Otherwise, as when float rows change length, the list of all rows.
-    """
-    if all(isinstance(block, np.ndarray) for block in blocks):
-        blocks = [block for block in blocks if len(block)] or blocks[:1]
-        with contextlib.suppress(ValueError):
-            return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    lists = (block.tolist() if isinstance(block, np.ndarray) else block for block in blocks)
-    return list(chain.from_iterable(lists))
+    """One column from its chunks' blocks: arrays are concatenated and lists chained."""
+    if not isinstance(blocks[0], np.ndarray):
+        return list(chain.from_iterable(blocks))
+    blocks = [block for block in blocks if len(block)] or blocks[:1]
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def read_jsonl(
@@ -902,36 +870,25 @@ def read_jsonl(
     types: dict,
     defaults: dict | None = None,
     convert: Callable[[dict], dict] | None = None,
-    arrays: Iterable[str] = (),
+    arrays: tuple[str, ...] = (),
 ) -> tuple[dict, dict]:
-    """Columns of a JSONL table, or of a file of one JSON object per non-blank line.
+    """Columns of a JSONL table, and of the .npy files that its meta line names.
 
-    Returns (header, columns): `columns` maps each key of `types` to its
-    values in line order, and `types[key]` names the JSON types they may
+    Line 1 is `{"meta": {...}}`, whose object lists the table's columns
+    in `columns` and names, under each key of `arrays`, the .npy file
+    beside `path` that holds that column (see `_header`). Each later
+    non-blank line is a JSON array of one row's values in that order.
+    Returns (header, columns): `header` is the meta object without
+    `columns` and the file names. `columns` maps each key of `types` to
+    its values in line order, and then each key of `arrays` to its
+    matrix, which must be a finite '<f8' matrix of one row per row (see
+    `_read_matrix`). `types[key]` names the JSON types its values may
     take, as in "integer|null". A "string" column is returned as a numpy
-    string array and a "numbers" column (rows that are lists of JSON
-    numbers) as an (n, width) float64 array, or as its list of rows if
-    they differ in length; any other column is a list. A key of
-    `defaults` may be absent and then reads as its default, which may be
-    of any type: a sentinel of a type that no JSON value has tells a
-    key left out from every value a row can state. An "object" column's
-    objects must have string values. A string, or a value of an "object"
-    column's object, must not hold U+0000.
-
-    A line-1 object whose one key is "meta" is the header, whose value
-    must be an object; `header` is that object without its `columns`,
-    or {} when there is no header. When the header lists `columns`, the
-    file is a table: each later non-blank line is a JSON array of one
-    row's values in that order, and a column the header leaves out reads
-    as its default. Otherwise each line is a JSON object whose keys name
-    its row's values. Both layouts go through the same checks, so the
-    same rows read to the same columns. Errors name the file, and the
-    line when one is at fault.
-
-    A "numbers" column whose key is in `arrays` may instead be held in a
-    .npy file beside `path`, which the header names under that key (see
-    `_header`); then the rows do not hold it, and the file must hold a
-    finite '<f8' matrix of one row per row (see `_read_matrix`).
+    string array and any other as a list. A key of `defaults` may be
+    left out of `columns` and then reads as its default. An "object"
+    column's objects must have string values. A string, or a value of an
+    "object" column's object, must not hold U+0000. Errors name the
+    file, and the line when one is at fault.
 
     The file is read a chunk of `_CHUNK_LINES` non-blank lines at a time,
     and only one chunk's row values are held at once. Each chunk is
@@ -950,14 +907,14 @@ def read_jsonl(
     def take_chunk():
         nonlocal header, names, files, count
         rows, row_lines = _decode_lines(texts, lines, path), lines
-        if lines[:1] == [1] and type(rows[0]) is dict and rows[0].keys() == {"meta"}:
-            header, names, files = _header(rows[0]["meta"], path, types, defaults, arrays)
+        if names is None:
+            first = rows[0] if lines[:1] == [1] else None
+            header, names, files = _header(first, path, types, defaults, arrays)
             rows, row_lines = rows[1:], lines[1:]
         count += len(rows)
-        row_types = {key: kind for key, kind in types.items() if key not in files}
-        values = _row_values(rows, row_lines, path, names, row_types, defaults)
+        values = _row_values(rows, row_lines, path, names, types, defaults)
         del rows
-        columns = _chunk_columns(values, row_lines, path, row_types, defaults)
+        columns = _chunk_columns(values, row_lines, path, types)
         del values
         for key, block in (convert(columns) if convert else columns).items():
             blocks[key].append(block)
@@ -977,37 +934,24 @@ def read_jsonl(
     finally:
         if collecting:
             gc.enable()
-    return header, {
-        key: _read_matrix(files[key], count) if key in files else _join(blocks.pop(key))
-        for key in types
-    }
+    columns = {key: _join(blocks.pop(key)) for key in types}
+    return header, {**columns, **{key: _read_matrix(files[key], count) for key in arrays}}
 
 
-def _encode_column(column) -> tuple[str, list[str], str]:
-    """(open, texts, close): a `write_jsonl` column's value in each row is open + text + close.
-
-    The column holds at least one row.
-    """
+def _encode_column(column) -> list[str]:
+    """Each row's JSON text of a `write_jsonl` column, which holds at least one row."""
     if isinstance(column, dict):
-        return "", _encode_objects(column), ""
-    if not isinstance(column, np.ndarray):
-        return "", [_SCALAR_JSON[type(value)](value) for value in column], ""
-    if column.ndim == 2:
-        # the matrix holds only floats, so "], [" occurs only between rows
-        return "[", _ROW_JSON.encode(column.tolist())[2:-2].split("], ["), "]"
-    values = column.tolist()  # one dtype, so one type
-    return "", list(map(_SCALAR_JSON[type(values[0])], values)), ""
+        return _encode_objects(column)
+    if isinstance(column, np.ndarray):
+        values = column.tolist()  # one dtype, so one type
+        return list(map(_SCALAR_JSON[type(values[0])], values))
+    return [_SCALAR_JSON[type(value)](value) for value in column]
 
 
 def _join_rows(labels: list[str], columns: list, end: str) -> list[str]:
     """Each row's text: each column's label, the same in every row, and value in turn, then `end`."""
-    pieces, close = [], ""
-    for label, column in zip(labels, columns):
-        open_, texts, close_ = _encode_column(column)
-        pieces += [close + label + open_, texts]
-        close = close_
-    pieces.append(close + end)
-    return list(map("".join, zip(*(repeat(p) if isinstance(p, str) else p for p in pieces))))
+    pieces = chain.from_iterable((repeat(label), _encode_column(c)) for label, c in zip(labels, columns))
+    return list(map("".join, zip(*pieces, repeat(end))))
 
 
 def _encode_objects(columns: dict) -> list[str]:
@@ -1053,14 +997,15 @@ def write_jsonl(
     Line 1 is `{"meta": ...}`, whose object is `meta` with `columns`, the
     keys of `columns` in order. Each later line is the array of one
     row's values in that order, as `_ROW_JSON.encode` gives it, but built
-    a column at a time. A column is a float matrix (a list per row), a
-    dict of columns (an object per row), or an array or list of strings,
-    ints, bools or None. Rows are encoded and written `_CHUNK_LINES` at
-    a time, so the text of only one chunk is held at once.
+    a column at a time. A column is a dict of columns (an object per
+    row), or an array or list of strings, ints, bools or None. Rows are
+    encoded and written `_CHUNK_LINES` at a time, so the text of only
+    one chunk is held at once.
 
     Each of `arrays`, a float matrix with one row per row, is written
     first, by `write_npy`, to its `array_path`, and the meta object
-    names that file's bare name under the array's key.
+    names that file's bare name under the array's key; no row holds a
+    float.
     """
     arrays = arrays or {}
     rows = _row_count({**columns, **arrays})
@@ -1086,11 +1031,8 @@ def load_schema(schema_path: str | Path) -> ConceptSchema:
         raise ValidationError(f"{schema_path}: {exc}") from None
 
 
-_SAMPLE_TYPES = {
-    "id": "string", "concepts": "object", "embedding": "numbers", "logits": "numbers",
-    "gold": "integer|null",
-}
-# The float columns that `save_dataset` writes as .npy files beside samples.jsonl.
+_SAMPLE_TYPES = {"id": "string", "concepts": "object", "gold": "integer|null"}
+# The float columns of samples.jsonl, each a .npy file beside it.
 _SAMPLE_ARRAYS = ("embedding", "logits")
 _PAIR_KEYS = ("original_id", "edited_id", "attribute", "from", "to")
 
@@ -1105,7 +1047,7 @@ def load_dataset(
 
     Parse errors carry file and line; NaN/Infinity tokens are rejected.
     Embeddings and logits come from the .npy files that the samples meta
-    line names, or from the rows when it names none.
+    line names.
     With space="probability" a softmax is applied to every output row.
     Each chunk of samples has its labels turned into level codes, by the
     conversion that `Dataset.from_records` uses, before the next chunk
@@ -1121,7 +1063,7 @@ def load_dataset(
     _, samples = read_jsonl(
         samples_path, "samples", _SAMPLE_TYPES, {"gold": None}, convert=codes, arrays=_SAMPLE_ARRAYS
     )
-    ids, codes, embeddings, outputs, gold = samples.values()  # _SAMPLE_TYPES order
+    ids, codes, gold, embeddings, outputs = samples.values()  # _SAMPLE_TYPES, then arrays
     pairs = EditPairs()
     if pairs_path is not None:
         _, columns = read_jsonl(pairs_path, "pairs", dict.fromkeys(_PAIR_KEYS, "string"))

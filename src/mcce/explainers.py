@@ -142,6 +142,15 @@ class MCCEModel:
     def n_outputs(self) -> int:
         return self.concept_coef.shape[1]
 
+    @property
+    def effective_coef(self) -> np.ndarray:
+        """(k_vis, q): an edit that changes a row's design by dc moves `predict` by dc @ this.
+
+        The edit also moves the embedding residual by -dc @ embed_coef,
+        and so the pseudo-concept scores.
+        """
+        return self.concept_coef - self.embed_coef @ self.pseudo_basis @ self.pseudo_coef
+
     def predict(self, concepts: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
         """Surrogate outputs for (m, k_vis) visible designs and (m, d) embeddings."""
         if embeddings.shape[1:] != (self.embed_coef.shape[1],):
@@ -569,11 +578,13 @@ class CoefficientReport:
 
 
 def global_report(model: MCCEModel, baseline_class: int) -> CoefficientReport:
-    """Observed-concept coefficient contrasts against one output class.
+    """Contrasts of the model's `effective_coef` B against one output class.
 
-    Each row is beta[level, class] - beta[level, baseline_class]; the
-    baseline column is identically zero. A single-class model has no
-    contrasts and yields an empty report.
+    Each row is B[level, class] - B[level, baseline_class]; the baseline
+    column is identically zero. Unlike `concept_coef` alone, B agrees
+    with the local effects: an edit from level l to l' moves the
+    surrogate by B[l'] - B[l]. A single-class model has no contrasts and
+    yields an empty report.
     """
     if not isinstance(model, MCCEModel):
         raise ValidationError("global report requires a pseudo-concept (mcce) model")
@@ -583,7 +594,7 @@ def global_report(model: MCCEModel, baseline_class: int) -> CoefficientReport:
     b = int(baseline_class)
     if q == 1:
         return CoefficientReport(b, q, (), (), np.zeros((0, q)))
-    schema, coef = model.schema, model.concept_coef
+    schema, coef = model.schema, model.effective_coef
     rows = [
         (name, level)
         for name in schema.visible_names(model.hidden_attributes)
@@ -719,25 +730,21 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
 
 
 # The JSON types of an effects row's values. A file may leave out
-# `fallback`, which then reads as false, and `method` and `space`, which
-# then read as the meta line's; rows of files written before the two
-# moved to the meta line state them.
+# `fallback`, which then reads as false.
 _EFFECT_TYPES = {
-    **dict.fromkeys(("sample_id", "attribute", "from", "to"), "string"),
-    "effect": "numbers", "method": "string|null", "space": "string|null", "fallback": "boolean",
+    **dict.fromkeys(("sample_id", "attribute", "from", "to"), "string"), "fallback": "boolean",
 }
-_UNSTATED = object()  # a row's `method` or `space` left out
-_EFFECT_DEFAULTS = {"fallback": False, "method": _UNSTATED, "space": _UNSTATED}
 
 
 def write_effects(path: str | Path, effects: Effects, metadata: dict) -> Path:
-    """Write effect estimates as a JSONL table, one line per estimate after a meta line.
+    """Write effect estimates as a JSONL table and their effects as a .npy file beside it.
 
     The meta line holds `metadata` with the estimates' `method` and
     `space`, which no estimate's line repeats. The columns are
-    `sample_id`, `attribute`, `from`, `to` and `effect`, and `fallback`
-    when an estimate is flagged. Non-finite effects raise NumericalError,
-    since JSON cannot hold them.
+    `sample_id`, `attribute`, `from` and `to`, and `fallback` when an
+    estimate is flagged: one line per estimate. The (m, q) effect matrix
+    goes to `<name>.effect.npy`, which the meta line names under
+    `effect`. Non-finite effects raise NumericalError and write nothing.
     """
     bad = ~np.isfinite(effects.effect).all(axis=1)
     if bad.any():
@@ -750,50 +757,30 @@ def write_effects(path: str | Path, effects: Effects, metadata: dict) -> Path:
         "attribute": effects.attribute,
         "from": effects.from_level,
         "to": effects.to_level,
-        "effect": effects.effect,
     }
     if effects.fallback.any():
         columns["fallback"] = effects.fallback
     meta = {**metadata, "method": effects.method, "space": effects.space}
-    return write_jsonl(path, columns, meta)
+    return write_jsonl(path, columns, meta, arrays={"effect": effects.effect})
 
 
 def read_effects(path: str | Path) -> tuple[Effects, dict]:
-    """Read an effects file; every estimate in it must share one method and space.
+    """Read an effects file and its effect matrix, as `write_effects` writes them.
 
-    The metadata line, when present, is line 1; its `hidden` entry, when
-    present, must be a list of attribute names, and its `seed` an
-    integer or null. The estimates' method and space are the metadata's
-    `method` and `space` (strings or null), except where estimate lines
-    state their own, as files written before the two moved to the
-    metadata line do: those lines' values stand.
+    Line 1 is the meta line. Its `method` and `space`, each a string or
+    null, are every estimate's; its `hidden`, when present, must be a
+    list of attribute names, and its `seed` an integer or null. The
+    metadata returned is the meta line without its `columns` and `effect`
+    file name.
     """
-    metadata, columns = read_jsonl(path, "effects", _EFFECT_TYPES, _EFFECT_DEFAULTS)
+    metadata, columns = read_jsonl(
+        path, "effects", _EFFECT_TYPES, {"fallback": False}, arrays=("effect",)
+    )
     meta = {f"meta.{key}": value for key, value in metadata.items()}  # keys as errors name them
-    json_field(meta, "meta.hidden", "strings", f"{path}:1", [])
-    json_field(meta, "meta.seed", "integer|null", f"{path}:1", None)
-
-    def stated(key: str, value):
-        """An estimate line's `key`, or the metadata's where the line leaves it out."""
-        if value is not _UNSTATED:
-            return value
-        value = metadata.get(key)
-        if value is not None and type(value) is not str:
-            raise ValidationError(f"{path}:1: 'meta.{key}' must be a string or null")
-        return value
-
-    rows = set(zip(columns.pop("method"), columns.pop("space"))) or {(_UNSTATED, _UNSTATED)}
-    kinds = {(stated("method", method), stated("space", space)) for method, space in rows}
-    if len(kinds) > 1:
-        raise ValidationError(f"{path}: estimates mix methods or spaces: {sorted(kinds, key=str)}")
-    ((method, space),) = kinds
-    try:
-        effect = np.asarray(columns["effect"], dtype=np.float64)
-    except ValueError:  # rows of unequal length
-        effect = None
-    if effect is None or (len(effect) and effect.ndim != 2) or not np.isfinite(effect).all():
-        raise ValidationError(
-            f"{path}: every 'effect' must be a finite list of numbers, all of one length"
-        )
+    where = f"{path}:1"
+    json_field(meta, "meta.hidden", "strings", where, [])
+    json_field(meta, "meta.seed", "integer|null", where, None)
+    method = json_field(meta, "meta.method", "string|null", where, None)
+    space = json_field(meta, "meta.space", "string|null", where, None)
     names = (columns[key] for key in ("sample_id", "attribute", "from", "to"))
-    return Effects(*names, effect, method, space, columns["fallback"]), metadata
+    return Effects(*names, columns["effect"], method, space, columns["fallback"]), metadata

@@ -19,6 +19,8 @@ import mcce
 from mcce import Dataset, default_config, generate, make_pairs, save_dataset
 from mcce.cli import main
 
+from jsonl_tables import FLOAT_COLUMNS, read_table, write_lines, write_table
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -42,40 +44,22 @@ def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def table_rows(path):
-    """The rows of a JSONL table as objects: each array keyed by the header's columns.
+def effects_bytes(path):
+    """An effects file's bytes, with the name of its .npy file blanked, and that file's bytes.
 
-    A column that the header keeps in a .npy file is read from it, so the
-    rows hold every value, as a hand-made file's rows do.
+    Two effects files of equal estimates are equal under it whatever
+    their names.
     """
-    head, *lines = path.read_text().splitlines()
-    meta = json.loads(head)["meta"]
-    rows = [dict(zip(meta["columns"], json.loads(line))) for line in lines]
-    for key in ("embedding", "logits"):
+    npy = path.with_name(f"{path.stem}.effect.npy")
+    return path.read_bytes().replace(json.dumps(npy.name).encode(), b'""'), npy.read_bytes()
+
+
+def copy_arrays(table, root):
+    """Copy the .npy files that JSONL table `table` names into directory `root`."""
+    meta = json.loads(table.read_text().split("\n", 1)[0])["meta"]
+    for key in FLOAT_COLUMNS:
         if key in meta:
-            for row, values in zip(rows, np.load(path.parent / meta[key]).tolist()):
-                row[key] = values
-    return rows
-
-
-SAMPLE_COLUMNS = ["id", "concepts", "embedding", "logits", "gold"]
-
-
-def inline_lines(samples):
-    """The lines of samples table `samples` with its float columns inline, as earlier versions wrote them."""
-    rows = table_rows(samples)
-    head = json.dumps({"meta": {"columns": SAMPLE_COLUMNS}})
-    return [head, *(json.dumps([row[key] for key in SAMPLE_COLUMNS]) for row in rows)]
-
-
-def write_object_rows(path, rows):
-    """Write `rows` one object per line with no meta line, as a hand-made file holds them."""
-    return write_lines(path, map(json.dumps, rows))
-
-
-def write_lines(path, lines):
-    path.write_text("".join(line + "\n" for line in lines))
-    return path
+            shutil.copy(table.parent / meta[key], root / meta[key])
 
 
 @pytest.fixture(scope="module")
@@ -179,11 +163,11 @@ class TestFit:
             assert "converged=True" in proc.stdout and "grad_norm=" in proc.stdout
 
     def test_unobserved_level_warns_once(self, synth_dir, tmp_path):
-        rows = table_rows(synth_dir / "samples.jsonl")
+        rows = read_table(synth_dir / "samples.jsonl")
         for row in rows:
             if row["concepts"]["food"] == "pos":
                 row["concepts"]["food"] = "neg"
-        samples = write_object_rows(tmp_path / "samples.jsonl", rows)
+        samples = write_table(tmp_path / "samples.jsonl", rows)
         proc = run_process(
             "fit",
             "--schema", synth_dir / "schema.json",
@@ -376,7 +360,7 @@ class TestExplainEvaluate:
         capsys.readouterr()
         meta = json.loads(effects.read_text().splitlines()[0])["meta"]
         n_ambiance = sum(
-            1 for row in table_rows(synth_dir / "pairs.jsonl") if row["attribute"] == "ambiance"
+            1 for row in read_table(synth_dir / "pairs.jsonl") if row["attribute"] == "ambiance"
         )
         assert meta["pairs_skipped"] == n_ambiance > 0
         assert meta["pairs_total"] == 150
@@ -620,7 +604,7 @@ class TestPredict:
         ) == 0
         out = capsys.readouterr().out
         assert "macro_f1" in out
-        lines = table_rows(preds)
+        lines = read_table(preds)
         assert len(lines) == 300
         assert all(set(l) == {"id", "predicted", "gold"} for l in lines)
         score = float(out.split("macro_f1")[1].split()[0])
@@ -661,10 +645,10 @@ class TestPredict:
 
     def test_prediction_lines_equal_per_row_dumps(self, synth_dir, tmp_path, capsys):
         model = self.fit_gold_model(synth_dir, tmp_path, capsys)
-        rows = table_rows(synth_dir / "samples.jsonl")
+        rows = read_table(synth_dir / "samples.jsonl")
         for row in rows[::3]:
-            del row["gold"]
-        samples = write_object_rows(tmp_path / "samples.jsonl", rows)
+            row["gold"] = None
+        samples = write_table(tmp_path / "samples.jsonl", rows)
         preds = tmp_path / "predictions.jsonl"
         flags = ["--schema", synth_dir / "schema.json", "--samples", samples]
         assert run("predict", "--model", model, *flags, "--out", preds) == 0
@@ -673,7 +657,7 @@ class TestPredict:
         dataset = mcce.load_dataset(samples, None, synth_dir / "schema.json")
         predicted = mcce.predict_labels(loaded, dataset.mask(loaded.hidden_attributes)).tolist()
         want = '{"meta": {"columns": ["id", "predicted", "gold"]}}\n' + "".join(
-            json.dumps([row["id"], label, row.get("gold")]) + "\n"
+            json.dumps([row["id"], label, row["gold"]]) + "\n"
             for row, label in zip(rows, predicted)
         )
         assert preds.read_text() == want
@@ -731,9 +715,9 @@ class TestApproxExplain:
                 "--seed", "4",
                 "--out", path,
             ) == 0
-            outs.append(digest(path))
+            outs.append(effects_bytes(path))
         assert outs[0] == outs[1]
-        body = table_rows(tmp_path / "a.jsonl")
+        body = read_table(tmp_path / "a.jsonl")
         assert len(body) == 150
         assert all("effect" in row for row in body)
 
@@ -755,7 +739,7 @@ class TestApproxExplain:
                     "--out", single,
                 ) == 0
                 effects = out / "runs" / "approx" / "+".join(mask) / f"seed{seed}" / "effects.jsonl"
-                assert effects.read_bytes() == single.read_bytes(), (mask, seed)
+                assert effects_bytes(effects) == effects_bytes(single), (mask, seed)
 
 
 def dataset_flags(data):
@@ -766,57 +750,60 @@ def dataset_flags(data):
     ]
 
 
+def oracle_lines(oracle_report, tmp_path):
+    """The lines of the oracle's effects file, whose .npy file is copied into `tmp_path`."""
+    effects = oracle_report.parent / "effects.jsonl"
+    copy_arrays(effects, tmp_path)
+    return effects.read_text().splitlines()
+
+
 class TestLoaderErrors:
     """Malformed input files exit 2 with a message, never with a traceback."""
 
-    def evaluate(self, synth_dir, tmp_path, lines):
+    def evaluate(self, synth_dir, tmp_path, lines=None):
+        """`mcce evaluate` of e.jsonl in `tmp_path`, first written from `lines` if they are given."""
         effects = tmp_path / "e.jsonl"
-        effects.write_text("\n".join(lines) + "\n")
+        if lines is not None:
+            write_lines(effects, lines)
         out = tmp_path / "eval"
         return run("evaluate", *dataset_flags(synth_dir), "--effects", effects, "--out", out)
+
+    def evaluate_with_meta(self, synth_dir, oracle_report, tmp_path, key, value):
+        """`mcce evaluate` of the oracle's effects with `key` of the meta line set to `value`."""
+        def edit(head):
+            head["meta"][key] = value
+        lines = edit_line(1, edit)(oracle_lines(oracle_report, tmp_path))
+        return self.evaluate(synth_dir, tmp_path, lines)
 
     def test_effects_meta_must_be_an_object(self, synth_dir, tmp_path, capsys):
         assert self.evaluate(synth_dir, tmp_path, ['{"meta": [1]}']) == 2
         assert "meta" in capsys.readouterr().err
 
-    def test_effects_meta_hidden_must_be_names(self, synth_dir, tmp_path, capsys):
-        assert self.evaluate(synth_dir, tmp_path, ['{"meta": {"hidden": 5}}']) == 2
+    def test_effects_meta_hidden_must_be_names(self, synth_dir, oracle_report, tmp_path, capsys):
+        assert self.evaluate_with_meta(synth_dir, oracle_report, tmp_path, "hidden", 5) == 2
         err = capsys.readouterr().err
         assert "e.jsonl:1: 'meta.hidden'" in err and "Traceback" not in err
 
-    def test_effects_meta_method_and_space_must_be_strings(self, synth_dir, tmp_path, capsys):
-        assert self.evaluate(synth_dir, tmp_path, ['{"meta": {"space": 5}}']) == 2
+    def test_effects_meta_method_and_space_must_be_strings(
+        self, synth_dir, oracle_report, tmp_path, capsys
+    ):
+        assert self.evaluate_with_meta(synth_dir, oracle_report, tmp_path, "space", 5) == 2
         err = capsys.readouterr().err
-        assert "e.jsonl:1: 'meta.space' must be a string or null" in err and "Traceback" not in err
+        assert "e.jsonl:1: 'meta.space' must be string or null" in err and "Traceback" not in err
 
-    def test_effects_rows_that_mix_methods_exit_2(self, synth_dir, tmp_path, capsys):
-        # rows of files written before method and space moved to the meta
-        # line state both, and must agree
-        rows = [
-            {
-                "sample_id": "s000000", "attribute": "food", "from": "neg", "to": "pos",
-                "effect": [0.0] * 5, "method": method, "space": "logit", "fallback": False,
-            }
-            for method in ("mcce", "approx")
-        ]
-        lines = ['{"meta": {"method": "mcce", "space": "logit"}}', *map(json.dumps, rows)]
-        assert self.evaluate(synth_dir, tmp_path, lines) == 2
-        assert "e.jsonl: estimates mix methods or spaces" in capsys.readouterr().err
+    ESTIMATE = {"sample_id": "s000000", "attribute": "food", "from": "neg", "to": "pos",
+                "effect": [0.0] * 5}
 
     def test_effects_fallback_must_be_boolean(self, synth_dir, tmp_path, capsys):
-        row = {
-            "sample_id": "s000000", "attribute": "food", "from": "neg", "to": "pos",
-            "effect": [0.0] * 5, "method": "approx", "space": "logit", "fallback": "no",
-        }
-        lines = ['{"meta": {}}', json.dumps(row)]
-        assert self.evaluate(synth_dir, tmp_path, lines) == 2
+        write_table(tmp_path / "e.jsonl", [{**self.ESTIMATE, "fallback": "no"}], {"method": "approx"})
+        assert self.evaluate(synth_dir, tmp_path) == 2
         assert "e.jsonl:2: 'fallback' must be boolean" in capsys.readouterr().err
 
     def fit_with(self, synth_dir, tmp_path, line, key, value):
-        """`mcce fit` on the samples as object rows, with `key` of line `line` set to `value`."""
-        rows = table_rows(synth_dir / "samples.jsonl")
-        rows[line - 1][key] = value
-        samples = write_object_rows(tmp_path / "samples.jsonl", rows)
+        """`mcce fit` on a copy of the samples with `key` on line `line` set to `value`."""
+        rows = read_table(synth_dir / "samples.jsonl")
+        rows[line - 2][key] = value  # line 1 is the meta line
+        samples = write_table(tmp_path / "samples.jsonl", rows)
         flags = ["--schema", synth_dir / "schema.json", "--samples", samples]
         return run("fit", *flags, "--out", tmp_path / "m.json")
 
@@ -836,31 +823,34 @@ class TestLoaderErrors:
         assert "samples.jsonl:2: 'gold' must be integer or null" in capsys.readouterr().err
 
     def test_effect_must_be_numbers(self, synth_dir, tmp_path, capsys):
-        row = {
-            "sample_id": "s000000", "attribute": "food", "from": "neg", "to": "pos",
-            "effect": "abc", "method": "mcce", "space": "logit", "fallback": False,
-        }
-        assert self.evaluate(synth_dir, tmp_path, [json.dumps(row)]) == 2
-        assert "effect" in capsys.readouterr().err
+        write_table(tmp_path / "e.jsonl", [self.ESTIMATE], {"method": "mcce"})
+        np.save(tmp_path / "e.effect.npy", np.array([["abc"] * 5]))
+        assert self.evaluate(synth_dir, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "e.effect.npy: must hold a '<f8' matrix" in err and "Traceback" not in err
 
-    # Float rows and matrices take JSON numbers only: numpy alone would read
+    # Float matrices take float64 only: numpy alone would read the string
     # "0.5" as 0.5 and true as 1.0, and the command would exit 0.
 
     @pytest.mark.parametrize("key, bad", [("embedding", "0.5"), ("logits", True)])
     def test_sample_rows_must_hold_numbers(self, synth_dir, tmp_path, capsys, key, bad):
-        row = table_rows(synth_dir / "samples.jsonl")[4]
-        assert self.fit_with(synth_dir, tmp_path, 5, key, [bad, *row[key][1:]]) == 2
+        root = array_file_copy(synth_dir, tmp_path / "data")
+        matrix = np.load(root / f"samples.{key}.npy").astype(type(bad))
+        matrix[3, 0] = bad
+        np.save(root / f"samples.{key}.npy", matrix)
+        flags = ["--schema", root / "schema.json", "--samples", root / "samples.jsonl"]
+        assert run("fit", *flags, "--out", tmp_path / "m.json") == 2
         err = capsys.readouterr().err
-        assert f"samples.jsonl:5: {key!r} must hold only numbers" in err and "Traceback" not in err
+        assert f"samples.{key}.npy: must hold a '<f8' matrix" in err and "Traceback" not in err
 
     def test_effect_rows_must_hold_numbers(self, synth_dir, oracle_report, tmp_path, capsys):
-        lines = (oracle_report.parent / "effects.jsonl").read_text().splitlines()
-        row = json.loads(lines[2])
-        row[json.loads(lines[0])["meta"]["columns"].index("effect")][1] = "0.5"
-        lines[2] = json.dumps(row)
+        lines = oracle_lines(oracle_report, tmp_path)
+        matrix = np.load(tmp_path / "effects.effect.npy").astype(str)
+        matrix[1, 1] = "0.5"
+        np.save(tmp_path / "effects.effect.npy", matrix)
         assert self.evaluate(synth_dir, tmp_path, lines) == 2
         err = capsys.readouterr().err
-        assert "e.jsonl:3: 'effect' must hold only numbers" in err and "Traceback" not in err
+        assert "effects.effect.npy: must hold a '<f8' matrix" in err and "Traceback" not in err
 
     def fitted(self, synth_dir, tmp_path, method):
         """Path and JSON object of a `method` model fit on the synth data."""
@@ -1113,8 +1103,9 @@ class TestLoaderErrors:
         return root / "data"
 
     def fit_lines(self, data, tmp_path, lines):
-        samples = tmp_path / "samples.jsonl"
-        samples.write_text("".join(line + "\n" for line in lines))
+        """`mcce fit` on samples.jsonl lines `lines`, beside copies of the .npy files of `data`."""
+        copy_arrays(data / "samples.jsonl", tmp_path)
+        samples = write_lines(tmp_path / "samples.jsonl", lines)
         flags = ["--schema", data / "schema.json", "--samples", samples]
         return run("fit", *flags, "--out", tmp_path / "m.json")
 
@@ -1125,9 +1116,9 @@ class TestLoaderErrors:
         assert "samples.jsonl:1: invalid JSON" in err and "Traceback" not in err
 
     def test_nan_past_a_chunk_boundary_names_its_line(self, long_data, tmp_path, capsys):
-        lines = inline_lines(long_data / "samples.jsonl")
+        lines = (long_data / "samples.jsonl").read_text().splitlines()
         row = json.loads(lines[1024])
-        row[json.loads(lines[0])["meta"]["columns"].index("logits")][0] = float("nan")
+        row[json.loads(lines[0])["meta"]["columns"].index("gold")] = float("nan")
         lines[1024] = json.dumps(row)  # a bare NaN token on line 1025
         assert self.fit_lines(long_data, tmp_path, lines) == 2
         err = capsys.readouterr().err
@@ -1136,15 +1127,15 @@ class TestLoaderErrors:
     def test_blank_lines_across_a_chunk_boundary_keep_line_numbers(
         self, long_data, tmp_path, capsys
     ):
-        rows = inline_lines(long_data / "samples.jsonl")
-        bad = rows[1024][:-1]  # the 1025th row, without its closing brace
+        rows = (long_data / "samples.jsonl").read_text().splitlines()
+        bad = rows[1024][:-1]  # line 1025, without its closing bracket
         lines = [*rows[:1023], "", rows[1023], "", "  ", bad, *rows[1025:]]
         assert self.fit_lines(long_data, tmp_path, lines) == 2
         err = capsys.readouterr().err
         assert "samples.jsonl:1028: invalid JSON" in err and "Traceback" not in err
 
     def test_missing_concept_label_is_named(self, synth_dir, tmp_path, capsys):
-        lines = inline_lines(synth_dir / "samples.jsonl")
+        lines = (synth_dir / "samples.jsonl").read_text().splitlines()
         row = json.loads(lines[3])
         del row[json.loads(lines[0])["meta"]["columns"].index("concepts")]["food"]
         lines[3] = json.dumps(row)
@@ -1190,10 +1181,20 @@ def drop_column(name):
     return change
 
 
-def as_object_rows(lines):
-    """A table's lines as object rows, with no meta line."""
-    head, *rows = map(json.loads, lines)
-    return [json.dumps(dict(zip(head["meta"]["columns"], row))) for row in rows]
+def samples_with(synth_dir, root, change):
+    """A copy of the synth data in `root` whose samples.jsonl lines went through `change`."""
+    samples = array_file_copy(synth_dir, root) / "samples.jsonl"
+    return write_lines(samples, change(samples.read_text().splitlines()))
+
+
+def floats_in(value):
+    """Whether decoded JSON `value` holds a float at any depth."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    return type(value) is float or isinstance(value, list) and any(map(floats_in, value))
+
+
+SAMPLE_COLUMNS = ["id", "concepts", "gold"]
 
 
 class TestTableLayout:
@@ -1218,10 +1219,12 @@ class TestTableLayout:
         assert {path.name for path in paths} >= {"samples.jsonl", "pairs.jsonl", "effects.jsonl",
                                                  "p.jsonl", "a.jsonl"}
         for path in paths:
-            first = path.read_text().splitlines()[0]
+            first, *rows = path.read_text().splitlines()
             assert first.startswith('{"meta": {'), path
             columns = json.loads(first)["meta"]["columns"]
             assert columns and all(type(name) is str for name in columns), path
+            # floats live in .npy files only
+            assert not any(floats_in(json.loads(row)) for row in rows), path
 
     @pytest.mark.parametrize("flags", [[False, False], [False, True]])
     def test_fallback_column_only_when_an_estimate_is_flagged(self, tmp_path, flags):
@@ -1230,37 +1233,95 @@ class TestTableLayout:
         path = mcce.write_effects(tmp_path / "e.jsonl", effects, {})
         head, *rows = map(json.loads, path.read_text().splitlines())
         flagged = ["fallback"] if any(flags) else []
-        assert head["meta"]["columns"] == ["sample_id", "attribute", "from", "to", "effect", *flagged]
-        assert [row[5:] for row in rows] == [[flag][: len(flagged)] for flag in flags]
+        assert head["meta"]["columns"] == ["sample_id", "attribute", "from", "to", *flagged]
+        assert head["meta"]["effect"] == "e.effect.npy"
+        assert [row[4:] for row in rows] == [[flag][: len(flagged)] for flag in flags]
         assert mcce.read_effects(path)[0].fallback.tolist() == flags
 
     MALFORMED = [
         (set_columns("id"), ":1: 'meta.columns' must be a list of distinct strings"),
         (set_columns([*SAMPLE_COLUMNS, "id"]), ":1: 'meta.columns' must be a list of distinct strings"),
         (set_columns([1, *SAMPLE_COLUMNS[1:]]), ":1: 'meta.columns' must be a list of distinct strings"),
-        (drop_column("logits"), ":1: 'meta.columns' lacks the required column 'logits'"),
-        (edit_line(3, lambda row: row[:-1]), ":3: expected a JSON array of 5 values, one per column"),
-        (edit_line(3, lambda row: "s"), ":3: expected a JSON array of 5 values, one per column"),
+        (drop_column("concepts"), ":1: 'meta.columns' lacks the required column 'concepts'"),
+        (edit_line(3, lambda row: row[:-1]), ":3: expected a JSON array of 3 values, one per column"),
+        (edit_line(3, lambda row: "s"), ":3: expected a JSON array of 3 values, one per column"),
         (edit_line(3, lambda row: dict(zip(SAMPLE_COLUMNS, row))),
-         ":3: expected a JSON array of 5 values, one per column"),
-        (lambda lines: edit_line(3, lambda row: list(row.values()))(as_object_rows(lines)),
-         ":3: expected a JSON object"),
+         ":3: expected a JSON array of 3 values, one per column"),
     ]
 
     @pytest.mark.parametrize("change, message", MALFORMED)
     def test_malformed_header_or_row_exits_2(self, synth_dir, tmp_path, capsys, change, message):
-        lines = change(inline_lines(synth_dir / "samples.jsonl"))
-        samples = write_lines(tmp_path / "samples.jsonl", lines)
+        samples = samples_with(synth_dir, tmp_path / "data", change)
         flags = ["--schema", synth_dir / "schema.json", "--samples", samples]
         assert run("fit", *flags, "--out", tmp_path / "m.json") == 2
         err = capsys.readouterr().err
         assert f"samples.jsonl{message}" in err and "Traceback" not in err
 
     def test_dropped_optional_column_reads_as_its_default(self, synth_dir, tmp_path, capsys):
-        lines = drop_column("gold")(inline_lines(synth_dir / "samples.jsonl"))
-        samples = write_lines(tmp_path / "samples.jsonl", lines)
+        samples = samples_with(synth_dir, tmp_path / "data", drop_column("gold"))
         dataset = mcce.load_dataset(samples, synth_dir / "pairs.jsonl", synth_dir / "schema.json")
         assert (dataset.gold == -1).all() and len(dataset) == 300
+
+
+def object_rows(rows):
+    """`rows` as lines of one JSON object each and no meta line, as files before the table layout."""
+    return [json.dumps(row) for row in rows]
+
+
+def inline_table(rows, meta):
+    """`rows` as a table with the float columns inline, as files before the .npy layout."""
+    head = json.dumps({"meta": {**meta, "columns": list(rows[0])}})
+    return [head, *(json.dumps(list(row.values())) for row in rows)]
+
+
+class TestOlderLayouts:
+    """A file in a layout that earlier versions wrote exits 2 at its line 1.
+
+    The message names what the meta line lacks.
+    """
+
+    SAMPLES_NEED = "must list 'columns' and name the .npy file of 'embedding', 'logits'"
+    EFFECTS_NEED = "must list 'columns' and name the .npy file of 'effect'"
+
+    @pytest.mark.parametrize("layout, message", [
+        ("object rows", 'samples.jsonl:1: expected a meta line, {"meta": {...}}; it ' + SAMPLES_NEED),
+        ("inline floats",
+         "samples.jsonl:1: 'meta' lacks 'embedding', 'logits'; the meta line " + SAMPLES_NEED),
+    ])
+    def test_samples(self, synth_dir, tmp_path, capsys, layout, message):
+        rows = read_table(synth_dir / "samples.jsonl")
+        lines = object_rows(rows) if layout == "object rows" else inline_table(rows, {})
+        samples = write_lines(tmp_path / "samples.jsonl", lines)
+        flags = ["--schema", synth_dir / "schema.json", "--samples", samples]
+        assert run("fit", *flags, "--out", tmp_path / "m.json") == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("layout, message", [
+        # before method and space moved to the meta line, every row stated them
+        ("method and space per row",
+         "e.jsonl:1: 'meta' lacks 'columns', 'effect'; the meta line " + EFFECTS_NEED),
+        ("inline floats", "e.jsonl:1: 'meta' lacks 'effect'; the meta line " + EFFECTS_NEED),
+    ])
+    def test_effects(self, synth_dir, oracle_report, tmp_path, capsys, layout, message):
+        rows = read_table(oracle_report.parent / "effects.jsonl")
+        stated = {"method": "oracle", "space": "logit"}
+        if layout == "inline floats":
+            lines = inline_table(rows, stated)
+        else:
+            lines = ['{"meta": {"seed": null}}', *object_rows({**row, **stated, "fallback": False}
+                                                               for row in rows)]
+        effects = write_lines(tmp_path / "e.jsonl", lines)
+        code = run("evaluate", *dataset_flags(synth_dir), "--effects", effects, "--out", tmp_path / "o")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_an_empty_samples_file_lacks_its_meta_line(self, synth_dir, tmp_path, capsys):
+        samples = write_lines(tmp_path / "samples.jsonl", [])
+        flags = ["--schema", synth_dir / "schema.json", "--samples", samples]
+        assert run("fit", *flags, "--out", tmp_path / "m.json") == 2
+        assert "samples.jsonl:1: expected a meta line" in capsys.readouterr().err
 
 
 def nul(name):
@@ -1303,19 +1364,18 @@ class TestNulInNames:
                 row[0] = nul(row[0])
             else:
                 row[1]["food"] = nul(row[1]["food"])
-        lines = edit_line(2, edit)(inline_lines(synth_dir / "samples.jsonl"))
-        samples = write_lines(tmp_path / "samples.jsonl", lines)
+        samples = samples_with(synth_dir, tmp_path / "data", edit_line(2, edit))
         assert self.fit(synth_dir, tmp_path, samples=samples) == 2
         err = capsys.readouterr().err
         assert f"samples.jsonl:2: {column!r} must not hold U+0000" in err and "Traceback" not in err
 
     def test_pairs(self, synth_dir, tmp_path, capsys):
-        rows = table_rows(synth_dir / "pairs.jsonl")
+        rows = read_table(synth_dir / "pairs.jsonl")
         rows[0]["to"] = nul(rows[0]["to"])
-        pairs = write_object_rows(tmp_path / "pairs.jsonl", rows)  # checked as a table's are
+        pairs = write_table(tmp_path / "pairs.jsonl", rows)
         assert self.fit(synth_dir, tmp_path, pairs=pairs) == 2
         err = capsys.readouterr().err
-        assert "pairs.jsonl:1: 'to' must not hold U+0000" in err and "Traceback" not in err
+        assert "pairs.jsonl:2: 'to' must not hold U+0000" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("where, message", [
         ("name", "m.json: attribute names and levels must not hold U+0000"),
@@ -1348,7 +1408,7 @@ class TestNulInNames:
                 value["meta"]["hidden"] = [nul("food")]
             else:
                 value[3] = nul(value[3])
-        lines = edit_line(line, edit)((oracle_report.parent / "effects.jsonl").read_text().splitlines())
+        lines = edit_line(line, edit)(oracle_lines(oracle_report, tmp_path))
         effects = write_lines(tmp_path / "e.jsonl", lines)
         code = run("evaluate", *dataset_flags(synth_dir), "--effects", effects, "--out", tmp_path / "o")
         assert code == 2
@@ -1361,7 +1421,7 @@ def test_evaluate_rejects_a_seed_that_is_not_an_integer(synth_dir, oracle_report
                                                          seed):
     def edit(head):
         head["meta"]["seed"] = seed
-    lines = edit_line(1, edit)((oracle_report.parent / "effects.jsonl").read_text().splitlines())
+    lines = edit_line(1, edit)(oracle_lines(oracle_report, tmp_path))
     effects = write_lines(tmp_path / "e.jsonl", lines)
     code = run("evaluate", *dataset_flags(synth_dir), "--effects", effects, "--out", tmp_path / "o")
     assert code == 2
@@ -1370,26 +1430,23 @@ def test_evaluate_rejects_a_seed_that_is_not_an_integer(synth_dir, oracle_report
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("layout", ["objects", "table"])
 @pytest.mark.parametrize("label", [1, None, True, ["pos"], {"x": "pos"}])
-def test_concept_labels_must_be_strings(synth_dir, tmp_path, capsys, layout, label):
+def test_concept_labels_must_be_strings(synth_dir, tmp_path, capsys, label):
     # labels were turned into strings, so {"food": 1} fit against a level "1"
-    lines = edit_line(4, lambda row: row[1].update(food=label))(inline_lines(synth_dir / "samples.jsonl"))
-    if layout == "objects":
-        lines = as_object_rows(lines)
-    samples = write_lines(tmp_path / "samples.jsonl", lines)
-    line = 3 if layout == "objects" else 4
+    change = edit_line(4, lambda row: row[1].update(food=label))
+    samples = samples_with(synth_dir, tmp_path / "data", change)
     flags = ["--schema", synth_dir / "schema.json", "--samples", samples]
     assert run("fit", *flags, "--out", tmp_path / "m.json") == 2
     err = capsys.readouterr().err
-    assert f"samples.jsonl:{line}: 'concepts' values must be strings" in err
+    assert "samples.jsonl:4: 'concepts' values must be strings" in err
     assert "Traceback" not in err
 
 
 def array_file_copy(synth_dir, root):
-    """A copy of the synth samples, its .npy files and the schema, in `root`."""
+    """A copy of the synth schema, samples with their .npy files, and pairs, in `root`."""
     root.mkdir()
-    for name in ("schema.json", "samples.jsonl", "samples.embedding.npy", "samples.logits.npy"):
+    for name in ("schema.json", "samples.jsonl", "samples.embedding.npy", "samples.logits.npy",
+                 "pairs.jsonl"):
         shutil.copy(synth_dir / name, root / name)
     return root
 
@@ -1405,7 +1462,7 @@ def with_nan(matrix):
 
 
 def with_inf(matrix):
-    matrix[299, 0] = -np.inf
+    matrix[-1, 0] = -np.inf
     return matrix
 
 
@@ -1445,57 +1502,86 @@ BAD_ARRAY_FILES = {
 
 
 class TestArrayFiles:
-    """A samples table keeps its float columns in .npy files that its meta line names.
+    """Samples and effects tables keep their float columns in .npy files that their meta lines name.
 
-    Each file must hold a finite '<f8' matrix of one row per sample, read
-    without unpickling; anything else exits 2 naming the file.
+    Each file must hold a finite '<f8' matrix of one row per row of its
+    table, read without unpickling; anything else exits 2 naming the file.
+    The samples are read by `mcce fit` and the effects by `mcce evaluate`.
     """
 
-    def fit(self, root, tmp_path):
-        flags = ["--schema", root / "schema.json", "--samples", root / "samples.jsonl"]
-        return run("fit", *flags, "--out", tmp_path / "m.json")
-
-    @pytest.mark.parametrize("key", ["embedding", "logits"])
-    @pytest.mark.parametrize("case", list(BAD_ARRAY_FILES))
-    def test_a_bad_array_file_exits_2_naming_it(self, synth_dir, tmp_path, capsys, key, case):
+    @pytest.fixture
+    def root(self, synth_dir, oracle_report, tmp_path):
+        """A copy of the synth data and of the oracle's effects file with its .npy file."""
         root = array_file_copy(synth_dir, tmp_path / "data")
-        path = root / f"samples.{key}.npy"
+        for name in ("effects.jsonl", "effects.effect.npy"):
+            shutil.copy(oracle_report.parent / name, root / name)
+        return root
+
+    @staticmethod
+    def table(key):
+        return "effects" if key == "effect" else "samples"
+
+    def read(self, root, tmp_path, key):
+        """(exit code, output path) of the command that reads the table holding `key`."""
+        if key == "effect":
+            out = tmp_path / "eval"
+            flags = ["--effects", root / "effects.jsonl", "--out", out]
+            return run("evaluate", *dataset_flags(root), *flags), out
+        out = tmp_path / "m.json"
+        flags = ["--schema", root / "schema.json", "--samples", root / "samples.jsonl"]
+        return run("fit", *flags, "--out", out), out
+
+    @pytest.mark.parametrize("key", ["embedding", "logits", "effect"])
+    @pytest.mark.parametrize("case", list(BAD_ARRAY_FILES))
+    def test_a_bad_array_file_exits_2_naming_it(self, root, tmp_path, capsys, key, case):
+        path = root / f"{self.table(key)}.{key}.npy"
         BAD_ARRAY_FILES[case](path)
-        assert self.fit(root, tmp_path) == 2
+        code, out = self.read(root, tmp_path, key)
+        assert code == 2
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err
-        assert not (tmp_path / "m.json").exists()
+        assert not out.exists()
 
-    @pytest.mark.parametrize("name", [
+    BAD_NAMES = [
         "../data/samples.embedding.npy", "sub/samples.embedding.npy", "sub\\samples.embedding.npy",
         str(Path(__file__).resolve()), ".", "..", "", 5, None, ["samples.embedding.npy"],
         {"file": "samples.embedding.npy"},
-    ])
-    def test_meta_must_name_a_file_in_the_same_directory(self, synth_dir, tmp_path, capsys, name):
-        root = array_file_copy(synth_dir, tmp_path / "data")
+    ]
+
+    def read_with_name(self, root, tmp_path, key, name):
+        """The exit code of reading the table holding `key` once its meta line names `name` for it."""
         (root / "sub").mkdir()
         shutil.copy(root / "samples.embedding.npy", root / "sub")
         def edit(head):
-            head["meta"]["embedding"] = name
-        samples = root / "samples.jsonl"
-        write_lines(samples, edit_line(1, edit)(samples.read_text().splitlines()))
-        assert self.fit(root, tmp_path) == 2
+            head["meta"][key] = name
+        table = root / f"{self.table(key)}.jsonl"
+        write_lines(table, edit_line(1, edit)(table.read_text().splitlines()))
+        return self.read(root, tmp_path, key)[0]
+
+    @pytest.mark.parametrize("name", BAD_NAMES)
+    def test_meta_must_name_a_file_in_the_same_directory(self, root, tmp_path, capsys, name):
+        assert self.read_with_name(root, tmp_path, "embedding", name) == 2
         err = capsys.readouterr().err
         assert "samples.jsonl:1: 'meta.embedding' must be the name of a file in its directory" in err
         assert "Traceback" not in err
 
-    def test_a_column_both_inline_and_in_a_file_exits_2(self, synth_dir, tmp_path, capsys):
-        root = array_file_copy(synth_dir, tmp_path / "data")
+    @pytest.mark.parametrize("name", BAD_NAMES)
+    def test_effects_meta_must_name_a_file_in_the_same_directory(self, root, tmp_path, capsys, name):
+        assert self.read_with_name(root, tmp_path, "effect", name) == 2
+        err = capsys.readouterr().err
+        assert "effects.jsonl:1: 'meta.effect' must be the name of a file in its directory" in err
+        assert "Traceback" not in err
+
+    def test_a_column_both_inline_and_in_a_file_exits_2(self, root, tmp_path, capsys):
         def edit(head):
-            head["meta"]["logits"] = "samples.logits.npy"
+            head["meta"]["columns"].append("logits")
         samples = root / "samples.jsonl"
-        write_lines(samples, edit_line(1, edit)(inline_lines(samples)))
-        assert self.fit(root, tmp_path) == 2
+        write_lines(samples, edit_line(1, edit)(samples.read_text().splitlines()))
+        assert self.read(root, tmp_path, "logits")[0] == 2
         err = capsys.readouterr().err
         assert "samples.jsonl:1: column 'logits' is both in 'meta.columns' and in a file" in err
 
-    def test_moved_dataset_reads_its_files_beside_the_table(self, synth_dir, tmp_path):
-        root = array_file_copy(synth_dir, tmp_path / "data")
+    def test_moved_dataset_reads_its_files_beside_the_table(self, root, synth_dir):
         moved = mcce.load_dataset(root / "samples.jsonl", synth_dir / "pairs.jsonl",
                                   root / "schema.json")
         here = mcce.load_dataset(synth_dir / "samples.jsonl", synth_dir / "pairs.jsonl",

@@ -21,6 +21,8 @@ from mcce import (
 )
 from mcce.data import write_jsonl, write_npy, write_text_atomic
 
+from jsonl_tables import write_lines, write_table
+
 SCHEMA = ConceptSchema.of([("a", ("x", "y")), ("b", ("u", "v", "w"))])
 
 RESTAURANT = ConceptSchema.of(
@@ -263,58 +265,66 @@ def test_save_refuses_probability_space(tmp_path):
         save_dataset(small_dataset("probability"), tmp_path)
 
 
-def write_fixture(tmp_path, sample_lines, pair_lines=()):
+def write_fixture(tmp_path, sample_rows, lines=()):
+    """schema.json, samples.jsonl of `sample_rows` with raw `lines` after them, and no pairs."""
     schema = tmp_path / "schema.json"
     schema.write_text(json.dumps(SCHEMA.to_obj()))
-    samples = tmp_path / "samples.jsonl"
-    samples.write_text("\n".join(sample_lines) + "\n")
-    pairs = tmp_path / "pairs.jsonl"
-    pairs.write_text("\n".join(pair_lines) + ("\n" if pair_lines else ""))
+    samples = write_table(tmp_path / "samples.jsonl", sample_rows)
+    write_lines(samples, [*samples.read_text().splitlines(), *lines])
+    columns = ["original_id", "edited_id", "attribute", "from", "to"]
+    pairs = write_lines(tmp_path / "pairs.jsonl", [json.dumps({"meta": {"columns": columns}})])
     return samples, pairs, schema
 
 
-GOOD_LINE = json.dumps(
-    {"id": "s1", "concepts": {"a": "x", "b": "u"}, "embedding": [0.0], "logits": [0.0, 1.0]}
-)
+GOOD_ROW = {"id": "s1", "concepts": {"a": "x", "b": "u"}, "embedding": [0.0], "logits": [0.0, 1.0],
+            "gold": None}
 
 
 def test_loader_reports_file_and_line(tmp_path):
-    samples, pairs, schema = write_fixture(tmp_path, [GOOD_LINE, "{not json"])
+    samples, pairs, schema = write_fixture(tmp_path, [GOOD_ROW], ["{not json"])
     with pytest.raises(ValidationError) as err:
         load_dataset(samples, pairs, schema)
-    assert "samples.jsonl:2" in str(err.value)
+    assert "samples.jsonl:3" in str(err.value)
 
 
 def test_loader_rejects_nan_tokens(tmp_path):
-    bad = GOOD_LINE.replace("[0.0]", "[NaN]")
-    samples, pairs, schema = write_fixture(tmp_path, [bad])
+    samples, pairs, schema = write_fixture(tmp_path, [GOOD_ROW])
+    write_lines(samples, [*samples.read_text().splitlines(), '["s2", {"a": "x", "b": "u"}, NaN]'])
     with pytest.raises(ValidationError) as err:
         load_dataset(samples, pairs, schema)
-    assert "NaN" in str(err.value) or "non-finite" in str(err.value)
+    assert "samples.jsonl:3: non-finite float token 'NaN'" in str(err.value)
+
+
+def test_loader_needs_the_meta_line_on_line_1(tmp_path):
+    samples, pairs, schema = write_fixture(tmp_path, [GOOD_ROW])
+    write_lines(samples, ["", *samples.read_text().splitlines()])  # a blank line 1
+    with pytest.raises(ValidationError, match="samples.jsonl:1: expected a meta line"):
+        load_dataset(samples, pairs, schema)
 
 
 def test_loader_rejects_missing_keys(tmp_path):
     for drop in ("id", "concepts", "embedding", "logits"):
-        obj = json.loads(GOOD_LINE)
-        del obj[drop]
-        samples, pairs, schema = write_fixture(tmp_path, [json.dumps(obj)])
+        row = dict(GOOD_ROW)
+        del row[drop]
+        samples, pairs, schema = write_fixture(tmp_path, [row])
         with pytest.raises(ValidationError) as err:
             load_dataset(samples, pairs, schema)
-        assert drop in str(err.value)
+        assert f"samples.jsonl:1: " in str(err.value) and repr(drop) in str(err.value)
 
 
 def test_loader_missing_file(tmp_path):
-    samples, pairs, schema = write_fixture(tmp_path, [GOOD_LINE])
+    samples, pairs, schema = write_fixture(tmp_path, [GOOD_ROW])
     with pytest.raises(ValidationError):
         load_dataset(tmp_path / "ghost.jsonl", pairs, schema)
     with pytest.raises(ValidationError):
         load_dataset(samples, tmp_path / "ghost.jsonl", schema)
     ds = load_dataset(samples, None, schema)  # pairs are optional
     assert len(ds) == 1 and len(ds.pairs) == 0
+    assert len(load_dataset(samples, pairs, schema).pairs) == 0
 
 
 def test_loader_applies_probability_space(tmp_path):
-    samples, pairs, schema = write_fixture(tmp_path, [GOOD_LINE])
+    samples, pairs, schema = write_fixture(tmp_path, [GOOD_ROW])
     ds = load_dataset(samples, None, schema, space="probability")
     assert np.allclose(ds.outputs[ds.rows_of("s1")].sum(), 1.0, atol=1e-12)
 
@@ -387,7 +397,8 @@ def test_write_text_atomic_writes_pieces_and_a_failing_piece_leaves_no_stray_fil
 # 1.9x the bytes of the arrays it returns and save_dataset at 1.0x the size
 # of the samples' files (samples.jsonl and its two .npy files), most of it
 # while writing pairs.jsonl; readers and writers that held whole files as
-# row objects peaked at 6.9x and, with the floats inline, 2.6x.
+# row objects peaked at 6.9x and, with the floats inline in the JSONL
+# files, 2.6x.
 LOAD_PEAK_PER_ARRAY_BYTE = 3.0
 SAVE_PEAK_PER_FILE_BYTE = 1.25
 

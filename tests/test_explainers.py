@@ -588,8 +588,11 @@ def test_read_effects_rejects_non_finite_tokens(tmp_path):
     path = tmp_path / "effects.jsonl"
     write_effects(path, current_b_effects(ds, model, np.arange(1)), {"method": "mcce"})
     meta, row = path.read_text().splitlines()
-    values = json.loads(row)
-    values[json.loads(meta)["meta"]["columns"].index("effect")][0] = float("inf")
-    path.write_text(meta + "\n" + json.dumps(values) + "\n")  # bare Infinity token
-    with pytest.raises(ValidationError, match="non-finite"):
+    path.write_text(meta + "\n" + row.replace('"u"', "Infinity") + "\n")  # bare Infinity token
+    with pytest.raises(ValidationError, match="effects.jsonl:2: non-finite"):
+        read_effects(path)
+    path.write_text(meta + "\n" + row + "\n")
+    npy = tmp_path / json.loads(meta)["meta"]["effect"]
+    np.save(npy, np.full((1, ds.outputs.shape[1]), np.inf))
+    with pytest.raises(ValidationError, match="effects.effect.npy: non-finite"):
         read_effects(path)

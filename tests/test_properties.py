@@ -6,10 +6,7 @@ a changed label, and the closed-form mcce effect of one edit. The approx,
 effects-file and JSONL-reader references are earlier per-edit and
 per-row versions of the library code, kept to pin the faster versions
 bit for bit; `synthesize_sample` is the per-sample reference of the
-generator. Data and effects files of one object per row, the layouts
-written before the table layout, and samples tables that hold their
-float columns inline, as written before the .npy files, are written here
-too, for the reader to keep reading them to the same columns.
+generator.
 """
 
 import csv
@@ -41,6 +38,7 @@ from mcce import (
     generate,
     get_distance,
     global_report,
+    coefficient_error,
     icace_error,
     load_dataset,
     load_ground_truth,
@@ -57,18 +55,20 @@ from mcce import (
     write_effects,
 )
 from mcce.data import (
-    _ABSENT,
     _DOC_JSON,
     _JSON_TYPES,
     _PAIR_KEYS,
     _ROW_JSON,
+    _SAMPLE_ARRAYS,
     _SAMPLE_TYPES,
+    _header,
     _parse_json,
+    _read_matrix,
     load_schema,
     read_jsonl,
     write_jsonl,
 )
-from mcce.explainers import _EFFECT_DEFAULTS, _EFFECT_TYPES, _UNSTATED, seeded_index
+from mcce.explainers import _EFFECT_TYPES, seeded_index
 from mcce.errors import ValidationError
 from mcce.linalg import lstsq
 
@@ -364,57 +364,31 @@ def test_seeded_index_covers_the_rejection_case():
     assert checked > 100
 
 
-# --- effects file: per-row writers of its layouts ----------------------------------
+# --- effects file: the per-row writer of its layout --------------------------------
 
 
-def effects_row_objects(effects):
-    """Each estimate's sample_id, attribute, from, to, effect and fallback flag."""
-    columns = (effects.sample_id, effects.attribute, effects.from_level, effects.to_level)
-    for sid, attribute, from_level, to_level, effect, fallback in zip(
-        *(col.tolist() for col in columns), effects.effect.tolist(), effects.fallback.tolist()
-    ):
-        row = {"sample_id": sid, "attribute": attribute, "from": from_level, "to": to_level}
-        yield {**row, "effect": effect}, fallback
+def npy_bytes(matrix):
+    """The bytes that `np.save` gives `matrix`."""
+    buffer = io.BytesIO()
+    np.save(buffer, matrix)
+    return buffer.getvalue()
 
 
-def reference_effects_text(effects, metadata):
-    """write_effects' table, one encoder call per estimate.
+def reference_effects_files(effects, metadata, name):
+    """The bytes of write_effects' table `name` and its .npy file: one encoder call per estimate.
 
     The `fallback` column is there only when an estimate is flagged.
     """
-    columns = ["sample_id", "attribute", "from", "to", "effect"]
+    columns = ["sample_id", "attribute", "from", "to"]
     flagged = bool(effects.fallback.any())
-    meta = {**metadata, "method": effects.method, "space": effects.space}
+    npy = name.replace(".jsonl", ".effect.npy")
+    meta = {**metadata, "method": effects.method, "space": effects.space, "effect": npy}
     lines = [_ROW_JSON.encode({"meta": {**meta, "columns": columns + ["fallback"] * flagged}})]
-    for obj, fallback in effects_row_objects(effects):
-        lines.append(_ROW_JSON.encode([*obj.values(), *[fallback] * flagged]))
-    return "\n".join(lines) + "\n"
-
-
-def object_rows_effects_text(effects, metadata):
-    """An effects file of one object per estimate, whose meta line states the method and space.
-
-    Files were written this way after the two moved to the meta line and
-    before the table layout: a row holds `"fallback": true` when flagged.
-    """
-    meta = {**metadata, "method": effects.method, "space": effects.space}
-    lines = [_ROW_JSON.encode({"meta": meta})]
-    for obj, fallback in effects_row_objects(effects):
-        lines.append(_ROW_JSON.encode({**obj, "fallback": True} if fallback else obj))
-    return "\n".join(lines) + "\n"
-
-
-def old_layout_effects_text(effects, metadata):
-    """An effects file as written before method and space moved to the meta line.
-
-    The meta line holds `metadata` as given; every estimate's line
-    states the method, the space and the fallback flag.
-    """
-    lines = [_ROW_JSON.encode({"meta": metadata})]
-    for obj, fallback in effects_row_objects(effects):
-        obj.update(method=effects.method, space=effects.space, fallback=fallback)
-        lines.append(_ROW_JSON.encode(obj))
-    return "\n".join(lines) + "\n"
+    names = (effects.sample_id, effects.attribute, effects.from_level, effects.to_level)
+    for *row, fallback in zip(*(column.tolist() for column in names), effects.fallback.tolist()):
+        lines.append(_ROW_JSON.encode([*row, *[fallback] * flagged]))
+    text = "".join(line + "\n" for line in lines)
+    return {name: text.encode("utf-8"), npy: npy_bytes(effects.effect)}
 
 
 # Names with JSON escapes, non-ASCII text and the row separator of an
@@ -424,8 +398,8 @@ names = st.one_of(
     st.text(st.characters(exclude_characters="\x00"), max_size=6),
     st.lists(st.sampled_from(pieces), max_size=4).map("".join),
 )
-# metadata keys: a meta line's `columns` is the writer's own
-meta_keys = names.filter(lambda name: name != "columns")
+# metadata keys: a meta line's `columns`, and `effect` in an effects file, are the writer's own
+meta_keys = names.filter(lambda name: name not in ("columns", "effect"))
 metadata_dicts = st.dictionaries(meta_keys, st.one_of(st.none(), st.integers(), names))
 edge_floats = st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1.7976931348623157e308]
@@ -454,58 +428,48 @@ def effects_tables(draw):
 @settings(max_examples=200, deadline=None)
 @given(effects_tables(), metadata_dicts)
 def test_write_effects_bytes_equal_per_row_encoding(tmp_path_factory, effects, metadata):
+    root = tmp_path_factory.mktemp("effects")
+    write_effects(root / "e.jsonl", effects, metadata)
+    written = {path.name: path.read_bytes() for path in root.iterdir()}
+    assert written == reference_effects_files(effects, metadata, "e.jsonl")
+
+
+@st.composite
+def sized_effects(draw):
+    """Effects of 0, 1 or 1025 estimates, flagged or not, whose floats include every edge value."""
+    m = draw(st.sampled_from([0, 1, 1025]))
+    q = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+            1.7976931348623157e308, -1.7976931348623157e308]
+    effect = rng.standard_normal((m, q)) * 10.0 ** rng.integers(-300, 300, (m, q))
+    picked = rng.random((m, q)) < 0.3
+    effect[picked] = rng.choice(edge, int(picked.sum()))
+    fallback = rng.random(m) < 0.5 if draw(st.booleans()) else None
+    ids = [f"s{i}" for i in range(m)]
+    return Effects(ids, ["a"] * m, ["x"] * m, ["y"] * m, effect, "approx", "logit", fallback)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sized_effects(), metadata_dicts)
+def test_effects_round_trip_bit_exactly(tmp_path_factory, effects, metadata):
     path = write_effects(tmp_path_factory.mktemp("effects") / "e.jsonl", effects, metadata)
-    assert path.read_bytes() == reference_effects_text(effects, metadata).encode("utf-8")
-
-
-@settings(max_examples=100, deadline=None)
-@given(effects_tables(), metadata_dicts)
-def test_old_and_new_effects_layouts_read_to_equal_effects(tmp_path_factory, effects, metadata):
-    # the meta line of an old file held what its writer was given; the
-    # command line always gave the method and space
-    meta = {**metadata, "method": effects.method, "space": effects.space}
-    root = tmp_path_factory.mktemp("layouts")
-    new = write_effects(root / "new.jsonl", effects, metadata)
-    objects, old = root / "objects.jsonl", root / "old.jsonl"
-    objects.write_text(object_rows_effects_text(effects, metadata), encoding="utf-8")
-    old.write_text(old_layout_effects_text(effects, meta), encoding="utf-8")
-    for path in (new, objects, old):
-        read, read_meta = read_effects(path)
-        assert effects_bits(read) == effects_bits(effects) and read_meta == meta
-
-
-def test_old_slearner_file_on_logit_data_reads_as_probability(tmp_path):
-    # before the estimates' space moved to the meta line, an S-Learner run on
-    # logit data wrote the data's space there above probability-space rows
-    effect = np.array([[0.25, -0.25], [0.5, -0.5]])
-    effects = Effects(["s0", "s1"], ["a", "a"], ["x", "x"], ["y", "y"], effect, "slearner",
-                      "probability", [False, True])
-    path = tmp_path / "old.jsonl"
-    meta = {"method": "slearner", "space": "logit", "seed": 0}
-    path.write_text(old_layout_effects_text(effects, meta), encoding="utf-8")
     read, read_meta = read_effects(path)
-    assert (read.method, read.space) == ("slearner", "probability")
-    assert effects_bits(read) == effects_bits(effects) and read_meta == meta
+    assert effects_bits(read) == effects_bits(effects)
+    assert read_meta == {**metadata, "method": "approx", "space": "logit"}
 
 
-# --- dataset files: per-row writers of their layouts --------------------------------
+# --- dataset files: the per-row writer of their layout ------------------------------
 
 
 def dataset_row_objects(dataset):
-    """Each sample's object, without `gold` when it has none, and each pair's object."""
+    """Each sample's id, labels and gold label (None when it has none), and each pair's names."""
     schema, ids, codes, p = dataset.schema, dataset.ids.tolist(), dataset.codes, dataset.pairs
     samples = []
     for i, sid in enumerate(ids):
         concepts = {name: levels[codes[i, a]] for a, (name, levels) in enumerate(schema.attributes)}
-        obj = {
-            "id": sid,
-            "concepts": concepts,
-            "embedding": dataset.embeddings[i].tolist(),
-            "logits": dataset.outputs[i].tolist(),
-        }
-        if dataset.gold[i] >= 0:
-            obj["gold"] = int(dataset.gold[i])
-        samples.append(obj)
+        gold = int(dataset.gold[i]) if dataset.gold[i] >= 0 else None
+        samples.append({"id": sid, "concepts": concepts, "gold": gold})
     pairs = []
     for original, edited, a, to in zip(p.original, p.edited, p.attribute, p.to):
         name, levels = schema.attributes[a]
@@ -520,47 +484,27 @@ def dataset_row_objects(dataset):
     return samples, pairs
 
 
-SAMPLE_COLUMNS = ["id", "concepts", "embedding", "logits", "gold"]
+SAMPLE_COLUMNS = ["id", "concepts", "gold"]
 PAIR_COLUMNS = ["original_id", "edited_id", "attribute", "from", "to"]
 ARRAY_FILES = {"embedding": "samples.embedding.npy", "logits": "samples.logits.npy"}
-
-
-def table_texts(dataset, sample_columns, meta):
-    """samples.jsonl and pairs.jsonl as tables of these sample columns: one encoder call per row."""
-    texts = []
-    for rows, columns, head in zip(dataset_row_objects(dataset), (sample_columns, PAIR_COLUMNS),
-                                   (meta, {})):
-        lines = [_ROW_JSON.encode({"meta": {**head, "columns": columns}})]
-        lines += [_ROW_JSON.encode([row.get(key) for key in columns]) for row in rows]
-        texts.append("".join(line + "\n" for line in lines))
-    return texts
 
 
 def reference_dataset_files(dataset):
     """The bytes of each file save_dataset writes but schema.json, by name.
 
-    samples.jsonl holds no float column; each float matrix is `np.save`d
-    on its own, in the file that the meta line names.
+    Each table is encoded one row per encoder call. samples.jsonl holds
+    no float column; each float matrix is `np.save`d on its own, in the
+    file that the meta line names.
     """
-    columns = [key for key in SAMPLE_COLUMNS if key not in ARRAY_FILES]
-    samples, pairs = table_texts(dataset, columns, ARRAY_FILES)
-    files = {"samples.jsonl": samples.encode("utf-8"), "pairs.jsonl": pairs.encode("utf-8")}
+    files = {}
+    for name, rows, columns, meta in zip(("samples.jsonl", "pairs.jsonl"), dataset_row_objects(dataset),
+                                         (SAMPLE_COLUMNS, PAIR_COLUMNS), (ARRAY_FILES, {})):
+        lines = [_ROW_JSON.encode({"meta": {**meta, "columns": columns}})]
+        lines += [_ROW_JSON.encode([row[key] for key in columns]) for row in rows]
+        files[name] = "".join(line + "\n" for line in lines).encode("utf-8")
     for key, matrix in (("embedding", dataset.embeddings), ("logits", dataset.outputs)):
-        buffer = io.BytesIO()
-        np.save(buffer, matrix)
-        files[ARRAY_FILES[key]] = buffer.getvalue()
+        files[ARRAY_FILES[key]] = npy_bytes(matrix)
     return files
-
-
-def inline_dataset_texts(dataset):
-    """samples.jsonl and pairs.jsonl tables with the float columns inline, as written before."""
-    return table_texts(dataset, SAMPLE_COLUMNS, {})
-
-
-def object_rows_dataset_texts(dataset):
-    """samples.jsonl and pairs.jsonl of one object per row and no meta line, as written before."""
-    rows = dataset_row_objects(dataset)
-    return ["".join(_ROW_JSON.encode(row) + "\n" for row in file_rows) for file_rows in rows]
 
 
 @st.composite
@@ -638,22 +582,6 @@ def test_save_load_round_trips_bit_exactly(tmp_path_factory, dataset):
     paths = save_dataset(dataset, tmp_path_factory.mktemp("dataset"))
     loaded = load_dataset(paths["samples"], paths["pairs"], paths["schema"])
     assert dataset_bits(loaded) == dataset_bits(dataset)
-
-
-@settings(max_examples=100, deadline=None)
-@given(file_datasets())
-def test_object_rows_and_table_datasets_load_bit_equal(tmp_path_factory, dataset):
-    # the floats in .npy files, inline in a table, and inline in object rows
-    paths = save_dataset(dataset, tmp_path_factory.mktemp("dataset"))
-    want = dataset_bits(load_dataset(paths["samples"], paths["pairs"], paths["schema"]))
-    if not len(dataset):  # only rows state a width inline, so without any the matrices are (0, 0)
-        want[2:4] = [("<f8", (0, 0), b"")] * 2
-    for texts in (inline_dataset_texts(dataset), object_rows_dataset_texts(dataset)):
-        root = tmp_path_factory.mktemp("inline")
-        for name, text in zip(("samples", "pairs"), texts):
-            (root / f"{name}.jsonl").write_text(text, encoding="utf-8")
-        loaded = load_dataset(root / "samples.jsonl", root / "pairs.jsonl", paths["schema"])
-        assert dataset_bits(loaded) == want
 
 
 # --- model and ground-truth files --------------------------------------------------
@@ -1031,104 +959,107 @@ def test_mcce_equals_the_observed_only_regression_when_nothing_is_hidden(config)
 # --- JSONL reader: the per-line reader it replaced -----------------------------------
 
 
-def reference_read_jsonl(path, what, types, defaults=None, head=None):
+def reference_read_jsonl(path, what, types, defaults=None, arrays=()):
     """read_jsonl as it was: one `_parse_json` call per non-blank line, whole file at once.
 
-    As in read_jsonl, a "string" column is returned as a numpy string array.
+    Line 1 is read by the library's `_header`. As in read_jsonl, a
+    "string" column is returned as a numpy string array and each key of
+    `arrays` as the matrix of its .npy file.
     """
+    defaults = defaults or {}
     rows, lines = [], []
     with open(path, encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
             if not line.isspace():
                 rows.append(_parse_json(line, path, number))
                 lines.append(number)
-    if set(map(type, rows)) - {dict}:
-        i = next(i for i, row in enumerate(rows) if type(row) is not dict)
-        raise ValidationError(f"{path}:{lines[i]}: expected a JSON object")
-    header = {}
-    if head is not None and lines[:1] == [1] and head in rows[0]:
-        header, rows, lines = rows[0][head], rows[1:], lines[1:]
-        if type(header) is not dict:
-            raise ValidationError(f"{path}:1: {head!r} must be a JSON object")
+    header, names, files = _header(rows[0] if lines[:1] == [1] else None, path, types, defaults, arrays)
+    rows, lines = rows[1:], lines[1:]
+    for row, line in zip(rows, lines):
+        if type(row) is not list or len(row) != len(names):
+            raise ValidationError(
+                f"{path}:{line}: expected a JSON array of {len(names)} values, one per column"
+            )
     columns = {}
-    for key, names in types.items():
-        default = (defaults or {}).get(key, _ABSENT)
-        column = columns[key] = [row.get(key, default) for row in rows]
-        allowed = tuple(_JSON_TYPES[name] for name in names.split("|"))
-        if default is not _ABSENT:
-            allowed += (type(default),)
-        if set(map(type, column)).difference(allowed):
-            i = next(i for i, value in enumerate(column) if type(value) not in allowed)
-            if column[i] is _ABSENT:
-                raise ValidationError(f"{path}:{lines[i]}: missing required key {key!r}")
-            raise ValidationError(f"{path}:{lines[i]}: {key!r} must be {names.replace('|', ' or ')}")
-        if names == "string":
-            columns[key] = np.array(column, dtype=str)
+    for key, kinds in types.items():
+        column = [row[names.index(key)] if key in names else defaults[key] for row in rows]
+        allowed = tuple(_JSON_TYPES[kind] for kind in kinds.split("|"))
+        for value, line in zip(column, lines):
+            if type(value) not in allowed:
+                raise ValidationError(f"{path}:{line}: {key!r} must be {kinds.replace('|', ' or ')}")
+        columns[key] = np.array(column, dtype=str) if kinds == "string" else column
+    for key in arrays:
+        columns[key] = _read_matrix(files[key], len(rows))
     return header, columns
 
 
-jsonl_rows = st.fixed_dictionaries(
-    {"id": st.one_of(names, st.sampled_from(["NaN", "a,NaN,b", "]", ",NaN,"]))},
-    optional={
-        "v": st.lists(finite_floats, max_size=3),
-        "g": st.one_of(st.none(), st.integers()),
-        "x": st.recursive(st.none() | st.booleans() | names, st.lists, max_leaves=4),
-    },
-).map(json.dumps)
+READ_SPEC = {"id": "string", "v": "list", "g": "integer|null"}
+READ_DEFAULTS = {"v": [], "g": None}
+# Columns of a table that `READ_SPEC` reads but need not hold; "x" is one it does not ask for.
+OPTIONAL_COLUMNS = ["v", "g", "x"]
+cell_values = {
+    "id": st.one_of(names, st.sampled_from(["NaN", "a,NaN,b", "]", ",NaN,"])),
+    "v": st.lists(finite_floats, max_size=3),
+    "g": st.one_of(st.none(), st.integers()),
+    "x": st.recursive(st.none() | st.booleans() | names, st.lists, max_leaves=4),
+}
 # Runs of lines that are wrong alone or together. The first four decode
 # as an array once joined around NaN separators, and each defeats one of
 # the chunk guard's conditions: the element count (twice), the NaN-token
 # count, and the separator kept out of a string.
 TRICKY_RUNS = [
-    ['{"a": [{}', "{}]}", '{"x": 1}, {"y": 2}'],
-    ['{"id": "p", "v": [1', "2]}"],
-    ['{"id": "p", "v": [1', '2]}, NaN, {"id": "q"}'],
-    ['{"id": "p"}, NaN, {"id": "x', 'y"}'],
-    ['{"id": "p", "v": [NaN]}'],
-    ['{"id": "p", "v": [Infinity]}'],
-    ['{"id": "p", "v": [-Infinity]}'],
+    ['["p", [{}', "{}]]", '["x"], ["y"]'],
+    ['["p", [1', "2]]"],
+    ['["p", [1', '2]], NaN, ["q"]'],
+    ['["p"], NaN, ["x', 'y"]'],
+    ['["p", [NaN]]'],
+    ['["p", [Infinity]]'],
+    ['["p", [-Infinity]]'],
     ["NaN"],
     ["[1, 2]"],
     ['"text"'],
-    ['{"id": "p"} {"id": "q"}'],
-    ['{"id": "p"},'],
-    [',{"id": "p"}'],
-    ["{"],
-    ["}"],
-    ['{"id": 5}'],
+    ['["p"] ["q"]'],
+    ['["p", []],'],
+    [',["p", []]'],
+    ["["],
+    ["]"],
+    ["[5, []]"],
     ['{"meta": [1]}'],
+    ['{"id": "p", "v": []}'],
 ]
 
 
 @st.composite
 def jsonl_files(draw):
-    """JSONL text around the decoder's chunk boundaries, with blank lines and bad runs."""
+    """JSONL tables around the decoder's chunk boundaries, with blank lines and bad runs.
+
+    A file has at most one defect: a bad run, or no meta line.
+    """
     count = draw(st.sampled_from([0, 1, 1023, 1024, 1025, 2049]))
-    pool = draw(st.lists(jsonl_rows, min_size=1, max_size=4))
+    others = draw(st.lists(st.sampled_from(OPTIONAL_COLUMNS), unique=True))
+    columns = draw(st.permutations(["id", *others]))
+    row = st.tuples(*(cell_values[key] for key in columns)).map(lambda values: json.dumps(list(values)))
+    pool = draw(st.lists(row, min_size=1, max_size=4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lines = [pool[i] for i in rng.integers(len(pool), size=count)]
     near_edges = st.sampled_from([0, 1, 1022, 1023, 1024, 1025, 2047, 2048, count])
     places = st.one_of(near_edges, st.integers(0, count)).map(lambda at: min(at, count))
     for at in draw(st.lists(places, max_size=6)):
         lines.insert(at, draw(st.sampled_from(["", " ", "\t"])))
-    if draw(st.booleans()):
-        lines.insert(0, json.dumps({"meta": draw(st.dictionaries(meta_keys, names, max_size=2))}))
+    if not draw(st.integers(0, 5)):  # rows with no meta line
+        return "".join(line + "\n" for line in lines)
+    meta = draw(st.dictionaries(meta_keys, names, max_size=2))
+    lines.insert(0, json.dumps({"meta": {**meta, "columns": columns}}))
     if draw(st.booleans()):
         at = min(draw(places), len(lines))
         lines[at:at] = draw(st.sampled_from(TRICKY_RUNS))
     return "".join(line + "\n" for line in lines)
 
 
-def reference_object_reader(path, what, types, defaults=None):
-    """The reference reader on a file of object rows, whose header is a line-1 "meta" object."""
-    return reference_read_jsonl(path, what, types, defaults, head="meta")
-
-
 def read_outcome(read, path):
     """repr of the header and columns `read` returns, each array as its list, or the error."""
     try:
-        header, columns = read(path, "rows", {"id": "string", "v": "list", "g": "integer|null"},
-                               {"v": [], "g": None})
+        header, columns = read(path, "rows", READ_SPEC, READ_DEFAULTS)
     except ValidationError as exc:
         return f"ValidationError: {exc}"
     listed = {k: c.tolist() if isinstance(c, np.ndarray) else c for k, c in columns.items()}
@@ -1140,16 +1071,17 @@ def read_outcome(read, path):
 def test_read_jsonl_equals_per_line_reference(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("jsonl") / "rows.jsonl"
     path.write_text(text, encoding="utf-8")
-    assert read_outcome(read_jsonl, path) == read_outcome(reference_object_reader, path)
+    assert read_outcome(read_jsonl, path) == read_outcome(reference_read_jsonl, path)
 
 
 @pytest.mark.parametrize("run", TRICKY_RUNS)
 def test_read_jsonl_tricky_runs_equal_per_line_reference(tmp_path, run):
-    rows = ['{"id": "s%d", "v": [0.5]}' % i for i in range(3)]
+    head = json.dumps({"meta": {"columns": ["id", "v"]}})
+    rows = ['["s%d", [0.5]]' % i for i in range(3)]
     path = tmp_path / "rows.jsonl"
-    path.write_text("".join(line + "\n" for line in [*rows[:2], *run, rows[2]]), encoding="utf-8")
+    path.write_text("".join(line + "\n" for line in [head, *rows[:2], *run, rows[2]]), encoding="utf-8")
     got = read_outcome(read_jsonl, path)
-    assert got == read_outcome(reference_object_reader, path)
+    assert got == read_outcome(reference_read_jsonl, path)
     assert got.startswith("ValidationError: ")
 
 
@@ -1159,41 +1091,23 @@ def test_read_jsonl_tricky_runs_equal_per_line_reference(tmp_path, run):
 def reference_load_dataset(samples_path, pairs_path, schema_path):
     """load_dataset as it was: whole files through the reference reader, then from_records."""
     schema = load_schema(schema_path)
-    _, samples = reference_read_jsonl(samples_path, "samples", _SAMPLE_TYPES, {"gold": None})
+    _, samples = reference_read_jsonl(samples_path, "samples", _SAMPLE_TYPES, {"gold": None},
+                                      _SAMPLE_ARRAYS)
     _, pairs = reference_read_jsonl(pairs_path, "pairs", dict.fromkeys(_PAIR_KEYS, "string"))
-    return Dataset.from_records(schema, *samples.values(), zip(*pairs.values()))
+    ids, concepts, gold, embeddings, outputs = samples.values()
+    return Dataset.from_records(schema, ids, concepts, embeddings, outputs, gold, zip(*pairs.values()))
 
 
 def reference_read_effects(path):
     """read_effects on the whole-file reference reader."""
-    read = reference_read_jsonl(path, "effects", _EFFECT_TYPES, _EFFECT_DEFAULTS, "meta")
-    metadata, columns = read
+    metadata, columns = reference_read_jsonl(path, "effects", _EFFECT_TYPES, {"fallback": False},
+                                             ("effect",))
     hidden = metadata.get("hidden", [])
     if type(hidden) is not list or set(map(type, hidden)) - {str}:
         raise ValidationError(f"{path}:1: 'meta.hidden' must be a list of strings")
-
-    def stated(key, value):
-        if value is _UNSTATED:
-            value = metadata.get(key)
-            if value is not None and type(value) is not str:
-                raise ValidationError(f"{path}:1: 'meta.{key}' must be a string or null")
-        return value
-
-    rows = list(zip(columns.pop("method"), columns.pop("space"))) or [(_UNSTATED, _UNSTATED)]
-    kinds = {(stated("method", method), stated("space", space)) for method, space in rows}
-    if len(kinds) > 1:
-        raise ValidationError(f"{path}: estimates mix methods or spaces: {sorted(kinds, key=str)}")
-    method, space = kinds.pop()
-    try:
-        effect = np.array(columns["effect"], dtype=np.float64)
-    except (TypeError, ValueError):
-        effect = None
-    if effect is None or (columns["effect"] and effect.ndim != 2) or not np.isfinite(effect).all():
-        raise ValidationError(
-            f"{path}: every 'effect' must be a finite list of numbers, all of one length"
-        )
+    method, space = metadata.get("method"), metadata.get("space")
     names = (columns[key] for key in ("sample_id", "attribute", "from", "to"))
-    return Effects(*names, effect, method, space, columns["fallback"]), metadata
+    return Effects(*names, columns["effect"], method, space, columns["fallback"]), metadata
 
 
 CHUNK_SCHEMA = ConceptSchema.of([("a", ("x", "y", "z")), ("b", ("p", "q"))])
@@ -1202,13 +1116,13 @@ MARK = 12345.5
 
 
 def truncate(row):
-    return json.dumps(row)[:-1]
+    return json.dumps(list(row.values()))[:-1]
 
 
 def with_text(key, text):
     def defect(row):
-        row[key][0] = MARK
-        return json.dumps(row).replace(repr(MARK), text)
+        row[key] = MARK
+        return json.dumps(list(row.values())).replace(repr(MARK), text)
     return defect
 
 
@@ -1224,12 +1138,6 @@ def dropping(key):
     return defect
 
 
-def extending(key):
-    def defect(row):
-        row[key].append(0.5)
-    return defect
-
-
 def relabel(row):
     row["concepts"]["a"] = "w"
 
@@ -1238,92 +1146,84 @@ def unlabel(row):
     del row["concepts"]["b"]
 
 
-# Each defect was an error before the reader went chunk-wise; none is a
-# non-number in a float row, which the earlier reader let through.
+# Each defect was an error before the reader went chunk-wise.
 CHUNK_DEFECTS = [
     ("samples", truncate),
-    ("samples", with_text("embedding", "NaN")),
-    ("samples", with_text("logits", "1e400")),
+    ("samples", with_text("gold", "NaN")),
+    ("samples", with_text("gold", "1e400")),
     ("samples", setting("id", 5)),
     ("samples", setting("gold", -3)),
     ("samples", setting("gold", 1.5)),
-    ("samples", dropping("logits")),
-    ("samples", extending("embedding")),
+    ("samples", dropping("gold")),
     ("samples", relabel),
     ("samples", unlabel),
     ("samples", lambda row: "[1]"),
+    ("samples", lambda row: json.dumps(row)),
     ("pairs", truncate),
     ("pairs", setting("original_id", "nobody")),
     ("pairs", setting("to", "w")),
     ("effects", truncate),
-    ("effects", with_text("effect", "Infinity")),
-    ("effects", with_text("effect", "1e400")),
+    ("effects", with_text("fallback", "Infinity")),
     ("effects", setting("fallback", "no")),
-    ("effects", setting("method", "mcce")),
-    ("effects", extending("effect")),
+    ("effects", setting("sample_id", None)),
+    ("effects", dropping("to")),
 ]
 
 
 @st.composite
 def chunked_files(draw, defective=False):
-    """Samples, pairs and effects texts of one row count around the chunk size.
+    """Samples, pairs and effects tables of one row count around the chunk size, and their .npy files.
 
-    Floats reach the ends of the range and some values are JSON ints;
-    blank lines fall near the chunk edges. The effects rows all state
-    their method and space, as files written before the two moved to the
-    meta line do, or all leave them out. If `defective`, one row of one
-    file, on either side of a chunk edge where the file has one, holds a
-    defect.
+    Floats reach the ends of the range; blank lines fall near the chunk
+    edges. If `defective`, one row of one table, on either side of a
+    chunk edge where the file has one, holds a defect.
     """
     counts = [1, 1023, 1024, 1025, 2049]  # a defect needs a row
     count = draw(st.sampled_from(counts if defective else [0, *counts]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     edge = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308]
 
-    def float_rows(width):
-        scale = 10.0 ** rng.integers(-300, 300, (count, width))
-        values = rng.standard_normal((count, width)) * scale
+    def floats(width):
+        values = rng.standard_normal((count, width)) * 10.0 ** rng.integers(-300, 300, (count, width))
         picked = rng.random((count, width)) < 0.1
         values[picked] = rng.choice(edge, int(picked.sum()))
-        rows = values.tolist()
-        for row in rows[:: max(count // 7, 1)]:
-            row[0] = int(rng.integers(-3, 4))
-        return rows
+        return values
 
     d, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    embeddings, logits, effect = float_rows(d), float_rows(q), float_rows(q)
     codes = np.column_stack([rng.integers(size, size=count) for size in CHUNK_SCHEMA.sizes])
-    gold = rng.integers(-1, q + 1, size=count)  # -1: key left out, q: null
-    old_layout = draw(st.booleans())
-    samples, pairs, effects = [], [], [{"meta": {"method": "approx", "space": "logit"}}]
+    gold = rng.integers(-1, q, size=count)  # -1: null
+    metas = {
+        "samples": {**ARRAY_FILES, "columns": SAMPLE_COLUMNS},
+        "pairs": {"columns": PAIR_COLUMNS},
+        "effects": {"method": "approx", "space": "logit", "effect": "effects.effect.npy",
+                    "columns": ["sample_id", "attribute", "from", "to", "fallback"]},
+    }
+    rows = {file: [] for file in metas}
     for i in range(count):
         labels = dict(zip(CHUNK_SCHEMA.names, CHUNK_SCHEMA.level_names(np.arange(2), codes[i]).tolist()))
-        row = {"id": f"s{i}", "concepts": labels, "embedding": embeddings[i], "logits": logits[i]}
-        if gold[i] >= 0:
-            row["gold"] = None if gold[i] == q else int(gold[i])
-        samples.append(row)
+        g = int(gold[i]) if gold[i] >= 0 else None
+        rows["samples"].append({"id": f"s{i}", "concepts": labels, "gold": g})
         name = CHUNK_SCHEMA.names[i % 2]
         ends = {"attribute": name, "from": labels[name], "to": labels[name]}
-        pairs.append({"original_id": f"s{i}", "edited_id": f"s{i}", **ends})
-        estimate = {"sample_id": f"s{i}", **ends, "effect": effect[i]}
-        if old_layout:  # rows that state their method and space
-            estimate.update(method="approx", space="logit")
-        if i % 3:
-            estimate["fallback"] = bool(i % 2)
-        effects.append(estimate)
-    rows = {"samples": samples, "pairs": pairs, "effects": effects}
-    texts = {file: [json.dumps(row) for row in file_rows] for file, file_rows in rows.items()}
+        rows["pairs"].append({"original_id": f"s{i}", "edited_id": f"s{i}", **ends})
+        rows["effects"].append({"sample_id": f"s{i}", **ends, "fallback": bool(i % 3 and i % 2)})
+    texts = {
+        file: [json.dumps({"meta": metas[file]}), *(json.dumps(list(row.values())) for row in file_rows)]
+        for file, file_rows in rows.items()
+    }
     if defective:
         file, defect = draw(st.sampled_from(CHUNK_DEFECTS))
         at = min(draw(st.sampled_from([1022, 1023, 1024, 1025, 2047, 2048])), count - 1)
-        at += file == "effects"  # past the meta line
         row = rows[file][at]
-        texts[file][at] = defect(row) or json.dumps(row)
+        texts[file][at + 1] = defect(row) or json.dumps(list(row.values()))  # past the meta line
     edges = st.sampled_from([1, 1022, 1023, 1024, 1025, 2047, 2048, 2049, 2050])
     for lines in texts.values():
         for at in draw(st.lists(edges, max_size=4)):
             lines.insert(min(at, len(lines)), draw(st.sampled_from(["", " ", "\t"])))
-    return {file: "".join(line + "\n" for line in lines) for file, lines in texts.items()}
+    files = {f"{file}.jsonl": "".join(line + "\n" for line in lines) for file, lines in texts.items()}
+    matrices = (("samples.embedding.npy", floats(d)), ("samples.logits.npy", floats(q)),
+                ("effects.effect.npy", floats(q)))
+    return {**files, **{name: npy_bytes(matrix) for name, matrix in matrices}}
 
 
 def array_bits(*arrays):
@@ -1343,10 +1243,14 @@ def effects_bits(effects):
     return array_bits(*columns, effects.effect, effects.fallback), effects.method, effects.space
 
 
-def write_chunked_files(tmp_path_factory, texts):
+def write_chunked_files(tmp_path_factory, files):
     root = tmp_path_factory.mktemp("chunks")
-    for file, text in texts.items():
-        (root / f"{file}.jsonl").write_text(text, encoding="utf-8")
+    for name, content in files.items():
+        path = root / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
     (root / "schema.json").write_text(json.dumps(CHUNK_SCHEMA.to_obj()), encoding="utf-8")
     return root
 
@@ -1362,8 +1266,8 @@ def load_error(load, *paths):
 
 @settings(max_examples=20, deadline=None)
 @given(chunked_files())
-def test_chunked_loads_equal_whole_file_reference(tmp_path_factory, texts):
-    root = write_chunked_files(tmp_path_factory, texts)
+def test_chunked_loads_equal_whole_file_reference(tmp_path_factory, files):
+    root = write_chunked_files(tmp_path_factory, files)
     paths = (root / "samples.jsonl", root / "pairs.jsonl", root / "schema.json")
     assert dataset_bits(load_dataset(*paths)) == dataset_bits(reference_load_dataset(*paths))
     effects, metadata = read_effects(root / "effects.jsonl")
@@ -1373,53 +1277,12 @@ def test_chunked_loads_equal_whole_file_reference(tmp_path_factory, texts):
 
 @settings(max_examples=60, deadline=None)
 @given(chunked_files(defective=True))
-def test_chunked_load_errors_equal_whole_file_reference(tmp_path_factory, texts):
-    root = write_chunked_files(tmp_path_factory, texts)
+def test_chunked_load_errors_equal_whole_file_reference(tmp_path_factory, files):
+    root = write_chunked_files(tmp_path_factory, files)
     paths = (root / "samples.jsonl", root / "pairs.jsonl", root / "schema.json")
     assert load_error(load_dataset, *paths) == load_error(reference_load_dataset, *paths)
     path = root / "effects.jsonl"
     assert load_error(read_effects, path) == load_error(reference_read_effects, path)
-
-
-EFFECT_COLUMNS = ["sample_id", "attribute", "from", "to", "effect"]
-
-
-def as_table(text, columns, defaults):
-    """An object-row JSONL text as a table of `columns`, with its blank lines kept.
-
-    A key that a row leaves out is written as its default, and the
-    entries of a line-1 meta object are kept in the table's.
-    """
-    meta, lines = {}, text.split("\n")[:-1]
-    if lines and lines[0].strip() and json.loads(lines[0]).keys() == {"meta"}:
-        meta, lines = json.loads(lines[0])["meta"], lines[1:]
-    rows = [
-        line if not line.strip() else json.dumps([json.loads(line).get(k, defaults.get(k)) for k in columns])
-        for line in lines
-    ]
-    head = json.dumps({"meta": {**meta, "columns": columns}})
-    return "".join(line + "\n" for line in [head, *rows])
-
-
-@settings(max_examples=20, deadline=None)
-@given(chunked_files())
-def test_chunked_tables_load_equal_object_rows(tmp_path_factory, texts):
-    stated = '"method"' in texts["effects"].split("\n", 2)[1]  # rows of the older layout
-    tables = {
-        "samples": as_table(texts["samples"], SAMPLE_COLUMNS, {}),
-        "pairs": as_table(texts["pairs"], PAIR_COLUMNS, {}),
-        "effects": as_table(
-            texts["effects"], EFFECT_COLUMNS + ["fallback"] + ["method", "space"] * stated,
-            {"fallback": False},
-        ),
-    }
-    loaded = []
-    for files in (texts, tables):
-        root = write_chunked_files(tmp_path_factory, files)
-        dataset = load_dataset(root / "samples.jsonl", root / "pairs.jsonl", root / "schema.json")
-        effects, metadata = read_effects(root / "effects.jsonl")
-        loaded.append((dataset_bits(dataset), effects_bits(effects), metadata))
-    assert loaded[0] == loaded[1]
 
 
 # --- JSONL tables of random columns --------------------------------------------------
@@ -1429,10 +1292,10 @@ LEFT_OUT = "left out"  # a column of the read spec that no table below holds
 
 @st.composite
 def jsonl_tables(draw):
-    """(columns, types, metadata, m) for a table of m = 0, 1, 2, 1024 or 1025 rows.
+    """(columns, types, arrays, metadata, m) for a table of m = 0, 1, 2, 1024 or 1025 rows.
 
-    Each column holds strings, integers or null, booleans, rows of
-    floats, or objects whose values are strings.
+    Each column holds strings, integers or null, booleans, or objects
+    whose values are strings; each array is a float matrix of m rows.
     """
     m = draw(st.sampled_from([0, 1, 2, 1024, 1025]))
     keys = draw(st.lists(names.filter(lambda key: key != LEFT_OUT), min_size=1, max_size=5, unique=True))
@@ -1444,7 +1307,7 @@ def jsonl_tables(draw):
 
     columns, types = {}, {}
     for key in keys:
-        kind = types[key] = draw(st.sampled_from(["string", "integer|null", "boolean", "numbers", "object"]))
+        kind = types[key] = draw(st.sampled_from(["string", "integer|null", "boolean", "object"]))
         if kind == "string":
             columns[key] = strings()
         elif kind == "integer|null":
@@ -1452,17 +1315,19 @@ def jsonl_tables(draw):
             columns[key] = [None if rng.random() < 0.3 else value for value in values]
         elif kind == "boolean":
             columns[key] = rng.random(m) < 0.5
-        elif kind == "numbers":
-            width = int(rng.integers(0, 4))
-            edge = [0.0, -0.0, 5e-324, 1e308, -1.7976931348623157e308]
-            values = rng.standard_normal((m, width)) * 10.0 ** rng.integers(-300, 300, (m, width))
-            picked = rng.random((m, width)) < 0.2
-            values[picked] = rng.choice(edge, int(picked.sum()))
-            columns[key] = values
         else:
             inner = draw(st.lists(names, min_size=1, max_size=3, unique=True))
             columns[key] = {name: strings() for name in inner}
-    return columns, types, draw(metadata_dicts), m
+    arrays = {}
+    for key in [f"m{i}" for i in range(draw(st.integers(0, 2)))]:  # names fit in a file name
+        width = int(rng.integers(0, 4))
+        edge = [0.0, -0.0, 5e-324, 1e308, -1.7976931348623157e308]
+        values = rng.standard_normal((m, width)) * 10.0 ** rng.integers(-300, 300, (m, width))
+        picked = rng.random((m, width)) < 0.2
+        values[picked] = rng.choice(edge, int(picked.sum()))
+        arrays[key] = values
+    metadata = {k: v for k, v in draw(metadata_dicts).items() if k not in arrays}
+    return columns, types, arrays, metadata, m
 
 
 def row_values(columns, m):
@@ -1475,36 +1340,30 @@ def row_values(columns, m):
     return [[value(column, i) for column in columns.values()] for i in range(m)]
 
 
-def column_bits(columns):
-    return {
-        key: (c.dtype.str, c.shape, c.tobytes()) if isinstance(c, np.ndarray) else repr(c)
-        for key, c in columns.items()
-    }
-
-
 @settings(max_examples=60, deadline=None)
 @given(jsonl_tables())
-def test_jsonl_tables_round_trip_and_equal_object_rows(tmp_path_factory, table):
-    columns, types, metadata, m = table
+def test_jsonl_tables_round_trip(tmp_path_factory, table):
+    columns, types, arrays, metadata, m = table
     rows = row_values(columns, m)
     root = tmp_path_factory.mktemp("table")
-    path = write_jsonl(root / "table.jsonl", columns, metadata)
-    head = _ROW_JSON.encode({"meta": {**metadata, "columns": list(columns)}})
+    path = write_jsonl(root / "table.jsonl", columns, metadata, arrays)
+    files = {key: f"table.{key}.npy" for key in arrays}
+    head = _ROW_JSON.encode({"meta": {**metadata, **files, "columns": list(columns)}})
     want = "".join(line + "\n" for line in [head, *map(_ROW_JSON.encode, rows)])
     assert path.read_bytes() == want.encode("utf-8")
+    assert {name: (root / name).read_bytes() for name in files.values()} == {
+        files[key]: npy_bytes(matrix) for key, matrix in arrays.items()
+    }
 
-    objects = root / "objects.jsonl"
-    lines = [{"meta": metadata}, *(dict(zip(columns, row)) for row in rows)]
-    objects.write_text("".join(_ROW_JSON.encode(line) + "\n" for line in lines), encoding="utf-8")
-    spec, defaults = {**types, LEFT_OUT: "integer"}, {LEFT_OUT: None}
-    header, read = read_jsonl(path, "table", spec, defaults)
-    object_header, object_read = read_jsonl(objects, "objects", spec, defaults)
-    assert header == object_header == metadata
-    assert column_bits(read) == column_bits(object_read)
+    spec, defaults = {**types, LEFT_OUT: "integer|null"}, {LEFT_OUT: None}
+    header, read = read_jsonl(path, "table", spec, defaults, arrays=tuple(arrays))
+    assert header == metadata
     assert read.pop(LEFT_OUT) == [None] * m
     for key, column in columns.items():
         got = read[key].tolist() if isinstance(read[key], np.ndarray) else read[key]
         assert got == [row[list(columns).index(key)] for row in rows], key
+    for key, matrix in arrays.items():
+        assert array_bits(read[key]) == array_bits(matrix), key
 
 
 # --- global report: the per-level reference ------------------------------------------
@@ -1513,6 +1372,7 @@ def test_jsonl_tables_round_trip_and_equal_object_rows(tmp_path_factory, table):
 def reference_report_csv(model, baseline_class):
     """CSV of the earlier `global_report`, which built the contrasts level by level."""
     q = model.n_outputs
+    effective = model.concept_coef - model.embed_coef @ model.pseudo_basis @ model.pseudo_coef
     rows = []
     if q > 1:
         row = 0
@@ -1520,7 +1380,7 @@ def reference_report_csv(model, baseline_class):
             if name in model.hidden_attributes:
                 continue
             for level in levels:
-                coef_row = model.concept_coef[row]
+                coef_row = effective[row]
                 rows.append([name, level, *(float(v) for v in coef_row - coef_row[baseline_class])])
                 row += 1
     classes = [f"class_{c}" for c in range(q)] if rows else []
@@ -1593,3 +1453,50 @@ def test_global_report_level_contrasts_ignore_a_block_shift(masked, data):
     untouched = np.ones(k, dtype=bool)
     untouched[block] = False
     assert np.array_equal(after[untouched], before[untouched])
+
+
+@settings(max_examples=40, deadline=None)
+@given(recoverable_configs(), st.data())
+def test_global_report_contrasts_equal_the_outcome_contrasts(problem, data):
+    # With exact recovery, no outcome noise and pseudo-concepts that span
+    # the hidden blocks, the report tabulates the true effects: its
+    # within-attribute contrasts are outcome_coef's, as the local effects
+    # are the oracle's. The observed-concept block alone is biased.
+    config, n_pseudo = problem
+    dataset, truth = generate(config)
+    schema = config.schema
+    complete = one_hot(schema, dataset.codes[dataset.fit_rows])
+    assume(np.linalg.matrix_rank(complete) == schema.width - len(schema.names) + 1)
+    model = fit_mcce(dataset, n_pseudo=n_pseudo)
+    b = data.draw(st.integers(0, config.n_outputs - 1))
+    outcome = truth.outcome_coef[np.repeat(schema.visible_mask(config.hidden), schema.sizes)]
+    want = outcome - outcome[:, [b]]
+    got = global_report(model, b).matrix()
+    assert coefficient_error(got, want, schema, model.hidden_attributes) < 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(masked_datasets(), st.data())
+def test_explain_mcce_moves_by_rows_of_the_effective_matrix(problem, data):
+    # An edit from level l to l' moves the surrogate by row l' minus row
+    # l of the matrix that the report tabulates. The rest of an
+    # explain_mcce row is the row's own fit residual, which the edit that
+    # keeps the level gives alone.
+    dataset, rows, attribute, to = problem
+    n, d = dataset.embeddings.shape
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small draws interpolate on purpose
+        model = fit_mcce(dataset, n_pseudo=min(dataset.visible_width, n, d))
+    level = dataset.codes[rows, attribute]
+    moved = explain_mcce(model, dataset, rows, attribute, to)
+    moved -= explain_mcce(model, dataset, rows, attribute, level)
+    blocks = dataset.schema.visible_blocks(dataset.hidden_attributes)
+    start = np.array([blocks[dataset.schema.names[a]].start for a in attribute])
+    B = model.effective_coef
+    scale = 1.0 + np.abs(B).max() + np.abs(moved).max()
+    assert np.allclose(moved, B[start + to] - B[start + level], rtol=0, atol=1e-9 * scale)
+    b = data.draw(st.integers(0, model.n_outputs - 1))
+    report = global_report(model, b).matrix()
+    if len(report):  # a single-class model has no contrasts
+        contrast = report[start + to] - report[start + level]
+        assert np.allclose(contrast, moved - moved[:, [b]], rtol=0, atol=1e-9 * scale)
