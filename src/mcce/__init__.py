@@ -32,7 +32,7 @@ _EXPORTS = {
         (
             "DISTANCES", "METRICS", "EvalGroup", "EvalReport", "coefficient_error",
             "dist_cosine", "dist_l2", "dist_norm", "get_distance", "icace", "icace_error",
-            "macro_f1",
+            "macro_f1", "match_effects",
         ),
         "evaluation",
     ),

@@ -30,7 +30,7 @@ from .data import (
     write_text_atomic,
 )
 from .errors import NumericalError, ValidationError
-from .evaluation import METRICS, icace_error, macro_f1
+from .evaluation import METRICS, icace_error, macro_f1, match_effects
 from .explainers import (
     TARGET_GOLD,
     TARGET_OUTPUT,
@@ -201,8 +201,12 @@ def _explain(dataset: Dataset, method: str, model, seed: int, truth=None, pair_s
 
 
 def _reports(dataset, effects, metrics, metadata, hidden) -> dict:
+    """One report per metric, all scored from one match of the estimates to the pairs."""
+    match = match_effects(effects, dataset)
     return {
-        metric: icace_error(effects, dataset, metric, metadata=dict(metadata), hidden=hidden)
+        metric: icace_error(
+            effects, dataset, metric, metadata=dict(metadata), hidden=hidden, match=match
+        )
         for metric in metrics
     }
 

@@ -61,8 +61,9 @@ import tempfile
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,23 @@ class ConceptSchema:
         return np.array([len(levels) for _, levels in self.attributes], dtype=np.int64)
 
     @cached_property
+    def _level_ids(self) -> dict[str, int]:
+        """A number for each distinct level name of the schema."""
+        names = dict.fromkeys(chain.from_iterable(levels for _, levels in self.attributes))
+        return dict(zip(names, count()))
+
+    @cached_property
+    def _code_table(self) -> np.ndarray:
+        """Code of each level number under each attribute, -1 where it names no level of it.
+
+        The last column, which a name that is no level's indexes, is all -1.
+        """
+        table = np.full((len(self.attributes), len(self._level_ids) + 1), -1, dtype=np.int64)
+        for a, (_, levels) in enumerate(self.attributes):
+            table[a, [self._level_ids[level] for level in levels]] = np.arange(len(levels))
+        return table
+
+    @cached_property
     def offsets(self) -> np.ndarray:
         """First column of each attribute in the complete layout."""
         return _starts(self.sizes)
@@ -213,16 +231,15 @@ class ConceptSchema:
         raise ValidationError(f"unknown attribute {attribute!r}")
 
     def level_codes(self, attributes, levels) -> np.ndarray:
-        """Code of each level name under the attribute index beside it; -1 if not a level.
+        """Code of each level name in `levels` under the attribute index beside it.
 
-        The arguments broadcast against each other.
+        `attributes` is a 1-D array of indices and `levels` an iterable of
+        as many names. A name that is no level of its attribute, or an
+        index of -1, gives -1. Each name is one dict lookup.
         """
-        attributes, levels = np.broadcast_arrays(attributes, np.asarray(levels, dtype=str))
-        codes = np.full(levels.shape, -1, dtype=np.int64)
-        for a, (_, names) in enumerate(self.attributes):
-            sel = attributes == a
-            codes[sel] = index_of(np.array(names), levels[sel])
-        return codes
+        attributes = np.asarray(attributes, dtype=np.int64)
+        ids = np.fromiter(map(self._level_ids.get, levels, repeat(-1)), np.int64, attributes.size)
+        return np.where(attributes >= 0, self._code_table[attributes, ids], -1)
 
     def level_names(self, attributes, codes) -> np.ndarray:
         """Level name of each (attribute index, code); the arguments broadcast."""
@@ -311,6 +328,27 @@ def one_hot(schema: ConceptSchema, codes, hidden=frozenset()) -> np.ndarray:
     return out
 
 
+def distinct_rows(codes) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of an (m, k) matrix of nonnegative codes: `codes[first][inverse]` is `codes`.
+
+    `first` holds the row index of one occurrence of each distinct row.
+    Rows are keyed a column at a time in int64; before a column could
+    overflow the key, the keys are replaced by their rank among the
+    distinct keys so far, which is below m, so any number of columns and
+    levels keys exactly.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    key, span = np.zeros(len(codes), dtype=np.int64), 1
+    for column in codes.T:
+        size = int(column.max(initial=0)) + 1
+        if span * size > 1 << 62:
+            _, key = np.unique(key, return_inverse=True)
+            span = int(key.max()) + 1
+        key, span = key * size + column, span * size
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
 # ---------------------------------------------------------------------------
 # datasets
 
@@ -351,7 +389,7 @@ def _matrix(value, ids: np.ndarray, what: str) -> np.ndarray:
         )
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
-        raise ValidationError(f"sample {ids[np.argmin(finite)]!r}: non-finite {what}")
+        raise ValidationError(f"sample {str(ids[np.argmin(finite)])!r}: non-finite {what}")
     return arr
 
 
@@ -385,7 +423,7 @@ class Dataset:
         ordered = ids[self.id_order]
         dup = np.flatnonzero(ordered[1:] == ordered[:-1])
         if dup.size:
-            raise ValidationError(f"duplicate sample id {ordered[dup[0]]!r}")
+            raise ValidationError(f"duplicate sample id {str(ordered[dup[0]])!r}")
 
         codes = self.codes = np.asarray(self.codes, dtype=np.int64)
         if codes.shape != (ids.size, n_attrs) or np.any((codes < 0) | (codes >= schema.sizes)):
@@ -410,7 +448,7 @@ class Dataset:
         if diff.any():
             i, a = np.argwhere(diff)[0]
             raise ValidationError(
-                f"pair {ids[p.original[i]]!r}->{ids[p.edited[i]]!r}: label for "
+                f"pair {str(ids[p.original[i]])!r}->{str(ids[p.edited[i]])!r}: label for "
                 f"{schema.names[a]!r} does not match the edit"
             )
         factual = np.ones(ids.size, dtype=bool)
@@ -430,7 +468,8 @@ class Dataset:
         ids = np.asarray(ids, dtype=str).reshape(-1)
         codes = _label_codes(schema, ids, concepts)
         gold = None if gold is None else _gold_labels(gold)
-        pairs = _resolve_pairs(schema, ids, codes, zip(*pairs))
+        names = (np.asarray(column, dtype=str).tolist() for column in zip(*pairs))
+        pairs = _resolve_pairs(schema, _row_index(ids.tolist()), codes, names)
         return cls(schema, ids, codes, embeddings, outputs, gold, pairs)
 
     # -- views ------------------------------------------------------------
@@ -473,7 +512,7 @@ class Dataset:
         ids = np.asarray(ids, dtype=str)
         rows = index_of(self.ids, ids, self.id_order)
         if np.any(rows < 0):
-            raise ValidationError(f"unknown sample id {ids.reshape(-1)[np.argmin(rows)]!r}")
+            raise ValidationError(f"unknown sample id {str(ids.reshape(-1)[np.argmin(rows)])!r}")
         return rows
 
     @property
@@ -504,26 +543,34 @@ class Dataset:
 
 
 def _label_codes(schema: ConceptSchema, ids, concepts) -> np.ndarray:
-    """(n, n_attrs) level codes of `concepts`, one {attribute: level} dict per id in `ids`."""
-    ids = np.asarray(ids, dtype=str).reshape(-1)
-    names = schema.names
+    """(n, n_attrs) level codes of `concepts`, one {attribute: level} dict per id in `ids`.
+
+    Each attribute's column of codes is one dict lookup per row
+    (`ConceptSchema.level_codes`). A label that is absent or None is
+    missing; the errors name the first row at fault, a missing label
+    before unknown attributes before an illegal label.
+    """
+    names, n = schema.names, len(ids)
+    if len(concepts) != n:
+        raise ValidationError("concept labels must be one level name per attribute")
+    codes = np.empty((n, len(names)), dtype=np.int64)
     try:
-        labels = np.array([[c.get(a) for a in names] for c in concepts], dtype=object)
-        labels = labels.reshape(ids.size, len(names))
-    except ValueError:
-        raise ValidationError("concept labels must be one level name per attribute") from None
-    absent = np.equal(labels, None)
-    if absent.any():
-        i, a = np.argwhere(absent)[0]
-        raise ValidationError(f"sample {ids[i]!r}: missing label for {names[a]!r}")
-    extra = np.fromiter(map(len, concepts), np.int64, ids.size) != len(names)
-    if extra.any():
-        raise ValidationError(f"sample {ids[np.argmax(extra)]!r}: labels for unknown attributes")
-    labels = labels.astype(str)
-    codes = schema.level_codes(np.arange(len(names)), labels)
+        for a, name in enumerate(names):
+            codes[:, a] = schema.level_codes(np.full(n, a), map(itemgetter(name), concepts))
+    except (KeyError, TypeError):  # an absent or unhashable label: the scans below name it
+        codes[:] = -1
+    if np.any(codes < 0):
+        absent = ((i, a) for i, c in enumerate(concepts) for a in names if c.get(a) is None)
+        i, name = next(absent, (None, None))
+        if name is not None:
+            raise ValidationError(f"sample {str(ids[i])!r}: missing label for {name!r}")
+    if n and max(map(len, concepts)) > len(names):
+        i = next(i for i, c in enumerate(concepts) if len(c) > len(names))
+        raise ValidationError(f"sample {str(ids[i])!r}: labels for unknown attributes")
     if np.any(codes < 0):
         i, a = np.argwhere(codes < 0)[0]
-        raise ValidationError(f"sample {ids[i]!r}: illegal label {names[a]}={labels[i, a]!r}")
+        label = str(concepts[i][names[a]])
+        raise ValidationError(f"sample {str(ids[i])!r}: illegal label {names[a]}={label!r}")
     return codes
 
 
@@ -541,19 +588,46 @@ def _gold_labels(gold) -> np.ndarray:
     return gold
 
 
-def _resolve_pairs(schema: ConceptSchema, ids: np.ndarray, codes: np.ndarray, columns) -> EditPairs:
-    """Edit pairs from their five name columns (original_id, edited_id, attribute, from, to)."""
-    cols = [np.asarray(col, dtype=str) for col in columns] or [np.zeros(0, str)] * 5
-    original, edited = index_of(ids, cols[0]), index_of(ids, cols[1])
+def _row_index(ids: list) -> dict:
+    """{sample id: row} of the ids of every row; the first row of an id wins."""
+    return dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+
+
+def _pair_indices(schema: ConceptSchema, row_of: dict, columns) -> list[np.ndarray]:
+    """Original and edited rows, attribute and from and to codes of the pairs in `columns`.
+
+    `columns` are the five name columns (original_id, edited_id,
+    attribute, from, to). Each name is one dict lookup: `row_of` maps
+    sample ids to rows (see `_row_index`), and level names go through
+    `ConceptSchema.level_codes`. An unknown name gives -1.
+    """
+    original_ids, edited_ids, attributes, from_levels, to_levels = columns
+    m = len(original_ids)
+
+    def lookup(table: dict, keys) -> np.ndarray:
+        return np.fromiter(map(table.get, keys, repeat(-1)), np.int64, m)
+
+    attribute = lookup(dict(zip(schema.names, count())), attributes)
+    return [
+        lookup(row_of, original_ids), lookup(row_of, edited_ids), attribute,
+        schema.level_codes(attribute, from_levels), schema.level_codes(attribute, to_levels),
+    ]
+
+
+def _resolve_pairs(schema: ConceptSchema, row_of: dict, codes: np.ndarray, columns) -> EditPairs:
+    """Edit pairs from their five name columns (see `_pair_indices`).
+
+    A name that is unknown, or a from level that is not the original's,
+    raises naming the first pair at fault: unknown samples first, then
+    attributes, then levels.
+    """
+    cols = [list(col) for col in columns] or [[]] * 5
+    original, edited, attribute, from_codes, to = _pair_indices(schema, row_of, cols)
     for rows, wanted in ((original, cols[0]), (edited, cols[1])):
         if np.any(rows < 0):
             raise ValidationError(f"pair references unknown sample {wanted[np.argmin(rows)]!r}")
-    names = schema.names
-    attribute = index_of(np.array(names), cols[2])
     if np.any(attribute < 0):
         raise ValidationError(f"pair names unknown attribute {cols[2][np.argmin(attribute)]!r}")
-    from_codes = schema.level_codes(attribute, cols[3])
-    to = schema.level_codes(attribute, cols[4])
     bad = (from_codes < 0) | (to < 0) | (from_codes != codes[original, attribute])
     if bad.any():
         i = np.argmax(bad)
@@ -575,8 +649,13 @@ def _reject_constant(token: str):
 # One decoder for every parse and one encoder for every JSONL row:
 # json.loads and json.dumps would build a new one per call.
 _STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant)
-# Non-blank lines per `_decode_lines` call, and rows per chunk that
-# `read_jsonl` holds as Python objects and `write_jsonl` encodes at once.
+# `_decode_lines` joins a chunk's lines around `_SEPARATOR_TEXT`, whose NaN
+# token `_SEPARATED_JSON` decodes to `_SEPARATOR`.
+_SEPARATOR_TEXT = "\n,NaN,"
+_SEPARATOR = object()
+_SEPARATED_JSON = json.JSONDecoder(parse_constant={"NaN": _SEPARATOR}.__getitem__)
+# Lines per chunk that `read_jsonl` decodes and holds as Python objects
+# at once, and rows per chunk that `write_jsonl` encodes at once.
 # It bounds the text and row objects held at a time; whole files of
 # them would multiply a load's or save's peak memory.
 _CHUNK_LINES = 1024
@@ -629,38 +708,29 @@ def _parse_json(text: str, path: str | Path, line: int | None = None):
     raise ValidationError(f"{path}{'' if line is None else f':{line}'}: {problem}") from None
 
 
-def _decode_lines(texts: list[str], numbers: list[int], path: str | Path) -> list:
+def _decode_lines(texts: list[str], numbers, path: str | Path) -> list:
     """The value of each JSON text in `texts`, which are lines `numbers` of `path`.
 
     All texts are decoded in one call, as one array with a separator,
     "\\n,NaN,", between every two of them. The decoder turns each NaN
-    token into a sentinel and counts it. No JSON string holds a raw
-    newline, so every separator in a decoded array is a NaN token. The
-    result is kept only when, for k texts, there are k - 1 NaN tokens,
-    the array has 2k - 1 elements and every odd element is a sentinel:
-    then the separators are the only NaN tokens and each sits at the top
-    level between two texts, so each text held exactly one value.
-    Otherwise, or if the decode fails, each text is decoded on its own by
-    `_parse_json`, which words the error with its file and line.
+    token into a sentinel, and any other constant token fails the
+    decode. The result is kept only when, for k texts, the joined text
+    holds "NaN" just k - 1 times, once per separator, so that no text
+    holds a NaN token, the array has 2k - 1 elements and every odd
+    element is a sentinel: then each separator sits at the top level
+    between two texts (no JSON string holds a raw newline), so each text
+    held exactly one value. Otherwise, or if the decode fails, each text
+    is decoded on its own by `_parse_json`, which words the error with
+    its file and line.
     """
-    separator, count = object(), 0
-
-    def constant(token: str):
-        nonlocal count
-        if token != "NaN":
-            _reject_constant(token)
-        count += 1
-        return separator
-
-    try:
-        values = json.JSONDecoder(parse_constant=constant).decode(
-            "[" + "\n,NaN,".join(texts) + "]"
-        )
-    except (json.JSONDecodeError, ValidationError):
-        values = []
     k = len(texts)
-    if count == k - 1 and len(values) == 2 * k - 1:
-        if all(value is separator for value in values[1::2]):
+    text = "[" + _SEPARATOR_TEXT.join(texts) + "]"
+    if text.count("NaN") == k - 1:
+        try:
+            values = _SEPARATED_JSON.decode(text)
+        except (json.JSONDecodeError, KeyError):  # KeyError: an Infinity token
+            values = []
+        if len(values) == 2 * k - 1 and values[1::2].count(_SEPARATOR) == k - 1:
             return values[::2]
     return [_parse_json(text, path, number) for text, number in zip(texts, numbers)]
 
@@ -836,24 +906,28 @@ def _strings(column: list, names: str) -> list:
     return column if names == "string" else list(chain.from_iterable(map(dict.values, column)))
 
 
-def _chunk_columns(values: dict, lines: list[int], path: str | Path, types: dict):
-    """Each key's `values`, those on lines `lines` of `path`, checked and typed."""
-    columns = {}
+def _check_columns(values: dict, lines, path: str | Path, types: dict, nul: bool) -> None:
+    """Check each key's `values`, those on lines `lines` of `path`, against its JSON types.
+
+    The U+0000 checks run only when `nul` is true: JSON text can put
+    U+0000 in a string only as the escape \\u0000, so a chunk whose text
+    does not hold that escape holds no such string.
+    """
     for key, names in types.items():
         column = values[key]
         allowed = tuple(_JSON_TYPES[name] for name in names.split("|"))
         if set(map(type, column)).difference(allowed):
             i = next(i for i, value in enumerate(column) if type(value) not in allowed)
             raise ValidationError(f"{path}:{lines[i]}: {key!r} must be {names.replace('|', ' or ')}")
-        strings = _strings(column, names) if names in ("string", "object") else []
-        if set(map(type, strings)) - {str}:
-            i = next(i for i, value in enumerate(column) if set(map(type, value.values())) - {str})
-            raise ValidationError(f"{path}:{lines[i]}: {key!r} values must be strings")
-        if _holds_nul(strings):
+        if names == "object":
+            try:
+                "".join(chain.from_iterable(map(dict.values, column)))  # TypeError: not a string
+            except TypeError:
+                i = next(i for i, value in enumerate(column) if set(map(type, value.values())) - {str})
+                raise ValidationError(f"{path}:{lines[i]}: {key!r} values must be strings") from None
+        if nul and names in ("string", "object") and _holds_nul(_strings(column, names)):
             i = next(i for i, value in enumerate(column) if _holds_nul(_strings([value], names)))
             raise ValidationError(f"{path}:{lines[i]}: {key!r} must not hold U+0000")
-        columns[key] = np.array(column, dtype=str) if names == "string" else column
-    return columns
 
 
 def _join(blocks: list):
@@ -883,17 +957,16 @@ def read_jsonl(
     its values in line order, and then each key of `arrays` to its
     matrix, which must be a finite '<f8' matrix of one row per row (see
     `_read_matrix`). `types[key]` names the JSON types its values may
-    take, as in "integer|null". A "string" column is returned as a numpy
-    string array and any other as a list. A key of `defaults` may be
-    left out of `columns` and then reads as its default. An "object"
-    column's objects must have string values. A string, or a value of an
-    "object" column's object, must not hold U+0000. Errors name the
-    file, and the line when one is at fault.
+    take, as in "integer|null"; each column is a list. A key of
+    `defaults` may be left out of `columns` and then reads as its
+    default. An "object" column's objects must have string values. A
+    string, or a value of an "object" column's object, must not hold
+    U+0000. Errors name the file, and the line when one is at fault.
 
-    The file is read a chunk of `_CHUNK_LINES` non-blank lines at a time,
-    and only one chunk's row values are held at once. Each chunk is
-    decoded in one call (see `_decode_lines`), its columns are checked
-    and typed, and then `convert`, when given, maps that chunk's columns
+    The file is read a chunk of `_CHUNK_LINES` lines at a time, and only
+    one chunk's row values are held at once. The non-blank lines of each
+    chunk are decoded in one call (see `_decode_lines`), its columns are
+    checked, and then `convert`, when given, maps that chunk's columns
     to the blocks to keep (for example, label dicts to level codes).
     Each key's blocks are joined at the end, so the result is that of
     reading the whole file at once. The cyclic garbage collector is
@@ -902,20 +975,19 @@ def read_jsonl(
     """
     defaults = defaults or {}
     header, names, files, blocks = {}, None, {}, {key: [] for key in types}
-    texts, lines, count = [], [], 0
+    n_rows = 0
 
-    def take_chunk():
-        nonlocal header, names, files, count
-        rows, row_lines = _decode_lines(texts, lines, path), lines
+    def take_chunk(texts: list[str], lines):
+        nonlocal header, names, files, n_rows
+        rows = _decode_lines(texts, lines, path)
         if names is None:
-            first = rows[0] if lines[:1] == [1] else None
+            first = rows[0] if len(lines) and lines[0] == 1 else None
             header, names, files = _header(first, path, types, defaults, arrays)
-            rows, row_lines = rows[1:], lines[1:]
-        count += len(rows)
-        values = _row_values(rows, row_lines, path, names, types, defaults)
+            rows, lines = rows[1:], lines[1:]
+        n_rows += len(rows)
+        columns = _row_values(rows, lines, path, names, types, defaults)
         del rows
-        columns = _chunk_columns(values, row_lines, path, types)
-        del values
+        _check_columns(columns, lines, path, types, "\\u0000" in "".join(texts))
         for key, block in (convert(columns) if convert else columns).items():
             blocks[key].append(block)
 
@@ -923,19 +995,21 @@ def read_jsonl(
     gc.disable()
     try:
         with _reading(path, what) as handle:
-            for number, line in enumerate(handle, start=1):
-                if not line.isspace():
-                    texts.append(line)
-                    lines.append(number)
-                    if len(texts) == _CHUNK_LINES:
-                        take_chunk()
-                        texts, lines = [], []
-        take_chunk()
+            start = 1
+            while block := list(islice(handle, _CHUNK_LINES)):
+                lines = range(start, start + len(block))
+                start = lines.stop
+                if any(map(str.isspace, block)):
+                    lines = [number for number, line in zip(lines, block) if not line.isspace()]
+                    block = [line for line in block if not line.isspace()]
+                take_chunk(block, lines)
+        if names is None:  # an empty file
+            take_chunk([], [])
     finally:
         if collecting:
             gc.enable()
     columns = {key: _join(blocks.pop(key)) for key in types}
-    return header, {**columns, **{key: _read_matrix(files[key], count) for key in arrays}}
+    return header, {**columns, **{key: _read_matrix(files[key], n_rows) for key in arrays}}
 
 
 def _encode_column(column) -> list[str]:
@@ -1035,6 +1109,7 @@ _SAMPLE_TYPES = {"id": "string", "concepts": "object", "gold": "integer|null"}
 # The float columns of samples.jsonl, each a .npy file beside it.
 _SAMPLE_ARRAYS = ("embedding", "logits")
 _PAIR_KEYS = ("original_id", "edited_id", "attribute", "from", "to")
+_PAIR_TYPES = dict.fromkeys(_PAIR_KEYS, "string")
 
 
 def load_dataset(
@@ -1049,9 +1124,10 @@ def load_dataset(
     Embeddings and logits come from the .npy files that the samples meta
     line names.
     With space="probability" a softmax is applied to every output row.
-    Each chunk of samples has its labels turned into level codes, by the
-    conversion that `Dataset.from_records` uses, before the next chunk
-    is read, so no file is held as row objects whole.
+    Each chunk of samples has its labels turned into level codes, and
+    each chunk of pairs its names into indices, by the conversions that
+    `Dataset.from_records` uses, before the next chunk is read, so no
+    file is held as row objects whole.
     """
     schema = load_schema(schema_path)
 
@@ -1066,8 +1142,19 @@ def load_dataset(
     ids, codes, gold, embeddings, outputs = samples.values()  # _SAMPLE_TYPES, then arrays
     pairs = EditPairs()
     if pairs_path is not None:
-        _, columns = read_jsonl(pairs_path, "pairs", dict.fromkeys(_PAIR_KEYS, "string"))
-        pairs = _resolve_pairs(schema, ids, codes, columns.values())
+        row_of = _row_index(ids)
+
+        def indices(chunk: dict) -> dict:
+            return dict(zip(_PAIR_KEYS, _pair_indices(schema, row_of, chunk.values())))
+
+        _, columns = read_jsonl(pairs_path, "pairs", _PAIR_TYPES, convert=indices)
+        original, edited, attribute, from_codes, to = columns.values()
+        unknown = any(np.any(column < 0) for column in columns.values())
+        if unknown or np.any(from_codes != codes[original, attribute]):
+            # read the names again, so that the error names the file's first pair at fault
+            _, names = read_jsonl(pairs_path, "pairs", _PAIR_TYPES)
+            _resolve_pairs(schema, row_of, codes, names.values())
+        pairs = EditPairs(original, edited, attribute, to)
     return Dataset(schema, ids, codes, embeddings, outputs, gold, pairs).to_space(space)
 
 

@@ -123,12 +123,19 @@ class EvalReport:
         return csv_text(["attribute", "from", "to", "metric", "mean", "std", "count"], rows)
 
 
-def _match_effects(effects: Effects, dataset: Dataset) -> np.ndarray:
+def match_effects(effects: Effects, dataset: Dataset) -> np.ndarray:
     """Row in `effects` of the estimate for each dataset pair; -1 where there is none.
 
     Pairs match estimates on (sample, attribute, from, to); an estimate
     naming a sample, attribute or level the dataset lacks matches nothing.
+    Estimates in another space than the dataset's are refused. The match
+    depends on no metric, so one serves every `icace_error` of a run.
     """
+    if len(effects) and effects.space != dataset.space:
+        raise ValidationError(
+            f"mixed-space comparison refused: estimates are in {effects.space!r} space, "
+            f"dataset is in {dataset.space!r} space"
+        )
     schema, p = dataset.schema, dataset.pairs
     top = int(schema.sizes.max())
 
@@ -151,23 +158,21 @@ def _match_effects(effects: Effects, dataset: Dataset) -> np.ndarray:
 
 
 def icace_error(
-    effects: Effects, dataset: Dataset, metric: str, metadata=None, hidden=frozenset()
+    effects: Effects, dataset: Dataset, metric: str, metadata=None, hidden=frozenset(), match=None
 ) -> EvalReport:
     """Grouped distance between empirical paired effects and estimates.
 
     Every pair needs an estimate with its (sample, attribute, from, to)
     key in the dataset's space, except that a pair editing an attribute
     in `hidden` may lack one: it is left out and counted in
-    `pairs_skipped`. Duplicate-keyed pairs share one estimate.
+    `pairs_skipped`. Duplicate-keyed pairs share one estimate. `match`
+    may pass `match_effects(effects, dataset)`, computed once for the
+    metrics of one run.
     """
     dist = get_distance(metric)
-    if len(effects) and effects.space != dataset.space:
-        raise ValidationError(
-            f"mixed-space comparison refused: estimates are in {effects.space!r} space, "
-            f"dataset is in {dataset.space!r} space"
-        )
     schema, p = dataset.schema, dataset.pairs
-    match = _match_effects(effects, dataset)
+    if match is None:
+        match = match_effects(effects, dataset)
     skipped = (match < 0) & ~schema.visible_mask(hidden)[p.attribute]
     unmatched = (match < 0) & ~skipped
     if unmatched.any():

@@ -178,7 +178,7 @@ def _resolve_targets(dataset: Dataset, rows: np.ndarray, target_kind: str | None
         if np.any(gold < 0):
             raise ValidationError(
                 f"predictor mode requires gold labels on every fit sample; {np.sum(gold < 0)} "
-                f"missing (first: {dataset.ids[rows[np.argmin(gold)]]!r})"
+                f"missing (first: {str(dataset.ids[rows[np.argmin(gold)]])!r})"
             )
         return np.eye(gold.max() + 1)[gold], kind
     raise ValidationError(f"target_kind must be 'output' or 'gold', got {target_kind!r}")
@@ -298,8 +298,7 @@ class SLearnerModel:
 
     `converged` is False when the fit stopped before the gradient
     max-norm (`grad_norm`, at the returned weights) fell below
-    SLEARNER_GRAD_TOL. Both are None for a model loaded from a file
-    written before they were recorded.
+    SLEARNER_GRAD_TOL.
     """
 
     schema: ConceptSchema
@@ -309,8 +308,8 @@ class SLearnerModel:
     space: str  # of the dataset the model was fit on; the file key is "input_space"
     iterations: int
     final_loss: float
-    converged: bool | None
-    grad_norm: float | None
+    converged: bool
+    grad_norm: float
 
     kind = "slearner"
 
@@ -464,14 +463,18 @@ def build_label_index(dataset: Dataset) -> LabelIndex:
     """Sort the dataset's visible-label profiles once, for every approx edit of a run.
 
     The sort is stable, so the rows that share a profile stay in row order.
+    Profiles are int64 while every one fits, and Python ints otherwise,
+    so any number of attributes and levels keys exactly.
     """
-    visible = dataset.schema.visible_mask(dataset.hidden_attributes)
-    sizes = dataset.schema.sizes[visible]
-    profiles = np.ravel_multi_index(dataset.codes[:, visible].T, sizes)
+    schema = dataset.schema
+    visible = schema.visible_mask(dataset.hidden_attributes)
+    stride, span = [0] * visible.size, 1
+    for a in reversed(np.flatnonzero(visible).tolist()):
+        stride[a], span = span, span * int(schema.sizes[a])
+    dtype = np.int64 if span <= 1 << 63 else object
+    profiles = dataset.codes.astype(dtype) @ np.array(stride, dtype=dtype)
     order = np.argsort(profiles, kind="stable")
-    stride = np.zeros(visible.size, dtype=np.int64)
-    stride[visible] = np.cumprod(np.concatenate(([1], sizes[:0:-1])))[::-1]
-    return LabelIndex(profiles[order].tolist(), order, profiles.tolist(), stride.tolist(), visible)
+    return LabelIndex(profiles[order].tolist(), order, profiles.tolist(), stride, visible)
 
 
 # An entry (a 64-bit seed, a 32-bit output and the cache's links) takes
@@ -693,7 +696,7 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
                 n_pseudo=json_field(obj, "n_pseudo", "integer", path),
                 space=json_field(obj, "space", "string", path),
                 target_kind=json_field(obj, "target_kind", "string", path),
-                diagnostics=json_field(obj, "diagnostics", "object", path, {}),
+                diagnostics=json_field(obj, "diagnostics", "object", path),
             )
             d = model.embed_coef.shape[1]
             if model.embed_coef.shape[0] != k_vis or model.concept_coef.shape[0] != k_vis:
@@ -719,9 +722,8 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
             space=json_field(obj, "input_space", "string", path),
             iterations=json_field(obj, "iterations", "integer", path),
             final_loss=json_field(obj, "final_loss", "number", path),
-            # files written before these were recorded lack both
-            converged=json_field(obj, "converged", "boolean|null", path, None),
-            grad_norm=json_field(obj, "grad_norm", "number|null", path, None),
+            converged=json_field(obj, "converged", "boolean", path),
+            grad_norm=json_field(obj, "grad_norm", "number", path),
         )
     except ValidationError:
         raise

@@ -18,7 +18,11 @@ by the exact coefficient contrast and the paired embeddings by the
 exact embedding-map contrast. `generate` keeps those draws in memory
 (`SynthGroundTruth.draws`); nothing is drawn again for an edit.
 `synthesize_sample` is the per-sample reference that both must equal
-bit for bit.
+bit for bit. Only the draws are taken per sample: the levels of all
+samples come from one matrix product, with the rows whose argmax that
+product could round differently redone per row, and the products with
+a one-hot label row are taken once per distinct label row, by the
+per-row expression, and gathered.
 
 The oracle needs no stored outputs: a row's clean outputs are
 `one_hot(complete labels) @ outcome_coef`, which `oracle_effect`
@@ -36,6 +40,7 @@ Stream layout (numpy SeedSequence spawn keys, portable across runs):
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,6 +50,7 @@ from .data import (
     ConceptSchema,
     Dataset,
     EditPairs,
+    distinct_rows,
     float_array,
     json_field,
     one_hot,
@@ -180,28 +186,145 @@ def synthesize_sample(config: SynthConfig, index: int, edit: tuple[int, int] | N
 def _clean_outputs(c: np.ndarray, outcome_coef: np.ndarray) -> np.ndarray:
     """Noise-free outputs `c @ outcome_coef` of the complete one-hot rows `c`.
 
-    The products stay one row at a time, as in `synthesize_sample`: a
+    The products are one row at a time, as in `synthesize_sample`: a
     batched matrix product may round differently in the last bit.
+    Callers pass each distinct row once (see `distinct_rows`).
     """
     clean = np.empty((len(c), outcome_coef.shape[1]))
-    for k in range(len(c)):
-        clean[k] = c[k] @ outcome_coef
+    for k, row in enumerate(c):
+        clean[k] = row @ outcome_coef
     return clean
 
 
 def _rows(config: SynthConfig, codes: np.ndarray, draws: np.ndarray):
     """(embeddings, outputs, clean outputs) of rows with level `codes` and noise `draws`.
 
-    Like the clean outputs, the embeddings are one product per row.
+    The clean outputs and the noise-free embeddings are one product per
+    distinct label row, as in `synthesize_sample`, gathered to every row
+    that has those labels; the noise is then added row by row.
     """
     dim = config.embed_dim
-    c = one_hot(config.schema, codes)
-    clean = _clean_outputs(c, config.outcome_coef)
-    embeddings = np.empty((len(codes), dim))
-    for k in range(len(codes)):
-        embeddings[k] = config.embed_map @ c[k]
+    first, inverse = distinct_rows(codes)
+    c = one_hot(config.schema, codes[first])
+    clean = _clean_outputs(c, config.outcome_coef)[inverse]
+    embeddings = np.empty((len(c), dim))
+    for k, row in enumerate(c):
+        embeddings[k] = config.embed_map @ row
+    embeddings = embeddings[inverse]
     embeddings += config.embed_noise * draws[:, :dim]
     return embeddings, clean + config.outcome_noise * draws[:, dim:], clean
+
+
+# Unit roundoff of float64.
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _levels(config: SynthConfig, latent: np.ndarray, gumbel: np.ndarray) -> np.ndarray:
+    """(n, n_attrs) level codes: argmax of `mixing[a] @ latent[i] + gumbel[i, block a]`.
+
+    The scores of every sample are one matrix product per attribute. It
+    may round differently from `synthesize_sample`'s product per sample,
+    but each computed dot product of length k lies within
+    gamma_k * sum_j |m_j u_j| of the exact one, gamma_k = k u / (1 - k u)
+    (Higham 2002, section 3.1), and adding the Gumbel draw rounds by at
+    most u times the score. When the best score beats the second by more
+    than four times that bound, both products pick the same level; any
+    other row, ties and overflowed scores included, is redone by
+    `synthesize_sample`'s per-row expression, so every code equals the
+    per-sample reference.
+    """
+    schema = config.schema
+    k = config.exo_dim + 2  # two terms of slack cover the bound's own rounding
+    gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+    magnitude = np.abs(latent)
+    codes = np.empty((len(latent), len(schema.names)), dtype=np.int64)
+    starts, ends = schema.offsets.tolist(), (schema.offsets + schema.sizes).tolist()
+    for a, (name, start, end) in enumerate(zip(schema.names, starts, ends)):
+        mixing = config.mixing[name]
+        with np.errstate(over="ignore", invalid="ignore"):  # the redo below warns as the reference does
+            scores = latent @ mixing.T + gumbel[:, start:end]
+            error = gamma * (magnitude @ np.abs(mixing).T) + 2.0 * _UNIT_ROUNDOFF * np.abs(scores)
+            top = np.sort(scores, axis=1)
+            clear = top[:, -1] - top[:, -2] > 4.0 * error.max(axis=1)  # False where a score overflowed
+        codes[:, a] = scores.argmax(axis=1)
+        for i in np.flatnonzero(~clear).tolist():
+            codes[i, a] = (mixing @ latent[i] + gumbel[i, start:end]).argmax()
+    return codes
+
+
+# numpy's SeedSequence hash constants (O'Neill's seed_seq_fe, as
+# numpy/random/bit_generator.pyx has them) and PCG64's 128-bit multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U32, _U128 = 0xFFFFFFFF, (1 << 128) - 1
+# Streams whose states `_sample_states` derives at once.
+_STATE_BLOCK = 1024
+
+
+def _seed_sequence_words(entropy: list, index: np.ndarray) -> list[np.ndarray]:
+    """The first 4 uint64 words that `SeedSequence(seed, spawn_key=(0, i)).generate_state` gives.
+
+    `entropy` holds the seed's 32-bit words, padded with zeros to at
+    least SeedSequence's 4-word pool; `index` holds each i (< 2**32) as
+    uint64. The hash is
+    32-bit arithmetic whose constants and order do not depend on the
+    words, so it runs on every i at once, on uint64 arrays masked to 32
+    bits. Returns one array per word.
+    """
+    words = [*entropy, 0, index]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = (value ^ hash_const) & _U32
+        hash_const = hash_const * _MULT_A & _U32
+        value = value * hash_const & _U32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _U32
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in words[:4]]
+    for source in range(4):
+        for target in range(4):
+            if source != target:
+                pool[target] = mix(pool[target], hashmix(pool[source]))
+    for word in words[4:]:
+        pool = [mix(value, hashmix(word)) for value in pool]
+    hash_const, generated = _INIT_B, []
+    for k in range(8):  # 8 words, 4 uint64 in little-endian order
+        value = pool[k % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _U32
+        value = value * hash_const & _U32
+        generated.append(value ^ value >> 16)
+    return [generated[k] | generated[k + 1] << 32 for k in range(0, 8, 2)]
+
+
+def _sample_states(seed: int, n: int) -> Iterator[dict]:
+    """Yield the PCG64 `state` of sample stream (0, i) for each i < n in turn.
+
+    Each equals `np.random.default_rng(np.random.SeedSequence(seed,
+    spawn_key=(0, i))).bit_generator.state`, whose construction costs more
+    than the sample's draws. The SeedSequence hash runs on a block of
+    streams at once (`_seed_sequence_words`); PCG64 then seeds its 128-bit
+    LCG from the 4 words, as pcg_setseq_128_srandom_r does, in Python ints.
+    """
+    np.random.SeedSequence(seed, spawn_key=(0,))  # numpy's own error for a bad seed
+    seed = int(seed)
+    if n > 1 << 32:
+        raise ValidationError("n must be at most 2**32, so each sample index is one 32-bit word")
+    entropy = [seed >> 32 * k & _U32 for k in range(max(1, -(-seed.bit_length() // 32)))]
+    entropy += [0] * (4 - len(entropy))
+    for start in range(0, n, _STATE_BLOCK):
+        index = np.arange(start, min(n, start + _STATE_BLOCK), dtype=np.uint64)
+        words = _seed_sequence_words(entropy, index)
+        for seed_high, seed_low, inc_high, inc_low in zip(*(column.tolist() for column in words)):
+            inc = (inc_high << 64 | inc_low) << 1 & _U128 | 1
+            state = ((inc + (seed_high << 64 | seed_low)) * _PCG64_MULT + inc) & _U128
+            yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                   "has_uint32": 0, "uinteger": 0}
 
 
 def generate(config: SynthConfig) -> tuple[Dataset, SynthGroundTruth]:
@@ -210,18 +333,24 @@ def generate(config: SynthConfig) -> tuple[Dataset, SynthGroundTruth]:
     Each sample takes three draws from its own stream: the latent state,
     one Gumbel per level of every attribute, and the embedding and output
     noise, the same values `synthesize_sample` draws one attribute at a
-    time. The noise draws are kept in the returned truth for `make_pairs`.
+    time. One generator takes each stream's state in turn
+    (`_sample_states`). Only the draws are per sample: the levels are
+    then chosen for all samples at once (`_levels`) and the rows built
+    once per distinct label row (`_rows`). The noise draws are kept in
+    the returned truth for `make_pairs`.
     """
-    n, schema = config.n, config.schema
-    blocks = [(config.mixing[name], block) for name, block in schema.visible_blocks().items()]
-    codes = np.empty((n, len(blocks)), dtype=np.int64)
+    n, schema, width = config.n, config.schema, config.width
+    latent = np.empty((n, config.exo_dim))
+    gumbel = np.empty((n, width))
     draws = np.empty((n, config.embed_dim + config.n_outputs))
-    for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, i)))
-        u = rng.standard_normal(config.exo_dim)
-        gumbel = rng.gumbel(size=config.width)
-        codes[i] = [(mixing @ u + gumbel[block]).argmax() for mixing, block in blocks]
-        draws[i] = rng.standard_normal(draws.shape[1])
+    bit_generator = np.random.PCG64()
+    rng = np.random.Generator(bit_generator)
+    for i, state in enumerate(_sample_states(config.seed, n)):
+        bit_generator.state = state
+        rng.standard_normal(out=latent[i])
+        gumbel[i] = rng.gumbel(size=width)
+        rng.standard_normal(out=draws[i])
+    codes = _levels(config, latent, gumbel)
     embeddings, outputs, clean = _rows(config, codes, draws)
     ids = np.array([f"s{i:06d}" for i in range(n)])
     dataset = Dataset(
@@ -261,14 +390,17 @@ def make_pairs(
             "make_pairs needs the noise draws of the ground truth that generate returned"
         )
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
+    choice, integers = rng.choice, rng.integers
+    others = (config.schema.sizes - 1).tolist()  # per attribute, the levels an edit may move to
+    attribute, to = [], []
+    flat_codes = dataset.codes.ravel().tolist()  # one list, not a list object per row
+    for row in range(0, n * n_attrs, n_attrs):
+        for a in choice(n_attrs, size=edits_per_sample, replace=False).tolist():
+            draw = int(integers(others[a]))
+            attribute.append(a)
+            to.append(draw + (draw >= flat_codes[row + a]))  # skip the current level
     original = np.repeat(np.arange(n), edits_per_sample)
-    attribute, to = np.empty_like(original), np.empty_like(original)
-    for i in range(n):
-        chosen = rng.choice(n_attrs, size=edits_per_sample, replace=False)
-        for k, a in enumerate(chosen, start=i * edits_per_sample):
-            current = dataset.codes[i, a]
-            draw = int(rng.integers(config.schema.sizes[a] - 1))
-            attribute[k], to[k] = a, draw + (draw >= current)  # skip the current level
+    attribute, to = np.array(attribute, dtype=np.int64), np.array(to, dtype=np.int64)
     codes = dataset.codes[original]
     codes[np.arange(original.size), attribute] = to
     embeddings, outputs, clean = _rows(config, codes, truth.draws[original])
@@ -293,8 +425,9 @@ def oracle_effect(truth: SynthGroundTruth, dataset: Dataset, space: str) -> np.n
     """Exact effect of every pair of `dataset`, in the requested space.
 
     Each row's clean logits are its complete labels' one-hot row times
-    `truth.outcome_coef`, computed once per row however many pairs it
-    is in, by the product `generate` and `make_pairs` take.
+    `truth.outcome_coef`, by the per-row product that `generate` and
+    `make_pairs` take, computed once per distinct label row of the pairs
+    however many rows and pairs share it.
     """
     if space not in ("logit", "probability"):
         raise ValidationError(f"space must be 'logit' or 'probability', got {space!r}")
@@ -305,8 +438,9 @@ def oracle_effect(truth: SynthGroundTruth, dataset: Dataset, space: str) -> np.n
             f"one-hot layout has {width} columns"
         )
     p = dataset.pairs
-    rows, inverse = np.unique(np.concatenate([p.original, p.edited]), return_inverse=True)
-    clean = _clean_outputs(one_hot(dataset.schema, dataset.codes[rows]), coef)
+    codes = dataset.codes[np.concatenate([p.original, p.edited])]
+    first, inverse = distinct_rows(codes)
+    clean = _clean_outputs(one_hot(dataset.schema, codes[first]), coef)
     if space == "probability":
         clean = softmax(clean)
     return clean[inverse[len(p) :]] - clean[inverse[: len(p)]]

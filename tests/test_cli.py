@@ -128,6 +128,38 @@ class TestSynth:
         assert (tmp_path / "d" / "pairs.jsonl").read_text() == f'{{"meta": {{"columns": {columns}}}}}\n'
 
 
+class TestManyAttributes:
+    """Schemas whose label rows overflow a packed int64 key: 64 two-level
+    attributes (2**64 label rows) and 40 four-level ones (4**40)."""
+
+    @pytest.mark.parametrize("n_attributes, n_levels", [(64, 2), (40, 4)])
+    def test_synth_oracle_and_approx_run(self, tmp_path, capsys, n_attributes, n_levels):
+        attributes = [
+            {"name": f"a{i}", "levels": [f"l{j}" for j in range(n_levels)]} for i in range(n_attributes)
+        ]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"n": 60, "seed": 2, "edits_per_sample": 1, "attributes": attributes, "exact_recovery": False}
+        ))
+        data = tmp_path / "data"
+        assert run("synth", "--config", config, "--out", data) == 0
+        truth = data / "ground_truth.json"
+        assert run("explain", *dataset_flags(data), "--method", "oracle", "--ground-truth", truth,
+                   "--out", tmp_path / "oracle.jsonl") == 0
+        assert run("explain", *dataset_flags(data), "--method", "approx", "--hidden", "a0",
+                   "--out", tmp_path / "approx.jsonl") == 0
+        assert run("experiment", *dataset_flags(data), "--methods", "approx", "--metrics", "l2",
+                   "--mask-sizes", "1", "--out", tmp_path / "experiment") == 0
+        capsys.readouterr()
+        # Each edit's exact match is its own edited row, the only row with
+        # those labels among 120, unless the edit is of the hidden a0.
+        dataset = mcce.load_dataset(data / "samples.jsonl", data / "pairs.jsonl", data / "schema.json")
+        effects, _ = mcce.read_effects(tmp_path / "approx.jsonl")
+        assert len(effects) == len(dataset.pairs) and not effects.fallback.any()
+        visible = effects.attribute != "a0"
+        assert np.array_equal(effects.effect[visible], mcce.icace(dataset)[visible])
+
+
 class TestFit:
     def test_mcce_diagnostics(self, synth_dir, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -885,7 +917,10 @@ class TestLoaderErrors:
     @pytest.mark.parametrize(
         "method, key, bad, kind",
         [
-            ("slearner", "converged", "false", "boolean or null"),
+            ("slearner", "converged", "false", "boolean"),
+            ("slearner", "converged", None, "boolean"),
+            ("slearner", "grad_norm", None, "number"),
+            ("mcce", "diagnostics", [], "object"),
             ("slearner", "iterations", "7", "integer"),
             ("slearner", "iterations", True, "integer"),
             ("slearner", "final_loss", "0.5", "number"),
@@ -913,6 +948,25 @@ class TestLoaderErrors:
         err = capsys.readouterr().err
         assert f"m.json: {key!r} must be {kind}" in err and "Traceback" not in err
         assert not (tmp_path / "e.jsonl").exists()
+
+    # Every key a model file records is required: no reader fills one in.
+
+    @pytest.mark.parametrize(
+        "method, key", [("slearner", "converged"), ("slearner", "grad_norm"), ("mcce", "diagnostics")]
+    )
+    def test_model_keys_are_required(self, synth_dir, tmp_path, capsys, method, key):
+        model, obj = self.fitted(synth_dir, tmp_path, method)
+        del obj[key]
+        model.write_text(json.dumps(obj))
+        capsys.readouterr()
+        code = run(
+            "explain", *dataset_flags(synth_dir), "--method", method, "--model", model,
+            "--space", "probability" if method == "slearner" else "logit",
+            "--out", tmp_path / "e.jsonl",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"m.json: missing required key {key!r}" in err and "Traceback" not in err
 
     def test_model_with_a_ragged_matrix_exits_2(self, synth_dir, tmp_path, capsys):
         model, obj = self.fitted(synth_dir, tmp_path, "mcce")

@@ -519,18 +519,22 @@ def test_model_roundtrip_slearner(tmp_path):
     assert back.iterations == model.iterations and back.final_loss == model.final_loss
 
 
-def test_load_model_accepts_slearner_file_without_convergence_fields(tmp_path):
+@pytest.mark.parametrize(
+    "fit, key", [(fit_slearner, "converged"), (fit_slearner, "grad_norm"), (fit_mcce, "diagnostics")]
+)
+def test_load_model_requires_every_recorded_field(tmp_path, fit, key):
     ds, _, _ = linear_dataset(n=30, seed=22)
     path = tmp_path / "model.json"
-    save_model(fit_slearner(ds), path)
+    save_model(fit(ds), path)
     obj = json.loads(path.read_text())
-    del obj["converged"], obj["grad_norm"]
+    del obj[key]
     path.write_text(json.dumps(obj))
-    back = load_model(path)
-    assert back.converged is None and back.grad_norm is None
-    assert np.array_equal(back.weights, fit_slearner(ds).weights)
-    save_model(back, path)  # an unknown state stays unknown, not invented
-    assert load_model(path).converged is None
+    with pytest.raises(ValidationError, match=f"model.json: missing required key '{key}'"):
+        load_model(path)
+    obj[key] = None
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValidationError, match=f"model.json: '{key}' must be"):
+        load_model(path)
 
 
 def test_load_model_rejects_non_finite_tokens(tmp_path):

@@ -647,7 +647,6 @@ def test_mcce_model_round_trips_bit_exactly(tmp_path_factory, masked, data):
 def test_slearner_model_round_trips_bit_exactly(tmp_path_factory, masked, data):
     schema, hidden = masked
     k, q = schema.visible_width(hidden), data.draw(st.integers(1, 4))
-    converged = data.draw(st.one_of(st.none(), st.booleans()))
     model = SLearnerModel(
         schema=schema,
         hidden_attributes=hidden,
@@ -656,20 +655,17 @@ def test_slearner_model_round_trips_bit_exactly(tmp_path_factory, masked, data):
         space=data.draw(st.sampled_from(["logit", "probability"])),
         iterations=data.draw(st.integers(0, 50)),
         final_loss=data.draw(finite_floats),
-        converged=converged,
-        grad_norm=None if converged is None else data.draw(finite_floats),
+        converged=data.draw(st.booleans()),
+        grad_norm=data.draw(finite_floats),
     )
     path = save_model(model, tmp_path_factory.mktemp("model") / "model.json")
     back = load_model(path)
     assert isinstance(back, SLearnerModel)
     assert (back.schema, back.hidden_attributes) == (schema, hidden)
-    for name in ("weights", "bias", "final_loss"):
+    for name in ("weights", "bias", "final_loss", "grad_norm"):
         assert bits(getattr(back, name)) == bits(getattr(model, name)), name
     assert (back.space, back.iterations) == (model.space, model.iterations)
     assert back.converged is model.converged
-    assert model.grad_norm is None if back.grad_norm is None else (
-        bits(back.grad_norm) == bits(model.grad_norm)
-    )
 
 
 @st.composite
@@ -840,6 +836,70 @@ def test_oracle_effect_equals_per_sample_clean_contrasts(problem, space):
         if space == "probability":
             before, after = softmax(before), softmax(after)
         assert bits(got[k]) == bits(after - before)
+
+
+# --- the batched generator and oracle at scale ---------------------------------------
+# The draws above have n <= 20. Below, thousands of rows: many share a label
+# row (81 distinct of 4000 on the default schema) or few do (most of 8000 on
+# the 8x4 schema), and one config makes the batched level scores round
+# differently from the per-sample ones, so most rows take the per-row redo.
+
+
+def assert_rows_equal_per_sample(config, edits_per_sample):
+    dataset, truth = generate(config)
+    dataset = make_pairs(dataset, truth, config, edits_per_sample)
+    p = dataset.pairs
+    rows = [(i, i, None) for i in range(config.n)]
+    rows += [(e, o, (a, t)) for o, e, a, t in zip(p.original, p.edited, p.attribute, p.to)]
+    clean = {}
+    for row, index, edit in rows:
+        codes, embedding, output, clean[row] = synthesize_sample(config, int(index), edit)
+        assert np.array_equal(dataset.codes[row], codes), row
+        assert bits(dataset.embeddings[row]) == bits(embedding), row
+        assert bits(dataset.outputs[row]) == bits(output), row
+        assert dataset.gold[row] == np.argmax(clean[row]), row
+    for space, to_space in (("logit", lambda x: x), ("probability", softmax)):
+        want = [to_space(clean[e]) - to_space(clean[o]) for o, e in zip(p.original, p.edited)]
+        assert bits(oracle_effect(truth, dataset, space)) == bits(np.array(want))
+    return dataset
+
+
+def test_batched_rows_equal_per_sample_draws_on_the_default_schema():
+    dataset = assert_rows_equal_per_sample(default_config(n=2000, seed=3), 1)
+    assert len(np.unique(dataset.codes, axis=0)) == 81
+
+
+def test_batched_rows_equal_per_sample_draws_on_a_wide_schema():
+    attributes = [(f"a{i}", [f"l{j}" for j in range(4)]) for i in range(8)]
+    config = default_config(n=4000, seed=61, attributes=attributes, n_classes=8, embed_dim=48)
+    dataset = assert_rows_equal_per_sample(config, 1)
+    assert len(np.unique(dataset.codes, axis=0)) > 6000
+
+
+def test_batched_levels_equal_per_sample_draws_when_products_round_differently():
+    # Every level of an attribute scores 1e15 * sum(u) plus a term of order 1,
+    # so the rounding of the 1e15 part (its unit in the last place is 0.125)
+    # is as large as the gaps between levels.
+    base = default_config(n=600, seed=5, exact_recovery=False)
+    rng = np.random.default_rng(11)
+    mixing = {
+        name: 1e15 + rng.standard_normal((len(levels), base.exo_dim))
+        for name, levels in base.schema.attributes
+    }
+    assert_rows_equal_per_sample(replace(base, mixing=mixing), 2)
+
+
+def test_batched_levels_equal_per_sample_draws_when_scores_overflow():
+    # Entries of +-1e308 make most scores +-inf or nan, in the batched product
+    # and in the per-sample one alike; no bound holds, so those rows are redone.
+    base = default_config(n=300, seed=5, exact_recovery=False)
+    rng = np.random.default_rng(3)
+    mixing = {
+        name: 1e308 * rng.choice([-1.0, 1.0], size=(len(levels), base.exo_dim))
+        for name, levels in base.schema.attributes
+    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_rows_equal_per_sample(replace(base, mixing=mixing), 1)
 
 
 @st.composite

@@ -20,6 +20,7 @@ from mcce import (
     synthesize_sample,
 )
 from mcce.linalg import lstsq
+from mcce.synthetic import _sample_states
 
 
 def small_config(**kw):
@@ -261,3 +262,18 @@ def test_make_pairs_needs_the_draws_generate_kept(tmp_path):
     assert loaded.draws is None  # the draws are not written
     with pytest.raises(ValidationError, match="noise draws"):
         make_pairs(ds, loaded, cfg)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**127, 2**130 + 9])
+def test_sample_states_equal_numpy_seeding(seed):
+    # generate sets one generator to these states instead of constructing
+    # a SeedSequence and a PCG64 per sample
+    states = list(_sample_states(seed, 300))
+    for i in (0, 1, 2, 255, 256, 299):
+        want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, i)))
+        assert states[i] == want.bit_generator.state, i
+
+
+def test_sample_states_refuse_a_seed_numpy_refuses():
+    with pytest.raises(ValueError):
+        next(_sample_states(-1, 3))
