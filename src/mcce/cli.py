@@ -351,11 +351,10 @@ def cmd_experiment(args) -> int:
             "--space probability to keep methods comparable"
         )
     try:
-        sizes = sorted({int(s) for s in _split_csv(args.mask_sizes)})
+        sizes = [int(s) for s in _split_csv(args.mask_sizes)]
     except ValueError:
         raise ValidationError(f"mask sizes must be integers, got {args.mask_sizes!r}") from None
-    if not sizes:
-        raise ValidationError("at least one mask size is required")
+    sizes = sorted(_distinct(sizes, "mask size"))
     dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
     names = dataset.schema.names
     if any(size < 1 or size > len(names) - 1 for size in sizes):

@@ -328,27 +328,6 @@ def one_hot(schema: ConceptSchema, codes, hidden=frozenset()) -> np.ndarray:
     return out
 
 
-def distinct_rows(codes) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) of an (m, k) matrix of nonnegative codes: `codes[first][inverse]` is `codes`.
-
-    `first` holds the row index of one occurrence of each distinct row.
-    Rows are keyed a column at a time in int64; before a column could
-    overflow the key, the keys are replaced by their rank among the
-    distinct keys so far, which is below m, so any number of columns and
-    levels keys exactly.
-    """
-    codes = np.asarray(codes, dtype=np.int64)
-    key, span = np.zeros(len(codes), dtype=np.int64), 1
-    for column in codes.T:
-        size = int(column.max(initial=0)) + 1
-        if span * size > 1 << 62:
-            _, key = np.unique(key, return_inverse=True)
-            span = int(key.max()) + 1
-        key, span = key * size + column, span * size
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return first, inverse.reshape(-1)
-
-
 # ---------------------------------------------------------------------------
 # datasets
 

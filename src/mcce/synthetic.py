@@ -18,16 +18,21 @@ by the exact coefficient contrast and the paired embeddings by the
 exact embedding-map contrast. `generate` keeps those draws in memory
 (`SynthGroundTruth.draws`); nothing is drawn again for an edit.
 `synthesize_sample` is the per-sample reference that both must equal
-bit for bit. Only the draws are taken per sample: the levels of all
-samples come from one matrix product, with the rows whose argmax that
-product could round differently redone per row, and the products with
-a one-hot label row are taken once per distinct label row, by the
-per-row expression, and gathered.
+bit for bit.
 
-The oracle needs no stored outputs: a row's clean outputs are
-`one_hot(complete labels) @ outcome_coef`, which `oracle_effect`
-recomputes from the dataset's labels by the same per-row product
-(`_clean_outputs`) that made them.
+Every product above is a sum in a fixed order, taken elementwise over
+however many samples there are: `mixing[a] @ u` adds
+`u[k] * mixing[a][:, k]` over k in order (`_scores`), and a product with
+c adds the row of each attribute's level in schema order
+(`_one_hot_product`). IEEE addition and multiplication round each entry
+alike on one row or on n rows, so the batched `generate`, `make_pairs`
+and `oracle_effect` equal `synthesize_sample` by construction, and no
+row depends on the BLAS kernel, as a matrix product's rounding would.
+
+The oracle needs no stored outputs: a row's clean outputs are its
+complete labels' one-hot product with `outcome_coef`, which
+`oracle_effect` recomputes from the dataset's labels by the same sum
+that made them.
 
 Stream layout (numpy SeedSequence spawn keys, portable across runs):
 
@@ -50,10 +55,8 @@ from .data import (
     ConceptSchema,
     Dataset,
     EditPairs,
-    distinct_rows,
     float_array,
     json_field,
-    one_hot,
     read_json,
     softmax,
     write_json,
@@ -169,7 +172,7 @@ def synthesize_sample(config: SynthConfig, index: int, edit: tuple[int, int] | N
     u = rng.standard_normal(config.exo_dim)
     codes = np.array(
         [
-            np.argmax(config.mixing[name] @ u + rng.gumbel(size=len(levels)))
+            np.argmax(_scores(config.mixing[name], u) + rng.gumbel(size=len(levels)))
             for name, levels in config.schema.attributes
         ]
     )
@@ -177,79 +180,51 @@ def synthesize_sample(config: SynthConfig, index: int, edit: tuple[int, int] | N
     g_out = rng.standard_normal(config.n_outputs)
     if edit is not None:
         codes[edit[0]] = edit[1]
-    c = one_hot(config.schema, codes[None])[0]
-    clean = c @ config.outcome_coef
-    embedding = config.embed_map @ c + config.embed_noise * g_embed
+    clean = _one_hot_product(config.schema, codes, config.outcome_coef)
+    embedding = _one_hot_product(config.schema, codes, config.embed_map.T)
+    embedding += config.embed_noise * g_embed
     return codes, embedding, clean + config.outcome_noise * g_out, clean
 
 
-def _clean_outputs(c: np.ndarray, outcome_coef: np.ndarray) -> np.ndarray:
-    """Noise-free outputs `c @ outcome_coef` of the complete one-hot rows `c`.
+def _scores(mixing: np.ndarray, latent: np.ndarray) -> np.ndarray:
+    """`latent @ mixing.T`, as the sum over k in order of `latent[..., k] * mixing[:, k]`.
 
-    The products are one row at a time, as in `synthesize_sample`: a
-    batched matrix product may round differently in the last bit.
-    Callers pass each distinct row once (see `distinct_rows`).
+    `latent` is one state or a matrix of them, one per row. Each score is
+    the same elementwise products and additions either way, so it has
+    the same bits for one sample as for n.
     """
-    clean = np.empty((len(c), outcome_coef.shape[1]))
-    for k, row in enumerate(c):
-        clean[k] = row @ outcome_coef
-    return clean
+    total = latent[..., 0, None] * mixing[:, 0]
+    for k in range(1, mixing.shape[1]):
+        total += latent[..., k, None] * mixing[:, k]
+    return total
+
+
+def _one_hot_product(schema: ConceptSchema, codes: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """`one_hot(codes) @ table`, as the sum in schema order of each attribute's row of `table`.
+
+    `codes` holds complete level codes, one row of them or a matrix; the
+    term of attribute a is `table[offsets[a] + codes[..., a]]`. As in
+    `_scores`, one row and n rows give the same bits.
+    """
+    offsets = schema.offsets.tolist()
+    total = table.take(offsets[0] + codes[..., 0], axis=0)  # a copy, also of one row
+    for a in range(1, len(offsets)):
+        total += table.take(offsets[a] + codes[..., a], axis=0)
+    return total
 
 
 def _rows(config: SynthConfig, codes: np.ndarray, draws: np.ndarray):
     """(embeddings, outputs, clean outputs) of rows with level `codes` and noise `draws`.
 
-    The clean outputs and the noise-free embeddings are one product per
-    distinct label row, as in `synthesize_sample`, gathered to every row
-    that has those labels; the noise is then added row by row.
+    Each is `synthesize_sample`'s expression, taken over all rows at once:
+    the one-hot sums of `outcome_coef` and `embed_map.T` in schema order,
+    plus the scaled noise.
     """
     dim = config.embed_dim
-    first, inverse = distinct_rows(codes)
-    c = one_hot(config.schema, codes[first])
-    clean = _clean_outputs(c, config.outcome_coef)[inverse]
-    embeddings = np.empty((len(c), dim))
-    for k, row in enumerate(c):
-        embeddings[k] = config.embed_map @ row
-    embeddings = embeddings[inverse]
+    clean = _one_hot_product(config.schema, codes, config.outcome_coef)
+    embeddings = _one_hot_product(config.schema, codes, config.embed_map.T)
     embeddings += config.embed_noise * draws[:, :dim]
     return embeddings, clean + config.outcome_noise * draws[:, dim:], clean
-
-
-# Unit roundoff of float64.
-_UNIT_ROUNDOFF = 2.0**-53
-
-
-def _levels(config: SynthConfig, latent: np.ndarray, gumbel: np.ndarray) -> np.ndarray:
-    """(n, n_attrs) level codes: argmax of `mixing[a] @ latent[i] + gumbel[i, block a]`.
-
-    The scores of every sample are one matrix product per attribute. It
-    may round differently from `synthesize_sample`'s product per sample,
-    but each computed dot product of length k lies within
-    gamma_k * sum_j |m_j u_j| of the exact one, gamma_k = k u / (1 - k u)
-    (Higham 2002, section 3.1), and adding the Gumbel draw rounds by at
-    most u times the score. When the best score beats the second by more
-    than four times that bound, both products pick the same level; any
-    other row, ties and overflowed scores included, is redone by
-    `synthesize_sample`'s per-row expression, so every code equals the
-    per-sample reference.
-    """
-    schema = config.schema
-    k = config.exo_dim + 2  # two terms of slack cover the bound's own rounding
-    gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-    magnitude = np.abs(latent)
-    codes = np.empty((len(latent), len(schema.names)), dtype=np.int64)
-    starts, ends = schema.offsets.tolist(), (schema.offsets + schema.sizes).tolist()
-    for a, (name, start, end) in enumerate(zip(schema.names, starts, ends)):
-        mixing = config.mixing[name]
-        with np.errstate(over="ignore", invalid="ignore"):  # the redo below warns as the reference does
-            scores = latent @ mixing.T + gumbel[:, start:end]
-            error = gamma * (magnitude @ np.abs(mixing).T) + 2.0 * _UNIT_ROUNDOFF * np.abs(scores)
-            top = np.sort(scores, axis=1)
-            clear = top[:, -1] - top[:, -2] > 4.0 * error.max(axis=1)  # False where a score overflowed
-        codes[:, a] = scores.argmax(axis=1)
-        for i in np.flatnonzero(~clear).tolist():
-            codes[i, a] = (mixing @ latent[i] + gumbel[i, start:end]).argmax()
-    return codes
 
 
 # numpy's SeedSequence hash constants (O'Neill's seed_seq_fe, as
@@ -334,10 +309,10 @@ def generate(config: SynthConfig) -> tuple[Dataset, SynthGroundTruth]:
     one Gumbel per level of every attribute, and the embedding and output
     noise, the same values `synthesize_sample` draws one attribute at a
     time. One generator takes each stream's state in turn
-    (`_sample_states`). Only the draws are per sample: the levels are
-    then chosen for all samples at once (`_levels`) and the rows built
-    once per distinct label row (`_rows`). The noise draws are kept in
-    the returned truth for `make_pairs`.
+    (`_sample_states`). Only the draws are per sample: the level scores
+    (`_scores`) and the rows (`_rows`) are then `synthesize_sample`'s
+    fixed-order sums, taken over all samples at once. The noise draws
+    are kept in the returned truth for `make_pairs`.
     """
     n, schema, width = config.n, config.schema, config.width
     latent = np.empty((n, config.exo_dim))
@@ -350,7 +325,13 @@ def generate(config: SynthConfig) -> tuple[Dataset, SynthGroundTruth]:
         rng.standard_normal(out=latent[i])
         gumbel[i] = rng.gumbel(size=width)
         rng.standard_normal(out=draws[i])
-    codes = _levels(config, latent, gumbel)
+    starts, sizes = schema.offsets.tolist(), schema.sizes.tolist()
+    codes = np.column_stack(
+        [
+            (_scores(config.mixing[name], latent) + gumbel[:, start : start + size]).argmax(axis=1)
+            for name, start, size in zip(schema.names, starts, sizes)
+        ]
+    )
     embeddings, outputs, clean = _rows(config, codes, draws)
     ids = np.array([f"s{i:06d}" for i in range(n)])
     dataset = Dataset(
@@ -425,9 +406,9 @@ def oracle_effect(truth: SynthGroundTruth, dataset: Dataset, space: str) -> np.n
     """Exact effect of every pair of `dataset`, in the requested space.
 
     Each row's clean logits are its complete labels' one-hot row times
-    `truth.outcome_coef`, by the per-row product that `generate` and
-    `make_pairs` take, computed once per distinct label row of the pairs
-    however many rows and pairs share it.
+    `truth.outcome_coef`, taken as the sum in schema order of each
+    attribute's coefficient row (`_one_hot_product`) that `generate` and
+    `make_pairs` take, so they equal the generator's bit for bit.
     """
     if space not in ("logit", "probability"):
         raise ValidationError(f"space must be 'logit' or 'probability', got {space!r}")
@@ -438,12 +419,11 @@ def oracle_effect(truth: SynthGroundTruth, dataset: Dataset, space: str) -> np.n
             f"one-hot layout has {width} columns"
         )
     p = dataset.pairs
-    codes = dataset.codes[np.concatenate([p.original, p.edited])]
-    first, inverse = distinct_rows(codes)
-    clean = _clean_outputs(one_hot(dataset.schema, codes[first]), coef)
+    before = _one_hot_product(dataset.schema, dataset.codes[p.original], coef)
+    after = _one_hot_product(dataset.schema, dataset.codes[p.edited], coef)
     if space == "probability":
-        clean = softmax(clean)
-    return clean[inverse[len(p) :]] - clean[inverse[: len(p)]]
+        before, after = softmax(before), softmax(after)
+    return after - before
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +582,11 @@ def save_ground_truth(truth: SynthGroundTruth, path: str | Path) -> Path:
 
 
 def load_ground_truth(path: str | Path) -> SynthGroundTruth:
-    """Read ground_truth.json; keys this version does not use are ignored.
+    """Read ground_truth.json; `outcome_coef`, `seed` and `hidden` are required.
 
-    Older files also hold "clean_logits", "labels" or "pairs"; the
-    oracle recomputes what they held. The noise draws are not saved
-    (`draws` is None).
+    Other keys are ignored: older files also hold "clean_logits",
+    "labels" or "pairs", and the oracle recomputes what they held. The
+    noise draws are not saved (`draws` is None).
     """
     obj = read_json(path, "ground truth")
     try:
@@ -617,6 +597,6 @@ def load_ground_truth(path: str | Path) -> SynthGroundTruth:
         raise ValidationError(f"{path}: malformed ground truth ({exc})") from exc
     if coef.ndim != 2 or not np.isfinite(coef).all():
         raise ValidationError(f"{path}: 'outcome_coef' must be a matrix of finite numbers")
-    seed = json_field(obj, "seed", "integer", path, 0)
-    hidden = tuple(json_field(obj, "hidden", "strings", path, []))
+    seed = json_field(obj, "seed", "integer", path)
+    hidden = tuple(json_field(obj, "hidden", "strings", path))
     return SynthGroundTruth(coef, seed, hidden)

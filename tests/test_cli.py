@@ -94,6 +94,14 @@ SYNTH_FILES = ("schema.json", "samples.jsonl", "samples.embedding.npy", "samples
                "pairs.jsonl", "ground_truth.json")
 
 
+GOLDEN_DIGESTS = {
+    "samples.jsonl": "00722eabdd0f3ff7cacf6f8d955b62a1dba6f4aee380ae1fd3e383d4fac7b11e",
+    "pairs.jsonl": "aad3f80c84daf823fe064d45657844642c53f14dc0bcf1bba2e2f0391c0693e5",
+    "samples.embedding.npy": "4f33c89023de17b882613739a8aedfc27015b3805464c94592dc341af236f081",
+    "samples.logits.npy": "3f9168c032702bb8dbce15d358b461118f5bd545d654437d96e385b8ddd62c2c",
+}
+
+
 class TestSynth:
     def test_outputs(self, synth_dir):
         for name in SYNTH_FILES:
@@ -117,6 +125,38 @@ class TestSynth:
         assert sorted(path.name for path in again.iterdir()) == sorted(SYNTH_FILES)
         for name in SYNTH_FILES:
             assert digest(synth_dir / name) == digest(again / name), name
+
+    def test_noiseless_explicit_config_gives_pinned_bytes(self, tmp_path):
+        # Every float written is a fixed-order sum of the matrices below, and
+        # the draws only pick levels and edits, so no BLAS kernel moves a byte.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "n": 20, "seed": 11, "edits_per_sample": 2, "exo_dim": 3,
+            "embed_noise": 0.0, "outcome_noise": 0.0,
+            "attributes": [
+                {"name": "color", "levels": ["red", "green", "blue"]},
+                {"name": "size", "levels": ["small", "large"]},
+                {"name": "shape", "levels": ["round", "square"]},
+            ],
+            "mixing": {
+                "color": [[1.0, 0.3, 0.1], [-0.2, 0.9, 0.2], [-0.8, -1.1, 0.3]],
+                "size": [[0.5, -0.4, 0.7], [-0.5, 0.4, -0.7]],
+                "shape": [[0.3, 0.6, -0.9], [-0.3, -0.6, 0.9]],
+            },
+            "embed_map": [
+                [0.1, 0.2, 0.3, 0.7, -0.6, 0.3, 0.2],
+                [0.3, -0.1, 0.2, 0.05, 1.1, -0.7, 0.6],
+                [-0.9, 0.4, 0.6, 0.2, -0.3, 0.1, 0.7],
+                [0.2, 0.1, -0.4, 0.3, 0.3, 0.6, -0.2],
+            ],
+            "outcome_coef": [
+                [0.1, -0.2, 0.3], [0.2, 0.7, -0.1], [-0.3, 0.1, 0.6], [0.6, -0.3, 0.2],
+                [0.7, 0.4, -0.9], [0.3, 0.2, 0.1], [-0.1, 0.6, 0.7],
+            ],
+        }))
+        out = tmp_path / "d"
+        assert run("synth", "--config", config, "--out", out) == 0
+        assert {name: digest(out / name) for name in GOLDEN_DIGESTS} == GOLDEN_DIGESTS
 
     def test_no_edits_skips_pairs(self, tmp_path):
         config = tmp_path / "config.json"
@@ -560,6 +600,7 @@ class TestExperiment:
             (["--methods", "mcce,approx,mcce"], "method 'mcce' is given twice"),
             (["--metrics", "l2,l2"], "metric 'l2' is given twice"),
             (["--seeds", "0,0"], "seed 0 is given twice"),
+            (["--mask-sizes", "1,1"], "mask size 1 is given twice"),
         ],
     )
     def test_empty_or_repeated_lists_exit_2(self, exp_dir, tmp_path, capsys, flags, message):
@@ -1011,6 +1052,15 @@ class TestLoaderErrors:
         assert self.oracle(synth_dir, tmp_path, json.dumps(obj)) == 2
         err = capsys.readouterr().err
         assert f"ground_truth.json: {key!r} must be {kind}" in err and "Traceback" not in err
+        assert not (tmp_path / "e.jsonl").exists()
+
+    @pytest.mark.parametrize("key", ["seed", "hidden"])
+    def test_ground_truth_requires_seed_and_hidden(self, synth_dir, tmp_path, capsys, key):
+        obj = json.loads((synth_dir / "ground_truth.json").read_text())
+        del obj[key]
+        assert self.oracle(synth_dir, tmp_path, json.dumps(obj)) == 2
+        err = capsys.readouterr().err
+        assert f"ground_truth.json: missing required key {key!r}" in err and "Traceback" not in err
         assert not (tmp_path / "e.jsonl").exists()
 
     def test_ground_truth_rejects_nan(self, synth_dir, tmp_path, capsys):

@@ -19,7 +19,7 @@ from mcce import (
     save_dataset,
     softmax,
 )
-from mcce.data import distinct_rows, write_jsonl, write_npy, write_text_atomic
+from mcce.data import write_jsonl, write_npy, write_text_atomic
 
 from jsonl_tables import write_lines, write_table
 
@@ -164,18 +164,6 @@ def test_dataset_lookup_and_fencing():
     assert ds.design_matrix(ds.rows_of(["s1"])).tolist() == [[1.0, 0.0, 1.0, 0.0, 0.0]]
     # the mask is a view; the unmasked dataset is unchanged
     assert ds.visible_width == 5
-
-
-@pytest.mark.parametrize("n_columns, n_levels", [(3, 3), (64, 2), (40, 4), (200, 7)])
-def test_distinct_rows_keys_any_number_of_columns_exactly(n_columns, n_levels):
-    rng = np.random.default_rng(n_columns)
-    rows = rng.integers(n_levels, size=(40, n_columns))
-    rows[1] = rows[0]
-    rows[1, 0] = (rows[0, 0] + 1) % n_levels  # a key that kept only the low bits would merge them
-    codes = rows[rng.integers(40, size=500)]  # repeats of at most 40 rows
-    first, inverse = distinct_rows(codes)
-    assert np.array_equal(codes[first][inverse], codes)
-    assert len(first) == len(np.unique(codes, axis=0))
 
 
 def test_errors_quote_sample_ids_as_plain_strings():

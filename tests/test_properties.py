@@ -6,7 +6,8 @@ a changed label, and the closed-form mcce effect of one edit. The approx,
 effects-file and JSONL-reader references are earlier per-edit and
 per-row versions of the library code, kept to pin the faster versions
 bit for bit; `synthesize_sample` is the per-sample reference of the
-generator.
+generator, and a left-to-right sum of Python floats the reference of
+the fixed-order sums that it and the batched generator share.
 """
 
 import csv
@@ -15,6 +16,8 @@ import json
 import struct
 import warnings
 from dataclasses import replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -71,6 +74,7 @@ from mcce.data import (
 from mcce.explainers import _EFFECT_TYPES, seeded_index
 from mcce.errors import ValidationError
 from mcce.linalg import lstsq
+from mcce.synthetic import _one_hot_product, _scores
 
 
 def reference_one_hot(schema, labels, hidden):
@@ -766,6 +770,82 @@ def test_concept_coefficients_are_orthogonal_to_the_design_null_space(dataset):
         assert np.abs(null.T @ coef).max(initial=0.0) <= 1e-9 * (1.0 + np.abs(coef).max())
 
 
+# --- synthetic rows: the fixed-order sums -------------------------------------------
+# Entries stay within 1e150, so no product or sum of a few of them
+# overflows; signed zeros and subnormals are drawn on purpose.
+
+sum_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, -0.7, 5e-324, -2.2250738585072014e-308]),
+    st.floats(-1e150, 1e150),
+)
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def float_matrix(draw, rows, columns):
+    values = draw(st.lists(sum_entries, min_size=rows * columns, max_size=rows * columns))
+    matrix = np.array(values, dtype=np.float64).reshape(rows, columns)
+    return draw(st.sampled_from([matrix, np.asfortranarray(matrix)]))  # embed_map.T is F-order
+
+
+@st.composite
+def one_hot_products(draw):
+    level_counts = draw(st.lists(st.integers(2, 4), min_size=1, max_size=5))
+    schema = ConceptSchema.of(
+        (f"a{i}", tuple(f"l{j}" for j in range(count))) for i, count in enumerate(level_counts)
+    )
+    rows = draw(st.integers(0, 5))
+    codes = np.array(
+        [[draw(st.integers(0, count - 1)) for count in level_counts] for _ in range(rows)],
+        dtype=np.int64,
+    ).reshape(rows, len(level_counts))
+    return schema, codes, float_matrix(draw, schema.width, draw(st.integers(1, 4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_hot_products())
+def test_one_hot_product_is_a_left_to_right_sum_of_label_rows(problem):
+    schema, codes, table = problem
+    offsets = schema.offsets.tolist()
+    want = [
+        [reduce(add, [float(table[start + code, j]) for start, code in zip(offsets, row.tolist())])
+         for j in range(table.shape[1])]
+        for row in codes
+    ]
+    got = _one_hot_product(schema, codes, table)
+    assert bits(got) == bits(np.reshape(want, got.shape))
+    for row, want_row in zip(codes, want):  # one row alone: the same bits
+        assert bits(_one_hot_product(schema, row, table)) == bits(want_row)
+    # a matrix product sums in another order, within rounding of the sum
+    c = one_hot(schema, codes)
+    bound = 4 * schema.width * UNIT_ROUNDOFF * (c @ np.abs(table))
+    assert (np.abs(got - c @ table) <= bound).all()
+
+
+@st.composite
+def score_problems(draw):
+    exo_dim = draw(st.integers(1, 6))
+    mixing = float_matrix(draw, draw(st.integers(1, 4)), exo_dim)
+    return mixing, float_matrix(draw, draw(st.integers(0, 5)), exo_dim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(score_problems())
+def test_scores_are_a_left_to_right_sum_of_products(problem):
+    mixing, latent = problem
+    exo_dim = mixing.shape[1]
+    want = [
+        [reduce(add, [float(u[k]) * float(m[k]) for k in range(exo_dim)]) for m in mixing]
+        for u in latent
+    ]
+    got = _scores(mixing, latent)
+    assert bits(got) == bits(np.reshape(want, got.shape))
+    for u, want_row in zip(latent, want):  # one state alone: the same bits
+        assert bits(_scores(mixing, u)) == bits(want_row)
+    # products may round to a subnormal, whose error is absolute
+    bound = 4 * exo_dim * UNIT_ROUNDOFF * (np.abs(latent) @ np.abs(mixing).T) + exo_dim * 5e-324
+    assert (np.abs(got - latent @ mixing.T) <= bound).all()
+
+
 # --- synthetic rows: the per-sample reference ----------------------------------------
 
 
@@ -841,8 +921,8 @@ def test_oracle_effect_equals_per_sample_clean_contrasts(problem, space):
 # --- the batched generator and oracle at scale ---------------------------------------
 # The draws above have n <= 20. Below, thousands of rows: many share a label
 # row (81 distinct of 4000 on the default schema) or few do (most of 8000 on
-# the 8x4 schema), and one config makes the batched level scores round
-# differently from the per-sample ones, so most rows take the per-row redo.
+# the 8x4 schema), and two configs make level scores whose rounding or
+# overflow a matrix product, summing in its own order, would not repeat.
 
 
 def assert_rows_equal_per_sample(config, edits_per_sample):
@@ -879,7 +959,8 @@ def test_batched_rows_equal_per_sample_draws_on_a_wide_schema():
 def test_batched_levels_equal_per_sample_draws_when_products_round_differently():
     # Every level of an attribute scores 1e15 * sum(u) plus a term of order 1,
     # so the rounding of the 1e15 part (its unit in the last place is 0.125)
-    # is as large as the gaps between levels.
+    # is as large as the gaps between levels: a batch that summed in another
+    # order than the per-sample scores would pick other levels.
     base = default_config(n=600, seed=5, exact_recovery=False)
     rng = np.random.default_rng(11)
     mixing = {
@@ -890,8 +971,8 @@ def test_batched_levels_equal_per_sample_draws_when_products_round_differently()
 
 
 def test_batched_levels_equal_per_sample_draws_when_scores_overflow():
-    # Entries of +-1e308 make most scores +-inf or nan, in the batched product
-    # and in the per-sample one alike; no bound holds, so those rows are redone.
+    # Entries of +-1e308 make most scores +-inf or nan, in the batched sums and
+    # in the per-sample ones alike, and argmax must break their ties alike.
     base = default_config(n=300, seed=5, exact_recovery=False)
     rng = np.random.default_rng(3)
     mixing = {
