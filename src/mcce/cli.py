@@ -160,12 +160,15 @@ def _explain(dataset: Dataset, method: str, model, seed: int, truth=None, pair_s
     The dataset's mask is the run's: mcce and slearner skip (and count)
     pairs that edit an attribute it hides. approx skips none and draws
     each estimate under its pair's seed from `pair_seeds`, the
-    `_pair_seeds` of the dataset and `seed`. Returns (effects, metadata),
-    the effects file's contents; `write_effects` adds the estimates'
-    method and space to the metadata line.
+    `_pair_seeds` of the dataset and `seed`. Returns (effects, metadata,
+    match): the effects file's contents, to which `write_effects` adds
+    the estimates' method and space, and each pair's estimate row as
+    `match_effects` would find it: that of the first pair of its key, or
+    -1 where that pair was skipped.
     """
     p = dataset.pairs
-    pairs = dataset.unique_pairs()
+    first = dataset.first_pairs()
+    pairs = np.flatnonzero(first == np.arange(len(p)))
     skipped = 0
     if method in ("mcce", "slearner"):
         visible = dataset.schema.visible_mask(dataset.hidden_attributes)
@@ -197,12 +200,19 @@ def _explain(dataset: Dataset, method: str, model, seed: int, truth=None, pair_s
         "pairs_total": len(p),
         "pairs_skipped": skipped,
     }
-    return effects, metadata
+    estimate = np.full(len(p), -1)
+    estimate[pairs] = np.arange(pairs.size)
+    return effects, metadata, estimate[first]
 
 
-def _reports(dataset, effects, metrics, metadata, hidden) -> dict:
-    """One report per metric, all scored from one match of the estimates to the pairs."""
-    match = match_effects(effects, dataset)
+def _reports(dataset, effects, metrics, metadata, hidden, match=None) -> dict:
+    """One report per metric, all scored from one match of the estimates to the pairs.
+
+    `match` may pass the match that `_explain` returns; by default the
+    estimates are matched by name (`match_effects`).
+    """
+    if match is None:
+        match = match_effects(effects, dataset)
     return {
         metric: icace_error(
             effects, dataset, metric, metadata=dict(metadata), hidden=hidden, match=match
@@ -283,7 +293,9 @@ def cmd_explain(args) -> int:
         pair_seeds = _pair_seeds(dataset, args.seed)
 
     try:
-        effects, metadata = _explain(dataset, method, model, args.seed, truth, pair_seeds)
+        if truth is not None:
+            dataset.schema.check_hidden(truth.hidden)
+        effects, metadata, _ = _explain(dataset, method, model, args.seed, truth, pair_seeds)
     except ValidationError as exc:
         if truth is None:
             raise
@@ -331,8 +343,8 @@ def _experiment_run(dataset, method, metrics, seed, j, ridge, reuse=None, pair_s
         }
         return model, effects, {**metadata, "seed": seed}, reports
     model = None if method == "approx" else _fit(dataset, method, j, ridge, TARGET_OUTPUT)
-    effects, metadata = _explain(dataset, method, model, seed, pair_seeds=pair_seeds)
-    reports = _reports(dataset, effects, metrics, metadata, dataset.hidden_attributes)
+    effects, metadata, match = _explain(dataset, method, model, seed, pair_seeds=pair_seeds)
+    reports = _reports(dataset, effects, metrics, metadata, dataset.hidden_attributes, match)
     return model, effects, metadata, reports
 
 

@@ -6,9 +6,11 @@ schema.json
     {"attributes": [{"name": "food", "levels": ["neg", "unk", "pos"]}, ...]}
 
 samples.jsonl
-    {"meta": {"columns": ["id", "concepts", "gold"],
+    {"meta": {"attributes": ["food", ...], "columns": ["id", "concepts", "gold"],
               "embedding": "samples.embedding.npy", "logits": "samples.logits.npy"}}
-    ["s000001", {"food": "pos", ...}, 3]
+    ["s000001", ["pos", ...], 3]
+    `concepts` holds one level name per attribute, in the order of
+    `attributes`, which must be the schema's names in schema order.
     `gold` is an integer label or null. The meta line names, by bare file
     name, the two .npy files beside it that hold the float columns.
 
@@ -63,7 +65,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,10 @@ class ConceptSchema:
         return np.array([len(levels) for _, levels in self.attributes], dtype=np.int64)
 
     @cached_property
+    def _attribute_ids(self) -> dict[str, int]:
+        return dict(zip(self.names, count()))
+
+    @cached_property
     def _level_ids(self) -> dict[str, int]:
         """A number for each distinct level name of the schema."""
         names = dict.fromkeys(chain.from_iterable(levels for _, levels in self.attributes))
@@ -229,6 +234,13 @@ class ConceptSchema:
             if name == attribute:
                 return levels
         raise ValidationError(f"unknown attribute {attribute!r}")
+
+    def attribute_indices(self, names: list) -> np.ndarray:
+        """Index of each attribute name in `names`; -1 for a name the schema lacks.
+
+        Each name is one dict lookup.
+        """
+        return np.fromiter(map(self._attribute_ids.get, names, repeat(-1)), np.int64, len(names))
 
     def level_codes(self, attributes, levels) -> np.ndarray:
         """Code of each level name in `levels` under the attribute index beside it.
@@ -436,16 +448,17 @@ class Dataset:
 
     @classmethod
     def from_records(
-        cls, schema, ids, concepts, embeddings, outputs, gold=None, pairs=()
+        cls, schema, ids, labels, embeddings, outputs, gold=None, pairs=()
     ) -> "Dataset":
         """Build from rows as the files hold them, resolving names to codes once.
 
-        `concepts` has one {attribute: level} dict per row and `gold` one
-        int or None per row; each pair is (original_id, edited_id,
-        attribute, from_level, to_level).
+        `labels` has one row of level names per id, one name per
+        attribute in schema order, as samples.jsonl's `concepts` column
+        holds them; `gold` has one int or None per row; each pair is
+        (original_id, edited_id, attribute, from_level, to_level).
         """
         ids = np.asarray(ids, dtype=str).reshape(-1)
-        codes = _label_codes(schema, ids, concepts)
+        codes = _label_codes(schema, ids, labels)
         gold = None if gold is None else _gold_labels(gold)
         names = (np.asarray(column, dtype=str).tolist() for column in zip(*pairs))
         pairs = _resolve_pairs(schema, _row_index(ids.tolist()), codes, names)
@@ -514,41 +527,36 @@ class Dataset:
             schema.level_names(attribute, p.to[pairs]),
         )
 
-    def unique_pairs(self) -> np.ndarray:
-        """Index of the first pair with each (original, attribute, to) key, in pair order."""
+    def first_pairs(self) -> np.ndarray:
+        """Index of the first pair with each pair's (original, attribute, to) key."""
         p, top = self.pairs, int(self.schema.sizes.max())
         key = (p.original * len(self.schema.attributes) + p.attribute) * top + p.to
-        return np.sort(np.unique(key, return_index=True)[1])
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        return first[inverse.reshape(-1)]
+
+    def unique_pairs(self) -> np.ndarray:
+        """Index of the first pair with each (original, attribute, to) key, in pair order."""
+        return np.flatnonzero(self.first_pairs() == np.arange(len(self.pairs)))
 
 
-def _label_codes(schema: ConceptSchema, ids, concepts) -> np.ndarray:
-    """(n, n_attrs) level codes of `concepts`, one {attribute: level} dict per id in `ids`.
+def _label_codes(schema: ConceptSchema, ids, labels) -> np.ndarray:
+    """(n, n_attrs) level codes of `labels`, one row of level names in schema order per id in `ids`.
 
-    Each attribute's column of codes is one dict lookup per row
-    (`ConceptSchema.level_codes`). A label that is absent or None is
-    missing; the errors name the first row at fault, a missing label
-    before unknown attributes before an illegal label.
+    Every label is one dict lookup (`ConceptSchema.level_codes`). A row
+    of another length, or a label that is no level name, raises naming
+    the first row at fault.
     """
     names, n = schema.names, len(ids)
-    if len(concepts) != n:
-        raise ValidationError("concept labels must be one level name per attribute")
-    codes = np.empty((n, len(names)), dtype=np.int64)
     try:
-        for a, name in enumerate(names):
-            codes[:, a] = schema.level_codes(np.full(n, a), map(itemgetter(name), concepts))
-    except (KeyError, TypeError):  # an absent or unhashable label: the scans below name it
-        codes[:] = -1
-    if np.any(codes < 0):
-        absent = ((i, a) for i, c in enumerate(concepts) for a in names if c.get(a) is None)
-        i, name = next(absent, (None, None))
-        if name is not None:
-            raise ValidationError(f"sample {str(ids[i])!r}: missing label for {name!r}")
-    if n and max(map(len, concepts)) > len(names):
-        i = next(i for i, c in enumerate(concepts) if len(c) > len(names))
-        raise ValidationError(f"sample {str(ids[i])!r}: labels for unknown attributes")
+        if len(labels) != n or set(map(len, labels)) - {len(names)}:
+            raise ValidationError("concept labels must be one level name per attribute")
+        attribute = np.tile(np.arange(len(names)), n)
+        codes = schema.level_codes(attribute, chain.from_iterable(labels)).reshape(n, len(names))
+    except TypeError:  # a row without a length, or an unhashable label
+        raise ValidationError("concept labels must be rows of level names") from None
     if np.any(codes < 0):
         i, a = np.argwhere(codes < 0)[0]
-        label = str(concepts[i][names[a]])
+        label = str(labels[i][a])
         raise ValidationError(f"sample {str(ids[i])!r}: illegal label {names[a]}={label!r}")
     return codes
 
@@ -577,18 +585,19 @@ def _pair_indices(schema: ConceptSchema, row_of: dict, columns) -> list[np.ndarr
 
     `columns` are the five name columns (original_id, edited_id,
     attribute, from, to). Each name is one dict lookup: `row_of` maps
-    sample ids to rows (see `_row_index`), and level names go through
-    `ConceptSchema.level_codes`. An unknown name gives -1.
+    sample ids to rows (see `_row_index`), and attribute and level names
+    go through `ConceptSchema.attribute_indices` and `level_codes`. An
+    unknown name gives -1.
     """
     original_ids, edited_ids, attributes, from_levels, to_levels = columns
     m = len(original_ids)
 
-    def lookup(table: dict, keys) -> np.ndarray:
-        return np.fromiter(map(table.get, keys, repeat(-1)), np.int64, m)
+    def rows(ids) -> np.ndarray:
+        return np.fromiter(map(row_of.get, ids, repeat(-1)), np.int64, m)
 
-    attribute = lookup(dict(zip(schema.names, count())), attributes)
+    attribute = schema.attribute_indices(attributes)
     return [
-        lookup(row_of, original_ids), lookup(row_of, edited_ids), attribute,
+        rows(original_ids), rows(edited_ids), attribute,
         schema.level_codes(attribute, from_levels), schema.level_codes(attribute, to_levels),
     ]
 
@@ -641,8 +650,7 @@ _CHUNK_LINES = 1024
 _ROW_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
 _DOC_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 # The Python type that each JSON type named in a `read_jsonl` spec decodes
-# to. In a `read_jsonl` spec an "object" maps names to strings, as concept
-# labels do.
+# to.
 _JSON_TYPES = {
     "string": str, "integer": int, "boolean": bool, "list": list, "object": dict,
     "null": type(None),
@@ -793,7 +801,7 @@ def json_field(obj: dict, key: str, names: str, where: str | Path, default=_ABSE
 
 
 def _header(
-    first, path: str | Path, types: dict, defaults: dict, arrays: tuple[str, ...]
+    first, path: str | Path, types: dict, defaults: dict, arrays: tuple[str, ...], fixed: dict
 ) -> tuple[dict, list, dict]:
     """(metadata, column names, array files) of a table whose line 1 decodes to `first`.
 
@@ -803,7 +811,8 @@ def _header(
     without a default, and no key of `arrays`. Under each key of
     `arrays` it names the .npy file, in the directory of `path`, that
     holds that column; array files maps each such key to its file's
-    path. The metadata is the rest of the meta object.
+    path. Each key of `fixed` must hold that value. The metadata is the
+    rest of the meta object.
     """
     files = ", ".join(map(repr, arrays))
     needs = "must list 'columns'" + (f" and name the .npy file of {files}" if arrays else "")
@@ -826,6 +835,9 @@ def _header(
     missing = [key for key in types if key not in names and key not in defaults]
     if missing:
         raise ValidationError(f"{path}:1: 'meta.columns' lacks the required column {missing[0]!r}")
+    for key, value in fixed.items():
+        if meta.get(key, _ABSENT) != value:
+            raise ValidationError(f"{path}:1: 'meta.{key}' must be {_ROW_JSON.encode(value)}")
     return meta, names, files
 
 
@@ -880,32 +892,53 @@ def _row_values(rows: list, lines: list[int], path: str | Path, names, types: di
     return {key: columns.get(key, [defaults.get(key)] * len(rows)) for key in types}
 
 
-def _strings(column: list, names: str) -> list:
-    """The strings of a "string" column, or the values of an "object" column's objects."""
-    return column if names == "string" else list(chain.from_iterable(map(dict.values, column)))
+def _check_labels(column: list, lines, path: str | Path, key: str, names: tuple, nul: bool) -> None:
+    """Check that each row of a labels column is an array of one string per name in `names`.
+
+    A null label is missing. The errors name the first row at fault, and
+    within it the first label.
+    """
+    width = len(names)
+    if set(map(type, column)) - {list} or set(map(len, column)) - {width}:
+        i = next(i for i, row in enumerate(column) if type(row) is not list or len(row) != width)
+        raise ValidationError(
+            f"{path}:{lines[i]}: {key!r} must be an array of {width} labels, one for each "
+            f"of {list(names)!r}"
+        )
+    labels = list(chain.from_iterable(column))
+    try:
+        text = "".join(labels)  # TypeError: a label that is not a string
+    except TypeError:
+        j = next(j for j, label in enumerate(labels) if type(label) is not str)
+        i, a = divmod(j, width)
+        if labels[j] is None:
+            raise ValidationError(f"{path}:{lines[i]}: missing label for {names[a]!r}") from None
+        raise ValidationError(f"{path}:{lines[i]}: {key!r} values must be strings") from None
+    if nul and "\0" in text:
+        i = next(i for i, row in enumerate(column) if _holds_nul(row))
+        raise ValidationError(f"{path}:{lines[i]}: {key!r} must not hold U+0000")
 
 
 def _check_columns(values: dict, lines, path: str | Path, types: dict, nul: bool) -> None:
-    """Check each key's `values`, those on lines `lines` of `path`, against its JSON types.
+    """Check each key's `values`, those on lines `lines` of `path`, against its type in `types`.
 
-    The U+0000 checks run only when `nul` is true: JSON text can put
-    U+0000 in a string only as the escape \\u0000, so a chunk whose text
-    does not hold that escape holds no such string.
+    A type is JSON type names joined by "|", or a tuple of names for a
+    labels column (see `_check_labels`). The U+0000 checks run only when
+    `nul` is true: JSON text can put U+0000 in a string only as the
+    escape \\u0000, so a chunk whose text does not hold that escape holds
+    no such string.
     """
     for key, names in types.items():
         column = values[key]
+        if type(names) is tuple:
+            _check_labels(column, lines, path, key, names, nul)
+            continue
         allowed = tuple(_JSON_TYPES[name] for name in names.split("|"))
         if set(map(type, column)).difference(allowed):
             i = next(i for i, value in enumerate(column) if type(value) not in allowed)
             raise ValidationError(f"{path}:{lines[i]}: {key!r} must be {names.replace('|', ' or ')}")
-        if names == "object":
-            try:
-                "".join(chain.from_iterable(map(dict.values, column)))  # TypeError: not a string
-            except TypeError:
-                i = next(i for i, value in enumerate(column) if set(map(type, value.values())) - {str})
-                raise ValidationError(f"{path}:{lines[i]}: {key!r} values must be strings") from None
-        if nul and names in ("string", "object") and _holds_nul(_strings(column, names)):
-            i = next(i for i, value in enumerate(column) if _holds_nul(_strings([value], names)))
+        if nul and names == "string" and _holds_nul(column):
+            i = next(i for i, value in enumerate(column) if _holds_nul([value]))
             raise ValidationError(f"{path}:{lines[i]}: {key!r} must not hold U+0000")
 
 
@@ -924,29 +957,32 @@ def read_jsonl(
     defaults: dict | None = None,
     convert: Callable[[dict], dict] | None = None,
     arrays: tuple[str, ...] = (),
+    fixed: dict | None = None,
 ) -> tuple[dict, dict]:
     """Columns of a JSONL table, and of the .npy files that its meta line names.
 
     Line 1 is `{"meta": {...}}`, whose object lists the table's columns
     in `columns` and names, under each key of `arrays`, the .npy file
-    beside `path` that holds that column (see `_header`). Each later
-    non-blank line is a JSON array of one row's values in that order.
-    Returns (header, columns): `header` is the meta object without
-    `columns` and the file names. `columns` maps each key of `types` to
-    its values in line order, and then each key of `arrays` to its
-    matrix, which must be a finite '<f8' matrix of one row per row (see
-    `_read_matrix`). `types[key]` names the JSON types its values may
-    take, as in "integer|null"; each column is a list. A key of
-    `defaults` may be left out of `columns` and then reads as its
-    default. An "object" column's objects must have string values. A
-    string, or a value of an "object" column's object, must not hold
-    U+0000. Errors name the file, and the line when one is at fault.
+    beside `path` that holds that column (see `_header`); each key of
+    `fixed` must hold its value there. Each later non-blank line is a
+    JSON array of one row's values in that order. Returns (header,
+    columns): `header` is the meta object without `columns` and the file
+    names. `columns` maps each key of `types` to its values in line
+    order, and then each key of `arrays` to its matrix, which must be a
+    finite '<f8' matrix of one row per row (see `_read_matrix`).
+    `types[key]` names the JSON types its values may take, as in
+    "integer|null", or is a tuple of names: then each value is an array
+    of one string label per name, in that order (see `_check_labels`).
+    Each column is a list. A key of `defaults` may be left out of
+    `columns` and then reads as its default. A string, a label included,
+    must not hold U+0000. Errors name the file, and the line when one is
+    at fault.
 
     The file is read a chunk of `_CHUNK_LINES` lines at a time, and only
     one chunk's row values are held at once. The non-blank lines of each
     chunk are decoded in one call (see `_decode_lines`), its columns are
     checked, and then `convert`, when given, maps that chunk's columns
-    to the blocks to keep (for example, label dicts to level codes).
+    to the blocks to keep (for example, label rows to level codes).
     Each key's blocks are joined at the end, so the result is that of
     reading the whole file at once. The cyclic garbage collector is
     paused meanwhile: decoded JSON holds no reference cycles, and
@@ -961,7 +997,7 @@ def read_jsonl(
         rows = _decode_lines(texts, lines, path)
         if names is None:
             first = rows[0] if len(lines) and lines[0] == 1 else None
-            header, names, files = _header(first, path, types, defaults, arrays)
+            header, names, files = _header(first, path, types, defaults, arrays, fixed or {})
             rows, lines = rows[1:], lines[1:]
         n_rows += len(rows)
         columns = _row_values(rows, lines, path, names, types, defaults)
@@ -993,8 +1029,8 @@ def read_jsonl(
 
 def _encode_column(column) -> list[str]:
     """Each row's JSON text of a `write_jsonl` column, which holds at least one row."""
-    if isinstance(column, dict):
-        return _encode_objects(column)
+    if isinstance(column, np.ndarray) and column.ndim == 2:
+        return _encode_arrays(list(column.T)) if column.shape[1] else ["[]"] * len(column)
     if isinstance(column, np.ndarray):
         values = column.tolist()  # one dtype, so one type
         return list(map(_SCALAR_JSON[type(values[0])], values))
@@ -1007,33 +1043,20 @@ def _join_rows(labels: list[str], columns: list, end: str) -> list[str]:
     return list(map("".join, zip(*pieces, repeat(end))))
 
 
-def _encode_objects(columns: dict) -> list[str]:
-    """Each row's object of a dict of columns, as `_ROW_JSON.encode` gives it: keys sorted."""
-    keys = sorted(columns)
-    labels = [(", " if i else "{") + encode_basestring_ascii(key) + ": " for i, key in enumerate(keys)]
-    return _join_rows(labels, [columns[key] for key in keys], "}")
+def _encode_arrays(columns: list, end: str = "]") -> list[str]:
+    """Each row's array of its values in `columns` (at least one), as `_ROW_JSON.encode` gives it.
 
-
-def _encode_table(columns: dict) -> str:
-    """One line per row: the array of its values in column order, as `_ROW_JSON.encode` gives it."""
-    labels = ["["] + [", "] * (len(columns) - 1)
-    return "".join(_join_rows(labels, list(columns.values()), "]\n"))
+    `end` closes each row's array.
+    """
+    return _join_rows(["["] + [", "] * (len(columns) - 1), columns, end)
 
 
 def _row_count(columns: dict) -> int:
     """Rows of a `write_jsonl` column dict, every column of which must have that many."""
-    counts = {_row_count(c) if isinstance(c, dict) else len(c) for c in columns.values()}
+    counts = set(map(len, columns.values()))
     if len(counts) != 1:
         raise ValidationError(f"JSONL columns need one common length, got {sorted(counts)}")
     return counts.pop()
-
-
-def _row_slice(columns: dict, rows: slice) -> dict:
-    """The `rows` of every column of a `write_jsonl` column dict."""
-    return {
-        key: _row_slice(column, rows) if isinstance(column, dict) else column[rows]
-        for key, column in columns.items()
-    }
 
 
 def array_path(path: str | Path, key: str) -> Path:
@@ -1050,10 +1073,10 @@ def write_jsonl(
     Line 1 is `{"meta": ...}`, whose object is `meta` with `columns`, the
     keys of `columns` in order. Each later line is the array of one
     row's values in that order, as `_ROW_JSON.encode` gives it, but built
-    a column at a time. A column is a dict of columns (an object per
-    row), or an array or list of strings, ints, bools or None. Rows are
-    encoded and written `_CHUNK_LINES` at a time, so the text of only
-    one chunk is held at once.
+    a column at a time. A column is an array or list of strings, ints,
+    bools or None, or a 2-D array whose rows go out as JSON arrays (the
+    labels of samples.jsonl). Rows are encoded and written `_CHUNK_LINES`
+    at a time, so the text of only one chunk is held at once.
 
     Each of `arrays`, a float matrix with one row per row, is written
     first, by `write_npy`, to its `array_path`, and the meta object
@@ -1064,9 +1087,12 @@ def write_jsonl(
     rows = _row_count({**columns, **arrays})
     files = {key: write_npy(array_path(path, key), matrix).name for key, matrix in arrays.items()}
     head = _ROW_JSON.encode({"meta": {**(meta or {}), **files, "columns": list(columns)}}) + "\n"
-    starts = range(0, rows, _CHUNK_LINES)
-    chunks = (_encode_table(_row_slice(columns, slice(i, i + _CHUNK_LINES))) for i in starts)
-    return write_text_atomic(path, chain([head], chunks))
+
+    def chunk(start: int) -> str:
+        block = [column[start : start + _CHUNK_LINES] for column in columns.values()]
+        return "".join(_encode_arrays(block, "]\n"))
+
+    return write_text_atomic(path, chain([head], map(chunk, range(0, rows, _CHUNK_LINES))))
 
 
 def csv_text(header, rows) -> str:
@@ -1084,7 +1110,16 @@ def load_schema(schema_path: str | Path) -> ConceptSchema:
         raise ValidationError(f"{schema_path}: {exc}") from None
 
 
-_SAMPLE_TYPES = {"id": "string", "concepts": "object", "gold": "integer|null"}
+def _sample_spec(schema: ConceptSchema) -> tuple[dict, dict]:
+    """The `read_jsonl` types of samples.jsonl's columns under `schema`, and its fixed meta entries.
+
+    `concepts` holds one label per attribute, in the order that the meta
+    line's `attributes` names them: the schema's.
+    """
+    types = {"id": "string", "concepts": schema.names, "gold": "integer|null"}
+    return types, {"attributes": list(schema.names)}
+
+
 # The float columns of samples.jsonl, each a .npy file beside it.
 _SAMPLE_ARRAYS = ("embedding", "logits")
 _PAIR_KEYS = ("original_id", "edited_id", "attribute", "from", "to")
@@ -1103,12 +1138,14 @@ def load_dataset(
     Embeddings and logits come from the .npy files that the samples meta
     line names.
     With space="probability" a softmax is applied to every output row.
-    Each chunk of samples has its labels turned into level codes, and
-    each chunk of pairs its names into indices, by the conversions that
-    `Dataset.from_records` uses, before the next chunk is read, so no
-    file is held as row objects whole.
+    The samples meta line must name the schema's attributes in schema
+    order. Each chunk of samples has its labels turned into level codes,
+    and each chunk of pairs its names into indices, by the conversions
+    that `Dataset.from_records` uses, before the next chunk is read, so
+    no file is held as row objects whole.
     """
     schema = load_schema(schema_path)
+    types, fixed = _sample_spec(schema)
 
     def codes(chunk: dict) -> dict:
         chunk["concepts"] = _label_codes(schema, chunk["id"], chunk["concepts"])
@@ -1116,9 +1153,9 @@ def load_dataset(
         return chunk
 
     _, samples = read_jsonl(
-        samples_path, "samples", _SAMPLE_TYPES, {"gold": None}, convert=codes, arrays=_SAMPLE_ARRAYS
+        samples_path, "samples", types, {"gold": None}, codes, _SAMPLE_ARRAYS, fixed
     )
-    ids, codes, gold, embeddings, outputs = samples.values()  # _SAMPLE_TYPES, then arrays
+    ids, codes, gold, embeddings, outputs = samples.values()  # types, then arrays
     pairs = EditPairs()
     if pairs_path is not None:
         row_of = _row_index(ids)
@@ -1156,14 +1193,13 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
     }
     schema, ids = dataset.schema, dataset.ids
     write_json(paths["schema"], schema.to_obj())
-    labels = schema.level_names(np.arange(len(schema.names)), dataset.codes)
     samples = {
         "id": ids,
-        "concepts": {name: labels[:, a] for a, name in enumerate(schema.names)},
+        "concepts": schema.level_names(np.arange(len(schema.names)), dataset.codes),
         "gold": [g if g >= 0 else None for g in dataset.gold.tolist()],
     }
     arrays = dict(zip(_SAMPLE_ARRAYS, (dataset.embeddings, dataset.outputs)))
-    write_jsonl(samples_path, samples, arrays=arrays)
+    write_jsonl(samples_path, samples, _sample_spec(schema)[1], arrays)
     original_id, attribute, from_level, to_level = dataset.pair_names(slice(None))
     pairs = (original_id, ids[dataset.pairs.edited], attribute, from_level, to_level)
     write_jsonl(paths["pairs"], dict(zip(_PAIR_KEYS, pairs)))

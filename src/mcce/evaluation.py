@@ -126,8 +126,11 @@ class EvalReport:
 def match_effects(effects: Effects, dataset: Dataset) -> np.ndarray:
     """Row in `effects` of the estimate for each dataset pair; -1 where there is none.
 
-    Pairs match estimates on (sample, attribute, from, to); an estimate
-    naming a sample, attribute or level the dataset lacks matches nothing.
+    Pairs match estimates on (sample, attribute, from, to): sample ids
+    are looked up in the dataset's sorted ids, and attribute and level
+    names by one dict lookup each (`ConceptSchema.attribute_indices` and
+    `level_codes`). An estimate naming a sample, attribute or level the
+    dataset lacks matches nothing.
     Estimates in another space than the dataset's are refused. The match
     depends on no metric, so one serves every `icace_error` of a run.
     """
@@ -143,9 +146,9 @@ def match_effects(effects: Effects, dataset: Dataset) -> np.ndarray:
         return ((rows * len(schema.names) + attribute) * top + from_codes) * top + to
 
     rows = index_of(dataset.ids, effects.sample_id, dataset.id_order)
-    attribute = index_of(np.array(schema.names), effects.attribute)
-    from_codes = schema.level_codes(attribute, effects.from_level)
-    to = schema.level_codes(attribute, effects.to_level)
+    attribute = schema.attribute_indices(effects.attribute.tolist())
+    from_codes = schema.level_codes(attribute, effects.from_level.tolist())
+    to = schema.level_codes(attribute, effects.to_level.tolist())
     known = np.flatnonzero((rows >= 0) & (attribute >= 0) & (from_codes >= 0) & (to >= 0))
     keys = key(rows, attribute, from_codes, to)[known]
     unique, counts = np.unique(keys, return_counts=True)

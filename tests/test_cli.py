@@ -95,7 +95,7 @@ SYNTH_FILES = ("schema.json", "samples.jsonl", "samples.embedding.npy", "samples
 
 
 GOLDEN_DIGESTS = {
-    "samples.jsonl": "00722eabdd0f3ff7cacf6f8d955b62a1dba6f4aee380ae1fd3e383d4fac7b11e",
+    "samples.jsonl": "10f7a858f9776e400ae6f4fa8f10aa1a275add108a5bd5092d0897c701f4502b",
     "pairs.jsonl": "aad3f80c84daf823fe064d45657844642c53f14dc0bcf1bba2e2f0391c0693e5",
     "samples.embedding.npy": "4f33c89023de17b882613739a8aedfc27015b3805464c94592dc341af236f081",
     "samples.logits.npy": "3f9168c032702bb8dbce15d358b461118f5bd545d654437d96e385b8ddd62c2c",
@@ -109,7 +109,8 @@ class TestSynth:
         lines = (synth_dir / "samples.jsonl").read_text().splitlines()
         assert len(lines) == 301  # the meta line, 150 factual and 150 edited rows
         meta = json.loads(lines[0])["meta"]
-        assert meta == {"columns": ["id", "concepts", "gold"], "embedding": "samples.embedding.npy",
+        assert meta == {"attributes": ["ambiance", "food", "noise", "service"],
+                        "columns": ["id", "concepts", "gold"], "embedding": "samples.embedding.npy",
                         "logits": "samples.logits.npy"}
         for key, width in (("embedding", 16), ("logits", 5)):
             matrix = np.load(synth_dir / meta[key], allow_pickle=False)
@@ -1063,6 +1064,14 @@ class TestLoaderErrors:
         assert f"ground_truth.json: missing required key {key!r}" in err and "Traceback" not in err
         assert not (tmp_path / "e.jsonl").exists()
 
+    def test_ground_truth_hidden_must_name_schema_attributes(self, synth_dir, tmp_path, capsys):
+        obj = json.loads((synth_dir / "ground_truth.json").read_text())
+        obj["hidden"] = ["zzz"]
+        assert self.oracle(synth_dir, tmp_path, json.dumps(obj)) == 2
+        err = capsys.readouterr().err
+        assert "ground_truth.json: hidden attributes not in schema: ['zzz']" in err
+        assert "Traceback" not in err and not (tmp_path / "e.jsonl").exists()
+
     def test_ground_truth_rejects_nan(self, synth_dir, tmp_path, capsys):
         obj = json.loads((synth_dir / "ground_truth.json").read_text())
         obj["outcome_coef"][0][0] = float("nan")
@@ -1241,11 +1250,11 @@ class TestLoaderErrors:
     def test_missing_concept_label_is_named(self, synth_dir, tmp_path, capsys):
         lines = (synth_dir / "samples.jsonl").read_text().splitlines()
         row = json.loads(lines[3])
-        del row[json.loads(lines[0])["meta"]["columns"].index("concepts")]["food"]
+        row[json.loads(lines[0])["meta"]["columns"].index("concepts")][1] = None  # food
         lines[3] = json.dumps(row)
         assert self.fit_lines(synth_dir, tmp_path, lines) == 2
         err = capsys.readouterr().err
-        assert "missing label for 'food'" in err and "Traceback" not in err
+        assert "samples.jsonl:4: missing label for 'food'" in err and "Traceback" not in err
 
 
 def test_experiment_mask_size_must_leave_an_attribute_visible(synth_dir, tmp_path, capsys):
@@ -1467,7 +1476,7 @@ class TestNulInNames:
             if column == "id":
                 row[0] = nul(row[0])
             else:
-                row[1]["food"] = nul(row[1]["food"])
+                row[1][1] = nul(row[1][1])  # food
         samples = samples_with(synth_dir, tmp_path / "data", edit_line(2, edit))
         assert self.fit(synth_dir, tmp_path, samples=samples) == 2
         err = capsys.readouterr().err
@@ -1536,13 +1545,14 @@ def test_evaluate_rejects_a_seed_that_is_not_an_integer(synth_dir, oracle_report
 
 @pytest.mark.parametrize("label", [1, None, True, ["pos"], {"x": "pos"}])
 def test_concept_labels_must_be_strings(synth_dir, tmp_path, capsys, label):
-    # labels were turned into strings, so {"food": 1} fit against a level "1"
-    change = edit_line(4, lambda row: row[1].update(food=label))
+    # labels were turned into strings, so a food label 1 fit against a level "1"
+    change = edit_line(4, lambda row: row[1].__setitem__(1, label))  # food
     samples = samples_with(synth_dir, tmp_path / "data", change)
     flags = ["--schema", synth_dir / "schema.json", "--samples", samples]
     assert run("fit", *flags, "--out", tmp_path / "m.json") == 2
     err = capsys.readouterr().err
-    assert "samples.jsonl:4: 'concepts' values must be strings" in err
+    wrong = "missing label for 'food'" if label is None else "'concepts' values must be strings"
+    assert f"samples.jsonl:4: {wrong}" in err
     assert "Traceback" not in err
 
 

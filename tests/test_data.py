@@ -90,11 +90,11 @@ def test_encode_by_hand():
 
 def test_encode_errors():
     with pytest.raises(ValidationError):
-        build([make_sample("s1", {"a": "y"})])  # missing b
+        build([make_sample("s1", ["y"])])  # no label for b
     with pytest.raises(ValidationError):
-        build([make_sample("s1", {"a": "y", "b": "nope"})])
+        build([make_sample("s1", ["y", "nope"])])
     with pytest.raises(ValidationError):
-        build([make_sample("s1", {"a": "y", "b": "u", "c": "x"})])
+        build([make_sample("s1", ["y", "u", "x"])])
     with pytest.raises(ValidationError):
         one_hot(SCHEMA, [[1, 0, 0]])  # one code per attribute
 
@@ -146,9 +146,9 @@ def test_one_hot_invariant_after_intervene():
 
 def small_dataset(space="logit"):
     samples = (
-        make_sample("s1", {"a": "x", "b": "u"}, (1.0, 0.0), (2.0, -1.0), gold=0),
-        make_sample("s2", {"a": "y", "b": "v"}, (0.0, 1.0), (0.5, 0.5), gold=1),
-        make_sample("s1e", {"a": "y", "b": "u"}, (1.0, 1.0), (1.0, 1.0), gold=1),
+        make_sample("s1", ["x", "u"], (1.0, 0.0), (2.0, -1.0), gold=0),
+        make_sample("s2", ["y", "v"], (0.0, 1.0), (0.5, 0.5), gold=1),
+        make_sample("s1e", ["y", "u"], (1.0, 1.0), (1.0, 1.0), gold=1),
     )
     ds = build(samples, [("s1", "s1e", "a", "x", "y")])
     return ds.to_space(space) if space != "logit" else ds
@@ -193,27 +193,27 @@ def test_dataset_matrix_accessors():
 
 
 def test_dataset_rejects_inconsistencies():
-    s1 = make_sample("s1", {"a": "x", "b": "u"})
+    s1 = make_sample("s1", ["x", "u"])
     with pytest.raises(ValidationError):
-        build((s1, make_sample("s1", {"a": "y", "b": "u"})))  # dup id
+        build((s1, make_sample("s1", ["y", "u"])))  # dup id
     with pytest.raises(ValidationError):
-        build((make_sample("s1", {"a": "x", "b": "zzz"}),))  # bad level
+        build((make_sample("s1", ["x", "zzz"]),))  # bad level
     with pytest.raises(ValidationError):
-        build((make_sample("s1", {"a": "x"}),))  # missing label
+        build((make_sample("s1", ["x"]),))  # no label for b
     with pytest.raises(ValidationError):
-        build((s1, make_sample("s2", {"a": "x", "b": "u"}, emb=(1.0, 2.0, 3.0))))
+        build((s1, make_sample("s2", ["x", "u"], emb=(1.0, 2.0, 3.0))))
     with pytest.raises(ValidationError):
         build((s1,), pairs=[("s1", "ghost", "a", "x", "y")])
     # edited sample must carry to_level on the edited attribute
-    bad_edit = make_sample("s1e", {"a": "x", "b": "u"})
+    bad_edit = make_sample("s1e", ["x", "u"])
     with pytest.raises(ValidationError):
         build((s1, bad_edit), pairs=[("s1", "s1e", "a", "x", "y")])
     # off-attribute labels must agree
-    drift = make_sample("s1e", {"a": "y", "b": "v"})
+    drift = make_sample("s1e", ["y", "v"])
     with pytest.raises(ValidationError):
         build((s1, drift), pairs=[("s1", "s1e", "a", "x", "y")])
     # from_level must match the original
-    edited = make_sample("s1e", {"a": "y", "b": "u"})
+    edited = make_sample("s1e", ["y", "u"])
     with pytest.raises(ValidationError):
         build((s1, edited), pairs=[("s1", "s1e", "a", "y", "y")])
 
@@ -253,7 +253,7 @@ def test_save_load_roundtrip_is_bit_exact(tmp_path):
     samples = tuple(
         make_sample(
             f"s{i}",
-            {"a": ("x", "y")[i % 2], "b": ("u", "v", "w")[i % 3]},
+            [("x", "y")[i % 2], ("u", "v", "w")[i % 3]],
             emb=rng.standard_normal(4),
             out=rng.standard_normal(3),
             gold=int(i % 3),
@@ -301,7 +301,7 @@ def test_loader_reports_file_and_line(tmp_path):
 
 def test_loader_rejects_nan_tokens(tmp_path):
     samples, pairs, schema = write_fixture(tmp_path, [GOOD_ROW])
-    write_lines(samples, [*samples.read_text().splitlines(), '["s2", {"a": "x", "b": "u"}, NaN]'])
+    write_lines(samples, [*samples.read_text().splitlines(), '["s2", ["x", "u"], NaN]'])
     with pytest.raises(ValidationError) as err:
         load_dataset(samples, pairs, schema)
     assert "samples.jsonl:3: non-finite float token 'NaN'" in str(err.value)
@@ -361,7 +361,7 @@ def test_write_text_atomic_failure_leaves_no_stray_file(tmp_path):
 def test_write_jsonl_rejects_columns_of_unequal_length(tmp_path):
     # rows are zipped from the columns, which would drop the longer columns' tails
     with pytest.raises(ValidationError, match="one common length"):
-        write_jsonl(tmp_path / "t.jsonl", {"a": ["x", "y"], "b": {"c": ["z"]}})
+        write_jsonl(tmp_path / "t.jsonl", {"a": ["x", "y"], "b": np.array([["z", "w"]])})
     with pytest.raises(ValidationError, match="one common length"):
         write_jsonl(tmp_path / "t.jsonl", {"a": ["x", "y"]}, arrays={"m": np.zeros((3, 1))})
     assert not any(tmp_path.iterdir())

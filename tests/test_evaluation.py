@@ -73,10 +73,10 @@ def test_distance_errors():
 
 def two_pair_dataset(extra=(), extra_pairs=()):
     samples = (
-        ("o1", {"a": "x", "b": "u"}, (1.0, 0.0)),
-        ("e1", {"a": "y", "b": "u"}, (0.0, 1.0)),
-        ("o2", {"a": "x", "b": "v"}, (2.0, 2.0)),
-        ("e2", {"a": "y", "b": "v"}, (2.0, 5.0)),
+        ("o1", ["x", "u"], (1.0, 0.0)),
+        ("e1", ["y", "u"], (0.0, 1.0)),
+        ("o2", ["x", "v"], (2.0, 2.0)),
+        ("e2", ["y", "v"], (2.0, 5.0)),
         *extra,
     )
     pairs = [("o1", "e1", "a", "x", "y"), ("o2", "e2", "a", "x", "y"), *extra_pairs]
@@ -116,7 +116,7 @@ def test_icace_error_group_stats_by_hand():
 def test_icace_error_macro_averages_groups_equally():
     # second group with a single pair at distance 5; macro mean = (2+5)/2
     ds = two_pair_dataset(
-        extra=(("o3", {"a": "x", "b": "u"}, (1.0, 1.0)), ("e3", {"a": "x", "b": "v"}, (1.0, 1.0))),
+        extra=(("o3", ["x", "u"], (1.0, 1.0)), ("e3", ["x", "v"], (1.0, 1.0))),
         extra_pairs=[("o3", "e3", "b", "u", "v")],
     )
     effects = estimates(("o1", (-1.0, 0.0)), ("o2", (0.0, 6.0)), ("o3", (3.0, 4.0), "b", "u", "v"))

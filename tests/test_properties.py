@@ -10,6 +10,7 @@ generator, and a left-to-right sum of Python floats the reference of
 the fixed-order sums that it and the batched generator share.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -47,6 +48,7 @@ from mcce import (
     load_ground_truth,
     load_model,
     make_pairs,
+    match_effects,
     one_hot,
     oracle_effect,
     read_effects,
@@ -63,14 +65,15 @@ from mcce.data import (
     _PAIR_KEYS,
     _ROW_JSON,
     _SAMPLE_ARRAYS,
-    _SAMPLE_TYPES,
     _header,
     _parse_json,
     _read_matrix,
+    _sample_spec,
     load_schema,
     read_jsonl,
     write_jsonl,
 )
+from mcce.cli import _explain, _pair_seeds, main
 from mcce.explainers import _EFFECT_TYPES, seeded_index
 from mcce.errors import ValidationError
 from mcce.linalg import lstsq
@@ -264,6 +267,39 @@ def test_icace_error_matches_per_pair_grouping(problem, metric):
     assert [(w[0], w[3]) for w in want] == [(g[0], g[3]) for g in got]
     assert np.allclose([w[1:3] for w in want], [g[1:3] for g in got], rtol=1e-12, atol=1e-12)
     assert report.metadata["pairs_evaluated"] == m
+
+
+@settings(max_examples=60, deadline=None)
+@given(masked_datasets(), st.sampled_from(["mcce", "approx"]), st.data())
+def test_explain_match_equals_the_match_by_name(problem, method, data):
+    dataset, rows, _, _ = problem
+    schema, n = dataset.schema, len(dataset)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    attribute = rng.integers(len(schema.names), size=rows.size)  # hidden attributes too
+    to = rng.integers(schema.sizes[attribute])
+    again = rng.integers(rows.size, size=rng.integers(rows.size + 1))  # some keys twice
+    rows, attribute, to = (np.concatenate([c, c[again]]) for c in (rows, attribute, to))
+    m = rows.size
+    codes = np.vstack([dataset.codes, dataset.codes[rows]])
+    codes[n + np.arange(m), attribute] = to
+    paired = Dataset(
+        schema,
+        [f"r{i}" for i in range(n + m)],
+        codes,
+        rng.standard_normal((n + m, 2)),
+        rng.standard_normal((n + m, dataset.outputs.shape[1])),
+        pairs=EditPairs(rows, n + np.arange(m), attribute, to),
+        hidden_attributes=dataset.hidden_attributes,
+    )
+    model = seeds = None
+    if method == "mcce":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # few rows: the fit interpolates
+            model = fit_mcce(paired, n_pseudo=1)
+    else:
+        seeds = _pair_seeds(paired, 0)
+    effects, _, match = _explain(paired, method, model, 0, pair_seeds=seeds)
+    assert np.array_equal(match, match_effects(effects, paired))
 
 
 # --- approx: the per-edit implementation it replaced -----------------------------
@@ -467,11 +503,11 @@ def test_effects_round_trip_bit_exactly(tmp_path_factory, effects, metadata):
 
 
 def dataset_row_objects(dataset):
-    """Each sample's id, labels and gold label (None when it has none), and each pair's names."""
+    """Each sample's id, labels in schema order and gold label (None when it has none), and each pair's names."""
     schema, ids, codes, p = dataset.schema, dataset.ids.tolist(), dataset.codes, dataset.pairs
     samples = []
     for i, sid in enumerate(ids):
-        concepts = {name: levels[codes[i, a]] for a, (name, levels) in enumerate(schema.attributes)}
+        concepts = [levels[codes[i, a]] for a, (_, levels) in enumerate(schema.attributes)]
         gold = int(dataset.gold[i]) if dataset.gold[i] >= 0 else None
         samples.append({"id": sid, "concepts": concepts, "gold": gold})
     pairs = []
@@ -497,12 +533,14 @@ def reference_dataset_files(dataset):
     """The bytes of each file save_dataset writes but schema.json, by name.
 
     Each table is encoded one row per encoder call. samples.jsonl holds
-    no float column; each float matrix is `np.save`d on its own, in the
-    file that the meta line names.
+    no float column, and its meta line names the attributes once; each
+    float matrix is `np.save`d on its own, in the file that the meta line
+    names.
     """
     files = {}
+    samples_meta = {**ARRAY_FILES, "attributes": list(dataset.schema.names)}
     for name, rows, columns, meta in zip(("samples.jsonl", "pairs.jsonl"), dataset_row_objects(dataset),
-                                         (SAMPLE_COLUMNS, PAIR_COLUMNS), (ARRAY_FILES, {})):
+                                         (SAMPLE_COLUMNS, PAIR_COLUMNS), (samples_meta, {})):
         lines = [_ROW_JSON.encode({"meta": {**meta, "columns": columns}})]
         lines += [_ROW_JSON.encode([row[key] for key in columns]) for row in rows]
         files[name] = "".join(line + "\n" for line in lines).encode("utf-8")
@@ -584,8 +622,65 @@ def sized_datasets(draw):
 @given(st.one_of(sized_datasets(), file_datasets()))
 def test_save_load_round_trips_bit_exactly(tmp_path_factory, dataset):
     paths = save_dataset(dataset, tmp_path_factory.mktemp("dataset"))
+    head = json.loads(paths["samples"].read_text(encoding="utf-8").split("\n", 1)[0])
+    assert head["meta"]["attributes"] == list(dataset.schema.names)
     loaded = load_dataset(paths["samples"], paths["pairs"], paths["schema"])
     assert dataset_bits(loaded) == dataset_bits(dataset)
+
+
+def object_layout(head, rows):
+    """The samples table in the layout before labels were arrays: one {attribute: label} object per row."""
+    names, at = head["meta"].pop("attributes"), head["meta"]["columns"].index("concepts")
+    for row in rows:
+        row[at] = dict(zip(names, row[at]))
+
+
+# Each defect of a samples table under schema names `names`: (what it does to the
+# decoded meta line and rows, the line it is on (None: the row's), and the error
+# after "<file>:<line>: ").
+LABEL_DEFECTS = {
+    "short array": (lambda head, row, names: row.pop(), None,
+                    lambda names: "'concepts' must be an array of"),
+    "long array": (lambda head, row, names: row.append(names[0]), None,
+                   lambda names: "'concepts' must be an array of"),
+    "non-string label": (lambda head, row, names: row.__setitem__(-1, 7), None,
+                         lambda names: "'concepts' values must be strings"),
+    "null label": (lambda head, row, names: row.__setitem__(-1, None), None,
+                   lambda names: f"missing label for {names[-1]!r}"),
+    "no meta.attributes": (lambda head, row, names: head["meta"].pop("attributes"), 1, None),
+    "reordered meta.attributes": (lambda head, row, names: head["meta"]["attributes"].reverse(), 1,
+                                  None),
+    "unknown attribute": (lambda head, row, names: head["meta"]["attributes"].__setitem__(
+        0, "?" + "".join(names)), 1, None),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(file_datasets(), st.sampled_from([*LABEL_DEFECTS, "object layout"]), st.data())
+def test_label_defects_exit_2_naming_file_and_line(tmp_path_factory, dataset, defect, data):
+    names = list(dataset.schema.names)
+    assume(len(dataset) > 0 and (defect != "reordered meta.attributes" or len(names) > 1))
+    root = tmp_path_factory.mktemp("defect")
+    paths = save_dataset(dataset, root)
+    head, *rows = map(json.loads, paths["samples"].read_text(encoding="utf-8").splitlines())
+    r = data.draw(st.integers(0, len(rows) - 1))
+    if defect == "object layout":
+        object_layout(head, rows)
+        line, wording = 1, None
+    else:
+        edit, line, wording = LABEL_DEFECTS[defect]
+        edit(head, rows[r][head["meta"]["columns"].index("concepts")], names)
+    line = line or r + 2  # past the meta line
+    want = wording(names) if wording else f"'meta.attributes' must be {_ROW_JSON.encode(names)}"
+    samples = paths["samples"]
+    samples.write_text("".join(json.dumps(value) + "\n" for value in [head, *rows]), encoding="utf-8")
+    with pytest.raises(ValidationError) as error:
+        load_dataset(samples, paths["pairs"], paths["schema"])
+    assert str(error.value).startswith(f"{samples}:{line}: {want}")
+    flags = ["--schema", paths["schema"], "--samples", samples, "--j", "1"]
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["fit", *map(str, flags), "--out", str(root / "m.json")]) == 2
+    assert err.getvalue() == f"error: {error.value}\n"
 
 
 # --- model and ground-truth files --------------------------------------------------
@@ -1100,12 +1195,27 @@ def test_mcce_equals_the_observed_only_regression_when_nothing_is_hidden(config)
 # --- JSONL reader: the per-line reader it replaced -----------------------------------
 
 
-def reference_read_jsonl(path, what, types, defaults=None, arrays=()):
+def reference_labels(value, line, path, key, names):
+    """Check one row's value of a labels column, label by label."""
+    if type(value) is not list or len(value) != len(names):
+        raise ValidationError(
+            f"{path}:{line}: {key!r} must be an array of {len(names)} labels, one for each "
+            f"of {list(names)!r}"
+        )
+    for name, label in zip(names, value):
+        if label is None:
+            raise ValidationError(f"{path}:{line}: missing label for {name!r}")
+        if type(label) is not str:
+            raise ValidationError(f"{path}:{line}: {key!r} values must be strings")
+
+
+def reference_read_jsonl(path, what, types, defaults=None, arrays=(), fixed=None):
     """read_jsonl as it was: one `_parse_json` call per non-blank line, whole file at once.
 
     Line 1 is read by the library's `_header`. As in read_jsonl, a
     "string" column is returned as a numpy string array and each key of
-    `arrays` as the matrix of its .npy file.
+    `arrays` as the matrix of its .npy file; a labels column (a tuple of
+    names) is checked row by row.
     """
     defaults = defaults or {}
     rows, lines = [], []
@@ -1114,7 +1224,8 @@ def reference_read_jsonl(path, what, types, defaults=None, arrays=()):
             if not line.isspace():
                 rows.append(_parse_json(line, path, number))
                 lines.append(number)
-    header, names, files = _header(rows[0] if lines[:1] == [1] else None, path, types, defaults, arrays)
+    first = rows[0] if lines[:1] == [1] else None
+    header, names, files = _header(first, path, types, defaults, arrays, fixed or {})
     rows, lines = rows[1:], lines[1:]
     for row, line in zip(rows, lines):
         if type(row) is not list or len(row) != len(names):
@@ -1124,6 +1235,11 @@ def reference_read_jsonl(path, what, types, defaults=None, arrays=()):
     columns = {}
     for key, kinds in types.items():
         column = [row[names.index(key)] if key in names else defaults[key] for row in rows]
+        if type(kinds) is tuple:
+            for value, line in zip(column, lines):
+                reference_labels(value, line, path, key, kinds)
+            columns[key] = column
+            continue
         allowed = tuple(_JSON_TYPES[kind] for kind in kinds.split("|"))
         for value, line in zip(column, lines):
             if type(value) not in allowed:
@@ -1232,8 +1348,9 @@ def test_read_jsonl_tricky_runs_equal_per_line_reference(tmp_path, run):
 def reference_load_dataset(samples_path, pairs_path, schema_path):
     """load_dataset as it was: whole files through the reference reader, then from_records."""
     schema = load_schema(schema_path)
-    _, samples = reference_read_jsonl(samples_path, "samples", _SAMPLE_TYPES, {"gold": None},
-                                      _SAMPLE_ARRAYS)
+    types, fixed = _sample_spec(schema)
+    _, samples = reference_read_jsonl(samples_path, "samples", types, {"gold": None},
+                                      _SAMPLE_ARRAYS, fixed)
     _, pairs = reference_read_jsonl(pairs_path, "pairs", dict.fromkeys(_PAIR_KEYS, "string"))
     ids, concepts, gold, embeddings, outputs = samples.values()
     return Dataset.from_records(schema, ids, concepts, embeddings, outputs, gold, zip(*pairs.values()))
@@ -1280,11 +1397,17 @@ def dropping(key):
 
 
 def relabel(row):
-    row["concepts"]["a"] = "w"
+    row["concepts"][0] = "w"  # no level of a
 
 
 def unlabel(row):
-    del row["concepts"]["b"]
+    row["concepts"][1] = None  # b
+
+
+def labelling(edit):
+    def defect(row):
+        edit(row["concepts"])
+    return defect
 
 
 # Each defect was an error before the reader went chunk-wise.
@@ -1298,6 +1421,10 @@ CHUNK_DEFECTS = [
     ("samples", dropping("gold")),
     ("samples", relabel),
     ("samples", unlabel),
+    ("samples", labelling(list.pop)),
+    ("samples", labelling(lambda labels: labels.append("p"))),
+    ("samples", labelling(lambda labels: labels.__setitem__(0, 5))),
+    ("samples", setting("concepts", {"a": "x", "b": "p"})),
     ("samples", lambda row: "[1]"),
     ("samples", lambda row: json.dumps(row)),
     ("pairs", truncate),
@@ -1334,7 +1461,7 @@ def chunked_files(draw, defective=False):
     codes = np.column_stack([rng.integers(size, size=count) for size in CHUNK_SCHEMA.sizes])
     gold = rng.integers(-1, q, size=count)  # -1: null
     metas = {
-        "samples": {**ARRAY_FILES, "columns": SAMPLE_COLUMNS},
+        "samples": {**ARRAY_FILES, "attributes": list(CHUNK_SCHEMA.names), "columns": SAMPLE_COLUMNS},
         "pairs": {"columns": PAIR_COLUMNS},
         "effects": {"method": "approx", "space": "logit", "effect": "effects.effect.npy",
                     "columns": ["sample_id", "attribute", "from", "to", "fallback"]},
@@ -1343,7 +1470,7 @@ def chunked_files(draw, defective=False):
     for i in range(count):
         labels = dict(zip(CHUNK_SCHEMA.names, CHUNK_SCHEMA.level_names(np.arange(2), codes[i]).tolist()))
         g = int(gold[i]) if gold[i] >= 0 else None
-        rows["samples"].append({"id": f"s{i}", "concepts": labels, "gold": g})
+        rows["samples"].append({"id": f"s{i}", "concepts": list(labels.values()), "gold": g})
         name = CHUNK_SCHEMA.names[i % 2]
         ends = {"attribute": name, "from": labels[name], "to": labels[name]}
         rows["pairs"].append({"original_id": f"s{i}", "edited_id": f"s{i}", **ends})
@@ -1435,8 +1562,9 @@ LEFT_OUT = "left out"  # a column of the read spec that no table below holds
 def jsonl_tables(draw):
     """(columns, types, arrays, metadata, m) for a table of m = 0, 1, 2, 1024 or 1025 rows.
 
-    Each column holds strings, integers or null, booleans, or objects
-    whose values are strings; each array is a float matrix of m rows.
+    Each column holds strings, integers or null, booleans, or labels:
+    a row of strings, one per name of the column's type, written from a
+    2-D string array. Each array is a float matrix of m rows.
     """
     m = draw(st.sampled_from([0, 1, 2, 1024, 1025]))
     keys = draw(st.lists(names.filter(lambda key: key != LEFT_OUT), min_size=1, max_size=5, unique=True))
@@ -1448,7 +1576,7 @@ def jsonl_tables(draw):
 
     columns, types = {}, {}
     for key in keys:
-        kind = types[key] = draw(st.sampled_from(["string", "integer|null", "boolean", "object"]))
+        kind = types[key] = draw(st.sampled_from(["string", "integer|null", "boolean", "labels"]))
         if kind == "string":
             columns[key] = strings()
         elif kind == "integer|null":
@@ -1457,8 +1585,8 @@ def jsonl_tables(draw):
         elif kind == "boolean":
             columns[key] = rng.random(m) < 0.5
         else:
-            inner = draw(st.lists(names, min_size=1, max_size=3, unique=True))
-            columns[key] = {name: strings() for name in inner}
+            inner = types[key] = tuple(draw(st.lists(names, max_size=3, unique=True)))
+            columns[key] = np.array([strings() for _ in inner], dtype=str).T.reshape(m, len(inner))
     arrays = {}
     for key in [f"m{i}" for i in range(draw(st.integers(0, 2)))]:  # names fit in a file name
         width = int(rng.integers(0, 4))
@@ -1474,8 +1602,6 @@ def jsonl_tables(draw):
 def row_values(columns, m):
     """Each row's values, in column order, as the JSON encoder takes them."""
     def value(column, i):
-        if isinstance(column, dict):
-            return {name: value(inner, i) for name, inner in column.items()}
         item = column[i]
         return item.tolist() if isinstance(item, np.generic | np.ndarray) else item
     return [[value(column, i) for column in columns.values()] for i in range(m)]
@@ -1497,7 +1623,7 @@ def test_jsonl_tables_round_trip(tmp_path_factory, table):
     }
 
     spec, defaults = {**types, LEFT_OUT: "integer|null"}, {LEFT_OUT: None}
-    header, read = read_jsonl(path, "table", spec, defaults, arrays=tuple(arrays))
+    header, read = read_jsonl(path, "table", spec, defaults, arrays=tuple(arrays), fixed=metadata)
     assert header == metadata
     assert read.pop(LEFT_OUT) == [None] * m
     for key, column in columns.items():
