@@ -233,12 +233,13 @@ def _write_reports(out_dir: Path, reports: dict) -> None:
 
 def cmd_synth(args) -> int:
     config, edits_per_sample = load_synth_config(args.config)
+    out_dir = Path(args.out)
     dataset, truth = generate(config)
     if edits_per_sample > 0:
         dataset = make_pairs(dataset, truth, config, edits_per_sample)
-    out_dir = Path(args.out)
-    save_dataset(dataset, out_dir)
     save_ground_truth(truth, out_dir / "ground_truth.json")
+    del truth  # and its noise draws, which only make_pairs reads, before the largest write
+    save_dataset(dataset, out_dir)
     print(
         f"synth: wrote {len(dataset)} samples ({config.n} factual), "
         f"{len(dataset.pairs)} pairs to {out_dir}"

@@ -384,6 +384,10 @@ def _matrix(value, ids: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
+# Sorted ids, and pairs, that `Dataset` checks at a time.
+_CHECK_ROWS = 4096
+
+
 @dataclass(eq=False)
 class Dataset:
     """Rows as columns, edit pairs, and the runtime attribute mask.
@@ -411,10 +415,11 @@ class Dataset:
         if self.space not in SPACES:
             raise ValidationError(f"space must be one of {SPACES}, got {self.space!r}")
         ids = self.ids = np.asarray(self.ids, dtype=str).reshape(-1)
-        ordered = ids[self.id_order]
-        dup = np.flatnonzero(ordered[1:] == ordered[:-1])
-        if dup.size:
-            raise ValidationError(f"duplicate sample id {str(ordered[dup[0]])!r}")
+        for start in range(0, ids.size, _CHECK_ROWS):  # not a sorted copy of every id at once
+            ordered = ids[self.id_order[start : start + _CHECK_ROWS + 1]]
+            dup = np.flatnonzero(ordered[1:] == ordered[:-1])
+            if dup.size:
+                raise ValidationError(f"duplicate sample id {str(ordered[dup[0]])!r}")
 
         codes = self.codes = np.asarray(self.codes, dtype=np.int64)
         if codes.shape != (ids.size, n_attrs) or np.any((codes < 0) | (codes >= schema.sizes)):
@@ -433,15 +438,17 @@ class Dataset:
             raise ValidationError("edit pairs reference rows or attributes out of range")
         if np.any((p.to < 0) | (p.to >= schema.sizes[p.attribute])):
             raise ValidationError("edit pairs set a level code out of range")
-        span = np.arange(len(p))
-        diff = codes[p.original] != codes[p.edited]
-        diff[span, p.attribute] = codes[p.edited, p.attribute] != p.to
-        if diff.any():
-            i, a = np.argwhere(diff)[0]
-            raise ValidationError(
-                f"pair {str(ids[p.original[i]])!r}->{str(ids[p.edited[i]])!r}: label for "
-                f"{schema.names[a]!r} does not match the edit"
-            )
+        for start in range(0, len(p), _CHECK_ROWS):  # not two copies of every pair's codes
+            block = slice(start, start + _CHECK_ROWS)
+            original, edited, attribute = p.original[block], p.edited[block], p.attribute[block]
+            diff = codes[original] != codes[edited]
+            diff[np.arange(original.size), attribute] = codes[edited, attribute] != p.to[block]
+            if diff.any():
+                i, a = np.argwhere(diff)[0]
+                raise ValidationError(
+                    f"pair {str(ids[original[i]])!r}->{str(ids[edited[i]])!r}: label for "
+                    f"{schema.names[a]!r} does not match the edit"
+                )
         factual = np.ones(ids.size, dtype=bool)
         factual[p.edited] = False
         self.fit_rows = np.flatnonzero(factual)
@@ -1179,7 +1186,8 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
 
     Returns the path of each file, keyed "schema", "samples", "embedding",
     "logits" and "pairs". Floats round-trip bit-exactly through
-    `load_dataset`.
+    `load_dataset`. Label and name columns are built a chunk at a time
+    (`_Slices`), so no whole column of strings is held.
     """
     if dataset.space != SPACE_LOGIT:
         raise ValidationError("only logit-space datasets can be serialized")
@@ -1191,16 +1199,35 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
         **{key: array_path(samples_path, key) for key in _SAMPLE_ARRAYS},
         "pairs": out_dir / "pairs.jsonl",
     }
-    schema, ids = dataset.schema, dataset.ids
+    schema, ids, codes, p = dataset.schema, dataset.ids, dataset.codes, dataset.pairs
     write_json(paths["schema"], schema.to_obj())
+    attributes, names, gold = np.arange(len(schema.names)), np.array(schema.names), dataset.gold
     samples = {
         "id": ids,
-        "concepts": schema.level_names(np.arange(len(schema.names)), dataset.codes),
-        "gold": [g if g >= 0 else None for g in dataset.gold.tolist()],
+        "concepts": _Slices(ids.size, lambda rows: schema.level_names(attributes, codes[rows])),
+        "gold": _Slices(ids.size, lambda rows: [g if g >= 0 else None for g in gold[rows].tolist()]),
     }
     arrays = dict(zip(_SAMPLE_ARRAYS, (dataset.embeddings, dataset.outputs)))
     write_jsonl(samples_path, samples, _sample_spec(schema)[1], arrays)
-    original_id, attribute, from_level, to_level = dataset.pair_names(slice(None))
-    pairs = (original_id, ids[dataset.pairs.edited], attribute, from_level, to_level)
-    write_jsonl(paths["pairs"], dict(zip(_PAIR_KEYS, pairs)))
+    pairs = (
+        lambda rows: ids[p.original[rows]],
+        lambda rows: ids[p.edited[rows]],
+        lambda rows: names[p.attribute[rows]],
+        lambda rows: schema.level_names(p.attribute[rows], codes[p.original[rows], p.attribute[rows]]),
+        lambda rows: schema.level_names(p.attribute[rows], p.to[rows]),
+    )
+    write_jsonl(paths["pairs"], {key: _Slices(len(p), take) for key, take in zip(_PAIR_KEYS, pairs)})
     return paths
+
+
+class _Slices:
+    """A `write_jsonl` column of `size` rows that `take(rows)` builds a slice at a time."""
+
+    def __init__(self, size: int, take):
+        self.size, self.take = size, take
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, rows: slice):
+        return self.take(rows)

@@ -34,19 +34,29 @@ complete labels' one-hot product with `outcome_coef`, which
 `oracle_effect` recomputes from the dataset's labels by the same sum
 that made them.
 
-Stream layout (numpy SeedSequence spawn keys, portable across runs):
+Stream layout (numpy SeedSequence spawn keys under `seed`, portable
+across runs):
 
-    (0, i)  per-sample draws for sample i, in order: latent state,
-            Gumbel noise for every level in schema order, embedding
-            noise, output noise
-    (1,)    pair selection (which attributes flip, and to what)
+    (0, 0)  latent states: one (n, exo_dim) standard normal matrix
+    (0, 1)  Gumbel noise: one (n, width) matrix, each row's levels in
+            schema order
+    (0, 2)  embedding then output noise: one (n, embed_dim + n_outputs)
+            standard normal matrix
+    (1, 0)  edited attributes: one (n, n_attrs) uniform matrix; a sample
+            flips the attributes of the first `edits_per_sample` columns
+            of its row's stable argsort
+    (1, 1)  edit targets: one bounded integer per edit, in row order
     (2,)    parameter draws for generated configs, rooted at param_seed
+
+Each matrix is drawn row-major from its own stream, so row i depends
+only on (seed, i): a larger n extends a smaller n's samples and edits
+and leaves them as they were.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +102,8 @@ class SynthConfig:
             raise ValidationError(f"n must be a positive integer, got {self.n!r}")
         if not isinstance(self.exo_dim, (int, np.integer)) or self.exo_dim < 1:
             raise ValidationError(f"exo_dim must be a positive integer, got {self.exo_dim!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
         self.hidden = self.schema.check_hidden(self.hidden)
         self.mixing = {name: np.asarray(m, dtype=np.float64) for name, m in self.mixing.items()}
         self.embed_map = np.asarray(self.embed_map, dtype=np.float64)
@@ -144,6 +156,11 @@ class SynthConfig:
     def n_outputs(self) -> int:
         return self.outcome_coef.shape[1]
 
+    @property
+    def stream_widths(self) -> tuple[int, int, int]:
+        """Columns of the latent, Gumbel and noise streams (see "Stream layout")."""
+        return self.exo_dim, self.width, self.embed_dim + self.n_outputs
+
 
 @dataclass(eq=False)
 class SynthGroundTruth:
@@ -163,27 +180,45 @@ class SynthGroundTruth:
 def synthesize_sample(config: SynthConfig, index: int, edit: tuple[int, int] | None = None):
     """Draw sample `index`, optionally with one attribute forced to a level.
 
-    `edit` is (attribute index, level code). Noise draws depend only on
-    (seed, index), so an edited call regenerates the counterfactual of
-    the same underlying draw. Returns (level codes, embedding, outputs,
-    clean outputs); the gold label is the argmax of the clean outputs.
+    `edit` is (attribute index, level code). The draws are row `index`
+    of each sample stream, which depends only on (seed, index), so an
+    edited call regenerates the counterfactual of the same underlying
+    draw. Returns (level codes, embedding, outputs, clean outputs); the
+    gold label is the argmax of the clean outputs.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, index)))
-    u = rng.standard_normal(config.exo_dim)
-    codes = np.array(
-        [
-            np.argmax(_scores(config.mixing[name], u) + rng.gumbel(size=len(levels)))
-            for name, levels in config.schema.attributes
-        ]
-    )
-    g_embed = rng.standard_normal(config.embed_dim)
-    g_out = rng.standard_normal(config.n_outputs)
+    if not 0 <= index < config.n:
+        raise ValidationError(f"sample index must be in [0, {config.n}), got {index!r}")
+    index = int(index)
+    # a pass over the samples in order redraws log2(n) prefixes, not n
+    prefix = _prefix_draws(config.seed, 1 << index.bit_length(), config.stream_widths)
+    latent, gumbel, noise = (matrix[index : index + 1] for matrix in prefix)
+    codes = _levels(config, latent, gumbel)
     if edit is not None:
-        codes[edit[0]] = edit[1]
-    clean = _one_hot_product(config.schema, codes, config.outcome_coef)
-    embedding = _one_hot_product(config.schema, codes, config.embed_map.T)
-    embedding += config.embed_noise * g_embed
-    return codes, embedding, clean + config.outcome_noise * g_out, clean
+        codes[0, edit[0]] = edit[1]
+    return (codes[0], *(rows[0] for rows in _rows(config, codes, noise)))
+
+
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The generator of spawn key `key` under `seed` (see "Stream layout")."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def _sample_draws(seed: int, n: int, widths: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
+    """Rows 0 to n-1 of the latent, Gumbel and noise streams, `widths` columns each.
+
+    Each is one row-major matrix draw, so its rows are the first n rows
+    of any longer draw.
+    """
+    latent, gumbel, noise = widths
+    return (
+        _stream(seed, 0, 0).standard_normal((n, latent)),
+        _stream(seed, 0, 1).gumbel(size=(n, gumbel)),
+        _stream(seed, 0, 2).standard_normal((n, noise)),
+    )
+
+
+# `synthesize_sample`'s draws: the last prefix it drew, which it reads and never writes.
+_prefix_draws = lru_cache(maxsize=1)(_sample_draws)
 
 
 def _scores(mixing: np.ndarray, latent: np.ndarray) -> np.ndarray:
@@ -213,6 +248,17 @@ def _one_hot_product(schema: ConceptSchema, codes: np.ndarray, table: np.ndarray
     return total
 
 
+def _levels(config: SynthConfig, latent: np.ndarray, gumbel: np.ndarray) -> np.ndarray:
+    """Level codes of rows of latent states and Gumbel noise: per attribute, the argmax of the sum."""
+    schema = config.schema
+    return np.column_stack(
+        [
+            (_scores(config.mixing[name], latent) + gumbel[:, start : start + size]).argmax(axis=1)
+            for name, start, size in zip(schema.names, schema.offsets.tolist(), schema.sizes.tolist())
+        ]
+    )
+
+
 def _rows(config: SynthConfig, codes: np.ndarray, draws: np.ndarray):
     """(embeddings, outputs, clean outputs) of rows with level `codes` and noise `draws`.
 
@@ -227,120 +273,34 @@ def _rows(config: SynthConfig, codes: np.ndarray, draws: np.ndarray):
     return embeddings, clean + config.outcome_noise * draws[:, dim:], clean
 
 
-# numpy's SeedSequence hash constants (O'Neill's seed_seq_fe, as
-# numpy/random/bit_generator.pyx has them) and PCG64's 128-bit multiplier.
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_U32, _U128 = 0xFFFFFFFF, (1 << 128) - 1
-# Streams whose states `_sample_states` derives at once.
-_STATE_BLOCK = 1024
-
-
-def _seed_sequence_words(entropy: list, index: np.ndarray) -> list[np.ndarray]:
-    """The first 4 uint64 words that `SeedSequence(seed, spawn_key=(0, i)).generate_state` gives.
-
-    `entropy` holds the seed's 32-bit words, padded with zeros to at
-    least SeedSequence's 4-word pool; `index` holds each i (< 2**32) as
-    uint64. The hash is
-    32-bit arithmetic whose constants and order do not depend on the
-    words, so it runs on every i at once, on uint64 arrays masked to 32
-    bits. Returns one array per word.
-    """
-    words = [*entropy, 0, index]
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = (value ^ hash_const) & _U32
-        hash_const = hash_const * _MULT_A & _U32
-        value = value * hash_const & _U32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _U32
-        return result ^ result >> 16
-
-    pool = [hashmix(word) for word in words[:4]]
-    for source in range(4):
-        for target in range(4):
-            if source != target:
-                pool[target] = mix(pool[target], hashmix(pool[source]))
-    for word in words[4:]:
-        pool = [mix(value, hashmix(word)) for value in pool]
-    hash_const, generated = _INIT_B, []
-    for k in range(8):  # 8 words, 4 uint64 in little-endian order
-        value = pool[k % 4] ^ hash_const
-        hash_const = hash_const * _MULT_B & _U32
-        value = value * hash_const & _U32
-        generated.append(value ^ value >> 16)
-    return [generated[k] | generated[k + 1] << 32 for k in range(0, 8, 2)]
-
-
-def _sample_states(seed: int, n: int) -> Iterator[dict]:
-    """Yield the PCG64 `state` of sample stream (0, i) for each i < n in turn.
-
-    Each equals `np.random.default_rng(np.random.SeedSequence(seed,
-    spawn_key=(0, i))).bit_generator.state`, whose construction costs more
-    than the sample's draws. The SeedSequence hash runs on a block of
-    streams at once (`_seed_sequence_words`); PCG64 then seeds its 128-bit
-    LCG from the 4 words, as pcg_setseq_128_srandom_r does, in Python ints.
-    """
-    np.random.SeedSequence(seed, spawn_key=(0,))  # numpy's own error for a bad seed
-    seed = int(seed)
-    if n > 1 << 32:
-        raise ValidationError("n must be at most 2**32, so each sample index is one 32-bit word")
-    entropy = [seed >> 32 * k & _U32 for k in range(max(1, -(-seed.bit_length() // 32)))]
-    entropy += [0] * (4 - len(entropy))
-    for start in range(0, n, _STATE_BLOCK):
-        index = np.arange(start, min(n, start + _STATE_BLOCK), dtype=np.uint64)
-        words = _seed_sequence_words(entropy, index)
-        for seed_high, seed_low, inc_high, inc_low in zip(*(column.tolist() for column in words)):
-            inc = (inc_high << 64 | inc_low) << 1 & _U128 | 1
-            state = ((inc + (seed_high << 64 | seed_low)) * _PCG64_MULT + inc) & _U128
-            yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                   "has_uint32": 0, "uinteger": 0}
-
-
 def generate(config: SynthConfig) -> tuple[Dataset, SynthGroundTruth]:
     """Draw the configured dataset; hidden attributes are masked in the view.
 
-    Each sample takes three draws from its own stream: the latent state,
-    one Gumbel per level of every attribute, and the embedding and output
-    noise, the same values `synthesize_sample` draws one attribute at a
-    time. One generator takes each stream's state in turn
-    (`_sample_states`). Only the draws are per sample: the level scores
-    (`_scores`) and the rows (`_rows`) are then `synthesize_sample`'s
-    fixed-order sums, taken over all samples at once. The noise draws
-    are kept in the returned truth for `make_pairs`.
+    The latent states, the Gumbel noise of every level and the embedding
+    and output noise are one matrix draw each, from the three sample
+    streams (`_sample_draws`); row i is what `synthesize_sample` takes
+    for sample i. The levels (`_levels`) and the rows (`_rows`) are the
+    fixed-order sums that `synthesize_sample` takes of its one row, here
+    over all samples at once. The noise draws are kept in the returned
+    truth for `make_pairs`.
     """
-    n, schema, width = config.n, config.schema, config.width
-    latent = np.empty((n, config.exo_dim))
-    gumbel = np.empty((n, width))
-    draws = np.empty((n, config.embed_dim + config.n_outputs))
-    bit_generator = np.random.PCG64()
-    rng = np.random.Generator(bit_generator)
-    for i, state in enumerate(_sample_states(config.seed, n)):
-        bit_generator.state = state
-        rng.standard_normal(out=latent[i])
-        gumbel[i] = rng.gumbel(size=width)
-        rng.standard_normal(out=draws[i])
-    starts, sizes = schema.offsets.tolist(), schema.sizes.tolist()
-    codes = np.column_stack(
-        [
-            (_scores(config.mixing[name], latent) + gumbel[:, start : start + size]).argmax(axis=1)
-            for name, start, size in zip(schema.names, starts, sizes)
-        ]
-    )
+    latent, gumbel, draws = _sample_draws(config.seed, config.n, config.stream_widths)
+    codes = _levels(config, latent, gumbel)
+    del latent, gumbel
     embeddings, outputs, clean = _rows(config, codes, draws)
-    ids = np.array([f"s{i:06d}" for i in range(n)])
+    ids = np.array([f"s{i:06d}" for i in range(config.n)])
     dataset = Dataset(
-        schema, ids, codes, embeddings, outputs, np.argmax(clean, axis=1),
+        config.schema, ids, codes, embeddings, outputs, np.argmax(clean, axis=1),
         hidden_attributes=config.hidden,
     )
     hidden = tuple(sorted(config.hidden))
     truth = SynthGroundTruth(config.outcome_coef.copy(), config.seed, hidden, draws)
     return dataset, truth
+
+
+# Edited rows that `make_pairs` builds at a time, so its temporaries stay
+# small beside the rows it returns.
+_BLOCK_ROWS = 1024
 
 
 def make_pairs(
@@ -351,17 +311,24 @@ def make_pairs(
 ) -> Dataset:
     """Append counterfactual edits of every sample.
 
-    Each sample gets `edits_per_sample` flips on distinct attributes
-    (chosen from the pair-selection stream; any attribute may flip,
-    hidden or not). An edited row is built from the sample's level codes
-    with the one code changed and the noise draws `generate` stored in
-    `truth.draws`; nothing is drawn again, so it equals `synthesize_sample`
-    called with the edit. The edited rows are appended to the returned
-    dataset; fitting still sees only the factual rows.
+    Each sample gets `edits_per_sample` flips on distinct attributes (any
+    attribute may flip, hidden or not): those of the first columns of a
+    stable argsort of its row of the (1, 0) stream's uniforms. Each flip
+    moves to a level drawn from the (1, 1) stream, one bounded integer
+    per edit in row order, that skips the current level. Both streams
+    give sample i's edits from its row alone, so they do not depend on n.
+
+    An edited row is built from the sample's level codes with the one
+    code changed and the noise draws `generate` stored in `truth.draws`;
+    nothing is drawn again, so it equals `synthesize_sample` called with
+    the edit. The factual and edited rows go straight into the returned
+    dataset's arrays, the edited ones a block of `_BLOCK_ROWS` at a time;
+    fitting still sees only the factual rows.
     """
     if len(dataset.pairs):
         raise ValidationError("make_pairs expects a dataset without existing pairs")
-    n, n_attrs = len(dataset), len(config.schema.names)
+    schema = config.schema
+    n, n_attrs = len(dataset), len(schema.names)
     if not isinstance(edits_per_sample, (int, np.integer)) or not 1 <= edits_per_sample <= n_attrs:
         raise ValidationError(
             f"edits_per_sample must be an integer in [1, {n_attrs}], got {edits_per_sample!r}"
@@ -370,33 +337,38 @@ def make_pairs(
         raise ValidationError(
             "make_pairs needs the noise draws of the ground truth that generate returned"
         )
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
-    choice, integers = rng.choice, rng.integers
-    others = (config.schema.sizes - 1).tolist()  # per attribute, the levels an edit may move to
-    attribute, to = [], []
-    flat_codes = dataset.codes.ravel().tolist()  # one list, not a list object per row
-    for row in range(0, n * n_attrs, n_attrs):
-        for a in choice(n_attrs, size=edits_per_sample, replace=False).tolist():
-            draw = int(integers(others[a]))
-            attribute.append(a)
-            to.append(draw + (draw >= flat_codes[row + a]))  # skip the current level
+    attribute = (
+        _stream(config.seed, 1, 0).random((n, n_attrs)).argsort(axis=1, kind="stable")
+    )[:, :edits_per_sample].reshape(-1)
     original = np.repeat(np.arange(n), edits_per_sample)
-    attribute, to = np.array(attribute, dtype=np.int64), np.array(to, dtype=np.int64)
-    codes = dataset.codes[original]
-    codes[np.arange(original.size), attribute] = to
-    embeddings, outputs, clean = _rows(config, codes, truth.draws[original])
-    schema = config.schema
-    names = np.array(schema.names)[attribute]
-    parts = (dataset.ids[original], names, schema.level_names(attribute, to))
-    edited_ids = ["__".join(names) for names in zip(*(col.tolist() for col in parts))]
+    to = _stream(config.seed, 1, 1).integers(schema.sizes[attribute] - 1)
+    to += to >= dataset.codes[original, attribute]  # skip the current level
+    # "__<attribute>__<level>" for every column of the one-hot layout
+    suffixes = np.array([f"__{name}__{level}" for name, levels in schema.attributes for level in levels])
+
+    total = n + original.size
+    id_chars = (dataset.ids.itemsize + suffixes.itemsize) // 4  # 4 bytes per character
+    ids = np.empty(total, dtype=f"U{id_chars}")
+    codes = np.empty((total, n_attrs), dtype=np.int64)
+    embeddings = np.empty((total, config.embed_dim))
+    outputs = np.empty((total, config.n_outputs))
+    gold = np.empty(total, dtype=np.int64)
+    ids[:n], codes[:n], embeddings[:n], outputs[:n], gold[:n] = (
+        dataset.ids, dataset.codes, dataset.embeddings, dataset.outputs, dataset.gold
+    )
+    for start in range(0, original.size, _BLOCK_ROWS):
+        block, rows = slice(start, start + _BLOCK_ROWS), slice(n + start, n + start + _BLOCK_ROWS)
+        source = original[block]
+        edited = dataset.codes[source]
+        edited[np.arange(source.size), attribute[block]] = to[block]
+        codes[rows] = edited
+        embeddings[rows], outputs[rows], clean = _rows(config, edited, truth.draws[source])
+        gold[rows] = clean.argmax(axis=1)
+        suffix = suffixes[schema.offsets[attribute[block]] + to[block]]
+        ids[rows] = np.char.add(dataset.ids[source], suffix)
     return Dataset(
-        dataset.schema,
-        np.concatenate([dataset.ids, edited_ids]),
-        np.concatenate([dataset.codes, codes]),
-        np.concatenate([dataset.embeddings, embeddings]),
-        np.concatenate([dataset.outputs, outputs]),
-        np.concatenate([dataset.gold, np.argmax(clean, axis=1)]),
-        EditPairs(original, np.arange(n, n + original.size), attribute, to),
+        dataset.schema, ids, codes, embeddings, outputs, gold,
+        EditPairs(original, np.arange(n, total), attribute, to),
         hidden_attributes=dataset.hidden_attributes,
         space=dataset.space,
     )

@@ -95,10 +95,10 @@ SYNTH_FILES = ("schema.json", "samples.jsonl", "samples.embedding.npy", "samples
 
 
 GOLDEN_DIGESTS = {
-    "samples.jsonl": "10f7a858f9776e400ae6f4fa8f10aa1a275add108a5bd5092d0897c701f4502b",
-    "pairs.jsonl": "aad3f80c84daf823fe064d45657844642c53f14dc0bcf1bba2e2f0391c0693e5",
-    "samples.embedding.npy": "4f33c89023de17b882613739a8aedfc27015b3805464c94592dc341af236f081",
-    "samples.logits.npy": "3f9168c032702bb8dbce15d358b461118f5bd545d654437d96e385b8ddd62c2c",
+    "samples.jsonl": "ac3ddfa981ce7b3e742187b85d22a3136e42aa8d07c5a874a7c8556a7c17bce4",
+    "pairs.jsonl": "8e03ee7560c0086b172b5e032266cf6149e70bde8c325a65738b8cc35251e25e",
+    "samples.embedding.npy": "e8147f8ae5ef762a6806c9fbfe2f6867e6b86bd472598f9c92b2144c32c3e32a",
+    "samples.logits.npy": "2a811e2e4c32de05d33db416246f7d7a3129c1e98d772230588fe575111aed94",
 }
 
 
@@ -158,6 +158,21 @@ class TestSynth:
         out = tmp_path / "d"
         assert run("synth", "--config", config, "--out", out) == 0
         assert {name: digest(out / name) for name in GOLDEN_DIGESTS} == GOLDEN_DIGESTS
+
+    @pytest.mark.parametrize("form", ["generated", "explicit"])
+    def test_negative_seed_exits_2_naming_seed(self, tmp_path, capsys, form):
+        config = {"n": 10, "seed": -1, "edits_per_sample": 1}
+        if form == "explicit":
+            config.update(
+                exo_dim=1, attributes=[{"name": "a", "levels": ["x", "y"]}],
+                mixing={"a": [[1.0], [-1.0]]}, embed_map=[[1.0, 0.5]], outcome_coef=[[0.1], [0.2]],
+            )
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run("synth", "--config", path, "--out", tmp_path / "d") == 2
+        err = capsys.readouterr().err
+        assert "malformed config (seed must be a nonnegative integer, got -1)" in err, err
+        assert not (tmp_path / "d").exists()
 
     def test_no_edits_skips_pairs(self, tmp_path):
         config = tmp_path / "config.json"

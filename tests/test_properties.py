@@ -985,6 +985,26 @@ def test_generated_and_edited_rows_equal_per_sample_draws(problem):
         assert dataset.gold[row] == np.argmax(clean)
 
 
+@settings(max_examples=40, deadline=None)
+@given(synth_configs(), st.integers(1, 30))
+def test_a_larger_n_extends_a_smaller_ones_samples_and_edits(problem, extra):
+    # every stream gives sample i its draws and edits from its own row, so
+    # the first m samples and their m * e edits do not depend on n
+    config, edits_per_sample = problem
+    small_n, large_n = config.n, config.n + extra
+    small, large = (
+        make_pairs(*generate(c), c, edits_per_sample) for c in (config, replace(config, n=large_n))
+    )
+    rows = np.r_[0:small_n, large_n : large_n + small_n * edits_per_sample]
+    for column in ("ids", "codes", "gold"):
+        assert np.array_equal(getattr(small, column), getattr(large, column)[rows]), column
+    for column in ("embeddings", "outputs"):
+        assert bits(getattr(small, column)) == bits(getattr(large, column)[rows]), column
+    for column in ("original", "attribute", "to"):
+        got, want = getattr(small.pairs, column), getattr(large.pairs, column)
+        assert np.array_equal(got, want[: got.size]), column
+
+
 @st.composite
 def hidden_synth_configs(draw):
     """A `synth_configs` draw with a random proper subset of its attributes hidden."""
