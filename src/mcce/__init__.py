@@ -8,7 +8,7 @@ stand in for the missing annotations.
 Layout:
     linalg      minimum-norm least squares, residualization, truncated SVD
     data        schemas, columnar datasets and edit pairs, masking; every file format
-    explainers  batched mcce / slearner and per-edit approx estimators, model IO
+    explainers  batched mcce, slearner and approx estimators, model IO
     evaluation  row-wise distances, paired effects, grouped error reports, macro F1
     synthetic   seeded generator with counterfactual ground truth
     cli         command-line pipeline (synth, fit, explain, evaluate, ...)
@@ -38,7 +38,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "ApproxEstimate", "CoefficientReport", "Effects", "LabelIndex", "MCCEModel",
+            "ApproxEffects", "CoefficientReport", "Effects", "MCCEModel",
             "SLearnerModel", "build_label_index", "explain_approx", "explain_mcce",
             "explain_slearner", "fit_mcce", "fit_slearner", "global_report", "load_model",
             "predict_labels", "read_effects", "save_model", "write_effects",

@@ -9,7 +9,6 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import sys
 from dataclasses import replace
@@ -98,19 +97,23 @@ def _parse_seeds(value: str) -> list[int]:
     return _distinct(seeds, "seed")
 
 
-def _pair_seeds(dataset: Dataset, run_seed: int) -> list[int]:
-    """A stable seed for each of `dataset.unique_pairs()`, in that order.
+def _pair_seeds(dataset: Dataset, run_seed: int) -> np.ndarray:
+    """A stable 64-bit seed for each of `dataset.unique_pairs()`, in that order (uint64).
 
-    A pair's seed hashes the run seed with the pair's original id,
-    attribute and target level. It does not depend on the mask, so one
-    list serves every mask of a run seed.
+    A pair's seed is the first 8 bytes, big-endian, of the sha256 of the
+    run seed with the pair's original id, attribute and target level. It
+    does not depend on the mask, so one array serves every mask of a run
+    seed.
     """
+    import hashlib  # here, not at the top: OpenSSL adds about 3.7 MB of RSS to every command
+
     sample_ids, names, _, levels = dataset.pair_names(dataset.unique_pairs())
     keys = zip(sample_ids.tolist(), names.tolist(), levels.tolist())
-    return [
-        int.from_bytes(hashlib.sha256(f"{run_seed}|{sid}|{name}|{level}".encode()).digest()[:8], "big")
+    digests = b"".join(
+        hashlib.sha256(f"{run_seed}|{sid}|{name}|{level}".encode()).digest()[:8]
         for sid, name, level in keys
-    ]
+    )
+    return np.frombuffer(digests, dtype=">u8").astype(np.uint64)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +161,8 @@ def _explain(dataset: Dataset, method: str, model, seed: int, truth=None, pair_s
     """Estimate the first pair of each key, in pairs-file order.
 
     The dataset's mask is the run's: mcce and slearner skip (and count)
-    pairs that edit an attribute it hides. approx skips none and draws
-    each estimate under its pair's seed from `pair_seeds`, the
+    pairs that edit an attribute it hides. approx skips none and breaks
+    each estimate's ties by its pair's seed from `pair_seeds`, the
     `_pair_seeds` of the dataset and `seed`. Returns (effects, metadata,
     match): the effects file's contents, to which `write_effects` adds
     the estimates' method and space, and each pair's estimate row as
@@ -182,12 +185,7 @@ def _explain(dataset: Dataset, method: str, model, seed: int, truth=None, pair_s
         effect, space = explain_slearner(model, dataset, rows, attribute, to), SPACE_PROBABILITY
     elif method == "approx":
         index = build_label_index(dataset)
-        estimates = [
-            explain_approx(dataset, r, a, t, seed=pair_seed, index=index)
-            for r, a, t, pair_seed in zip(rows.tolist(), attribute.tolist(), to.tolist(), pair_seeds)
-        ]
-        effect = np.reshape([e.effect for e in estimates], (pairs.size, dataset.outputs.shape[1]))
-        fallback = [e.fallback for e in estimates]
+        effect, fallback = explain_approx(dataset, rows, attribute, to, pair_seeds, index)
     elif method == "oracle":
         effect = oracle_effect(truth, dataset, dataset.space)[pairs]
     else:

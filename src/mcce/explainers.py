@@ -17,28 +17,26 @@ mcce
 slearner
     Multinomial logistic regression on observed concepts only, fit to
     the output distributions; effects are differences of predicted
-    distributions and live in probability space by construction.
+    distributions and live in probability space by construction. The
+    Newton steps run on the distinct design rows, each weighted by how
+    many samples share it.
 
 approx
-    No model at all: sample (seeded) a row whose visible labels match
-    the requested counterfactual and difference the two stored outputs.
-    Falls back to minimum Hamming distance over visible labels when no
-    exact match exists, flagging the estimate.
+    No model at all: pick a row whose visible labels match the requested
+    counterfactual and difference the two stored outputs. Ties are broken
+    by a multiply-shift of a 64-bit seed per edit. Falls back to minimum
+    Hamming distance over visible labels when no exact match exists,
+    flagging the estimate.
 
-mcce and slearner explain a batch of edits in one call: row i of the
-result is the effect of setting attribute `attribute[i]` of dataset row
-`rows[i]` to level code `to[i]`. approx draws from a seeded stream per
-edit, so it explains one edit per call; the work that no edit changes is
-done once per run by `build_label_index`, and `seeded_index` keeps each
-seed's first draw, so runs that share pair seeds seed each stream once.
+All three explain a batch of edits in one call: row i of the result is
+the effect of setting attribute `attribute[i]` of dataset row `rows[i]`
+to level code `to[i]`. approx finds every exact match with two
+`np.searchsorted` calls on the profiles that `build_label_index` sorts.
 """
 
 from __future__ import annotations
 
-import functools
-import operator
 import warnings
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -252,15 +250,31 @@ def fit_mcce(
     )
 
 
+def _edits(dataset: Dataset, rows, attribute, to) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, attribute, to) as flat int64 arrays, broadcast and checked against the dataset.
+
+    Edit i sets attribute index `attribute[i]` of row `rows[i]` to level code `to[i]`.
+    """
+    columns = [np.asarray(v) for v in (rows, attribute, to)]
+    if any(column.size and column.dtype.kind not in "iu" for column in columns):
+        raise ValidationError("rows, attribute indices and level codes must be integers")
+    rows, attribute, to = (np.ravel(c).astype(np.int64) for c in np.broadcast_arrays(*columns))
+    sizes = dataset.schema.sizes
+    if np.any((attribute < 0) | (attribute >= sizes.size)):
+        raise ValidationError(f"unknown attribute index in {np.unique(attribute).tolist()}")
+    if np.any((to < 0) | (to >= sizes[attribute])):
+        raise ValidationError("edit sets a level code out of range for its attribute")
+    if np.any((rows < 0) | (rows >= len(dataset))):
+        raise ValidationError(f"edit rows must be in [0, {len(dataset)})")
+    return rows, attribute, to
+
+
 def _edited_design(model, dataset: Dataset, rows, attribute, to):
     """(rows, design): the model's visible one-hot design of each row after its edit.
 
-    Edit i sets attribute index `attribute[i]` of row `rows[i]` to level
-    code `to[i]`; the three arguments broadcast. The dataset must have
-    the model's schema and be in the space the model was fit in.
+    The edits are as `_edits` takes them. The dataset must have the
+    model's schema and be in the space the model was fit in.
     """
-    edits = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in (rows, attribute, to)))
-    rows, attribute, to = (np.ravel(column) for column in edits)
     schema = model.schema
     if schema != dataset.schema:
         raise ValidationError("model and dataset schemas differ")
@@ -269,14 +283,11 @@ def _edited_design(model, dataset: Dataset, rows, attribute, to):
             f"model was fit in {model.space!r} space but the dataset is in "
             f"{dataset.space!r} space"
         )
-    if np.any((attribute < 0) | (attribute >= len(schema.names))):
-        raise ValidationError(f"unknown attribute index in {np.unique(attribute).tolist()}")
+    rows, attribute, to = _edits(dataset, rows, attribute, to)
     hidden = ~schema.visible_mask(model.hidden_attributes)[attribute]
     if hidden.any():
         name = schema.names[attribute[np.argmax(hidden)]]
         raise ValidationError(f"attribute {name!r} is hidden for this model")
-    if np.any((to < 0) | (to >= schema.sizes[attribute])):
-        raise ValidationError("edit sets a level code out of range for its attribute")
     codes = dataset.codes[rows]
     codes[np.arange(rows.size), attribute] = to
     return rows, one_hot(schema, codes, model.hidden_attributes)
@@ -318,52 +329,67 @@ class SLearnerModel:
         return softmax(concepts @ self.weights + self.bias)
 
 
-def _cross_entropy(Xa: np.ndarray, Wa: np.ndarray, T: np.ndarray) -> float:
-    """Mean soft-label cross-entropy of softmax(Xa @ Wa) against T."""
+def _visible_profiles(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """(profiles, stride): each row's visible level codes as one mixed-radix integer.
+
+    `stride[a]` is attribute a's place value, 0 if it is hidden. Profiles
+    are int64 while every one fits, and Python ints (object dtype)
+    otherwise, so any number of attributes and levels keys exactly.
+    """
+    schema = dataset.schema
+    visible = schema.visible_mask(dataset.hidden_attributes)
+    stride, span = [0] * visible.size, 1
+    for a in reversed(np.flatnonzero(visible).tolist()):
+        stride[a], span = span, span * int(schema.sizes[a])
+    dtype = np.int64 if span <= 1 << 63 else object
+    stride = np.array(stride, dtype=dtype)
+    return dataset.codes.astype(dtype) @ stride, stride
+
+
+def _cross_entropy(Xa: np.ndarray, Wa: np.ndarray, Y: np.ndarray) -> float:
+    """Soft-label cross-entropy of softmax(Xa @ Wa) against Y, each row's targets over n."""
     shifted = Xa @ Wa
     shifted -= shifted.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return float(-np.mean(np.sum(T * log_probs, axis=1)))
+    return float(-np.sum(Y * log_probs))
 
 
-def _softmax_hessian(Xa: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Hessian of the mean cross-entropy in the class-major vec of the weights.
+def _softmax_hessian(Xa: np.ndarray, P: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Hessian of the cross-entropy in the class-major vec of the weights.
 
-    Block (c, d) is Xa' diag(p_c (delta_cd - p_d)) Xa / n. Each block is
-    one small weighted Gram matrix; the per-sample Kronecker products are
-    never formed.
+    Row g of Xa carries `weight[g]` of the loss. Block (c, d) is the small
+    Gram matrix Xa' diag(weight p_c (delta_cd - p_d)) Xa; the per-sample
+    Kronecker products are never formed.
     """
-    n, m = Xa.shape
-    q = P.shape[1]
-    H = np.empty((q * m, q * m))
+    m, q = Xa.shape[1], P.shape[1]
+    H = np.empty((q, m, q, m))
     for c in range(q):
         for d in range(c, q):
-            w = P[:, c] * (float(c == d) - P[:, d]) / n
-            block = (Xa * w[:, None]).T @ Xa
-            H[c * m : (c + 1) * m, d * m : (d + 1) * m] = block
-            H[d * m : (d + 1) * m, c * m : (c + 1) * m] = block
-    return H
+            w = weight * P[:, c] * (float(c == d) - P[:, d])
+            H[c, :, d] = H[d, :, c] = (Xa * w[:, None]).T @ Xa
+    return H.reshape(q * m, q * m)
 
 
 def fit_slearner(dataset: Dataset, targets=None) -> SLearnerModel:
     """Fit the logistic baseline on the dataset's factual samples.
 
     Minimises the soft-label cross-entropy by Newton's method on the
-    augmented design [X | 1], from zero weights. The Hessian is singular
-    by construction (each one-hot block sums to the bias column, and
-    softmax ignores a shift shared by all classes), so every step is the
-    minimum-norm least-squares solution; the iterates then stay in the
-    span that gradient descent from zero would explore. A step is halved
-    while it raises the loss. The fit stops when the gradient max-norm
-    drops below SLEARNER_GRAD_TOL and otherwise after SLEARNER_MAX_ITER
-    steps, with a warning and `converged=False`. Logit-space outputs are
-    softmaxed before fitting; explicit targets must already be
-    probability rows.
+    augmented design [X | 1], from zero weights. Samples with the same
+    visible labels share a design row, so the loss, gradient and Hessian
+    are taken over the distinct rows, each with its count and the sum of
+    its samples' targets. The Hessian is singular by construction (each
+    one-hot block sums to the bias column, and softmax ignores a shift
+    shared by all classes), so every step is the minimum-norm
+    least-squares solution; the iterates then stay in the span that
+    gradient descent from zero would explore. A step is halved while it
+    raises the loss. The fit stops when the gradient max-norm drops below
+    SLEARNER_GRAD_TOL and otherwise after SLEARNER_MAX_ITER steps, with a
+    warning and `converged=False`. Logit-space outputs are softmaxed
+    before fitting; explicit targets must already be probability rows.
     """
     rows = dataset.fit_rows
     if rows.size == 0:
         raise ValidationError("dataset has no factual samples to fit on")
-    X = dataset.design_matrix(rows)
     T, _ = _resolve_targets(dataset, rows, None, targets)
     if targets is None and dataset.space == SPACE_LOGIT:
         T = softmax(T)
@@ -372,26 +398,32 @@ def fit_slearner(dataset: Dataset, targets=None) -> SLearnerModel:
     if np.any(T < -1e-12) or np.max(np.abs(T.sum(axis=1) - 1.0)) > 1e-6:
         raise ValidationError("targets are not probability rows (tol 1e-6)")
 
-    n, k = X.shape
-    q = T.shape[1]
-    Xa = np.hstack([X, np.ones((n, 1))])
+    n, q = T.shape
+    key = _visible_profiles(dataset)[0][rows]
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    group = group.reshape(-1)
+    weight, Y = np.bincount(group) / n, np.zeros((first.size, q))
+    np.add.at(Y, group, T / n)
+    X = dataset.design_matrix(rows[first])
+    k = X.shape[1]
+    Xa = np.hstack([X, np.ones((first.size, 1))])
     Wa = np.zeros((k + 1, q))
-    loss = _cross_entropy(Xa, Wa, T)
+    loss = _cross_entropy(Xa, Wa, Y)
     iterations = 0
     while True:
         P = softmax(Xa @ Wa)
-        G = Xa.T @ (P - T) / n
+        G = Xa.T @ (weight[:, None] * P - Y)
         grad_norm = float(np.max(np.abs(G)))
         converged = grad_norm < SLEARNER_GRAD_TOL
         if converged or iterations == SLEARNER_MAX_ITER:
             break
-        H = _softmax_hessian(Xa, P)
+        H = _softmax_hessian(Xa, P, weight)
         step = lstsq(H, G.T.reshape(-1, 1)).coefficients.reshape(q, k + 1).T
         # The slack absorbs rounding in the loss, so a step that only
         # reaches the rounding floor is not mistaken for a rise.
         slack = 1e-13 * max(1.0, abs(loss))
         for _ in range(_MAX_HALVINGS):
-            trial_loss = _cross_entropy(Xa, Wa - step, T)
+            trial_loss = _cross_entropy(Xa, Wa - step, Y)
             if trial_loss <= loss + slack:
                 Wa, loss = Wa - step, trial_loss
                 iterations += 1
@@ -437,124 +469,91 @@ def explain_slearner(model: SLearnerModel, dataset: Dataset, rows, attribute, to
 # approximate-counterfactual baseline
 
 
-class ApproxEstimate(NamedTuple):
-    effect: np.ndarray
-    fallback: bool  # no row matched exactly; the nearest rows were used
+class ApproxEffects(NamedTuple):
+    """approx estimates of a batch of edits; row i of each column is edit i's."""
+
+    effect: np.ndarray  # (m, q)
+    flags: np.ndarray  # (m,) bool: no row matched exactly; the nearest rows were used
+
+    @property
+    def fallback(self) -> int:
+        """The number of flagged estimates."""
+        return int(np.count_nonzero(self.flags))
 
 
-class LabelIndex(NamedTuple):
-    """What `explain_approx` needs of a dataset that no edit changes.
+def build_label_index(dataset: Dataset) -> tuple[np.ndarray, ...]:
+    """(profiles, order, row_profiles, stride): what `explain_approx` needs that no edit changes.
 
-    A row's profile is its visible level codes as one integer (mixed
-    radix over the visible attributes, in schema order). Setting
-    attribute a of row r to code t moves the profile by
-    `stride[a] * (t - codes[r, a])`; a hidden attribute has stride 0, so
-    an edit of it keeps the row's own visible profile.
+    `row_profiles` and `stride` are `_visible_profiles`; `profiles` sorts
+    them, and `order` is the row of each sorted profile, stable, so rows
+    that share one stay in row order. Setting attribute a of row r to
+    code t moves its profile by `stride[a] * (t - codes[r, a])`; a hidden
+    attribute has stride 0, so an edit of it keeps the row's profile.
     """
-
-    profiles: list[int]  # sorted, for bisect
-    order: np.ndarray  # row of each sorted profile; rows sharing one stay in row order
-    row_key: list[int]  # each row's own profile
-    stride: list[int]  # per attribute, 0 if hidden
-    visible: np.ndarray  # per attribute
+    row_profiles, stride = _visible_profiles(dataset)
+    order = np.argsort(row_profiles, kind="stable")
+    return row_profiles[order], order, row_profiles, stride
 
 
-def build_label_index(dataset: Dataset) -> LabelIndex:
-    """Sort the dataset's visible-label profiles once, for every approx edit of a run.
+def _multiply_shift(seeds: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """`(seeds * count) >> 64`, exact in uint64 for counts below 2**32 (a count is a number of rows).
 
-    The sort is stable, so the rows that share a profile stay in row order.
-    Profiles are int64 while every one fits, and Python ints otherwise,
-    so any number of attributes and levels keys exactly.
+    The constants are np.uint64: numpy before 2.0 turns a uint64 operand
+    with a Python int into float64.
     """
-    schema = dataset.schema
-    visible = schema.visible_mask(dataset.hidden_attributes)
-    stride, span = [0] * visible.size, 1
-    for a in reversed(np.flatnonzero(visible).tolist()):
-        stride[a], span = span, span * int(schema.sizes[a])
-    dtype = np.int64 if span <= 1 << 63 else object
-    profiles = dataset.codes.astype(dtype) @ np.array(stride, dtype=dtype)
-    order = np.argsort(profiles, kind="stable")
-    return LabelIndex(profiles[order].tolist(), order, profiles.tolist(), stride, visible)
-
-
-# An entry (a 64-bit seed, a 32-bit output and the cache's links) takes
-# about 190 bytes, so a full cache holds about 6 MB; 2**15 entries cover
-# the 22000 pair seeds of an 11-seed experiment on 2000 pairs.
-@functools.lru_cache(maxsize=1 << 15)
-def _first_uint32(seed: int) -> int:
-    """The first 32-bit output of `np.random.default_rng(seed)`'s stream.
-
-    PCG64 hands out the low half of its first 64-bit output first.
-    """
-    return int(np.random.PCG64(seed).random_raw()) & 0xFFFFFFFF
-
-
-def seeded_index(seed: int, count: int) -> int:
-    """`int(np.random.default_rng(seed).integers(count))`, seeding PCG64 once per seed.
-
-    For 0 < count < 2**32, numpy draws by Lemire's multiply-shift (Lemire
-    2019, "Fast random integer generation in an interval"): with w the
-    stream's first 32-bit output, the draw is (w * count) >> 32 unless the
-    low 32 bits of w * count fall below count, where numpy may reject w
-    and draw again. w is kept per int seed in a bounded cache (2**15
-    seeds, about 6 MB at most). That possible rejection, a count of
-    2**32 or more (numpy's 64-bit path) and a seed that is not an int are
-    handed to numpy itself, so every value is numpy's.
-    """
-    count = operator.index(count)
-    if type(seed) is int and 0 < count < 1 << 32:
-        scaled = _first_uint32(seed) * count
-        if scaled & 0xFFFFFFFF >= count:
-            return scaled >> 32
-    return int(np.random.default_rng(seed).integers(count))
+    half, count = np.uint64(32), np.asarray(count, dtype=np.uint64)
+    high = (seeds >> half) * count + ((seeds & np.uint64(0xFFFFFFFF)) * count >> half)
+    return (high >> half).astype(np.int64)
 
 
 def explain_approx(
-    dataset: Dataset, row: int, attribute: int, to: int, seed: int, index: LabelIndex | None = None
-) -> ApproxEstimate:
-    """Difference row `row` against a row whose visible labels match the edit.
+    dataset: Dataset, rows, attribute, to, seeds, index: tuple | None = None
+) -> ApproxEffects:
+    """Stored output of a row whose visible labels match each edit, minus the edited row's.
 
-    The match target is the row's visible labels with attribute index
-    `attribute` set to level code `to` (a hidden attribute cannot enter
-    the profile, so the target degrades to the visible labels alone).
-    Ties are broken uniformly under `seed`: of the `count` tied rows, in
-    row order, the one at `seeded_index(seed, count)`, which is
-    `np.random.default_rng(seed).integers(count)`. When no row matches
-    exactly, the rows closest by Hamming distance over visible labels are
-    used and the estimate is flagged.
-
-    Pass the dataset's `build_label_index` as `index` to explain many
-    edits: the sort is then done once per run, and an edit with an exact
-    match costs one integer key, two bisections and one `seeded_index`
-    draw, which seeds a stream only the first time its seed is seen.
+    The edits are as `explain_mcce` takes them; `seeds` broadcasts with
+    them, one integer in [0, 2**64) per edit. Edit i's target is row
+    `rows[i]`'s visible labels after the edit (a hidden attribute cannot
+    enter the profile, so the target degrades to the visible labels).
+    The candidates are the rows that match it exactly, found by two
+    `np.searchsorted` calls on the profiles of `index` (the dataset's
+    `build_label_index`, built here when not given); where none does,
+    they are the rows closest by Hamming distance over visible labels,
+    and the estimate is flagged. Of the `count` candidates, in row
+    order, edit i takes the one at `(seeds[i] * count) >> 64`: a
+    multiply-shift (Lemire 2019, "Fast random integer generation in an
+    interval") that is uniform up to a bias of count / 2**64 and seeds
+    no generator.
     """
-    n = len(dataset)
-    if n == 0:
-        raise ValidationError("cannot sample counterfactuals from an empty dataset")
+    # a list keeps its Python ints exact as objects; numpy would make [1, 2**63] float64
+    seeds = seeds if isinstance(seeds, np.ndarray) else np.asarray(seeds, dtype=object)
+    if seeds.dtype == object:
+        exact = all(isinstance(s, (int, np.integer)) and 0 <= int(s) < 2**64 for s in seeds.flat)
+    else:
+        exact = seeds.dtype.kind in "iu" and not (seeds.size and seeds.min() < 0)
+    if not exact:
+        raise ValidationError("approx seeds must be integers in [0, 2**64)")
     try:
-        row, attribute, to = operator.index(row), operator.index(attribute), operator.index(to)
-    except TypeError:
-        raise ValidationError("row, attribute and level code must be integers") from None
-    sizes = dataset.schema.sizes
-    if not 0 <= attribute < sizes.size or not 0 <= to < sizes[attribute]:
-        raise ValidationError(f"no level code {to!r} for attribute index {attribute!r}")
-    if not 0 <= row < n:
-        raise ValidationError(f"row {row} is out of range for {n} rows")
+        *edits, seeds = np.broadcast_arrays(rows, attribute, to, seeds.astype(np.uint64))
+    except ValueError:
+        raise ValidationError("approx needs edits and seeds that broadcast") from None
+    rows, attribute, to = _edits(dataset, *edits)
+    seeds = seeds.reshape(-1)
     if index is None:
         index = build_label_index(dataset)
-    profiles, order, row_key, stride, visible = index
-    key = row_key[row] + stride[attribute] * (to - int(dataset.codes[row, attribute]))
-    lo, hi = bisect_left(profiles, key), bisect_right(profiles, key)
-    positions = order[lo:hi]
-    fallback = lo == hi
-    if fallback:
-        target = dataset.codes[row].copy()
-        target[attribute] = to
-        target = target[visible]
-        distance = np.sum(dataset.codes[:, visible] != target, axis=1)
-        positions = np.flatnonzero(distance == distance.min())
-    choice = positions[seeded_index(seed, positions.size)]
-    return ApproxEstimate(dataset.outputs[choice] - dataset.outputs[row], fallback)
+    profiles, candidates, row_profiles, stride = index
+    key = row_profiles[rows] + stride[attribute] * (to - dataset.codes[rows, attribute])
+    start = np.searchsorted(profiles, key)
+    count = np.searchsorted(profiles, key, "right") - start
+    flags = count == 0
+    choice = candidates[np.where(flags, 0, start + _multiply_shift(seeds, count))]
+    visible = dataset.schema.visible_mask(dataset.hidden_attributes)
+    for i in np.flatnonzero(flags):
+        target = np.where(np.arange(visible.size) == attribute[i], to[i], dataset.codes[rows[i]])
+        distance = np.count_nonzero((dataset.codes != target)[:, visible], axis=1)
+        nearest = np.flatnonzero(distance == distance.min())
+        choice[i] = nearest[_multiply_shift(seeds[i], nearest.size)]
+    return ApproxEffects(dataset.outputs[choice] - dataset.outputs[rows], flags)
 
 
 # ---------------------------------------------------------------------------

@@ -811,7 +811,7 @@ class TestApproxExplain:
         assert all("effect" in row for row in body)
 
     def test_experiment_runs_equal_single_explains(self, synth_dir, tmp_path):
-        """Draws cached across the masks and seeds of one experiment leak into none of its runs."""
+        """Each approx run of an experiment (one batch per mask and seed) is `explain`'s, byte for byte."""
         out = tmp_path / "exp"
         assert run(
             "experiment", *dataset_flags(synth_dir), "--methods", "approx", "--metrics", "l2",

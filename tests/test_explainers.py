@@ -363,59 +363,78 @@ def approx_dataset():
 
 def test_approx_exact_match_is_bitwise_icace():
     ds = approx_dataset()
-    rng_hits = set()
-    for seed in range(100):
-        eff = explain_approx(ds, 0, 1, 1, seed=seed)  # q with b -> v
-        assert eff.fallback is False
-        # effect must be exactly output(match) - output(q), bit for bit
-        assert eff.effect.tolist() in ([1.0, 2.0], [3.0, 4.0])
-        rng_hits.add(tuple(eff.effect.tolist()))
-    assert len(rng_hits) == 2  # both candidates get sampled across seeds
+    seeds = np.arange(100, dtype=np.uint64) * np.uint64(2**64 // 100)
+    est = explain_approx(ds, 0, 1, 1, seeds)  # q with b -> v, under 100 seeds
+    assert not est.flags.any() and est.fallback == 0
+    # each effect is exactly output(match) - output(q), bit for bit
+    assert {tuple(row) for row in est.effect.tolist()} == {(1.0, 2.0), (3.0, 4.0)}
 
 
 def test_approx_is_deterministic_per_seed():
     ds = approx_dataset()
-    a = explain_approx(ds, 0, 1, 1, seed=123)
-    b = explain_approx(ds, 0, 1, 1, seed=123)
+    a = explain_approx(ds, [0, 0], 1, 1, [123, 2**64 - 5])
+    b = explain_approx(ds, [0, 0], 1, 1, [123, 2**64 - 5])
     assert np.array_equal(a.effect, b.effect)
+
+
+def test_approx_pins_the_multiply_shift_at_the_top_of_the_seed_range():
+    """Seeds that float64 rounds up would pick past the last candidate or the wrong one."""
+    ds = approx_dataset()
+    seeds = [2**63 - 1, 2**63, 2**64 - 1, 3 * 2**62 - 1, 2**64 - 1]
+    est = explain_approx(ds, 0, 1, [1, 1, 1, 2, 2], seeds)
+    # candidates m1, m2 for b -> v; for b -> w no row matches, and all four are at distance 1
+    assert est.effect.tolist() == [[1.0, 2.0], [3.0, 4.0], [3.0, 4.0], [3.0, 4.0], [9.0, 9.0]]
+    assert est.flags.tolist() == [False, False, False, True, True]
+    assert est.fallback == 2
 
 
 def test_approx_fallback_flag_and_min_hamming():
     ds = approx_dataset()
-    # no sample has (a=x, b=w): nearest by visible Hamming is "far"? no:
-    # m1/m2 (a=x, b=v) differ only in b -> distance 1; far (y,w) differs in a -> 1.
-    # all three tie at distance 1; the winner must be one of them
-    eff = explain_approx(ds, 0, 1, 2, seed=0)
-    assert eff.fallback is True
-    assert eff.effect.tolist() in ([1.0, 2.0], [3.0, 4.0], [9.0, 9.0])
+    # no sample has (a=x, b=w); q, m1 and m2 differ from it in b, far in a: all at distance 1
+    est = explain_approx(ds, 0, 1, 2, np.arange(64, dtype=np.uint64) << np.uint64(58))
+    assert est.flags.all() and est.fallback == 64
+    assert {tuple(row) for row in est.effect.tolist()} == {(0.0, 0.0), (1.0, 2.0), (3.0, 4.0), (9.0, 9.0)}
 
 
 def test_approx_prebuilt_index_matches():
     ds = approx_dataset()
     idx = build_label_index(ds)
-    a = explain_approx(ds, 0, 1, 1, seed=7)
-    b = explain_approx(ds, 0, 1, 1, seed=7, index=idx)
-    assert np.array_equal(a.effect, b.effect)
+    a = explain_approx(ds, [0, 0, 3], [1, 1, 0], [1, 2, 0], 7)
+    b = explain_approx(ds, [0, 0, 3], [1, 1, 0], [1, 2, 0], 7, index=idx)
+    assert np.array_equal(a.effect, b.effect) and np.array_equal(a.flags, b.flags)
 
 
 def test_approx_hidden_edit_degrades_to_visible_profile():
     ds = approx_dataset().mask({"b"})
     # editing the hidden attribute: match on visible labels only (a=x)
-    eff = explain_approx(ds, 0, 1, 1, seed=3)
-    assert eff.fallback is False
-    assert eff.effect.tolist() in ([1.0, 2.0], [3.0, 4.0])
+    est = explain_approx(ds, 0, 1, 1, [0, 2**63, 2**64 - 1])
+    assert not est.flags.any()
+    assert est.effect.tolist() == [[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]]
 
 
 def test_approx_errors():
     ds = approx_dataset()
     with pytest.raises(ValidationError):
-        explain_approx(ds, 0, 1, 3, seed=0)  # b has three levels
+        explain_approx(ds, 0, 1, 3, 0)  # b has three levels
     with pytest.raises(ValidationError):
-        explain_approx(ds, 0, 2, 0, seed=0)  # no third attribute
+        explain_approx(ds, 0, 2, 0, 0)  # no third attribute
     with pytest.raises(ValidationError):
-        explain_approx(ds, 4, 1, 1, seed=0)  # four rows
+        explain_approx(ds, 4, 1, 1, 0)  # four rows
     with pytest.raises(ValidationError):
-        explain_approx(ds, 0, 1.0, 1, seed=0)  # indices are integers
+        explain_approx(ds, 0, 1.0, 1, 0)  # indices are integers
+    with pytest.raises(ValidationError):
+        explain_approx(ds, [0, 1], 1, 1, [0, 1, 2])  # one seed per edit
+    with pytest.raises(ValidationError):
+        explain_approx(ds, 0, 1, 1, 0.5)  # seeds are integers
+    with pytest.raises(ValidationError):
+        explain_approx(ds, 0, 1, 1, np.array([1.0]))
+    with pytest.raises(ValidationError):
+        explain_approx(ds, [0, 0], 1, 1, np.array([3, -1]))  # a negative seed would wrap
+    with pytest.raises(ValidationError):
+        explain_approx(ds, 0, 1, 1, [2**64])  # past the top of the range
+    empty = Dataset(SCHEMA, [], np.zeros((0, 2), dtype=int), np.zeros((0, 1)), np.zeros((0, 2)))
+    with pytest.raises(ValidationError):
+        explain_approx(empty, 0, 0, 0, 0)  # no row to sample from
 
 
 # --- global report / predictor ------------------------------------------------

@@ -39,3 +39,21 @@ def test_import_loads_no_submodule_and_every_name_resolves():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         mcce.no_such_name
+
+
+HASHLIB_CHECK = """
+import sys
+import numpy
+before = "_hashlib" in sys.modules  # numpy before 2.0 loads numpy.random, and it OpenSSL
+import mcce.cli
+print(("_hashlib" in sys.modules) == before)
+"""
+
+
+def test_cli_import_leaves_openssl_unloaded():
+    # only approx's pair seeds hash; every other command skips OpenSSL's memory
+    proc = subprocess.run(
+        [sys.executable, "-c", HASHLIB_CHECK], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0 and proc.stdout == "True\n", proc.stderr

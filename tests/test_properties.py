@@ -2,12 +2,14 @@
 
 The references here are written per row, on label names, the way the
 batched code is not: a one-hot vector built level by level, an edit as
-a changed label, and the closed-form mcce effect of one edit. The approx,
-effects-file and JSONL-reader references are earlier per-edit and
-per-row versions of the library code, kept to pin the faster versions
-bit for bit; `synthesize_sample` is the per-sample reference of the
-generator, and a left-to-right sum of Python floats the reference of
-the fixed-order sums that it and the batched generator share.
+a changed label, and the closed-form mcce effect of one edit. The approx
+reference works one edit at a time on label tuples and Python ints, and
+the S-Learner reference sums its Hessian over every row. The
+effects-file and JSONL-reader references are earlier per-row versions
+of the library code, kept to pin the faster versions bit for bit;
+`synthesize_sample` is the per-sample reference of the generator, and a
+left-to-right sum of Python floats the reference of the fixed-order
+sums that it and the batched generator share.
 """
 
 import contextlib
@@ -39,6 +41,7 @@ from mcce import (
     explain_mcce,
     explain_slearner,
     fit_mcce,
+    fit_slearner,
     generate,
     get_distance,
     global_report,
@@ -74,7 +77,7 @@ from mcce.data import (
     write_jsonl,
 )
 from mcce.cli import _explain, _pair_seeds, main
-from mcce.explainers import _EFFECT_TYPES, seeded_index
+from mcce.explainers import _EFFECT_TYPES, SLEARNER_GRAD_TOL, SLEARNER_MAX_ITER
 from mcce.errors import ValidationError
 from mcce.linalg import lstsq
 from mcce.synthetic import _one_hot_product, _scores
@@ -302,27 +305,20 @@ def test_explain_match_equals_the_match_by_name(problem, method, data):
     assert np.array_equal(match, match_effects(effects, paired))
 
 
-# --- approx: the per-edit implementation it replaced -----------------------------
+# --- approx: a per-edit reference on label tuples --------------------------------
 
 
 def reference_explain_approx(dataset, row, attribute, to, seed):
-    """explain_approx as it was: the visible mask, key and bisection redone per edit."""
-    sizes = dataset.schema.sizes
-    visible = dataset.schema.visible_mask(dataset.hidden_attributes)
-    target = dataset.codes[row].copy()
+    """One approx edit on Python tuples and ints: candidates in row order, the tie by multiply-shift."""
+    visible = np.flatnonzero(dataset.schema.visible_mask(dataset.hidden_attributes)).tolist()
+    codes = dataset.codes.tolist()
+    target = list(codes[row])
     target[attribute] = to
-    target = target[visible]
-    profiles = np.ravel_multi_index(dataset.codes[:, visible].T, sizes[visible])
-    order = np.argsort(profiles, kind="stable")
-    profiles = profiles[order]
-    key = np.ravel_multi_index(target, sizes[visible])
-    positions = order[np.searchsorted(profiles, key) : np.searchsorted(profiles, key, "right")]
-    fallback = positions.size == 0
-    if fallback:
-        distance = np.sum(dataset.codes[:, visible] != target, axis=1)
-        positions = np.flatnonzero(distance == distance.min())
-    rng = np.random.default_rng(seed)
-    choice = positions[int(rng.integers(len(positions)))]
+    target = [target[a] for a in visible]
+    distance = [sum(r[a] != t for a, t in zip(visible, target)) for r in codes]
+    fallback = min(distance) > 0
+    candidates = [i for i, d in enumerate(distance) if d == min(distance)]
+    choice = candidates[(seed * len(candidates)) >> 64]
     return dataset.outputs[choice] - dataset.outputs[row], fallback
 
 
@@ -332,13 +328,18 @@ def approx_problems(draw):
 
     With at most 30 rows over up to 5^5 profiles many edits find no exact
     match (the fallback path); edits of hidden attributes are included.
+    Some schemas add 64 visible two-level attributes, so that profiles
+    pass 2**63 and key as Python ints.
     """
     level_counts = draw(st.lists(st.integers(2, 5), min_size=1, max_size=5))
+    flags = draw(st.lists(st.booleans(), min_size=len(level_counts), max_size=len(level_counts)))
+    assume(not all(flags))
+    if draw(st.booleans()):
+        level_counts += [2] * 64
+        flags += [False] * 64
     schema = ConceptSchema.of(
         (f"a{i}", tuple(f"l{j}" for j in range(count))) for i, count in enumerate(level_counts)
     )
-    flags = draw(st.lists(st.booleans(), min_size=len(level_counts), max_size=len(level_counts)))
-    assume(not all(flags))
     hidden = frozenset(name for name, flag in zip(schema.names, flags) if flag)
     n = draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -357,7 +358,7 @@ def approx_problems(draw):
     rows = rng.integers(n, size=m).tolist()
     attribute = rng.integers(len(level_counts), size=m).tolist()
     to = [int(rng.integers(schema.sizes[a])) for a in attribute]
-    seeds = rng.integers(2**63, size=m).tolist()
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=m, max_size=m))
     return dataset, rows, attribute, to, seeds
 
 
@@ -365,43 +366,77 @@ def approx_problems(draw):
 @given(approx_problems())
 def test_explain_approx_matches_per_edit_reference(problem):
     dataset, rows, attribute, to, seeds = problem
-    index = build_label_index(dataset)
     visible = dataset.schema.visible_mask(dataset.hidden_attributes)
+    got = explain_approx(dataset, rows, attribute, to, seeds)
+    again = explain_approx(dataset, rows, attribute, to, seeds, build_label_index(dataset))
+    assert again.effect.tobytes() == got.effect.tobytes()
+    assert np.array_equal(again.flags, got.flags)
     for i, (row, a, t, seed) in enumerate(zip(rows, attribute, to, seeds)):
         want_effect, want_fallback = reference_explain_approx(dataset, row, a, t, seed)
-        # the first edit also builds its own index, as a one-off call does
-        got = explain_approx(dataset, row, a, t, seed, index=None if i == 0 else index)
-        assert got.fallback is want_fallback
-        assert got.effect.tobytes() == want_effect.tobytes()
-        assert visible[a] or not got.fallback  # a hidden edit keeps the row's own profile
+        assert got.flags[i] == want_fallback
+        assert got.effect[i].tobytes() == want_effect.tobytes()
+        assert visible[a] or not got.flags[i]  # a hidden edit keeps the row's own profile
+    assert got.fallback == sum(got.flags.tolist())
 
 
-# Counts in [2**31, 2**32] make numpy's rejection step, and so the
-# fallback to numpy, likely; counts past 2**32 take numpy's 64-bit path.
-draw_counts = st.one_of(
-    st.integers(2**31, 2**32), st.integers(1, 2**32 + 2**20), st.integers(1, 64), st.just(2**32)
-)
+# --- S-Learner: Newton steps over every fit row ------------------------------------
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.integers(0, 2**64 - 1), draw_counts)
-def test_seeded_index_equals_numpy_draw(seed, count):
-    want = int(np.random.default_rng(seed).integers(count))
-    assert seeded_index(seed, count) == want
-    assert seeded_index(seed, count) == want  # from the cached first output
-    assert seeded_index(np.uint64(seed), np.int64(count)) == want
+def reference_fit_slearner(dataset):
+    """(weights, bias, iterations): fit_slearner with a Hessian summed over every row's Kronecker product."""
+    rows = dataset.fit_rows
+    Xa = np.hstack([dataset.design_matrix(rows), np.ones((rows.size, 1))])
+    T = softmax(dataset.outputs[rows])
+    (n, m), q = Xa.shape, T.shape[1]
+
+    def loss_at(W):
+        z = Xa @ W
+        z -= z.max(axis=1, keepdims=True)
+        return float(-np.mean(np.sum(T * (z - np.log(np.exp(z).sum(axis=1, keepdims=True))), axis=1)))
+
+    W, iterations = np.zeros((m, q)), 0
+    loss = loss_at(W)
+    while iterations < SLEARNER_MAX_ITER:
+        P = softmax(Xa @ W)
+        G = Xa.T @ (P - T) / n
+        if np.max(np.abs(G)) < SLEARNER_GRAD_TOL:
+            break
+        H = sum(np.kron(np.diag(p) - np.outer(p, p), np.outer(x, x)) for p, x in zip(P, Xa)) / n
+        step = lstsq(H, G.T.reshape(-1, 1)).coefficients.reshape(q, m).T
+        slack = 1e-13 * max(1.0, abs(loss))
+        for _ in range(50):
+            trial = loss_at(W - step)
+            if trial <= loss + slack:
+                W, loss, iterations = W - step, trial, iterations + 1
+                break
+            step = step / 2
+        else:
+            break
+    return W[:-1], W[-1], iterations
 
 
-def test_seeded_index_covers_the_rejection_case():
-    """Seeds whose multiply-shift lands in numpy's rejection zone still draw as numpy does."""
-    count = 3 * 2**30
-    checked = 0
-    for seed in range(2000):
-        w = int(np.random.PCG64(seed).random_raw()) & 0xFFFFFFFF
-        if (w * count) & 0xFFFFFFFF < count:
-            assert seeded_index(seed, count) == int(np.random.default_rng(seed).integers(count))
-            checked += 1
-    assert checked > 100
+@settings(max_examples=60, deadline=None)
+@given(masked_datasets(), st.data())
+def test_slearner_on_distinct_rows_equals_the_per_row_newton_fit(problem, data):
+    dataset = problem[0]
+    assume(dataset.outputs.shape[1] >= 2)
+    repeat = data.draw(st.lists(st.integers(0, len(dataset) - 1), max_size=40))
+    rows = np.concatenate([np.arange(len(dataset)), repeat]).astype(np.int64)  # rows again, other targets
+    dataset = Dataset(
+        dataset.schema,
+        [f"r{i}" for i in range(rows.size)],
+        dataset.codes[rows],
+        dataset.embeddings[rows],
+        np.random.default_rng(rows.size).standard_normal((rows.size, dataset.outputs.shape[1])),
+        hidden_attributes=dataset.hidden_attributes,
+    )
+    weights, bias, iterations = reference_fit_slearner(dataset)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a fit that hits the cap warns in both
+        model = fit_slearner(dataset)
+    assert model.iterations == iterations
+    assert np.allclose(model.weights, weights, rtol=1e-9, atol=1e-9)
+    assert np.allclose(model.bias, bias, rtol=1e-9, atol=1e-9)
 
 
 # --- effects file: the per-row writer of its layout --------------------------------
