@@ -21,8 +21,10 @@ samples.embedding.npy, samples.logits.npy
     a softmax at load time.
 
 pairs.jsonl
-    {"meta": {"columns": ["original_id", "edited_id", "attribute", "from", "to"]}}
-    ["s000001", "s000001__food__neg", "food", "pos", "neg"]
+    {"meta": {"columns": ["original_id", "edited_id"]}}
+    ["s000001", "s000001__food__neg"]
+    Each pair is two sample ids whose labels differ in exactly one
+    attribute; that difference is the edit, and no file states it again.
 
 Every JSONL file is a table: line 1 is a meta object that names the
 columns, and each later line is the array of one row's values in that
@@ -34,11 +36,11 @@ for a float column, is an error at its line 1.
 
 In memory a `Dataset` holds columns: sample ids, an (n, n_attrs) matrix
 of level codes (each an index into its attribute's levels), embeddings,
-outputs and gold labels, plus `EditPairs` whose names are resolved to
-row, attribute and code indices once, at construction. Rows keep their
-complete labels even when attributes are masked; masking is a view
-(`Dataset.mask`), and `design_matrix` is where the mask takes effect:
-it one-hot encodes the visible attributes only.
+outputs and gold labels, plus `EditPairs` of row indices, whose edits
+(attribute and level code) are read off the two rows' codes once, at
+construction. Rows keep their complete labels even when attributes are
+masked; masking is a view (`Dataset.mask`), and `design_matrix` is where
+the mask takes effect: it one-hot encodes the visible attributes only.
 
 This is the one module that knows JSON, JSONL, .npy and CSV syntax.
 Models, effects, ground truth, configs, reports and predictions are
@@ -61,7 +63,7 @@ import json
 import os
 import tempfile
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
@@ -346,20 +348,26 @@ def one_hot(schema: ConceptSchema, codes, hidden=frozenset()) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EditPairs:
-    """Edit pairs as columns: row `edited[i]` is row `original[i]` with
-    attribute `attribute[i]` set to level code `to[i]`, all indices into
-    the owning dataset."""
+    """Edit pairs as columns of row indices into the owning dataset: the
+    labels of rows `original[i]` and `edited[i]` differ in exactly one
+    attribute, and that difference is the edit.
+
+    A pair is built from its two rows alone. The `Dataset` that owns it
+    reads each edit off the rows' level codes and holds pairs whose
+    `attribute[i]` is the index of the attribute that differs and
+    `to[i]` the edited row's code of it; until then both are None.
+    """
 
     original: np.ndarray = ()
     edited: np.ndarray = ()
-    attribute: np.ndarray = ()
-    to: np.ndarray = ()
+    attribute: np.ndarray | None = field(default=None, init=False)
+    to: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
-        for name in ("original", "edited", "attribute", "to"):
+        for name in ("original", "edited"):
             column = np.asarray(getattr(self, name), dtype=np.int64).reshape(-1)
             object.__setattr__(self, name, column)
-        if not self.original.size == self.edited.size == self.attribute.size == self.to.size:
+        if self.original.size != self.edited.size:
             raise ValidationError("edit pair columns differ in length")
 
     def __len__(self) -> int:
@@ -384,7 +392,7 @@ def _matrix(value, ids: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-# Sorted ids, and pairs, that `Dataset` checks at a time.
+# Sorted ids that `Dataset` checks for duplicates at a time.
 _CHECK_ROWS = 4096
 
 
@@ -431,24 +439,26 @@ class Dataset:
         if gold.size != ids.size or np.any(gold < -1):
             raise ValidationError("gold labels need one value >= 0 (or -1 for none) per sample")
 
-        p = self.pairs
+        # each pair's edit is the one attribute whose codes differ, found a column at a time
+        p = self.pairs = EditPairs(self.pairs.original, self.pairs.edited)  # a copy to hold the edits
         rows = np.concatenate([p.original, p.edited])
-        out_of_range = np.any((rows < 0) | (rows >= ids.size))
-        if out_of_range or np.any((p.attribute < 0) | (p.attribute >= n_attrs)):
-            raise ValidationError("edit pairs reference rows or attributes out of range")
-        if np.any((p.to < 0) | (p.to >= schema.sizes[p.attribute])):
-            raise ValidationError("edit pairs set a level code out of range")
-        for start in range(0, len(p), _CHECK_ROWS):  # not two copies of every pair's codes
-            block = slice(start, start + _CHECK_ROWS)
-            original, edited, attribute = p.original[block], p.edited[block], p.attribute[block]
-            diff = codes[original] != codes[edited]
-            diff[np.arange(original.size), attribute] = codes[edited, attribute] != p.to[block]
-            if diff.any():
-                i, a = np.argwhere(diff)[0]
-                raise ValidationError(
-                    f"pair {str(ids[original[i]])!r}->{str(ids[edited[i]])!r}: label for "
-                    f"{schema.names[a]!r} does not match the edit"
-                )
+        if np.any((rows < 0) | (rows >= ids.size)):
+            raise ValidationError("edit pairs reference rows out of range")
+        changed, attribute = np.zeros((2, len(p)), dtype=np.int64)
+        for a in range(n_attrs):
+            moved = codes[p.original, a] != codes[p.edited, a]
+            changed += moved
+            attribute[moved] = a
+        bad = np.flatnonzero(changed != 1)
+        if bad.size:
+            original, edited = p.original[bad[0]], p.edited[bad[0]]
+            differ = ", ".join(map(repr, compress(schema.names, codes[original] != codes[edited])))
+            raise ValidationError(
+                f"pair {str(ids[original])!r}->{str(ids[edited])!r}: labels differ in "
+                f"{differ or 'no attribute'}, not in exactly one"
+            )
+        object.__setattr__(p, "attribute", attribute)
+        object.__setattr__(p, "to", codes[p.edited, attribute])
         factual = np.ones(ids.size, dtype=bool)
         factual[p.edited] = False
         self.fit_rows = np.flatnonzero(factual)
@@ -462,13 +472,14 @@ class Dataset:
         `labels` has one row of level names per id, one name per
         attribute in schema order, as samples.jsonl's `concepts` column
         holds them; `gold` has one int or None per row; each pair is
-        (original_id, edited_id, attribute, from_level, to_level).
+        (original_id, edited_id), as pairs.jsonl holds them, and its
+        edit is read off the two rows' labels.
         """
         ids = np.asarray(ids, dtype=str).reshape(-1)
         codes = _label_codes(schema, ids, labels)
         gold = None if gold is None else _gold_labels(gold)
-        names = (np.asarray(column, dtype=str).tolist() for column in zip(*pairs))
-        pairs = _resolve_pairs(schema, _row_index(ids.tolist()), codes, names)
+        names = [np.asarray(column, dtype=str).tolist() for column in zip(*pairs)] or [[], []]
+        pairs = EditPairs(*_pair_rows(_row_index(ids.tolist()), *names))
         return cls(schema, ids, codes, embeddings, outputs, gold, pairs)
 
     # -- views ------------------------------------------------------------
@@ -587,50 +598,20 @@ def _row_index(ids: list) -> dict:
     return dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
 
 
-def _pair_indices(schema: ConceptSchema, row_of: dict, columns) -> list[np.ndarray]:
-    """Original and edited rows, attribute and from and to codes of the pairs in `columns`.
+def _pair_rows(row_of: dict, original_ids: list, edited_ids: list) -> list[np.ndarray]:
+    """Rows of the pairs' original and edited sample ids, each id one dict lookup in `row_of`.
 
-    `columns` are the five name columns (original_id, edited_id,
-    attribute, from, to). Each name is one dict lookup: `row_of` maps
-    sample ids to rows (see `_row_index`), and attribute and level names
-    go through `ConceptSchema.attribute_indices` and `level_codes`. An
-    unknown name gives -1.
+    `row_of` maps sample ids to rows (see `_row_index`). An unknown id
+    raises, naming the first pair at fault.
     """
-    original_ids, edited_ids, attributes, from_levels, to_levels = columns
-    m = len(original_ids)
-
-    def rows(ids) -> np.ndarray:
-        return np.fromiter(map(row_of.get, ids, repeat(-1)), np.int64, m)
-
-    attribute = schema.attribute_indices(attributes)
-    return [
-        rows(original_ids), rows(edited_ids), attribute,
-        schema.level_codes(attribute, from_levels), schema.level_codes(attribute, to_levels),
-    ]
-
-
-def _resolve_pairs(schema: ConceptSchema, row_of: dict, codes: np.ndarray, columns) -> EditPairs:
-    """Edit pairs from their five name columns (see `_pair_indices`).
-
-    A name that is unknown, or a from level that is not the original's,
-    raises naming the first pair at fault: unknown samples first, then
-    attributes, then levels.
-    """
-    cols = [list(col) for col in columns] or [[]] * 5
-    original, edited, attribute, from_codes, to = _pair_indices(schema, row_of, cols)
-    for rows, wanted in ((original, cols[0]), (edited, cols[1])):
-        if np.any(rows < 0):
-            raise ValidationError(f"pair references unknown sample {wanted[np.argmin(rows)]!r}")
-    if np.any(attribute < 0):
-        raise ValidationError(f"pair names unknown attribute {cols[2][np.argmin(attribute)]!r}")
-    bad = (from_codes < 0) | (to < 0) | (from_codes != codes[original, attribute])
-    if bad.any():
-        i = np.argmax(bad)
-        raise ValidationError(
-            f"pair {cols[0][i]!r}->{cols[1][i]!r}: illegal level, or the original's "
-            f"{cols[2][i]!r} label is not {cols[3][i]!r}"
-        )
-    return EditPairs(original, edited, attribute, to)
+    rows = [np.fromiter(map(row_of.get, ids, repeat(-1)), np.int64, len(ids))
+            for ids in (original_ids, edited_ids)]
+    unknown = (rows[0] < 0) | (rows[1] < 0)
+    if unknown.any():
+        i = np.argmax(unknown)
+        name = (original_ids if rows[0][i] < 0 else edited_ids)[i]
+        raise ValidationError(f"pair references unknown sample {name!r}")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -814,12 +795,12 @@ def _header(
 
     `first` is None when line 1 is blank or absent. It must be
     `{"meta": {...}}`, whose object lists the table's columns in
-    `columns`: distinct strings that include every key of `types`
-    without a default, and no key of `arrays`. Under each key of
-    `arrays` it names the .npy file, in the directory of `path`, that
-    holds that column; array files maps each such key to its file's
-    path. Each key of `fixed` must hold that value. The metadata is the
-    rest of the meta object.
+    `columns`: distinct keys of `types` that include every one without
+    a default, and no key of `arrays`. Under each key of `arrays` it
+    names the .npy file, in the directory of `path`, that holds that
+    column; array files maps each such key to its file's path. Each key
+    of `fixed` must hold that value. The metadata is the rest of the
+    meta object.
     """
     files = ", ".join(map(repr, arrays))
     needs = "must list 'columns'" + (f" and name the .npy file of {files}" if arrays else "")
@@ -839,6 +820,11 @@ def _header(
     twice = [key for key in arrays if key in names]
     if twice:
         raise ValidationError(f"{path}:1: column {twice[0]!r} is both in 'meta.columns' and in a file")
+    unknown = [key for key in names if key not in types]
+    if unknown:
+        raise ValidationError(
+            f"{path}:1: unknown column {unknown[0]!r}; the columns are {', '.join(types)}"
+        )
     missing = [key for key in types if key not in names and key not in defaults]
     if missing:
         raise ValidationError(f"{path}:1: 'meta.columns' lacks the required column {missing[0]!r}")
@@ -1129,8 +1115,7 @@ def _sample_spec(schema: ConceptSchema) -> tuple[dict, dict]:
 
 # The float columns of samples.jsonl, each a .npy file beside it.
 _SAMPLE_ARRAYS = ("embedding", "logits")
-_PAIR_KEYS = ("original_id", "edited_id", "attribute", "from", "to")
-_PAIR_TYPES = dict.fromkeys(_PAIR_KEYS, "string")
+_PAIR_TYPES = dict.fromkeys(("original_id", "edited_id"), "string")
 
 
 def load_dataset(
@@ -1147,9 +1132,11 @@ def load_dataset(
     With space="probability" a softmax is applied to every output row.
     The samples meta line must name the schema's attributes in schema
     order. Each chunk of samples has its labels turned into level codes,
-    and each chunk of pairs its names into indices, by the conversions
+    and each chunk of pairs its sample ids into rows, by the conversions
     that `Dataset.from_records` uses, before the next chunk is read, so
-    no file is held as row objects whole.
+    no file is held as row objects whole; an unknown id raises from the
+    chunk that holds it. Each pair's edit is read off its two rows'
+    codes when the `Dataset` is built.
     """
     schema = load_schema(schema_path)
     types, fixed = _sample_spec(schema)
@@ -1167,17 +1154,11 @@ def load_dataset(
     if pairs_path is not None:
         row_of = _row_index(ids)
 
-        def indices(chunk: dict) -> dict:
-            return dict(zip(_PAIR_KEYS, _pair_indices(schema, row_of, chunk.values())))
+        def rows(chunk: dict) -> dict:
+            return dict(zip(_PAIR_TYPES, _pair_rows(row_of, *chunk.values())))
 
-        _, columns = read_jsonl(pairs_path, "pairs", _PAIR_TYPES, convert=indices)
-        original, edited, attribute, from_codes, to = columns.values()
-        unknown = any(np.any(column < 0) for column in columns.values())
-        if unknown or np.any(from_codes != codes[original, attribute]):
-            # read the names again, so that the error names the file's first pair at fault
-            _, names = read_jsonl(pairs_path, "pairs", _PAIR_TYPES)
-            _resolve_pairs(schema, row_of, codes, names.values())
-        pairs = EditPairs(original, edited, attribute, to)
+        _, columns = read_jsonl(pairs_path, "pairs", _PAIR_TYPES, convert=rows)
+        pairs = EditPairs(*columns.values())
     return Dataset(schema, ids, codes, embeddings, outputs, gold, pairs).to_space(space)
 
 
@@ -1186,7 +1167,7 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
 
     Returns the path of each file, keyed "schema", "samples", "embedding",
     "logits" and "pairs". Floats round-trip bit-exactly through
-    `load_dataset`. Label and name columns are built a chunk at a time
+    `load_dataset`. Label and id columns are built a chunk at a time
     (`_Slices`), so no whole column of strings is held.
     """
     if dataset.space != SPACE_LOGIT:
@@ -1201,7 +1182,7 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
     }
     schema, ids, codes, p = dataset.schema, dataset.ids, dataset.codes, dataset.pairs
     write_json(paths["schema"], schema.to_obj())
-    attributes, names, gold = np.arange(len(schema.names)), np.array(schema.names), dataset.gold
+    attributes, gold = np.arange(len(schema.names)), dataset.gold
     samples = {
         "id": ids,
         "concepts": _Slices(ids.size, lambda rows: schema.level_names(attributes, codes[rows])),
@@ -1209,14 +1190,8 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
     }
     arrays = dict(zip(_SAMPLE_ARRAYS, (dataset.embeddings, dataset.outputs)))
     write_jsonl(samples_path, samples, _sample_spec(schema)[1], arrays)
-    pairs = (
-        lambda rows: ids[p.original[rows]],
-        lambda rows: ids[p.edited[rows]],
-        lambda rows: names[p.attribute[rows]],
-        lambda rows: schema.level_names(p.attribute[rows], codes[p.original[rows], p.attribute[rows]]),
-        lambda rows: schema.level_names(p.attribute[rows], p.to[rows]),
-    )
-    write_jsonl(paths["pairs"], {key: _Slices(len(p), take) for key, take in zip(_PAIR_KEYS, pairs)})
+    pairs = (lambda rows: ids[p.original[rows]], lambda rows: ids[p.edited[rows]])
+    write_jsonl(paths["pairs"], {key: _Slices(len(p), take) for key, take in zip(_PAIR_TYPES, pairs)})
     return paths
 
 

@@ -172,7 +172,6 @@ class SynthGroundTruth:
     """
 
     outcome_coef: np.ndarray
-    seed: int = 0
     hidden: tuple[str, ...] = ()
     draws: np.ndarray | None = field(default=None, repr=False)
 
@@ -294,7 +293,7 @@ def generate(config: SynthConfig) -> tuple[Dataset, SynthGroundTruth]:
         hidden_attributes=config.hidden,
     )
     hidden = tuple(sorted(config.hidden))
-    truth = SynthGroundTruth(config.outcome_coef.copy(), config.seed, hidden, draws)
+    truth = SynthGroundTruth(config.outcome_coef.copy(), hidden, draws)
     return dataset, truth
 
 
@@ -368,7 +367,7 @@ def make_pairs(
         ids[rows] = np.char.add(dataset.ids[source], suffix)
     return Dataset(
         dataset.schema, ids, codes, embeddings, outputs, gold,
-        EditPairs(original, np.arange(n, total), attribute, to),
+        EditPairs(original, np.arange(n, total)),
         hidden_attributes=dataset.hidden_attributes,
         space=dataset.space,
     )
@@ -544,21 +543,16 @@ def load_synth_config(path: str | Path) -> tuple[SynthConfig, int]:
 
 
 def save_ground_truth(truth: SynthGroundTruth, path: str | Path) -> Path:
-    """Write ground_truth.json: `outcome_coef`, `seed` and `hidden`."""
-    obj = {
-        "outcome_coef": truth.outcome_coef.tolist(),
-        "seed": truth.seed,
-        "hidden": list(truth.hidden),
-    }
-    return write_json(path, obj)
+    """Write ground_truth.json: `outcome_coef` and `hidden`."""
+    return write_json(path, {"outcome_coef": truth.outcome_coef.tolist(), "hidden": list(truth.hidden)})
 
 
 def load_ground_truth(path: str | Path) -> SynthGroundTruth:
-    """Read ground_truth.json; `outcome_coef`, `seed` and `hidden` are required.
+    """Read ground_truth.json; `outcome_coef` and `hidden` are required.
 
-    Other keys are ignored: older files also hold "clean_logits",
-    "labels" or "pairs", and the oracle recomputes what they held. The
-    noise draws are not saved (`draws` is None).
+    Other keys are ignored: older files also hold "seed", which no
+    command read, and "clean_logits", "labels" or "pairs", which the
+    oracle recomputes. The noise draws are not saved (`draws` is None).
     """
     obj = read_json(path, "ground truth")
     try:
@@ -569,6 +563,5 @@ def load_ground_truth(path: str | Path) -> SynthGroundTruth:
         raise ValidationError(f"{path}: malformed ground truth ({exc})") from exc
     if coef.ndim != 2 or not np.isfinite(coef).all():
         raise ValidationError(f"{path}: 'outcome_coef' must be a matrix of finite numbers")
-    seed = json_field(obj, "seed", "integer", path)
     hidden = tuple(json_field(obj, "hidden", "strings", path))
-    return SynthGroundTruth(coef, seed, hidden)
+    return SynthGroundTruth(coef, hidden)

@@ -96,7 +96,7 @@ SYNTH_FILES = ("schema.json", "samples.jsonl", "samples.embedding.npy", "samples
 
 GOLDEN_DIGESTS = {
     "samples.jsonl": "ac3ddfa981ce7b3e742187b85d22a3136e42aa8d07c5a874a7c8556a7c17bce4",
-    "pairs.jsonl": "8e03ee7560c0086b172b5e032266cf6149e70bde8c325a65738b8cc35251e25e",
+    "pairs.jsonl": "c038cfaed337dc76179e0426f4200e8b589a2f100d757ed790397a466655901a",
     "samples.embedding.npy": "e8147f8ae5ef762a6806c9fbfe2f6867e6b86bd472598f9c92b2144c32c3e32a",
     "samples.logits.npy": "2a811e2e4c32de05d33db416246f7d7a3129c1e98d772230588fe575111aed94",
 }
@@ -180,7 +180,7 @@ class TestSynth:
         assert run("synth", "--config", config, "--out", tmp_path / "d") == 0
         # the file is still written so downstream commands can always pass
         # --pairs; it simply has no rows
-        columns = '["original_id", "edited_id", "attribute", "from", "to"]'
+        columns = '["original_id", "edited_id"]'
         assert (tmp_path / "d" / "pairs.jsonl").read_text() == f'{{"meta": {{"columns": {columns}}}}}\n'
 
 
@@ -447,9 +447,9 @@ class TestExplainEvaluate:
         ) == 0
         capsys.readouterr()
         meta = json.loads(effects.read_text().splitlines()[0])["meta"]
-        n_ambiance = sum(
-            1 for row in read_table(synth_dir / "pairs.jsonl") if row["attribute"] == "ambiance"
-        )
+        dataset = mcce.load_dataset(*(synth_dir / name for name in ("samples.jsonl", "pairs.jsonl",
+                                                                    "schema.json")))
+        n_ambiance = int(np.sum(dataset.pairs.attribute == dataset.schema.names.index("ambiance")))
         assert meta["pairs_skipped"] == n_ambiance > 0
         assert meta["pairs_total"] == 150
 
@@ -1053,9 +1053,6 @@ class TestLoaderErrors:
     @pytest.mark.parametrize(
         "key, bad, kind",
         [
-            ("seed", "3", "integer"),
-            ("seed", 2.7, "integer"),
-            ("seed", True, "integer"),
             ("hidden", "ab", "a list of strings"),
             ("hidden", [1], "a list of strings"),
         ],
@@ -1070,14 +1067,31 @@ class TestLoaderErrors:
         assert f"ground_truth.json: {key!r} must be {kind}" in err and "Traceback" not in err
         assert not (tmp_path / "e.jsonl").exists()
 
-    @pytest.mark.parametrize("key", ["seed", "hidden"])
-    def test_ground_truth_requires_seed_and_hidden(self, synth_dir, tmp_path, capsys, key):
+    def test_ground_truth_requires_hidden(self, synth_dir, tmp_path, capsys):
         obj = json.loads((synth_dir / "ground_truth.json").read_text())
-        del obj[key]
+        del obj["hidden"]
         assert self.oracle(synth_dir, tmp_path, json.dumps(obj)) == 2
         err = capsys.readouterr().err
-        assert f"ground_truth.json: missing required key {key!r}" in err and "Traceback" not in err
+        assert "ground_truth.json: missing required key 'hidden'" in err and "Traceback" not in err
         assert not (tmp_path / "e.jsonl").exists()
+
+    @pytest.mark.parametrize("edited", ["itself", "a row with other labels"])
+    def test_pairs_must_change_exactly_one_label(self, synth_dir, tmp_path, capsys, edited):
+        samples = read_table(synth_dir / "samples.jsonl")
+        rows = read_table(synth_dir / "pairs.jsonl")
+        first = next(row["concepts"] for row in samples if row["id"] == rows[0]["original_id"])
+        if edited == "itself":
+            rows[0]["edited_id"], differ = rows[0]["original_id"], "no attribute"
+        else:
+            other = next(row for row in samples if sum(first[a] != row["concepts"][a] for a in first) == 2)
+            rows[0]["edited_id"] = other["id"]
+            differ = ", ".join(repr(a) for a in first if first[a] != other["concepts"][a])
+        pairs = write_table(tmp_path / "pairs.jsonl", rows)
+        out = tmp_path / "m.json"
+        assert run("fit", *dataset_flags(synth_dir)[:4], "--pairs", pairs, "--out", out) == 2
+        err = capsys.readouterr().err
+        message = f"pair {rows[0]['original_id']!r}->{rows[0]['edited_id']!r}: labels differ in {differ},"
+        assert message in err and "Traceback" not in err and not out.exists()
 
     def test_ground_truth_hidden_must_name_schema_attributes(self, synth_dir, tmp_path, capsys):
         obj = json.loads((synth_dir / "ground_truth.json").read_text())
@@ -1112,8 +1126,9 @@ class TestLoaderErrors:
         expected = (tmp_path / "e.jsonl").read_bytes()
         obj = json.loads(text)
         # files written before the oracle was computed from outcome_coef
-        # also held each row's clean logits, keyed by sample id
-        obj["labels"], obj["pairs"] = {}, []
+        # also held each row's clean logits, keyed by sample id; older files
+        # also held the data seed, which no command read
+        obj["labels"], obj["pairs"], obj["seed"] = {}, [], 5
         obj["clean_logits"] = {"s000000": [0.0] * len(obj["outcome_coef"][0])}
         assert self.oracle(synth_dir, tmp_path, json.dumps(obj)) == 0
         assert (tmp_path / "e.jsonl").read_bytes() == expected
@@ -1371,6 +1386,8 @@ class TestTableLayout:
         (set_columns([*SAMPLE_COLUMNS, "id"]), ":1: 'meta.columns' must be a list of distinct strings"),
         (set_columns([1, *SAMPLE_COLUMNS[1:]]), ":1: 'meta.columns' must be a list of distinct strings"),
         (drop_column("concepts"), ":1: 'meta.columns' lacks the required column 'concepts'"),
+        # a misspelled optional column once read as its default: every gold label null
+        (set_columns(["id", "concepts", "gld"]), ":1: unknown column 'gld'; the columns are id, concepts, gold"),
         (edit_line(3, lambda row: row[:-1]), ":3: expected a JSON array of 3 values, one per column"),
         (edit_line(3, lambda row: "s"), ":3: expected a JSON array of 3 values, one per column"),
         (edit_line(3, lambda row: dict(zip(SAMPLE_COLUMNS, row))),
@@ -1445,6 +1462,16 @@ class TestOlderLayouts:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    def test_pairs_that_state_their_edit(self, synth_dir, tmp_path, capsys):
+        # before an edit was read off the two rows' labels, each pair also stated it
+        rows = read_table(synth_dir / "pairs.jsonl")
+        stated = [{**row, "attribute": "food", "from": "pos", "to": "neg"} for row in rows]
+        pairs = write_table(tmp_path / "pairs.jsonl", stated)
+        assert run("fit", *dataset_flags(synth_dir)[:4], "--pairs", pairs, "--out", tmp_path / "m.json") == 2
+        err = capsys.readouterr().err
+        message = "pairs.jsonl:1: unknown column 'attribute'; the columns are original_id, edited_id"
+        assert message in err and "Traceback" not in err
+
     def test_an_empty_samples_file_lacks_its_meta_line(self, synth_dir, tmp_path, capsys):
         samples = write_lines(tmp_path / "samples.jsonl", [])
         flags = ["--schema", synth_dir / "schema.json", "--samples", samples]
@@ -1499,11 +1526,11 @@ class TestNulInNames:
 
     def test_pairs(self, synth_dir, tmp_path, capsys):
         rows = read_table(synth_dir / "pairs.jsonl")
-        rows[0]["to"] = nul(rows[0]["to"])
+        rows[0]["edited_id"] = nul(rows[0]["edited_id"])
         pairs = write_table(tmp_path / "pairs.jsonl", rows)
         assert self.fit(synth_dir, tmp_path, pairs=pairs) == 2
         err = capsys.readouterr().err
-        assert "pairs.jsonl:2: 'to' must not hold U+0000" in err and "Traceback" not in err
+        assert "pairs.jsonl:2: 'edited_id' must not hold U+0000" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("where, message", [
         ("name", "m.json: attribute names and levels must not hold U+0000"),

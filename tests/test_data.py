@@ -10,6 +10,7 @@ import pytest
 from mcce import (
     ConceptSchema,
     Dataset,
+    EditPairs,
     ValidationError,
     default_config,
     generate,
@@ -40,7 +41,7 @@ def make_sample(sid, labels, emb=(0.0, 1.0), out=(0.5, -0.5), gold=None):
 
 
 def build(samples, pairs=(), schema=SCHEMA):
-    """Dataset from make_sample rows and (original, edited, attribute, from, to) pairs."""
+    """Dataset from make_sample rows and (original id, edited id) pairs."""
     ids, labels, emb, out, gold = zip(*samples) if samples else ((),) * 5
     return Dataset.from_records(schema, ids, labels, emb, out, gold, pairs)
 
@@ -150,7 +151,7 @@ def small_dataset(space="logit"):
         make_sample("s2", ["y", "v"], (0.0, 1.0), (0.5, 0.5), gold=1),
         make_sample("s1e", ["y", "u"], (1.0, 1.0), (1.0, 1.0), gold=1),
     )
-    ds = build(samples, [("s1", "s1e", "a", "x", "y")])
+    ds = build(samples, [("s1", "s1e")])
     return ds.to_space(space) if space != "logit" else ds
 
 
@@ -202,20 +203,31 @@ def test_dataset_rejects_inconsistencies():
         build((make_sample("s1", ["x"]),))  # no label for b
     with pytest.raises(ValidationError):
         build((s1, make_sample("s2", ["x", "u"], emb=(1.0, 2.0, 3.0))))
-    with pytest.raises(ValidationError):
-        build((s1,), pairs=[("s1", "ghost", "a", "x", "y")])
-    # edited sample must carry to_level on the edited attribute
-    bad_edit = make_sample("s1e", ["x", "u"])
-    with pytest.raises(ValidationError):
-        build((s1, bad_edit), pairs=[("s1", "s1e", "a", "x", "y")])
-    # off-attribute labels must agree
-    drift = make_sample("s1e", ["y", "v"])
-    with pytest.raises(ValidationError):
-        build((s1, drift), pairs=[("s1", "s1e", "a", "x", "y")])
-    # from_level must match the original
-    edited = make_sample("s1e", ["y", "u"])
-    with pytest.raises(ValidationError):
-        build((s1, edited), pairs=[("s1", "s1e", "a", "y", "y")])
+    with pytest.raises(ValidationError, match=r"^pair references unknown sample 'ghost'$"):
+        build((s1,), pairs=[("s1", "ghost")])
+
+
+def test_pair_edit_is_read_off_the_two_rows_labels():
+    s1, s2 = make_sample("s1", ["x", "u"]), make_sample("s2", ["x", "w"])
+    ds = build((s1, s2, make_sample("s1e", ["y", "u"])), [("s1", "s1e"), ("s1", "s2")])
+    p = ds.pairs
+    assert (p.original.tolist(), p.edited.tolist()) == ([0, 0], [2, 1])
+    assert (p.attribute.tolist(), p.to.tolist()) == ([0, 1], [1, 2])
+    assert [name.tolist() for name in ds.pair_names(1)] == ["s1", "b", "u", "w"]
+
+
+def test_pairs_must_change_exactly_one_attribute():
+    s1 = make_sample("s1", ["x", "u"])
+    # a self-pair, or a pair of equal labels, changes nothing; once it dropped s1 from the fit
+    with pytest.raises(ValidationError, match=r"^pair 's1'->'s1': labels differ in no attribute"):
+        build((s1, make_sample("s2", ["y", "v"])), pairs=[("s1", "s1")])
+    with pytest.raises(ValidationError, match=r"^pair 's1'->'s1c': labels differ in no attribute"):
+        build((s1, make_sample("s1c", ["x", "u"])), pairs=[("s1", "s1c")])
+    with pytest.raises(ValidationError, match=r"^pair 's1'->'s1e': labels differ in 'a', 'b', not in"):
+        build((s1, make_sample("s1e", ["y", "v"])), pairs=[("s1", "s1e")])
+    zeros = np.zeros((2, 1))
+    with pytest.raises(ValidationError, match="labels differ in no attribute"):
+        Dataset(SCHEMA, ["s0", "s1"], [[0, 0], [1, 1]], zeros, zeros, pairs=EditPairs([0], [0]))
 
 
 def test_space_conversion():
@@ -283,7 +295,7 @@ def write_fixture(tmp_path, sample_rows, lines=()):
     schema.write_text(json.dumps(SCHEMA.to_obj()))
     samples = write_table(tmp_path / "samples.jsonl", sample_rows)
     write_lines(samples, [*samples.read_text().splitlines(), *lines])
-    columns = ["original_id", "edited_id", "attribute", "from", "to"]
+    columns = ["original_id", "edited_id"]
     pairs = write_lines(tmp_path / "pairs.jsonl", [json.dumps({"meta": {"columns": columns}})])
     return samples, pairs, schema
 

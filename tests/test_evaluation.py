@@ -79,7 +79,7 @@ def two_pair_dataset(extra=(), extra_pairs=()):
         ("e2", ["y", "v"], (2.0, 5.0)),
         *extra,
     )
-    pairs = [("o1", "e1", "a", "x", "y"), ("o2", "e2", "a", "x", "y"), *extra_pairs]
+    pairs = [("o1", "e1"), ("o2", "e2"), *extra_pairs]
     ids, labels, outputs = zip(*samples)
     return Dataset.from_records(SCHEMA, ids, labels, np.zeros((len(ids), 1)), outputs, pairs=pairs)
 
@@ -117,7 +117,7 @@ def test_icace_error_macro_averages_groups_equally():
     # second group with a single pair at distance 5; macro mean = (2+5)/2
     ds = two_pair_dataset(
         extra=(("o3", ["x", "u"], (1.0, 1.0)), ("e3", ["x", "v"], (1.0, 1.0))),
-        extra_pairs=[("o3", "e3", "b", "u", "v")],
+        extra_pairs=[("o3", "e3")],
     )
     effects = estimates(("o1", (-1.0, 0.0)), ("o2", (0.0, 6.0)), ("o3", (3.0, 4.0), "b", "u", "v"))
     report = icace_error(effects, ds, "l2")

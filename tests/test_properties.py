@@ -65,7 +65,7 @@ from mcce import (
 from mcce.data import (
     _DOC_JSON,
     _JSON_TYPES,
-    _PAIR_KEYS,
+    _PAIR_TYPES,
     _ROW_JSON,
     _SAMPLE_ARRAYS,
     _header,
@@ -128,6 +128,12 @@ def masked_datasets(draw):
     attribute = rng.choice(visible, size=m)
     to = rng.integers(schema.sizes[attribute])
     return dataset, rows, attribute, to
+
+
+def other_levels(rng, schema, current, attribute):
+    """A level code of each attribute in `attribute` other than the one in `current`, uniform among the rest."""
+    to = rng.integers(schema.sizes[attribute] - 1)
+    return to + (to >= current)
 
 
 def edited_reference(dataset, rows, attribute, to):
@@ -238,19 +244,20 @@ def test_dataset_and_effects_round_trip_bit_exactly(tmp_path_factory, dataset, d
 @settings(max_examples=60, deadline=None)
 @given(masked_datasets(), st.sampled_from(["l2", "cosine", "norm"]))
 def test_icace_error_matches_per_pair_grouping(problem, metric):
-    dataset, rows, attribute, to = problem
+    dataset, rows, attribute, _ = problem
     n, m, q = len(dataset), rows.size, dataset.outputs.shape[1]
+    rng = np.random.default_rng(m)
     # each edit becomes a pair: its row and an appended copy with one label changed
+    to = other_levels(rng, dataset.schema, dataset.codes[rows, attribute], attribute)
     codes = np.vstack([dataset.codes, dataset.codes[rows]])
     codes[n + np.arange(m), attribute] = to
-    rng = np.random.default_rng(m)
     paired = Dataset(
         dataset.schema,
         [f"r{i}" for i in range(n + m)],
         codes,
         np.zeros((n + m, 1)),
         np.vstack([dataset.outputs, rng.standard_normal((m, q))]),
-        pairs=EditPairs(rows, n + np.arange(m), attribute, to),
+        pairs=EditPairs(rows, n + np.arange(m)),
     )
     first = paired.unique_pairs()
     estimates = rng.standard_normal((first.size, q))
@@ -279,7 +286,7 @@ def test_explain_match_equals_the_match_by_name(problem, method, data):
     schema, n = dataset.schema, len(dataset)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     attribute = rng.integers(len(schema.names), size=rows.size)  # hidden attributes too
-    to = rng.integers(schema.sizes[attribute])
+    to = other_levels(rng, schema, dataset.codes[rows, attribute], attribute)
     again = rng.integers(rows.size, size=rng.integers(rows.size + 1))  # some keys twice
     rows, attribute, to = (np.concatenate([c, c[again]]) for c in (rows, attribute, to))
     m = rows.size
@@ -291,7 +298,7 @@ def test_explain_match_equals_the_match_by_name(problem, method, data):
         codes,
         rng.standard_normal((n + m, 2)),
         rng.standard_normal((n + m, dataset.outputs.shape[1])),
-        pairs=EditPairs(rows, n + np.arange(m), attribute, to),
+        pairs=EditPairs(rows, n + np.arange(m)),
         hidden_attributes=dataset.hidden_attributes,
     )
     model = seeds = None
@@ -538,29 +545,19 @@ def test_effects_round_trip_bit_exactly(tmp_path_factory, effects, metadata):
 
 
 def dataset_row_objects(dataset):
-    """Each sample's id, labels in schema order and gold label (None when it has none), and each pair's names."""
+    """Each sample's id, labels in schema order and gold label (None when it has none), and each pair's ids."""
     schema, ids, codes, p = dataset.schema, dataset.ids.tolist(), dataset.codes, dataset.pairs
     samples = []
     for i, sid in enumerate(ids):
         concepts = [levels[codes[i, a]] for a, (_, levels) in enumerate(schema.attributes)]
         gold = int(dataset.gold[i]) if dataset.gold[i] >= 0 else None
         samples.append({"id": sid, "concepts": concepts, "gold": gold})
-    pairs = []
-    for original, edited, a, to in zip(p.original, p.edited, p.attribute, p.to):
-        name, levels = schema.attributes[a]
-        obj = {
-            "original_id": ids[original],
-            "edited_id": ids[edited],
-            "attribute": name,
-            "from": levels[codes[original, a]],
-            "to": levels[to],
-        }
-        pairs.append(obj)
+    pairs = [{"original_id": ids[o], "edited_id": ids[e]} for o, e in zip(p.original, p.edited)]
     return samples, pairs
 
 
 SAMPLE_COLUMNS = ["id", "concepts", "gold"]
-PAIR_COLUMNS = ["original_id", "edited_id", "attribute", "from", "to"]
+PAIR_COLUMNS = ["original_id", "edited_id"]
 ARRAY_FILES = {"embedding": "samples.embedding.npy", "logits": "samples.logits.npy"}
 
 
@@ -585,8 +582,9 @@ def reference_dataset_files(dataset):
 
 
 @st.composite
-def file_datasets(draw):
-    """Random names, floats at the edges of the range, gold on some rows, and edit pairs."""
+def stated_edit_datasets(draw):
+    """(dataset, attribute, to): random names, floats at the edges of the range, gold on some
+    rows, and edit pairs, each edited row its original with `attribute` moved to level `to`."""
     attribute_names = draw(st.lists(names, min_size=1, max_size=3, unique=True))
     level_lists = st.lists(names, min_size=2, max_size=3, unique=True)
     schema = ConceptSchema.of((name, draw(level_lists)) for name in attribute_names)
@@ -595,7 +593,7 @@ def file_datasets(draw):
     codes = np.column_stack([rng.integers(size, size=n) for size in schema.sizes])
     original = rng.integers(max(n, 1), size=m if n else 0)
     attribute = rng.integers(len(schema.names), size=original.size)
-    to = rng.integers(schema.sizes[attribute])
+    to = other_levels(rng, schema, codes[original, attribute], attribute)
     edited_codes = codes[original]
     edited_codes[np.arange(original.size), attribute] = to
     codes = np.concatenate([codes, edited_codes])
@@ -603,15 +601,44 @@ def file_datasets(draw):
     ids = draw(st.lists(names, min_size=rows, max_size=rows, unique=True))
     d, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     gold = draw(st.lists(st.one_of(st.just(-1), st.integers(0, 2**62)), min_size=rows, max_size=rows))
-    return Dataset(
+    dataset = Dataset(
         schema,
         ids,
         codes,
         draw(float_matrices(rows, d)),
         draw(float_matrices(rows, q)),
         gold,
-        EditPairs(original, np.arange(n, rows), attribute, to),
+        EditPairs(original, np.arange(n, rows)),
     )
+    return dataset, attribute, to
+
+
+def file_datasets():
+    return stated_edit_datasets().map(lambda drawn: drawn[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(stated_edit_datasets())
+def test_earlier_pairs_files_without_their_stated_edits_load_the_same_pairs(tmp_path_factory, drawn):
+    dataset, attribute, to = drawn
+    schema, ids, p = dataset.schema, dataset.ids.tolist(), dataset.pairs
+    # each row of pairs.jsonl as earlier versions wrote it: the two ids, then attribute, from and to
+    stated = [
+        [ids[o], ids[e], schema.names[a], schema.attributes[a][1][dataset.codes[o, a]],
+         schema.attributes[a][1][code]]
+        for o, e, a, code in zip(p.original, p.edited, attribute, to)
+    ]
+    paths = save_dataset(dataset, tmp_path_factory.mktemp("pairs"))
+    lines = [{"meta": {"columns": PAIR_COLUMNS}}, *(row[:2] for row in stated)]
+    assert paths["pairs"].read_text(encoding="utf-8") == "".join(_ROW_JSON.encode(v) + "\n" for v in lines)
+    loaded = load_dataset(paths["samples"], paths["pairs"], paths["schema"])
+    q = loaded.pairs
+    assert [q.original.tolist(), q.edited.tolist()] == [p.original.tolist(), p.edited.tolist()]
+    assert [q.attribute.tolist(), q.to.tolist()] == [attribute.tolist(), to.tolist()]
+    names = loaded.pair_names(np.arange(len(q)))
+    assert [list(row) for row in zip(*(column.tolist() for column in names))] == [
+        [row[0], *row[2:]] for row in stated
+    ]
 
 
 @settings(max_examples=150, deadline=None)
@@ -649,7 +676,7 @@ def sized_datasets(draw):
     d, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     gold = np.where(rng.random(rows) < 0.3, -1, rng.integers(0, 2**62, size=rows))
     ids = [f"s{i}" for i in rng.permutation(rows)]
-    pairs = EditPairs(original, np.arange(n, rows), attribute, to)
+    pairs = EditPairs(original, np.arange(n, rows))
     return Dataset(schema, ids, codes, floats(d), floats(q), gold, pairs)
 
 
@@ -807,7 +834,6 @@ def ground_truths(draw):
     """A ground truth whose coefficients hold any finite floats, edge cases included."""
     return SynthGroundTruth(
         draw(float_matrices(draw(st.integers(1, 5)), draw(st.integers(0, 4)))),
-        draw(st.integers(0, 2**63 - 1)),
         tuple(draw(st.lists(names, max_size=3))),
     )
 
@@ -819,17 +845,13 @@ def test_ground_truth_round_trips_bit_exactly(tmp_path_factory, truth):
     path = save_ground_truth(truth, tmp_path_factory.mktemp("truth") / "ground_truth.json")
     back = load_ground_truth(path)
     assert bits(back.outcome_coef) == bits(truth.outcome_coef)
-    assert (back.seed, back.hidden) == (truth.seed, truth.hidden)
+    assert back.hidden == truth.hidden
 
 
 @settings(max_examples=60, deadline=None)
 @given(ground_truths())
 def test_save_ground_truth_bytes_equal_whole_document_encoding(tmp_path_factory, truth):
-    obj = {
-        "outcome_coef": truth.outcome_coef.tolist(),
-        "seed": truth.seed,
-        "hidden": list(truth.hidden),
-    }
+    obj = {"outcome_coef": truth.outcome_coef.tolist(), "hidden": list(truth.hidden)}
     path = save_ground_truth(truth, tmp_path_factory.mktemp("truth") / "ground_truth.json")
     assert path.read_bytes() == (_DOC_JSON.encode(obj) + "\n").encode()
 
@@ -1406,7 +1428,7 @@ def reference_load_dataset(samples_path, pairs_path, schema_path):
     types, fixed = _sample_spec(schema)
     _, samples = reference_read_jsonl(samples_path, "samples", types, {"gold": None},
                                       _SAMPLE_ARRAYS, fixed)
-    _, pairs = reference_read_jsonl(pairs_path, "pairs", dict.fromkeys(_PAIR_KEYS, "string"))
+    _, pairs = reference_read_jsonl(pairs_path, "pairs", _PAIR_TYPES)
     ids, concepts, gold, embeddings, outputs = samples.values()
     return Dataset.from_records(schema, ids, concepts, embeddings, outputs, gold, zip(*pairs.values()))
 
@@ -1484,7 +1506,7 @@ CHUNK_DEFECTS = [
     ("samples", lambda row: json.dumps(row)),
     ("pairs", truncate),
     ("pairs", setting("original_id", "nobody")),
-    ("pairs", setting("to", "w")),
+    ("pairs", lambda row: row.__setitem__("edited_id", row["original_id"])),  # no label changes
     ("effects", truncate),
     ("effects", with_text("fallback", "Infinity")),
     ("effects", setting("fallback", "no")),
@@ -1495,26 +1517,34 @@ CHUNK_DEFECTS = [
 
 @st.composite
 def chunked_files(draw, defective=False):
-    """Samples, pairs and effects tables of one row count around the chunk size, and their .npy files.
+    """Samples, pairs and effects tables around the chunk size, and their .npy files.
 
-    Floats reach the ends of the range; blank lines fall near the chunk
-    edges. If `defective`, one row of one table, on either side of a
-    chunk edge where the file has one, holds a defect.
+    The pairs and effects tables have one row count. The samples table
+    has twice as many rows: a factual row s<i> for each pair, then each
+    pair's edited row s<i>e, which moves attribute i % 2 to its next
+    level. Floats reach the ends of the range; blank lines fall near the
+    chunk edges. If `defective`, one row of one table, on either side of
+    a chunk edge where the file has one, holds a defect.
     """
     counts = [1, 1023, 1024, 1025, 2049]  # a defect needs a row
     count = draw(st.sampled_from(counts if defective else [0, *counts]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     edge = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308]
 
-    def floats(width):
-        values = rng.standard_normal((count, width)) * 10.0 ** rng.integers(-300, 300, (count, width))
-        picked = rng.random((count, width)) < 0.1
+    def floats(rows, width):
+        values = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+        picked = rng.random((rows, width)) < 0.1
         values[picked] = rng.choice(edge, int(picked.sum()))
         return values
 
     d, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     codes = np.column_stack([rng.integers(size, size=count) for size in CHUNK_SCHEMA.sizes])
-    gold = rng.integers(-1, q, size=count)  # -1: null
+    moved = np.arange(count) % 2
+    edited = codes.copy()
+    edited[np.arange(count), moved] = (codes[np.arange(count), moved] + 1) % CHUNK_SCHEMA.sizes[moved]
+    labels = CHUNK_SCHEMA.level_names(np.arange(2), np.concatenate([codes, edited])).tolist()
+    ids = [f"s{i}" for i in range(count)] + [f"s{i}e" for i in range(count)]
+    gold = rng.integers(-1, q, size=2 * count)  # -1: null
     metas = {
         "samples": {**ARRAY_FILES, "attributes": list(CHUNK_SCHEMA.names), "columns": SAMPLE_COLUMNS},
         "pairs": {"columns": PAIR_COLUMNS},
@@ -1522,14 +1552,13 @@ def chunked_files(draw, defective=False):
                     "columns": ["sample_id", "attribute", "from", "to", "fallback"]},
     }
     rows = {file: [] for file in metas}
+    for sid, concepts, g in zip(ids, labels, gold.tolist()):
+        rows["samples"].append({"id": sid, "concepts": concepts, "gold": g if g >= 0 else None})
     for i in range(count):
-        labels = dict(zip(CHUNK_SCHEMA.names, CHUNK_SCHEMA.level_names(np.arange(2), codes[i]).tolist()))
-        g = int(gold[i]) if gold[i] >= 0 else None
-        rows["samples"].append({"id": f"s{i}", "concepts": list(labels.values()), "gold": g})
-        name = CHUNK_SCHEMA.names[i % 2]
-        ends = {"attribute": name, "from": labels[name], "to": labels[name]}
-        rows["pairs"].append({"original_id": f"s{i}", "edited_id": f"s{i}", **ends})
-        rows["effects"].append({"sample_id": f"s{i}", **ends, "fallback": bool(i % 3 and i % 2)})
+        a = i % 2
+        rows["pairs"].append({"original_id": ids[i], "edited_id": ids[count + i]})
+        edit = {"attribute": CHUNK_SCHEMA.names[a], "from": labels[i][a], "to": labels[count + i][a]}
+        rows["effects"].append({"sample_id": ids[i], **edit, "fallback": bool(i % 3 and i % 2)})
     texts = {
         file: [json.dumps({"meta": metas[file]}), *(json.dumps(list(row.values())) for row in file_rows)]
         for file, file_rows in rows.items()
@@ -1544,8 +1573,8 @@ def chunked_files(draw, defective=False):
         for at in draw(st.lists(edges, max_size=4)):
             lines.insert(min(at, len(lines)), draw(st.sampled_from(["", " ", "\t"])))
     files = {f"{file}.jsonl": "".join(line + "\n" for line in lines) for file, lines in texts.items()}
-    matrices = (("samples.embedding.npy", floats(d)), ("samples.logits.npy", floats(q)),
-                ("effects.effect.npy", floats(q)))
+    matrices = (("samples.embedding.npy", floats(2 * count, d)),
+                ("samples.logits.npy", floats(2 * count, q)), ("effects.effect.npy", floats(count, q)))
     return {**files, **{name: npy_bytes(matrix) for name, matrix in matrices}}
 
 
