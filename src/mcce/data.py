@@ -557,6 +557,14 @@ class Dataset:
         return np.flatnonzero(self.first_pairs() == np.arange(len(self.pairs)))
 
 
+class _RowError(ValidationError):
+    """A ValidationError about row `row` of the columns at hand; `read_jsonl` names its file and line."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = int(row)
+
+
 def _label_codes(schema: ConceptSchema, ids, labels) -> np.ndarray:
     """(n, n_attrs) level codes of `labels`, one row of level names in schema order per id in `ids`.
 
@@ -575,7 +583,7 @@ def _label_codes(schema: ConceptSchema, ids, labels) -> np.ndarray:
     if np.any(codes < 0):
         i, a = np.argwhere(codes < 0)[0]
         label = str(labels[i][a])
-        raise ValidationError(f"sample {str(ids[i])!r}: illegal label {names[a]}={label!r}")
+        raise _RowError(i, f"sample {str(ids[i])!r}: illegal label {names[a]}={label!r}")
     return codes
 
 
@@ -588,8 +596,8 @@ def _gold_labels(gold) -> np.ndarray:
         gold = gold.astype(np.int64)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError("gold labels must be integers") from None
-    if np.any(gold[~missing] < 0):
-        raise ValidationError("gold label must be >= 0")
+    if np.any(negative := (gold < 0) & ~missing):
+        raise _RowError(np.argmax(negative), "gold label must be >= 0")
     return gold
 
 
@@ -610,7 +618,7 @@ def _pair_rows(row_of: dict, original_ids: list, edited_ids: list) -> list[np.nd
     if unknown.any():
         i = np.argmax(unknown)
         name = (original_ids if rows[0][i] < 0 else edited_ids)[i]
-        raise ValidationError(f"pair references unknown sample {name!r}")
+        raise _RowError(i, f"pair references unknown sample {name!r}")
     return rows
 
 
@@ -975,7 +983,8 @@ def read_jsonl(
     one chunk's row values are held at once. The non-blank lines of each
     chunk are decoded in one call (see `_decode_lines`), its columns are
     checked, and then `convert`, when given, maps that chunk's columns
-    to the blocks to keep (for example, label rows to level codes).
+    to the blocks to keep (for example, label rows to level codes); an
+    error it raises about one row (`_RowError`) names that row's line.
     Each key's blocks are joined at the end, so the result is that of
     reading the whole file at once. The cyclic garbage collector is
     paused meanwhile: decoded JSON holds no reference cycles, and
@@ -996,7 +1005,11 @@ def read_jsonl(
         columns = _row_values(rows, lines, path, names, types, defaults)
         del rows
         _check_columns(columns, lines, path, types, "\\u0000" in "".join(texts))
-        for key, block in (convert(columns) if convert else columns).items():
+        try:
+            columns = convert(columns) if convert else columns
+        except _RowError as exc:
+            raise ValidationError(f"{path}:{lines[exc.row]}: {exc}") from None
+        for key, block in columns.items():
             blocks[key].append(block)
 
     collecting = gc.isenabled()

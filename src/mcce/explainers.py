@@ -5,11 +5,11 @@ output vector:
 
 mcce
     Linear surrogate over observed concepts plus pseudo-concepts.
-    Embeddings are residualized against the observed one-hot design, the
-    residual is compressed to its top-j right singular directions, and
-    the targets are fit by two decoupled minimum-norm least squares (one
-    per feature group). Decoupling is exact at ridge 0 because the
-    residual scores are orthogonal to the observed design. The pseudo
+    Embeddings and targets are regressed on the observed one-hot design
+    in one solve, the embedding residual is compressed to its top-j right
+    singular directions, and the targets are fit on their orthogonal
+    scores: one SVD of each matrix. Decoupling is exact at ridge 0 because
+    the residual scores are orthogonal to the observed design. The pseudo
     features stand in for whatever concept information the annotations
     are missing, so effect estimates condition on it instead of
     absorbing it into the observed coefficients.
@@ -160,14 +160,7 @@ class MCCEModel:
         return concepts @ self.concept_coef + (resid @ self.pseudo_basis) @ self.pseudo_coef
 
 
-def _resolve_targets(dataset: Dataset, rows: np.ndarray, target_kind: str | None, targets):
-    if targets is not None:
-        T = as_matrix(targets, "targets")
-        if T.shape[0] != rows.size:
-            raise ValidationError(
-                f"targets must have one row per fit sample ({rows.size}), got {T.shape[0]}"
-            )
-        return T, target_kind or "custom"
+def _resolve_targets(dataset: Dataset, rows: np.ndarray, target_kind: str | None):
     kind = target_kind or TARGET_OUTPUT
     if kind == TARGET_OUTPUT:
         return dataset.outputs[rows], kind
@@ -188,22 +181,19 @@ def fit_mcce(
     n_pseudo: int | None = None,
     ridge: float = 0.0,
     target_kind: str | None = None,
-    targets=None,
 ) -> MCCEModel:
     """Fit the pseudo-concept surrogate on the dataset's factual samples.
 
     n_pseudo defaults to the visible one-hot width. Targets default to
     the stored black-box outputs; target_kind="gold" fits one-hot gold
-    labels instead (predictor mode). Explicit `targets` rows must align
-    with `dataset.fit_rows`.
+    labels instead (predictor mode).
     """
     rows = dataset.fit_rows
     if rows.size == 0:
         raise ValidationError("dataset has no factual samples to fit on")
     k_vis = dataset.visible_width
-    C = dataset.design_matrix(rows)
-    H = dataset.embeddings[rows]
-    T, kind = _resolve_targets(dataset, rows, target_kind, targets)
+    C, H = dataset.design_matrix(rows), dataset.embeddings[rows]
+    T, kind = _resolve_targets(dataset, rows, target_kind)
     n, d = H.shape
     j = k_vis if n_pseudo is None else n_pseudo
     if not isinstance(j, (int, np.integer)) or not 1 <= int(j) <= min(n, d):
@@ -218,30 +208,31 @@ def fit_mcce(
             stacklevel=2,
         )
 
-    embed_coef, residual = residualize(C, H, ridge)
-    # Residual directions at rounding-error scale relative to H itself are
-    # artifacts of the solve, not structure; keeping them would mean
-    # inverting noise. Zeroed columns drop out of every later product.
-    noise_floor = RANK_RTOL * float(np.linalg.norm(H, 2)) if H.size else 0.0
-    basis, scores = truncated_svd(residual, j, floor=noise_floor)
-    sol_ob = lstsq(C, T, ridge)
-    sol_ps = lstsq(scores, T, ridge)
-    fitted = C @ sol_ob.coefficients + scores @ sol_ps.coefficients
+    observed, residual = residualize(C, np.hstack([H, T]), ridge)
+    embed_coef, concept_coef = np.hsplit(observed.coefficients, [d])
+    # Residual directions at rounding-error scale relative to H (its Frobenius
+    # norm, within sqrt(d) of the spectral one and free of an SVD) are artifacts
+    # of the solve, not structure. Zeroed columns drop out of every later product.
+    noise_floor = RANK_RTOL * float(np.linalg.norm(H))
+    basis, scores, s = truncated_svd(residual[:, :d], j, floor=noise_floor)
+    kept = s > 0.0  # the scores are orthogonal with norms s (see `linalg`)
+    pseudo_coef = np.divide(scores.T @ T, s[:, None] ** 2 + ridge, out=np.zeros((j, T.shape[1])),
+                            where=kept[:, None])
     diagnostics = {
         "n_fit": n,
-        "design_rank": sol_ob.effective_rank,
-        "pseudo_rank": sol_ps.effective_rank,
+        "design_rank": observed.effective_rank,
+        "pseudo_rank": int(np.count_nonzero(kept)),
         "pseudo_dropped": int(np.sum(~basis.any(axis=0))),
         "orthogonality_max": max_abs_cross(C, scores),
-        "fit_residual_sos": float(np.sum((T - fitted) ** 2)),
+        "fit_residual_sos": float(np.sum((residual[:, d:] - scores @ pseudo_coef) ** 2)),
     }
     return MCCEModel(
         schema=dataset.schema,
         hidden_attributes=dataset.hidden_attributes,
         embed_coef=embed_coef,
         pseudo_basis=basis,
-        concept_coef=sol_ob.coefficients,
-        pseudo_coef=sol_ps.coefficients,
+        concept_coef=concept_coef,
+        pseudo_coef=pseudo_coef,
         ridge=float(ridge),
         n_pseudo=j,
         space=dataset.space,
@@ -370,7 +361,7 @@ def _softmax_hessian(Xa: np.ndarray, P: np.ndarray, weight: np.ndarray) -> np.nd
     return H.reshape(q * m, q * m)
 
 
-def fit_slearner(dataset: Dataset, targets=None) -> SLearnerModel:
+def fit_slearner(dataset: Dataset) -> SLearnerModel:
     """Fit the logistic baseline on the dataset's factual samples.
 
     Minimises the soft-label cross-entropy by Newton's method on the
@@ -385,13 +376,14 @@ def fit_slearner(dataset: Dataset, targets=None) -> SLearnerModel:
     raises the loss. The fit stops when the gradient max-norm drops below
     SLEARNER_GRAD_TOL and otherwise after SLEARNER_MAX_ITER steps, with a
     warning and `converged=False`. Logit-space outputs are softmaxed
-    before fitting; explicit targets must already be probability rows.
+    before fitting; probability-space outputs must already be probability
+    rows.
     """
     rows = dataset.fit_rows
     if rows.size == 0:
         raise ValidationError("dataset has no factual samples to fit on")
-    T, _ = _resolve_targets(dataset, rows, None, targets)
-    if targets is None and dataset.space == SPACE_LOGIT:
+    T = dataset.outputs[rows]
+    if dataset.space == SPACE_LOGIT:
         T = softmax(T)
     if T.shape[1] < 2:
         raise ValidationError("logistic baseline needs at least 2 output classes")

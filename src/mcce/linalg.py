@@ -15,18 +15,21 @@ lstsq(A, B, ridge)
         ridge > 0:  X = V diag(s_i / (s_i^2 + ridge)) U^T B
 
     cutoff = RANK_RTOL * max(s). `effective_rank` counts singular values
-    above the cutoff regardless of ridge.
+    above the cutoff regardless of ridge. The filter acts on each column
+    of B alone, so a solve on [B1 | B2] is the solves on B1 and on B2.
 
 residualize(C, H, ridge)
-    Coefficients of H regressed on C, and H minus that fit. At ridge 0
-    the residual is orthogonal to col(C) up to floating-point error.
+    The solve of H on C, and H minus that fit. At ridge 0 the residual
+    is orthogonal to col(C) up to floating-point error.
 
 truncated_svd(R, j, floor)
-    Top-j right singular directions of R. Sign convention: in each
-    basis column the entry of largest magnitude is nonnegative, which
-    pins an otherwise arbitrary per-column sign. Directions at or below
-    `floor` are zeroed; a residual that is numerically zero must not
-    spawn pseudo-directions made of rounding error.
+    Top-j right singular directions of R, the scores R @ basis, and their
+    singular values s. In each basis column the entry of largest
+    magnitude is nonnegative, which pins an otherwise arbitrary sign.
+    Directions at or below `floor`, and their s, are zeroed: a residual
+    that is numerically zero must not spawn pseudo-directions made of
+    rounding error. The scores are orthogonal with norms s, so their
+    solve needs no second SVD: scores^T B / (s^2 + ridge) where s > 0.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ def _svd(arr: np.ndarray, name: str):
 @dataclass(frozen=True, eq=False)
 class LstsqSolution:
     coefficients: np.ndarray  # (p, q)
-    residual_sos: float  # ||B - A @ coefficients||_F^2
     effective_rank: int  # singular values above the rank cutoff
 
 
@@ -72,12 +74,9 @@ def lstsq(A, B, ridge: float = 0.0) -> LstsqSolution:
     A is (n, p), B is (n, q); the coefficient matrix is (p, q). ridge
     multiplies the squared Frobenius norm of the coefficients.
     """
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
+    A, B = as_matrix(A, "A"), as_matrix(B, "B")
     if A.shape[0] != B.shape[0]:
-        raise ValidationError(
-            f"row mismatch: A has {A.shape[0]} rows, B has {B.shape[0]}"
-        )
+        raise ValidationError(f"row mismatch: A has {A.shape[0]} rows, B has {B.shape[0]}")
     if not np.isfinite(ridge) or ridge < 0.0:
         raise ValidationError(f"ridge must be a finite nonnegative float, got {ridge}")
 
@@ -89,37 +88,32 @@ def lstsq(A, B, ridge: float = 0.0) -> LstsqSolution:
     else:
         filt = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
     coef = Vt.T @ (filt[:, None] * (U.T @ B))
-    residual = B - A @ coef
-    return LstsqSolution(
-        coefficients=coef,
-        residual_sos=float(np.sum(residual * residual)),
-        effective_rank=rank,
-    )
+    return LstsqSolution(coefficients=coef, effective_rank=rank)
 
 
-def residualize(C, H, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Regress H on C; return (coefficients, residual)."""
-    C = as_matrix(C, "C")
-    H = as_matrix(H, "H")
-    coef = lstsq(C, H, ridge).coefficients
-    return coef, H - C @ coef
+def residualize(C, H, ridge: float = 0.0) -> tuple[LstsqSolution, np.ndarray]:
+    """Regress H on C; return (the solve, H minus its fit)."""
+    C, H = as_matrix(C, "C"), as_matrix(H, "H")
+    sol = lstsq(C, H, ridge)
+    residual = C @ sol.coefficients  # the fit's buffer becomes the residual
+    return sol, np.subtract(H, residual, out=residual)
 
 
-def truncated_svd(R, j: int, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Top-j right singular directions of R and the scores R @ basis.
+def truncated_svd(R, j: int, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-j right singular directions of R, the scores R @ basis, and their singular values.
 
-    Returns (basis, scores) with basis (d, j), scores (n, j). Columns for
-    zero singular values are whatever canonical unit vectors the SVD
-    yields, sign-fixed like every other column.
+    Returns (basis, scores, s) with basis (d, j), scores (n, j), s (j,).
+    Columns for zero singular values are whatever canonical unit vectors
+    the SVD yields, sign-fixed like every other column.
 
-    `floor` > 0 zeroes every column whose singular value is <= floor.
+    `floor` > 0 zeroes every column, and its entry of s, whose singular
+    value is <= floor.
     Callers use it to discard directions that sit at rounding-error scale
     relative to the matrix R was derived from; a zero column contributes
     nothing downstream, which is safer than an arbitrary noise direction.
     """
     R = as_matrix(R, "R")
-    n, d = R.shape
-    limit = min(n, d)
+    limit = min(R.shape)
     if not isinstance(j, (int, np.integer)) or not 1 <= int(j) <= limit:
         raise ValidationError(f"j must be an integer in [1, {limit}], got {j!r}")
     j = int(j)
@@ -127,23 +121,20 @@ def truncated_svd(R, j: int, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray
         raise ValidationError(f"floor must be a finite nonnegative real, got {floor!r}")
     floor = float(floor)
     _, s, Vt = _svd(R, "R")
-    basis = Vt[:j].T.copy()
+    basis, s = Vt[:j].T.copy(), s[:j]
     for col in range(j):
         if floor > 0.0 and s[col] <= floor:
-            basis[:, col] = 0.0
+            basis[:, col] = s[col] = 0.0
             continue
         pivot = int(np.argmax(np.abs(basis[:, col])))
         if basis[pivot, col] < 0.0:
             basis[:, col] = -basis[:, col]
-    return basis, R @ basis
+    return basis, R @ basis, s
 
 
 def max_abs_cross(A, B) -> float:
     """Largest |entry| of A^T B; the orthogonality diagnostic."""
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
+    A, B = as_matrix(A, "A"), as_matrix(B, "B")
     if A.shape[0] != B.shape[0]:
-        raise ValidationError(
-            f"row mismatch: A has {A.shape[0]} rows, B has {B.shape[0]}"
-        )
+        raise ValidationError(f"row mismatch: A has {A.shape[0]} rows, B has {B.shape[0]}")
     return float(np.max(np.abs(A.T @ B)))

@@ -1093,6 +1093,25 @@ class TestLoaderErrors:
         message = f"pair {rows[0]['original_id']!r}->{rows[0]['edited_id']!r}: labels differ in {differ},"
         assert message in err and "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("table", ["samples", "pairs"])
+    def test_a_bad_row_names_its_file_and_line(self, synth_dir, tmp_path, capsys, table):
+        files = {name: synth_dir / f"{name}.jsonl" for name in ("samples", "pairs")}
+        rows = read_table(files[table])
+        if table == "samples":
+            attribute = next(iter(rows[3]["concepts"]))
+            rows[3]["concepts"][attribute] = "POS"
+            message = f"sample {rows[3]['id']!r}: illegal label {attribute}='POS'"
+        else:
+            rows[3]["original_id"] = "nobody"
+            message = "pair references unknown sample 'nobody'"
+        files[table] = write_table(tmp_path / f"{table}.jsonl", rows)
+        out = tmp_path / "m.json"
+        flags = ("--samples", files["samples"], "--pairs", files["pairs"], "--out", out)
+        assert run("fit", "--schema", synth_dir / "schema.json", *flags) == 2
+        err = capsys.readouterr().err
+        assert f"error: {files[table]}:5: {message}\n" in err  # row 3 follows the meta line
+        assert "Traceback" not in err and not out.exists()
+
     def test_ground_truth_hidden_must_name_schema_attributes(self, synth_dir, tmp_path, capsys):
         obj = json.loads((synth_dir / "ground_truth.json").read_text())
         obj["hidden"] = ["zzz"]

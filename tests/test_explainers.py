@@ -36,7 +36,7 @@ from mcce import (
     softmax,
     write_effects,
 )
-from mcce.linalg import lstsq, max_abs_cross
+from mcce.linalg import RANK_RTOL, lstsq, max_abs_cross, truncated_svd
 
 SCHEMA = ConceptSchema.of([("a", ("x", "y")), ("b", ("u", "v", "w"))])  # width 5
 
@@ -84,8 +84,8 @@ def test_fit_recovers_contrasts_fully_observed():
 
 def test_fit_zero_targets_zero_coefficients():
     ds, _, _ = linear_dataset()
-    zeros = np.zeros((len(ds.samples), 3))
-    model = fit_mcce(ds, targets=zeros)
+    ds = Dataset(ds.schema, ds.ids, ds.codes, ds.embeddings, np.zeros((len(ds), 3)))
+    model = fit_mcce(ds)
     assert np.max(np.abs(model.concept_coef)) < 1e-12
     assert np.max(np.abs(model.pseudo_coef)) < 1e-12
 
@@ -120,6 +120,75 @@ def test_fit_decoupling_identity():
     k = C.shape[1]
     assert np.allclose(joint[:k], model.concept_coef, atol=1e-8)
     assert np.allclose(joint[k:], model.pseudo_coef, atol=1e-8)
+
+
+def five_svd_fit(dataset, n_pseudo, ridge):
+    """fit_mcce's solves as they were, in five SVDs: (embed solve, basis, concept solve, pseudo solve).
+
+    The design is factored twice (the embedding and the target solves),
+    then the residual, the scores in their own solve, and the embeddings
+    for the spectral norm under the noise floor.
+    """
+    rows = dataset.fit_rows
+    C, H, T = dataset.design_matrix(rows), dataset.embeddings[rows], dataset.outputs[rows]
+    embed = lstsq(C, H, ridge)
+    floor = RANK_RTOL * np.linalg.norm(H, 2)
+    basis, scores, _ = truncated_svd(H - C @ embed.coefficients, n_pseudo, floor)
+    return embed, basis, lstsq(C, T, ridge), lstsq(scores, T, ridge)
+
+
+@st.composite
+def fit_problems(draw):
+    """(dataset, n_pseudo, ridge): a hidden attribute in the embeddings, noisy or not, ridge 0 or not.
+
+    Without noise the residual has the hidden block's rank, so any larger
+    n_pseudo floors columns.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3))
+    schema = ConceptSchema.of((f"a{i}", tuple(f"l{j}" for j in range(m))) for i, m in enumerate(sizes))
+    n, d, q = draw(st.integers(12, 60)), draw(st.integers(2, 10)), draw(st.integers(1, 3))
+    codes = np.column_stack([rng.integers(m, size=n) for m in sizes])
+    noise = draw(st.sampled_from([0.0, 0.1]))
+    H = one_hot(schema, codes) @ rng.standard_normal((schema.width, d))
+    H += noise * rng.standard_normal((n, d))
+    dataset = Dataset(schema, ids(n), codes, H, rng.standard_normal((n, q)), hidden_attributes={"a0"})
+    ridge = draw(st.sampled_from([0.0, 0.01, 2.5]))
+    return dataset, draw(st.integers(1, min(n, d))), ridge
+
+
+@settings(max_examples=100, deadline=None)
+@given(fit_problems())
+def test_fit_equals_the_five_svd_reference(problem):
+    dataset, n_pseudo, ridge = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the interpolation warning
+        model = fit_mcce(dataset, n_pseudo=n_pseudo, ridge=ridge)
+    embed, basis, observed, pseudo = five_svd_fit(dataset, n_pseudo, ridge)
+    pairs = [(model.embed_coef, embed.coefficients), (model.pseudo_basis, basis),
+             (model.concept_coef, observed.coefficients), (model.pseudo_coef, pseudo.coefficients)]
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+    d = model.diagnostics
+    assert (d["design_rank"], d["pseudo_rank"]) == (observed.effective_rank, pseudo.effective_rank)
+    assert d["pseudo_dropped"] == int(np.sum(~basis.any(axis=0)))
+
+
+def test_fit_takes_two_svds(monkeypatch):
+    # every SVD in numpy.linalg, norm(x, 2)'s included, calls its module's svd
+    module = np.linalg._linalg if hasattr(np.linalg, "_linalg") else np.linalg.linalg
+    svd, shapes = module.svd, []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(module, "svd", counting)
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    ds, _, _ = linear_dataset(hidden={"a"}, noise=0.1)
+    fit_mcce(ds)
+    # the design, then the embedding residual
+    assert shapes == [(80, 3), (80, 8)]
 
 
 def test_fit_pseudo_basis_rotation_invariance():
@@ -170,8 +239,6 @@ def test_fit_validation_errors():
         fit_mcce(ds, n_pseudo=9)  # > embed_dim 8
     with pytest.raises(ValidationError):
         fit_mcce(ds, ridge=-1.0)
-    with pytest.raises(ValidationError):
-        fit_mcce(ds, targets=np.zeros((3, 2)))  # row mismatch
     with pytest.raises(ValidationError):
         empty = Dataset(SCHEMA, [], np.zeros((0, 2)), np.zeros((0, 8)), np.zeros((0, 4)))
         fit_mcce(empty)  # nothing to fit
@@ -255,7 +322,7 @@ def test_explainers_reject_a_dataset_in_the_other_space(fit, explain):
 def test_slearner_uniform_targets_stop_immediately():
     ds, _, _ = linear_dataset(n=30)
     uniform = np.full((30, 4), 0.25)
-    model = fit_slearner(ds, targets=uniform)
+    model = fit_slearner(Dataset(SCHEMA, ds.ids, ds.codes, ds.embeddings, uniform, space="probability"))
     assert model.iterations == 0
     assert np.max(np.abs(model.weights)) == 0.0
     probs = model.predict_proba(ds.design_matrix([0]))
@@ -286,7 +353,10 @@ def _gradient_descent_reference(Xa, T, tol=1e-11, max_steps=200_000):
 
 @st.composite
 def soft_label_problems(draw):
-    """A random one-hot schema, labels drawn on it, and random soft-label targets."""
+    """(dataset, targets): random soft-label targets on labels drawn from a random schema.
+
+    The dataset holds the targets as its probability-space outputs.
+    """
     level_counts = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
     q = draw(st.integers(2, 4))
     n = draw(st.integers(20, 60))
@@ -296,14 +366,14 @@ def soft_label_problems(draw):
     )
     codes = [[rng.integers(len(levels)) for _, levels in schema.attributes] for _ in range(n)]
     targets = softmax(rng.normal(scale=draw(st.floats(0.1, 3.0)), size=(n, q)))
-    return Dataset(schema, ids(n), codes, np.zeros((n, 1)), np.zeros((n, q))), targets
+    return Dataset(schema, ids(n), codes, np.zeros((n, 1)), targets, space="probability"), targets
 
 
 @settings(max_examples=25, deadline=None)
 @given(soft_label_problems())
 def test_slearner_newton_converges_to_gradient_descent_optimum(problem):
     ds, T = problem
-    model = fit_slearner(ds, targets=T)
+    model = fit_slearner(ds)
     assert model.converged
     Xa = _augmented(ds)
     Wa = np.vstack([model.weights, model.bias])
@@ -348,8 +418,8 @@ def test_slearner_effect_space_and_null_intervention():
 def test_slearner_rejects_bad_probability_targets():
     ds, _, _ = linear_dataset(n=10)
     bad = np.full((10, 4), 0.3)  # rows do not sum to 1
-    with pytest.raises(ValidationError):
-        fit_slearner(ds, targets=bad)
+    with pytest.raises(ValidationError, match="not probability rows"):
+        fit_slearner(Dataset(SCHEMA, ds.ids, ds.codes, ds.embeddings, bad, space="probability"))
 
 
 # --- approx ------------------------------------------------------------------

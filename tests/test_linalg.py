@@ -17,10 +17,11 @@ from mcce.linalg import as_matrix, max_abs_cross
 def test_lstsq_normal_equations_by_hand():
     # A = [1; 1], B = [1; 3]: AtA = 2, AtB = 4, coef = 2,
     # residual = (1-2)^2 + (3-2)^2 = 2.
-    sol = lstsq([[1.0], [1.0]], [[1.0], [3.0]])
+    A, B = np.array([[1.0], [1.0]]), np.array([[1.0], [3.0]])
+    sol = lstsq(A, B)
     assert sol.coefficients.shape == (1, 1)
     assert abs(sol.coefficients[0, 0] - 2.0) < 1e-12
-    assert abs(sol.residual_sos - 2.0) < 1e-12
+    assert abs(np.sum((B - A @ sol.coefficients) ** 2) - 2.0) < 1e-12
     assert sol.effective_rank == 1
 
 
@@ -29,7 +30,7 @@ def test_lstsq_exact_system_zero_residual():
     X = np.array([[3.0], [-1.0]])
     sol = lstsq(A, A @ X)
     assert np.allclose(sol.coefficients, X, atol=1e-12)
-    assert sol.residual_sos < 1e-20
+    assert np.sum((A @ X - A @ sol.coefficients) ** 2) < 1e-20
 
 
 def test_lstsq_min_norm_on_duplicated_column():
@@ -107,8 +108,9 @@ def test_residualize_removes_column_space():
         p = int(rng.integers(1, min(n, 11)))
         C = rng.standard_normal((n, p))
         H = rng.standard_normal((n, 6))
-        coef, R = residualize(C, H)
-        assert np.allclose(C @ coef + R, H, atol=1e-10)
+        sol, R = residualize(C, H)
+        assert np.allclose(C @ sol.coefficients + R, H, atol=1e-10)
+        assert sol.effective_rank == p
         assert max_abs_cross(C, R) < 1e-10
 
 
@@ -117,8 +119,8 @@ def test_residualize_is_idempotent():
     C = rng.standard_normal((15, 4))
     H = rng.standard_normal((15, 5))
     _, R1 = residualize(C, H)
-    coef2, R2 = residualize(C, R1)
-    assert np.max(np.abs(coef2)) < 1e-10
+    sol2, R2 = residualize(C, R1)
+    assert np.max(np.abs(sol2.coefficients)) < 1e-10
     assert np.allclose(R1, R2, atol=1e-10)
 
 
@@ -134,24 +136,27 @@ def test_residualize_exact_fit_leaves_zero():
 
 def test_truncated_svd_diagonal_by_hand():
     R = np.diag([3.0, 2.0, 1.0])
-    basis, scores = truncated_svd(R, 2)
+    basis, scores, s = truncated_svd(R, 2)
     assert np.allclose(basis, [[1, 0], [0, 1], [0, 0]], atol=1e-12)
     assert np.allclose(scores, [[3, 0], [0, 2], [0, 0]], atol=1e-12)
+    assert np.allclose(s, [3, 2], atol=1e-12)
 
 
 def test_truncated_svd_full_rank_reconstruction():
     rng = np.random.default_rng(6)
     R = rng.standard_normal((10, 6))
-    basis, scores = truncated_svd(R, 6)
+    basis, scores, s = truncated_svd(R, 6)
     assert np.allclose(scores @ basis.T, R, atol=1e-8)
     assert np.allclose(basis.T @ basis, np.eye(6), atol=1e-10)
+    # the scores are orthogonal, each with its singular value as norm
+    assert np.allclose(scores.T @ scores, np.diag(s**2), atol=1e-8)
 
 
 def test_truncated_svd_sign_convention_is_stable():
     rng = np.random.default_rng(7)
     R = rng.standard_normal((8, 5))
-    basis_pos, _ = truncated_svd(R, 3)
-    basis_neg, _ = truncated_svd(-R, 3)
+    basis_pos, _, _ = truncated_svd(R, 3)
+    basis_neg, _, _ = truncated_svd(-R, 3)
     for col in range(3):
         pivot = int(np.argmax(np.abs(basis_pos[:, col])))
         assert basis_pos[pivot, col] >= 0.0
@@ -160,9 +165,10 @@ def test_truncated_svd_sign_convention_is_stable():
 
 
 def test_truncated_svd_zero_matrix_gives_zero_scores():
-    basis, scores = truncated_svd(np.zeros((4, 3)), 2)
+    basis, scores, s = truncated_svd(np.zeros((4, 3)), 2)
     assert basis.shape == (3, 2)
     assert np.max(np.abs(scores)) == 0.0
+    assert np.max(np.abs(s)) == 0.0
 
 
 def test_truncated_svd_floor_zeroes_noise_directions():
@@ -170,13 +176,15 @@ def test_truncated_svd_floor_zeroes_noise_directions():
     U = np.eye(4)[:, :2]
     V = np.eye(3)[:, :2]
     R = U @ np.diag([5.0, 1e-14]) @ V.T
-    basis, scores = truncated_svd(R, 2, floor=1e-8)
+    basis, scores, s = truncated_svd(R, 2, floor=1e-8)
     assert np.allclose(basis[:, 0], [1.0, 0.0, 0.0], atol=1e-10)
     assert np.max(np.abs(basis[:, 1])) == 0.0
     assert np.max(np.abs(scores[:, 1])) == 0.0
+    assert abs(s[0] - 5.0) < 1e-12 and s[1] == 0.0
     # and without a floor the direction survives
-    basis, _ = truncated_svd(R, 2, floor=0.0)
+    basis, _, s = truncated_svd(R, 2, floor=0.0)
     assert np.max(np.abs(basis[:, 1])) > 0.9
+    assert abs(s[1] - 1e-14) < 1e-20
 
 
 def test_truncated_svd_rejects_bad_j_and_floor():

@@ -68,9 +68,14 @@ from mcce.data import (
     _PAIR_TYPES,
     _ROW_JSON,
     _SAMPLE_ARRAYS,
+    _gold_labels,
     _header,
+    _label_codes,
+    _pair_rows,
     _parse_json,
     _read_matrix,
+    _row_index,
+    _RowError,
     _sample_spec,
     load_schema,
     read_jsonl,
@@ -1286,13 +1291,15 @@ def reference_labels(value, line, path, key, names):
             raise ValidationError(f"{path}:{line}: {key!r} values must be strings")
 
 
-def reference_read_jsonl(path, what, types, defaults=None, arrays=(), fixed=None):
+def reference_read_jsonl(path, what, types, defaults=None, arrays=(), fixed=None, check=None):
     """read_jsonl as it was: one `_parse_json` call per non-blank line, whole file at once.
 
     Line 1 is read by the library's `_header`. As in read_jsonl, a
     "string" column is returned as a numpy string array and each key of
     `arrays` as the matrix of its .npy file; a labels column (a tuple of
-    names) is checked row by row.
+    names) is checked row by row. `check`, when given, is called on the
+    whole file's columns, and an error it raises about one row names
+    that row's line.
     """
     defaults = defaults or {}
     rows, lines = [], []
@@ -1322,6 +1329,11 @@ def reference_read_jsonl(path, what, types, defaults=None, arrays=(), fixed=None
             if type(value) not in allowed:
                 raise ValidationError(f"{path}:{line}: {key!r} must be {kinds.replace('|', ' or ')}")
         columns[key] = np.array(column, dtype=str) if kinds == "string" else column
+    if check is not None:
+        try:
+            check(columns)
+        except _RowError as exc:
+            raise ValidationError(f"{path}:{lines[exc.row]}: {exc}") from None
     for key in arrays:
         columns[key] = _read_matrix(files[key], len(rows))
     return header, columns
@@ -1367,7 +1379,8 @@ TRICKY_RUNS = [
 def jsonl_files(draw):
     """JSONL tables around the decoder's chunk boundaries, with blank lines and bad runs.
 
-    A file has at most one defect: a bad run, or no meta line.
+    A file has at most one defect: a column "x" that `READ_SPEC` does not
+    read, a bad run, or no meta line.
     """
     count = draw(st.sampled_from([0, 1, 1023, 1024, 1025, 2049]))
     others = draw(st.lists(st.sampled_from(OPTIONAL_COLUMNS), unique=True))
@@ -1384,7 +1397,7 @@ def jsonl_files(draw):
         return "".join(line + "\n" for line in lines)
     meta = draw(st.dictionaries(meta_keys, names, max_size=2))
     lines.insert(0, json.dumps({"meta": {**meta, "columns": columns}}))
-    if draw(st.booleans()):
+    if "x" not in columns and draw(st.booleans()):
         at = min(draw(places), len(lines))
         lines[at:at] = draw(st.sampled_from(TRICKY_RUNS))
     return "".join(line + "\n" for line in lines)
@@ -1408,6 +1421,16 @@ def test_read_jsonl_equals_per_line_reference(tmp_path_factory, text):
     assert read_outcome(read_jsonl, path) == read_outcome(reference_read_jsonl, path)
 
 
+def test_read_jsonl_names_an_unknown_column_before_a_later_bad_line(tmp_path):
+    # line 1 is read first, chunk by chunk, so a bad line past the first chunk is never reached
+    head = json.dumps({"meta": {"columns": ["id", "x"]}})
+    rows = ['["s%d", null]' % i for i in range(1030)]
+    path = tmp_path / "rows.jsonl"
+    path.write_text("".join(line + "\n" for line in [head, *rows, "NaN"]), encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"rows\.jsonl:1: unknown column 'x'; the columns are id, v, g$"):
+        read_jsonl(path, "rows", READ_SPEC, READ_DEFAULTS)
+
+
 @pytest.mark.parametrize("run", TRICKY_RUNS)
 def test_read_jsonl_tricky_runs_equal_per_line_reference(tmp_path, run):
     head = json.dumps({"meta": {"columns": ["id", "v"]}})
@@ -1423,13 +1446,24 @@ def test_read_jsonl_tricky_runs_equal_per_line_reference(tmp_path, run):
 
 
 def reference_load_dataset(samples_path, pairs_path, schema_path):
-    """load_dataset as it was: whole files through the reference reader, then from_records."""
+    """load_dataset as it was: whole files through the reference reader, then from_records.
+
+    Each file's rows are checked by the conversions that from_records
+    uses, so an error about one row names its line.
+    """
     schema = load_schema(schema_path)
     types, fixed = _sample_spec(schema)
+
+    def check_samples(columns):
+        _label_codes(schema, columns["id"], columns["concepts"])
+        _gold_labels(columns["gold"])
+
     _, samples = reference_read_jsonl(samples_path, "samples", types, {"gold": None},
-                                      _SAMPLE_ARRAYS, fixed)
-    _, pairs = reference_read_jsonl(pairs_path, "pairs", _PAIR_TYPES)
+                                      _SAMPLE_ARRAYS, fixed, check_samples)
     ids, concepts, gold, embeddings, outputs = samples.values()
+    row_of = _row_index(ids.tolist())
+    _, pairs = reference_read_jsonl(pairs_path, "pairs", _PAIR_TYPES,
+                                    check=lambda c: _pair_rows(row_of, *(v.tolist() for v in c.values())))
     return Dataset.from_records(schema, ids, concepts, embeddings, outputs, gold, zip(*pairs.values()))
 
 
