@@ -124,8 +124,7 @@ def _fit(dataset: Dataset, method: str, j, ridge: float, targets: str):
     """Fit `method` on the dataset's visible attributes and return the model.
 
     An mcce fit prints one warning line on stderr when its concept design
-    has less than full rank, and one when it has fewer pseudo-concepts
-    than the hidden blocks' rank.
+    has less than full rank; `fit_mcce` warns about its pseudo-concept count.
     """
     if method == "slearner":
         if targets == TARGET_GOLD:
@@ -133,24 +132,15 @@ def _fit(dataset: Dataset, method: str, j, ridge: float, targets: str):
         return fit_slearner(dataset)
     model = fit_mcce(dataset, n_pseudo=j, ridge=ridge, target_kind=targets)
     rank = model.diagnostics["design_rank"]
-    visible = dataset.schema.visible_mask(dataset.hidden_attributes)
     # each block's columns sum to the ones vector, so a visible design
-    # that observes every level in general position has this rank, and
-    # each hidden block adds one dimension fewer than its levels
+    # that observes every level in general position has this rank
+    visible = dataset.schema.visible_mask(dataset.hidden_attributes)
     full_rank = dataset.visible_width - int(visible.sum()) + 1
-    hidden_rank = int(np.sum(dataset.schema.sizes[~visible] - 1))
     if rank < full_rank:
         print(
             f"warning: concept design rank {rank} is below {full_rank}: "
             "some visible level is never observed, or levels always co-occur, "
             "so their effects are not identified",
-            file=sys.stderr,
-        )
-    if model.n_pseudo < hidden_rank:
-        print(
-            f"warning: n_pseudo {model.n_pseudo} is below the hidden blocks' rank {hidden_rank}: "
-            "the pseudo-concepts cannot span every hidden concept, so the effects may stay "
-            f"biased (set --j {hidden_rank} or more)",
             file=sys.stderr,
         )
     return model
@@ -256,9 +246,7 @@ def cmd_fit(args) -> int:
         print(
             f"fit mcce: n_fit={d['n_fit']} k_vis={dataset.visible_width} "
             f"n_pseudo={model.n_pseudo} design_rank={d['design_rank']} "
-            f"pseudo_rank={d['pseudo_rank']} pseudo_dropped={d['pseudo_dropped']} "
-            f"residual_sos={d['fit_residual_sos']:.6e} "
-            f"orthogonality_max={d['orthogonality_max']:.6e}"
+            f"residual_sos={d['fit_residual_sos']:.6e} orthogonality_max={d['orthogonality_max']:.6e}"
         )
     else:
         print(
@@ -518,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pairs", default=None, help="optional pairs.jsonl (edited rows are excluded from fitting)")
     sp.add_argument("--method", choices=["mcce", "slearner"], default="mcce")
     sp.add_argument("--hidden", default=None, help="comma-separated attributes to mask")
-    sp.add_argument("--j", type=int, default=None, help="pseudo-concept count (default: visible width)")
+    sp.add_argument("--j", type=int, default=None, help="pseudo-concept count (default: from the residual spectrum)")
     sp.add_argument("--ridge", type=float, default=0.0)
     sp.add_argument("--targets", choices=["output", "gold"], default="output")
     add_space_flag(sp)

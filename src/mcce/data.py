@@ -594,7 +594,11 @@ def _gold_labels(gold) -> np.ndarray:
     gold[missing] = -1
     try:
         gold = gold.astype(np.int64)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:  # a label outside int64
+        row = next(i for i, g in enumerate(gold) if isinstance(g, (int, float)) and abs(g) >= 1 << 63)
+        problem = "must be >= 0" if gold[row] < 0 else f"{gold[row]} is too large"
+        raise _RowError(row, f"gold label {problem}") from None
+    except (TypeError, ValueError):
         raise ValidationError("gold labels must be integers") from None
     if np.any(negative := (gold < 0) & ~missing):
         raise _RowError(np.argmax(negative), "gold label must be >= 0")

@@ -6,10 +6,10 @@ output vector:
 mcce
     Linear surrogate over observed concepts plus pseudo-concepts.
     Embeddings and targets are regressed on the observed one-hot design
-    in one solve, the embedding residual is compressed to its top-j right
-    singular directions, and the targets are fit on their orthogonal
-    scores: one SVD of each matrix. Decoupling is exact at ridge 0 because
-    the residual scores are orthogonal to the observed design. The pseudo
+    in one solve, the embedding residual is compressed to its singular
+    directions above the noise, and the targets are fit on their scores:
+    one SVD of each matrix. Decoupling is exact at ridge 0 because the
+    residual scores are orthogonal to the observed design. The pseudo
     features stand in for whatever concept information the annotations
     are missing, so effect estimates condition on it instead of
     absorbing it into the observed coefficients.
@@ -58,7 +58,7 @@ from .data import (
     write_jsonl,
 )
 from .errors import NumericalError, ValidationError
-from .linalg import RANK_RTOL, as_matrix, lstsq, max_abs_cross, residualize, truncated_svd
+from .linalg import RANK_RTOL, as_matrix, lstsq, max_abs_cross, noise_threshold, residualize, truncated_svd
 
 TARGET_OUTPUT = "output"
 TARGET_GOLD = "gold"
@@ -118,8 +118,9 @@ class MCCEModel:
     """Fitted linear surrogate with pseudo-concept features.
 
     embed_coef maps observed concept vectors to predicted embeddings;
-    pseudo_basis spans the embedding residual; concept_coef and
-    pseudo_coef are the decoupled least-squares coefficient blocks.
+    pseudo_basis holds the embedding residual's kept directions, j >= 0 of
+    them; concept_coef and pseudo_coef are the decoupled least-squares
+    coefficient blocks.
     """
 
     schema: ConceptSchema
@@ -184,9 +185,11 @@ def fit_mcce(
 ) -> MCCEModel:
     """Fit the pseudo-concept surrogate on the dataset's factual samples.
 
-    n_pseudo defaults to the visible one-hot width. Targets default to
-    the stored black-box outputs; target_kind="gold" fits one-hot gold
-    labels instead (predictor mode).
+    The pseudo-concepts are the r embedding residual directions above its
+    noise threshold (`linalg.noise_threshold`), or the first n_pseudo of
+    those above the rounding floor; none at rounding scale is kept, so
+    there may be none. Targets default to the stored black-box outputs;
+    target_kind="gold" fits one-hot gold labels (predictor mode).
     """
     rows = dataset.fit_rows
     if rows.size == 0:
@@ -195,35 +198,37 @@ def fit_mcce(
     C, H = dataset.design_matrix(rows), dataset.embeddings[rows]
     T, kind = _resolve_targets(dataset, rows, target_kind)
     n, d = H.shape
-    j = k_vis if n_pseudo is None else n_pseudo
-    if not isinstance(j, (int, np.integer)) or not 1 <= int(j) <= min(n, d):
-        raise ValidationError(
-            f"n_pseudo must be an integer in [1, {min(n, d)}], got {n_pseudo!r}"
-        )
-    j = int(j)
-    if n < k_vis + j:
-        warnings.warn(
-            f"only {n} fit samples for {k_vis} concepts + {j} pseudo-concepts; "
-            "coefficients will interpolate",
-            stacklevel=2,
-        )
+    integral = isinstance(n_pseudo, (int, np.integer)) and type(n_pseudo) is not bool
+    if n_pseudo is not None and not (integral and 1 <= n_pseudo <= min(n, d)):
+        raise ValidationError(f"n_pseudo must be an integer in [1, {min(n, d)}], got {n_pseudo!r}")
 
     observed, residual = residualize(C, np.hstack([H, T]), ridge)
     embed_coef, concept_coef = np.hsplit(observed.coefficients, [d])
-    # Residual directions at rounding-error scale relative to H (its Frobenius
-    # norm, within sqrt(d) of the spectral one and free of an SVD) are artifacts
-    # of the solve, not structure. Zeroed columns drop out of every later product.
-    noise_floor = RANK_RTOL * float(np.linalg.norm(H))
-    basis, scores, s = truncated_svd(residual[:, :d], j, floor=noise_floor)
-    kept = s > 0.0  # the scores are orthogonal with norms s (see `linalg`)
-    pseudo_coef = np.divide(scores.T @ T, s[:, None] ** 2 + ridge, out=np.zeros((j, T.shape[1])),
-                            where=kept[:, None])
+    basis, s = truncated_svd(residual[:, :d])
+    # rounding scale relative to H's Frobenius norm (SVD-free, within sqrt(d) of the spectral
+    # one); at ridge 0 the residual lies in the n_free-dim complement of the design's columns
+    floor = RANK_RTOL * float(np.linalg.norm(H))
+    n_free = n - observed.effective_rank
+    threshold = noise_threshold(s[:n_free], (n_free, d), floor)
+    r = int(np.count_nonzero(s > threshold))
+    j = r if n_pseudo is None else min(int(n_pseudo), int(np.count_nonzero(s > floor)))
+    if j < r:
+        warnings.warn(f"n_pseudo {j} keeps {j} of the {r} embedding residual directions above the "
+                      "noise threshold, so the effects may stay biased", stacklevel=2)
+    elif n_pseudo is None and threshold > floor and r == min(n_free, d) // 2:  # a median rule's cap
+        warnings.warn(f"{r} of the {min(n_free, d)} embedding residual directions rise above the "
+                      "noise threshold, the most it keeps: the residual may be mostly signal, so "
+                      "some may have been cut (set n_pseudo to keep more)", stacklevel=2)
+    if n < k_vis + j:
+        warnings.warn(f"only {n} fit samples for {k_vis} concepts + {j} pseudo-concepts; "
+                      "coefficients will interpolate", stacklevel=2)
+    basis, s = basis[:, :j].copy(), s[:j]
+    scores = residual[:, :d] @ basis  # orthogonal with norms s (see `linalg`)
+    pseudo_coef = (scores.T @ T) / (s[:, None] ** 2 + ridge)
     diagnostics = {
         "n_fit": n,
         "design_rank": observed.effective_rank,
-        "pseudo_rank": int(np.count_nonzero(kept)),
-        "pseudo_dropped": int(np.sum(~basis.any(axis=0))),
-        "orthogonality_max": max_abs_cross(C, scores),
+        "orthogonality_max": max_abs_cross(C, scores) if j else 0.0,
         "fit_residual_sos": float(np.sum((residual[:, d:] - scores @ pseudo_coef) ** 2)),
     }
     return MCCEModel(
@@ -676,23 +681,28 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
             raise ValidationError(f"{path}: {exc}") from None
         if kind == "mcce":
             k_vis = schema.visible_width(hidden)
+            j = json_field(obj, "n_pseudo", "integer", path)
+            embed_coef, concept_coef = matrix("embed_coef"), matrix("concept_coef")
+
+            def pseudo(key: str, shape: tuple[int, int]) -> np.ndarray:  # `shape` when j is 0
+                return matrix(key) if j else np.reshape(float_array(obj[key], f"{path}: {key!r}"), shape)
+
             model = MCCEModel(
                 schema=schema,
                 hidden_attributes=hidden,
-                embed_coef=matrix("embed_coef"),
-                pseudo_basis=matrix("pseudo_basis"),
-                concept_coef=matrix("concept_coef"),
-                pseudo_coef=matrix("pseudo_coef"),
+                embed_coef=embed_coef,
+                pseudo_basis=pseudo("pseudo_basis", (embed_coef.shape[1], 0)),
+                concept_coef=concept_coef,
+                pseudo_coef=pseudo("pseudo_coef", (0, concept_coef.shape[1])),
                 ridge=json_field(obj, "ridge", "number", path),
-                n_pseudo=json_field(obj, "n_pseudo", "integer", path),
+                n_pseudo=j,
                 space=json_field(obj, "space", "string", path),
                 target_kind=json_field(obj, "target_kind", "string", path),
                 diagnostics=json_field(obj, "diagnostics", "object", path),
             )
-            d = model.embed_coef.shape[1]
             if model.embed_coef.shape[0] != k_vis or model.concept_coef.shape[0] != k_vis:
                 raise ValidationError("coefficient rows do not match the schema/mask width")
-            if model.pseudo_basis.shape != (d, model.n_pseudo):
+            if model.pseudo_basis.shape != (model.embed_coef.shape[1], model.n_pseudo):
                 raise ValidationError("pseudo basis shape does not match n_pseudo")
             if model.pseudo_coef.shape[0] != model.n_pseudo:
                 raise ValidationError("pseudo coefficient rows do not match n_pseudo")

@@ -22,14 +22,15 @@ residualize(C, H, ridge)
     The solve of H on C, and H minus that fit. At ridge 0 the residual
     is orthogonal to col(C) up to floating-point error.
 
-truncated_svd(R, j, floor)
-    Top-j right singular directions of R, the scores R @ basis, and their
-    singular values s. In each basis column the entry of largest
-    magnitude is nonnegative, which pins an otherwise arbitrary sign.
-    Directions at or below `floor`, and their s, are zeroed: a residual
-    that is numerically zero must not spawn pseudo-directions made of
-    rounding error. The scores are orthogonal with norms s, so their
-    solve needs no second SVD: scores^T B / (s^2 + ridge) where s > 0.
+truncated_svd(R)
+    Every right singular direction of R, sign-pinned, and its singular
+    values s. The top-j scores R @ basis[:, :j] are orthogonal with norms
+    s[:j], so their solve needs no second SVD: scores^T B / (s^2 + ridge).
+
+noise_threshold(s, shape, floor)
+    Noise reaches every direction, so a spectrum with a value at or below
+    `floor` (rounding scale) is noise-free and `floor` separates signal.
+    Otherwise the Gavish-Donoho threshold does, which keeps at most half.
 """
 
 from __future__ import annotations
@@ -99,37 +100,33 @@ def residualize(C, H, ridge: float = 0.0) -> tuple[LstsqSolution, np.ndarray]:
     return sol, np.subtract(H, residual, out=residual)
 
 
-def truncated_svd(R, j: int, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top-j right singular directions of R, the scores R @ basis, and their singular values.
+def truncated_svd(R) -> tuple[np.ndarray, np.ndarray]:
+    """(basis, s): all m = min(R.shape) right singular directions of R, (d, m), and s descending.
 
-    Returns (basis, scores, s) with basis (d, j), scores (n, j), s (j,).
-    Columns for zero singular values are whatever canonical unit vectors
-    the SVD yields, sign-fixed like every other column.
-
-    `floor` > 0 zeroes every column, and its entry of s, whose singular
-    value is <= floor.
-    Callers use it to discard directions that sit at rounding-error scale
-    relative to the matrix R was derived from; a zero column contributes
-    nothing downstream, which is safer than an arbitrary noise direction.
+    The entry of largest magnitude in each basis column is nonnegative,
+    which pins an otherwise arbitrary sign.
     """
     R = as_matrix(R, "R")
-    limit = min(R.shape)
-    if not isinstance(j, (int, np.integer)) or not 1 <= int(j) <= limit:
-        raise ValidationError(f"j must be an integer in [1, {limit}], got {j!r}")
-    j = int(j)
-    if not isinstance(floor, (int, float, np.floating)) or not np.isfinite(floor) or floor < 0.0:
-        raise ValidationError(f"floor must be a finite nonnegative real, got {floor!r}")
-    floor = float(floor)
     _, s, Vt = _svd(R, "R")
-    basis, s = Vt[:j].T.copy(), s[:j]
-    for col in range(j):
-        if floor > 0.0 and s[col] <= floor:
-            basis[:, col] = s[col] = 0.0
-            continue
-        pivot = int(np.argmax(np.abs(basis[:, col])))
-        if basis[pivot, col] < 0.0:
-            basis[:, col] = -basis[:, col]
-    return basis, R @ basis, s
+    basis = Vt.T
+    pivot = np.argmax(np.abs(basis), axis=0)
+    basis *= np.where(basis[pivot, np.arange(s.size)] < 0.0, -1.0, 1.0)
+    return basis, s
+
+
+def noise_threshold(s: np.ndarray, shape: tuple[int, int], floor: float) -> float:
+    """The singular value above which a direction of an (n, d) matrix is signal.
+
+    s holds its singular values, descending. With none at or below `floor`
+    it is omega(beta) * median(s), beta = min(n, d) / max(n, d), the optimal
+    hard threshold for noise of unknown level (Gavish & Donoho 2014, "The
+    Optimal Hard Threshold for Singular Values is 4/sqrt(3)"); else `floor`.
+    """
+    if s.size == 0 or s[-1] <= floor:
+        return floor
+    beta = min(shape) / max(shape)
+    omega = 0.56 * beta**3 - 0.95 * beta**2 + 1.82 * beta + 1.43
+    return omega * float(np.median(s))
 
 
 def max_abs_cross(A, B) -> float:

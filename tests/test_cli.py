@@ -230,8 +230,7 @@ class TestFit:
         )
         out = capsys.readouterr().out
         assert code == 0 and model.exists()
-        for key in ("n_fit", "k_vis", "n_pseudo", "design_rank", "pseudo_rank", "pseudo_dropped",
-                    "residual_sos"):
+        for key in ("n_fit", "k_vis", "n_pseudo", "design_rank", "residual_sos"):
             assert key in out, key
         assert "n_fit=150" in out  # edited rows excluded
 
@@ -266,27 +265,30 @@ class TestFit:
         )
         assert proc.returncode == 0, proc.stderr
         # three visible 3-level blocks: full rank 9 - 3 + 1 = 7, one level short
-        assert "design_rank=6 pseudo_rank=" in proc.stdout
+        assert "design_rank=6 " in proc.stdout
         warnings = proc.stderr.splitlines()
         assert len(warnings) == 1 and "design rank 6 is below 7" in warnings[0], proc.stderr
 
-    @pytest.mark.parametrize("hidden", ["ambiance,food", "ambiance,food,noise"])
-    def test_too_few_pseudo_concepts_warn(self, synth_dir, tmp_path, hidden):
+    @pytest.mark.parametrize("j", [None, "3", "6"])
+    def test_too_few_pseudo_concepts_warn(self, synth_dir, tmp_path, j):
+        # three 3-level attributes hidden: the noiseless residual has rank 6
+        model = tmp_path / "model.json"
         proc = run_process(
             "fit",
             "--schema", synth_dir / "schema.json",
             "--samples", synth_dir / "samples.jsonl",
             "--method", "mcce",
-            "--hidden", hidden,
-            "--out", tmp_path / "model.json",
+            "--hidden", "ambiance,food,noise",
+            *(() if j is None else ("--j", j)),
+            "--out", model,
         )
         assert proc.returncode == 0, proc.stderr
-        if hidden == "ambiance,food":  # default n_pseudo 6 = the visible width >= rank 4
+        assert json.loads(model.read_text())["n_pseudo"] == (3 if j == "3" else 6)
+        if j == "3":
+            assert "n_pseudo 3 keeps 3 of the 6 embedding residual directions above the noise" \
+                in proc.stderr
+        else:  # the default keeps exactly the hidden rank, as does --j 6
             assert proc.stderr == ""
-        else:  # the default n_pseudo 3 < rank 3 * (3 - 1) = 6
-            warnings = proc.stderr.splitlines()
-            assert len(warnings) == 1, proc.stderr
-            assert warnings[0].startswith("warning: n_pseudo 3 is below the hidden blocks' rank 6")
 
     def test_slearner_rejects_gold_targets(self, synth_dir, tmp_path, capsys):
         code = run(
@@ -1093,14 +1095,17 @@ class TestLoaderErrors:
         message = f"pair {rows[0]['original_id']!r}->{rows[0]['edited_id']!r}: labels differ in {differ},"
         assert message in err and "Traceback" not in err and not out.exists()
 
-    @pytest.mark.parametrize("table", ["samples", "pairs"])
-    def test_a_bad_row_names_its_file_and_line(self, synth_dir, tmp_path, capsys, table):
+    @pytest.mark.parametrize("table, fault", [("samples", "label"), ("samples", "gold"), ("pairs", "id")])
+    def test_a_bad_row_names_its_file_and_line(self, synth_dir, tmp_path, capsys, table, fault):
         files = {name: synth_dir / f"{name}.jsonl" for name in ("samples", "pairs")}
         rows = read_table(files[table])
-        if table == "samples":
+        if fault == "label":
             attribute = next(iter(rows[3]["concepts"]))
             rows[3]["concepts"][attribute] = "POS"
             message = f"sample {rows[3]['id']!r}: illegal label {attribute}='POS'"
+        elif fault == "gold":  # an integer, but none that int64 holds
+            rows[3]["gold"] = 2**70
+            message = f"gold label {2**70} is too large"
         else:
             rows[3]["original_id"] = "nobody"
             message = "pair references unknown sample 'nobody'"

@@ -87,7 +87,7 @@ def test_fit_zero_targets_zero_coefficients():
     ds = Dataset(ds.schema, ds.ids, ds.codes, ds.embeddings, np.zeros((len(ds), 3)))
     model = fit_mcce(ds)
     assert np.max(np.abs(model.concept_coef)) < 1e-12
-    assert np.max(np.abs(model.pseudo_coef)) < 1e-12
+    assert np.all(np.abs(model.pseudo_coef) < 1e-12)
 
 
 def test_fit_hidden_attribute_still_fits_targets_exactly():
@@ -122,19 +122,23 @@ def test_fit_decoupling_identity():
     assert np.allclose(joint[k:], model.pseudo_coef, atol=1e-8)
 
 
-def five_svd_fit(dataset, n_pseudo, ridge):
-    """fit_mcce's solves as they were, in five SVDs: (embed solve, basis, concept solve, pseudo solve).
+def five_svd_fit(dataset, j, ridge):
+    """fit_mcce's solves as they were, in five SVDs, on j residual directions: (embed solve,
+    basis, concept solve, pseudo solve or None when j is 0).
 
     The design is factored twice (the embedding and the target solves),
     then the residual, the scores in their own solve, and the embeddings
-    for the spectral norm under the noise floor.
+    for the spectral norm under the noise floor, which every kept
+    direction must clear.
     """
     rows = dataset.fit_rows
     C, H, T = dataset.design_matrix(rows), dataset.embeddings[rows], dataset.outputs[rows]
     embed = lstsq(C, H, ridge)
-    floor = RANK_RTOL * np.linalg.norm(H, 2)
-    basis, scores, _ = truncated_svd(H - C @ embed.coefficients, n_pseudo, floor)
-    return embed, basis, lstsq(C, T, ridge), lstsq(scores, T, ridge)
+    R = H - C @ embed.coefficients
+    basis, s = truncated_svd(R)
+    assert np.all(s[:j] > RANK_RTOL * np.linalg.norm(H, 2))
+    basis = basis[:, :j]
+    return embed, basis, lstsq(C, T, ridge), lstsq(R @ basis, T, ridge) if j else None
 
 
 @st.composite
@@ -142,7 +146,8 @@ def fit_problems(draw):
     """(dataset, n_pseudo, ridge): a hidden attribute in the embeddings, noisy or not, ridge 0 or not.
 
     Without noise the residual has the hidden block's rank, so any larger
-    n_pseudo floors columns.
+    n_pseudo keeps only that many directions. n_pseudo may be None, the
+    default.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3))
@@ -154,7 +159,7 @@ def fit_problems(draw):
     H += noise * rng.standard_normal((n, d))
     dataset = Dataset(schema, ids(n), codes, H, rng.standard_normal((n, q)), hidden_attributes={"a0"})
     ridge = draw(st.sampled_from([0.0, 0.01, 2.5]))
-    return dataset, draw(st.integers(1, min(n, d))), ridge
+    return dataset, draw(st.none() | st.integers(1, min(n, d))), ridge
 
 
 @settings(max_examples=100, deadline=None)
@@ -162,16 +167,21 @@ def fit_problems(draw):
 def test_fit_equals_the_five_svd_reference(problem):
     dataset, n_pseudo, ridge = problem
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the interpolation warning
+        warnings.simplefilter("ignore")  # the interpolation and pseudo-concept count warnings
         model = fit_mcce(dataset, n_pseudo=n_pseudo, ridge=ridge)
-    embed, basis, observed, pseudo = five_svd_fit(dataset, n_pseudo, ridge)
+    j = model.n_pseudo
+    assert n_pseudo is None or j <= n_pseudo
+    embed, basis, observed, pseudo = five_svd_fit(dataset, j, ridge)
     pairs = [(model.embed_coef, embed.coefficients), (model.pseudo_basis, basis),
-             (model.concept_coef, observed.coefficients), (model.pseudo_coef, pseudo.coefficients)]
+             (model.concept_coef, observed.coefficients)]
+    if j:
+        pairs.append((model.pseudo_coef, pseudo.coefficients))
+        assert pseudo.effective_rank == j
+    assert model.pseudo_coef.shape == (j, dataset.outputs.shape[1])
     for got, want in pairs:
-        assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
-    d = model.diagnostics
-    assert (d["design_rank"], d["pseudo_rank"]) == (observed.effective_rank, pseudo.effective_rank)
-    assert d["pseudo_dropped"] == int(np.sum(~basis.any(axis=0)))
+        scale = max(1.0, np.max(np.abs(want), initial=0.0))
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-9 * scale
+    assert model.diagnostics["design_rank"] == observed.effective_rank
 
 
 def test_fit_takes_two_svds(monkeypatch):
@@ -193,8 +203,9 @@ def test_fit_takes_two_svds(monkeypatch):
 
 def test_fit_pseudo_basis_rotation_invariance():
     # predictions depend on span(pseudo_basis), not the basis itself
-    ds, _, _ = linear_dataset(hidden={"a"}, noise=0.1, seed=5)
+    ds, _, _ = linear_dataset(hidden={"b"}, noise=0.1, seed=5)  # b's 3 levels: rank 2
     model = fit_mcce(ds, n_pseudo=2)
+    assert model.n_pseudo == 2
     rng = np.random.default_rng(6)
     Q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
     rotated = MCCEModel(
@@ -231,12 +242,42 @@ def test_fit_interpolation_regime_reproduces_targets():
     assert np.allclose(pred, ds.outputs, atol=1e-6)
 
 
+@pytest.mark.parametrize("n_pseudo", [None, 5])
+def test_fit_keeps_no_direction_at_rounding_scale(n_pseudo, tmp_path):
+    # noiseless embeddings: hiding a (2 levels) leaves a rank-1 residual and
+    # hiding nothing a residual of rounding error, so a model keeps 1 and 0
+    for hidden, rank in (({"a"}, 1), ((), 0)):
+        ds, _, _ = linear_dataset(hidden=hidden, seed=3)
+        model = fit_mcce(ds, n_pseudo=n_pseudo)
+        assert model.n_pseudo == rank
+        assert model.pseudo_basis.shape == (8, rank) and model.pseudo_coef.shape == (rank, 4)
+        assert np.all(np.linalg.norm(model.pseudo_basis, axis=0) > 0.99)
+        back = load_model(save_model(model, tmp_path / "model.json"))
+        assert back.pseudo_basis.shape == (8, rank) and back.pseudo_coef.shape == (rank, 4)
+        C, E = ds.design_matrix(), ds.embeddings
+        assert np.array_equal(back.predict(C, E), model.predict(C, E))
+        assert np.allclose(model.predict(C, E), ds.outputs, atol=1e-8)  # exact either way
+
+
+def test_fit_default_counts_only_the_directions_a_wide_residual_can_take():
+    # n = 40 rows of d = 60 noisy dimensions: the residual is orthogonal to
+    # the 2 design columns, so 2 of its 40 singular values are structurally
+    # zero. Only the other 38 can hold noise, and b's 3 levels add rank 2.
+    ds, _, _ = linear_dataset(n=40, embed_dim=60, seed=4)
+    noisy = ds.embeddings + 0.01 * np.random.default_rng(4).standard_normal(ds.embeddings.shape)
+    ds = Dataset(ds.schema, ds.ids, ds.codes, noisy, ds.outputs, hidden_attributes={"b"})
+    model = fit_mcce(ds)
+    assert model.diagnostics["design_rank"] == 2 and model.n_pseudo == 2
+
+
 def test_fit_validation_errors():
     ds, _, _ = linear_dataset(n=20)
     with pytest.raises(ValidationError):
         fit_mcce(ds, n_pseudo=0)
     with pytest.raises(ValidationError):
         fit_mcce(ds, n_pseudo=9)  # > embed_dim 8
+    with pytest.raises(ValidationError):
+        fit_mcce(ds, n_pseudo=True)  # a bool is no count
     with pytest.raises(ValidationError):
         fit_mcce(ds, ridge=-1.0)
     with pytest.raises(ValidationError):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mcce import ValidationError, lstsq, residualize, truncated_svd
-from mcce.linalg import as_matrix, max_abs_cross
+from mcce.linalg import as_matrix, max_abs_cross, noise_threshold
 
 
 # --- lstsq ------------------------------------------------------------
@@ -136,16 +136,17 @@ def test_residualize_exact_fit_leaves_zero():
 
 def test_truncated_svd_diagonal_by_hand():
     R = np.diag([3.0, 2.0, 1.0])
-    basis, scores, s = truncated_svd(R, 2)
-    assert np.allclose(basis, [[1, 0], [0, 1], [0, 0]], atol=1e-12)
-    assert np.allclose(scores, [[3, 0], [0, 2], [0, 0]], atol=1e-12)
-    assert np.allclose(s, [3, 2], atol=1e-12)
+    basis, s = truncated_svd(R)
+    assert np.allclose(basis, np.eye(3), atol=1e-12)
+    assert np.allclose(R @ basis[:, :2], [[3, 0], [0, 2], [0, 0]], atol=1e-12)
+    assert np.allclose(s, [3, 2, 1], atol=1e-12)  # the whole spectrum
 
 
 def test_truncated_svd_full_rank_reconstruction():
     rng = np.random.default_rng(6)
     R = rng.standard_normal((10, 6))
-    basis, scores, s = truncated_svd(R, 6)
+    basis, s = truncated_svd(R)
+    scores = R @ basis
     assert np.allclose(scores @ basis.T, R, atol=1e-8)
     assert np.allclose(basis.T @ basis, np.eye(6), atol=1e-10)
     # the scores are orthogonal, each with its singular value as norm
@@ -155,9 +156,9 @@ def test_truncated_svd_full_rank_reconstruction():
 def test_truncated_svd_sign_convention_is_stable():
     rng = np.random.default_rng(7)
     R = rng.standard_normal((8, 5))
-    basis_pos, _, _ = truncated_svd(R, 3)
-    basis_neg, _, _ = truncated_svd(-R, 3)
-    for col in range(3):
+    basis_pos, _ = truncated_svd(R)
+    basis_neg, _ = truncated_svd(-R)
+    for col in range(5):
         pivot = int(np.argmax(np.abs(basis_pos[:, col])))
         assert basis_pos[pivot, col] >= 0.0
         # flipping R flips U, not the pinned V columns
@@ -165,37 +166,37 @@ def test_truncated_svd_sign_convention_is_stable():
 
 
 def test_truncated_svd_zero_matrix_gives_zero_scores():
-    basis, scores, s = truncated_svd(np.zeros((4, 3)), 2)
-    assert basis.shape == (3, 2)
-    assert np.max(np.abs(scores)) == 0.0
+    R = np.zeros((4, 3))
+    basis, s = truncated_svd(R)
+    assert basis.shape == (3, 3)
+    assert np.max(np.abs(R @ basis)) == 0.0
     assert np.max(np.abs(s)) == 0.0
 
 
-def test_truncated_svd_floor_zeroes_noise_directions():
-    # singular values 5 and 1e-14: a floor between them wipes the second
-    U = np.eye(4)[:, :2]
-    V = np.eye(3)[:, :2]
-    R = U @ np.diag([5.0, 1e-14]) @ V.T
-    basis, scores, s = truncated_svd(R, 2, floor=1e-8)
-    assert np.allclose(basis[:, 0], [1.0, 0.0, 0.0], atol=1e-10)
-    assert np.max(np.abs(basis[:, 1])) == 0.0
-    assert np.max(np.abs(scores[:, 1])) == 0.0
-    assert abs(s[0] - 5.0) < 1e-12 and s[1] == 0.0
-    # and without a floor the direction survives
-    basis, _, s = truncated_svd(R, 2, floor=0.0)
-    assert np.max(np.abs(basis[:, 1])) > 0.9
-    assert abs(s[1] - 1e-14) < 1e-20
+# --- noise_threshold ------------------------------------------------------
+
+def test_noise_threshold_by_hand():
+    # square: omega(1) = 0.56 - 0.95 + 1.82 + 1.43 = 2.86 times the median 1
+    assert noise_threshold(np.array([10.0, 1.0, 1.0, 1.0]), (4, 4), 1e-9) == pytest.approx(2.86)
+    # beta = 1/4: omega = 0.56/64 - 0.95/16 + 1.82/4 + 1.43 times the median 2
+    omega = 0.56 / 64 - 0.95 / 16 + 1.82 / 4 + 1.43
+    assert noise_threshold(np.array([3.0, 2.0, 1.0]), (12, 3), 0.0) == pytest.approx(2.0 * omega)
 
 
-def test_truncated_svd_rejects_bad_j_and_floor():
-    R = np.ones((4, 3))
-    for j in (0, 4, -1, 1.5, "2"):
-        with pytest.raises(ValidationError):
-            truncated_svd(R, j)
-    with pytest.raises(ValidationError):
-        truncated_svd(R, 2, floor=-1.0)
-    with pytest.raises(ValidationError):
-        truncated_svd(R, 2, floor=np.nan)
+def test_noise_threshold_is_the_floor_for_a_noise_free_spectrum():
+    # a value at rounding scale means no noise reaches that direction
+    s = np.array([5.0, 4.0, 3.0, 1e-15])
+    assert noise_threshold(s, (50, 4), 1e-9) == 1e-9
+    assert noise_threshold(np.array([]), (0, 4), 1e-9) == 1e-9
+
+
+def test_noise_threshold_separates_a_low_rank_signal_from_gaussian_noise():
+    rng = np.random.default_rng(8)
+    n, d = 400, 30
+    signal = rng.standard_normal((n, 3)) @ rng.standard_normal((3, d))
+    R = signal + 0.1 * rng.standard_normal((n, d))
+    _, s = truncated_svd(R)
+    assert int(np.sum(s > noise_threshold(s, (n, d), 0.0))) == 3
 
 
 # --- helpers ----------------------------------------------------------

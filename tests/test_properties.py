@@ -781,7 +781,7 @@ def masked_schemas(draw):
 def test_mcce_model_round_trips_bit_exactly(tmp_path_factory, masked, data):
     schema, hidden = masked
     k = schema.visible_width(hidden)
-    d, j, q = (data.draw(st.integers(1, 3)) for _ in range(3))
+    d, j, q = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
     model = MCCEModel(
         schema=schema,
         hidden_attributes=hidden,
@@ -881,7 +881,7 @@ def test_pseudo_scores_are_orthogonal_to_the_concept_design(problem):
         model = fit_mcce(dataset, n_pseudo=min(dataset.visible_width, n, d))
     C, S = fitted_scores(model, dataset)
     scale = n * (1.0 + np.abs(dataset.embeddings).max())
-    assert np.abs(C.T @ S).max() <= 1e-10 * scale
+    assert np.abs(C.T @ S).max(initial=0.0) <= 1e-10 * scale  # S may have no column
     assert model.diagnostics["orthogonality_max"] <= 1e-10 * scale
 
 
@@ -1190,14 +1190,18 @@ def noiseless_configs(draw, hide=True):
     )
 
 
+def hidden_rank(config) -> int:
+    """The rank the hidden blocks add to the complete one-hot design."""
+    schema = config.schema
+    return int(np.sum(schema.sizes[~schema.visible_mask(config.hidden)] - 1))
+
+
 @st.composite
 def recoverable_configs(draw):
     """A `noiseless_configs` draw with something hidden, and a pseudo-concept
-    count no smaller than the hidden blocks' rank."""
+    count no smaller than the hidden blocks' rank, or None for the default."""
     config = draw(noiseless_configs())
-    schema = config.schema
-    hidden_rank = int(np.sum(schema.sizes[~schema.visible_mask(config.hidden)] - 1))
-    return config, draw(st.integers(hidden_rank, config.embed_dim))
+    return config, draw(st.none() | st.integers(hidden_rank(config), config.embed_dim))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1220,6 +1224,84 @@ def test_mcce_recovers_the_oracle_when_pseudo_concepts_span_the_hidden_blocks(pr
     got = explain_mcce(model, dataset, p.original[visible], p.attribute[visible], p.to[visible])
     want = oracle_effect(truth, dataset, "logit")[visible]
     assert np.max(np.abs(got - want)) < 1e-8
+
+
+def test_default_pseudo_count_keeps_a_noiseless_residual_that_is_mostly_signal():
+    # Two of three attributes hidden: rank 6 in a 10-dimensional residual.
+    # The median of its spectrum is a signal value, so without the floor's
+    # noise-free case the threshold would cut every direction.
+    attributes = [("a0", ["l0", "l1", "l2", "l3"]), ("a1", ["l0", "l1", "l2", "l3"]), ("a2", ["l0", "l1"])]
+    config = default_config(
+        n=150, seed=1, hidden=["a0", "a1"], attributes=attributes, embed_dim=10, outcome_noise=0.0
+    )
+    dataset, truth = generate(config)
+    dataset = make_pairs(dataset, truth, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the default is exact, so silent
+        model = fit_mcce(dataset)
+    assert model.n_pseudo == hidden_rank(config) == 6
+    p = dataset.pairs
+    visible = config.schema.visible_mask(config.hidden)[p.attribute]
+    got = explain_mcce(model, dataset, p.original[visible], p.attribute[visible], p.to[visible])
+    assert np.max(np.abs(got - oracle_effect(truth, dataset, "logit")[visible])) < 1e-8
+
+
+def test_default_pseudo_count_warns_at_the_median_threshold_cap():
+    # Two 3-level attributes hidden in a 6-dimensional noisy embedding: rank 4
+    # of 6. No threshold at a multiple of the median keeps more than 3.
+    config = default_config(n=2000, seed=3, hidden=["ambiance", "food"], embed_dim=6,
+                            embed_noise=0.05, exact_recovery=False)
+    dataset, _ = generate(config)
+    with pytest.warns(UserWarning, match="3 of the 6 embedding residual directions rise above"):
+        model = fit_mcce(dataset)
+    assert model.n_pseudo == 3
+
+
+def macro_l2(model, dataset) -> float:
+    """Macro-mean L2 error of the model's effects against the dataset's visible pairs."""
+    effects, metadata, match = _explain(dataset, "mcce", model, 0)
+    return icace_error(effects, dataset, "l2", hidden=dataset.hidden_attributes, match=match).macro_mean
+
+
+@st.composite
+def noisy_low_rank_configs(draw):
+    """A config with embedding noise, an orthonormal embedding map and
+    hidden blocks of rank below half of `embed_dim`: a low-rank signal
+    over a noise bulk, the premise of the median threshold."""
+    level_counts = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
+    hidden = draw(
+        st.lists(st.sampled_from(range(len(level_counts))), min_size=1,
+                 max_size=len(level_counts) - 1, unique=True)
+    )
+    width = sum(level_counts)
+    config = default_config(
+        n=draw(st.integers(300, 1000)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        hidden=[f"a{a}" for a in hidden],
+        attributes=[(f"a{i}", [f"l{j}" for j in range(c)]) for i, c in enumerate(level_counts)],
+        embed_dim=draw(st.integers(width, width + 4)),
+        confounding=draw(st.sampled_from([0.0, 1.0])),
+        embed_noise=draw(st.sampled_from([0.02, 0.05])),
+        param_seed=draw(st.integers(0, 1000)),
+        exact_recovery=False,
+    )
+    assume(2 * hidden_rank(config) < config.embed_dim)
+    return config
+
+
+@settings(max_examples=15, deadline=None)
+@given(noisy_low_rank_configs())
+def test_default_pseudo_count_is_the_hidden_rank_under_embedding_noise(config):
+    dataset, truth = generate(config)
+    dataset = make_pairs(dataset, truth, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # at the median rule's cap, and a too-small n_pseudo
+        model = fit_mcce(dataset)
+        wide = fit_mcce(dataset, n_pseudo=dataset.visible_width)
+    assert model.n_pseudo == hidden_rank(config)
+    # the extra directions fit noise; on a draw where that noise happens to
+    # help, it helps by far less than 1%
+    assert macro_l2(model, dataset) <= 1.01 * macro_l2(wide, dataset)
 
 
 def observed_regression(config, dataset):
