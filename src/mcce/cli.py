@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -153,11 +152,12 @@ def _explain(dataset: Dataset, method: str, model, seed: int, truth=None, pair_s
     The dataset's mask is the run's: mcce and slearner skip (and count)
     pairs that edit an attribute it hides. approx skips none and breaks
     each estimate's ties by its pair's seed from `pair_seeds`, the
-    `_pair_seeds` of the dataset and `seed`. Returns (effects, metadata,
-    match): the effects file's contents, to which `write_effects` adds
-    the estimates' method and space, and each pair's estimate row as
-    `match_effects` would find it: that of the first pair of its key, or
-    -1 where that pair was skipped.
+    `_pair_seeds` of the dataset and `seed`. Only approx records `seed`;
+    the other methods draw nothing and record null. Returns (effects,
+    metadata, match): the effects file's contents, to which
+    `write_effects` adds the estimates' method and space, and each pair's
+    estimate row as `match_effects` would find it: that of the first pair
+    of its key, or -1 where that pair was skipped.
     """
     p = dataset.pairs
     first = dataset.first_pairs()
@@ -184,7 +184,7 @@ def _explain(dataset: Dataset, method: str, model, seed: int, truth=None, pair_s
     metadata = {
         "method": method,
         "hidden": sorted(dataset.hidden_attributes),
-        "seed": seed,
+        "seed": seed if method == "approx" else None,
         "pairs_total": len(p),
         "pairs_skipped": skipped,
     }
@@ -314,27 +314,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _experiment_run(dataset, method, metrics, seed, j, ridge, reuse=None, pair_seeds=None):
-    """Fit, explain and score one run; returns (model, effects, metadata, reports).
-
-    Only approx's draws depend on the seed, through `pair_seeds` (see
-    `_explain`). For mcce and slearner, the run of an earlier seed may be
-    passed as `reuse`; it is returned with this seed in its metadata, as
-    a fresh run would be.
-    """
-    if reuse is not None and method != "approx":
-        model, effects, metadata, reports = reuse
-        reports = {
-            metric: replace(report, metadata={**report.metadata, "seed": seed})
-            for metric, report in reports.items()
-        }
-        return model, effects, {**metadata, "seed": seed}, reports
-    model = None if method == "approx" else _fit(dataset, method, j, ridge, TARGET_OUTPUT)
-    effects, metadata, match = _explain(dataset, method, model, seed, pair_seeds=pair_seeds)
-    reports = _reports(dataset, effects, metrics, metadata, dataset.hidden_attributes, match)
-    return model, effects, metadata, reports
-
-
 def cmd_experiment(args) -> int:
     methods = _distinct(_split_csv(args.methods), "method")
     for method in methods:
@@ -342,6 +321,8 @@ def cmd_experiment(args) -> int:
             raise ValidationError(
                 f"unknown experiment method {method!r}, expected one of {EXPERIMENT_METHODS}"
             )
+    if args.j is not None and "mcce" not in methods:
+        raise ValidationError("--j applies to the mcce method only")
     metrics = _parse_metrics(args.metrics)
     seeds = _parse_seeds(args.seeds)
     if "slearner" in methods and args.space != SPACE_PROBABILITY:
@@ -366,31 +347,33 @@ def cmd_experiment(args) -> int:
     pair_seeds = {seed: _pair_seeds(dataset, seed) for seed in seeds} if "approx" in methods else {}
 
     out_dir = Path(args.out)
-    scores = np.empty((len(masks), len(methods), len(metrics), len(seeds)))  # macro means
+    scores = {}  # (mask, method, metric) -> the macro mean of each run
     run_rows = []
-    for m, mask in enumerate(masks):
+    for mask in masks:
         masked = dataset.mask(mask)
         mask_dir = "+".join(mask)
-        for h, method in enumerate(methods):
-            run = None
-            for s, seed in enumerate(seeds):
-                run_dir = out_dir / "runs" / method / mask_dir / f"seed{seed}"
+        for method in methods:
+            # only approx draws, so only approx runs once per seed
+            for seed in seeds if method == "approx" else [None]:
+                run_dir = out_dir / "runs" / method / mask_dir
+                if seed is not None:
+                    run_dir /= f"seed{seed}"
                 try:
-                    run = _experiment_run(
-                        masked, method, metrics, seed, args.j, args.ridge, run, pair_seeds.get(seed)
+                    model = None if method == "approx" else _fit(masked, method, args.j, args.ridge, TARGET_OUTPUT)
+                    effects, metadata, match = _explain(
+                        masked, method, model, seed, pair_seeds=pair_seeds.get(seed)
                     )
-                    model, effects, metadata, reports = run
+                    reports = _reports(masked, effects, metrics, metadata, masked.hidden_attributes, match)
                     if model is not None:
                         save_model(model, run_dir / "model.json")
                     write_effects(run_dir / "effects.jsonl", effects, metadata)
                     _write_reports(run_dir, reports)
                 except (ValidationError, NumericalError) as exc:
-                    raise type(exc)(
-                        f"experiment run method={method} mask={mask_dir} seed={seed}: {exc}"
-                    ) from exc
-                for k, metric in enumerate(metrics):
+                    at = "" if seed is None else f" seed={seed}"
+                    raise type(exc)(f"experiment run method={method} mask={mask_dir}{at}: {exc}") from exc
+                for metric in metrics:
                     report = reports[metric]
-                    scores[m, h, k, s] = report.macro_mean
+                    scores.setdefault((mask, method, metric), []).append(report.macro_mean)
                     run_rows.append(
                         {
                             "mask": list(mask),
@@ -405,16 +388,14 @@ def cmd_experiment(args) -> int:
                         }
                     )
 
-    # Every mean below is over the contiguous last axis of a copy: numpy
+    # Every mean below is over the contiguous last axis of an array: numpy
     # sums such an axis pairwise, and a strided one in order, which can
     # round differently from the mean of the same values as one list.
-    mask_sizes = np.array([len(mask) for mask in masks])
     cells = []
     for size in sizes:
-        of_size = scores[mask_sizes == size]
-        for h, method in enumerate(methods):
-            for k, metric in enumerate(metrics):
-                block = np.ascontiguousarray(of_size[:, h, k])  # (masks, seeds)
+        for method in methods:
+            for metric in metrics:
+                block = np.array([scores[mask, method, metric] for mask in masks if len(mask) == size])
                 by_mask = block.mean(axis=1)
                 by_seed = np.ascontiguousarray(block.T).mean(axis=1)
                 stats = (block.mean(), by_mask.std(), by_seed.std())
@@ -519,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", default=None, help="model JSON (mcce/slearner)")
     sp.add_argument("--ground-truth", default=None, help="ground_truth.json (oracle)")
     sp.add_argument("--hidden", default=None, help="mask for the approx method")
-    sp.add_argument("--seed", type=int, default=0, help="sampling seed (approx)")
+    sp.add_argument("--seed", type=int, default=0, help="sampling seed (approx only)")
     add_space_flag(sp)
     sp.add_argument("--out", required=True, help="effects JSONL path")
     sp.set_defaults(func=cmd_explain)
@@ -537,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--methods", default="mcce,slearner", help="comma-separated methods")
     sp.add_argument("--metrics", default="l2,cosine,norm", help="comma-separated metrics")
     sp.add_argument("--mask-sizes", default="1,2", help="hidden-set sizes to enumerate")
-    sp.add_argument("--seeds", default="0", help="comma-separated sampling seeds")
+    sp.add_argument("--seeds", default="0", help="comma-separated sampling seeds (approx only)")
     sp.add_argument("--j", type=int, default=None)
     sp.add_argument("--ridge", type=float, default=0.0)
     add_space_flag(sp, default=SPACE_PROBABILITY)

@@ -365,13 +365,24 @@ class EditPairs:
 
     def __post_init__(self):
         for name in ("original", "edited"):
-            column = np.asarray(getattr(self, name), dtype=np.int64).reshape(-1)
+            column = _integers(getattr(self, name), "edit pair rows").reshape(-1)
             object.__setattr__(self, name, column)
         if self.original.size != self.edited.size:
             raise ValidationError("edit pair columns differ in length")
 
     def __len__(self) -> int:
         return self.original.size
+
+
+def _integers(value, what: str) -> np.ndarray:
+    """`value` as int64; only an integer array converts, or an empty one (`np.asarray([])` is float64)."""
+    arr = np.asarray(value)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValidationError(f"{what} must be integers, got {arr.dtype} values")
+    out = arr.astype(np.int64, copy=False)
+    if arr.dtype.kind == "u" and np.any(out < 0):  # an unsigned value above int64's range wraps
+        raise ValidationError(f"{what} must be integers that int64 holds")
+    return out
 
 
 def _matrix(value, ids: np.ndarray, what: str) -> np.ndarray:
@@ -429,13 +440,13 @@ class Dataset:
             if dup.size:
                 raise ValidationError(f"duplicate sample id {str(ordered[dup[0]])!r}")
 
-        codes = self.codes = np.asarray(self.codes, dtype=np.int64)
+        codes = self.codes = _integers(self.codes, "level codes")
         if codes.shape != (ids.size, n_attrs) or np.any((codes < 0) | (codes >= schema.sizes)):
             raise ValidationError("level codes need one in-range code per sample and attribute")
         self.embeddings = _matrix(self.embeddings, ids, "embedding")
         self.outputs = _matrix(self.outputs, ids, "output")
         gold = np.full(ids.size, -1) if self.gold is None else self.gold
-        gold = self.gold = np.asarray(gold, dtype=np.int64).reshape(-1)
+        gold = self.gold = _integers(gold, "gold labels").reshape(-1)
         if gold.size != ids.size or np.any(gold < -1):
             raise ValidationError("gold labels need one value >= 0 (or -1 for none) per sample")
 
@@ -587,19 +598,25 @@ def _label_codes(schema: ConceptSchema, ids, labels) -> np.ndarray:
     return codes
 
 
+def _gold_type(t: type) -> bool:
+    """Whether a gold label of type `t` is read: an int (not a bool), a numpy integer, or None."""
+    return t is int or t is type(None) or issubclass(t, np.integer)
+
+
 def _gold_labels(gold) -> np.ndarray:
     """Gold labels, one int or None per row, as int64 with -1 for None."""
     gold = np.array(gold, dtype=object).reshape(-1)
+    if not all(map(_gold_type, set(map(type, gold)))):  # one check per distinct type, not per row
+        row = next(i for i, g in enumerate(gold) if not _gold_type(type(g)))
+        raise _RowError(row, f"gold label {gold[row]!r} is not an integer")
     missing = np.equal(gold, None)
     gold[missing] = -1
     try:
         gold = gold.astype(np.int64)
     except OverflowError:  # a label outside int64
-        row = next(i for i, g in enumerate(gold) if isinstance(g, (int, float)) and abs(g) >= 1 << 63)
+        row = next(i for i, g in enumerate(gold) if abs(int(g)) >= 1 << 63)
         problem = "must be >= 0" if gold[row] < 0 else f"{gold[row]} is too large"
         raise _RowError(row, f"gold label {problem}") from None
-    except (TypeError, ValueError):
-        raise ValidationError("gold labels must be integers") from None
     if np.any(negative := (gold < 0) & ~missing):
         raise _RowError(np.argmax(negative), "gold label must be >= 0")
     return gold

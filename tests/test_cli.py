@@ -374,6 +374,18 @@ def exp_dir(tmp_path_factory):
     return data, out
 
 
+@pytest.fixture(scope="module")
+def exp_seeds_dir(exp_dir):
+    """exp_dir's experiment with approx added and two seeds."""
+    data, out = exp_dir
+    out = out.with_name("out_seeds")
+    assert run(
+        "experiment", *dataset_flags(data), "--methods", "mcce,slearner,approx", "--metrics", "l2",
+        "--mask-sizes", "1", "--seeds", "0,1", "--out", out,
+    ) == 0
+    return data, out
+
+
 class TestExplainEvaluate:
     def test_oracle_scores_zero(self, oracle_report):
         # ground-truth logits are recomputed from the coefficients, so the
@@ -557,15 +569,57 @@ class TestExplainEvaluate:
 
 
 class TestExperiment:
-    def test_run_layout(self, exp_dir):
-        data, out = exp_dir
+    def test_run_layout(self, exp_seeds_dir):
+        """mcce and slearner draw nothing, so each mask's run is written once; approx once per seed."""
+        data, out = exp_seeds_dir
         schema = json.loads((data / "schema.json").read_text())
         names = [a["name"] for a in schema["attributes"]]
-        for method in ("mcce", "slearner"):
-            for name in names:
-                run_dir = out / "runs" / method / name / "seed0"
-                assert (run_dir / "effects.jsonl").exists(), run_dir
-                assert (run_dir / "report_l2.json").exists()
+        for name in names:
+            for method in ("mcce", "slearner"):
+                run_dir = out / "runs" / method / name
+                files = {"effects.jsonl", "effects.effect.npy", "model.json", "report_l2.json", "report_l2.csv"}
+                assert {path.name for path in run_dir.iterdir()} == files, run_dir
+                meta = json.loads((run_dir / "effects.jsonl").read_text().splitlines()[0])["meta"]
+                assert meta["seed"] is None
+            approx = out / "runs" / "approx" / name
+            assert {path.name for path in approx.iterdir()} == {"seed0", "seed1"}
+            for seed in (0, 1):
+                assert (approx / f"seed{seed}" / "report_l2.json").exists()
+                meta = json.loads((approx / f"seed{seed}" / "effects.jsonl").read_text().splitlines()[0])
+                assert meta["meta"]["seed"] == seed
+
+    def test_runs_equal_single_fits_and_explains(self, exp_seeds_dir, tmp_path):
+        """Each mcce and slearner run is `fit --hidden <mask>` then `explain`, byte for byte."""
+        data, out = exp_seeds_dir
+        for mask in json.loads((out / "summary.json").read_text())["masks"]:
+            for method in ("mcce", "slearner"):
+                model, effects = tmp_path / f"{method}-{mask[0]}.json", tmp_path / f"{method}-{mask[0]}.jsonl"
+                assert run(
+                    "fit", *dataset_flags(data), "--method", method, "--hidden", ",".join(mask),
+                    "--space", "probability", "--out", model,
+                ) == 0
+                assert run(
+                    "explain", *dataset_flags(data), "--method", method, "--model", model,
+                    "--space", "probability", "--out", effects,
+                ) == 0
+                run_dir = out / "runs" / method / "+".join(mask)
+                assert effects_bytes(run_dir / "effects.jsonl") == effects_bytes(effects), (method, mask)
+                assert (run_dir / "model.json").read_bytes() == model.read_bytes(), (method, mask)
+
+    def test_seed_count_moves_only_approx(self, exp_dir, exp_seeds_dir):
+        """A second seed adds approx runs; each mcce and slearner cell stays what one seed gives."""
+        one, two = (json.loads((out / "summary.json").read_text()) for _, out in (exp_dir, exp_seeds_dir))
+        cells = {(c["mask_size"], c["method"], c["metric"]): c for c in two["cells"]}
+        for cell in one["cells"]:
+            again = cells[cell["mask_size"], cell["method"], cell["metric"]]
+            assert (again["mean"], again["std_masks"]) == (cell["mean"], cell["std_masks"])
+            assert (again["n_seeds"], again["std_seeds"]) == (1, 0.0)
+        assert cells[1, "approx", "l2"]["n_seeds"] == 2
+        seeds = {}
+        for row in two["runs"]:
+            seeds.setdefault((row["method"], tuple(row["mask"])), []).append(row["seed"])
+        assert all(seeds[key] == ([0, 1] if key[0] == "approx" else [None]) for key in seeds)
+        assert len(seeds) == 3 * len(two["masks"])
 
     def test_summary_cells(self, exp_dir):
         data, out = exp_dir
@@ -619,6 +673,7 @@ class TestExperiment:
             (["--metrics", "l2,l2"], "metric 'l2' is given twice"),
             (["--seeds", "0,0"], "seed 0 is given twice"),
             (["--mask-sizes", "1,1"], "mask size 1 is given twice"),
+            (["--methods", "slearner,approx", "--j", "3"], "--j applies to the mcce method only"),
         ],
     )
     def test_empty_or_repeated_lists_exit_2(self, exp_dir, tmp_path, capsys, flags, message):
@@ -629,6 +684,16 @@ class TestExperiment:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_fit_refuses_j_without_mcce(self, exp_dir, tmp_path, capsys):
+        data, _ = exp_dir
+        code = run(
+            "fit", *dataset_flags(data), "--method", "slearner", "--space", "probability", "--j", "3",
+            "--out", tmp_path / "m.json",
+        )
+        assert code == 2
+        assert "--j applies to the mcce method only" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_rank_collapse_warns_once_per_affected_mcce_run(self, tmp_path):
         config = default_config(n=150, seed=5)

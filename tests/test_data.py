@@ -205,6 +205,25 @@ def test_dataset_rejects_inconsistencies():
         build((s1, make_sample("s2", ["x", "u"], emb=(1.0, 2.0, 3.0))))
     with pytest.raises(ValidationError, match=r"^pair references unknown sample 'ghost'$"):
         build((s1,), pairs=[("s1", "ghost")])
+    # integer columns take integers only: each of these was once truncated
+    with pytest.raises(ValidationError, match=r"^gold label 1\.5 is not an integer$"):
+        build((make_sample("s1", ["x", "u"], gold=1.5),))
+    with pytest.raises(ValidationError, match=r"^gold label True is not an integer$"):
+        build((make_sample("s1", ["x", "u"], gold=True),))
+    zeros, codes = np.zeros((2, 1)), [[0, 0], [1, 0]]
+    for gold in ([1.5, 0], [True, False]):
+        with pytest.raises(ValidationError, match="^gold labels must be integers"):
+            Dataset(SCHEMA, ["s0", "s1"], codes, zeros, zeros, gold=gold)
+    with pytest.raises(ValidationError, match="^level codes must be integers"):
+        Dataset(SCHEMA, ["s0", "s1"], [[0.5, 0], [1, 0]], zeros, zeros)
+    with pytest.raises(ValidationError, match="^edit pair rows must be integers"):
+        EditPairs([0.7], [1.9])
+    with pytest.raises(ValidationError, match="^gold labels must be integers that int64 holds"):
+        Dataset(SCHEMA, ["s0", "s1"], codes, zeros, zeros, gold=np.array([2**64 - 1, 0], np.uint64))
+    # an empty column passes whatever its dtype: np.asarray([]) is float64
+    empty = Dataset(SCHEMA, [], np.zeros((0, 2)), np.zeros((0, 1)), np.zeros((0, 1)), np.array([]),
+                    EditPairs(np.array([]), np.array([])))
+    assert empty.codes.dtype == empty.gold.dtype == empty.pairs.original.dtype == np.int64
 
 
 def test_pair_edit_is_read_off_the_two_rows_labels():
