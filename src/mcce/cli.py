@@ -18,6 +18,7 @@ import numpy as np
 from .data import (
     SPACE_LOGIT,
     SPACE_PROBABILITY,
+    FLOAT_COLUMNS,
     SPACES,
     Dataset,
     csv_text,
@@ -223,10 +224,10 @@ def cmd_synth(args) -> int:
     config, edits_per_sample = load_synth_config(args.config)
     out_dir = Path(args.out)
     dataset, truth = generate(config)
-    if edits_per_sample > 0:
-        dataset = make_pairs(dataset, truth, config, edits_per_sample)
     save_ground_truth(truth, out_dir / "ground_truth.json")
-    del truth  # and its noise draws, which only make_pairs reads, before the largest write
+    if edits_per_sample > 0:
+        dataset = dataset.keep(columns=())  # make_pairs draws every float again; free these first
+        dataset = make_pairs(dataset, config, edits_per_sample)
     save_dataset(dataset, out_dir)
     print(
         f"synth: wrote {len(dataset)} samples ({config.n} factual), "
@@ -239,7 +240,10 @@ def cmd_fit(args) -> int:
     if args.method == "slearner" and args.j is not None:
         raise ValidationError("--j applies to the mcce method only")
     hidden = _parse_hidden(args.hidden)
-    dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space).mask(hidden)
+    dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
+    # a fit reads the factual rows only, and the S-Learner no embedding
+    floats = ("outputs",) if args.method == "slearner" else FLOAT_COLUMNS
+    dataset = dataset.keep(dataset.fit_rows, floats).mask(hidden)
     model = _fit(dataset, args.method, args.j, args.ridge, args.targets)
     if args.method == "mcce":
         d = model.diagnostics
@@ -267,22 +271,28 @@ def cmd_explain(args) -> int:
         raise ValidationError("--ground-truth is required for method 'oracle'")
     if method in ("mcce", "slearner") and not args.model:
         raise ValidationError(f"--model is required for method {method!r}")
+    if method != "approx" and args.seed is not None:
+        raise ValidationError("--seed applies to the approx method only")
+    seed = 0 if args.seed is None else args.seed
     dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
-    if method == "oracle":
+    if method == "oracle":  # the oracle reads labels only
+        dataset = dataset.keep(columns=())
         truth = load_ground_truth(args.ground_truth)
-    elif method in ("mcce", "slearner"):
+    elif method in ("mcce", "slearner"):  # these read the pairs' original rows only
+        floats = ("outputs",) if method == "slearner" else FLOAT_COLUMNS
+        dataset = dataset.keep(np.unique(dataset.pairs.original), floats)
         model = load_model(args.model)
         if model.kind != method:
             raise ValidationError(f"model file holds a {model.kind!r} model, requested {method!r}")
         dataset = dataset.mask(model.hidden_attributes)
-    elif method == "approx":
-        dataset = dataset.mask(_parse_hidden(args.hidden))
-        pair_seeds = _pair_seeds(dataset, args.seed)
+    elif method == "approx":  # approx reads every row's labels and outputs
+        dataset = dataset.keep(columns=("outputs",)).mask(_parse_hidden(args.hidden))
+        pair_seeds = _pair_seeds(dataset, seed)
 
     try:
         if truth is not None:
             dataset.schema.check_hidden(truth.hidden)
-        effects, metadata, _ = _explain(dataset, method, model, args.seed, truth, pair_seeds)
+        effects, metadata, _ = _explain(dataset, method, model, seed, truth, pair_seeds)
     except ValidationError as exc:
         if truth is None:
             raise
@@ -298,6 +308,7 @@ def cmd_explain(args) -> int:
 def cmd_evaluate(args) -> int:
     metrics = _parse_metrics(args.metric)
     dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
+    dataset = dataset.keep(columns=("outputs",))  # scoring reads no embedding
     effects, meta = read_effects(args.effects)
     hidden = frozenset(meta.get("hidden", ()))
     metadata = {"method": effects.method, "hidden": sorted(hidden), "seed": meta.get("seed")}
@@ -500,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", default=None, help="model JSON (mcce/slearner)")
     sp.add_argument("--ground-truth", default=None, help="ground_truth.json (oracle)")
     sp.add_argument("--hidden", default=None, help="mask for the approx method")
-    sp.add_argument("--seed", type=int, default=0, help="sampling seed (approx only)")
+    sp.add_argument("--seed", type=int, default=None, help="sampling seed (approx only; default 0)")
     add_space_flag(sp)
     sp.add_argument("--out", required=True, help="effects JSONL path")
     sp.set_defaults(func=cmd_explain)

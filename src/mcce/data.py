@@ -34,13 +34,15 @@ the matrix's key. That is the one layout `read_jsonl` reads; a file
 without the meta line, or whose meta line names no `columns` or no file
 for a float column, is an error at its line 1.
 
-In memory a `Dataset` holds columns: sample ids, an (n, n_attrs) matrix
-of level codes (each an index into its attribute's levels), embeddings,
+In memory a `Dataset` holds columns: sample ids as UTF-8 bytes, an
+(n, n_attrs) matrix of level codes (each an index into its attribute's
+levels, in the narrowest unsigned dtype that holds them), embeddings,
 outputs and gold labels, plus `EditPairs` of row indices, whose edits
 (attribute and level code) are read off the two rows' codes once, at
 construction. Rows keep their complete labels even when attributes are
 masked; masking is a view (`Dataset.mask`), and `design_matrix` is where
 the mask takes effect: it one-hot encodes the visible attributes only.
+A command keeps only the rows and float columns it reads (`Dataset.keep`).
 
 This is the one module that knows JSON, JSONL, .npy and CSV syntax.
 Models, effects, ground truth, configs, reports and predictions are
@@ -202,6 +204,11 @@ class ConceptSchema:
         return np.array([len(levels) for _, levels in self.attributes], dtype=np.int64)
 
     @cached_property
+    def code_dtype(self) -> np.dtype:
+        """The narrowest unsigned dtype that holds every level code: uint8 up to 256 levels."""
+        return np.min_scalar_type(int(self.sizes.max()) - 1)
+
+    @cached_property
     def _attribute_ids(self) -> dict[str, int]:
         return dict(zip(self.names, count()))
 
@@ -323,6 +330,34 @@ def _holds_nul(strings) -> bool:
     return "\0" in "".join(strings)
 
 
+# The codec of `Dataset.ids`: UTF-8, in which "surrogatepass" gives a lone
+# surrogate, which a JSON "\ud800" escape can carry, its 3-byte form.
+_ID_CODEC = ("utf-8", "surrogatepass")
+
+
+def id_bytes(ids) -> np.ndarray:
+    """Sample ids as a 1-D array of their UTF-8 bytes ("S", as wide as the longest).
+
+    An "S" array is taken to hold UTF-8 already; anything else is read as
+    text (`np.asarray(ids, dtype=str)`) and encoded. numpy's own casts
+    between "S" and "U" are ASCII-only, so ids cross between bytes and
+    text here and in `id_text`, nowhere else.
+    """
+    if isinstance(ids, np.ndarray) and ids.dtype.kind == "S":
+        return ids.reshape(-1)
+    texts = ids  # a list of strings, as a table's column is read, is encoded as it is
+    if type(ids) is not list or set(map(type, ids)) - {str}:
+        texts = np.asarray(ids, dtype=str).reshape(-1).tolist()
+    return np.array([text.encode(*_ID_CODEC) for text in texts], dtype=bytes)
+
+
+def id_text(ids) -> np.ndarray:
+    """Ids of `id_bytes` as text: a "U" array of the same shape."""
+    ids = np.asarray(ids)
+    texts = [value.decode(*_ID_CODEC) for value in ids.reshape(-1).tolist()]
+    return np.array(texts, dtype=str).reshape(ids.shape)
+
+
 def _starts(sizes) -> np.ndarray:
     """First column of each block of a layout whose blocks have these sizes."""
     return np.cumsum(sizes) - sizes
@@ -399,12 +434,14 @@ def _matrix(value, ids: np.ndarray, what: str) -> np.ndarray:
         )
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
-        raise ValidationError(f"sample {str(ids[np.argmin(finite)])!r}: non-finite {what}")
+        raise ValidationError(f"sample {id_text(ids[np.argmin(finite)]).item()!r}: non-finite {what}")
     return arr
 
 
 # Sorted ids that `Dataset` checks for duplicates at a time.
 _CHECK_ROWS = 4096
+# The float columns of a `Dataset`, which `Dataset.keep` may release.
+FLOAT_COLUMNS = ("embeddings", "outputs")
 
 
 @dataclass(eq=False)
@@ -413,9 +450,12 @@ class Dataset:
 
     Row i is sample `ids[i]` with level codes `codes[i]`, embedding
     `embeddings[i]`, black-box outputs `outputs[i]` and gold label
-    `gold[i]` (-1 when absent). Every column is validated once, here;
-    `mask` and `to_space` return views that share the arrays. Treat
-    instances and their arrays as immutable.
+    `gold[i]` (-1 when absent). `ids` holds each id's UTF-8 bytes
+    (`id_bytes`; `id_text` decodes them) and `codes` the schema's
+    `code_dtype`. Every column is validated once, here; `mask` and
+    `to_space` return views that share the arrays, and `keep` one that
+    holds fewer rows or columns. Treat instances and their arrays as
+    immutable.
     """
 
     schema: ConceptSchema
@@ -433,16 +473,19 @@ class Dataset:
         self.hidden_attributes = schema.check_hidden(self.hidden_attributes)
         if self.space not in SPACES:
             raise ValidationError(f"space must be one of {SPACES}, got {self.space!r}")
-        ids = self.ids = np.asarray(self.ids, dtype=str).reshape(-1)
+        ids = self.ids = id_bytes(self.ids)
         for start in range(0, ids.size, _CHECK_ROWS):  # not a sorted copy of every id at once
             ordered = ids[self.id_order[start : start + _CHECK_ROWS + 1]]
             dup = np.flatnonzero(ordered[1:] == ordered[:-1])
             if dup.size:
-                raise ValidationError(f"duplicate sample id {str(ordered[dup[0]])!r}")
+                raise ValidationError(f"duplicate sample id {id_text(ordered[dup[0]]).item()!r}")
 
-        codes = self.codes = _integers(self.codes, "level codes")
+        codes = np.asarray(self.codes)
+        if codes.size and codes.dtype.kind not in "iu":
+            raise ValidationError(f"level codes must be integers, got {codes.dtype} values")
         if codes.shape != (ids.size, n_attrs) or np.any((codes < 0) | (codes >= schema.sizes)):
             raise ValidationError("level codes need one in-range code per sample and attribute")
+        codes = self.codes = codes.astype(schema.code_dtype, copy=False)
         self.embeddings = _matrix(self.embeddings, ids, "embedding")
         self.outputs = _matrix(self.outputs, ids, "output")
         gold = np.full(ids.size, -1) if self.gold is None else self.gold
@@ -464,12 +507,12 @@ class Dataset:
         if bad.size:
             original, edited = p.original[bad[0]], p.edited[bad[0]]
             differ = ", ".join(map(repr, compress(schema.names, codes[original] != codes[edited])))
+            pair = "->".join(repr(id_text(ids[row]).item()) for row in (original, edited))
             raise ValidationError(
-                f"pair {str(ids[original])!r}->{str(ids[edited])!r}: labels differ in "
-                f"{differ or 'no attribute'}, not in exactly one"
+                f"pair {pair}: labels differ in {differ or 'no attribute'}, not in exactly one"
             )
         object.__setattr__(p, "attribute", attribute)
-        object.__setattr__(p, "to", codes[p.edited, attribute])
+        object.__setattr__(p, "to", codes[p.edited, attribute].astype(np.int64))
         factual = np.ones(ids.size, dtype=bool)
         factual[p.edited] = False
         self.fit_rows = np.flatnonzero(factual)
@@ -486,11 +529,12 @@ class Dataset:
         (original_id, edited_id), as pairs.jsonl holds them, and its
         edit is read off the two rows' labels.
         """
-        ids = np.asarray(ids, dtype=str).reshape(-1)
-        codes = _label_codes(schema, ids, labels)
+        texts = np.asarray(ids, dtype=str).reshape(-1)
+        codes = _label_codes(schema, texts, labels)
         gold = None if gold is None else _gold_labels(gold)
+        ids = id_bytes(texts)
         names = [np.asarray(column, dtype=str).tolist() for column in zip(*pairs)] or [[], []]
-        pairs = EditPairs(*_pair_rows(_row_index(ids.tolist()), *names))
+        pairs = EditPairs(*_pair_rows(ids, np.argsort(ids, kind="stable"), *names))
         return cls(schema, ids, codes, embeddings, outputs, gold, pairs)
 
     # -- views ------------------------------------------------------------
@@ -498,6 +542,42 @@ class Dataset:
     def _view(self, **changes) -> "Dataset":
         view = copy.copy(self)
         view.__dict__.update(changes)
+        return view
+
+    def keep(self, rows=None, columns=FLOAT_COLUMNS) -> "Dataset":
+        """Only rows `rows` (ascending row indices; default every row) and the float `columns`.
+
+        A command calls it right after loading, so that it holds what it
+        reads and no more. Each float column (`FLOAT_COLUMNS`) left out of
+        `columns` becomes a zero-width matrix. The kept rows are numbered
+        anew in order, and `fit_rows` and the pairs follow them: a pair
+        stays when its original row is kept, with its edit, and its edited
+        row is -1 when that row is not kept, so only the edit is left of
+        it (`edited_rows` refuses such pairs).
+        """
+        if set(columns) - set(FLOAT_COLUMNS):
+            raise ValidationError(f"the float columns are {FLOAT_COLUMNS}, got {tuple(columns)}")
+        n = len(self)
+        rows = np.arange(n) if rows is None else _integers(rows, "kept rows").reshape(-1)
+        if np.any(rows[1:] <= rows[:-1]) or (rows.size and (rows[0] < 0 or rows[-1] >= n)):
+            raise ValidationError(f"kept rows must ascend in [0, {n})")
+        # a new empty matrix, not a view that would keep the released one alive
+        floats = {key: np.empty((n, 0)) for key in FLOAT_COLUMNS if key not in columns}
+        if rows.size == n:  # every row: the kept columns are shared, not copied
+            return self._view(**floats)
+        renumber = np.full(n, -1)
+        renumber[rows] = np.arange(rows.size)
+        p, fit_rows = self.pairs, renumber[self.fit_rows]
+        stays = renumber[p.original] >= 0
+        pairs = EditPairs(renumber[p.original[stays]], renumber[p.edited[stays]])
+        object.__setattr__(pairs, "attribute", p.attribute[stays])
+        object.__setattr__(pairs, "to", p.to[stays])
+        view = self._view(
+            ids=self.ids[rows], codes=self.codes[rows], gold=self.gold[rows], pairs=pairs,
+            fit_rows=fit_rows[fit_rows >= 0],
+            **{key: floats.get(key, getattr(self, key))[rows] for key in FLOAT_COLUMNS},
+        )
+        view.__dict__.pop("id_order", None)  # the cached sort of the old ids
         return view
 
     def mask(self, hidden) -> "Dataset":
@@ -529,12 +609,21 @@ class Dataset:
         return np.argsort(self.ids, kind="stable")
 
     def rows_of(self, ids) -> np.ndarray:
-        """Row index of each sample id."""
-        ids = np.asarray(ids, dtype=str)
-        rows = index_of(self.ids, ids, self.id_order)
+        """Row index of each sample id (text, or UTF-8 bytes as `ids` holds them)."""
+        ids = np.asarray(ids)
+        rows = index_of(self.ids, id_bytes(ids).reshape(ids.shape), self.id_order)
         if np.any(rows < 0):
-            raise ValidationError(f"unknown sample id {str(ids.reshape(-1)[np.argmin(rows)])!r}")
+            raise ValidationError(
+                f"unknown sample id {id_text(id_bytes(ids)[np.argmin(rows)]).item()!r}"
+            )
         return rows
+
+    def edited_rows(self) -> np.ndarray:
+        """`pairs.edited`, every one of which must be held: `keep` may have released some."""
+        edited = self.pairs.edited
+        if np.any(edited < 0):
+            raise ValidationError("the pairs' edited rows were released (Dataset.keep)")
+        return edited
 
     @property
     def visible_width(self) -> int:
@@ -546,11 +635,11 @@ class Dataset:
         return one_hot(self.schema, codes, self.hidden_attributes)
 
     def pair_names(self, pairs) -> tuple[np.ndarray, ...]:
-        """(original id, attribute, from level, to level) of the pairs at index `pairs`."""
+        """(original id, attribute, from level, to level), as text, of the pairs at index `pairs`."""
         p, schema = self.pairs, self.schema
         rows, attribute = p.original[pairs], p.attribute[pairs]
         return (
-            self.ids[rows],
+            id_text(self.ids[rows]),
             np.array(schema.names)[attribute],
             schema.level_names(attribute, self.codes[rows, attribute]),
             schema.level_names(attribute, p.to[pairs]),
@@ -559,7 +648,7 @@ class Dataset:
     def first_pairs(self) -> np.ndarray:
         """Index of the first pair with each pair's (original, attribute, to) key."""
         p, top = self.pairs, int(self.schema.sizes.max())
-        key = (p.original * len(self.schema.attributes) + p.attribute) * top + p.to
+        key = (p.original * len(self.schema.attributes) + p.attribute) * top + p.to  # int64 columns
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
         return first[inverse.reshape(-1)]
 
@@ -581,7 +670,8 @@ def _label_codes(schema: ConceptSchema, ids, labels) -> np.ndarray:
 
     Every label is one dict lookup (`ConceptSchema.level_codes`). A row
     of another length, or a label that is no level name, raises naming
-    the first row at fault.
+    the first row at fault. `ids` are text; the codes are the schema's
+    `code_dtype`.
     """
     names, n = schema.names, len(ids)
     try:
@@ -595,7 +685,7 @@ def _label_codes(schema: ConceptSchema, ids, labels) -> np.ndarray:
         i, a = np.argwhere(codes < 0)[0]
         label = str(labels[i][a])
         raise _RowError(i, f"sample {str(ids[i])!r}: illegal label {names[a]}={label!r}")
-    return codes
+    return codes.astype(schema.code_dtype)
 
 
 def _gold_type(t: type) -> bool:
@@ -622,19 +712,15 @@ def _gold_labels(gold) -> np.ndarray:
     return gold
 
 
-def _row_index(ids: list) -> dict:
-    """{sample id: row} of the ids of every row; the first row of an id wins."""
-    return dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+def _pair_rows(ids: np.ndarray, order: np.ndarray, original_ids: list, edited_ids: list) -> list:
+    """Rows of the pairs' original and edited sample ids (text), found in the dataset's `ids`.
 
-
-def _pair_rows(row_of: dict, original_ids: list, edited_ids: list) -> list[np.ndarray]:
-    """Rows of the pairs' original and edited sample ids, each id one dict lookup in `row_of`.
-
-    `row_of` maps sample ids to rows (see `_row_index`). An unknown id
-    raises, naming the first pair at fault.
+    `ids` holds every row's id as UTF-8 bytes and `order` is its stable
+    argsort, so each id is a binary search (`index_of`), and a repeated
+    id finds its first row. An unknown id raises, naming the first pair
+    at fault.
     """
-    rows = [np.fromiter(map(row_of.get, ids, repeat(-1)), np.int64, len(ids))
-            for ids in (original_ids, edited_ids)]
+    rows = [index_of(ids, id_bytes(names), order) for names in (original_ids, edited_ids)]
     unknown = (rows[0] < 0) | (rows[1] < 0)
     if unknown.any():
         i = np.argmax(unknown)
@@ -686,6 +772,7 @@ _SCALAR_JSON = {
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
+    bytes: lambda value: encode_basestring_ascii(value.decode(*_ID_CODEC)),  # a sample id (`id_bytes`)
 }
 
 
@@ -1165,12 +1252,13 @@ def load_dataset(
     line names.
     With space="probability" a softmax is applied to every output row.
     The samples meta line must name the schema's attributes in schema
-    order. Each chunk of samples has its labels turned into level codes,
-    and each chunk of pairs its sample ids into rows, by the conversions
-    that `Dataset.from_records` uses, before the next chunk is read, so
-    no file is held as row objects whole; an unknown id raises from the
-    chunk that holds it. Each pair's edit is read off its two rows'
-    codes when the `Dataset` is built.
+    order. Each chunk of samples has its labels turned into level codes
+    and its ids into UTF-8 bytes, and each chunk of pairs its sample ids
+    into rows, by the conversions that `Dataset.from_records` uses,
+    before the next chunk is read, so no file is held as row objects
+    whole; an unknown id raises from the chunk that holds it. Each
+    pair's edit is read off its two rows' codes when the `Dataset` is
+    built.
     """
     schema = load_schema(schema_path)
     types, fixed = _sample_spec(schema)
@@ -1178,6 +1266,7 @@ def load_dataset(
     def codes(chunk: dict) -> dict:
         chunk["concepts"] = _label_codes(schema, chunk["id"], chunk["concepts"])
         chunk["gold"] = _gold_labels(chunk["gold"])
+        chunk["id"] = id_bytes(chunk["id"])
         return chunk
 
     _, samples = read_jsonl(
@@ -1186,10 +1275,10 @@ def load_dataset(
     ids, codes, gold, embeddings, outputs = samples.values()  # types, then arrays
     pairs = EditPairs()
     if pairs_path is not None:
-        row_of = _row_index(ids)
+        order = np.argsort(ids, kind="stable")
 
         def rows(chunk: dict) -> dict:
-            return dict(zip(_PAIR_TYPES, _pair_rows(row_of, *chunk.values())))
+            return dict(zip(_PAIR_TYPES, _pair_rows(ids, order, *chunk.values())))
 
         _, columns = read_jsonl(pairs_path, "pairs", _PAIR_TYPES, convert=rows)
         pairs = EditPairs(*columns.values())
@@ -1215,6 +1304,7 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
         "pairs": out_dir / "pairs.jsonl",
     }
     schema, ids, codes, p = dataset.schema, dataset.ids, dataset.codes, dataset.pairs
+    edited = dataset.edited_rows()
     write_json(paths["schema"], schema.to_obj())
     attributes, gold = np.arange(len(schema.names)), dataset.gold
     samples = {
@@ -1224,7 +1314,7 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
     }
     arrays = dict(zip(_SAMPLE_ARRAYS, (dataset.embeddings, dataset.outputs)))
     write_jsonl(samples_path, samples, _sample_spec(schema)[1], arrays)
-    pairs = (lambda rows: ids[p.original[rows]], lambda rows: ids[p.edited[rows]])
+    pairs = (lambda rows: ids[p.original[rows]], lambda rows: ids[edited[rows]])
     write_jsonl(paths["pairs"], {key: _Slices(len(p), take) for key, take in zip(_PAIR_TYPES, pairs)})
     return paths
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ConceptSchema, Dataset, csv_text, index_of
+from .data import ConceptSchema, Dataset, csv_text, id_bytes, index_of
 from .errors import ValidationError
 from .explainers import Effects
 from .linalg import as_matrix
@@ -69,7 +69,7 @@ def get_distance(metric: str):
 
 def icace(dataset: Dataset) -> np.ndarray:
     """Empirical paired effects: edited output minus original output, one row per pair."""
-    return dataset.outputs[dataset.pairs.edited] - dataset.outputs[dataset.pairs.original]
+    return dataset.outputs[dataset.edited_rows()] - dataset.outputs[dataset.pairs.original]
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def match_effects(effects: Effects, dataset: Dataset) -> np.ndarray:
     def key(rows, attribute, from_codes, to):
         return ((rows * len(schema.names) + attribute) * top + from_codes) * top + to
 
-    rows = index_of(dataset.ids, effects.sample_id, dataset.id_order)
+    rows = index_of(dataset.ids, id_bytes(effects.sample_id), dataset.id_order)
     attribute = schema.attribute_indices(effects.attribute.tolist())
     from_codes = schema.level_codes(attribute, effects.from_level.tolist())
     to = schema.level_codes(attribute, effects.to_level.tolist())
@@ -156,7 +156,7 @@ def match_effects(effects: Effects, dataset: Dataset) -> np.ndarray:
         i = known[np.argmax(keys == unique[np.argmax(counts > 1)])]
         named = (effects.sample_id, effects.attribute, effects.from_level, effects.to_level)
         raise ValidationError(f"duplicate effect estimate for {tuple(str(c[i]) for c in named)!r}")
-    wanted = key(p.original, p.attribute, dataset.codes[p.original, p.attribute], p.to)
+    wanted = key(p.original, p.attribute, dataset.codes[p.original, p.attribute].astype(np.int64), p.to)
     return np.append(known, -1)[index_of(keys, wanted)]  # absent (-1) picks the appended -1
 
 
@@ -187,7 +187,7 @@ def icace_error(
     if scored.size:
         values = dist(icace(dataset)[scored], effects.effect[match[scored]])
     top = int(schema.sizes.max())
-    group = (p.attribute * top + dataset.codes[p.original, p.attribute]) * top + p.to
+    group = (p.attribute * top + dataset.codes[p.original, p.attribute].astype(np.int64)) * top + p.to
     _, first, inverse, counts = np.unique(
         group[scored], return_index=True, return_inverse=True, return_counts=True
     )

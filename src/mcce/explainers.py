@@ -49,6 +49,7 @@ from .data import (
     Dataset,
     csv_text,
     float_array,
+    id_text,
     json_field,
     one_hot,
     read_json,
@@ -75,6 +76,8 @@ class Effects:
     Row i estimates how the outputs move when attribute `attribute[i]` of
     sample `sample_id[i]` goes from `from_level[i]` to `to_level[i]`;
     `fallback[i]` flags an approx estimate drawn without an exact match.
+    The name columns hold text; UTF-8 bytes, as `Dataset.ids` holds
+    them, are decoded.
     """
 
     sample_id: np.ndarray
@@ -88,7 +91,10 @@ class Effects:
 
     def __post_init__(self):
         for name in ("sample_id", "attribute", "from_level", "to_level"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=str).reshape(-1))
+            column = getattr(self, name)
+            bytes_ = isinstance(column, np.ndarray) and column.dtype.kind == "S"
+            column = id_text(column) if bytes_ else np.asarray(column, dtype=str)
+            object.__setattr__(self, name, column.reshape(-1))
         m = self.sample_id.size
         fallback = np.zeros(m, dtype=bool) if self.fallback is None else self.fallback
         object.__setattr__(self, "fallback", np.asarray(fallback, dtype=bool).reshape(-1))
@@ -170,7 +176,7 @@ def _resolve_targets(dataset: Dataset, rows: np.ndarray, target_kind: str | None
         if np.any(gold < 0):
             raise ValidationError(
                 f"predictor mode requires gold labels on every fit sample; {np.sum(gold < 0)} "
-                f"missing (first: {str(dataset.ids[rows[np.argmin(gold)]])!r})"
+                f"missing (first: {id_text(dataset.ids[rows[np.argmin(gold)]]).item()!r})"
             )
         return np.eye(gold.max() + 1)[gold], kind
     raise ValidationError(f"target_kind must be 'output' or 'gold', got {target_kind!r}")
@@ -186,9 +192,10 @@ def fit_mcce(
     """Fit the pseudo-concept surrogate on the dataset's factual samples.
 
     The pseudo-concepts are the r embedding residual directions above its
-    noise threshold (`linalg.noise_threshold`), or the first n_pseudo of
-    those above the rounding floor; none at rounding scale is kept, so
-    there may be none. Targets default to the stored black-box outputs;
+    noise threshold (`linalg.noise_threshold`, read off the spectrum of
+    the residual columns above the rounding floor), or the first n_pseudo
+    of those above the floor; none at rounding scale is kept, so there
+    may be none. Targets default to the stored black-box outputs;
     target_kind="gold" fits one-hot gold labels (predictor mode).
     """
     rows = dataset.fit_rows
@@ -209,7 +216,10 @@ def fit_mcce(
     # one); at ridge 0 the residual lies in the n_free-dim complement of the design's columns
     floor = RANK_RTOL * float(np.linalg.norm(H))
     n_free = n - observed.effective_rank
-    threshold = noise_threshold(s[:n_free], (n_free, d), floor)
+    # a residual column at rounding scale (a constant embedding column, say) adds an exact zero
+    # to the spectrum whatever the noise, so the threshold reads the spectrum of the others
+    d_live = d - int(np.count_nonzero(np.linalg.norm(residual[:, :d], axis=0) <= floor))
+    threshold = noise_threshold(s[: min(n_free, d_live)], (n_free, d_live), floor)
     r = int(np.count_nonzero(s > threshold))
     j = r if n_pseudo is None else min(int(n_pseudo), int(np.count_nonzero(s > floor)))
     if j < r:
@@ -624,7 +634,7 @@ def predict_labels(model: MCCEModel, dataset: Dataset) -> np.ndarray:
     if bad.any():
         raise NumericalError(
             f"{int(bad.sum())} of {len(dataset)} surrogate outputs are not finite "
-            f"(first: sample {str(dataset.ids[np.argmax(bad)])!r})"
+            f"(first: sample {id_text(dataset.ids[np.argmax(bad)]).item()!r})"
         )
     return np.argmax(scores, axis=1)
 

@@ -12,11 +12,12 @@ latent coordinate through their mixing rows are confounded. Adding
 standard Gumbel noise before the argmax makes each label a categorical
 draw with softmax probabilities, so ties are non-degenerate.
 
-Counterfactual pairs reuse a sample's stored embedding and output noise
-draws with one attribute's level changed, so the paired outputs differ
-by the exact coefficient contrast and the paired embeddings by the
-exact embedding-map contrast. `generate` keeps those draws in memory
-(`SynthGroundTruth.draws`); nothing is drawn again for an edit.
+Counterfactual pairs reuse a sample's embedding and output noise draws
+with one attribute's level changed, so the paired outputs differ by the
+exact coefficient contrast and the paired embeddings by the exact
+embedding-map contrast. `make_pairs` draws each sample's noise row
+again from its stream, which gives it the same bits; no noise matrix is
+kept between `generate` and `make_pairs`.
 `synthesize_sample` is the per-sample reference that both must equal
 bit for bit.
 
@@ -55,7 +56,7 @@ and leaves them as they were.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -66,6 +67,7 @@ from .data import (
     Dataset,
     EditPairs,
     float_array,
+    id_bytes,
     json_field,
     read_json,
     softmax,
@@ -164,16 +166,10 @@ class SynthConfig:
 
 @dataclass(eq=False)
 class SynthGroundTruth:
-    """Oracle bookkeeping: the outcome coefficients the clean outputs come from.
-
-    `draws` holds, for each factual row of `generate`, its standard
-    normal embedding draws followed by its output draws, for `make_pairs`;
-    it is not saved, so a loaded ground truth has None.
-    """
+    """Oracle bookkeeping: the outcome coefficients the clean outputs come from."""
 
     outcome_coef: np.ndarray
     hidden: tuple[str, ...] = ()
-    draws: np.ndarray | None = field(default=None, repr=False)
 
 
 def synthesize_sample(config: SynthConfig, index: int, edit: tuple[int, int] | None = None):
@@ -240,7 +236,7 @@ def _one_hot_product(schema: ConceptSchema, codes: np.ndarray, table: np.ndarray
     term of attribute a is `table[offsets[a] + codes[..., a]]`. As in
     `_scores`, one row and n rows give the same bits.
     """
-    offsets = schema.offsets.tolist()
+    offsets, codes = schema.offsets.tolist(), np.asarray(codes, dtype=np.int64)  # offsets pass 255
     total = table.take(offsets[0] + codes[..., 0], axis=0)  # a copy, also of one row
     for a in range(1, len(offsets)):
         total += table.take(offsets[a] + codes[..., a], axis=0)
@@ -280,34 +276,30 @@ def generate(config: SynthConfig) -> tuple[Dataset, SynthGroundTruth]:
     streams (`_sample_draws`); row i is what `synthesize_sample` takes
     for sample i. The levels (`_levels`) and the rows (`_rows`) are the
     fixed-order sums that `synthesize_sample` takes of its one row, here
-    over all samples at once. The noise draws are kept in the returned
-    truth for `make_pairs`.
+    over all samples at once.
     """
     latent, gumbel, draws = _sample_draws(config.seed, config.n, config.stream_widths)
     codes = _levels(config, latent, gumbel)
     del latent, gumbel
     embeddings, outputs, clean = _rows(config, codes, draws)
-    ids = np.array([f"s{i:06d}" for i in range(config.n)])
+    del draws  # make_pairs draws each row it needs again
+    ids = np.array([b"s%06d" % i for i in range(config.n)])
     dataset = Dataset(
         config.schema, ids, codes, embeddings, outputs, np.argmax(clean, axis=1),
         hidden_attributes=config.hidden,
     )
     hidden = tuple(sorted(config.hidden))
-    truth = SynthGroundTruth(config.outcome_coef.copy(), hidden, draws)
+    truth = SynthGroundTruth(config.outcome_coef.copy(), hidden)
     return dataset, truth
 
 
-# Edited rows that `make_pairs` builds at a time, so its temporaries stay
-# small beside the rows it returns.
+# Edited rows that `make_pairs` builds at a time, at most (those of
+# `_BLOCK_ROWS // edits_per_sample` samples), so its temporaries stay small
+# beside the rows it returns.
 _BLOCK_ROWS = 1024
 
 
-def make_pairs(
-    dataset: Dataset,
-    truth: SynthGroundTruth,
-    config: SynthConfig,
-    edits_per_sample: int = 1,
-) -> Dataset:
+def make_pairs(dataset: Dataset, config: SynthConfig, edits_per_sample: int = 1) -> Dataset:
     """Append counterfactual edits of every sample.
 
     Each sample gets `edits_per_sample` flips on distinct attributes (any
@@ -317,12 +309,16 @@ def make_pairs(
     per edit in row order, that skips the current level. Both streams
     give sample i's edits from its row alone, so they do not depend on n.
 
-    An edited row is built from the sample's level codes with the one
-    code changed and the noise draws `generate` stored in `truth.draws`;
-    nothing is drawn again, so it equals `synthesize_sample` called with
-    the edit. The factual and edited rows go straight into the returned
-    dataset's arrays, the edited ones a block of `_BLOCK_ROWS` at a time;
-    fitting still sees only the factual rows.
+    `dataset` holds the rows of `generate(config)`, of which make_pairs
+    reads the ids, level codes and gold labels; it needs none of their
+    floats (see `Dataset.keep`). Each sample's noise row is drawn again
+    from the (0, 2) stream, a block of samples at a time, and its factual
+    row and its edited rows, the sample's level codes with one code
+    changed, are built from it by `_rows`: so each equals
+    `synthesize_sample`, called with the edit for an edited row. The
+    rows go straight into the returned dataset's arrays, a block of
+    about `_BLOCK_ROWS` edits at a time, so no whole noise matrix is held
+    beside them; fitting still sees only the factual rows.
     """
     if len(dataset.pairs):
         raise ValidationError("make_pairs expects a dataset without existing pairs")
@@ -332,10 +328,8 @@ def make_pairs(
         raise ValidationError(
             f"edits_per_sample must be an integer in [1, {n_attrs}], got {edits_per_sample!r}"
         )
-    if truth.draws is None or len(truth.draws) != n:
-        raise ValidationError(
-            "make_pairs needs the noise draws of the ground truth that generate returned"
-        )
+    if n != config.n:
+        raise ValidationError(f"make_pairs needs the {config.n} rows of generate(config), got {n}")
     attribute = (
         _stream(config.seed, 1, 0).random((n, n_attrs)).argsort(axis=1, kind="stable")
     )[:, :edits_per_sample].reshape(-1)
@@ -343,28 +337,31 @@ def make_pairs(
     to = _stream(config.seed, 1, 1).integers(schema.sizes[attribute] - 1)
     to += to >= dataset.codes[original, attribute]  # skip the current level
     # "__<attribute>__<level>" for every column of the one-hot layout
-    suffixes = np.array([f"__{name}__{level}" for name, levels in schema.attributes for level in levels])
+    suffixes = id_bytes([f"__{name}__{level}" for name, levels in schema.attributes for level in levels])
 
     total = n + original.size
-    id_chars = (dataset.ids.itemsize + suffixes.itemsize) // 4  # 4 bytes per character
-    ids = np.empty(total, dtype=f"U{id_chars}")
-    codes = np.empty((total, n_attrs), dtype=np.int64)
+    ids = np.empty(total, dtype=f"S{dataset.ids.itemsize + suffixes.itemsize}")
+    codes = np.empty((total, n_attrs), dtype=schema.code_dtype)
     embeddings = np.empty((total, config.embed_dim))
     outputs = np.empty((total, config.n_outputs))
     gold = np.empty(total, dtype=np.int64)
-    ids[:n], codes[:n], embeddings[:n], outputs[:n], gold[:n] = (
-        dataset.ids, dataset.codes, dataset.embeddings, dataset.outputs, dataset.gold
-    )
-    for start in range(0, original.size, _BLOCK_ROWS):
-        block, rows = slice(start, start + _BLOCK_ROWS), slice(n + start, n + start + _BLOCK_ROWS)
+    ids[:n], codes[:n], gold[:n] = dataset.ids, dataset.codes, dataset.gold
+    noise, samples = _stream(config.seed, 0, 2), max(1, _BLOCK_ROWS // edits_per_sample)
+    for first in range(0, n, samples):
+        draws = noise.standard_normal((min(samples, n - first), config.stream_widths[2]))
+        factual = slice(first, first + len(draws))
+        embeddings[factual], outputs[factual], _ = _rows(config, dataset.codes[factual], draws)
+        block = slice(first * edits_per_sample, factual.stop * edits_per_sample)
+        rows = slice(n + block.start, n + block.stop)
         source = original[block]
         edited = dataset.codes[source]
         edited[np.arange(source.size), attribute[block]] = to[block]
         codes[rows] = edited
-        embeddings[rows], outputs[rows], clean = _rows(config, edited, truth.draws[source])
+        embeddings[rows], outputs[rows], clean = _rows(config, edited, draws[source - first])
         gold[rows] = clean.argmax(axis=1)
         suffix = suffixes[schema.offsets[attribute[block]] + to[block]]
         ids[rows] = np.char.add(dataset.ids[source], suffix)
+    del attribute, to, draws, edited, clean  # before the new dataset's checks
     return Dataset(
         dataset.schema, ids, codes, embeddings, outputs, gold,
         EditPairs(original, np.arange(n, total)),
@@ -391,7 +388,7 @@ def oracle_effect(truth: SynthGroundTruth, dataset: Dataset, space: str) -> np.n
         )
     p = dataset.pairs
     before = _one_hot_product(dataset.schema, dataset.codes[p.original], coef)
-    after = _one_hot_product(dataset.schema, dataset.codes[p.edited], coef)
+    after = _one_hot_product(dataset.schema, dataset.codes[dataset.edited_rows()], coef)
     if space == "probability":
         before, after = softmax(before), softmax(after)
     return after - before
@@ -552,7 +549,7 @@ def load_ground_truth(path: str | Path) -> SynthGroundTruth:
 
     Other keys are ignored: older files also hold "seed", which no
     command read, and "clean_logits", "labels" or "pairs", which the
-    oracle recomputes. The noise draws are not saved (`draws` is None).
+    oracle recomputes.
     """
     obj = read_json(path, "ground truth")
     try:

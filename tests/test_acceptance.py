@@ -149,7 +149,7 @@ def suite2():
     start = time.monotonic()
     cfg = default_config(n=500, seed=0, outcome_noise=0.0)
     dataset, truth = generate(cfg)
-    dataset = make_pairs(dataset, truth, cfg)
+    dataset = make_pairs(dataset, cfg)
     model = fit_mcce(dataset)
     coef_err = coefficient_error(model.concept_coef, truth.outcome_coef, cfg.schema)
     p = dataset.pairs
@@ -181,7 +181,7 @@ def suite3():
         for seed in range(20):
             cfg = default_config(n=2000, seed=seed)
             dataset, truth = generate(cfg)
-            dataset = make_pairs(dataset, truth, cfg)
+            dataset = make_pairs(dataset, cfg)
             dataset = dataset.to_space("probability").mask(hidden)
             mcce_model = fit_mcce(dataset)
             sl_model = fit_slearner(dataset)
@@ -286,7 +286,7 @@ def test_criterion_04_decoupling_and_closed_form(suite1, suite2, suite3, check):
 def test_criterion_05_true_effects_score_exactly_zero(check):
     cfg = default_config(n=300, seed=4)
     dataset, truth = generate(cfg)
-    dataset = make_pairs(dataset, truth, cfg)
+    dataset = make_pairs(dataset, cfg)
     pairs = np.arange(len(dataset.pairs))
     effects = Effects.for_pairs(dataset, pairs, icace(dataset), "oracle", dataset.space)
     worst = 0.0
@@ -320,7 +320,7 @@ def test_criterion_06_distance_properties(check):
 def test_criterion_07_approx_exact_match_is_bitwise(check):
     cfg = default_config(n=60, seed=2)
     dataset, truth = generate(cfg)
-    dataset = make_pairs(dataset, truth, cfg)
+    dataset = make_pairs(dataset, cfg)
     profiles = [tuple(codes) for codes in dataset.codes.tolist()]  # nothing is hidden
     p = dataset.pairs
     # several samples may share the target labels, where selection may differ

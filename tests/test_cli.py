@@ -695,6 +695,27 @@ class TestExperiment:
         assert "--j applies to the mcce method only" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("method", ["mcce", "slearner", "oracle"])
+    def test_explain_refuses_seed_without_approx(self, exp_dir, tmp_path, capsys, method):
+        data, _ = exp_dir
+        given = {"mcce": ["--model", tmp_path / "m.json"], "slearner": ["--model", tmp_path / "m.json"],
+                 "oracle": ["--ground-truth", data / "ground_truth.json"]}[method]
+        code = run(
+            "explain", *dataset_flags(data), "--method", method, *given, "--seed", "5",
+            "--out", tmp_path / "e.jsonl",
+        )
+        assert code == 2
+        assert "--seed applies to the approx method only" in capsys.readouterr().err
+        assert not (tmp_path / "e.jsonl").exists()
+
+    def test_explain_approx_without_seed_uses_seed_0(self, exp_dir, tmp_path):
+        data, _ = exp_dir
+        for name, seed in (("default", []), ("zero", ["--seed", "0"])):
+            assert run("explain", *dataset_flags(data), "--method", "approx", "--hidden", "food",
+                       *seed, "--out", tmp_path / name / "e.jsonl") == 0
+        for file in ("e.jsonl", "e.effect.npy"):
+            assert (tmp_path / "default" / file).read_bytes() == (tmp_path / "zero" / file).read_bytes()
+
     def test_rank_collapse_warns_once_per_affected_mcce_run(self, tmp_path):
         config = default_config(n=150, seed=5)
         dataset, truth = generate(config)
@@ -702,7 +723,7 @@ class TestExperiment:
         codes = dataset.codes.copy()
         codes[codes[:, food] == 2, food] = 0  # no factual row has food=pos
         dataset = Dataset(dataset.schema, dataset.ids, codes, dataset.embeddings, dataset.outputs)
-        save_dataset(make_pairs(dataset, truth, config), tmp_path / "data")
+        save_dataset(make_pairs(dataset, config), tmp_path / "data")
         proc = run_process(
             "experiment", *dataset_flags(tmp_path / "data"),
             "--methods", "mcce,approx", "--metrics", "l2", "--mask-sizes", "1", "--seeds", "0,1",

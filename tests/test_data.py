@@ -20,7 +20,7 @@ from mcce import (
     save_dataset,
     softmax,
 )
-from mcce.data import write_jsonl, write_npy, write_text_atomic
+from mcce.data import id_text, write_jsonl, write_npy, write_text_atomic
 
 from jsonl_tables import write_lines, write_table
 
@@ -181,8 +181,56 @@ def test_errors_quote_sample_ids_as_plain_strings():
 
 def test_fit_samples_exclude_edited_rows():
     ds = small_dataset()
-    assert ds.ids[ds.fit_rows].tolist() == ["s1", "s2"]
+    assert ds.ids[ds.fit_rows].tolist() == [b"s1", b"s2"]  # UTF-8 bytes
     assert ds.design_matrix(ds.fit_rows).shape == (2, 5)
+
+
+def test_ids_are_utf8_bytes_that_round_trip_through_the_files(tmp_path):
+    # non-ASCII, JSON escapes and a lone surrogate, which a JSON "\\ud800" escape can carry
+    texts = ["é", 'q"\\', "\ud800", "s"]
+    rows = [make_sample(t, [l, "u"]) for t, l in zip(texts, ["x", "y", "x", "y"])]
+    ds = build(rows, [("é", 'q"\\')])
+    assert ds.ids.dtype == np.dtype("S3")  # "\ud800" takes 3 bytes, as its surrogatepass UTF-8 form
+    assert id_text(ds.ids).tolist() == texts
+    paths = save_dataset(ds, tmp_path)
+    assert paths["samples"].read_text(encoding="utf-8").splitlines()[1].startswith('["\\u00e9", ')
+    loaded = load_dataset(paths["samples"], paths["pairs"], paths["schema"])
+    assert loaded.ids.tobytes() == ds.ids.tobytes() and loaded.ids.dtype == ds.ids.dtype
+    assert [name.tolist() for name in loaded.pair_names(0)] == ["é", "a", "x", "y"]
+    with pytest.raises(ValidationError, match="^duplicate sample id 'é'$"):
+        Dataset(SCHEMA, ["é", "é"], [[0, 0], [1, 0]], np.zeros((2, 1)), np.zeros((2, 1)))
+
+
+def test_keep_renumbers_the_kept_rows_and_keeps_each_pairs_edit():
+    # user data: the second pair's original row is the first pair's edited row
+    rows = [make_sample("A", ["x", "u"], emb=(1.0, 2.0)), make_sample("B", ["y", "u"], emb=(3.0, 4.0)),
+            make_sample("Z", ["x", "w"]), make_sample("C", ["y", "v"], emb=(5.0, 6.0))]
+    ds = build(rows, [("A", "B"), ("B", "C")])
+    kept = ds.keep([0, 1])
+    assert kept.ids.tolist() == [b"A", b"B"]
+    assert kept.embeddings.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    p = kept.pairs
+    assert (p.original.tolist(), p.edited.tolist()) == ([0, 1], [1, -1])  # C is not kept
+    assert (p.attribute.tolist(), p.to.tolist()) == ([0, 1], [1, 1])
+    assert [name.tolist() for name in kept.pair_names(1)] == ["B", "b", "u", "v"]
+    assert kept.fit_rows.tolist() == [0]  # B stays an edited row
+    assert kept.rows_of(["B"]).tolist() == [1]
+    with pytest.raises(ValidationError, match="edited rows were released"):
+        kept.edited_rows()
+    assert ds.keep([2]).pairs.original.size == 0  # no pair's original row is kept
+    for rows in ([1, 0], [0, 0], [4], [-1]):
+        with pytest.raises(ValidationError, match=r"^kept rows must ascend in \[0, 4\)$"):
+            ds.keep(rows)
+
+
+def test_keep_releases_float_columns_it_is_not_given():
+    ds = small_dataset()
+    labels = ds.keep(columns=("outputs",))
+    assert labels.ids is ds.ids and labels.outputs is ds.outputs  # every row: shared, not copied
+    assert labels.embeddings.shape == (3, 0) and labels.embeddings.base is None  # no view of the old
+    assert labels.edited_rows() is ds.pairs.edited
+    with pytest.raises(ValidationError, match="^the float columns are"):
+        ds.keep(columns=("codes",))
 
 
 def test_dataset_matrix_accessors():
@@ -223,7 +271,8 @@ def test_dataset_rejects_inconsistencies():
     # an empty column passes whatever its dtype: np.asarray([]) is float64
     empty = Dataset(SCHEMA, [], np.zeros((0, 2)), np.zeros((0, 1)), np.zeros((0, 1)), np.array([]),
                     EditPairs(np.array([]), np.array([])))
-    assert empty.codes.dtype == empty.gold.dtype == empty.pairs.original.dtype == np.int64
+    assert empty.gold.dtype == empty.pairs.original.dtype == np.int64
+    assert empty.codes.dtype == np.uint8  # the narrowest unsigned dtype for 3 levels
 
 
 def test_pair_edit_is_read_off_the_two_rows_labels():
@@ -450,7 +499,7 @@ SAVE_PEAK_PER_FILE_BYTE = 1.25
 def rows_9000():
     config = default_config(n=3000, seed=1)
     dataset, truth = generate(config)
-    return make_pairs(dataset, truth, config, edits_per_sample=2)
+    return make_pairs(dataset, config, edits_per_sample=2)
 
 
 def traced_peak(call):

@@ -74,9 +74,10 @@ from mcce.data import (
     _pair_rows,
     _parse_json,
     _read_matrix,
-    _row_index,
     _RowError,
     _sample_spec,
+    id_bytes,
+    id_text,
     load_schema,
     read_jsonl,
     write_jsonl,
@@ -217,7 +218,7 @@ def synthetic_datasets(draw):
     )
     dataset, truth = generate(config)
     edits = draw(st.integers(1, len(level_counts)))
-    return make_pairs(dataset, truth, config, edits)
+    return make_pairs(dataset, config, edits)
 
 
 @settings(max_examples=30, deadline=None)
@@ -551,7 +552,7 @@ def test_effects_round_trip_bit_exactly(tmp_path_factory, effects, metadata):
 
 def dataset_row_objects(dataset):
     """Each sample's id, labels in schema order and gold label (None when it has none), and each pair's ids."""
-    schema, ids, codes, p = dataset.schema, dataset.ids.tolist(), dataset.codes, dataset.pairs
+    schema, ids, codes, p = dataset.schema, id_text(dataset.ids).tolist(), dataset.codes, dataset.pairs
     samples = []
     for i, sid in enumerate(ids):
         concepts = [levels[codes[i, a]] for a, (_, levels) in enumerate(schema.attributes)]
@@ -626,7 +627,7 @@ def file_datasets():
 @given(stated_edit_datasets())
 def test_earlier_pairs_files_without_their_stated_edits_load_the_same_pairs(tmp_path_factory, drawn):
     dataset, attribute, to = drawn
-    schema, ids, p = dataset.schema, dataset.ids.tolist(), dataset.pairs
+    schema, ids, p = dataset.schema, id_text(dataset.ids).tolist(), dataset.pairs
     # each row of pairs.jsonl as earlier versions wrote it: the two ids, then attribute, from and to
     stated = [
         [ids[o], ids[e], schema.names[a], schema.attributes[a][1][dataset.codes[o, a]],
@@ -657,8 +658,14 @@ def test_save_dataset_bytes_equal_per_row_encoding(tmp_path_factory, dataset):
 
 @st.composite
 def sized_datasets(draw):
-    """Datasets of 0, 1, 1025 or 1100 factual rows, with edits, whose floats include every edge value."""
-    schema = ConceptSchema.of([("a", ("x", "y", "z")), ("b", ("u", "v"))])
+    """Datasets of 0, 1, 1025 or 1100 factual rows, with edits, whose floats include every edge value.
+
+    Attribute "a" has 3, 256 or 257 levels: the most that a uint8 code
+    holds, and one more. Each id is a drawn name, tagged with its row's
+    number so that the ids stay distinct.
+    """
+    n_levels = draw(st.sampled_from([3, 256, 257]))
+    schema = ConceptSchema.of([("a", [f"x{j}" for j in range(n_levels)]), ("b", ("u", "v"))])
     n = draw(st.sampled_from([0, 1, 1025, 1100]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     codes = np.column_stack([rng.integers(size, size=n) for size in schema.sizes])
@@ -680,7 +687,8 @@ def sized_datasets(draw):
 
     d, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     gold = np.where(rng.random(rows) < 0.3, -1, rng.integers(0, 2**62, size=rows))
-    ids = [f"s{i}" for i in rng.permutation(rows)]
+    tags = draw(st.lists(names, min_size=1, max_size=8))
+    ids = [f"{tags[i % len(tags)]}#{i}" for i in rng.permutation(rows)]
     pairs = EditPairs(original, np.arange(n, rows))
     return Dataset(schema, ids, codes, floats(d), floats(q), gold, pairs)
 
@@ -693,6 +701,12 @@ def test_save_load_round_trips_bit_exactly(tmp_path_factory, dataset):
     assert head["meta"]["attributes"] == list(dataset.schema.names)
     loaded = load_dataset(paths["samples"], paths["pairs"], paths["schema"])
     assert dataset_bits(loaded) == dataset_bits(dataset)
+    # compact columns: uint8 codes up to 256 levels, and ids as wide as the longest in UTF-8
+    # (numpy's narrowest "S" is 1 byte wide, for no id or only empty ones)
+    assert loaded.codes.itemsize == (1 if loaded.schema.sizes.max() <= 256 else 2)
+    encoded = (text.encode("utf-8", "surrogatepass") for text in id_text(loaded.ids).tolist())
+    longest = max(map(len, encoded), default=0)
+    assert loaded.ids.itemsize == max(longest, 1)
 
 
 def object_layout(head, rows):
@@ -1035,7 +1049,7 @@ def synth_configs(draw):
 def test_generated_and_edited_rows_equal_per_sample_draws(problem):
     config, edits_per_sample = problem
     dataset, truth = generate(config)
-    dataset = make_pairs(dataset, truth, config, edits_per_sample)
+    dataset = make_pairs(dataset, config, edits_per_sample)
     p = dataset.pairs
     rows = [(i, i, None) for i in range(config.n)]
     rows += [(e, o, (a, t)) for o, e, a, t in zip(p.original, p.edited, p.attribute, p.to)]
@@ -1055,7 +1069,7 @@ def test_a_larger_n_extends_a_smaller_ones_samples_and_edits(problem, extra):
     config, edits_per_sample = problem
     small_n, large_n = config.n, config.n + extra
     small, large = (
-        make_pairs(*generate(c), c, edits_per_sample) for c in (config, replace(config, n=large_n))
+        make_pairs(generate(c)[0], c, edits_per_sample) for c in (config, replace(config, n=large_n))
     )
     rows = np.r_[0:small_n, large_n : large_n + small_n * edits_per_sample]
     for column in ("ids", "codes", "gold"):
@@ -1083,7 +1097,7 @@ def test_oracle_effect_equals_per_sample_clean_contrasts(problem, space):
     # the complete labels; they must be the generator's, bit for bit
     config, edits_per_sample = problem
     dataset, truth = generate(config)
-    dataset = make_pairs(dataset, truth, config, edits_per_sample)
+    dataset = make_pairs(dataset, config, edits_per_sample)
     got = oracle_effect(truth, dataset, space)
     p = dataset.pairs
     assert got.shape == (len(p), config.n_outputs)
@@ -1104,7 +1118,7 @@ def test_oracle_effect_equals_per_sample_clean_contrasts(problem, space):
 
 def assert_rows_equal_per_sample(config, edits_per_sample):
     dataset, truth = generate(config)
-    dataset = make_pairs(dataset, truth, config, edits_per_sample)
+    dataset = make_pairs(dataset, config, edits_per_sample)
     p = dataset.pairs
     rows = [(i, i, None) for i in range(config.n)]
     rows += [(e, o, (a, t)) for o, e, a, t in zip(p.original, p.edited, p.attribute, p.to)]
@@ -1212,7 +1226,7 @@ def test_mcce_recovers_the_oracle_when_pseudo_concepts_span_the_hidden_blocks(pr
     # pseudo-concepts the visible edits' effects are the oracle's.
     config, n_pseudo = problem
     dataset, truth = generate(config)
-    dataset = make_pairs(dataset, truth, config)
+    dataset = make_pairs(dataset, config)
     schema, rows = config.schema, dataset.fit_rows
     # the claim needs every label combination's effect identified
     complete = one_hot(schema, dataset.codes[rows])
@@ -1235,7 +1249,7 @@ def test_default_pseudo_count_keeps_a_noiseless_residual_that_is_mostly_signal()
         n=150, seed=1, hidden=["a0", "a1"], attributes=attributes, embed_dim=10, outcome_noise=0.0
     )
     dataset, truth = generate(config)
-    dataset = make_pairs(dataset, truth, config)
+    dataset = make_pairs(dataset, config)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the default is exact, so silent
         model = fit_mcce(dataset)
@@ -1255,6 +1269,20 @@ def test_default_pseudo_count_warns_at_the_median_threshold_cap():
     with pytest.warns(UserWarning, match="3 of the 6 embedding residual directions rise above"):
         model = fit_mcce(dataset)
     assert model.n_pseudo == 3
+
+
+def test_a_constant_embedding_column_leaves_the_pseudo_count_as_it_was():
+    # A constant column's residual is zero, an exact zero in the spectrum;
+    # read as a noise-free spectrum, it would keep every noisy direction.
+    config = default_config(n=2000, seed=3, hidden=["ambiance"], embed_noise=0.05,
+                            exact_recovery=False)
+    dataset, _ = generate(config)
+    ids, codes, embeddings, outputs = dataset.ids, dataset.codes, dataset.embeddings, dataset.outputs
+    counts = []
+    for columns in (embeddings[:, 1:], np.column_stack([np.ones(len(dataset)), embeddings[:, 1:]])):
+        fit = Dataset(config.schema, ids, codes, columns, outputs, hidden_attributes=config.hidden)
+        counts.append(fit_mcce(fit).n_pseudo)
+    assert counts == [2, 2]
 
 
 def macro_l2(model, dataset) -> float:
@@ -1293,7 +1321,7 @@ def noisy_low_rank_configs(draw):
 @given(noisy_low_rank_configs())
 def test_default_pseudo_count_is_the_hidden_rank_under_embedding_noise(config):
     dataset, truth = generate(config)
-    dataset = make_pairs(dataset, truth, config)
+    dataset = make_pairs(dataset, config)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # at the median rule's cap, and a too-small n_pseudo
         model = fit_mcce(dataset)
@@ -1332,7 +1360,7 @@ def test_observed_only_regression_error_is_the_omitted_variable_term(config):
     # coefficients through C_v⁺, and each visible edit's effect is off by
     # exactly Δc_v · C_v⁺ C_h β_h.
     dataset, truth = generate(config)
-    dataset = make_pairs(dataset, truth, config)
+    dataset = make_pairs(dataset, config)
     C_v, coef, pairs, delta = observed_regression(config, dataset)
     schema = config.schema
     shown = np.repeat(schema.visible_mask(config.hidden), schema.sizes)  # complete-layout columns
@@ -1348,7 +1376,7 @@ def test_mcce_equals_the_observed_only_regression_when_nothing_is_hidden(config)
     # with nothing hidden the embedding residual is rounding noise, and
     # the pseudo-concepts add nothing to the visible fit
     dataset, truth = generate(config)
-    dataset = make_pairs(dataset, truth, config)
+    dataset = make_pairs(dataset, config)
     _, coef, pairs, delta = observed_regression(config, dataset)
     p = dataset.pairs
     edits = p.original[pairs], p.attribute[pairs], p.to[pairs]
@@ -1543,9 +1571,12 @@ def reference_load_dataset(samples_path, pairs_path, schema_path):
     _, samples = reference_read_jsonl(samples_path, "samples", types, {"gold": None},
                                       _SAMPLE_ARRAYS, fixed, check_samples)
     ids, concepts, gold, embeddings, outputs = samples.values()
-    row_of = _row_index(ids.tolist())
-    _, pairs = reference_read_jsonl(pairs_path, "pairs", _PAIR_TYPES,
-                                    check=lambda c: _pair_rows(row_of, *(v.tolist() for v in c.values())))
+    row_ids = id_bytes(ids)
+    order = np.argsort(row_ids, kind="stable")
+    _, pairs = reference_read_jsonl(
+        pairs_path, "pairs", _PAIR_TYPES,
+        check=lambda c: _pair_rows(row_ids, order, *(v.tolist() for v in c.values())),
+    )
     return Dataset.from_records(schema, ids, concepts, embeddings, outputs, gold, zip(*pairs.values()))
 
 

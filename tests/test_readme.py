@@ -50,7 +50,7 @@ def test_samples_example_loads_and_saves_back_to_its_own_text(tmp_path):
     samples, schema = write_samples_example(tmp_path)
     rows = [json.loads(line) for line in samples.read_text().splitlines()[1:]]
     dataset = load_dataset(samples, None, schema)
-    assert dataset.ids.tolist() == [row[0] for row in rows]
+    assert dataset.ids.tolist() == [row[0].encode() for row in rows]
     assert dataset.gold.tolist() == [-1 if row[2] is None else row[2] for row in rows]
     paths = save_dataset(dataset, tmp_path / "again")
     assert paths["samples"].read_text() == samples.read_text()
@@ -61,7 +61,7 @@ def test_pairs_example_edits_food_of_the_samples_example(tmp_path):
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text("".join(line + "\n" for line in example('{"meta": {"columns": ["original_id"')))
     dataset = load_dataset(samples, pairs, schema)
-    assert dataset.ids[dataset.pairs.edited].tolist() == ["s000000__food__neg"]
+    assert dataset.ids[dataset.pairs.edited].tolist() == [b"s000000__food__neg"]
     assert [name.tolist() for name in dataset.pair_names(0)] == ["s000000", "food", "pos", "neg"]
     paths = save_dataset(dataset, tmp_path / "again")
     assert paths["pairs"].read_text() == pairs.read_text()

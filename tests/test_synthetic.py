@@ -21,6 +21,7 @@ from mcce import (
     synthesize_sample,
 )
 from mcce.linalg import lstsq
+from mcce.synthetic import _rows
 
 
 def small_config(**kw):
@@ -36,7 +37,6 @@ def test_generate_is_deterministic():
     for column in ("ids", "codes", "embeddings", "outputs", "gold"):
         assert np.array_equal(getattr(ds1, column), getattr(ds2, column)), column
     assert np.array_equal(t1.outcome_coef, t2.outcome_coef)
-    assert np.array_equal(t1.draws, t2.draws)
     # different data seed, same parameters
     ds3, _ = generate(small_config(seed=2))
     assert not np.array_equal(ds1.outputs, ds3.outputs)
@@ -45,9 +45,9 @@ def test_generate_is_deterministic():
 def test_make_pairs_is_deterministic_and_consistent():
     cfg = small_config()
     ds1, t1 = generate(cfg)
-    ds1 = make_pairs(ds1, t1, cfg)
+    ds1 = make_pairs(ds1, cfg)
     ds2, t2 = generate(cfg)
-    ds2 = make_pairs(ds2, t2, cfg)
+    ds2 = make_pairs(ds2, cfg)
     assert np.array_equal(ds1.ids, ds2.ids)
     pairs = ds1.pairs
     assert len(pairs) == 60
@@ -56,7 +56,7 @@ def test_make_pairs_is_deterministic_and_consistent():
         others = [a for a in range(4) if a != attr]
         assert np.array_equal(ds1.codes[orig, others], ds1.codes[edited, others])
         level = cfg.schema.levels(cfg.schema.names[attr])[to]
-        assert ds1.ids[edited] == f"{ds1.ids[orig]}__{cfg.schema.names[attr]}__{level}"
+        assert ds1.ids[edited] == ds1.ids[orig] + f"__{cfg.schema.names[attr]}__{level}".encode()
 
 
 def test_zero_flip_reproduces_sample_exactly():
@@ -78,7 +78,7 @@ def test_edited_embedding_is_exact_map_contrast():
     # the noiseless case and to rounding in the noisy one
     cfg = small_config(embed_noise=0.25, exact_recovery=False)
     ds, truth = generate(cfg)
-    ds = make_pairs(ds, truth, cfg)
+    ds = make_pairs(ds, cfg)
     p = ds.pairs
     delta = ds.embeddings[p.edited] - ds.embeddings[p.original]
     dc = ds.design_matrix(p.edited) - ds.design_matrix(p.original)
@@ -88,7 +88,7 @@ def test_edited_embedding_is_exact_map_contrast():
 def test_icace_equals_oracle_at_zero_output_noise():
     cfg = small_config(outcome_noise=0.0)
     ds, truth = generate(cfg)
-    ds = make_pairs(ds, truth, cfg)
+    ds = make_pairs(ds, cfg)
     assert np.allclose(icace(ds), oracle_effect(truth, ds, "logit"), atol=1e-12)
 
 
@@ -96,14 +96,14 @@ def test_icace_equals_oracle_even_with_noise():
     # output noise is shared within a pair, so it cancels in the contrast
     cfg = small_config(outcome_noise=0.8)
     ds, truth = generate(cfg)
-    ds = make_pairs(ds, truth, cfg)
+    ds = make_pairs(ds, cfg)
     assert np.allclose(icace(ds), oracle_effect(truth, ds, "logit"), atol=1e-10)
 
 
 def test_oracle_effect_probability_space():
     cfg = small_config(outcome_noise=0.0)
     ds, truth = generate(cfg)
-    ds = make_pairs(ds, truth, cfg)
+    ds = make_pairs(ds, cfg)
     p = ds.pairs
     want = softmax(ds.outputs[p.edited[:1]])[0] - softmax(ds.outputs[p.original[:1]])[0]
     assert np.allclose(oracle_effect(truth, ds, "probability")[0], want, atol=1e-12)
@@ -235,7 +235,7 @@ def test_config_file_rejects_keys_its_form_does_not_accept(tmp_path):
 def test_ground_truth_roundtrip(tmp_path):
     cfg = small_config()
     ds, truth = generate(cfg)
-    ds = make_pairs(ds, truth, cfg)
+    ds = make_pairs(ds, cfg)
     path = tmp_path / "ground_truth.json"
     save_ground_truth(truth, path)
     back = load_ground_truth(path)
@@ -250,18 +250,16 @@ def test_ground_truth_roundtrip(tmp_path):
 def test_make_pairs_refuses_existing_pairs():
     cfg = small_config()
     ds, truth = generate(cfg)
-    ds = make_pairs(ds, truth, cfg)
+    ds = make_pairs(ds, cfg)
     with pytest.raises(ValidationError):
-        make_pairs(ds, truth, cfg)
+        make_pairs(ds, cfg)
 
 
-def test_make_pairs_needs_the_draws_generate_kept(tmp_path):
-    cfg = small_config()
-    ds, truth = generate(cfg)
-    loaded = load_ground_truth(save_ground_truth(truth, tmp_path / "ground_truth.json"))
-    assert loaded.draws is None  # the draws are not written
-    with pytest.raises(ValidationError, match="noise draws"):
-        make_pairs(ds, loaded, cfg)
+def test_make_pairs_needs_the_rows_of_generate():
+    # make_pairs draws each sample's noise row again from the config's streams
+    ds, _ = generate(small_config())
+    with pytest.raises(ValidationError, match="^make_pairs needs the 61 rows of generate\\(config\\), got 60$"):
+        make_pairs(ds, small_config(n=61))
 
 
 def test_make_pairs_peak_memory_stays_near_the_rows_it_returns():
@@ -273,7 +271,7 @@ def test_make_pairs_peak_memory_stays_near_the_rows_it_returns():
     ds, truth = generate(cfg)
     tracemalloc.start()
     try:
-        paired = make_pairs(ds, truth, cfg, 2)
+        paired = make_pairs(ds, cfg, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -288,14 +286,16 @@ def test_draws_follow_the_stream_layout(seed):
     # each stream is one matrix draw from its spawn key, row i for sample i
     cfg = small_config(seed=seed)
     ds, truth = generate(cfg)
-    ds = make_pairs(ds, truth, cfg, 2)
+    ds = make_pairs(ds, cfg, 2)
 
     def stream(*key):
         return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
     noise = stream(0, 2).standard_normal((60, cfg.embed_dim + cfg.n_outputs))
-    assert np.array_equal(truth.draws, noise)
     p = ds.pairs
+    embeddings, outputs, _ = _rows(cfg, ds.codes[p.edited], noise[p.original])
+    assert np.array_equal(ds.embeddings[p.edited], embeddings)
+    assert np.array_equal(ds.outputs[p.edited], outputs)
     order = np.argsort(stream(1, 0).random((60, 4)), axis=1, kind="stable")
     assert np.array_equal(p.attribute, order[:, :2].reshape(-1))
     draw = stream(1, 1).integers(cfg.schema.sizes[p.attribute] - 1)
