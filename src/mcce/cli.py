@@ -101,18 +101,20 @@ def _pair_seeds(dataset: Dataset, run_seed: int) -> np.ndarray:
     """A stable 64-bit seed for each of `dataset.unique_pairs()`, in that order (uint64).
 
     A pair's seed is the first 8 bytes, big-endian, of the sha256 of the
-    run seed with the pair's original id, attribute and target level. It
+    run seed with the pair's original id, attribute and target level,
+    whose text is encoded as UTF-8 with "surrogatepass", as ids are: a
+    JSON "\\ud800" escape can put a lone surrogate in an id or a name. It
     does not depend on the mask, so one array serves every mask of a run
     seed.
     """
     import hashlib  # here, not at the top: OpenSSL adds about 3.7 MB of RSS to every command
 
     sample_ids, names, _, levels = dataset.pair_names(dataset.unique_pairs())
-    keys = zip(sample_ids.tolist(), names.tolist(), levels.tolist())
-    digests = b"".join(
-        hashlib.sha256(f"{run_seed}|{sid}|{name}|{level}".encode()).digest()[:8]
-        for sid, name, level in keys
+    keys = (
+        f"{run_seed}|{sid}|{name}|{level}"
+        for sid, name, level in zip(sample_ids.tolist(), names.tolist(), levels.tolist())
     )
+    digests = b"".join(hashlib.sha256(key.encode("utf-8", "surrogatepass")).digest()[:8] for key in keys)
     return np.frombuffer(digests, dtype=">u8").astype(np.uint64)
 
 
@@ -120,17 +122,18 @@ def _pair_seeds(dataset: Dataset, run_seed: int) -> np.ndarray:
 # fit/explain/evaluate plumbing shared by the single-step commands and cmd_experiment
 
 
-def _fit(dataset: Dataset, method: str, j, ridge: float, targets: str):
+def _fit(dataset: Dataset, method: str, j, ridge: float | None, targets: str):
     """Fit `method` on the dataset's visible attributes and return the model.
 
-    An mcce fit prints one warning line on stderr when its concept design
-    has less than full rank; `fit_mcce` warns about its pseudo-concept count.
+    `j` and `ridge` are mcce's, and a ridge of None is 0. An mcce fit
+    prints one warning line on stderr when its concept design has less
+    than full rank; `fit_mcce` warns about its pseudo-concept count.
     """
     if method == "slearner":
         if targets == TARGET_GOLD:
             raise ValidationError("predictor mode (gold targets) is mcce-only")
         return fit_slearner(dataset)
-    model = fit_mcce(dataset, n_pseudo=j, ridge=ridge, target_kind=targets)
+    model = fit_mcce(dataset, n_pseudo=j, ridge=0.0 if ridge is None else ridge, target_kind=targets)
     rank = model.diagnostics["design_rank"]
     # each block's columns sum to the ones vector, so a visible design
     # that observes every level in general position has this rank
@@ -239,6 +242,8 @@ def cmd_synth(args) -> int:
 def cmd_fit(args) -> int:
     if args.method == "slearner" and args.j is not None:
         raise ValidationError("--j applies to the mcce method only")
+    if args.method == "slearner" and args.ridge is not None:
+        raise ValidationError("--ridge applies to the mcce method only")
     hidden = _parse_hidden(args.hidden)
     dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
     # a fit reads the factual rows only, and the S-Learner no embedding
@@ -273,6 +278,8 @@ def cmd_explain(args) -> int:
         raise ValidationError(f"--model is required for method {method!r}")
     if method != "approx" and args.seed is not None:
         raise ValidationError("--seed applies to the approx method only")
+    if method != "approx" and args.hidden is not None:  # the mask is the model's, or none
+        raise ValidationError("--hidden applies to the approx method only")
     seed = 0 if args.seed is None else args.seed
     dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
     if method == "oracle":  # the oracle reads labels only
@@ -334,6 +341,8 @@ def cmd_experiment(args) -> int:
             )
     if args.j is not None and "mcce" not in methods:
         raise ValidationError("--j applies to the mcce method only")
+    if args.ridge is not None and "mcce" not in methods:
+        raise ValidationError("--ridge applies to the mcce method only")
     metrics = _parse_metrics(args.metrics)
     seeds = _parse_seeds(args.seeds)
     if "slearner" in methods and args.space != SPACE_PROBABILITY:
@@ -499,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=["mcce", "slearner"], default="mcce")
     sp.add_argument("--hidden", default=None, help="comma-separated attributes to mask")
     sp.add_argument("--j", type=int, default=None, help="pseudo-concept count (default: from the residual spectrum)")
-    sp.add_argument("--ridge", type=float, default=0.0)
+    sp.add_argument("--ridge", type=float, default=None, help="ridge of the mcce solves (default 0)")
     sp.add_argument("--targets", choices=["output", "gold"], default="output")
     add_space_flag(sp)
     sp.add_argument("--out", required=True, help="model JSON path")
@@ -531,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mask-sizes", default="1,2", help="hidden-set sizes to enumerate")
     sp.add_argument("--seeds", default="0", help="comma-separated sampling seeds (approx only)")
     sp.add_argument("--j", type=int, default=None)
-    sp.add_argument("--ridge", type=float, default=0.0)
+    sp.add_argument("--ridge", type=float, default=None, help="ridge of the mcce solves (default 0)")
     add_space_flag(sp, default=SPACE_PROBABILITY)
     sp.add_argument("--out", required=True, help="output directory")
     sp.set_defaults(func=cmd_experiment)

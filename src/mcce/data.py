@@ -517,26 +517,6 @@ class Dataset:
         factual[p.edited] = False
         self.fit_rows = np.flatnonzero(factual)
 
-    @classmethod
-    def from_records(
-        cls, schema, ids, labels, embeddings, outputs, gold=None, pairs=()
-    ) -> "Dataset":
-        """Build from rows as the files hold them, resolving names to codes once.
-
-        `labels` has one row of level names per id, one name per
-        attribute in schema order, as samples.jsonl's `concepts` column
-        holds them; `gold` has one int or None per row; each pair is
-        (original_id, edited_id), as pairs.jsonl holds them, and its
-        edit is read off the two rows' labels.
-        """
-        texts = np.asarray(ids, dtype=str).reshape(-1)
-        codes = _label_codes(schema, texts, labels)
-        gold = None if gold is None else _gold_labels(gold)
-        ids = id_bytes(texts)
-        names = [np.asarray(column, dtype=str).tolist() for column in zip(*pairs)] or [[], []]
-        pairs = EditPairs(*_pair_rows(ids, np.argsort(ids, kind="stable"), *names))
-        return cls(schema, ids, codes, embeddings, outputs, gold, pairs)
-
     # -- views ------------------------------------------------------------
 
     def _view(self, **changes) -> "Dataset":
@@ -608,16 +588,6 @@ class Dataset:
         """Row order that sorts `ids`, for lookups by id."""
         return np.argsort(self.ids, kind="stable")
 
-    def rows_of(self, ids) -> np.ndarray:
-        """Row index of each sample id (text, or UTF-8 bytes as `ids` holds them)."""
-        ids = np.asarray(ids)
-        rows = index_of(self.ids, id_bytes(ids).reshape(ids.shape), self.id_order)
-        if np.any(rows < 0):
-            raise ValidationError(
-                f"unknown sample id {id_text(id_bytes(ids)[np.argmin(rows)]).item()!r}"
-            )
-        return rows
-
     def edited_rows(self) -> np.ndarray:
         """`pairs.edited`, every one of which must be held: `keep` may have released some."""
         edited = self.pairs.edited
@@ -634,16 +604,19 @@ class Dataset:
         codes = self.codes if rows is None else self.codes[rows]
         return one_hot(self.schema, codes, self.hidden_attributes)
 
-    def pair_names(self, pairs) -> tuple[np.ndarray, ...]:
-        """(original id, attribute, from level, to level), as text, of the pairs at index `pairs`."""
+    def edit_names(self, pairs) -> tuple[np.ndarray, ...]:
+        """(attribute, from level, to level), as text, of the pairs at index `pairs`."""
         p, schema = self.pairs, self.schema
         rows, attribute = p.original[pairs], p.attribute[pairs]
         return (
-            id_text(self.ids[rows]),
             np.array(schema.names)[attribute],
             schema.level_names(attribute, self.codes[rows, attribute]),
             schema.level_names(attribute, p.to[pairs]),
         )
+
+    def pair_names(self, pairs) -> tuple[np.ndarray, ...]:
+        """(original id, attribute, from level, to level), as text, of the pairs at index `pairs`."""
+        return (id_text(self.ids[self.pairs.original[pairs]]), *self.edit_names(pairs))
 
     def first_pairs(self) -> np.ndarray:
         """Index of the first pair with each pair's (original, attribute, to) key."""
@@ -668,19 +641,15 @@ class _RowError(ValidationError):
 def _label_codes(schema: ConceptSchema, ids, labels) -> np.ndarray:
     """(n, n_attrs) level codes of `labels`, one row of level names in schema order per id in `ids`.
 
-    Every label is one dict lookup (`ConceptSchema.level_codes`). A row
-    of another length, or a label that is no level name, raises naming
-    the first row at fault. `ids` are text; the codes are the schema's
-    `code_dtype`.
+    `read_jsonl` has checked that each row holds one string per
+    attribute (`_check_labels`). Every label is one dict lookup
+    (`ConceptSchema.level_codes`); a label that is no level of its
+    attribute raises naming the first row at fault. `ids` are text; the
+    codes are the schema's `code_dtype`.
     """
     names, n = schema.names, len(ids)
-    try:
-        if len(labels) != n or set(map(len, labels)) - {len(names)}:
-            raise ValidationError("concept labels must be one level name per attribute")
-        attribute = np.tile(np.arange(len(names)), n)
-        codes = schema.level_codes(attribute, chain.from_iterable(labels)).reshape(n, len(names))
-    except TypeError:  # a row without a length, or an unhashable label
-        raise ValidationError("concept labels must be rows of level names") from None
+    attribute = np.tile(np.arange(len(names)), n)
+    codes = schema.level_codes(attribute, chain.from_iterable(labels)).reshape(n, len(names))
     if np.any(codes < 0):
         i, a = np.argwhere(codes < 0)[0]
         label = str(labels[i][a])
@@ -688,17 +657,13 @@ def _label_codes(schema: ConceptSchema, ids, labels) -> np.ndarray:
     return codes.astype(schema.code_dtype)
 
 
-def _gold_type(t: type) -> bool:
-    """Whether a gold label of type `t` is read: an int (not a bool), a numpy integer, or None."""
-    return t is int or t is type(None) or issubclass(t, np.integer)
-
-
 def _gold_labels(gold) -> np.ndarray:
-    """Gold labels, one int or None per row, as int64 with -1 for None."""
+    """Gold labels, one int or None per row, as int64 with -1 for None.
+
+    `read_jsonl` has checked the types; a label that int64 does not hold,
+    or a negative one, raises naming the first row at fault.
+    """
     gold = np.array(gold, dtype=object).reshape(-1)
-    if not all(map(_gold_type, set(map(type, gold)))):  # one check per distinct type, not per row
-        row = next(i for i, g in enumerate(gold) if not _gold_type(type(g)))
-        raise _RowError(row, f"gold label {gold[row]!r} is not an integer")
     missing = np.equal(gold, None)
     gold[missing] = -1
     try:
@@ -1254,11 +1219,11 @@ def load_dataset(
     The samples meta line must name the schema's attributes in schema
     order. Each chunk of samples has its labels turned into level codes
     and its ids into UTF-8 bytes, and each chunk of pairs its sample ids
-    into rows, by the conversions that `Dataset.from_records` uses,
-    before the next chunk is read, so no file is held as row objects
-    whole; an unknown id raises from the chunk that holds it. Each
-    pair's edit is read off its two rows' codes when the `Dataset` is
-    built.
+    into rows, before the next chunk is read, so no file is held as row
+    objects whole; an unknown id raises from the chunk that holds it.
+    This is where names become codes and ids bytes, once: the `Dataset`
+    constructor takes codes, rows and ids. Each pair's edit is read off
+    its two rows' codes when the `Dataset` is built.
     """
     schema = load_schema(schema_path)
     types, fixed = _sample_spec(schema)

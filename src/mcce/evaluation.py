@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ConceptSchema, Dataset, csv_text, id_bytes, index_of
+from .data import ConceptSchema, Dataset, csv_text, id_text, index_of
 from .errors import ValidationError
 from .explainers import Effects
 from .linalg import as_matrix
@@ -126,11 +126,12 @@ class EvalReport:
 def match_effects(effects: Effects, dataset: Dataset) -> np.ndarray:
     """Row in `effects` of the estimate for each dataset pair; -1 where there is none.
 
-    Pairs match estimates on (sample, attribute, from, to): sample ids
-    are looked up in the dataset's sorted ids, and attribute and level
-    names by one dict lookup each (`ConceptSchema.attribute_indices` and
-    `level_codes`). An estimate naming a sample, attribute or level the
-    dataset lacks matches nothing.
+    Pairs match estimates on (sample, attribute, from, to): sample ids,
+    UTF-8 bytes on both sides, are looked up in the dataset's sorted
+    ids, and attribute and level names by one dict lookup each
+    (`ConceptSchema.attribute_indices` and `level_codes`). An estimate
+    naming a sample, attribute or level the dataset lacks matches
+    nothing.
     Estimates in another space than the dataset's are refused. The match
     depends on no metric, so one serves every `icace_error` of a run.
     """
@@ -145,7 +146,7 @@ def match_effects(effects: Effects, dataset: Dataset) -> np.ndarray:
     def key(rows, attribute, from_codes, to):
         return ((rows * len(schema.names) + attribute) * top + from_codes) * top + to
 
-    rows = index_of(dataset.ids, id_bytes(effects.sample_id), dataset.id_order)
+    rows = index_of(dataset.ids, effects.sample_id, dataset.id_order)
     attribute = schema.attribute_indices(effects.attribute.tolist())
     from_codes = schema.level_codes(attribute, effects.from_level.tolist())
     to = schema.level_codes(attribute, effects.to_level.tolist())
@@ -154,8 +155,9 @@ def match_effects(effects: Effects, dataset: Dataset) -> np.ndarray:
     unique, counts = np.unique(keys, return_counts=True)
     if np.any(counts > 1):
         i = known[np.argmax(keys == unique[np.argmax(counts > 1)])]
-        named = (effects.sample_id, effects.attribute, effects.from_level, effects.to_level)
-        raise ValidationError(f"duplicate effect estimate for {tuple(str(c[i]) for c in named)!r}")
+        named = (effects.attribute, effects.from_level, effects.to_level)
+        estimate = (id_text(effects.sample_id[i]).item(), *(str(c[i]) for c in named))
+        raise ValidationError(f"duplicate effect estimate for {estimate!r}")
     wanted = key(p.original, p.attribute, dataset.codes[p.original, p.attribute].astype(np.int64), p.to)
     return np.append(known, -1)[index_of(keys, wanted)]  # absent (-1) picks the appended -1
 
@@ -193,7 +195,7 @@ def icace_error(
     )
     means = np.bincount(inverse, weights=values, minlength=counts.size) / counts
     spread = np.bincount(inverse, weights=(values - means[inverse]) ** 2, minlength=counts.size)
-    names = (col.tolist() for col in dataset.pair_names(scored[first])[1:])
+    names = (col.tolist() for col in dataset.edit_names(scored[first]))
     stats = zip(*names, means.tolist(), np.sqrt(spread / counts).tolist(), counts.tolist())
     rows = tuple(EvalGroup(a, f, t, metric, m, s, c) for a, f, t, m, s, c in sorted(stats))
     group_means = np.array([g.mean for g in rows])

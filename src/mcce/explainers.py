@@ -49,6 +49,7 @@ from .data import (
     Dataset,
     csv_text,
     float_array,
+    id_bytes,
     id_text,
     json_field,
     one_hot,
@@ -76,8 +77,8 @@ class Effects:
     Row i estimates how the outputs move when attribute `attribute[i]` of
     sample `sample_id[i]` goes from `from_level[i]` to `to_level[i]`;
     `fallback[i]` flags an approx estimate drawn without an exact match.
-    The name columns hold text; UTF-8 bytes, as `Dataset.ids` holds
-    them, are decoded.
+    `sample_id` holds each id's UTF-8 bytes, as `Dataset.ids` does
+    (`id_bytes`: text is encoded); the other name columns hold text.
     """
 
     sample_id: np.ndarray
@@ -90,11 +91,9 @@ class Effects:
     fallback: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("sample_id", "attribute", "from_level", "to_level"):
-            column = getattr(self, name)
-            bytes_ = isinstance(column, np.ndarray) and column.dtype.kind == "S"
-            column = id_text(column) if bytes_ else np.asarray(column, dtype=str)
-            object.__setattr__(self, name, column.reshape(-1))
+        object.__setattr__(self, "sample_id", id_bytes(self.sample_id))
+        for name in ("attribute", "from_level", "to_level"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=str).reshape(-1))
         m = self.sample_id.size
         fallback = np.zeros(m, dtype=bool) if self.fallback is None else self.fallback
         object.__setattr__(self, "fallback", np.asarray(fallback, dtype=bool).reshape(-1))
@@ -111,8 +110,9 @@ class Effects:
 
     @classmethod
     def for_pairs(cls, dataset: Dataset, pairs, effect, method: str, space: str, fallback=None):
-        """Estimates for the dataset's pairs at index `pairs`, keyed by their names."""
-        return cls(*dataset.pair_names(pairs), effect, method, space, fallback)
+        """Estimates for the dataset's pairs at index `pairs`, keyed by original id and edit."""
+        ids = dataset.ids[dataset.pairs.original[pairs]]
+        return cls(ids, *dataset.edit_names(pairs), effect, method, space, fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +763,7 @@ def write_effects(path: str | Path, effects: Effects, metadata: dict) -> Path:
     if bad.any():
         raise NumericalError(
             f"{int(bad.sum())} of {len(effects)} effect estimates are not finite "
-            f"(first: sample {str(effects.sample_id[np.argmax(bad)])!r}); not writing {path}"
+            f"(first: sample {id_text(effects.sample_id[np.argmax(bad)]).item()!r}); not writing {path}"
         )
     columns = {
         "sample_id": effects.sample_id,
@@ -784,10 +784,16 @@ def read_effects(path: str | Path) -> tuple[Effects, dict]:
     null, are every estimate's; its `hidden`, when present, must be a
     list of attribute names, and its `seed` an integer or null. The
     metadata returned is the meta line without its `columns` and `effect`
-    file name.
+    file name. Each chunk's sample ids become UTF-8 bytes as it is read,
+    as `load_dataset`'s do.
     """
+
+    def ids(chunk: dict) -> dict:
+        chunk["sample_id"] = id_bytes(chunk["sample_id"])
+        return chunk
+
     metadata, columns = read_jsonl(
-        path, "effects", _EFFECT_TYPES, {"fallback": False}, arrays=("effect",)
+        path, "effects", _EFFECT_TYPES, {"fallback": False}, ids, ("effect",)
     )
     meta = {f"meta.{key}": value for key, value in metadata.items()}  # keys as errors name them
     where = f"{path}:1"

@@ -674,6 +674,7 @@ class TestExperiment:
             (["--seeds", "0,0"], "seed 0 is given twice"),
             (["--mask-sizes", "1,1"], "mask size 1 is given twice"),
             (["--methods", "slearner,approx", "--j", "3"], "--j applies to the mcce method only"),
+            (["--methods", "approx", "--ridge", "5"], "--ridge applies to the mcce method only"),
         ],
     )
     def test_empty_or_repeated_lists_exit_2(self, exp_dir, tmp_path, capsys, flags, message):
@@ -685,27 +686,38 @@ class TestExperiment:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_fit_refuses_j_without_mcce(self, exp_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--j", "--ridge"])
+    def test_fit_refuses_mcce_flags_without_mcce(self, exp_dir, tmp_path, capsys, flag):
         data, _ = exp_dir
         code = run(
-            "fit", *dataset_flags(data), "--method", "slearner", "--space", "probability", "--j", "3",
+            "fit", *dataset_flags(data), "--method", "slearner", "--space", "probability", flag, "3",
             "--out", tmp_path / "m.json",
         )
         assert code == 2
-        assert "--j applies to the mcce method only" in capsys.readouterr().err
+        assert f"{flag} applies to the mcce method only" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    def test_mcce_fit_records_its_ridge(self, exp_dir, tmp_path):
+        data, _ = exp_dir
+        for name, ridge in (("default", []), ("zero", ["--ridge", "0"]), ("five", ["--ridge", "5"])):
+            assert run("fit", *dataset_flags(data), *ridge, "--out", tmp_path / f"{name}.json") == 0
+        assert json.loads((tmp_path / "five.json").read_text())["ridge"] == 5.0
+        assert (tmp_path / "default.json").read_bytes() == (tmp_path / "zero.json").read_bytes()
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--hidden", "food")])
     @pytest.mark.parametrize("method", ["mcce", "slearner", "oracle"])
-    def test_explain_refuses_seed_without_approx(self, exp_dir, tmp_path, capsys, method):
+    def test_explain_refuses_approx_flags_without_approx(
+        self, exp_dir, tmp_path, capsys, method, flag, value
+    ):
         data, _ = exp_dir
         given = {"mcce": ["--model", tmp_path / "m.json"], "slearner": ["--model", tmp_path / "m.json"],
                  "oracle": ["--ground-truth", data / "ground_truth.json"]}[method]
         code = run(
-            "explain", *dataset_flags(data), "--method", method, *given, "--seed", "5",
+            "explain", *dataset_flags(data), "--method", method, *given, flag, value,
             "--out", tmp_path / "e.jsonl",
         )
         assert code == 2
-        assert "--seed applies to the approx method only" in capsys.readouterr().err
+        assert f"{flag} applies to the approx method only" in capsys.readouterr().err
         assert not (tmp_path / "e.jsonl").exists()
 
     def test_explain_approx_without_seed_uses_seed_0(self, exp_dir, tmp_path):
@@ -934,6 +946,17 @@ def oracle_lines(oracle_report, tmp_path):
     return effects.read_text().splitlines()
 
 
+def test_approx_explains_an_id_that_holds_a_lone_surrogate(synth_dir, tmp_path):
+    # a JSON "\ud800" escape carries one, which a strict UTF-8 encode of the pair seed's key refuses
+    root = array_file_copy(synth_dir, tmp_path / "data")
+    for name in ("samples.jsonl", "pairs.jsonl"):
+        path = root / name
+        path.write_text(path.read_text().replace('"s000000"', '"s000000\\ud800"'))
+    out = tmp_path / "e.jsonl"
+    assert run("explain", *dataset_flags(root), "--method", "approx", "--out", out) == 0
+    assert '\n["s000000\\ud800", ' in out.read_text()
+
+
 class TestLoaderErrors:
     """Malformed input files exit 2 with a message, never with a traceback."""
 
@@ -995,8 +1018,9 @@ class TestLoaderErrors:
         assert run("fit", *flags, "--out", tmp_path / "m.json") == 2
         assert "samples.jsonl: not UTF-8 text" in capsys.readouterr().err
 
-    def test_gold_must_be_an_integer(self, synth_dir, tmp_path, capsys):
-        assert self.fit_with(synth_dir, tmp_path, 2, "gold", 1.5) == 2
+    @pytest.mark.parametrize("gold", [1.5, True])
+    def test_gold_must_be_an_integer(self, synth_dir, tmp_path, capsys, gold):
+        assert self.fit_with(synth_dir, tmp_path, 2, "gold", gold) == 2
         assert "samples.jsonl:2: 'gold' must be integer or null" in capsys.readouterr().err
 
     def test_effect_must_be_numbers(self, synth_dir, tmp_path, capsys):
@@ -1181,7 +1205,10 @@ class TestLoaderErrors:
         message = f"pair {rows[0]['original_id']!r}->{rows[0]['edited_id']!r}: labels differ in {differ},"
         assert message in err and "Traceback" not in err and not out.exists()
 
-    @pytest.mark.parametrize("table, fault", [("samples", "label"), ("samples", "gold"), ("pairs", "id")])
+    @pytest.mark.parametrize(
+        "table, fault",
+        [("samples", "label"), ("samples", "gold"), ("samples", "negative gold"), ("pairs", "id")],
+    )
     def test_a_bad_row_names_its_file_and_line(self, synth_dir, tmp_path, capsys, table, fault):
         files = {name: synth_dir / f"{name}.jsonl" for name in ("samples", "pairs")}
         rows = read_table(files[table])
@@ -1192,6 +1219,9 @@ class TestLoaderErrors:
         elif fault == "gold":  # an integer, but none that int64 holds
             rows[3]["gold"] = 2**70
             message = f"gold label {2**70} is too large"
+        elif fault == "negative gold":
+            rows[3]["gold"] = -3
+            message = "gold label must be >= 0"
         else:
             rows[3]["original_id"] = "nobody"
             message = "pair references unknown sample 'nobody'"

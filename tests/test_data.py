@@ -3,6 +3,7 @@
 import json
 import stat
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -41,9 +42,13 @@ def make_sample(sid, labels, emb=(0.0, 1.0), out=(0.5, -0.5), gold=None):
 
 
 def build(samples, pairs=(), schema=SCHEMA):
-    """Dataset from make_sample rows and (original id, edited id) pairs."""
+    """Dataset from make_sample rows and (original id, edited id) pairs; level names become codes."""
     ids, labels, emb, out, gold = zip(*samples) if samples else ((),) * 5
-    return Dataset.from_records(schema, ids, labels, emb, out, gold, pairs)
+    attribute = np.tile(np.arange(len(schema.names)), len(ids))
+    codes = schema.level_codes(attribute, chain(*labels)).reshape(len(ids), len(schema.names))
+    rows = np.array([[ids.index(i) for i in pair] for pair in pairs], dtype=int).reshape(-1, 2)
+    gold = [-1 if g is None else g for g in gold]
+    return Dataset(schema, ids, codes, emb, out, gold, EditPairs(*rows.T))
 
 
 # --- schema -----------------------------------------------------------
@@ -90,12 +95,8 @@ def test_encode_by_hand():
 
 
 def test_encode_errors():
-    with pytest.raises(ValidationError):
-        build([make_sample("s1", ["y"])])  # no label for b
-    with pytest.raises(ValidationError):
-        build([make_sample("s1", ["y", "nope"])])
-    with pytest.raises(ValidationError):
-        build([make_sample("s1", ["y", "u", "x"])])
+    # a short or long label row, or an unknown level, is the file reader's to refuse
+    # (test_label_defects_exit_2_naming_file_and_line, test_a_bad_row_names_its_file_and_line)
     with pytest.raises(ValidationError):
         one_hot(SCHEMA, [[1, 0, 0]])  # one code per attribute
 
@@ -158,11 +159,11 @@ def small_dataset(space="logit"):
 def test_dataset_lookup_and_fencing():
     ds = small_dataset()
     assert len(ds) == 3
-    assert ds.gold[ds.rows_of("s2")] == 1
+    assert ds.gold[1] == 1  # s2
     masked = ds.mask({"a"})
     assert masked.visible_width == 3
-    assert masked.design_matrix(masked.rows_of(["s1"])).tolist() == [[1.0, 0.0, 0.0]]
-    assert ds.design_matrix(ds.rows_of(["s1"])).tolist() == [[1.0, 0.0, 1.0, 0.0, 0.0]]
+    assert masked.design_matrix([0]).tolist() == [[1.0, 0.0, 0.0]]  # s1
+    assert ds.design_matrix([0]).tolist() == [[1.0, 0.0, 1.0, 0.0, 0.0]]
     # the mask is a view; the unmasked dataset is unchanged
     assert ds.visible_width == 5
 
@@ -175,8 +176,6 @@ def test_errors_quote_sample_ids_as_plain_strings():
         Dataset(schema, ["s1", "s1"], [[0], [1]], zeros, zeros)
     with pytest.raises(ValidationError, match=r"^sample 's2': non-finite embedding$"):
         Dataset(schema, ["s1", "s2"], [[0], [1]], np.array([[0.0], [np.nan]]), zeros)
-    with pytest.raises(ValidationError, match=r"^unknown sample id 's3'$"):
-        Dataset(schema, ["s1", "s2"], [[0], [1]], zeros, zeros).rows_of(["s3"])
 
 
 def test_fit_samples_exclude_edited_rows():
@@ -214,7 +213,7 @@ def test_keep_renumbers_the_kept_rows_and_keeps_each_pairs_edit():
     assert (p.attribute.tolist(), p.to.tolist()) == ([0, 1], [1, 1])
     assert [name.tolist() for name in kept.pair_names(1)] == ["B", "b", "u", "v"]
     assert kept.fit_rows.tolist() == [0]  # B stays an edited row
-    assert kept.rows_of(["B"]).tolist() == [1]
+    assert kept.id_order.tolist() == [0, 1]  # not the sort of the four ids of `ds`
     with pytest.raises(ValidationError, match="edited rows were released"):
         kept.edited_rows()
     assert ds.keep([2]).pairs.original.size == 0  # no pair's original row is kept
@@ -246,18 +245,8 @@ def test_dataset_rejects_inconsistencies():
     with pytest.raises(ValidationError):
         build((s1, make_sample("s1", ["y", "u"])))  # dup id
     with pytest.raises(ValidationError):
-        build((make_sample("s1", ["x", "zzz"]),))  # bad level
-    with pytest.raises(ValidationError):
-        build((make_sample("s1", ["x"]),))  # no label for b
-    with pytest.raises(ValidationError):
         build((s1, make_sample("s2", ["x", "u"], emb=(1.0, 2.0, 3.0))))
-    with pytest.raises(ValidationError, match=r"^pair references unknown sample 'ghost'$"):
-        build((s1,), pairs=[("s1", "ghost")])
     # integer columns take integers only: each of these was once truncated
-    with pytest.raises(ValidationError, match=r"^gold label 1\.5 is not an integer$"):
-        build((make_sample("s1", ["x", "u"], gold=1.5),))
-    with pytest.raises(ValidationError, match=r"^gold label True is not an integer$"):
-        build((make_sample("s1", ["x", "u"], gold=True),))
     zeros, codes = np.zeros((2, 1)), [[0, 0], [1, 0]]
     for gold in ([1.5, 0], [True, False]):
         with pytest.raises(ValidationError, match="^gold labels must be integers"):
@@ -302,7 +291,7 @@ def test_space_conversion():
     ds = small_dataset()
     probs = ds.to_space("probability")
     assert probs.space == "probability"
-    row = probs.outputs[probs.rows_of("s1")]
+    row = probs.outputs[0]  # s1
     expected = np.exp([2.0, -1.0]) / np.exp([2.0, -1.0]).sum()
     assert np.allclose(row, expected, atol=1e-12)
     # idempotent; reverse direction refused
@@ -418,7 +407,7 @@ def test_loader_missing_file(tmp_path):
 def test_loader_applies_probability_space(tmp_path):
     samples, pairs, schema = write_fixture(tmp_path, [GOOD_ROW])
     ds = load_dataset(samples, None, schema, space="probability")
-    assert np.allclose(ds.outputs[ds.rows_of("s1")].sum(), 1.0, atol=1e-12)
+    assert np.allclose(ds.outputs[0].sum(), 1.0, atol=1e-12)
 
 
 def test_write_text_atomic_keeps_plain_open_mode(tmp_path):

@@ -12,6 +12,7 @@ import pytest
 from mcce import (
     ConceptSchema,
     Dataset,
+    EditPairs,
     Effects,
     EvalGroup,
     EvalReport,
@@ -72,16 +73,18 @@ def test_distance_errors():
 # --- icace --------------------------------------------------------------
 
 def two_pair_dataset(extra=(), extra_pairs=()):
+    """Rows (id, level codes of a and b, outputs) o1 e1 o2 e2, then `extra`; pairs of row indices."""
     samples = (
-        ("o1", ["x", "u"], (1.0, 0.0)),
-        ("e1", ["y", "u"], (0.0, 1.0)),
-        ("o2", ["x", "v"], (2.0, 2.0)),
-        ("e2", ["y", "v"], (2.0, 5.0)),
+        ("o1", [0, 0], (1.0, 0.0)),  # x, u
+        ("e1", [1, 0], (0.0, 1.0)),  # y, u
+        ("o2", [0, 1], (2.0, 2.0)),  # x, v
+        ("e2", [1, 1], (2.0, 5.0)),  # y, v
         *extra,
     )
-    pairs = [("o1", "e1"), ("o2", "e2"), *extra_pairs]
-    ids, labels, outputs = zip(*samples)
-    return Dataset.from_records(SCHEMA, ids, labels, np.zeros((len(ids), 1)), outputs, pairs=pairs)
+    original, edited = zip((0, 1), (2, 3), *extra_pairs)
+    ids, codes, outputs = zip(*samples)
+    pairs = EditPairs(original, edited)
+    return Dataset(SCHEMA, ids, codes, np.zeros((len(ids), 1)), outputs, pairs=pairs)
 
 
 def test_icace_by_hand():
@@ -116,8 +119,8 @@ def test_icace_error_group_stats_by_hand():
 def test_icace_error_macro_averages_groups_equally():
     # second group with a single pair at distance 5; macro mean = (2+5)/2
     ds = two_pair_dataset(
-        extra=(("o3", ["x", "u"], (1.0, 1.0)), ("e3", ["x", "v"], (1.0, 1.0))),
-        extra_pairs=[("o3", "e3")],
+        extra=(("o3", [0, 0], (1.0, 1.0)), ("e3", [0, 1], (1.0, 1.0))),  # x, u and x, v
+        extra_pairs=[(4, 5)],
     )
     effects = estimates(("o1", (-1.0, 0.0)), ("o2", (0.0, 6.0)), ("o3", (3.0, 4.0), "b", "u", "v"))
     report = icace_error(effects, ds, "l2")

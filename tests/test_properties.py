@@ -270,7 +270,7 @@ def test_icace_error_matches_per_pair_grouping(problem, metric):
     effects = Effects.for_pairs(paired, first, estimates, "test", "logit")
     report = icace_error(effects, paired, metric)
 
-    keys = (effects.sample_id, effects.attribute, effects.from_level, effects.to_level)
+    keys = (id_text(effects.sample_id), effects.attribute, effects.from_level, effects.to_level)
     by_key = dict(zip(zip(*(col.tolist() for col in keys)), estimates))
     distance = get_distance(metric)
     groups = {}
@@ -472,7 +472,7 @@ def reference_effects_files(effects, metadata, name):
     npy = name.replace(".jsonl", ".effect.npy")
     meta = {**metadata, "method": effects.method, "space": effects.space, "effect": npy}
     lines = [_ROW_JSON.encode({"meta": {**meta, "columns": columns + ["fallback"] * flagged}})]
-    names = (effects.sample_id, effects.attribute, effects.from_level, effects.to_level)
+    names = (id_text(effects.sample_id), effects.attribute, effects.from_level, effects.to_level)
     for *row, fallback in zip(*(column.tolist() for column in names), effects.fallback.tolist()):
         lines.append(_ROW_JSON.encode([*row, *[fallback] * flagged]))
     text = "".join(line + "\n" for line in lines)
@@ -520,6 +520,26 @@ def test_write_effects_bytes_equal_per_row_encoding(tmp_path_factory, effects, m
     write_effects(root / "e.jsonl", effects, metadata)
     written = {path.name: path.read_bytes() for path in root.iterdir()}
     assert written == reference_effects_files(effects, metadata, "e.jsonl")
+
+
+# sample ids, lone surrogates included: a JSON "\ud800" escape can carry one
+sample_ids = st.lists(st.one_of(names, st.sampled_from(["\ud800", "\u00e9\udfff"])), max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sample_ids, metadata_dicts)
+def test_effects_of_text_ids_equal_effects_of_their_utf8_bytes(tmp_path_factory, texts, metadata):
+    m = len(texts)
+    encoded = np.array([text.encode("utf-8", "surrogatepass") for text in texts], dtype=bytes)
+    built, files = [], []
+    for ids in (texts, encoded):
+        effects = Effects(ids, ["a"] * m, ["x"] * m, ["y"] * m, np.ones((m, 2)), "mcce", "logit")
+        root = tmp_path_factory.mktemp("ids")
+        write_effects(root / "e.jsonl", effects, metadata)
+        built.append(effects)
+        files.append({path.name: path.read_bytes() for path in root.iterdir()})
+    assert effects_bits(built[0]) == effects_bits(built[1]) and files[0] == files[1]
+    assert id_text(built[0].sample_id).tolist() == texts
 
 
 @st.composite
@@ -1401,15 +1421,15 @@ def reference_labels(value, line, path, key, names):
             raise ValidationError(f"{path}:{line}: {key!r} values must be strings")
 
 
-def reference_read_jsonl(path, what, types, defaults=None, arrays=(), fixed=None, check=None):
+def reference_read_jsonl(path, what, types, defaults=None, arrays=(), fixed=None, convert=None):
     """read_jsonl as it was: one `_parse_json` call per non-blank line, whole file at once.
 
     Line 1 is read by the library's `_header`. As in read_jsonl, a
     "string" column is returned as a numpy string array and each key of
     `arrays` as the matrix of its .npy file; a labels column (a tuple of
-    names) is checked row by row. `check`, when given, is called on the
-    whole file's columns, and an error it raises about one row names
-    that row's line.
+    names) is checked row by row. `convert`, when given, maps the whole
+    file's columns to the columns returned, and an error it raises about
+    one row names that row's line.
     """
     defaults = defaults or {}
     rows, lines = [], []
@@ -1439,9 +1459,9 @@ def reference_read_jsonl(path, what, types, defaults=None, arrays=(), fixed=None
             if type(value) not in allowed:
                 raise ValidationError(f"{path}:{line}: {key!r} must be {kinds.replace('|', ' or ')}")
         columns[key] = np.array(column, dtype=str) if kinds == "string" else column
-    if check is not None:
+    if convert is not None:
         try:
-            check(columns)
+            columns = convert(columns)
         except _RowError as exc:
             raise ValidationError(f"{path}:{lines[exc.row]}: {exc}") from None
     for key in arrays:
@@ -1556,28 +1576,29 @@ def test_read_jsonl_tricky_runs_equal_per_line_reference(tmp_path, run):
 
 
 def reference_load_dataset(samples_path, pairs_path, schema_path):
-    """load_dataset as it was: whole files through the reference reader, then from_records.
+    """load_dataset as it was: whole files through the reference reader, then the Dataset.
 
-    Each file's rows are checked by the conversions that from_records
-    uses, so an error about one row names its line.
+    Each file's columns are converted whole, by the conversions that
+    load_dataset applies a chunk at a time, so an error about one row
+    names its line.
     """
     schema = load_schema(schema_path)
     types, fixed = _sample_spec(schema)
 
-    def check_samples(columns):
-        _label_codes(schema, columns["id"], columns["concepts"])
-        _gold_labels(columns["gold"])
+    def convert_samples(columns):
+        ids, concepts, gold = columns.values()
+        return {"id": id_bytes(ids), "codes": _label_codes(schema, ids, concepts),
+                "gold": _gold_labels(gold)}
 
     _, samples = reference_read_jsonl(samples_path, "samples", types, {"gold": None},
-                                      _SAMPLE_ARRAYS, fixed, check_samples)
-    ids, concepts, gold, embeddings, outputs = samples.values()
-    row_ids = id_bytes(ids)
-    order = np.argsort(row_ids, kind="stable")
+                                      _SAMPLE_ARRAYS, fixed, convert_samples)
+    ids, codes, gold, embeddings, outputs = samples.values()
+    order = np.argsort(ids, kind="stable")
     _, pairs = reference_read_jsonl(
         pairs_path, "pairs", _PAIR_TYPES,
-        check=lambda c: _pair_rows(row_ids, order, *(v.tolist() for v in c.values())),
+        convert=lambda c: dict(zip(c, _pair_rows(ids, order, *(v.tolist() for v in c.values())))),
     )
-    return Dataset.from_records(schema, ids, concepts, embeddings, outputs, gold, zip(*pairs.values()))
+    return Dataset(schema, ids, codes, embeddings, outputs, gold, EditPairs(*pairs.values()))
 
 
 def reference_read_effects(path):
