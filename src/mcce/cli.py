@@ -9,6 +9,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import importlib
 import itertools
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    _ID_CODEC,
     SPACE_LOGIT,
     SPACE_PROBABILITY,
     FLOAT_COLUMNS,
@@ -97,24 +99,39 @@ def _parse_seeds(value: str) -> list[int]:
     return _distinct(seeds, "seed")
 
 
+def _sha256():
+    """CPython's own SHA-256 constructor: `hashlib.sha256` maps OpenSSL, about 3.3 MB of RSS."""
+    for module in ("_sha2", "_sha256"):  # Python 3.12+, then 3.10 and 3.11
+        try:
+            return importlib.import_module(module).sha256
+        except ImportError:
+            pass
+    import hashlib  # an interpreter built without them
+
+    return hashlib.sha256
+
+
 def _pair_seeds(dataset: Dataset, run_seed: int) -> np.ndarray:
     """A stable 64-bit seed for each of `dataset.unique_pairs()`, in that order (uint64).
 
     A pair's seed is the first 8 bytes, big-endian, of the sha256 of the
-    run seed with the pair's original id, attribute and target level,
-    whose text is encoded as UTF-8 with "surrogatepass", as ids are: a
-    JSON "\\ud800" escape can put a lone surrogate in an id or a name. It
-    does not depend on the mask, so one array serves every mask of a run
-    seed.
+    text "{run_seed}|{original id}|{attribute}|{target level}" encoded as
+    UTF-8 with "surrogatepass", as ids are: a JSON "\\ud800" escape can
+    put a lone surrogate in an id or a name. UTF-8 encodes each code
+    point apart, so the key is built from the ids' stored bytes and each
+    level's encoded "|{attribute}|{level}". It does not depend on the
+    mask, so one array serves every mask of a run seed.
     """
-    import hashlib  # here, not at the top: OpenSSL adds about 3.7 MB of RSS to every command
-
-    sample_ids, names, _, levels = dataset.pair_names(dataset.unique_pairs())
-    keys = (
-        f"{run_seed}|{sid}|{name}|{level}"
-        for sid, name, level in zip(sample_ids.tolist(), names.tolist(), levels.tolist())
-    )
-    digests = b"".join(hashlib.sha256(key.encode("utf-8", "surrogatepass")).digest()[:8] for key in keys)
+    sha256, pairs, schema = _sha256(), dataset.pairs, dataset.schema
+    unique = dataset.unique_pairs()
+    # "|{attribute}|{level}" of each column of the complete one-hot layout, encoded once
+    suffixes = [
+        f"|{name}|{level}".encode(*_ID_CODEC) for name, levels in schema.attributes for level in levels
+    ]
+    columns = schema.offsets[pairs.attribute[unique]] + pairs.to[unique]
+    prefix = f"{run_seed}|".encode()
+    keys = zip(dataset.ids[pairs.original[unique]].tolist(), columns.tolist())
+    digests = b"".join(sha256(prefix + sid + suffixes[column]).digest()[:8] for sid, column in keys)
     return np.frombuffer(digests, dtype=">u8").astype(np.uint64)
 
 

@@ -202,19 +202,22 @@ def fit_mcce(
     if rows.size == 0:
         raise ValidationError("dataset has no factual samples to fit on")
     k_vis = dataset.visible_width
-    C, H = dataset.design_matrix(rows), dataset.embeddings[rows]
+    C = dataset.design_matrix(rows)
     T, kind = _resolve_targets(dataset, rows, target_kind)
-    n, d = H.shape
+    n, d = rows.size, dataset.embeddings.shape[1]
     integral = isinstance(n_pseudo, (int, np.integer)) and type(n_pseudo) is not bool
     if n_pseudo is not None and not (integral and 1 <= n_pseudo <= min(n, d)):
         raise ValidationError(f"n_pseudo must be an integer in [1, {min(n, d)}], got {n_pseudo!r}")
 
-    observed, residual = residualize(C, np.hstack([H, T]), ridge)
+    # the rounding scale is relative to the fit embeddings H's Frobenius norm (SVD-free, within
+    # sqrt(d) of the spectral one); [H | T] is H's only copy, and none outlives the solve
+    HT = np.hstack([dataset.embeddings[rows], T])
+    floor = RANK_RTOL * float(np.linalg.norm(HT[:, :d]))
+    observed, residual = residualize(C, HT, ridge)
+    del HT
     embed_coef, concept_coef = np.hsplit(observed.coefficients, [d])
     basis, s = truncated_svd(residual[:, :d])
-    # rounding scale relative to H's Frobenius norm (SVD-free, within sqrt(d) of the spectral
-    # one); at ridge 0 the residual lies in the n_free-dim complement of the design's columns
-    floor = RANK_RTOL * float(np.linalg.norm(H))
+    # at ridge 0 the residual lies in the n_free-dim complement of the design's columns
     n_free = n - observed.effective_rank
     # a residual column at rounding scale (a constant embedding column, say) adds an exact zero
     # to the spectrum whatever the noise, so the threshold reads the spectrum of the others

@@ -14,6 +14,7 @@ sums that it and the batched generator share.
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import struct
@@ -540,6 +541,43 @@ def test_effects_of_text_ids_equal_effects_of_their_utf8_bytes(tmp_path_factory,
         files.append({path.name: path.read_bytes() for path in root.iterdir()})
     assert effects_bits(built[0]) == effects_bits(built[1]) and files[0] == files[1]
     assert id_text(built[0].sample_id).tolist() == texts
+
+
+key_names = st.one_of(names, st.sampled_from(["\ud800", "\u00e9\udfff", '"\\\udc80']))
+
+
+@st.composite
+def named_pairs(draw):
+    """(dataset, ids): rows of drawn text ids on a schema of drawn names, an edited copy of some."""
+    attributes = draw(st.lists(key_names, min_size=1, max_size=3, unique=True))
+    schema = ConceptSchema.of(
+        (name, draw(st.lists(key_names, min_size=2, max_size=3, unique=True))) for name in attributes
+    )
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    ids = draw(st.lists(key_names, min_size=n + m, max_size=n + m, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = np.column_stack([rng.integers(size, size=n + m) for size in schema.sizes])
+    rows, attribute = rng.integers(n, size=m), rng.integers(schema.sizes.size, size=m)
+    codes[n:] = codes[rows]
+    codes[n + np.arange(m), attribute] = other_levels(rng, schema, codes[rows, attribute], attribute)
+    dataset = Dataset(schema, ids, codes, np.zeros((n + m, 1)), np.zeros((n + m, 1)),
+                      pairs=EditPairs(rows, n + np.arange(m)))
+    return dataset, ids
+
+
+@settings(max_examples=100, deadline=None)
+@given(named_pairs(), st.sampled_from([0, 2**63]))
+def test_pair_seeds_are_the_sha256_of_each_pairs_text_key(problem, run_seed):
+    # the reference hashes text keys with hashlib; _pair_seeds builds bytes keys for CPython's own
+    dataset, ids = problem
+    p, unique = dataset.pairs, dataset.unique_pairs()
+    want = []
+    for original, a, to in zip(*(column[unique].tolist() for column in (p.original, p.attribute, p.to))):
+        name, levels = dataset.schema.attributes[a]
+        key = f"{run_seed}|{ids[original]}|{name}|{levels[to]}".encode("utf-8", "surrogatepass")
+        want.append(int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
+    seeds = _pair_seeds(dataset, run_seed)
+    assert seeds.dtype == np.uint64 and seeds.tolist() == want
 
 
 @st.composite
