@@ -30,9 +30,8 @@ _EXPORTS = {
     **dict.fromkeys(("NumericalError", "ValidationError"), "errors"),
     **dict.fromkeys(
         (
-            "DISTANCES", "METRICS", "EvalGroup", "EvalReport", "coefficient_error",
-            "dist_cosine", "dist_l2", "dist_norm", "get_distance", "icace", "icace_error",
-            "macro_f1", "match_effects",
+            "DISTANCES", "METRICS", "EvalGroup", "EvalReport", "dist_cosine", "dist_l2",
+            "dist_norm", "get_distance", "icace", "icace_error", "macro_f1", "match_effects",
         ),
         "evaluation",
     ),

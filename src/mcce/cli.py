@@ -175,14 +175,11 @@ def _explain(dataset: Dataset, method: str, model, seed: int, truth=None, pair_s
     each estimate's ties by its pair's seed from `pair_seeds`, the
     `_pair_seeds` of the dataset and `seed`. Only approx records `seed`;
     the other methods draw nothing and record null. Returns (effects,
-    metadata, match): the effects file's contents, to which
-    `write_effects` adds the estimates' method and space, and each pair's
-    estimate row as `match_effects` would find it: that of the first pair
-    of its key, or -1 where that pair was skipped.
+    metadata): the effects file's contents, to which `write_effects`
+    adds the estimates' method and space.
     """
     p = dataset.pairs
-    first = dataset.first_pairs()
-    pairs = np.flatnonzero(first == np.arange(len(p)))
+    pairs = dataset.unique_pairs()
     skipped = 0
     if method in ("mcce", "slearner"):
         visible = dataset.schema.visible_mask(dataset.hidden_attributes)
@@ -209,19 +206,12 @@ def _explain(dataset: Dataset, method: str, model, seed: int, truth=None, pair_s
         "pairs_total": len(p),
         "pairs_skipped": skipped,
     }
-    estimate = np.full(len(p), -1)
-    estimate[pairs] = np.arange(pairs.size)
-    return effects, metadata, estimate[first]
+    return effects, metadata
 
 
-def _reports(dataset, effects, metrics, metadata, hidden, match=None) -> dict:
-    """One report per metric, all scored from one match of the estimates to the pairs.
-
-    `match` may pass the match that `_explain` returns; by default the
-    estimates are matched by name (`match_effects`).
-    """
-    if match is None:
-        match = match_effects(effects, dataset)
+def _reports(dataset, effects, metrics, metadata, hidden) -> dict:
+    """One report per metric, all scored from one match of the estimates to the pairs (`match_effects`)."""
+    match = match_effects(effects, dataset)
     return {
         metric: icace_error(
             effects, dataset, metric, metadata=dict(metadata), hidden=hidden, match=match
@@ -316,7 +306,7 @@ def cmd_explain(args) -> int:
     try:
         if truth is not None:
             dataset.schema.check_hidden(truth.hidden)
-        effects, metadata, _ = _explain(dataset, method, model, seed, truth, pair_seeds)
+        effects, metadata = _explain(dataset, method, model, seed, truth, pair_seeds)
     except ValidationError as exc:
         if truth is None:
             raise
@@ -333,7 +323,7 @@ def cmd_evaluate(args) -> int:
     metrics = _parse_metrics(args.metric)
     dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
     dataset = dataset.keep(columns=("outputs",))  # scoring reads no embedding
-    effects, meta = read_effects(args.effects)
+    effects, meta = read_effects(args.effects, dataset.schema)
     hidden = frozenset(meta.get("hidden", ()))
     metadata = {"method": effects.method, "hidden": sorted(hidden), "seed": meta.get("seed")}
     reports = _reports(dataset, effects, metrics, metadata, hidden)
@@ -397,10 +387,8 @@ def cmd_experiment(args) -> int:
                     run_dir /= f"seed{seed}"
                 try:
                     model = None if method == "approx" else _fit(masked, method, args.j, args.ridge, TARGET_OUTPUT)
-                    effects, metadata, match = _explain(
-                        masked, method, model, seed, pair_seeds=pair_seeds.get(seed)
-                    )
-                    reports = _reports(masked, effects, metrics, metadata, masked.hidden_attributes, match)
+                    effects, metadata = _explain(masked, method, model, seed, pair_seeds=pair_seeds.get(seed))
+                    reports = _reports(masked, effects, metrics, metadata, masked.hidden_attributes)
                     if model is not None:
                         save_model(model, run_dir / "model.json")
                     write_effects(run_dir / "effects.jsonl", effects, metadata)

@@ -49,7 +49,9 @@ Models, effects, ground truth, configs, reports and predictions are
 read and written by other modules through `read_json`, `write_json`,
 `read_jsonl` (typed columns, with file:line errors), `write_jsonl`
 (built a column at a time; float matrices go to .npy files),
-`float_array` (JSON numbers only) and `csv_text`. JSONL files are read
+`float_array` (JSON numbers only) and `csv_text`. An effects file's edit
+names become codes in `edit_codes`, and codes names in
+`edit_name_columns`, against the dataset's schema. JSONL files are read
 and written a chunk of rows at a time, so no file is held whole as
 Python objects.
 """
@@ -286,14 +288,6 @@ class ConceptSchema:
 
     def visible_width(self, hidden=frozenset()) -> int:
         return int(self.sizes[self.visible_mask(hidden)].sum())
-
-    def visible_blocks(self, hidden=frozenset()) -> dict[str, slice]:
-        """Column block of each visible attribute within the visible layout."""
-        visible = self.visible_mask(hidden)
-        sizes = self.sizes[visible]
-        starts = _starts(sizes)
-        ends = starts + sizes
-        return dict(zip(compress(self.names, visible), map(slice, starts.tolist(), ends.tolist())))
 
     def to_obj(self) -> dict:
         return {
@@ -618,16 +612,11 @@ class Dataset:
         """(original id, attribute, from level, to level), as text, of the pairs at index `pairs`."""
         return (id_text(self.ids[self.pairs.original[pairs]]), *self.edit_names(pairs))
 
-    def first_pairs(self) -> np.ndarray:
-        """Index of the first pair with each pair's (original, attribute, to) key."""
-        p, top = self.pairs, int(self.schema.sizes.max())
-        key = (p.original * len(self.schema.attributes) + p.attribute) * top + p.to  # int64 columns
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        return first[inverse.reshape(-1)]
-
     def unique_pairs(self) -> np.ndarray:
         """Index of the first pair with each (original, attribute, to) key, in pair order."""
-        return np.flatnonzero(self.first_pairs() == np.arange(len(self.pairs)))
+        p, top = self.pairs, int(self.schema.sizes.max())
+        key = (p.original * len(self.schema.attributes) + p.attribute) * top + p.to  # int64 columns
+        return np.sort(np.unique(key, return_index=True)[1])
 
 
 class _RowError(ValidationError):
@@ -655,6 +644,39 @@ def _label_codes(schema: ConceptSchema, ids, labels) -> np.ndarray:
         label = str(labels[i][a])
         raise _RowError(i, f"sample {str(ids[i])!r}: illegal label {names[a]}={label!r}")
     return codes.astype(schema.code_dtype)
+
+
+def edit_codes(schema: ConceptSchema, attributes: list, froms: list, tos: list) -> tuple[np.ndarray, ...]:
+    """(attribute index, from code, to code), each int64, of the edits that these names give.
+
+    Each name is one dict lookup (`ConceptSchema.attribute_indices` and
+    `level_codes`). An attribute or a level that the schema lacks raises
+    naming the first row at fault, so that `read_jsonl` names its line.
+    """
+    attribute = schema.attribute_indices(attributes)
+    from_code, to_code = (schema.level_codes(attribute, levels) for levels in (froms, tos))
+    bad = (attribute < 0) | (from_code < 0) | (to_code < 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if attribute[i] < 0:
+            raise _RowError(i, f"unknown attribute {attributes[i]!r}")
+        key, level = ("from", froms[i]) if from_code[i] < 0 else ("to", tos[i])
+        raise _RowError(i, f"{key!r} {level!r} is no level of attribute {attributes[i]!r}")
+    return attribute, from_code, to_code
+
+
+def edit_name_columns(schema: ConceptSchema, attribute, from_code, to_code) -> dict:
+    """The `write_jsonl` columns "attribute", "from" and "to" that name edits given as codes.
+
+    Each is built a chunk at a time (`_Slices`), so no whole column of
+    names is held.
+    """
+    names = np.array(schema.names)
+    return {
+        "attribute": _Slices(attribute.size, lambda rows: names[attribute[rows]]),
+        "from": _Slices(attribute.size, lambda rows: schema.level_names(attribute[rows], from_code[rows])),
+        "to": _Slices(attribute.size, lambda rows: schema.level_names(attribute[rows], to_code[rows])),
+    }
 
 
 def _gold_labels(gold) -> np.ndarray:

@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ConceptSchema, Dataset, csv_text, id_text, index_of
+from .data import Dataset, csv_text, id_text, index_of
 from .errors import ValidationError
 from .explainers import Effects
-from .linalg import as_matrix
 
 
 def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -128,13 +127,15 @@ def match_effects(effects: Effects, dataset: Dataset) -> np.ndarray:
 
     Pairs match estimates on (sample, attribute, from, to): sample ids,
     UTF-8 bytes on both sides, are looked up in the dataset's sorted
-    ids, and attribute and level names by one dict lookup each
-    (`ConceptSchema.attribute_indices` and `level_codes`). An estimate
-    naming a sample, attribute or level the dataset lacks matches
-    nothing.
-    Estimates in another space than the dataset's are refused. The match
-    depends on no metric, so one serves every `icace_error` of a run.
+    ids, and the edits' codes are compared as they are, so the effects
+    must be over the dataset's schema. An estimate naming a sample the
+    dataset lacks matches nothing. Effects over another schema, and
+    estimates in another space than the dataset's, are refused. The
+    match depends on no metric, so one serves every `icace_error` of a
+    run.
     """
+    if effects.schema != dataset.schema:
+        raise ValidationError("the effects and the dataset have different schemas")
     if len(effects) and effects.space != dataset.space:
         raise ValidationError(
             f"mixed-space comparison refused: estimates are in {effects.space!r} space, "
@@ -147,16 +148,14 @@ def match_effects(effects: Effects, dataset: Dataset) -> np.ndarray:
         return ((rows * len(schema.names) + attribute) * top + from_codes) * top + to
 
     rows = index_of(dataset.ids, effects.sample_id, dataset.id_order)
-    attribute = schema.attribute_indices(effects.attribute.tolist())
-    from_codes = schema.level_codes(attribute, effects.from_level.tolist())
-    to = schema.level_codes(attribute, effects.to_level.tolist())
-    known = np.flatnonzero((rows >= 0) & (attribute >= 0) & (from_codes >= 0) & (to >= 0))
-    keys = key(rows, attribute, from_codes, to)[known]
+    known = np.flatnonzero(rows >= 0)
+    keys = key(rows, effects.attribute, effects.from_code, effects.to_code)[known]
     unique, counts = np.unique(keys, return_counts=True)
     if np.any(counts > 1):
         i = known[np.argmax(keys == unique[np.argmax(counts > 1)])]
-        named = (effects.attribute, effects.from_level, effects.to_level)
-        estimate = (id_text(effects.sample_id[i]).item(), *(str(c[i]) for c in named))
+        name, levels = schema.attributes[effects.attribute[i]]
+        sample = id_text(effects.sample_id[i]).item()
+        estimate = (sample, name, levels[effects.from_code[i]], levels[effects.to_code[i]])
         raise ValidationError(f"duplicate effect estimate for {estimate!r}")
     wanted = key(p.original, p.attribute, dataset.codes[p.original, p.attribute].astype(np.int64), p.to)
     return np.append(known, -1)[index_of(keys, wanted)]  # absent (-1) picks the appended -1
@@ -209,39 +208,6 @@ def icace_error(
     meta["pairs_evaluated"] = int(scored.size)
     meta["pairs_skipped"] = int(skipped.sum())
     return EvalReport(groups=rows, macro_mean=macro_mean, macro_std=macro_std, metadata=meta)
-
-
-def coefficient_error(
-    estimated,
-    reference,
-    schema: ConceptSchema,
-    hidden=frozenset(),
-    metric: str = "l2",
-) -> float:
-    """Total distance between estimated and reference effect contrasts.
-
-    Compares within-attribute-block coefficient differences (level minus
-    level, a class-sized vector per ordered level pair) rather than raw
-    coefficients, since raw one-hot coefficients are only identified up to
-    a per-block constant. Both matrices use the visible layout.
-    """
-    dist = get_distance(metric)
-    hidden = schema.check_hidden(hidden)
-    est = as_matrix(estimated, "estimated")
-    ref = as_matrix(reference, "reference")
-    width = schema.visible_width(hidden)
-    if est.shape != ref.shape:
-        raise ValidationError(f"shape mismatch: {est.shape} vs {ref.shape}")
-    if est.shape[0] != width:
-        raise ValidationError(
-            f"coefficient matrices must have {width} rows for this schema/mask, "
-            f"got {est.shape[0]}"
-        )
-    total = 0.0
-    for block in schema.visible_blocks(hidden).values():
-        i, k = np.nonzero(~np.eye(block.stop - block.start, dtype=bool))  # ordered level pairs
-        total += float(np.sum(dist(ref[block][k] - ref[block][i], est[block][k] - est[block][i])))
-    return total
 
 
 def macro_f1(predicted, gold, n_classes: int) -> float:

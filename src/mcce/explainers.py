@@ -47,7 +47,10 @@ from .data import (
     SPACE_LOGIT,
     ConceptSchema,
     Dataset,
+    _integers,
     csv_text,
+    edit_codes,
+    edit_name_columns,
     float_array,
     id_bytes,
     id_text,
@@ -72,19 +75,23 @@ _MAX_HALVINGS = 50
 
 @dataclass(frozen=True, eq=False)
 class Effects:
-    """Effect estimates as columns, one row per edit.
+    """Effect estimates as columns, one row per edit, over `schema`.
 
     Row i estimates how the outputs move when attribute `attribute[i]` of
-    sample `sample_id[i]` goes from `from_level[i]` to `to_level[i]`;
-    `fallback[i]` flags an approx estimate drawn without an exact match.
-    `sample_id` holds each id's UTF-8 bytes, as `Dataset.ids` does
-    (`id_bytes`: text is encoded); the other name columns hold text.
+    sample `sample_id[i]` goes from level code `from_code[i]` to
+    `to_code[i]`; `fallback[i]` flags an approx estimate drawn without an
+    exact match. The columns are a `Dataset`'s: `sample_id` holds each
+    id's UTF-8 bytes (`id_bytes`: text is encoded), `attribute` indexes
+    the schema's attributes and the codes its levels, each as int64.
+    Names stand for them only in the effects file (`write_effects`,
+    `read_effects`).
     """
 
+    schema: ConceptSchema
     sample_id: np.ndarray
     attribute: np.ndarray
-    from_level: np.ndarray
-    to_level: np.ndarray
+    from_code: np.ndarray
+    to_code: np.ndarray
     effect: np.ndarray  # (m, q)
     method: str | None
     space: str | None
@@ -92,8 +99,8 @@ class Effects:
 
     def __post_init__(self):
         object.__setattr__(self, "sample_id", id_bytes(self.sample_id))
-        for name in ("attribute", "from_level", "to_level"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=str).reshape(-1))
+        for name in ("attribute", "from_code", "to_code"):
+            object.__setattr__(self, name, _integers(getattr(self, name), f"effect {name}").reshape(-1))
         m = self.sample_id.size
         fallback = np.zeros(m, dtype=bool) if self.fallback is None else self.fallback
         object.__setattr__(self, "fallback", np.asarray(fallback, dtype=bool).reshape(-1))
@@ -101,9 +108,15 @@ class Effects:
         if effect.size == m == 0:
             effect = effect.reshape(0, 0)
         object.__setattr__(self, "effect", effect)
-        sizes = {self.attribute.size, self.from_level.size, self.to_level.size, self.fallback.size}
+        sizes = {self.attribute.size, self.from_code.size, self.to_code.size, self.fallback.size}
         if self.effect.ndim != 2 or sizes | {self.effect.shape[0]} != {m}:
             raise ValidationError("effect columns need one entry (and one effect row) per estimate")
+        attribute, sizes = self.attribute, self.schema.sizes
+        if np.any((attribute < 0) | (attribute >= sizes.size)):
+            raise ValidationError("effect attributes must index the schema's attributes")
+        codes = np.stack([self.from_code, self.to_code])
+        if np.any((codes < 0) | (codes >= sizes[attribute])):
+            raise ValidationError("effect level codes must index their attribute's levels")
 
     def __len__(self) -> int:
         return self.sample_id.size
@@ -111,8 +124,10 @@ class Effects:
     @classmethod
     def for_pairs(cls, dataset: Dataset, pairs, effect, method: str, space: str, fallback=None):
         """Estimates for the dataset's pairs at index `pairs`, keyed by original id and edit."""
-        ids = dataset.ids[dataset.pairs.original[pairs]]
-        return cls(ids, *dataset.edit_names(pairs), effect, method, space, fallback)
+        p = dataset.pairs
+        rows, attribute = p.original[pairs], p.attribute[pairs]
+        return cls(dataset.schema, dataset.ids[rows], attribute, dataset.codes[rows, attribute],
+                   p.to[pairs], effect, method, space, fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -580,9 +595,6 @@ class CoefficientReport:
     levels: tuple[str, ...]
     contrasts: np.ndarray  # (n_rows, n_classes), one row per (attribute, level)
 
-    def matrix(self) -> np.ndarray:
-        return self.contrasts
-
     def to_csv(self) -> str:
         classes = [f"class_{c}" for c in range(self.n_classes)] if len(self.contrasts) else []
         rows = zip(self.attributes, self.levels, self.contrasts.tolist())
@@ -757,10 +769,12 @@ def write_effects(path: str | Path, effects: Effects, metadata: dict) -> Path:
 
     The meta line holds `metadata` with the estimates' `method` and
     `space`, which no estimate's line repeats. The columns are
-    `sample_id`, `attribute`, `from` and `to`, and `fallback` when an
-    estimate is flagged: one line per estimate. The (m, q) effect matrix
-    goes to `<name>.effect.npy`, which the meta line names under
-    `effect`. Non-finite effects raise NumericalError and write nothing.
+    `sample_id`, and `attribute`, `from` and `to`, which name the edit
+    in the effects' schema a chunk of rows at a time
+    (`edit_name_columns`), and `fallback` when an estimate is flagged:
+    one line per estimate. The (m, q) effect matrix goes to
+    `<name>.effect.npy`, which the meta line names under `effect`.
+    Non-finite effects raise NumericalError and write nothing.
     """
     bad = ~np.isfinite(effects.effect).all(axis=1)
     if bad.any():
@@ -770,9 +784,7 @@ def write_effects(path: str | Path, effects: Effects, metadata: dict) -> Path:
         )
     columns = {
         "sample_id": effects.sample_id,
-        "attribute": effects.attribute,
-        "from": effects.from_level,
-        "to": effects.to_level,
+        **edit_name_columns(effects.schema, effects.attribute, effects.from_code, effects.to_code),
     }
     if effects.fallback.any():
         columns["fallback"] = effects.fallback
@@ -780,29 +792,38 @@ def write_effects(path: str | Path, effects: Effects, metadata: dict) -> Path:
     return write_jsonl(path, columns, meta, arrays={"effect": effects.effect})
 
 
-def read_effects(path: str | Path) -> tuple[Effects, dict]:
-    """Read an effects file and its effect matrix, as `write_effects` writes them.
+def read_effects(path: str | Path, schema: ConceptSchema) -> tuple[Effects, dict]:
+    """Read an effects file and its effect matrix, as `write_effects` writes them, over `schema`.
 
     Line 1 is the meta line. Its `method` and `space`, each a string or
     null, are every estimate's; its `hidden`, when present, must be a
-    list of attribute names, and its `seed` an integer or null. The
-    metadata returned is the meta line without its `columns` and `effect`
-    file name. Each chunk's sample ids become UTF-8 bytes as it is read,
-    as `load_dataset`'s do.
+    list of the schema's attribute names, and its `seed` an integer or
+    null. The metadata returned is the meta line without its `columns`
+    and `effect` file name. Each chunk's sample ids become UTF-8 bytes
+    and its edits' names codes (`edit_codes`) as it is read, as
+    `load_dataset`'s do, so an attribute or level that the schema lacks
+    is an error at its line.
     """
 
-    def ids(chunk: dict) -> dict:
+    def codes(chunk: dict) -> dict:
         chunk["sample_id"] = id_bytes(chunk["sample_id"])
+        chunk["attribute"], chunk["from"], chunk["to"] = edit_codes(
+            schema, chunk["attribute"], chunk["from"], chunk["to"]
+        )
         return chunk
 
     metadata, columns = read_jsonl(
-        path, "effects", _EFFECT_TYPES, {"fallback": False}, ids, ("effect",)
+        path, "effects", _EFFECT_TYPES, {"fallback": False}, codes, ("effect",)
     )
     meta = {f"meta.{key}": value for key, value in metadata.items()}  # keys as errors name them
     where = f"{path}:1"
-    json_field(meta, "meta.hidden", "strings", where, [])
+    hidden = json_field(meta, "meta.hidden", "strings", where, [])
+    try:
+        schema.check_hidden(hidden)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
     json_field(meta, "meta.seed", "integer|null", where, None)
     method = json_field(meta, "meta.method", "string|null", where, None)
     space = json_field(meta, "meta.space", "string|null", where, None)
-    names = (columns[key] for key in ("sample_id", "attribute", "from", "to"))
-    return Effects(*names, columns["effect"], method, space, columns["fallback"]), metadata
+    edits = (columns[key] for key in ("sample_id", "attribute", "from", "to"))
+    return Effects(schema, *edits, columns["effect"], method, space, columns["fallback"]), metadata

@@ -21,7 +21,6 @@ from mcce import (
     Dataset,
     Effects,
     build_label_index,
-    coefficient_error,
     default_config,
     dist_cosine,
     dist_l2,
@@ -42,6 +41,8 @@ from mcce import (
 )
 from mcce.cli import main
 from mcce.linalg import lstsq, max_abs_cross
+
+from coefficients import coefficient_error, visible_blocks
 
 T0 = time.monotonic()
 BATTERY_BUDGET = 300.0
@@ -397,18 +398,18 @@ def test_criterion_09_report_baseline_and_shift_invariance(suite2, check):
     q = model.n_outputs
     worst_baseline = 0.0
     for b in range(q):
-        worst_baseline = max(worst_baseline, float(np.max(np.abs(global_report(model, b).matrix()[:, b]))))
+        worst_baseline = max(worst_baseline, float(np.max(np.abs(global_report(model, b).contrasts[:, b]))))
 
     rng = np.random.default_rng(99)
     shifted_coef = model.concept_coef.copy()
-    blocks = schema.visible_blocks(model.hidden_attributes)
+    blocks = visible_blocks(schema, model.hidden_attributes)
     for block in blocks.values():
         shifted_coef[block] += rng.standard_normal(q)
     shifted = dataclasses.replace(model, concept_coef=shifted_coef)
     worst_shift = 0.0
     for b in range(q):
-        m1 = global_report(model, b).matrix()
-        m2 = global_report(shifted, b).matrix()
+        m1 = global_report(model, b).contrasts
+        m2 = global_report(shifted, b).contrasts
         for block in blocks.values():
             d1 = m1[block] - m1[block.start]
             d2 = m2[block] - m2[block.start]

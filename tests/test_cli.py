@@ -210,9 +210,9 @@ class TestManyAttributes:
         # Each edit's exact match is its own edited row, the only row with
         # those labels among 120, unless the edit is of the hidden a0.
         dataset = mcce.load_dataset(data / "samples.jsonl", data / "pairs.jsonl", data / "schema.json")
-        effects, _ = mcce.read_effects(tmp_path / "approx.jsonl")
+        effects, _ = mcce.read_effects(tmp_path / "approx.jsonl", dataset.schema)
         assert len(effects) == len(dataset.pairs) and not effects.fallback.any()
-        visible = effects.attribute != "a0"
+        visible = effects.attribute != dataset.schema.names.index("a0")
         assert np.array_equal(effects.effect[visible], mcce.icace(dataset)[visible])
 
 
@@ -984,6 +984,28 @@ class TestLoaderErrors:
         err = capsys.readouterr().err
         assert "e.jsonl:1: 'meta.hidden'" in err and "Traceback" not in err
 
+    def test_effects_meta_hidden_must_name_schema_attributes(self, synth_dir, oracle_report, tmp_path, capsys):
+        assert self.evaluate_with_meta(synth_dir, oracle_report, tmp_path, "hidden", ["zzz"]) == 2
+        assert "e.jsonl:1: hidden attributes not in schema: ['zzz']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, name, message", [
+        ("attribute", "nosuch", "unknown attribute 'nosuch'"),
+        ("from", "zzz", "'from' 'zzz' is no level of attribute"),
+        ("to", "zzz", "'to' 'zzz' is no level of attribute"),
+    ])
+    def test_effects_rows_must_name_schema_attributes_and_levels(
+        self, synth_dir, oracle_report, tmp_path, capsys, column, name, message
+    ):
+        # an extra estimate that names what the schema lacks once matched no pair and was ignored
+        lines = oracle_lines(oracle_report, tmp_path)
+        meta = json.loads(lines[0])["meta"]
+        row = json.loads(lines[1])
+        row[meta["columns"].index(column)] = name
+        effect = np.load(tmp_path / meta["effect"])
+        np.save(tmp_path / meta["effect"], np.vstack([effect, effect[:1]]))
+        assert self.evaluate(synth_dir, tmp_path, [*lines, json.dumps(row)]) == 2
+        assert f"e.jsonl:{len(lines) + 1}: {message}" in capsys.readouterr().err
+
     def test_effects_meta_method_and_space_must_be_strings(
         self, synth_dir, oracle_report, tmp_path, capsys
     ):
@@ -1511,7 +1533,8 @@ class TestTableLayout:
 
     @pytest.mark.parametrize("flags", [[False, False], [False, True]])
     def test_fallback_column_only_when_an_estimate_is_flagged(self, tmp_path, flags):
-        effects = mcce.Effects(["s0", "s1"], ["a", "a"], ["x", "x"], ["y", "y"], np.zeros((2, 1)),
+        schema = mcce.ConceptSchema.of([("a", ("x", "y"))])
+        effects = mcce.Effects(schema, ["s0", "s1"], [0, 0], [0, 0], [1, 1], np.zeros((2, 1)),
                                "approx", "logit", flags)
         path = mcce.write_effects(tmp_path / "e.jsonl", effects, {})
         head, *rows = map(json.loads, path.read_text().splitlines())
@@ -1519,7 +1542,7 @@ class TestTableLayout:
         assert head["meta"]["columns"] == ["sample_id", "attribute", "from", "to", *flagged]
         assert head["meta"]["effect"] == "e.effect.npy"
         assert [row[4:] for row in rows] == [[flag][: len(flagged)] for flag in flags]
-        assert mcce.read_effects(path)[0].fallback.tolist() == flags
+        assert mcce.read_effects(path, schema)[0].fallback.tolist() == flags
 
     MALFORMED = [
         (set_columns("id"), ":1: 'meta.columns' must be a list of distinct strings"),

@@ -23,6 +23,7 @@ from mcce import (
 )
 from mcce.data import id_text, write_jsonl, write_npy, write_text_atomic
 
+from coefficients import visible_blocks
 from jsonl_tables import write_lines, write_table
 
 SCHEMA = ConceptSchema.of([("a", ("x", "y")), ("b", ("u", "v", "w"))])
@@ -59,8 +60,8 @@ def test_schema_shapes_and_blocks():
     assert SCHEMA.levels("b") == ("u", "v", "w")
     assert SCHEMA.visible_width() == 5
     assert SCHEMA.visible_width({"a"}) == 3
-    assert SCHEMA.visible_blocks() == {"a": slice(0, 2), "b": slice(2, 5)}
-    assert SCHEMA.visible_blocks({"a"}) == {"b": slice(0, 3)}
+    assert visible_blocks(SCHEMA) == {"a": slice(0, 2), "b": slice(2, 5)}
+    assert visible_blocks(SCHEMA, {"a"}) == {"b": slice(0, 3)}
     assert SCHEMA.offsets.tolist() == [0, 2]
     assert SCHEMA.visible_names({"a"}) == ("b",)
     assert RESTAURANT.visible_width({"ambiance"}) == 9
@@ -123,7 +124,7 @@ def test_intervene_commutes_with_encode():
         hidden = frozenset({RESTAURANT.names[0]}) if rng.integers(2) and attr != 0 else frozenset()
         direct = one_hot(RESTAURANT, edit(codes, attr, to), hidden)
         via = one_hot(RESTAURANT, codes, hidden)
-        block = RESTAURANT.visible_blocks(hidden)[RESTAURANT.names[attr]]
+        block = visible_blocks(RESTAURANT, hidden)[RESTAURANT.names[attr]]
         via[:, block] = np.eye(3)[to]
         assert np.array_equal(direct, via)
 

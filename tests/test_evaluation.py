@@ -5,6 +5,7 @@ Group means/stds below are worked out by hand before being frozen in.
 
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from mcce import (
     EvalGroup,
     EvalReport,
     ValidationError,
-    coefficient_error,
     dist_cosine,
     dist_l2,
     dist_norm,
@@ -25,7 +25,11 @@ from mcce import (
     icace,
     icace_error,
     macro_f1,
+    match_effects,
 )
+from mcce.data import edit_codes
+
+from coefficients import coefficient_error
 
 SCHEMA = ConceptSchema.of([("a", ("x", "y")), ("b", ("u", "v"))])
 
@@ -96,8 +100,8 @@ def estimates(*rows, space="logit"):
     """Effects from (sample_id, effect[, attribute, from, to]) rows; keys default to a: x -> y."""
     rows = [row + ("a", "x", "y")[len(row) - 2 :] for row in rows]
     sample_id, effect, attribute, from_level, to_level = zip(*rows) if rows else ((),) * 5
-    effect = np.array(effect, dtype=float)
-    return Effects(sample_id, attribute, from_level, to_level, effect, "test", space)
+    edits = edit_codes(SCHEMA, list(attribute), from_level, to_level)
+    return Effects(SCHEMA, sample_id, *edits, np.array(effect, dtype=float), "test", space)
 
 
 def test_icace_error_group_stats_by_hand():
@@ -147,6 +151,18 @@ def test_icace_error_join_failures():
         icace_error(estimates(one, ("o2", (0.0, 0.0)), space="probability"), ds, "l2")
     with pytest.raises(ValidationError):
         icace_error(estimates(one, ("o2", (0.0, 0.0))), ds, "chebyshev")
+    other = ConceptSchema.of([("a", ("x", "y")), ("b", ("u", "w"))])
+    with pytest.raises(ValidationError, match="different schemas"):
+        match_effects(replace(estimates(one, ("o2", (0.0, 0.0))), schema=other), ds)
+
+
+def test_effects_hold_codes_of_their_schema():
+    with pytest.raises(ValidationError, match="index the schema's attributes"):
+        Effects(SCHEMA, ["o1"], [2], [0], [1], np.zeros((1, 2)), "test", "logit")
+    with pytest.raises(ValidationError, match="index their attribute's levels"):
+        Effects(SCHEMA, ["o1"], [1], [0], [2], np.zeros((1, 2)), "test", "logit")
+    with pytest.raises(ValidationError, match="must be integers"):
+        Effects(SCHEMA, ["o1"], ["a"], [0], [1], np.zeros((1, 2)), "test", "logit")
 
 
 def test_report_serialization(tmp_path):

@@ -581,7 +581,7 @@ def test_global_report_baseline_column_zero():
     model = fit_mcce(ds)
     for base in range(4):
         rep = global_report(model, base)
-        M = rep.matrix()
+        M = rep.contrasts
         assert M.shape == (5, 4)
         assert np.max(np.abs(M[:, base])) == 0.0
 
@@ -609,7 +609,7 @@ def test_global_report_invariant_to_block_shifts():
     rep2 = global_report(shifted, 0)
     # contrasts against the baseline class are shift-invariant per class,
     # not per block; rows change but row DIFFERENCES within a block do not
-    m1, m2 = rep.matrix(), rep2.matrix()
+    m1, m2 = rep.contrasts, rep2.contrasts
     assert np.allclose(m1[1] - m1[0], m2[1] - m2[0], atol=1e-12)
     assert np.allclose(m1[3] - m1[2], m2[3] - m2[2], atol=1e-12)
 
@@ -721,9 +721,8 @@ def test_load_model_rejects_tampered_shapes(tmp_path):
 def current_b_effects(ds, model, rows):
     """mcce Effects for setting attribute b of `rows` to u."""
     effect = explain_mcce(model, ds, rows, 1, 0)
-    from_level = [SCHEMA.levels("b")[c] for c in ds.codes[rows, 1]]
     m = len(rows)
-    return Effects(ds.ids[rows], ["b"] * m, from_level, ["u"] * m, effect, "mcce", "logit")
+    return Effects(SCHEMA, ds.ids[rows], [1] * m, ds.codes[rows, 1], [0] * m, effect, "mcce", "logit")
 
 
 def test_effects_roundtrip(tmp_path):
@@ -732,10 +731,10 @@ def test_effects_roundtrip(tmp_path):
     effects = current_b_effects(ds, model, np.arange(5))
     path = tmp_path / "effects.jsonl"
     write_effects(path, effects, {"method": "mcce", "space": "logit", "seed": 0})
-    back, meta = read_effects(path)
+    back, meta = read_effects(path, SCHEMA)
     assert meta["method"] == "mcce" and meta["seed"] == 0
     assert len(back) == 5
-    for column in ("sample_id", "attribute", "from_level", "to_level", "effect"):
+    for column in ("sample_id", "attribute", "from_code", "to_code", "effect"):
         assert np.array_equal(getattr(effects, column), getattr(back, column)), column
     assert not back.fallback.any()
     first_line = path.read_text().splitlines()[0]
@@ -750,9 +749,9 @@ def test_read_effects_rejects_non_finite_tokens(tmp_path):
     meta, row = path.read_text().splitlines()
     path.write_text(meta + "\n" + row.replace('"u"', "Infinity") + "\n")  # bare Infinity token
     with pytest.raises(ValidationError, match="effects.jsonl:2: non-finite"):
-        read_effects(path)
+        read_effects(path, SCHEMA)
     path.write_text(meta + "\n" + row + "\n")
     npy = tmp_path / json.loads(meta)["meta"]["effect"]
     np.save(npy, np.full((1, ds.outputs.shape[1]), np.inf))
     with pytest.raises(ValidationError, match="effects.effect.npy: non-finite"):
-        read_effects(path)
+        read_effects(path, SCHEMA)

@@ -46,13 +46,11 @@ from mcce import (
     generate,
     get_distance,
     global_report,
-    coefficient_error,
     icace_error,
     load_dataset,
     load_ground_truth,
     load_model,
     make_pairs,
-    match_effects,
     one_hot,
     oracle_effect,
     read_effects,
@@ -77,6 +75,7 @@ from mcce.data import (
     _read_matrix,
     _RowError,
     _sample_spec,
+    edit_codes,
     id_bytes,
     id_text,
     load_schema,
@@ -88,6 +87,8 @@ from mcce.explainers import _EFFECT_TYPES, SLEARNER_GRAD_TOL, SLEARNER_MAX_ITER
 from mcce.errors import ValidationError
 from mcce.linalg import lstsq
 from mcce.synthetic import _one_hot_product, _scores
+
+from coefficients import coefficient_error, visible_blocks
 
 
 def reference_one_hot(schema, labels, hidden):
@@ -241,10 +242,10 @@ def test_dataset_and_effects_round_trip_bit_exactly(tmp_path_factory, dataset, d
     fallback = rng.random(m) < 0.5
     effects = Effects.for_pairs(dataset, np.arange(m), effect, "approx", "logit", fallback)
     write_effects(out / "effects.jsonl", effects, {"method": "approx"})
-    read, meta = read_effects(out / "effects.jsonl")
+    read, meta = read_effects(out / "effects.jsonl", dataset.schema)
     assert meta == {"method": "approx", "space": "logit"}
     assert (read.method, read.space) == ("approx", "logit")
-    for column in ("sample_id", "attribute", "from_level", "to_level", "effect", "fallback"):
+    for column in ("sample_id", "attribute", "from_code", "to_code", "effect", "fallback"):
         assert np.array_equal(getattr(read, column), getattr(effects, column)), column
 
 
@@ -271,8 +272,7 @@ def test_icace_error_matches_per_pair_grouping(problem, metric):
     effects = Effects.for_pairs(paired, first, estimates, "test", "logit")
     report = icace_error(effects, paired, metric)
 
-    keys = (id_text(effects.sample_id), effects.attribute, effects.from_level, effects.to_level)
-    by_key = dict(zip(zip(*(col.tolist() for col in keys)), estimates))
+    by_key = dict(zip(effect_names(effects), estimates))
     distance = get_distance(metric)
     groups = {}
     for i, (original, edited) in enumerate(zip(paired.pairs.original, paired.pairs.edited)):
@@ -284,39 +284,6 @@ def test_icace_error_matches_per_pair_grouping(problem, metric):
     assert [(w[0], w[3]) for w in want] == [(g[0], g[3]) for g in got]
     assert np.allclose([w[1:3] for w in want], [g[1:3] for g in got], rtol=1e-12, atol=1e-12)
     assert report.metadata["pairs_evaluated"] == m
-
-
-@settings(max_examples=60, deadline=None)
-@given(masked_datasets(), st.sampled_from(["mcce", "approx"]), st.data())
-def test_explain_match_equals_the_match_by_name(problem, method, data):
-    dataset, rows, _, _ = problem
-    schema, n = dataset.schema, len(dataset)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    attribute = rng.integers(len(schema.names), size=rows.size)  # hidden attributes too
-    to = other_levels(rng, schema, dataset.codes[rows, attribute], attribute)
-    again = rng.integers(rows.size, size=rng.integers(rows.size + 1))  # some keys twice
-    rows, attribute, to = (np.concatenate([c, c[again]]) for c in (rows, attribute, to))
-    m = rows.size
-    codes = np.vstack([dataset.codes, dataset.codes[rows]])
-    codes[n + np.arange(m), attribute] = to
-    paired = Dataset(
-        schema,
-        [f"r{i}" for i in range(n + m)],
-        codes,
-        rng.standard_normal((n + m, 2)),
-        rng.standard_normal((n + m, dataset.outputs.shape[1])),
-        pairs=EditPairs(rows, n + np.arange(m)),
-        hidden_attributes=dataset.hidden_attributes,
-    )
-    model = seeds = None
-    if method == "mcce":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # few rows: the fit interpolates
-            model = fit_mcce(paired, n_pseudo=1)
-    else:
-        seeds = _pair_seeds(paired, 0)
-    effects, _, match = _explain(paired, method, model, 0, pair_seeds=seeds)
-    assert np.array_equal(match, match_effects(effects, paired))
 
 
 # --- approx: a per-edit reference on label tuples --------------------------------
@@ -463,6 +430,16 @@ def npy_bytes(matrix):
     return buffer.getvalue()
 
 
+def effect_names(effects):
+    """Each estimate's (sample id, attribute, from level, to level), as text, read off the schema row by row."""
+    attributes = effects.schema.attributes
+    columns = (effects.attribute, effects.from_code, effects.to_code)
+    return [
+        (sid, attributes[a][0], attributes[a][1][f], attributes[a][1][t])
+        for sid, a, f, t in zip(id_text(effects.sample_id).tolist(), *(c.tolist() for c in columns))
+    ]
+
+
 def reference_effects_files(effects, metadata, name):
     """The bytes of write_effects' table `name` and its .npy file: one encoder call per estimate.
 
@@ -473,8 +450,7 @@ def reference_effects_files(effects, metadata, name):
     npy = name.replace(".jsonl", ".effect.npy")
     meta = {**metadata, "method": effects.method, "space": effects.space, "effect": npy}
     lines = [_ROW_JSON.encode({"meta": {**meta, "columns": columns + ["fallback"] * flagged}})]
-    names = (id_text(effects.sample_id), effects.attribute, effects.from_level, effects.to_level)
-    for *row, fallback in zip(*(column.tolist() for column in names), effects.fallback.tolist()):
+    for row, fallback in zip(effect_names(effects), effects.fallback.tolist()):
         lines.append(_ROW_JSON.encode([*row, *[fallback] * flagged]))
     text = "".join(line + "\n" for line in lines)
     return {name: text.encode("utf-8"), npy: npy_bytes(effects.effect)}
@@ -497,16 +473,27 @@ finite_floats = st.one_of(edge_floats, st.floats(allow_nan=False, allow_infinity
 
 
 @st.composite
+def named_schemas(draw, labels):
+    """A schema of 1-3 attributes of 2-3 levels each, every name drawn from `labels`."""
+    attributes = draw(st.lists(labels, min_size=1, max_size=3, unique=True))
+    return ConceptSchema.of(
+        (name, draw(st.lists(labels, min_size=2, max_size=3, unique=True))) for name in attributes
+    )
+
+
+@st.composite
 def effects_tables(draw):
     m = draw(st.sampled_from([0, 1, 2, 5]))
     q = draw(st.sampled_from([1, 3]))
-    column = st.lists(names, min_size=m, max_size=m)
+    schema = draw(named_schemas(names))
+    attribute = draw(st.lists(st.integers(0, len(schema.names) - 1), min_size=m, max_size=m))
+    codes = [[draw(st.integers(0, schema.sizes[a] - 1)) for a in attribute] for _ in "ft"]
     effect = draw(st.lists(st.lists(finite_floats, min_size=q, max_size=q), min_size=m, max_size=m))
     return Effects(
-        draw(column),
-        draw(column),
-        draw(column),
-        draw(column),
+        schema,
+        draw(st.lists(names, min_size=m, max_size=m)),
+        attribute,
+        *codes,
         np.array(effect, dtype=np.float64).reshape(m, q),
         draw(st.one_of(st.none(), names)),
         draw(st.one_of(st.none(), names)),
@@ -523,6 +510,8 @@ def test_write_effects_bytes_equal_per_row_encoding(tmp_path_factory, effects, m
     assert written == reference_effects_files(effects, metadata, "e.jsonl")
 
 
+# One attribute `a` whose edits go from level x to y.
+XY = ConceptSchema.of([("a", ("x", "y"))])
 # sample ids, lone surrogates included: a JSON "\ud800" escape can carry one
 sample_ids = st.lists(st.one_of(names, st.sampled_from(["\ud800", "\u00e9\udfff"])), max_size=5)
 
@@ -534,7 +523,7 @@ def test_effects_of_text_ids_equal_effects_of_their_utf8_bytes(tmp_path_factory,
     encoded = np.array([text.encode("utf-8", "surrogatepass") for text in texts], dtype=bytes)
     built, files = [], []
     for ids in (texts, encoded):
-        effects = Effects(ids, ["a"] * m, ["x"] * m, ["y"] * m, np.ones((m, 2)), "mcce", "logit")
+        effects = Effects(XY, ids, [0] * m, [0] * m, [1] * m, np.ones((m, 2)), "mcce", "logit")
         root = tmp_path_factory.mktemp("ids")
         write_effects(root / "e.jsonl", effects, metadata)
         built.append(effects)
@@ -549,10 +538,7 @@ key_names = st.one_of(names, st.sampled_from(["\ud800", "\u00e9\udfff", '"\\\udc
 @st.composite
 def named_pairs(draw):
     """(dataset, ids): rows of drawn text ids on a schema of drawn names, an edited copy of some."""
-    attributes = draw(st.lists(key_names, min_size=1, max_size=3, unique=True))
-    schema = ConceptSchema.of(
-        (name, draw(st.lists(key_names, min_size=2, max_size=3, unique=True))) for name in attributes
-    )
+    schema = draw(named_schemas(key_names))
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     ids = draw(st.lists(key_names, min_size=n + m, max_size=n + m, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -593,14 +579,16 @@ def sized_effects(draw):
     effect[picked] = rng.choice(edge, int(picked.sum()))
     fallback = rng.random(m) < 0.5 if draw(st.booleans()) else None
     ids = [f"s{i}" for i in range(m)]
-    return Effects(ids, ["a"] * m, ["x"] * m, ["y"] * m, effect, "approx", "logit", fallback)
+    return Effects(XY, ids, [0] * m, [0] * m, [1] * m, effect, "approx", "logit", fallback)
 
 
 @settings(max_examples=30, deadline=None)
 @given(sized_effects(), metadata_dicts)
 def test_effects_round_trip_bit_exactly(tmp_path_factory, effects, metadata):
+    # the reader checks `hidden` and `seed`, which the drawn metadata may give any value
+    metadata = {key: value for key, value in metadata.items() if key not in ("hidden", "seed")}
     path = write_effects(tmp_path_factory.mktemp("effects") / "e.jsonl", effects, metadata)
-    read, read_meta = read_effects(path)
+    read, read_meta = read_effects(path, XY)
     assert effects_bits(read) == effects_bits(effects)
     assert read_meta == {**metadata, "method": "approx", "space": "logit"}
 
@@ -980,7 +968,7 @@ def observed_datasets(draw):
 def test_concept_coefficients_are_orthogonal_to_the_design_null_space(dataset):
     schema, hidden = dataset.schema, dataset.hidden_attributes
     C = dataset.design_matrix()
-    blocks = list(schema.visible_blocks(hidden).values())
+    blocks = list(visible_blocks(schema, hidden).values())
     k = C.shape[1]
     assume(np.linalg.matrix_rank(C) == k - len(blocks) + 1)  # no two attributes collinear
     # differences of the per-block indicator vectors span null(C)
@@ -1345,8 +1333,8 @@ def test_a_constant_embedding_column_leaves_the_pseudo_count_as_it_was():
 
 def macro_l2(model, dataset) -> float:
     """Macro-mean L2 error of the model's effects against the dataset's visible pairs."""
-    effects, metadata, match = _explain(dataset, "mcce", model, 0)
-    return icace_error(effects, dataset, "l2", hidden=dataset.hidden_attributes, match=match).macro_mean
+    effects, _ = _explain(dataset, "mcce", model, 0)
+    return icace_error(effects, dataset, "l2", hidden=dataset.hidden_attributes).macro_mean
 
 
 @st.composite
@@ -1639,16 +1627,24 @@ def reference_load_dataset(samples_path, pairs_path, schema_path):
     return Dataset(schema, ids, codes, embeddings, outputs, gold, EditPairs(*pairs.values()))
 
 
-def reference_read_effects(path):
-    """read_effects on the whole-file reference reader."""
+def reference_read_effects(path, schema):
+    """read_effects on the whole-file reference reader: the whole file's edit names become codes at once."""
+    edits = ("attribute", "from", "to")
+
+    def codes(columns):
+        return {**columns, **dict(zip(edits, edit_codes(schema, *(columns[k].tolist() for k in edits))))}
+
     metadata, columns = reference_read_jsonl(path, "effects", _EFFECT_TYPES, {"fallback": False},
-                                             ("effect",))
+                                             ("effect",), convert=codes)
     hidden = metadata.get("hidden", [])
     if type(hidden) is not list or set(map(type, hidden)) - {str}:
         raise ValidationError(f"{path}:1: 'meta.hidden' must be a list of strings")
+    unknown = sorted(set(hidden) - set(schema.names))
+    if unknown:
+        raise ValidationError(f"{path}:1: hidden attributes not in schema: {unknown}")
     method, space = metadata.get("method"), metadata.get("space")
-    names = (columns[key] for key in ("sample_id", "attribute", "from", "to"))
-    return Effects(*names, columns["effect"], method, space, columns["fallback"]), metadata
+    named = (columns[key] for key in ("sample_id", *edits))
+    return Effects(schema, *named, columns["effect"], method, space, columns["fallback"]), metadata
 
 
 CHUNK_SCHEMA = ConceptSchema.of([("a", ("x", "y", "z")), ("b", ("p", "q"))])
@@ -1693,7 +1689,9 @@ def labelling(edit):
     return defect
 
 
-# Each defect was an error before the reader went chunk-wise.
+# Each defect was an error before the reader went chunk-wise, but for the
+# effects rows that name no attribute or level of the schema, which matched
+# no pair and were ignored before the effects reader knew the schema.
 CHUNK_DEFECTS = [
     ("samples", truncate),
     ("samples", with_text("gold", "NaN")),
@@ -1718,6 +1716,9 @@ CHUNK_DEFECTS = [
     ("effects", setting("fallback", "no")),
     ("effects", setting("sample_id", None)),
     ("effects", dropping("to")),
+    ("effects", setting("attribute", "c")),
+    ("effects", setting("from", "w")),
+    ("effects", setting("to", "w")),
 ]
 
 
@@ -1797,7 +1798,7 @@ def dataset_bits(dataset):
 
 
 def effects_bits(effects):
-    columns = (effects.sample_id, effects.attribute, effects.from_level, effects.to_level)
+    columns = (effects.sample_id, effects.attribute, effects.from_code, effects.to_code)
     return array_bits(*columns, effects.effect, effects.fallback), effects.method, effects.space
 
 
@@ -1828,8 +1829,8 @@ def test_chunked_loads_equal_whole_file_reference(tmp_path_factory, files):
     root = write_chunked_files(tmp_path_factory, files)
     paths = (root / "samples.jsonl", root / "pairs.jsonl", root / "schema.json")
     assert dataset_bits(load_dataset(*paths)) == dataset_bits(reference_load_dataset(*paths))
-    effects, metadata = read_effects(root / "effects.jsonl")
-    want, want_metadata = reference_read_effects(root / "effects.jsonl")
+    effects, metadata = read_effects(root / "effects.jsonl", CHUNK_SCHEMA)
+    want, want_metadata = reference_read_effects(root / "effects.jsonl", CHUNK_SCHEMA)
     assert effects_bits(effects) == effects_bits(want) and metadata == want_metadata
 
 
@@ -1840,7 +1841,7 @@ def test_chunked_load_errors_equal_whole_file_reference(tmp_path_factory, files)
     paths = (root / "samples.jsonl", root / "pairs.jsonl", root / "schema.json")
     assert load_error(load_dataset, *paths) == load_error(reference_load_dataset, *paths)
     path = root / "effects.jsonl"
-    assert load_error(read_effects, path) == load_error(reference_read_effects, path)
+    assert load_error(read_effects, path, CHUNK_SCHEMA) == load_error(reference_read_effects, path, CHUNK_SCHEMA)
 
 
 # --- JSONL tables of random columns --------------------------------------------------
@@ -1982,7 +1983,7 @@ def test_global_report_csv_equals_per_level_reference(masked, data):
     baseline = data.draw(st.integers(0, q - 1))
     report = global_report(model, baseline)
     assert report.to_csv() == reference_report_csv(model, baseline)
-    assert report.matrix().shape == ((coef.shape[0] if q > 1 else 0), q)
+    assert report.contrasts.shape == ((coef.shape[0] if q > 1 else 0), q)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1995,14 +1996,14 @@ def test_global_report_level_contrasts_ignore_a_block_shift(masked, data):
     bounded = st.floats(min_value=-1e3, max_value=1e3)
     k = schema.visible_width(hidden)
     coef = np.array(data.draw(st.lists(bounded, min_size=k * q, max_size=k * q))).reshape(k, q)
-    blocks = list(schema.visible_blocks(hidden).values())
+    blocks = list(visible_blocks(schema, hidden).values())
     block = data.draw(st.sampled_from(blocks))
     shift = np.array(data.draw(st.lists(bounded, min_size=q, max_size=q)))
     shifted = coef.copy()
     shifted[block] += shift
     baseline = data.draw(st.integers(0, q - 1))
-    before = global_report(report_model(schema, hidden, coef), baseline).matrix()
-    after = global_report(report_model(schema, hidden, shifted), baseline).matrix()
+    before = global_report(report_model(schema, hidden, coef), baseline).contrasts
+    after = global_report(report_model(schema, hidden, shifted), baseline).contrasts
     tol = 1e-12 * (1.0 + np.abs(coef).max() + np.abs(shift).max())
     for b in blocks:
         level_diff = before[b] - before[b.start]
@@ -2028,7 +2029,7 @@ def test_global_report_contrasts_equal_the_outcome_contrasts(problem, data):
     b = data.draw(st.integers(0, config.n_outputs - 1))
     outcome = truth.outcome_coef[np.repeat(schema.visible_mask(config.hidden), schema.sizes)]
     want = outcome - outcome[:, [b]]
-    got = global_report(model, b).matrix()
+    got = global_report(model, b).contrasts
     assert coefficient_error(got, want, schema, model.hidden_attributes) < 1e-8
 
 
@@ -2047,13 +2048,13 @@ def test_explain_mcce_moves_by_rows_of_the_effective_matrix(problem, data):
     level = dataset.codes[rows, attribute]
     moved = explain_mcce(model, dataset, rows, attribute, to)
     moved -= explain_mcce(model, dataset, rows, attribute, level)
-    blocks = dataset.schema.visible_blocks(dataset.hidden_attributes)
+    blocks = visible_blocks(dataset.schema, dataset.hidden_attributes)
     start = np.array([blocks[dataset.schema.names[a]].start for a in attribute])
     B = model.effective_coef
     scale = 1.0 + np.abs(B).max() + np.abs(moved).max()
     assert np.allclose(moved, B[start + to] - B[start + level], rtol=0, atol=1e-9 * scale)
     b = data.draw(st.integers(0, model.n_outputs - 1))
-    report = global_report(model, b).matrix()
+    report = global_report(model, b).contrasts
     if len(report):  # a single-class model has no contrasts
         contrast = report[start + to] - report[start + level]
         assert np.allclose(contrast, moved - moved[:, [b]], rtol=0, atol=1e-9 * scale)

@@ -23,6 +23,8 @@ from mcce import (
 from mcce.linalg import lstsq
 from mcce.synthetic import _rows
 
+from coefficients import visible_blocks
+
 
 def small_config(**kw):
     kw.setdefault("n", 60)
@@ -145,7 +147,7 @@ def test_omitted_variable_bias_is_measurable():
         visible = d.schema.visible_mask(d.hidden_attributes)
         ref = truth.outcome_coef[np.repeat(visible, d.schema.sizes)]
         gap = 0.0
-        for block in d.schema.visible_blocks(d.hidden_attributes).values():
+        for block in visible_blocks(d.schema, d.hidden_attributes).values():
             est = coef[block]
             want = ref[block]
             gap = max(
