@@ -1,9 +1,9 @@
 """Command-line pipeline: synth, fit, explain, evaluate, experiment, report, predict.
 
 Exit codes: 0 success, 2 validation failure (bad flags, schemas, files,
-labels), 3 numerical failure. All output files are written atomically
-and contain no timestamps, so identical inputs and seeds reproduce
-byte-identical artifacts.
+labels, or a path that cannot be read or written), 3 numerical failure.
+All output files are written atomically and contain no timestamps, so
+identical inputs and seeds reproduce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -209,13 +209,14 @@ def _explain(dataset: Dataset, method: str, model, seed: int, truth=None, pair_s
     return effects, metadata
 
 
-def _reports(dataset, effects, metrics, metadata, hidden) -> dict:
-    """One report per metric, all scored from one match of the estimates to the pairs (`match_effects`)."""
+def _reports(dataset, effects, metrics, metadata) -> dict:
+    """One report per metric, all scored from one match of the estimates to the pairs (`match_effects`).
+
+    Pairs that edit an attribute the dataset's mask hides may lack an estimate.
+    """
     match = match_effects(effects, dataset)
     return {
-        metric: icace_error(
-            effects, dataset, metric, metadata=dict(metadata), hidden=hidden, match=match
-        )
+        metric: icace_error(effects, dataset, metric, metadata=dict(metadata), match=match)
         for metric in metrics
     }
 
@@ -304,8 +305,6 @@ def cmd_explain(args) -> int:
         pair_seeds = _pair_seeds(dataset, seed)
 
     try:
-        if truth is not None:
-            dataset.schema.check_hidden(truth.hidden)
         effects, metadata = _explain(dataset, method, model, seed, truth, pair_seeds)
     except ValidationError as exc:
         if truth is None:
@@ -324,9 +323,10 @@ def cmd_evaluate(args) -> int:
     dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
     dataset = dataset.keep(columns=("outputs",))  # scoring reads no embedding
     effects, meta = read_effects(args.effects, dataset.schema)
-    hidden = frozenset(meta.get("hidden", ()))
-    metadata = {"method": effects.method, "hidden": sorted(hidden), "seed": meta.get("seed")}
-    reports = _reports(dataset, effects, metrics, metadata, hidden)
+    dataset = dataset.mask(meta.get("hidden", ()))  # the estimating run's mask
+    hidden = sorted(dataset.hidden_attributes)
+    metadata = {"method": effects.method, "hidden": hidden, "seed": meta.get("seed")}
+    reports = _reports(dataset, effects, metrics, metadata)
     _write_reports(Path(args.out), reports)
     for metric in metrics:
         report = reports[metric]
@@ -388,7 +388,7 @@ def cmd_experiment(args) -> int:
                 try:
                     model = None if method == "approx" else _fit(masked, method, args.j, args.ridge, TARGET_OUTPUT)
                     effects, metadata = _explain(masked, method, model, seed, pair_seeds=pair_seeds.get(seed))
-                    reports = _reports(masked, effects, metrics, metadata, masked.hidden_attributes)
+                    reports = _reports(masked, effects, metrics, metadata)
                     if model is not None:
                         save_model(model, run_dir / "model.json")
                     write_effects(run_dir / "effects.jsonl", effects, metadata)
@@ -580,6 +580,12 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # a path that cannot be used, such as a directory given for a file
+        # an atomic write's rename names its temp file first and the path given second
+        path = exc.filename if exc.filename2 is None else exc.filename2
+        where = "" if path is None else f"{path}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

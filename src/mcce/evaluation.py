@@ -161,23 +161,21 @@ def match_effects(effects: Effects, dataset: Dataset) -> np.ndarray:
     return np.append(known, -1)[index_of(keys, wanted)]  # absent (-1) picks the appended -1
 
 
-def icace_error(
-    effects: Effects, dataset: Dataset, metric: str, metadata=None, hidden=frozenset(), match=None
-) -> EvalReport:
+def icace_error(effects: Effects, dataset: Dataset, metric: str, metadata=None, match=None) -> EvalReport:
     """Grouped distance between empirical paired effects and estimates.
 
     Every pair needs an estimate with its (sample, attribute, from, to)
     key in the dataset's space, except that a pair editing an attribute
-    in `hidden` may lack one: it is left out and counted in
-    `pairs_skipped`. Duplicate-keyed pairs share one estimate. `match`
-    may pass `match_effects(effects, dataset)`, computed once for the
-    metrics of one run.
+    the dataset's mask hides (`Dataset.mask`) may lack one: it is left
+    out and counted in `pairs_skipped`. Duplicate-keyed pairs share one
+    estimate. `match` may pass `match_effects(effects, dataset)`,
+    computed once for the metrics of one run.
     """
     dist = get_distance(metric)
     schema, p = dataset.schema, dataset.pairs
     if match is None:
         match = match_effects(effects, dataset)
-    skipped = (match < 0) & ~schema.visible_mask(hidden)[p.attribute]
+    skipped = (match < 0) & ~schema.visible_mask(dataset.hidden_attributes)[p.attribute]
     unmatched = (match < 0) & ~skipped
     if unmatched.any():
         named = dataset.pair_names(np.argmax(unmatched))

@@ -45,6 +45,7 @@ import numpy as np
 
 from .data import (
     SPACE_LOGIT,
+    SPACES,
     ConceptSchema,
     Dataset,
     _integers,
@@ -93,8 +94,8 @@ class Effects:
     from_code: np.ndarray
     to_code: np.ndarray
     effect: np.ndarray  # (m, q)
-    method: str | None
-    space: str | None
+    method: str
+    space: str
     fallback: np.ndarray | None = None
 
     def __post_init__(self):
@@ -795,14 +796,14 @@ def write_effects(path: str | Path, effects: Effects, metadata: dict) -> Path:
 def read_effects(path: str | Path, schema: ConceptSchema) -> tuple[Effects, dict]:
     """Read an effects file and its effect matrix, as `write_effects` writes them, over `schema`.
 
-    Line 1 is the meta line. Its `method` and `space`, each a string or
-    null, are every estimate's; its `hidden`, when present, must be a
-    list of the schema's attribute names, and its `seed` an integer or
-    null. The metadata returned is the meta line without its `columns`
-    and `effect` file name. Each chunk's sample ids become UTF-8 bytes
-    and its edits' names codes (`edit_codes`) as it is read, as
-    `load_dataset`'s do, so an attribute or level that the schema lacks
-    is an error at its line.
+    Line 1 is the meta line. Its `method`, a string, and its `space`,
+    one of `SPACES`, are required and are every estimate's. Its `hidden`,
+    when present, must be a list of the schema's attribute names, and its
+    `seed` an integer or null. The metadata returned is the meta line
+    without its `columns` and `effect` file name. Each chunk's sample ids
+    become UTF-8 bytes and its edits' names codes (`edit_codes`) as it is
+    read, as `load_dataset`'s do, so an attribute or level that the
+    schema lacks is an error at its line.
     """
 
     def codes(chunk: dict) -> dict:
@@ -823,7 +824,9 @@ def read_effects(path: str | Path, schema: ConceptSchema) -> tuple[Effects, dict
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
     json_field(meta, "meta.seed", "integer|null", where, None)
-    method = json_field(meta, "meta.method", "string|null", where, None)
-    space = json_field(meta, "meta.space", "string|null", where, None)
+    method = json_field(meta, "meta.method", "string", where)
+    space = json_field(meta, "meta.space", "string", where)
+    if space not in SPACES:
+        raise ValidationError(f"{where}: 'meta.space' must be one of {SPACES}, got {space!r}")
     edits = (columns[key] for key in ("sample_id", "attribute", "from", "to"))
     return Effects(schema, *edits, columns["effect"], method, space, columns["fallback"]), metadata

@@ -95,9 +95,7 @@ class SynthConfig:
     outcome_coef: np.ndarray  # (width, n_outputs)
     embed_noise: float = 0.0
     outcome_noise: float = 0.0
-    hidden: frozenset[str] = frozenset()
     seed: int = 0
-    exact_recovery: bool = False
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
@@ -106,7 +104,6 @@ class SynthConfig:
             raise ValidationError(f"exo_dim must be a positive integer, got {self.exo_dim!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        self.hidden = self.schema.check_hidden(self.hidden)
         self.mixing = {name: np.asarray(m, dtype=np.float64) for name, m in self.mixing.items()}
         self.embed_map = np.asarray(self.embed_map, dtype=np.float64)
         self.outcome_coef = np.asarray(self.outcome_coef, dtype=np.float64)
@@ -138,13 +135,6 @@ class SynthConfig:
         for label, value in (("embed_noise", self.embed_noise), ("outcome_noise", self.outcome_noise)):
             if not np.isfinite(value) or value < 0.0:
                 raise ValidationError(f"{label} must be a finite nonnegative float, got {value!r}")
-        if self.exact_recovery:
-            if self.embed_noise != 0.0:
-                raise ValidationError("exact_recovery requires embed_noise = 0")
-            if np.linalg.matrix_rank(self.embed_map) < width:
-                raise ValidationError(
-                    "exact_recovery requires an embedding map of full column rank"
-                )
 
     @property
     def width(self) -> int:
@@ -169,7 +159,6 @@ class SynthGroundTruth:
     """Oracle bookkeeping: the outcome coefficients the clean outputs come from."""
 
     outcome_coef: np.ndarray
-    hidden: tuple[str, ...] = ()
 
 
 def synthesize_sample(config: SynthConfig, index: int, edit: tuple[int, int] | None = None):
@@ -269,7 +258,10 @@ def _rows(config: SynthConfig, codes: np.ndarray, draws: np.ndarray):
 
 
 def generate(config: SynthConfig) -> tuple[Dataset, SynthGroundTruth]:
-    """Draw the configured dataset; hidden attributes are masked in the view.
+    """Draw the configured dataset, with every attribute visible, and its ground truth.
+
+    A run hides attributes from an estimator by masking the dataset
+    (`Dataset.mask`); the draw does not depend on any mask.
 
     The latent states, the Gumbel noise of every level and the embedding
     and output noise are one matrix draw each, from the three sample
@@ -284,13 +276,8 @@ def generate(config: SynthConfig) -> tuple[Dataset, SynthGroundTruth]:
     embeddings, outputs, clean = _rows(config, codes, draws)
     del draws  # make_pairs draws each row it needs again
     ids = np.array([b"s%06d" % i for i in range(config.n)])
-    dataset = Dataset(
-        config.schema, ids, codes, embeddings, outputs, np.argmax(clean, axis=1),
-        hidden_attributes=config.hidden,
-    )
-    hidden = tuple(sorted(config.hidden))
-    truth = SynthGroundTruth(config.outcome_coef.copy(), hidden)
-    return dataset, truth
+    dataset = Dataset(config.schema, ids, codes, embeddings, outputs, np.argmax(clean, axis=1))
+    return dataset, SynthGroundTruth(config.outcome_coef.copy())
 
 
 # Edited rows that `make_pairs` builds at a time, at most (those of
@@ -402,7 +389,6 @@ def default_config(
     n: int = 2000,
     seed: int = 0,
     *,
-    hidden=(),
     attributes=None,
     n_classes: int = 5,
     embed_dim: int = 16,
@@ -412,7 +398,6 @@ def default_config(
     embed_noise: float = 0.0,
     outcome_noise: float = 0.05,
     param_seed: int = 7,
-    exact_recovery: bool = True,
 ) -> SynthConfig:
     """Confounded default: latent coordinate 0 is shared by every attribute.
 
@@ -457,9 +442,7 @@ def default_config(
         outcome_coef=outcome_coef,
         embed_noise=embed_noise,
         outcome_noise=outcome_noise,
-        hidden=frozenset(hidden),
         seed=seed,
-        exact_recovery=exact_recovery,
     )
 
 
@@ -468,10 +451,7 @@ def default_config(
 
 
 # keys either config form accepts
-_COMMON_KEYS = frozenset(
-    ("n", "seed", "attributes", "hidden", "embed_noise", "outcome_noise", "exact_recovery",
-     "edits_per_sample")
-)
+_COMMON_KEYS = frozenset(("n", "seed", "attributes", "embed_noise", "outcome_noise", "edits_per_sample"))
 _MATRIX_KEYS = frozenset(("mixing", "embed_map", "outcome_coef"))
 # the `default_config` knobs that only the generated form accepts
 _KNOB_KEYS = frozenset(
@@ -479,11 +459,10 @@ _KNOB_KEYS = frozenset(
 )
 # the JSON type of every key but the schema and the matrices, as `json_field` names it
 _SCALAR_TYPES = {
-    "n": "integer", "seed": "integer", "hidden": "strings", "embed_noise": "number",
-    "outcome_noise": "number", "exact_recovery": "boolean", "edits_per_sample": "integer",
-    "exo_dim": "integer", "n_classes": "integer", "embed_dim": "integer",
-    "confounding": "number", "beta_scale": "number", "beta_decay": "number",
-    "param_seed": "integer",
+    "n": "integer", "seed": "integer", "embed_noise": "number", "outcome_noise": "number",
+    "edits_per_sample": "integer", "exo_dim": "integer", "n_classes": "integer",
+    "embed_dim": "integer", "confounding": "number", "beta_scale": "number",
+    "beta_decay": "number", "param_seed": "integer",
 }
 
 
@@ -495,8 +474,9 @@ def load_synth_config(path: str | Path) -> tuple[SynthConfig, int]:
     form omits all of them and instead accepts the `default_config`
     knobs (`n_classes`, `embed_dim`, `confounding`, `beta_scale`,
     `beta_decay`, `param_seed`). Common keys: n, seed, attributes,
-    hidden, embed_noise, outcome_noise, exact_recovery,
-    edits_per_sample. A key that the config's form does not accept, or
+    embed_noise, outcome_noise, edits_per_sample. A config describes the
+    draw only: which attributes a run hides is the run's (`fit` and
+    `explain --hidden`). A key that the config's form does not accept, or
     a value of another JSON type than the key's, is an error: a bool is
     never an integer, and no string is read as a number.
     """
@@ -516,7 +496,6 @@ def load_synth_config(path: str | Path) -> tuple[SynthConfig, int]:
     edits = given.pop("edits_per_sample", 1)
     if edits < 0:
         raise ValidationError(f"{path}: edits_per_sample must be a nonnegative integer")
-    given["hidden"] = frozenset(given.get("hidden", ()))
     if present:
         for key in ("n", "exo_dim"):  # the explicit form has no default for these
             json_field(obj, key, "integer", path)
@@ -540,16 +519,16 @@ def load_synth_config(path: str | Path) -> tuple[SynthConfig, int]:
 
 
 def save_ground_truth(truth: SynthGroundTruth, path: str | Path) -> Path:
-    """Write ground_truth.json: `outcome_coef` and `hidden`."""
-    return write_json(path, {"outcome_coef": truth.outcome_coef.tolist(), "hidden": list(truth.hidden)})
+    """Write ground_truth.json: `outcome_coef`."""
+    return write_json(path, {"outcome_coef": truth.outcome_coef.tolist()})
 
 
 def load_ground_truth(path: str | Path) -> SynthGroundTruth:
-    """Read ground_truth.json; `outcome_coef` and `hidden` are required.
+    """Read ground_truth.json; `outcome_coef` is required.
 
-    Other keys are ignored: older files also hold "seed", which no
-    command read, and "clean_logits", "labels" or "pairs", which the
-    oracle recomputes.
+    Other keys are ignored: older files also hold "hidden" and "seed",
+    which no command reads, and "clean_logits", "labels" or "pairs",
+    which the oracle recomputes.
     """
     obj = read_json(path, "ground truth")
     try:
@@ -560,5 +539,4 @@ def load_ground_truth(path: str | Path) -> SynthGroundTruth:
         raise ValidationError(f"{path}: malformed ground truth ({exc})") from exc
     if coef.ndim != 2 or not np.isfinite(coef).all():
         raise ValidationError(f"{path}: 'outcome_coef' must be a matrix of finite numbers")
-    hidden = tuple(json_field(obj, "hidden", "strings", path))
-    return SynthGroundTruth(coef, hidden)
+    return SynthGroundTruth(coef)

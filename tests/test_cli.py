@@ -183,6 +183,24 @@ class TestSynth:
         columns = '["original_id", "edited_id"]'
         assert (tmp_path / "d" / "pairs.jsonl").read_text() == f'{{"meta": {{"columns": {columns}}}}}\n'
 
+    def test_noisy_rank_deficient_draw_runs_a_hidden_pipeline(self, tmp_path, capsys):
+        # embedding noise and 6 embedding columns for a 12-column concept layout: a valid draw
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 200, "edits_per_sample": 1, "embed_noise": 0.05, "embed_dim": 6}))
+        data, model, effects, out = (tmp_path / name for name in ("d", "m.json", "e.jsonl", "eval"))
+        assert run("synth", "--config", config, "--out", data) == 0
+        assert run("fit", *dataset_flags(data), "--hidden", "food", "--out", model) == 0
+        assert run("explain", *dataset_flags(data), "--method", "mcce", "--model", model,
+                   "--out", effects) == 0
+        assert run("evaluate", *dataset_flags(data), "--effects", effects, "--metric", "l2",
+                   "--out", out) == 0
+        capsys.readouterr()
+        meta = json.loads(effects.read_text().splitlines()[0])["meta"]
+        written = read_report(out / "report_l2.json")["metadata"]
+        assert meta["hidden"] == written["hidden"] == ["food"]
+        assert written["pairs_skipped"] == meta["pairs_skipped"] > 0
+        assert written["pairs_evaluated"] == 200 - meta["pairs_skipped"]
+
 
 class TestManyAttributes:
     """Schemas whose label rows overflow a packed int64 key: 64 two-level
@@ -195,7 +213,7 @@ class TestManyAttributes:
         ]
         config = tmp_path / "config.json"
         config.write_text(json.dumps(
-            {"n": 60, "seed": 2, "edits_per_sample": 1, "attributes": attributes, "exact_recovery": False}
+            {"n": 60, "seed": 2, "edits_per_sample": 1, "attributes": attributes}
         ))
         data = tmp_path / "data"
         assert run("synth", "--config", config, "--out", data) == 0
@@ -484,6 +502,25 @@ class TestExplainEvaluate:
         assert report["metadata"]["pairs_skipped"] == n_ambiance
         assert report["metadata"]["hidden"] == ["ambiance"]
         assert all(g["attribute"] != "ambiance" for g in report["groups"])
+
+    def test_evaluate_skips_pairs_through_the_datasets_mask(self, synth_dir, tmp_path, capsys):
+        # evaluate masks the dataset with the effects' hidden set; icace_error reads that mask
+        model, effects, out = tmp_path / "m.json", tmp_path / "e.jsonl", tmp_path / "eval"
+        assert run("fit", *dataset_flags(synth_dir), "--hidden", "food", "--out", model) == 0
+        assert run("explain", *dataset_flags(synth_dir), "--method", "mcce", "--model", model,
+                   "--out", effects) == 0
+        assert run("evaluate", *dataset_flags(synth_dir), "--effects", effects, "--metric", "l2",
+                   "--out", out) == 0
+        capsys.readouterr()
+        written = read_report(out / "report_l2.json")
+        dataset = mcce.load_dataset(*(synth_dir / name for name in ("samples.jsonl", "pairs.jsonl",
+                                                                    "schema.json")))
+        estimates, meta = mcce.read_effects(effects, dataset.schema)
+        report = mcce.icace_error(estimates, dataset.mask(meta["hidden"]), "l2")
+        assert meta["hidden"] == written["metadata"]["hidden"] == ["food"]
+        skipped = report.metadata["pairs_skipped"]
+        assert skipped == meta["pairs_skipped"] == written["metadata"]["pairs_skipped"] > 0
+        assert report.macro_mean == written["macro_mean"]
 
     def test_evaluate_refuses_space_mismatch(self, synth_dir, tmp_path, capsys):
         effects = tmp_path / "e.jsonl"
@@ -1011,7 +1048,25 @@ class TestLoaderErrors:
     ):
         assert self.evaluate_with_meta(synth_dir, oracle_report, tmp_path, "space", 5) == 2
         err = capsys.readouterr().err
-        assert "e.jsonl:1: 'meta.space' must be string or null" in err and "Traceback" not in err
+        assert "e.jsonl:1: 'meta.space' must be string" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["method", "space"])
+    def test_effects_meta_method_and_space_are_required(
+        self, synth_dir, oracle_report, tmp_path, capsys, key
+    ):
+        # a file without a space once failed in evaluate as "estimates are in None space"
+        def drop(head):
+            del head["meta"][key]
+        lines = edit_line(1, drop)(oracle_lines(oracle_report, tmp_path))
+        assert self.evaluate(synth_dir, tmp_path, lines) == 2
+        assert f"e.jsonl:1: missing required key 'meta.{key}'" in capsys.readouterr().err
+        assert self.evaluate_with_meta(synth_dir, oracle_report, tmp_path, key, None) == 2
+        assert f"e.jsonl:1: 'meta.{key}' must be string" in capsys.readouterr().err
+
+    def test_effects_meta_space_must_name_a_space(self, synth_dir, oracle_report, tmp_path, capsys):
+        assert self.evaluate_with_meta(synth_dir, oracle_report, tmp_path, "space", "logits") == 2
+        message = "e.jsonl:1: 'meta.space' must be one of ('logit', 'probability'), got 'logits'"
+        assert message in capsys.readouterr().err
 
     ESTIMATE = {"sample_id": "s000000", "attribute": "food", "from": "neg", "to": "pos",
                 "effect": [0.0] * 5}
@@ -1102,8 +1157,8 @@ class TestLoaderErrors:
         err = capsys.readouterr().err
         assert f"m.json: {key!r} must hold only numbers" in err and "Traceback" not in err
 
-    # Model and ground-truth scalars take their own JSON type only: bool(),
-    # int(), float() and str() would read "false" as True and "7" as 7.
+    # Model scalars take their own JSON type only: bool(), int(), float()
+    # and str() would read "false" as True and "7" as 7.
 
     @pytest.mark.parametrize(
         "method, key, bad, kind",
@@ -1184,31 +1239,6 @@ class TestLoaderErrors:
             "--ground-truth", truth, "--out", tmp_path / "e.jsonl",
         )
 
-    @pytest.mark.parametrize(
-        "key, bad, kind",
-        [
-            ("hidden", "ab", "a list of strings"),
-            ("hidden", [1], "a list of strings"),
-        ],
-    )
-    def test_ground_truth_scalars_must_have_their_json_type(
-        self, synth_dir, tmp_path, capsys, key, bad, kind
-    ):
-        obj = json.loads((synth_dir / "ground_truth.json").read_text())
-        obj[key] = bad
-        assert self.oracle(synth_dir, tmp_path, json.dumps(obj)) == 2
-        err = capsys.readouterr().err
-        assert f"ground_truth.json: {key!r} must be {kind}" in err and "Traceback" not in err
-        assert not (tmp_path / "e.jsonl").exists()
-
-    def test_ground_truth_requires_hidden(self, synth_dir, tmp_path, capsys):
-        obj = json.loads((synth_dir / "ground_truth.json").read_text())
-        del obj["hidden"]
-        assert self.oracle(synth_dir, tmp_path, json.dumps(obj)) == 2
-        err = capsys.readouterr().err
-        assert "ground_truth.json: missing required key 'hidden'" in err and "Traceback" not in err
-        assert not (tmp_path / "e.jsonl").exists()
-
     @pytest.mark.parametrize("edited", ["itself", "a row with other labels"])
     def test_pairs_must_change_exactly_one_label(self, synth_dir, tmp_path, capsys, edited):
         samples = read_table(synth_dir / "samples.jsonl")
@@ -1255,14 +1285,6 @@ class TestLoaderErrors:
         assert f"error: {files[table]}:5: {message}\n" in err  # row 3 follows the meta line
         assert "Traceback" not in err and not out.exists()
 
-    def test_ground_truth_hidden_must_name_schema_attributes(self, synth_dir, tmp_path, capsys):
-        obj = json.loads((synth_dir / "ground_truth.json").read_text())
-        obj["hidden"] = ["zzz"]
-        assert self.oracle(synth_dir, tmp_path, json.dumps(obj)) == 2
-        err = capsys.readouterr().err
-        assert "ground_truth.json: hidden attributes not in schema: ['zzz']" in err
-        assert "Traceback" not in err and not (tmp_path / "e.jsonl").exists()
-
     def test_ground_truth_rejects_nan(self, synth_dir, tmp_path, capsys):
         obj = json.loads((synth_dir / "ground_truth.json").read_text())
         obj["outcome_coef"][0][0] = float("nan")
@@ -1289,8 +1311,8 @@ class TestLoaderErrors:
         obj = json.loads(text)
         # files written before the oracle was computed from outcome_coef
         # also held each row's clean logits, keyed by sample id; older files
-        # also held the data seed, which no command read
-        obj["labels"], obj["pairs"], obj["seed"] = {}, [], 5
+        # also held the data seed and a hidden set, which no command reads
+        obj["labels"], obj["pairs"], obj["seed"], obj["hidden"] = {}, [], 5, ["zzz", 1]
         obj["clean_logits"] = {"s000000": [0.0] * len(obj["outcome_coef"][0])}
         assert self.oracle(synth_dir, tmp_path, json.dumps(obj)) == 0
         assert (tmp_path / "e.jsonl").read_bytes() == expected
@@ -1312,6 +1334,18 @@ class TestLoaderErrors:
         assert f"unknown key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("form", ["generated", "explicit"])
+    @pytest.mark.parametrize("key, value", [("hidden", ["food"]), ("exact_recovery", False)])
+    def test_synth_config_refuses_run_settings(self, tmp_path, capsys, form, key, value):
+        # a run hides attributes (fit and explain --hidden); a config describes the draw only
+        obj = {"n": 20, key: value} if form == "generated" else self.explicit_config(**{key: value})
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(obj))
+        assert run("synth", "--config", config, "--out", tmp_path / "d") == 2
+        err = capsys.readouterr().err
+        assert f"config.json: unknown key {key!r} for a {form} config" in err and "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
     @staticmethod
     def explicit_config(**changes):
         config = default_config(n=20, seed=1)
@@ -1326,9 +1360,6 @@ class TestLoaderErrors:
     @pytest.mark.parametrize(
         "form, changes, key, kind",
         [
-            # "false" is a true string: read with bool() it turned exact recovery on
-            ("generated", {"embed_noise": 0.1, "exact_recovery": "false"}, "exact_recovery", "boolean"),
-            ("explicit", {"embed_noise": 0.1, "exact_recovery": "false"}, "exact_recovery", "boolean"),
             ("generated", {"seed": 2.7}, "seed", "integer"),  # read with int() it ran as seed 2
             ("explicit", {"seed": 2.7}, "seed", "integer"),
             ("generated", {"edits_per_sample": True}, "edits_per_sample", "integer"),
@@ -1350,10 +1381,10 @@ class TestLoaderErrors:
 
     def test_synth_config_explicit_form_passes_its_scalars(self, tmp_path, capsys):
         config = tmp_path / "config.json"
-        obj = self.explicit_config(seed=3, exact_recovery=True, outcome_noise=1, edits_per_sample=2)
+        obj = self.explicit_config(seed=3, outcome_noise=1, edits_per_sample=2)
         config.write_text(json.dumps(obj))
         loaded, edits = mcce.load_synth_config(config)
-        assert (loaded.n, loaded.seed, loaded.exact_recovery, edits) == (20, 3, True, 2)
+        assert (loaded.n, loaded.seed, edits) == (20, 3, 2)
         assert type(loaded.outcome_noise) is float and loaded.outcome_noise == 1.0
         assert run("synth", "--config", config, "--out", tmp_path / "d") == 0
         assert "wrote 60 samples (20 factual)" in capsys.readouterr().out
@@ -1447,6 +1478,38 @@ class TestLoaderErrors:
         assert self.fit_lines(synth_dir, tmp_path, lines) == 2
         err = capsys.readouterr().err
         assert "samples.jsonl:4: missing label for 'food'" in err and "Traceback" not in err
+
+
+class TestUnusablePaths:
+    """A directory where a file belongs, or a file where a directory does, exits 2 naming the path."""
+
+    def assert_refused(self, code, capsys, path):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: " in err and "Traceback" not in err
+
+    def test_fit_out_is_a_directory(self, synth_dir, tmp_path, capsys):
+        # the fit runs, and the model's rename over the directory fails
+        out = tmp_path / "model"
+        out.mkdir()
+        self.assert_refused(run("fit", *dataset_flags(synth_dir), "--out", out), capsys, out)
+        assert [path.name for path in tmp_path.iterdir()] == ["model"] and not any(out.iterdir())
+
+    def test_evaluate_out_is_a_file(self, synth_dir, oracle_report, tmp_path, capsys):
+        out = tmp_path / "eval"
+        out.write_text("")
+        effects = oracle_report.parent / "effects.jsonl"
+        code = run("evaluate", *dataset_flags(synth_dir), "--effects", effects, "--out", out)
+        self.assert_refused(code, capsys, out)
+        assert [path.name for path in tmp_path.iterdir()] == ["eval"] and out.read_text() == ""
+
+    def test_samples_is_a_directory(self, synth_dir, tmp_path, capsys):
+        samples = tmp_path / "samples.jsonl"
+        samples.mkdir()
+        code = run("fit", "--schema", synth_dir / "schema.json", "--samples", samples,
+                   "--out", tmp_path / "m.json")
+        self.assert_refused(code, capsys, samples)
+        assert [path.name for path in tmp_path.iterdir()] == ["samples.jsonl"]
 
 
 def test_experiment_mask_size_must_leave_an_attribute_visible(synth_dir, tmp_path, capsys):

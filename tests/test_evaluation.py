@@ -135,7 +135,7 @@ def test_icace_error_macro_averages_groups_equally():
 
 def test_icace_error_empty_pairs():
     ds = two_pair_dataset().mask({"a"})
-    report = icace_error(estimates(), ds, "l2", hidden={"a"})
+    report = icace_error(estimates(), ds, "l2")  # the dataset's mask skips both pairs
     assert report.groups == () and report.macro_mean == 0.0 and report.macro_std == 0.0
     assert report.metadata["pairs_skipped"] == 2
 

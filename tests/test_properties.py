@@ -29,6 +29,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcce import (
+    SPACES,
     ConceptSchema,
     Dataset,
     EditPairs,
@@ -216,7 +217,6 @@ def synthetic_datasets(draw):
         n_classes=draw(st.integers(2, 4)),
         embed_dim=draw(st.integers(1, 6)),
         outcome_noise=0.3,
-        exact_recovery=False,
     )
     dataset, truth = generate(config)
     edits = draw(st.integers(1, len(level_counts)))
@@ -495,8 +495,8 @@ def effects_tables(draw):
         attribute,
         *codes,
         np.array(effect, dtype=np.float64).reshape(m, q),
-        draw(st.one_of(st.none(), names)),
-        draw(st.one_of(st.none(), names)),
+        draw(names),
+        draw(st.sampled_from(SPACES)),
         draw(st.lists(st.booleans(), min_size=m, max_size=m)),
     )
 
@@ -897,10 +897,7 @@ def test_slearner_model_round_trips_bit_exactly(tmp_path_factory, masked, data):
 @st.composite
 def ground_truths(draw):
     """A ground truth whose coefficients hold any finite floats, edge cases included."""
-    return SynthGroundTruth(
-        draw(float_matrices(draw(st.integers(1, 5)), draw(st.integers(0, 4)))),
-        tuple(draw(st.lists(names, max_size=3))),
-    )
+    return SynthGroundTruth(draw(float_matrices(draw(st.integers(1, 5)), draw(st.integers(0, 4)))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -910,13 +907,12 @@ def test_ground_truth_round_trips_bit_exactly(tmp_path_factory, truth):
     path = save_ground_truth(truth, tmp_path_factory.mktemp("truth") / "ground_truth.json")
     back = load_ground_truth(path)
     assert bits(back.outcome_coef) == bits(truth.outcome_coef)
-    assert back.hidden == truth.hidden
 
 
 @settings(max_examples=60, deadline=None)
 @given(ground_truths())
 def test_save_ground_truth_bytes_equal_whole_document_encoding(tmp_path_factory, truth):
-    obj = {"outcome_coef": truth.outcome_coef.tolist(), "hidden": list(truth.hidden)}
+    obj = {"outcome_coef": truth.outcome_coef.tolist()}
     path = save_ground_truth(truth, tmp_path_factory.mktemp("truth") / "ground_truth.json")
     assert path.read_bytes() == (_DOC_JSON.encode(obj) + "\n").encode()
 
@@ -1085,7 +1081,6 @@ def synth_configs(draw):
         embed_noise=draw(noise_levels),
         outcome_noise=draw(noise_levels),
         param_seed=draw(st.integers(0, 1000)),
-        exact_recovery=False,
     )
     return config, draw(st.integers(1, len(level_counts)))
 
@@ -1127,23 +1122,28 @@ def test_a_larger_n_extends_a_smaller_ones_samples_and_edits(problem, extra):
         assert np.array_equal(got, want[: got.size]), column
 
 
+def masked_draw(config, hidden, edits_per_sample=1):
+    """The draw of `config` with its pairs, masked by `hidden`, and its ground truth."""
+    dataset, truth = generate(config)
+    return make_pairs(dataset, config, edits_per_sample).mask(hidden), truth
+
+
 @st.composite
 def hidden_synth_configs(draw):
-    """A `synth_configs` draw with a random proper subset of its attributes hidden."""
+    """A `synth_configs` draw and a random proper subset of its attributes to hide."""
     config, edits_per_sample = draw(synth_configs())
     names = config.schema.names
     hidden = draw(st.lists(st.sampled_from(names), max_size=len(names) - 1, unique=True))
-    return replace(config, hidden=frozenset(hidden)), edits_per_sample
+    return config, edits_per_sample, hidden
 
 
 @settings(max_examples=60, deadline=None)
 @given(hidden_synth_configs(), st.sampled_from(["logit", "probability"]))
 def test_oracle_effect_equals_per_sample_clean_contrasts(problem, space):
     # the oracle recomputes each row's clean outputs from outcome_coef and
-    # the complete labels; they must be the generator's, bit for bit
-    config, edits_per_sample = problem
-    dataset, truth = generate(config)
-    dataset = make_pairs(dataset, config, edits_per_sample)
+    # the complete labels, whatever the mask; they must be the generator's, bit for bit
+    config, edits_per_sample, hidden = problem
+    dataset, truth = masked_draw(config, hidden, edits_per_sample)
     got = oracle_effect(truth, dataset, space)
     p = dataset.pairs
     assert got.shape == (len(p), config.n_outputs)
@@ -1198,7 +1198,7 @@ def test_batched_levels_equal_per_sample_draws_when_products_round_differently()
     # so the rounding of the 1e15 part (its unit in the last place is 0.125)
     # is as large as the gaps between levels: a batch that summed in another
     # order than the per-sample scores would pick other levels.
-    base = default_config(n=600, seed=5, exact_recovery=False)
+    base = default_config(n=600, seed=5)
     rng = np.random.default_rng(11)
     mixing = {
         name: 1e15 + rng.standard_normal((len(levels), base.exo_dim))
@@ -1210,7 +1210,7 @@ def test_batched_levels_equal_per_sample_draws_when_products_round_differently()
 def test_batched_levels_equal_per_sample_draws_when_scores_overflow():
     # Entries of +-1e308 make most scores +-inf or nan, in the batched sums and
     # in the per-sample ones alike, and argmax must break their ties alike.
-    base = default_config(n=300, seed=5, exact_recovery=False)
+    base = default_config(n=300, seed=5)
     rng = np.random.default_rng(3)
     mixing = {
         name: 1e308 * rng.choice([-1.0, 1.0], size=(len(levels), base.exo_dim))
@@ -1222,8 +1222,8 @@ def test_batched_levels_equal_per_sample_draws_when_scores_overflow():
 
 @st.composite
 def noiseless_configs(draw, hide=True):
-    """A noiseless exact-recovery config; if `hide`, some but not all of its
-    attributes are hidden, else none is."""
+    """A noiseless config whose embedding map has full column rank, and the
+    attributes to hide: if `hide`, some but not all of them, else none."""
     level_counts = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
     attributes = [
         (f"a{i}", [f"l{j}" for j in range(count)]) for i, count in enumerate(level_counts)
@@ -1235,33 +1235,32 @@ def noiseless_configs(draw, hide=True):
                      max_size=len(level_counts) - 1, unique=True)
         )
     width = sum(level_counts)
-    return default_config(
+    config = default_config(
         n=draw(st.integers(80, 200)),
         seed=draw(st.integers(0, 2**32 - 1)),
-        hidden=[f"a{a}" for a in hidden],
         attributes=attributes,
         n_classes=draw(st.integers(2, 5)),
-        embed_dim=draw(st.integers(width, width + 4)),
+        embed_dim=draw(st.integers(width, width + 4)),  # orthonormalized: full column rank
         confounding=draw(st.sampled_from([0.0, 1.0, 3.0])),
         embed_noise=0.0,
         outcome_noise=0.0,
         param_seed=draw(st.integers(0, 1000)),
-        exact_recovery=True,
     )
+    return config, frozenset(f"a{a}" for a in hidden)
 
 
-def hidden_rank(config) -> int:
+def hidden_rank(schema, hidden) -> int:
     """The rank the hidden blocks add to the complete one-hot design."""
-    schema = config.schema
-    return int(np.sum(schema.sizes[~schema.visible_mask(config.hidden)] - 1))
+    return int(np.sum(schema.sizes[~schema.visible_mask(hidden)] - 1))
 
 
 @st.composite
 def recoverable_configs(draw):
     """A `noiseless_configs` draw with something hidden, and a pseudo-concept
     count no smaller than the hidden blocks' rank, or None for the default."""
-    config = draw(noiseless_configs())
-    return config, draw(st.none() | st.integers(hidden_rank(config), config.embed_dim))
+    config, hidden = draw(noiseless_configs())
+    rank = hidden_rank(config.schema, hidden)
+    return config, hidden, draw(st.none() | st.integers(rank, config.embed_dim))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1270,16 +1269,15 @@ def test_mcce_recovers_the_oracle_when_pseudo_concepts_span_the_hidden_blocks(pr
     # The paper's claim: the embedding residual stands in for the hidden
     # concepts, so with exact recovery, no outcome noise and enough
     # pseudo-concepts the visible edits' effects are the oracle's.
-    config, n_pseudo = problem
-    dataset, truth = generate(config)
-    dataset = make_pairs(dataset, config)
+    config, hidden, n_pseudo = problem
+    dataset, truth = masked_draw(config, hidden)
     schema, rows = config.schema, dataset.fit_rows
     # the claim needs every label combination's effect identified
     complete = one_hot(schema, dataset.codes[rows])
     assume(np.linalg.matrix_rank(complete) == schema.width - len(schema.names) + 1)
     model = fit_mcce(dataset, n_pseudo=n_pseudo)
     p = dataset.pairs
-    visible = schema.visible_mask(config.hidden)[p.attribute]
+    visible = schema.visible_mask(hidden)[p.attribute]
     assume(visible.any())
     got = explain_mcce(model, dataset, p.original[visible], p.attribute[visible], p.to[visible])
     want = oracle_effect(truth, dataset, "logit")[visible]
@@ -1291,17 +1289,15 @@ def test_default_pseudo_count_keeps_a_noiseless_residual_that_is_mostly_signal()
     # The median of its spectrum is a signal value, so without the floor's
     # noise-free case the threshold would cut every direction.
     attributes = [("a0", ["l0", "l1", "l2", "l3"]), ("a1", ["l0", "l1", "l2", "l3"]), ("a2", ["l0", "l1"])]
-    config = default_config(
-        n=150, seed=1, hidden=["a0", "a1"], attributes=attributes, embed_dim=10, outcome_noise=0.0
-    )
-    dataset, truth = generate(config)
-    dataset = make_pairs(dataset, config)
+    config = default_config(n=150, seed=1, attributes=attributes, embed_dim=10, outcome_noise=0.0)
+    hidden = {"a0", "a1"}
+    dataset, truth = masked_draw(config, hidden)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the default is exact, so silent
         model = fit_mcce(dataset)
-    assert model.n_pseudo == hidden_rank(config) == 6
+    assert model.n_pseudo == hidden_rank(config.schema, hidden) == 6
     p = dataset.pairs
-    visible = config.schema.visible_mask(config.hidden)[p.attribute]
+    visible = config.schema.visible_mask(hidden)[p.attribute]
     got = explain_mcce(model, dataset, p.original[visible], p.attribute[visible], p.to[visible])
     assert np.max(np.abs(got - oracle_effect(truth, dataset, "logit")[visible])) < 1e-8
 
@@ -1309,9 +1305,8 @@ def test_default_pseudo_count_keeps_a_noiseless_residual_that_is_mostly_signal()
 def test_default_pseudo_count_warns_at_the_median_threshold_cap():
     # Two 3-level attributes hidden in a 6-dimensional noisy embedding: rank 4
     # of 6. No threshold at a multiple of the median keeps more than 3.
-    config = default_config(n=2000, seed=3, hidden=["ambiance", "food"], embed_dim=6,
-                            embed_noise=0.05, exact_recovery=False)
-    dataset, _ = generate(config)
+    config = default_config(n=2000, seed=3, embed_dim=6, embed_noise=0.05)
+    dataset = generate(config)[0].mask({"ambiance", "food"})
     with pytest.warns(UserWarning, match="3 of the 6 embedding residual directions rise above"):
         model = fit_mcce(dataset)
     assert model.n_pseudo == 3
@@ -1320,13 +1315,12 @@ def test_default_pseudo_count_warns_at_the_median_threshold_cap():
 def test_a_constant_embedding_column_leaves_the_pseudo_count_as_it_was():
     # A constant column's residual is zero, an exact zero in the spectrum;
     # read as a noise-free spectrum, it would keep every noisy direction.
-    config = default_config(n=2000, seed=3, hidden=["ambiance"], embed_noise=0.05,
-                            exact_recovery=False)
+    config = default_config(n=2000, seed=3, embed_noise=0.05)
     dataset, _ = generate(config)
     ids, codes, embeddings, outputs = dataset.ids, dataset.codes, dataset.embeddings, dataset.outputs
     counts = []
     for columns in (embeddings[:, 1:], np.column_stack([np.ones(len(dataset)), embeddings[:, 1:]])):
-        fit = Dataset(config.schema, ids, codes, columns, outputs, hidden_attributes=config.hidden)
+        fit = Dataset(config.schema, ids, codes, columns, outputs, hidden_attributes={"ambiance"})
         counts.append(fit_mcce(fit).n_pseudo)
     assert counts == [2, 2]
 
@@ -1334,14 +1328,14 @@ def test_a_constant_embedding_column_leaves_the_pseudo_count_as_it_was():
 def macro_l2(model, dataset) -> float:
     """Macro-mean L2 error of the model's effects against the dataset's visible pairs."""
     effects, _ = _explain(dataset, "mcce", model, 0)
-    return icace_error(effects, dataset, "l2", hidden=dataset.hidden_attributes).macro_mean
+    return icace_error(effects, dataset, "l2").macro_mean
 
 
 @st.composite
 def noisy_low_rank_configs(draw):
-    """A config with embedding noise, an orthonormal embedding map and
-    hidden blocks of rank below half of `embed_dim`: a low-rank signal
-    over a noise bulk, the premise of the median threshold."""
+    """A config with embedding noise and an orthonormal embedding map, and
+    attributes to hide whose blocks have rank below half of `embed_dim`: a
+    low-rank signal over a noise bulk, the premise of the median threshold."""
     level_counts = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
     hidden = draw(
         st.lists(st.sampled_from(range(len(level_counts))), min_size=1,
@@ -1351,65 +1345,64 @@ def noisy_low_rank_configs(draw):
     config = default_config(
         n=draw(st.integers(300, 1000)),
         seed=draw(st.integers(0, 2**32 - 1)),
-        hidden=[f"a{a}" for a in hidden],
         attributes=[(f"a{i}", [f"l{j}" for j in range(c)]) for i, c in enumerate(level_counts)],
         embed_dim=draw(st.integers(width, width + 4)),
         confounding=draw(st.sampled_from([0.0, 1.0])),
         embed_noise=draw(st.sampled_from([0.02, 0.05])),
         param_seed=draw(st.integers(0, 1000)),
-        exact_recovery=False,
     )
-    assume(2 * hidden_rank(config) < config.embed_dim)
-    return config
+    hidden = frozenset(f"a{a}" for a in hidden)
+    assume(2 * hidden_rank(config.schema, hidden) < config.embed_dim)
+    return config, hidden
 
 
 @settings(max_examples=15, deadline=None)
 @given(noisy_low_rank_configs())
-def test_default_pseudo_count_is_the_hidden_rank_under_embedding_noise(config):
-    dataset, truth = generate(config)
-    dataset = make_pairs(dataset, config)
+def test_default_pseudo_count_is_the_hidden_rank_under_embedding_noise(problem):
+    config, hidden = problem
+    dataset, truth = masked_draw(config, hidden)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # at the median rule's cap, and a too-small n_pseudo
         model = fit_mcce(dataset)
         wide = fit_mcce(dataset, n_pseudo=dataset.visible_width)
-    assert model.n_pseudo == hidden_rank(config)
+    assert model.n_pseudo == hidden_rank(config.schema, hidden)
     # the extra directions fit noise; on a draw where that noise happens to
     # help, it helps by far less than 1%
     assert macro_l2(model, dataset) <= 1.01 * macro_l2(wide, dataset)
 
 
-def observed_regression(config, dataset):
-    """The fit of the outputs on the visible design alone, on a draw of `config`.
+def observed_regression(dataset):
+    """The fit of the outputs on the visible design alone, on a masked draw.
 
     Returns (design, coefficients, visible pairs, each visible pair's
     design change Δc_v); the draw is skipped unless the design has the
     rank of one that observes every visible level, and has a visible pair.
     """
-    schema, rows, p = config.schema, dataset.fit_rows, dataset.pairs
+    schema, hidden, rows, p = dataset.schema, dataset.hidden_attributes, dataset.fit_rows, dataset.pairs
     C_v = dataset.design_matrix(rows)
-    visible = schema.visible_mask(config.hidden)
+    visible = schema.visible_mask(hidden)
     assume(np.linalg.matrix_rank(C_v) == C_v.shape[1] - int(visible.sum()) + 1)
     pairs = np.flatnonzero(visible[p.attribute])
     assume(pairs.size)
     codes = dataset.codes[p.original[pairs]]
     edited = codes.copy()
     edited[np.arange(pairs.size), p.attribute[pairs]] = p.to[pairs]
-    delta = one_hot(schema, edited, config.hidden) - one_hot(schema, codes, config.hidden)
+    delta = one_hot(schema, edited, hidden) - one_hot(schema, codes, hidden)
     return C_v, lstsq(C_v, dataset.outputs[rows]).coefficients, pairs, delta
 
 
 @settings(max_examples=40, deadline=None)
 @given(noiseless_configs())
-def test_observed_only_regression_error_is_the_omitted_variable_term(config):
+def test_observed_only_regression_error_is_the_omitted_variable_term(problem):
     # The paper's bias claim as an identity: fit on the visible concepts
     # alone, the outputs' hidden part C_h β_h leaks into the visible
     # coefficients through C_v⁺, and each visible edit's effect is off by
     # exactly Δc_v · C_v⁺ C_h β_h.
-    dataset, truth = generate(config)
-    dataset = make_pairs(dataset, config)
-    C_v, coef, pairs, delta = observed_regression(config, dataset)
+    config, hidden = problem
+    dataset, truth = masked_draw(config, hidden)
+    C_v, coef, pairs, delta = observed_regression(dataset)
     schema = config.schema
-    shown = np.repeat(schema.visible_mask(config.hidden), schema.sizes)  # complete-layout columns
+    shown = np.repeat(schema.visible_mask(hidden), schema.sizes)  # complete-layout columns
     C_h = one_hot(schema, dataset.codes[dataset.fit_rows])[:, ~shown]
     term = delta @ np.linalg.pinv(C_v) @ C_h @ truth.outcome_coef[~shown]
     error = delta @ coef - oracle_effect(truth, dataset, "logit")[pairs]
@@ -1418,12 +1411,12 @@ def test_observed_only_regression_error_is_the_omitted_variable_term(config):
 
 @settings(max_examples=40, deadline=None)
 @given(noiseless_configs(hide=False))
-def test_mcce_equals_the_observed_only_regression_when_nothing_is_hidden(config):
+def test_mcce_equals_the_observed_only_regression_when_nothing_is_hidden(problem):
     # with nothing hidden the embedding residual is rounding noise, and
     # the pseudo-concepts add nothing to the visible fit
-    dataset, truth = generate(config)
-    dataset = make_pairs(dataset, config)
-    _, coef, pairs, delta = observed_regression(config, dataset)
+    config, hidden = problem
+    dataset, truth = masked_draw(config, hidden)
+    _, coef, pairs, delta = observed_regression(dataset)
     p = dataset.pairs
     edits = p.original[pairs], p.attribute[pairs], p.to[pairs]
     got = explain_mcce(fit_mcce(dataset), dataset, *edits)
@@ -1642,7 +1635,14 @@ def reference_read_effects(path, schema):
     unknown = sorted(set(hidden) - set(schema.names))
     if unknown:
         raise ValidationError(f"{path}:1: hidden attributes not in schema: {unknown}")
-    method, space = metadata.get("method"), metadata.get("space")
+    for key in ("method", "space"):
+        if key not in metadata:
+            raise ValidationError(f"{path}:1: missing required key 'meta.{key}'")
+        if type(metadata[key]) is not str:
+            raise ValidationError(f"{path}:1: 'meta.{key}' must be string")
+    method, space = metadata["method"], metadata["space"]
+    if space not in SPACES:
+        raise ValidationError(f"{path}:1: 'meta.space' must be one of {SPACES}, got {space!r}")
     named = (columns[key] for key in ("sample_id", *edits))
     return Effects(schema, *named, columns["effect"], method, space, columns["fallback"]), metadata
 
@@ -2020,14 +2020,15 @@ def test_global_report_contrasts_equal_the_outcome_contrasts(problem, data):
     # the hidden blocks, the report tabulates the true effects: its
     # within-attribute contrasts are outcome_coef's, as the local effects
     # are the oracle's. The observed-concept block alone is biased.
-    config, n_pseudo = problem
+    config, hidden, n_pseudo = problem
     dataset, truth = generate(config)
+    dataset = dataset.mask(hidden)
     schema = config.schema
     complete = one_hot(schema, dataset.codes[dataset.fit_rows])
     assume(np.linalg.matrix_rank(complete) == schema.width - len(schema.names) + 1)
     model = fit_mcce(dataset, n_pseudo=n_pseudo)
     b = data.draw(st.integers(0, config.n_outputs - 1))
-    outcome = truth.outcome_coef[np.repeat(schema.visible_mask(config.hidden), schema.sizes)]
+    outcome = truth.outcome_coef[np.repeat(schema.visible_mask(hidden), schema.sizes)]
     want = outcome - outcome[:, [b]]
     got = global_report(model, b).contrasts
     assert coefficient_error(got, want, schema, model.hidden_attributes) < 1e-8
