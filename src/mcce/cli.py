@@ -9,8 +9,11 @@ identical inputs and seeds reproduce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import errno
 import importlib
 import itertools
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from .data import (
     FLOAT_COLUMNS,
     SPACES,
     Dataset,
+    array_path,
     csv_text,
     load_dataset,
     save_dataset,
@@ -135,6 +139,24 @@ def _pair_seeds(dataset: Dataset, run_seed: int) -> np.ndarray:
     return np.frombuffer(digests, dtype=">u8").astype(np.uint64)
 
 
+def _check_outputs(files=(), directories=()) -> None:
+    """Refuse an output path that its write would refuse, before any input is read.
+
+    A file path must not be a directory and a directory path must not be
+    anything else; an ancestor that is not a directory refuses either
+    (`os.stat` raises NotADirectoryError). A missing path, or a missing
+    ancestor, is what the write creates. Creates nothing.
+    """
+    for paths, want_dir, code in ((files, False, errno.EISDIR), (directories, True, errno.ENOTDIR)):
+        for path in paths:
+            try:
+                is_dir = stat.S_ISDIR(os.stat(path).st_mode)
+            except FileNotFoundError:
+                continue
+            if is_dir != want_dir:
+                raise OSError(code, os.strerror(code), str(path))
+
+
 # ---------------------------------------------------------------------------
 # fit/explain/evaluate plumbing shared by the single-step commands and cmd_experiment
 
@@ -232,6 +254,7 @@ def _write_reports(out_dir: Path, reports: dict) -> None:
 
 
 def cmd_synth(args) -> int:
+    _check_outputs(directories=[args.out])
     config, edits_per_sample = load_synth_config(args.config)
     out_dir = Path(args.out)
     dataset, truth = generate(config)
@@ -253,6 +276,7 @@ def cmd_fit(args) -> int:
     if args.method == "slearner" and args.ridge is not None:
         raise ValidationError("--ridge applies to the mcce method only")
     hidden = _parse_hidden(args.hidden)
+    _check_outputs(files=[args.out])
     dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
     # a fit reads the factual rows only, and the S-Learner no embedding
     floats = ("outputs",) if args.method == "slearner" else FLOAT_COLUMNS
@@ -289,6 +313,7 @@ def cmd_explain(args) -> int:
     if method != "approx" and args.hidden is not None:  # the mask is the model's, or none
         raise ValidationError("--hidden applies to the approx method only")
     seed = 0 if args.seed is None else args.seed
+    _check_outputs(files=[args.out, array_path(args.out, "effect")])
     dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
     if method == "oracle":  # the oracle reads labels only
         dataset = dataset.keep(columns=())
@@ -320,6 +345,7 @@ def cmd_explain(args) -> int:
 
 def cmd_evaluate(args) -> int:
     metrics = _parse_metrics(args.metric)
+    _check_outputs(directories=[args.out])
     dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
     dataset = dataset.keep(columns=("outputs",))  # scoring reads no embedding
     effects, meta = read_effects(args.effects, dataset.schema)
@@ -362,6 +388,7 @@ def cmd_experiment(args) -> int:
     except ValueError:
         raise ValidationError(f"mask sizes must be integers, got {args.mask_sizes!r}") from None
     sizes = sorted(_distinct(sizes, "mask size"))
+    _check_outputs(directories=[args.out])
     dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
     names = dataset.schema.names
     if any(size < 1 or size > len(names) - 1 for size in sizes):
@@ -452,6 +479,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _check_outputs(files=[args.out])
     model = load_model(args.model)
     report = global_report(model, args.baseline_class)
     write_text_atomic(args.out, report.to_csv())
@@ -463,6 +491,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_outputs(files=[args.out])
     model = load_model(args.model)
     dataset = load_dataset(args.samples, None, args.schema).mask(model.hidden_attributes)
     predictions = predict_labels(model, dataset)

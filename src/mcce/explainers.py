@@ -8,7 +8,8 @@ mcce
     Embeddings and targets are regressed on the observed one-hot design
     in one solve, the embedding residual is compressed to its singular
     directions above the noise, and the targets are fit on their scores:
-    one SVD of each matrix. Decoupling is exact at ridge 0 because the
+    one SVD of the design and one of the residual's triangular factor
+    (`linalg.truncated_svd`). Decoupling is exact at ridge 0 because the
     residual scores are orthogonal to the observed design. The pseudo
     features stand in for whatever concept information the annotations
     are missing, so effect estimates condition on it instead of

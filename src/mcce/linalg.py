@@ -26,6 +26,10 @@ truncated_svd(R)
     Every right singular direction of R, sign-pinned, and its singular
     values s. The top-j scores R @ basis[:, :j] are orthogonal with norms
     s[:j], so their solve needs no second SVD: scores^T B / (s^2 + ridge).
+    A tall R = QF, F its (d, d) triangular factor, has R^T R = F^T F, so
+    the SVD of F gives R's s and V; R's (n, d) left factor is never formed
+    (T. F. Chan, "An improved algorithm for computing the singular value
+    decomposition", ACM TOMS 8(1), 1982).
 
 noise_threshold(s, shape, floor)
     Noise reaches every direction, so a spectrum with a value at or below
@@ -56,11 +60,15 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _svd(arr: np.ndarray, name: str):
+def _svd(arr: np.ndarray, name: str, *, right_only: bool = False):
+    """numpy's thin SVD (U, s, Vt); with `right_only`, (s, Vt) and a tall arr's U never formed."""
     try:
-        return np.linalg.svd(arr, full_matrices=False)
+        if right_only and arr.shape[0] > arr.shape[1]:
+            arr = np.linalg.qr(arr, mode="r")  # the triangular factor has arr's s and Vt
+        U, s, Vt = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise NumericalError(f"SVD of {name} failed to converge: {exc}") from exc
+    return (s, Vt) if right_only else (U, s, Vt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +115,7 @@ def truncated_svd(R) -> tuple[np.ndarray, np.ndarray]:
     which pins an otherwise arbitrary sign.
     """
     R = as_matrix(R, "R")
-    _, s, Vt = _svd(R, "R")
+    s, Vt = _svd(R, "R", right_only=True)
     basis = Vt.T
     pivot = np.argmax(np.abs(basis), axis=0)
     basis *= np.where(basis[pivot, np.arange(s.size)] < 0.0, -1.0, 1.0)

@@ -1489,7 +1489,7 @@ class TestUnusablePaths:
         assert f"error: {path}: " in err and "Traceback" not in err
 
     def test_fit_out_is_a_directory(self, synth_dir, tmp_path, capsys):
-        # the fit runs, and the model's rename over the directory fails
+        # refused before the dataset is read, so no fit runs
         out = tmp_path / "model"
         out.mkdir()
         self.assert_refused(run("fit", *dataset_flags(synth_dir), "--out", out), capsys, out)
@@ -1502,6 +1502,55 @@ class TestUnusablePaths:
         code = run("evaluate", *dataset_flags(synth_dir), "--effects", effects, "--out", out)
         self.assert_refused(code, capsys, out)
         assert [path.name for path in tmp_path.iterdir()] == ["eval"] and out.read_text() == ""
+
+    @staticmethod
+    def command(name, synth_dir, out, effects):
+        """`name`'s argv with `--out out`; report and predict name a model file that does not exist."""
+        data = dataset_flags(synth_dir)
+        return {
+            "synth": ["synth", "--config", synth_dir / "missing.json"],
+            "fit": ["fit", *data, "--method", "slearner"],
+            "explain": ["explain", *data, "--method", "approx"],
+            "evaluate": ["evaluate", *data, "--effects", effects],
+            "experiment": ["experiment", *data, "--methods", "approx", "--mask-sizes", "1"],
+            "report": ["report", "--model", synth_dir / "missing.json"],
+            "predict": ["predict", "--model", synth_dir / "missing.json", "--schema",
+                        synth_dir / "schema.json", "--samples", synth_dir / "samples.jsonl"],
+        }[name] + ["--out", out]
+
+    @pytest.mark.parametrize(
+        "name, kind",
+        [
+            ("fit", "directory"), ("explain", "directory"), ("explain", "array directory"),
+            ("report", "directory"), ("predict", "directory"),
+            ("synth", "file"), ("evaluate", "file"), ("experiment", "file"),
+            *((name, "below a file") for name in
+              ("synth", "fit", "explain", "evaluate", "experiment", "report", "predict")),
+        ],
+    )
+    def test_output_path_is_refused_before_any_work(self, name, kind, synth_dir, oracle_report,
+                                                      tmp_path, capsys):
+        out = tmp_path / "out"
+        if kind == "directory":  # a file output that is a directory
+            out.mkdir()
+            strerror = "Is a directory"
+        elif kind == "array directory":  # explain's effect matrix goes to <stem>.effect.npy
+            (tmp_path / "out.effect.npy").mkdir()
+            strerror = "Is a directory"
+        elif kind == "file":  # a directory output that is a file
+            out.write_text("")
+            strerror = "Not a directory"
+        else:
+            (tmp_path / "file").write_text("")
+            out = tmp_path / "file" / "out"
+            strerror = "Not a directory"
+        before = sorted(tmp_path.rglob("*"))
+        code = run(*self.command(name, synth_dir, out, oracle_report.parent / "effects.jsonl"))
+        path = tmp_path / "out.effect.npy" if kind == "array directory" else out
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"error: {path}: {strerror}" in captured.err and "Traceback" not in captured.err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_samples_is_a_directory(self, synth_dir, tmp_path, capsys):
         samples = tmp_path / "samples.jsonl"

@@ -185,20 +185,26 @@ def test_fit_equals_the_five_svd_reference(problem):
 
 
 def test_fit_takes_two_svds(monkeypatch):
-    # every SVD in numpy.linalg, norm(x, 2)'s included, calls its module's svd
+    # every SVD and QR in numpy.linalg, norm(x, 2)'s SVD included, calls its module's function
     module = np.linalg._linalg if hasattr(np.linalg, "_linalg") else np.linalg.linalg
-    svd, shapes = module.svd, []
+    svd, qr, shapes, qr_calls = module.svd, module.qr, [], []
 
     def counting(a, *args, **kwargs):
         shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(module, "svd", counting)
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    ds, _, _ = linear_dataset(hidden={"a"}, noise=0.1)
+    def counting_qr(a, mode="reduced"):
+        qr_calls.append((np.shape(a), mode))
+        return qr(a, mode)
+
+    ds, _, _ = linear_dataset(hidden={"a"}, noise=0.1)  # its embedding map takes a QR
+    for namespace in (module, np.linalg):
+        monkeypatch.setattr(namespace, "svd", counting)
+        monkeypatch.setattr(namespace, "qr", counting_qr)
     fit_mcce(ds)
-    # the design, then the embedding residual
-    assert shapes == [(80, 3), (80, 8)]
+    # the design, then the embedding residual's triangular factor: no (80, 8) left factor
+    assert shapes == [(80, 3), (8, 8)]
+    assert qr_calls == [((80, 8), "r")]
 
 
 def test_fit_pseudo_basis_rotation_invariance():

@@ -7,6 +7,8 @@ implementation itself.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcce import ValidationError, lstsq, residualize, truncated_svd
 from mcce.linalg import as_matrix, max_abs_cross, noise_threshold
@@ -171,6 +173,51 @@ def test_truncated_svd_zero_matrix_gives_zero_scores():
     assert basis.shape == (3, 3)
     assert np.max(np.abs(R @ basis)) == 0.0
     assert np.max(np.abs(s)) == 0.0
+
+
+@st.composite
+def residual_like(draw):
+    """A tall, square or wide matrix, some with a repeated column, a zero column or both."""
+    d = draw(st.integers(1, 10))
+    n = {"tall": draw(st.integers(d + 1, 40)), "square": d, "wide": draw(st.integers(1, d))}[
+        draw(st.sampled_from(["tall", "square", "wide"]))
+    ]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    R = rng.standard_normal((n, d)) * 10.0 ** draw(st.integers(-3, 3))
+    if d > 1 and draw(st.booleans()):
+        R[:, d - 1] = R[:, 0]  # repeated
+    if draw(st.booleans()):
+        R[:, draw(st.integers(0, d - 1))] = 0.0
+    return R
+
+
+def pinned(V):
+    V = V.copy()
+    pivot = np.argmax(np.abs(V), axis=0)
+    V *= np.where(V[pivot, np.arange(V.shape[1])] < 0.0, -1.0, 1.0)
+    return V
+
+
+@settings(max_examples=200, deadline=None)
+@given(residual_like())
+def test_truncated_svd_equals_the_direct_thin_svd(R):
+    basis, s = truncated_svd(R)
+    _, s_direct, Vt = np.linalg.svd(R, full_matrices=False)
+    direct = pinned(Vt.T)
+    m, d = s_direct.size, R.shape[1]
+    assert basis.shape == (d, m) and s.shape == (m,)
+    scale = max(1.0, float(s_direct[0]))
+    assert np.max(np.abs(s - s_direct)) <= 1e-12 * scale
+    # a wide R's last direction neighbours its null space's zeros
+    neighbours = np.concatenate([[np.inf], s_direct, [0.0 if m < d else -np.inf]])
+    gap = np.minimum(neighbours[:-2] - s_direct, s_direct - neighbours[2:])
+    for i in np.flatnonzero(gap > 1e-6 * s_direct[0]):
+        top = np.sort(np.abs(direct[:, i]))[::-1]
+        if top.size > 1 and top[0] - top[1] <= 1e-8:  # tied pivots (a repeated column's null
+            # direction) leave the sign free
+            assert min(np.max(np.abs(basis[:, i] - sign * direct[:, i])) for sign in (1, -1)) <= 1e-8
+        else:
+            assert np.max(np.abs(basis[:, i] - direct[:, i])) <= 1e-8
 
 
 # --- noise_threshold ------------------------------------------------------
