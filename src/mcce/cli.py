@@ -161,18 +161,18 @@ def _check_outputs(files=(), directories=()) -> None:
 # fit/explain/evaluate plumbing shared by the single-step commands and cmd_experiment
 
 
-def _fit(dataset: Dataset, method: str, j, ridge: float | None, targets: str):
+def _fit(dataset: Dataset, method: str, j, targets: str):
     """Fit `method` on the dataset's visible attributes and return the model.
 
-    `j` and `ridge` are mcce's, and a ridge of None is 0. An mcce fit
-    prints one warning line on stderr when its concept design has less
-    than full rank; `fit_mcce` warns about its pseudo-concept count.
+    `j` is mcce's pseudo-concept count. An mcce fit prints one warning
+    line on stderr when its concept design has less than full rank;
+    `fit_mcce` warns about its pseudo-concept count.
     """
     if method == "slearner":
         if targets == TARGET_GOLD:
             raise ValidationError("predictor mode (gold targets) is mcce-only")
         return fit_slearner(dataset)
-    model = fit_mcce(dataset, n_pseudo=j, ridge=0.0 if ridge is None else ridge, target_kind=targets)
+    model = fit_mcce(dataset, n_pseudo=j, target_kind=targets)
     rank = model.diagnostics["design_rank"]
     # each block's columns sum to the ones vector, so a visible design
     # that observes every level in general position has this rank
@@ -273,15 +273,13 @@ def cmd_synth(args) -> int:
 def cmd_fit(args) -> int:
     if args.method == "slearner" and args.j is not None:
         raise ValidationError("--j applies to the mcce method only")
-    if args.method == "slearner" and args.ridge is not None:
-        raise ValidationError("--ridge applies to the mcce method only")
     hidden = _parse_hidden(args.hidden)
     _check_outputs(files=[args.out])
     dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
     # a fit reads the factual rows only, and the S-Learner no embedding
     floats = ("outputs",) if args.method == "slearner" else FLOAT_COLUMNS
     dataset = dataset.keep(dataset.fit_rows, floats).mask(hidden)
-    model = _fit(dataset, args.method, args.j, args.ridge, args.targets)
+    model = _fit(dataset, args.method, args.j, args.targets)
     if args.method == "mcce":
         d = model.diagnostics
         print(
@@ -374,8 +372,6 @@ def cmd_experiment(args) -> int:
             )
     if args.j is not None and "mcce" not in methods:
         raise ValidationError("--j applies to the mcce method only")
-    if args.ridge is not None and "mcce" not in methods:
-        raise ValidationError("--ridge applies to the mcce method only")
     metrics = _parse_metrics(args.metrics)
     seeds = _parse_seeds(args.seeds)
     if "slearner" in methods and args.space != SPACE_PROBABILITY:
@@ -413,7 +409,7 @@ def cmd_experiment(args) -> int:
                 if seed is not None:
                     run_dir /= f"seed{seed}"
                 try:
-                    model = None if method == "approx" else _fit(masked, method, args.j, args.ridge, TARGET_OUTPUT)
+                    model = None if method == "approx" else _fit(masked, method, args.j, TARGET_OUTPUT)
                     effects, metadata = _explain(masked, method, model, seed, pair_seeds=pair_seeds.get(seed))
                     reports = _reports(masked, effects, metrics, metadata)
                     if model is not None:
@@ -541,8 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pairs", default=None, help="optional pairs.jsonl (edited rows are excluded from fitting)")
     sp.add_argument("--method", choices=["mcce", "slearner"], default="mcce")
     sp.add_argument("--hidden", default=None, help="comma-separated attributes to mask")
-    sp.add_argument("--j", type=int, default=None, help="pseudo-concept count (default: from the residual spectrum)")
-    sp.add_argument("--ridge", type=float, default=None, help="ridge of the mcce solves (default 0)")
+    sp.add_argument("--j", type=int, default=None, help="pseudo-concept count, 0 for none (default: from the residual spectrum)")
     sp.add_argument("--targets", choices=["output", "gold"], default="output")
     add_space_flag(sp)
     sp.add_argument("--out", required=True, help="model JSON path")
@@ -573,8 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--metrics", default="l2,cosine,norm", help="comma-separated metrics")
     sp.add_argument("--mask-sizes", default="1,2", help="hidden-set sizes to enumerate")
     sp.add_argument("--seeds", default="0", help="comma-separated sampling seeds (approx only)")
-    sp.add_argument("--j", type=int, default=None)
-    sp.add_argument("--ridge", type=float, default=None, help="ridge of the mcce solves (default 0)")
+    sp.add_argument("--j", type=int, default=None, help="mcce's pseudo-concept count, as in fit")
     add_space_flag(sp, default=SPACE_PROBABILITY)
     sp.add_argument("--out", required=True, help="output directory")
     sp.set_defaults(func=cmd_experiment)

@@ -9,11 +9,11 @@ mcce
     in one solve, the embedding residual is compressed to its singular
     directions above the noise, and the targets are fit on their scores:
     one SVD of the design and one of the residual's triangular factor
-    (`linalg.truncated_svd`). Decoupling is exact at ridge 0 because the
-    residual scores are orthogonal to the observed design. The pseudo
-    features stand in for whatever concept information the annotations
-    are missing, so effect estimates condition on it instead of
-    absorbing it into the observed coefficients.
+    (`linalg.truncated_svd`). Decoupling is exact because the residual
+    scores are orthogonal to the observed design. The pseudo features
+    stand in for whatever concept information the annotations are
+    missing, so effect estimates condition on it instead of absorbing it
+    into the observed coefficients.
 
 slearner
     Multinomial logistic regression on observed concepts only, fit to
@@ -152,7 +152,6 @@ class MCCEModel:
     pseudo_basis: np.ndarray  # (d, j)
     concept_coef: np.ndarray  # (k_vis, q)
     pseudo_coef: np.ndarray  # (j, q)
-    ridge: float
     n_pseudo: int
     space: str
     target_kind: str
@@ -203,7 +202,6 @@ def fit_mcce(
     dataset: Dataset,
     *,
     n_pseudo: int | None = None,
-    ridge: float = 0.0,
     target_kind: str | None = None,
 ) -> MCCEModel:
     """Fit the pseudo-concept surrogate on the dataset's factual samples.
@@ -211,9 +209,11 @@ def fit_mcce(
     The pseudo-concepts are the r embedding residual directions above its
     noise threshold (`linalg.noise_threshold`, read off the spectrum of
     the residual columns above the rounding floor), or the first n_pseudo
-    of those above the floor; none at rounding scale is kept, so there
-    may be none. Targets default to the stored black-box outputs;
-    target_kind="gold" fits one-hot gold labels (predictor mode).
+    of those above the floor, with a warning when fewer clear it; none at
+    rounding scale is kept, so there may be none. n_pseudo=0 keeps none:
+    the regression on the observed concepts alone. Targets default to the
+    stored black-box outputs; target_kind="gold" fits one-hot gold labels
+    (predictor mode).
     """
     rows = dataset.fit_rows
     if rows.size == 0:
@@ -223,18 +223,18 @@ def fit_mcce(
     T, kind = _resolve_targets(dataset, rows, target_kind)
     n, d = rows.size, dataset.embeddings.shape[1]
     integral = isinstance(n_pseudo, (int, np.integer)) and type(n_pseudo) is not bool
-    if n_pseudo is not None and not (integral and 1 <= n_pseudo <= min(n, d)):
-        raise ValidationError(f"n_pseudo must be an integer in [1, {min(n, d)}], got {n_pseudo!r}")
+    if n_pseudo is not None and not (integral and 0 <= n_pseudo <= min(n, d)):
+        raise ValidationError(f"n_pseudo must be an integer in [0, {min(n, d)}], got {n_pseudo!r}")
 
     # the rounding scale is relative to the fit embeddings H's Frobenius norm (SVD-free, within
     # sqrt(d) of the spectral one); [H | T] is H's only copy, and none outlives the solve
     HT = np.hstack([dataset.embeddings[rows], T])
     floor = RANK_RTOL * float(np.linalg.norm(HT[:, :d]))
-    observed, residual = residualize(C, HT, ridge)
+    observed, residual = residualize(C, HT)
     del HT
     embed_coef, concept_coef = np.hsplit(observed.coefficients, [d])
     basis, s = truncated_svd(residual[:, :d])
-    # at ridge 0 the residual lies in the n_free-dim complement of the design's columns
+    # the residual lies in the n_free-dim complement of the design's columns
     n_free = n - observed.effective_rank
     # a residual column at rounding scale (a constant embedding column, say) adds an exact zero
     # to the spectrum whatever the noise, so the threshold reads the spectrum of the others
@@ -249,12 +249,15 @@ def fit_mcce(
         warnings.warn(f"{r} of the {min(n_free, d)} embedding residual directions rise above the "
                       "noise threshold, the most it keeps: the residual may be mostly signal, so "
                       "some may have been cut (set n_pseudo to keep more)", stacklevel=2)
+    elif n_pseudo is not None and j < n_pseudo:
+        warnings.warn(f"n_pseudo asks for {n_pseudo} pseudo-concepts but keeps {j}: only {j} "
+                      "embedding residual directions rise above the rounding floor", stacklevel=2)
     if n < k_vis + j:
         warnings.warn(f"only {n} fit samples for {k_vis} concepts + {j} pseudo-concepts; "
                       "coefficients will interpolate", stacklevel=2)
     basis, s = basis[:, :j].copy(), s[:j]
     scores = residual[:, :d] @ basis  # orthogonal with norms s (see `linalg`)
-    pseudo_coef = (scores.T @ T) / (s[:, None] ** 2 + ridge)
+    pseudo_coef = scores.T @ T / s[:, None] ** 2
     diagnostics = {
         "n_fit": n,
         "design_rank": observed.effective_rank,
@@ -268,7 +271,6 @@ def fit_mcce(
         pseudo_basis=basis,
         concept_coef=concept_coef,
         pseudo_coef=pseudo_coef,
-        ridge=float(ridge),
         n_pseudo=j,
         space=dataset.space,
         target_kind=kind,
@@ -669,7 +671,6 @@ def save_model(model: MCCEModel | SLearnerModel, path: str | Path) -> Path:
         obj.update(
             space=model.space,
             target_kind=model.target_kind,
-            ridge=model.ridge,
             n_pseudo=model.n_pseudo,
             embed_coef=model.embed_coef.tolist(),
             pseudo_basis=model.pseudo_basis.tolist(),
@@ -707,6 +708,9 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
         if kind == "mcce":
+            # older files carry a ridge key; mcce solves by minimum-norm least squares only
+            if json_field(obj, "ridge", "number", path, default=0.0) != 0.0:
+                raise ValidationError(f"{path}: 'ridge' must be 0, the only solve mcce fits or reads")
             k_vis = schema.visible_width(hidden)
             j = json_field(obj, "n_pseudo", "integer", path)
             embed_coef, concept_coef = matrix("embed_coef"), matrix("concept_coef")
@@ -721,7 +725,6 @@ def load_model(path: str | Path) -> MCCEModel | SLearnerModel:
                 pseudo_basis=pseudo("pseudo_basis", (embed_coef.shape[1], 0)),
                 concept_coef=concept_coef,
                 pseudo_coef=pseudo("pseudo_coef", (0, concept_coef.shape[1])),
-                ridge=json_field(obj, "ridge", "number", path),
                 n_pseudo=j,
                 space=json_field(obj, "space", "string", path),
                 target_kind=json_field(obj, "target_kind", "string", path),

@@ -1,31 +1,29 @@
 """Dense least-squares kernels shared by the explainer stack.
 
 Every solve goes through a single SVD-based path so that rank-deficient
-systems get the minimum-norm solution and regularized systems stay
-deterministic. One-hot concept designs are collinear by construction
-(each attribute block sums to the all-ones column), so the minimum-norm
-convention is load-bearing, not a nicety.
+systems get the minimum-norm solution. One-hot concept designs are
+collinear by construction (each attribute block sums to the all-ones
+column), so the minimum-norm convention is load-bearing, not a nicety.
 
 Conventions
 -----------
-lstsq(A, B, ridge)
-    argmin_X ||B - A X||_F^2 + ridge * ||X||_F^2, with A = U S V^T:
+lstsq(A, B)
+    The minimum-norm argmin_X ||B - A X||_F^2, with A = U S V^T:
 
-        ridge = 0:  X = V diag(1/s_i if s_i > cutoff else 0) U^T B
-        ridge > 0:  X = V diag(s_i / (s_i^2 + ridge)) U^T B
+        X = V diag(1/s_i if s_i > cutoff else 0) U^T B
 
     cutoff = RANK_RTOL * max(s). `effective_rank` counts singular values
-    above the cutoff regardless of ridge. The filter acts on each column
-    of B alone, so a solve on [B1 | B2] is the solves on B1 and on B2.
+    above the cutoff. The filter acts on each column of B alone, so a
+    solve on [B1 | B2] is the solves on B1 and on B2.
 
-residualize(C, H, ridge)
-    The solve of H on C, and H minus that fit. At ridge 0 the residual
-    is orthogonal to col(C) up to floating-point error.
+residualize(C, H)
+    The solve of H on C, and H minus that fit. The residual is
+    orthogonal to col(C) up to floating-point error.
 
 truncated_svd(R)
     Every right singular direction of R, sign-pinned, and its singular
     values s. The top-j scores R @ basis[:, :j] are orthogonal with norms
-    s[:j], so their solve needs no second SVD: scores^T B / (s^2 + ridge).
+    s[:j], so their solve needs no second SVD: scores^T B / s^2.
     A tall R = QF, F its (d, d) triangular factor, has R^T R = F^T F, so
     the SVD of F gives R's s and V; R's (n, d) left factor is never formed
     (T. F. Chan, "An improved algorithm for computing the singular value
@@ -77,33 +75,27 @@ class LstsqSolution:
     effective_rank: int  # singular values above the rank cutoff
 
 
-def lstsq(A, B, ridge: float = 0.0) -> LstsqSolution:
-    """Minimum-norm (or ridge) least squares of B on A.
+def lstsq(A, B) -> LstsqSolution:
+    """Minimum-norm least squares of B on A.
 
-    A is (n, p), B is (n, q); the coefficient matrix is (p, q). ridge
-    multiplies the squared Frobenius norm of the coefficients.
+    A is (n, p), B is (n, q); the coefficient matrix is (p, q).
     """
     A, B = as_matrix(A, "A"), as_matrix(B, "B")
     if A.shape[0] != B.shape[0]:
         raise ValidationError(f"row mismatch: A has {A.shape[0]} rows, B has {B.shape[0]}")
-    if not np.isfinite(ridge) or ridge < 0.0:
-        raise ValidationError(f"ridge must be a finite nonnegative float, got {ridge}")
 
     U, s, Vt = _svd(A, "A")
     cutoff = RANK_RTOL * (s[0] if s.size else 0.0)
     rank = int(np.count_nonzero(s > cutoff))
-    if ridge > 0.0:
-        filt = s / (s**2 + ridge)
-    else:
-        filt = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
+    filt = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
     coef = Vt.T @ (filt[:, None] * (U.T @ B))
     return LstsqSolution(coefficients=coef, effective_rank=rank)
 
 
-def residualize(C, H, ridge: float = 0.0) -> tuple[LstsqSolution, np.ndarray]:
+def residualize(C, H) -> tuple[LstsqSolution, np.ndarray]:
     """Regress H on C; return (the solve, H minus its fit)."""
     C, H = as_matrix(C, "C"), as_matrix(H, "H")
-    sol = lstsq(C, H, ridge)
+    sol = lstsq(C, H)
     residual = C @ sol.coefficients  # the fit's buffer becomes the residual
     return sol, np.subtract(H, residual, out=residual)
 

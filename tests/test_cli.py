@@ -711,7 +711,6 @@ class TestExperiment:
             (["--seeds", "0,0"], "seed 0 is given twice"),
             (["--mask-sizes", "1,1"], "mask size 1 is given twice"),
             (["--methods", "slearner,approx", "--j", "3"], "--j applies to the mcce method only"),
-            (["--methods", "approx", "--ridge", "5"], "--ridge applies to the mcce method only"),
         ],
     )
     def test_empty_or_repeated_lists_exit_2(self, exp_dir, tmp_path, capsys, flags, message):
@@ -723,7 +722,7 @@ class TestExperiment:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("flag", ["--j", "--ridge"])
+    @pytest.mark.parametrize("flag", ["--j"])
     def test_fit_refuses_mcce_flags_without_mcce(self, exp_dir, tmp_path, capsys, flag):
         data, _ = exp_dir
         code = run(
@@ -734,12 +733,22 @@ class TestExperiment:
         assert f"{flag} applies to the mcce method only" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
-    def test_mcce_fit_records_its_ridge(self, exp_dir, tmp_path):
+    @pytest.mark.parametrize("command", ["fit", "experiment"])
+    def test_ridge_is_no_option(self, exp_dir, tmp_path, capsys, command):
+        # mcce solves by minimum-norm least squares only
         data, _ = exp_dir
-        for name, ridge in (("default", []), ("zero", ["--ridge", "0"]), ("five", ["--ridge", "5"])):
-            assert run("fit", *dataset_flags(data), *ridge, "--out", tmp_path / f"{name}.json") == 0
-        assert json.loads((tmp_path / "five.json").read_text())["ridge"] == 5.0
-        assert (tmp_path / "default.json").read_bytes() == (tmp_path / "zero.json").read_bytes()
+        code = run(command, *dataset_flags(data), "--ridge", "0.01", "--out", tmp_path / "o")
+        assert code == 2
+        assert "unrecognized arguments: --ridge 0.01" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_fit_j_0_is_the_observed_only_regression(self, exp_dir, tmp_path, capsys):
+        data, _ = exp_dir
+        assert run("fit", *dataset_flags(data), "--j", "0", "--out", tmp_path / "m.json") == 0
+        assert "n_pseudo=0 " in capsys.readouterr().out
+        model = mcce.load_model(tmp_path / "m.json")
+        assert model.n_pseudo == 0 and model.pseudo_coef.shape == (0, model.n_outputs)
+        assert np.array_equal(model.effective_coef, model.concept_coef)
 
     @pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--hidden", "food")])
     @pytest.mark.parametrize("method", ["mcce", "slearner", "oracle"])
@@ -1194,6 +1203,27 @@ class TestLoaderErrors:
         err = capsys.readouterr().err
         assert f"m.json: {key!r} must be {kind}" in err and "Traceback" not in err
         assert not (tmp_path / "e.jsonl").exists()
+
+    # Files written before mcce had one solve carry "ridge"; only 0 reads.
+
+    @pytest.mark.parametrize("ridge", [0, 0.0])
+    def test_model_fit_at_ridge_0_still_loads(self, synth_dir, tmp_path, ridge):
+        model, obj = self.fitted(synth_dir, tmp_path, "mcce")
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({**obj, "ridge": ridge}))
+        # model files round-trip bit-exactly, so equal bytes are the same model
+        again = mcce.save_model(mcce.load_model(old), tmp_path / "again.json")
+        assert again.read_bytes() == model.read_bytes()
+
+    @pytest.mark.parametrize("ridge", [0.01, 5, -1.0])
+    def test_ridge_fitted_model_exits_2(self, synth_dir, tmp_path, capsys, ridge):
+        model, obj = self.fitted(synth_dir, tmp_path, "mcce")
+        model.write_text(json.dumps({**obj, "ridge": ridge}))
+        capsys.readouterr()
+        assert run("report", "--model", model, "--out", tmp_path / "r.csv") == 2
+        err = capsys.readouterr().err
+        assert "m.json: 'ridge' must be 0" in err and "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists()
 
     # Every key a model file records is required: no reader fills one in.
 

@@ -7,6 +7,7 @@ does not pass through the code under test.
 
 import json
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -122,7 +123,7 @@ def test_fit_decoupling_identity():
     assert np.allclose(joint[k:], model.pseudo_coef, atol=1e-8)
 
 
-def five_svd_fit(dataset, j, ridge):
+def five_svd_fit(dataset, j):
     """fit_mcce's solves as they were, in five SVDs, on j residual directions: (embed solve,
     basis, concept solve, pseudo solve or None when j is 0).
 
@@ -133,21 +134,21 @@ def five_svd_fit(dataset, j, ridge):
     """
     rows = dataset.fit_rows
     C, H, T = dataset.design_matrix(rows), dataset.embeddings[rows], dataset.outputs[rows]
-    embed = lstsq(C, H, ridge)
+    embed = lstsq(C, H)
     R = H - C @ embed.coefficients
     basis, s = truncated_svd(R)
     assert np.all(s[:j] > RANK_RTOL * np.linalg.norm(H, 2))
     basis = basis[:, :j]
-    return embed, basis, lstsq(C, T, ridge), lstsq(R @ basis, T, ridge) if j else None
+    return embed, basis, lstsq(C, T), lstsq(R @ basis, T) if j else None
 
 
 @st.composite
 def fit_problems(draw):
-    """(dataset, n_pseudo, ridge): a hidden attribute in the embeddings, noisy or not, ridge 0 or not.
+    """(dataset, n_pseudo): a hidden attribute in the embeddings, noisy or not.
 
     Without noise the residual has the hidden block's rank, so any larger
     n_pseudo keeps only that many directions. n_pseudo may be None, the
-    default.
+    default, or 0, the observed concepts alone.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3))
@@ -158,20 +159,19 @@ def fit_problems(draw):
     H = one_hot(schema, codes) @ rng.standard_normal((schema.width, d))
     H += noise * rng.standard_normal((n, d))
     dataset = Dataset(schema, ids(n), codes, H, rng.standard_normal((n, q)), hidden_attributes={"a0"})
-    ridge = draw(st.sampled_from([0.0, 0.01, 2.5]))
-    return dataset, draw(st.none() | st.integers(1, min(n, d))), ridge
+    return dataset, draw(st.none() | st.integers(0, min(n, d)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(fit_problems())
 def test_fit_equals_the_five_svd_reference(problem):
-    dataset, n_pseudo, ridge = problem
+    dataset, n_pseudo = problem
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the interpolation and pseudo-concept count warnings
-        model = fit_mcce(dataset, n_pseudo=n_pseudo, ridge=ridge)
+        model = fit_mcce(dataset, n_pseudo=n_pseudo)
     j = model.n_pseudo
     assert n_pseudo is None or j <= n_pseudo
-    embed, basis, observed, pseudo = five_svd_fit(dataset, j, ridge)
+    embed, basis, observed, pseudo = five_svd_fit(dataset, j)
     pairs = [(model.embed_coef, embed.coefficients), (model.pseudo_basis, basis),
              (model.concept_coef, observed.coefficients)]
     if j:
@@ -221,7 +221,6 @@ def test_fit_pseudo_basis_rotation_invariance():
         pseudo_basis=model.pseudo_basis @ Q,
         concept_coef=model.concept_coef,
         pseudo_coef=Q.T @ model.pseudo_coef,
-        ridge=model.ridge,
         n_pseudo=model.n_pseudo,
         space=model.space,
         target_kind=model.target_kind,
@@ -251,10 +250,13 @@ def test_fit_interpolation_regime_reproduces_targets():
 @pytest.mark.parametrize("n_pseudo", [None, 5])
 def test_fit_keeps_no_direction_at_rounding_scale(n_pseudo, tmp_path):
     # noiseless embeddings: hiding a (2 levels) leaves a rank-1 residual and
-    # hiding nothing a residual of rounding error, so a model keeps 1 and 0
+    # hiding nothing a residual of rounding error, so a model keeps 1 and 0,
+    # and an n_pseudo of 5 says it was cut
     for hidden, rank in (({"a"}, 1), ((), 0)):
         ds, _, _ = linear_dataset(hidden=hidden, seed=3)
-        model = fit_mcce(ds, n_pseudo=n_pseudo)
+        cut = f"asks for 5 pseudo-concepts but keeps {rank}: only {rank} .* rounding floor"
+        with pytest.warns(UserWarning, match=cut) if n_pseudo else nullcontext():
+            model = fit_mcce(ds, n_pseudo=n_pseudo)
         assert model.n_pseudo == rank
         assert model.pseudo_basis.shape == (8, rank) and model.pseudo_coef.shape == (rank, 4)
         assert np.all(np.linalg.norm(model.pseudo_basis, axis=0) > 0.99)
@@ -276,16 +278,26 @@ def test_fit_default_counts_only_the_directions_a_wide_residual_can_take():
     assert model.diagnostics["design_rank"] == 2 and model.n_pseudo == 2
 
 
+def test_fit_without_pseudo_concepts_is_the_observed_regression():
+    # n_pseudo=0 is the no-pseudo ablation: the hidden attribute's signal stays in the residual
+    ds, _, _ = linear_dataset(hidden={"a"}, noise=0.1, seed=8)
+    with pytest.warns(UserWarning, match="keeps 0 of the"):
+        model = fit_mcce(ds, n_pseudo=0)
+    C, T = ds.design_matrix(ds.fit_rows), ds.outputs[ds.fit_rows]
+    assert model.n_pseudo == 0
+    assert np.allclose(model.concept_coef, lstsq(C, T).coefficients, atol=1e-10)
+    assert model.pseudo_basis.shape == (8, 0) and model.pseudo_coef.shape == (0, 4)
+    assert np.array_equal(model.effective_coef, model.concept_coef)
+
+
 def test_fit_validation_errors():
     ds, _, _ = linear_dataset(n=20)
     with pytest.raises(ValidationError):
-        fit_mcce(ds, n_pseudo=0)
+        fit_mcce(ds, n_pseudo=-1)
     with pytest.raises(ValidationError):
         fit_mcce(ds, n_pseudo=9)  # > embed_dim 8
     with pytest.raises(ValidationError):
         fit_mcce(ds, n_pseudo=True)  # a bool is no count
-    with pytest.raises(ValidationError):
-        fit_mcce(ds, ridge=-1.0)
     with pytest.raises(ValidationError):
         empty = Dataset(SCHEMA, [], np.zeros((0, 2)), np.zeros((0, 8)), np.zeros((0, 4)))
         fit_mcce(empty)  # nothing to fit
@@ -606,7 +618,6 @@ def test_global_report_invariant_to_block_shifts():
         pseudo_basis=model.pseudo_basis,
         concept_coef=shifted_coef,
         pseudo_coef=model.pseudo_coef,
-        ridge=model.ridge,
         n_pseudo=model.n_pseudo,
         space=model.space,
         target_kind=model.target_kind,
@@ -654,7 +665,7 @@ def test_predict_labels_requires_gold_mode():
 
 def test_model_roundtrip_mcce(tmp_path):
     ds, _, _ = linear_dataset(hidden={"a"}, noise=0.1, seed=21)
-    model = fit_mcce(ds, ridge=0.01)
+    model = fit_mcce(ds)
     path = tmp_path / "model.json"
     save_model(model, path)
     back = load_model(path)

@@ -68,37 +68,11 @@ def test_lstsq_one_hot_block_rank():
     assert lstsq(C, np.eye(4)).effective_rank == 3
 
 
-def test_lstsq_ridge_by_hand():
-    # coef = AtB / (AtA + ridge) = 4 / (2 + 2) = 1
-    sol = lstsq([[1.0], [1.0]], [[1.0], [3.0]], ridge=2.0)
-    assert abs(sol.coefficients[0, 0] - 1.0) < 1e-12
-
-
-def test_lstsq_ridge_matches_normal_equations():
-    rng = np.random.default_rng(1)
-    A = rng.standard_normal((20, 6))
-    B = rng.standard_normal((20, 2))
-    ridge = 0.37
-    direct = np.linalg.solve(A.T @ A + ridge * np.eye(6), A.T @ B)
-    assert np.allclose(lstsq(A, B, ridge=ridge).coefficients, direct, atol=1e-10)
-
-
-def test_lstsq_ridge_limit_recovers_unregularized():
-    rng = np.random.default_rng(2)
-    A = rng.standard_normal((30, 5))
-    B = rng.standard_normal((30, 3))
-    plain = lstsq(A, B).coefficients
-    tiny = lstsq(A, B, ridge=1e-12).coefficients
-    assert np.max(np.abs(plain - tiny)) < 1e-6
-
-
 def test_lstsq_rejects_bad_inputs():
     with pytest.raises(ValidationError):
         lstsq([[1.0, np.nan]], [[1.0]])
     with pytest.raises(ValidationError):
         lstsq([[1.0], [1.0]], [[1.0]])  # row mismatch
-    with pytest.raises(ValidationError):
-        lstsq([[1.0]], [[1.0]], ridge=-0.1)
 
 
 # --- residualize ------------------------------------------------------
