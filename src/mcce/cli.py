@@ -9,12 +9,14 @@ identical inputs and seeds reproduce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import importlib
 import itertools
 import os
 import stat
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +56,7 @@ from .explainers import (
     write_effects,
 )
 from .synthetic import (
+    float_rows,
     generate,
     load_ground_truth,
     load_synth_config,
@@ -161,18 +164,36 @@ def _check_outputs(files=(), directories=()) -> None:
 # fit/explain/evaluate plumbing shared by the single-step commands and cmd_experiment
 
 
+@contextlib.contextmanager
+def _warnings_to_stderr():
+    """Print each Python warning raised in the block as one `warning: <message>` line on stderr.
+
+    The warning filters in force still apply: a warning they ignore
+    prints nothing, and one they make an error raises.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            yield
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
+
+
 def _fit(dataset: Dataset, method: str, j, targets: str):
     """Fit `method` on the dataset's visible attributes and return the model.
 
-    `j` is mcce's pseudo-concept count. An mcce fit prints one warning
-    line on stderr when its concept design has less than full rank;
-    `fit_mcce` warns about its pseudo-concept count.
+    `j` is mcce's pseudo-concept count. Each warning of the fit (an
+    S-Learner that stops at its step cap, an mcce pseudo-concept count
+    that keeps fewer directions than it might) is one `warning:` line on
+    stderr, and so is an mcce concept design of less than full rank.
     """
     if method == "slearner":
         if targets == TARGET_GOLD:
             raise ValidationError("predictor mode (gold targets) is mcce-only")
-        return fit_slearner(dataset)
-    model = fit_mcce(dataset, n_pseudo=j, target_kind=targets)
+        with _warnings_to_stderr():
+            return fit_slearner(dataset)
+    with _warnings_to_stderr():
+        model = fit_mcce(dataset, n_pseudo=j, target_kind=targets)
     rank = model.diagnostics["design_rank"]
     # each block's columns sum to the ones vector, so a visible design
     # that observes every level in general position has this rank
@@ -257,12 +278,12 @@ def cmd_synth(args) -> int:
     _check_outputs(directories=[args.out])
     config, edits_per_sample = load_synth_config(args.config)
     out_dir = Path(args.out)
-    dataset, truth = generate(config)
-    save_ground_truth(truth, out_dir / "ground_truth.json")
+    # the datasets hold ids, codes, gold and pairs; the float rows go to the files a block at a time
+    dataset, truth = generate(config, floats=False)
     if edits_per_sample > 0:
-        dataset = dataset.keep(columns=())  # make_pairs draws every float again; free these first
-        dataset = make_pairs(dataset, config, edits_per_sample)
-    save_dataset(dataset, out_dir)
+        dataset = make_pairs(dataset, config, edits_per_sample, floats=False)
+    save_dataset(dataset, out_dir, float_rows(config, dataset.codes, dataset.pairs.original))
+    save_ground_truth(truth, out_dir / "ground_truth.json")
     print(
         f"synth: wrote {len(dataset)} samples ({config.n} factual), "
         f"{len(dataset.pairs)} pairs to {out_dir}"
@@ -275,7 +296,8 @@ def cmd_fit(args) -> int:
         raise ValidationError("--j applies to the mcce method only")
     hidden = _parse_hidden(args.hidden)
     _check_outputs(files=[args.out])
-    dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
+    mcce = args.method == "mcce"  # which reads the embeddings
+    dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space, embedding=mcce)
     # a fit reads the factual rows only, and the S-Learner no embedding
     floats = ("outputs",) if args.method == "slearner" else FLOAT_COLUMNS
     dataset = dataset.keep(dataset.fit_rows, floats).mask(hidden)
@@ -312,7 +334,8 @@ def cmd_explain(args) -> int:
         raise ValidationError("--hidden applies to the approx method only")
     seed = 0 if args.seed is None else args.seed
     _check_outputs(files=[args.out, array_path(args.out, "effect")])
-    dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
+    mcce = method == "mcce"
+    dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space, embedding=mcce)
     if method == "oracle":  # the oracle reads labels only
         dataset = dataset.keep(columns=())
         truth = load_ground_truth(args.ground_truth)
@@ -385,7 +408,8 @@ def cmd_experiment(args) -> int:
         raise ValidationError(f"mask sizes must be integers, got {args.mask_sizes!r}") from None
     sizes = sorted(_distinct(sizes, "mask size"))
     _check_outputs(directories=[args.out])
-    dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
+    mcce = "mcce" in methods
+    dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space, embedding=mcce)
     names = dataset.schema.names
     if any(size < 1 or size > len(names) - 1 for size in sizes):
         raise ValidationError(
@@ -489,7 +513,7 @@ def cmd_report(args) -> int:
 def cmd_predict(args) -> int:
     _check_outputs(files=[args.out])
     model = load_model(args.model)
-    dataset = load_dataset(args.samples, None, args.schema).mask(model.hidden_attributes)
+    dataset = load_dataset(args.samples, None, args.schema, embedding=True).mask(model.hidden_attributes)
     predictions = predict_labels(model, dataset)
     gold = [None if g < 0 else g for g in dataset.gold.tolist()]
     write_jsonl(args.out, {"id": dataset.ids, "predicted": predictions, "gold": gold})

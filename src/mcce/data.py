@@ -150,12 +150,49 @@ def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> Path:
 def write_npy(path: str | Path, matrix) -> Path:
     """Write `matrix` atomically as a .npy file of little-endian float64 in C order.
 
-    `np.save` writes a fixed header and then the values' bytes, so equal
-    matrices give equal files.
+    It is `write_npy_blocks` of one block, so equal matrices give equal files.
     """
-    with _atomic_file(path, "wb") as handle:
-        np.save(handle, np.ascontiguousarray(matrix, dtype="<f8"), allow_pickle=False)
-    return Path(path)
+    return write_npy_blocks([path], len(matrix), [(matrix,)])[0]
+
+
+def write_npy_blocks(paths, rows: int, blocks: Iterable) -> list[Path]:
+    """Write a .npy matrix of `rows` rows to each of `paths`, a block of rows at a time.
+
+    Each item of `blocks` holds the next row block of every file, in the
+    order of `paths`; a file's width is that of its first block. Each
+    file is the header that `np.save` writes (NEP 1's format 1.0) and
+    then the values as little-endian float64 in C order, so equal
+    matrices give equal files however they are cut into blocks. Every
+    file goes through its own temp file (`_atomic_file`), and all are
+    renamed after the last block: a block that raises, or a row count
+    other than `rows`, leaves every path as it was.
+    """
+    blocks = iter(blocks)
+    first = next(blocks, None)
+    widths = [0] * len(paths) if first is None else [np.shape(block)[1] for block in first]
+    blocks = chain([] if first is None else [first], blocks)
+    del first  # `write` drops each block once it is written
+
+    def write(block) -> int:
+        """Write one block and return its row count; `map` holds no block once it is written."""
+        for path, handle, matrix, width in zip(paths, handles, block, widths):
+            matrix = np.ascontiguousarray(matrix, dtype="<f8")
+            if matrix.shape != (len(block[0]), width):
+                raise ValidationError(
+                    f"{path}: a block of shape {matrix.shape}, expected {(len(block[0]), width)}"
+                )
+            handle.write(matrix.data)
+        return len(block[0])
+
+    with contextlib.ExitStack() as files:
+        handles = [files.enter_context(_atomic_file(path, "wb")) for path in paths]
+        for handle, width in zip(handles, widths):
+            header = {"descr": "<f8", "fortran_order": False, "shape": (int(rows), width)}
+            np.lib.format.write_array_header_1_0(handle, header)
+        written = sum(map(write, blocks))
+        if written != rows:
+            raise ValidationError(f"the .npy blocks hold {written} rows, not {rows}")
+    return [Path(path) for path in paths]
 
 
 # ---------------------------------------------------------------------------
@@ -944,8 +981,10 @@ def _array_file(path: str | Path, key: str, name) -> Path:
     return Path(path).parent / name
 
 
-def _read_matrix(path: Path, rows: int) -> np.ndarray:
+def _read_matrix(path: Path, rows: int, nonempty: bool = False) -> np.ndarray:
     """The matrix that .npy file `path` holds: finite '<f8' values, 2-D, `rows` rows.
+
+    If `nonempty`, it must also have at least one column.
 
     It is read with `np.load(allow_pickle=False)`, so no file can run
     code; anything else, an .npz archive or a truncated file included,
@@ -961,9 +1000,11 @@ def _read_matrix(path: Path, rows: int) -> np.ndarray:
     if not isinstance(matrix, np.ndarray):
         matrix.close()
         raise ValidationError(f"{path}: an .npz archive, not a .npy file")
-    if matrix.dtype != np.dtype("<f8") or matrix.ndim != 2 or matrix.shape[0] != rows:
+    shaped = matrix.ndim == 2 and matrix.shape[0] == rows and (matrix.shape[1] or not nonempty)
+    if matrix.dtype != np.dtype("<f8") or not shaped:
+        columns = ", and at least one column" if nonempty else ""
         raise ValidationError(
-            f"{path}: must hold a '<f8' matrix of {rows} rows, one per row of its table; "
+            f"{path}: must hold a '<f8' matrix of {rows} rows, one per row of its table{columns}; "
             f"got {matrix.dtype.str} of shape {matrix.shape}"
         )
     finite = np.isfinite(matrix).all(axis=1)
@@ -1054,6 +1095,7 @@ def read_jsonl(
     convert: Callable[[dict], dict] | None = None,
     arrays: tuple[str, ...] = (),
     fixed: dict | None = None,
+    nonempty_arrays: tuple[str, ...] = (),
 ) -> tuple[dict, dict]:
     """Columns of a JSONL table, and of the .npy files that its meta line names.
 
@@ -1065,7 +1107,8 @@ def read_jsonl(
     columns): `header` is the meta object without `columns` and the file
     names. `columns` maps each key of `types` to its values in line
     order, and then each key of `arrays` to its matrix, which must be a
-    finite '<f8' matrix of one row per row (see `_read_matrix`).
+    finite '<f8' matrix of one row per row (see `_read_matrix`), and of at
+    least one column for a key of `nonempty_arrays`.
     `types[key]` names the JSON types its values may take, as in
     "integer|null", or is a tuple of names: then each value is an array
     of one string label per name, in that order (see `_check_labels`).
@@ -1125,7 +1168,8 @@ def read_jsonl(
         if collecting:
             gc.enable()
     columns = {key: _join(blocks.pop(key)) for key in types}
-    return header, {**columns, **{key: _read_matrix(files[key], n_rows) for key in arrays}}
+    matrices = {key: _read_matrix(files[key], n_rows, key in nonempty_arrays) for key in arrays}
+    return header, {**columns, **matrices}
 
 
 def _encode_column(column) -> list[str]:
@@ -1231,12 +1275,15 @@ def load_dataset(
     pairs_path: str | Path | None,
     schema_path: str | Path,
     space: str = SPACE_LOGIT,
+    embedding: bool = False,
 ) -> Dataset:
     """Load the three-file dataset format; `pairs_path` may be None.
 
     Parse errors carry file and line; NaN/Infinity tokens are rejected.
     Embeddings and logits come from the .npy files that the samples meta
-    line names.
+    line names. The logits file must have at least one column, and so
+    must the embedding file when `embedding` is true, as it is for a
+    caller that reads the embeddings.
     With space="probability" a softmax is applied to every output row.
     The samples meta line must name the schema's attributes in schema
     order. Each chunk of samples has its labels turned into level codes
@@ -1256,8 +1303,9 @@ def load_dataset(
         chunk["id"] = id_bytes(chunk["id"])
         return chunk
 
+    nonempty = _SAMPLE_ARRAYS if embedding else ("logits",)
     _, samples = read_jsonl(
-        samples_path, "samples", types, {"gold": None}, codes, _SAMPLE_ARRAYS, fixed
+        samples_path, "samples", types, {"gold": None}, codes, _SAMPLE_ARRAYS, fixed, nonempty
     )
     ids, codes, gold, embeddings, outputs = samples.values()  # types, then arrays
     pairs = EditPairs()
@@ -1272,37 +1320,56 @@ def load_dataset(
     return Dataset(schema, ids, codes, embeddings, outputs, gold, pairs).to_space(space)
 
 
-def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
-    """Write schema.json, samples.jsonl and its two .npy files, pairs.jsonl; logit-space only.
+def save_dataset(dataset: Dataset, out_dir: str | Path, floats: Iterable | None = None) -> dict[str, Path]:
+    """Write samples.jsonl and its two .npy files, pairs.jsonl and schema.json; logit-space only.
 
     Returns the path of each file, keyed "schema", "samples", "embedding",
     "logits" and "pairs". Floats round-trip bit-exactly through
     `load_dataset`. Label and id columns are built a chunk at a time
     (`_Slices`), so no whole column of strings is held.
+
+    `floats`, when given, yields (embeddings, outputs) blocks of the
+    rows in order, which stand for the dataset's float columns: each
+    block is checked as `Dataset` checks its columns (`_matrix`), naming
+    the sample at fault, and written (`write_npy_blocks`) before the next
+    is drawn, so no whole float matrix need be held. The .npy files are
+    written first, so a block that fails its check leaves every file as
+    it was.
     """
     if dataset.space != SPACE_LOGIT:
         raise ValidationError("only logit-space datasets can be serialized")
     out_dir = Path(out_dir)
     samples_path = out_dir / "samples.jsonl"
+    arrays = {key: array_path(samples_path, key) for key in _SAMPLE_ARRAYS}
     paths = {
         "schema": out_dir / "schema.json",
         "samples": samples_path,
-        **{key: array_path(samples_path, key) for key in _SAMPLE_ARRAYS},
+        **arrays,
         "pairs": out_dir / "pairs.jsonl",
     }
     schema, ids, codes, p = dataset.schema, dataset.ids, dataset.codes, dataset.pairs
     edited = dataset.edited_rows()
-    write_json(paths["schema"], schema.to_obj())
+    start = 0
+
+    def checked(block) -> list[np.ndarray]:
+        nonlocal start
+        rows = ids[start : start + len(block[0])]
+        start += rows.size
+        return [_matrix(matrix, rows, what) for matrix, what in zip(block, ("embedding", "output"))]
+
+    floats = [(dataset.embeddings, dataset.outputs)] if floats is None else map(checked, floats)
+    write_npy_blocks(arrays.values(), ids.size, floats)
     attributes, gold = np.arange(len(schema.names)), dataset.gold
     samples = {
         "id": ids,
         "concepts": _Slices(ids.size, lambda rows: schema.level_names(attributes, codes[rows])),
         "gold": _Slices(ids.size, lambda rows: [g if g >= 0 else None for g in gold[rows].tolist()]),
     }
-    arrays = dict(zip(_SAMPLE_ARRAYS, (dataset.embeddings, dataset.outputs)))
-    write_jsonl(samples_path, samples, _sample_spec(schema)[1], arrays)
+    files = {key: path.name for key, path in arrays.items()}
+    write_jsonl(samples_path, samples, {**_sample_spec(schema)[1], **files})
     pairs = (lambda rows: ids[p.original[rows]], lambda rows: ids[edited[rows]])
     write_jsonl(paths["pairs"], {key: _Slices(len(p), take) for key, take in zip(_PAIR_TYPES, pairs)})
+    write_json(paths["schema"], schema.to_obj())
     return paths
 
 

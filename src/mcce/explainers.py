@@ -222,6 +222,8 @@ def fit_mcce(
     C = dataset.design_matrix(rows)
     T, kind = _resolve_targets(dataset, rows, target_kind)
     n, d = rows.size, dataset.embeddings.shape[1]
+    if d == 0:
+        raise ValidationError("the embeddings have no column; mcce needs at least one")
     integral = isinstance(n_pseudo, (int, np.integer)) and type(n_pseudo) is not bool
     if n_pseudo is not None and not (integral and 0 <= n_pseudo <= min(n, d)):
         raise ValidationError(f"n_pseudo must be an integer in [0, {min(n, d)}], got {n_pseudo!r}")
@@ -297,11 +299,20 @@ def _edits(dataset: Dataset, rows, attribute, to) -> tuple[np.ndarray, np.ndarra
     return rows, attribute, to
 
 
-def _edited_design(model, dataset: Dataset, rows, attribute, to):
-    """(rows, design): the model's visible one-hot design of each row after its edit.
+# Edits that `explain_mcce` and `explain_slearner` take at a time, so their
+# (m x d) and (m x k) temporaries stay bounded. A power of two: BLAS kernels
+# work on aligned groups of rows, and blocks that start on such a boundary
+# give each row the bits that one product of every row gives it (blocks of
+# 333 rows, say, move some effects in the last bit).
+_EDIT_BLOCK = 4096
 
-    The edits are as `_edits` takes them. The dataset must have the
-    model's schema and be in the space the model was fit in.
+
+def _edit_effects(model, dataset: Dataset, rows, attribute, to, effect) -> np.ndarray:
+    """(m, q): `effect(rows, design)` of each block of `_EDIT_BLOCK` edits, stacked in order.
+
+    The edits are as `_edits` takes them, and `design` is the model's
+    visible one-hot design of each row after its edit. The dataset must
+    have the model's schema and be in the space the model was fit in.
     """
     schema = model.schema
     if schema != dataset.schema:
@@ -316,15 +327,30 @@ def _edited_design(model, dataset: Dataset, rows, attribute, to):
     if hidden.any():
         name = schema.names[attribute[np.argmax(hidden)]]
         raise ValidationError(f"attribute {name!r} is hidden for this model")
-    codes = dataset.codes[rows]
-    codes[np.arange(rows.size), attribute] = to
-    return rows, one_hot(schema, codes, model.hidden_attributes)
+
+    def block_effect(block: slice) -> np.ndarray:
+        codes = dataset.codes[rows[block]]
+        codes[np.arange(len(codes)), attribute[block]] = to[block]
+        return effect(rows[block], one_hot(schema, codes, model.hidden_attributes))
+
+    first = block_effect(slice(0, _EDIT_BLOCK))
+    if rows.size <= _EDIT_BLOCK:
+        return first
+    out = np.empty((rows.size, first.shape[1]))
+    out[:_EDIT_BLOCK] = first
+    for start in range(_EDIT_BLOCK, rows.size, _EDIT_BLOCK):
+        block = slice(start, start + _EDIT_BLOCK)
+        out[block] = block_effect(block)
+    return out
 
 
 def explain_mcce(model: MCCEModel, dataset: Dataset, rows, attribute, to) -> np.ndarray:
     """Surrogate output at each edited encoding minus the row's stored output; (m, q)."""
-    rows, C = _edited_design(model, dataset, rows, attribute, to)
-    return model.predict(C, dataset.embeddings[rows]) - dataset.outputs[rows]
+
+    def effect(rows: np.ndarray, C: np.ndarray) -> np.ndarray:
+        return model.predict(C, dataset.embeddings[rows]) - dataset.outputs[rows]
+
+    return _edit_effects(model, dataset, rows, attribute, to, effect)
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +513,14 @@ def explain_slearner(model: SLearnerModel, dataset: Dataset, rows, attribute, to
     outputs are softmaxed to form the baseline. Effects are in
     probability space.
     """
-    rows, C = _edited_design(model, dataset, rows, attribute, to)
-    baseline = dataset.outputs[rows]
-    if model.space == SPACE_LOGIT:
-        baseline = softmax(baseline)
-    return model.predict_proba(C) - baseline
+
+    def effect(rows: np.ndarray, C: np.ndarray) -> np.ndarray:
+        baseline = dataset.outputs[rows]
+        if model.space == SPACE_LOGIT:
+            baseline = softmax(baseline)
+        return model.predict_proba(C) - baseline
+
+    return _edit_effects(model, dataset, rows, attribute, to, effect)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,12 @@ draw with softmax probabilities, so ties are non-degenerate.
 Counterfactual pairs reuse a sample's embedding and output noise draws
 with one attribute's level changed, so the paired outputs differ by the
 exact coefficient contrast and the paired embeddings by the exact
-embedding-map contrast. `make_pairs` draws each sample's noise row
-again from its stream, which gives it the same bits; no noise matrix is
-kept between `generate` and `make_pairs`.
-`synthesize_sample` is the per-sample reference that both must equal
-bit for bit.
+embedding-map contrast. `float_rows` builds every float row, a block of
+rows at a time, for `generate`, for `make_pairs` and for a writer that
+streams them to files (`mcce synth`): each pass over the rows draws each
+sample's noise row again from its stream, which gives it the same bits,
+so no noise matrix is kept. `synthesize_sample` is the per-sample
+reference that all must equal bit for bit.
 
 Every product above is a sum in a fixed order, taken elementwise over
 however many samples there are: `mixing[a] @ u` adds
@@ -51,7 +52,8 @@ across runs):
 
 Each matrix is drawn row-major from its own stream, so row i depends
 only on (seed, i): a larger n extends a smaller n's samples and edits
-and leaves them as they were.
+and leaves them as they were. For the same reason, a matrix drawn a
+block of rows at a time, in order, is the matrix drawn whole.
 """
 
 from __future__ import annotations
@@ -257,36 +259,106 @@ def _rows(config: SynthConfig, codes: np.ndarray, draws: np.ndarray):
     return embeddings, clean + config.outcome_noise * draws[:, dim:], clean
 
 
-def generate(config: SynthConfig) -> tuple[Dataset, SynthGroundTruth]:
+# Rows that one block holds at most: `float_rows` draws the noise of
+# `_BLOCK_ROWS // e` samples at a time for rows that take e noise rows from
+# each sample, and `generate` and `make_pairs` build other rows a block of
+# `_BLOCK_ROWS` at a time, so their temporaries stay small beside what they
+# return.
+_BLOCK_ROWS = 1024
+
+
+def _blocks(size: int) -> list[slice]:
+    """Consecutive slices of at most `_BLOCK_ROWS` of `size` rows."""
+    return [slice(start, min(start + _BLOCK_ROWS, size)) for start in range(0, size, _BLOCK_ROWS)]
+
+
+def _gold(config: SynthConfig, codes: np.ndarray) -> np.ndarray:
+    """Gold label of rows of complete level `codes`: the argmax of `_rows`'s clean outputs."""
+    gold = np.empty(len(codes), dtype=np.int64)
+    for block in _blocks(len(codes)):
+        gold[block] = _one_hot_product(config.schema, codes[block], config.outcome_coef).argmax(axis=1)
+    return gold
+
+
+def float_rows(config: SynthConfig, codes: np.ndarray, original=()):
+    """Yield (embeddings, outputs) of the rows of a draw, a block of rows at a time in row order.
+
+    The rows are laid out as `make_pairs` lays them out: the config's n
+    samples, then one edited row for each entry of `original`, which
+    ascends, of sample `original[i]`'s draw. `codes` holds every row's
+    level codes. Each pass over the rows, the factual ones and then the
+    edited ones, draws the (0, 2) stream's noise rows again a block of
+    samples at a time, and each block yields `_rows` of the rows whose
+    sample lies in it: so each row equals `synthesize_sample`'s, bit for
+    bit, and neither a whole noise matrix nor a whole float matrix is
+    held.
+    """
+    n, original = config.n, np.asarray(original, dtype=np.int64)
+    # (first row, sample of each row, samples per block); no samples: row i is sample i's
+    passes = [(0, None, _BLOCK_ROWS)]
+    if original.size:
+        passes.append((n, original, max(1, _BLOCK_ROWS * n // original.size)))
+    for offset, sources, samples in passes:
+        noise, start = _stream(config.seed, 0, 2), 0
+        for first in range(0, n, samples):
+            draws = noise.standard_normal((min(samples, n - first), config.stream_widths[2]))
+            if sources is None:
+                stop = first + len(draws)
+            else:
+                stop = int(np.searchsorted(sources, first + len(draws)))
+                draws = draws[sources[start:stop] - first]
+            yield _rows(config, codes[offset + start : offset + stop], draws)[:2]
+            start = stop
+            del draws  # before the next block's draw
+
+
+def _float_matrices(config: SynthConfig, codes: np.ndarray, original, floats: bool):
+    """The embedding and output matrices of `float_rows`, filled a block at a time.
+
+    With `floats` false both are zero-width, as `Dataset.keep(columns=())`
+    leaves them, for a caller that takes the rows from `float_rows` itself.
+    """
+    widths = (config.embed_dim, config.n_outputs) if floats else (0, 0)
+    matrices = tuple(np.empty((len(codes), width)) for width in widths)
+    if not floats:
+        return matrices
+    start = 0
+    for blocks in float_rows(config, codes, original):
+        for matrix, block in zip(matrices, blocks):
+            matrix[start : start + len(block)] = block
+        start += len(blocks[0])
+    return matrices
+
+
+def generate(config: SynthConfig, floats: bool = True) -> tuple[Dataset, SynthGroundTruth]:
     """Draw the configured dataset, with every attribute visible, and its ground truth.
 
     A run hides attributes from an estimator by masking the dataset
     (`Dataset.mask`); the draw does not depend on any mask.
 
-    The latent states, the Gumbel noise of every level and the embedding
-    and output noise are one matrix draw each, from the three sample
-    streams (`_sample_draws`); row i is what `synthesize_sample` takes
-    for sample i. The levels (`_levels`) and the rows (`_rows`) are the
-    fixed-order sums that `synthesize_sample` takes of its one row, here
-    over all samples at once.
+    The latent states and the Gumbel noise of every level are drawn from
+    their streams a block of samples at a time, in order, so row i is
+    what `synthesize_sample` takes for sample i; the levels (`_levels`)
+    are the fixed-order sums that it takes of its one row. The embedding
+    and output rows come from `float_rows`, unless `floats` is false
+    (`_float_matrices`).
     """
-    latent, gumbel, draws = _sample_draws(config.seed, config.n, config.stream_widths)
-    codes = _levels(config, latent, gumbel)
-    del latent, gumbel
-    embeddings, outputs, clean = _rows(config, codes, draws)
-    del draws  # make_pairs draws each row it needs again
-    ids = np.array([b"s%06d" % i for i in range(config.n)])
-    dataset = Dataset(config.schema, ids, codes, embeddings, outputs, np.argmax(clean, axis=1))
+    n, (exo_dim, width, _) = config.n, config.stream_widths
+    latent, gumbel = _stream(config.seed, 0, 0), _stream(config.seed, 0, 1)
+    codes = np.concatenate([
+        _levels(config, latent.standard_normal((b.stop - b.start, exo_dim)),
+                gumbel.gumbel(size=(b.stop - b.start, width)))
+        for b in _blocks(n)
+    ])
+    embeddings, outputs = _float_matrices(config, codes, (), floats)
+    ids = np.array([b"s%06d" % i for i in range(n)])
+    dataset = Dataset(config.schema, ids, codes, embeddings, outputs, _gold(config, codes))
     return dataset, SynthGroundTruth(config.outcome_coef.copy())
 
 
-# Edited rows that `make_pairs` builds at a time, at most (those of
-# `_BLOCK_ROWS // edits_per_sample` samples), so its temporaries stay small
-# beside the rows it returns.
-_BLOCK_ROWS = 1024
-
-
-def make_pairs(dataset: Dataset, config: SynthConfig, edits_per_sample: int = 1) -> Dataset:
+def make_pairs(
+    dataset: Dataset, config: SynthConfig, edits_per_sample: int = 1, floats: bool = True
+) -> Dataset:
     """Append counterfactual edits of every sample.
 
     Each sample gets `edits_per_sample` flips on distinct attributes (any
@@ -298,14 +370,12 @@ def make_pairs(dataset: Dataset, config: SynthConfig, edits_per_sample: int = 1)
 
     `dataset` holds the rows of `generate(config)`, of which make_pairs
     reads the ids, level codes and gold labels; it needs none of their
-    floats (see `Dataset.keep`). Each sample's noise row is drawn again
-    from the (0, 2) stream, a block of samples at a time, and its factual
-    row and its edited rows, the sample's level codes with one code
-    changed, are built from it by `_rows`: so each equals
-    `synthesize_sample`, called with the edit for an edited row. The
-    rows go straight into the returned dataset's arrays, a block of
-    about `_BLOCK_ROWS` edits at a time, so no whole noise matrix is held
-    beside them; fitting still sees only the factual rows.
+    floats (see `Dataset.keep`). The edited rows, each the sample's level
+    codes with one code changed, follow the factual ones. Every row's
+    embedding and outputs come from `float_rows`, so each equals
+    `synthesize_sample`, called with the edit for an edited row, unless
+    `floats` is false (`_float_matrices`). Fitting still sees only the
+    factual rows.
     """
     if len(dataset.pairs):
         raise ValidationError("make_pairs expects a dataset without existing pairs")
@@ -329,26 +399,16 @@ def make_pairs(dataset: Dataset, config: SynthConfig, edits_per_sample: int = 1)
     total = n + original.size
     ids = np.empty(total, dtype=f"S{dataset.ids.itemsize + suffixes.itemsize}")
     codes = np.empty((total, n_attrs), dtype=schema.code_dtype)
-    embeddings = np.empty((total, config.embed_dim))
-    outputs = np.empty((total, config.n_outputs))
-    gold = np.empty(total, dtype=np.int64)
-    ids[:n], codes[:n], gold[:n] = dataset.ids, dataset.codes, dataset.gold
-    noise, samples = _stream(config.seed, 0, 2), max(1, _BLOCK_ROWS // edits_per_sample)
-    for first in range(0, n, samples):
-        draws = noise.standard_normal((min(samples, n - first), config.stream_widths[2]))
-        factual = slice(first, first + len(draws))
-        embeddings[factual], outputs[factual], _ = _rows(config, dataset.codes[factual], draws)
-        block = slice(first * edits_per_sample, factual.stop * edits_per_sample)
-        rows = slice(n + block.start, n + block.stop)
-        source = original[block]
-        edited = dataset.codes[source]
-        edited[np.arange(source.size), attribute[block]] = to[block]
-        codes[rows] = edited
-        embeddings[rows], outputs[rows], clean = _rows(config, edited, draws[source - first])
-        gold[rows] = clean.argmax(axis=1)
+    ids[:n], codes[:n] = dataset.ids, dataset.codes
+    edited = codes[n:]
+    edited[:] = dataset.codes[original]
+    edited[np.arange(original.size), attribute] = to
+    for block in _blocks(original.size):
         suffix = suffixes[schema.offsets[attribute[block]] + to[block]]
-        ids[rows] = np.char.add(dataset.ids[source], suffix)
-    del attribute, to, draws, edited, clean  # before the new dataset's checks
+        ids[n + block.start : n + block.stop] = np.char.add(dataset.ids[original[block]], suffix)
+    gold = np.concatenate([dataset.gold, _gold(config, edited)])
+    del attribute, to  # before the new dataset's checks
+    embeddings, outputs = _float_matrices(config, codes, original, floats)
     return Dataset(
         dataset.schema, ids, codes, embeddings, outputs, gold,
         EditPairs(original, np.arange(n, total)),

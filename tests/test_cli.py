@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,35 @@ class TestSynth:
         assert "malformed config (seed must be a nonnegative integer, got -1)" in err, err
         assert not (tmp_path / "d").exists()
 
+    def test_float_rows_go_to_the_files_a_block_at_a_time(self, tmp_path):
+        # 6000 samples and 12000 edited rows: the embedding and logit matrices
+        # hold 18000 x (16 + 5) float64, about 3.0 MB; synth holds neither whole
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 10, "seed": 2, "edits_per_sample": 2}))
+        assert run("synth", "--config", config, "--out", tmp_path / "warm") == 0  # imports numpy.random
+        config.write_text(json.dumps({"n": 6000, "seed": 2, "edits_per_sample": 2}))
+        tracemalloc.start()
+        try:
+            assert run("synth", "--config", config, "--out", tmp_path / "d") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18000 * (16 + 5) * 8
+
+    def test_a_write_that_fails_midway_leaves_the_files_as_they_were(self, synth_dir, tmp_path, capsys):
+        # both .npy files are written to temp files, and then the logits cannot replace a directory
+        out = tmp_path / "d"
+        shutil.copytree(synth_dir, out)
+        (out / "samples.logits.npy").unlink()
+        (out / "samples.logits.npy").mkdir()
+        before = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 150, "seed": 6, "edits_per_sample": 2}))  # another draw
+        assert run("synth", "--config", config, "--out", out) == 2
+        assert "samples.logits.npy" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()} == before
+        assert not [path for path in out.iterdir() if path.name.endswith(".tmp")]
+
     def test_no_edits_skips_pairs(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"n": 20, "seed": 1, "edits_per_sample": 0}))
@@ -286,6 +316,21 @@ class TestFit:
         assert "design_rank=6 " in proc.stdout
         warnings = proc.stderr.splitlines()
         assert len(warnings) == 1 and "design rank 6 is below 7" in warnings[0], proc.stderr
+
+    def test_a_fit_warning_is_one_line(self, synth_dir, tmp_path):
+        # one 3-level attribute hidden: two residual directions rise above the rounding floor
+        proc = run_process(
+            "fit",
+            "--schema", synth_dir / "schema.json",
+            "--samples", synth_dir / "samples.jsonl",
+            "--hidden", "ambiance",
+            "--j", "16",
+            "--out", tmp_path / "model.json",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "n_pseudo=2 " in proc.stdout
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("warning: n_pseudo asks for 16 pseudo-concepts but keeps 2"), proc.stderr
 
     @pytest.mark.parametrize("j", [None, "3", "6"])
     def test_too_few_pseudo_concepts_warn(self, synth_dir, tmp_path, j):
@@ -792,6 +837,18 @@ class TestExperiment:
         lines = proc.stderr.splitlines()
         assert len(lines) == 3, proc.stderr
         assert all(line.startswith("warning: concept design rank 6 is below 7") for line in lines)
+
+    def test_fit_warnings_are_one_line_per_run(self, synth_dir, tmp_path):
+        # under each one-attribute mask two residual directions rise above the rounding floor
+        proc = run_process(
+            "experiment", *dataset_flags(synth_dir),
+            "--methods", "mcce", "--metrics", "l2", "--mask-sizes", "1", "--j", "16",
+            "--out", tmp_path / "o",
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 4, proc.stderr
+        assert all(line.startswith("warning: n_pseudo asks for 16 pseudo-concepts") for line in lines)
 
 
 class TestReport:
@@ -2041,6 +2098,35 @@ class TestArrayFiles:
         assert self.read(root, tmp_path, "logits")[0] == 2
         err = capsys.readouterr().err
         assert "samples.jsonl:1: column 'logits' is both in 'meta.columns' and in a file" in err
+
+    def test_a_logits_file_without_a_column_exits_2_naming_it(self, root, tmp_path, capsys):
+        path = root / "samples.logits.npy"
+        save_in(path, lambda m: m[:, :0])
+        code, out = self.read(root, tmp_path, "logits")
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert str(path) in err and "at least one column" in err and "Traceback" not in err
+        # every command loads the logits, approx too
+        assert run("explain", *dataset_flags(root), "--method", "approx", "--out", tmp_path / "a.jsonl") == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_an_embedding_without_a_column_stops_only_what_reads_it(self, root, synth_dir, tmp_path, capsys):
+        path = root / "samples.embedding.npy"
+        save_in(path, lambda m: m[:, :0])
+        flags = dataset_flags(root)
+        model = tmp_path / "mcce.json"
+        assert run("fit", *flags, "--method", "mcce", "--out", model) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "at least one column" in err and "Traceback" not in err
+        assert not model.exists()
+        # the S-Learner, approx and the oracle read no embedding
+        slearner = tmp_path / "slearner.json"
+        assert run("fit", *flags, "--method", "slearner", "--out", slearner) == 0
+        for method, source in (("slearner", ["--model", slearner]), ("approx", []),
+                               ("oracle", ["--ground-truth", synth_dir / "ground_truth.json"])):
+            out = tmp_path / f"{method}.jsonl"
+            assert run("explain", *flags, "--method", method, *source, "--out", out) == 0, method
+        capsys.readouterr()
 
     def test_moved_dataset_reads_its_files_beside_the_table(self, root, synth_dir):
         moved = mcce.load_dataset(root / "samples.jsonl", synth_dir / "pairs.jsonl",

@@ -21,7 +21,7 @@ from mcce import (
     save_dataset,
     softmax,
 )
-from mcce.data import id_text, write_jsonl, write_npy, write_text_atomic
+from mcce.data import id_text, write_jsonl, write_npy, write_npy_blocks, write_text_atomic
 
 from coefficients import visible_blocks
 from jsonl_tables import write_lines, write_table
@@ -458,6 +458,54 @@ def test_write_npy_bytes_are_pinned(tmp_path):
     twisted = np.asfortranarray(matrix).astype(">f8")
     assert write_npy(tmp_path / "f.npy", twisted).read_bytes() == NPY_2X3
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.npy", "m.npy"]
+
+
+def test_write_npy_blocks_writes_the_file_of_the_whole_matrix(tmp_path):
+    matrix = np.array([[1.5, -0.0, 5e-324], [1e308, -2.0, 0.1]])
+    for cut, name in ((0, "a.npy"), (1, "b.npy"), (2, "c.npy")):
+        blocks = [(matrix[:cut],), (np.asfortranarray(matrix[cut:]).astype(">f8"),)]
+        assert write_npy_blocks([tmp_path / name], 2, blocks)[0].read_bytes() == NPY_2X3
+    # a numpy integer row count makes the same header, not "np.int64(2)"
+    assert write_npy_blocks([tmp_path / "a.npy"], np.int64(2), [(matrix,)])[0].read_bytes() == NPY_2X3
+    # two files from one pass, and a file of no rows
+    write_npy_blocks([tmp_path / "d.npy", tmp_path / "e.npy"], 2, [(matrix, matrix[:, :1])])
+    assert np.array_equal(np.load(tmp_path / "e.npy"), matrix[:, :1])
+    assert (tmp_path / "d.npy").read_bytes() == NPY_2X3
+    assert np.load(write_npy_blocks([tmp_path / "f.npy"], 0, [])[0]).shape == (0, 0)
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([(np.zeros((2, 3)),), (np.zeros((1, 3)),)], "hold 3 rows, not 2"),
+    ([(np.zeros((1, 3)),)], "hold 1 rows, not 2"),
+    ([(np.zeros((1, 3)),), (np.zeros((1, 2)),)], r"a block of shape \(1, 2\), expected \(1, 3\)"),
+])
+def test_write_npy_blocks_refuses_blocks_of_another_shape_and_writes_nothing(tmp_path, blocks, message):
+    (tmp_path / "old.npy").write_bytes(b"old")
+    both = [block * 2 for block in blocks]  # each block's matrix for both files
+    with pytest.raises(ValidationError, match=message):
+        write_npy_blocks([tmp_path / "old.npy", tmp_path / "new.npy"], 2, both)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.npy"]
+    assert (tmp_path / "old.npy").read_bytes() == b"old"
+
+
+def test_save_dataset_streams_float_blocks_and_a_failing_block_writes_nothing(tmp_path):
+    cfg = default_config(n=40, seed=2)
+    paired = make_pairs(generate(cfg)[0], cfg, 2)
+    whole = save_dataset(paired, tmp_path / "whole")
+    rows = [(paired.embeddings[i : i + 7], paired.outputs[i : i + 7]) for i in range(0, 120, 7)]
+    streamed = save_dataset(paired.keep(columns=()), tmp_path / "streamed", iter(rows))
+    for key, path in whole.items():
+        assert path.read_bytes() == streamed[key].read_bytes(), key
+
+    def failing():
+        yield rows[0]
+        embeddings = rows[1][0].copy()
+        embeddings[3, 2] = np.inf
+        yield embeddings, rows[1][1]
+
+    with pytest.raises(ValidationError, match=r"^sample 's000010': non-finite embedding$"):
+        save_dataset(paired.keep(columns=()), tmp_path / "failed", failing())
+    assert not any((tmp_path / "failed").iterdir())
 
 
 def test_write_text_atomic_writes_pieces_and_a_failing_piece_leaves_no_stray_file(tmp_path):

@@ -303,6 +303,8 @@ def test_fit_validation_errors():
         fit_mcce(empty)  # nothing to fit
     with pytest.raises(ValidationError):
         fit_mcce(ds, target_kind="gold")  # no gold labels present
+    with pytest.raises(ValidationError, match="^the embeddings have no column; mcce needs at least one$"):
+        fit_mcce(ds.keep(columns=("outputs",)))
 
 
 def test_fit_gold_targets_one_hot():
@@ -350,6 +352,21 @@ def test_explain_null_intervention_is_fit_residual():
     eff = explain_mcce(model, ds, 0, 1, ds.codes[0, 1])
     resid = model.predict(ds.design_matrix([0]), ds.embeddings[:1]) - ds.outputs[:1]
     assert np.allclose(eff, resid, atol=1e-12)
+
+
+@pytest.mark.parametrize("block", [512, explainers._EDIT_BLOCK])
+@pytest.mark.parametrize("fit, explain", [(fit_mcce, explain_mcce), (fit_slearner, explain_slearner)])
+def test_explain_in_blocks_equals_one_block(monkeypatch, fit, explain, block):
+    # 10000 edits, a block of rows at a time, give each edit the bits of one product over all
+    ds, _, _ = linear_dataset(n=300, noise=0.3, seed=12, hidden={"a"})
+    model = fit(ds)
+    rng = np.random.default_rng(12)
+    rows, to = rng.integers(300, size=10_000), rng.integers(3, size=10_000)
+    monkeypatch.setattr(explainers, "_EDIT_BLOCK", 1 << 20)
+    whole = explain(model, ds, rows, 1, to)
+    monkeypatch.setattr(explainers, "_EDIT_BLOCK", block)
+    blocked = explain(model, ds, rows, 1, to)
+    assert whole.shape == (10_000, 4) and whole.tobytes() == blocked.tobytes()
 
 
 def test_explain_rejects_hidden_or_unknown():
