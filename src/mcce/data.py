@@ -147,14 +147,6 @@ def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> Path:
     return Path(path)
 
 
-def write_npy(path: str | Path, matrix) -> Path:
-    """Write `matrix` atomically as a .npy file of little-endian float64 in C order.
-
-    It is `write_npy_blocks` of one block, so equal matrices give equal files.
-    """
-    return write_npy_blocks([path], len(matrix), [(matrix,)])[0]
-
-
 def write_npy_blocks(paths, rows: int, blocks: Iterable) -> list[Path]:
     """Write a .npy matrix of `rows` rows to each of `paths`, a block of rows at a time.
 
@@ -775,7 +767,6 @@ _SEPARATED_JSON = json.JSONDecoder(parse_constant={"NaN": _SEPARATOR}.__getitem_
 # them would multiply a load's or save's peak memory.
 _CHUNK_LINES = 1024
 _ROW_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
-_DOC_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 # The Python type that each JSON type named in a `read_jsonl` spec decodes
 # to.
 _JSON_TYPES = {
@@ -891,12 +882,16 @@ def read_json(path: str | Path, what: str) -> dict:
 
 
 def write_json(path: str | Path, obj) -> Path:
-    """Write `obj` atomically as an indented JSON document with sorted keys.
+    """Write `obj` atomically as a JSON document of one line, then "\\n".
 
-    Documents are small (the largest is a model or an experiment summary),
-    so the text is encoded in one call.
+    The text is `_ROW_JSON.encode(obj)`, as JSONL rows are: sorted keys,
+    ", " and ": " separators, ASCII escapes, NaN and Infinity refused. It
+    is `json.dumps(obj, sort_keys=True, allow_nan=False)`, which CPython
+    encodes in C; `python -m json.tool` pretty-prints it. Documents are
+    small (the largest is a model or an experiment summary), so the text
+    is encoded in one call.
     """
-    return write_text_atomic(path, _DOC_JSON.encode(obj) + "\n")
+    return write_text_atomic(path, _ROW_JSON.encode(obj) + "\n")
 
 
 def json_field(obj: dict, key: str, names: str, where: str | Path, default=_ABSENT):
@@ -1223,21 +1218,39 @@ def write_jsonl(
     labels of samples.jsonl). Rows are encoded and written `_CHUNK_LINES`
     at a time, so the text of only one chunk is held at once.
 
-    Each of `arrays`, a float matrix with one row per row, is written
-    first, by `write_npy`, to its `array_path`, and the meta object
-    names that file's bare name under the array's key; no row holds a
-    float.
+    Each of `arrays`, a float matrix with one row per row, is written to
+    its `array_path`, and the meta object names that file's bare name
+    under the array's key; no row holds a float. The table and the .npy
+    files are committed together, as `_write_table` says.
     """
     arrays = arrays or {}
     rows = _row_count({**columns, **arrays})
-    files = {key: write_npy(array_path(path, key), matrix).name for key, matrix in arrays.items()}
-    head = _ROW_JSON.encode({"meta": {**(meta or {}), **files, "columns": list(columns)}}) + "\n"
+    return _write_table(path, columns, meta or {}, rows, tuple(arrays), [tuple(arrays.values())])
+
+
+def _write_table(path: str | Path, columns: dict, meta: dict, rows: int, keys: tuple, blocks) -> Path:
+    """Write `write_jsonl`'s table of `rows` rows, whose float columns `keys` come in `blocks`.
+
+    `blocks` yields row blocks of the `keys` matrices, as
+    `write_npy_blocks` takes them. The table's text goes to its temp
+    file first, then each .npy file to its own; the .npy files are
+    renamed after their last block, and the table after them. So a
+    column or block that raises leaves the table and every .npy file as
+    they were, and no table is left naming a matrix written for another.
+    """
+    arrays = [array_path(path, key) for key in keys]
+    files = {key: array.name for key, array in zip(keys, arrays)}
+    head = _ROW_JSON.encode({"meta": {**meta, **files, "columns": list(columns)}}) + "\n"
 
     def chunk(start: int) -> str:
         block = [column[start : start + _CHUNK_LINES] for column in columns.values()]
         return "".join(_encode_arrays(block, "]\n"))
 
-    return write_text_atomic(path, chain([head], map(chunk, range(0, rows, _CHUNK_LINES))))
+    with _atomic_file(path, "w") as table:
+        table.writelines(chain([head], map(chunk, range(0, rows, _CHUNK_LINES))))
+        if arrays:
+            write_npy_blocks(arrays, rows, blocks)
+    return Path(path)
 
 
 def csv_text(header, rows) -> str:
@@ -1332,9 +1345,10 @@ def save_dataset(dataset: Dataset, out_dir: str | Path, floats: Iterable | None 
     rows in order, which stand for the dataset's float columns: each
     block is checked as `Dataset` checks its columns (`_matrix`), naming
     the sample at fault, and written (`write_npy_blocks`) before the next
-    is drawn, so no whole float matrix need be held. The .npy files are
-    written first, so a block that fails its check leaves every file as
-    it was.
+    is drawn, so no whole float matrix need be held. samples.jsonl and
+    its .npy files are committed together (`_write_table`) before the
+    other two files are written, so a block that fails its check, or a
+    samples table that fails, leaves every file as it was.
     """
     if dataset.space != SPACE_LOGIT:
         raise ValidationError("only logit-space datasets can be serialized")
@@ -1358,15 +1372,13 @@ def save_dataset(dataset: Dataset, out_dir: str | Path, floats: Iterable | None 
         return [_matrix(matrix, rows, what) for matrix, what in zip(block, ("embedding", "output"))]
 
     floats = [(dataset.embeddings, dataset.outputs)] if floats is None else map(checked, floats)
-    write_npy_blocks(arrays.values(), ids.size, floats)
     attributes, gold = np.arange(len(schema.names)), dataset.gold
     samples = {
         "id": ids,
         "concepts": _Slices(ids.size, lambda rows: schema.level_names(attributes, codes[rows])),
         "gold": _Slices(ids.size, lambda rows: [g if g >= 0 else None for g in gold[rows].tolist()]),
     }
-    files = {key: path.name for key, path in arrays.items()}
-    write_jsonl(samples_path, samples, {**_sample_spec(schema)[1], **files})
+    _write_table(samples_path, samples, _sample_spec(schema)[1], ids.size, _SAMPLE_ARRAYS, floats)
     pairs = (lambda rows: ids[p.original[rows]], lambda rows: ids[edited[rows]])
     write_jsonl(paths["pairs"], {key: _Slices(len(p), take) for key, take in zip(_PAIR_TYPES, pairs)})
     write_json(paths["schema"], schema.to_obj())

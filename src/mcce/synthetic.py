@@ -554,8 +554,6 @@ def load_synth_config(path: str | Path) -> tuple[SynthConfig, int]:
     # the keys present; each form's own defaults fill in the others
     given = {key: json_field(obj, key, kind, path) for key, kind in _SCALAR_TYPES.items() if key in obj}
     edits = given.pop("edits_per_sample", 1)
-    if edits < 0:
-        raise ValidationError(f"{path}: edits_per_sample must be a nonnegative integer")
     if present:
         for key in ("n", "exo_dim"):  # the explicit form has no default for these
             json_field(obj, key, "integer", path)
@@ -575,6 +573,9 @@ def load_synth_config(path: str | Path) -> tuple[SynthConfig, int]:
             config = default_config(attributes=attributes, **given)
     except ValueError as exc:
         raise ValidationError(f"{path}: malformed config ({exc})") from exc
+    n_attrs = len(config.schema.names)  # each edit of a sample flips another attribute
+    if not 0 <= edits <= n_attrs:
+        raise ValidationError(f"{path}: edits_per_sample must be an integer in [0, {n_attrs}], got {edits}")
     return config, edits
 
 

@@ -175,6 +175,16 @@ class TestSynth:
         assert "malformed config (seed must be a nonnegative integer, got -1)" in err, err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("edits", [-1, 5])
+    def test_edits_per_sample_out_of_range_exits_2_naming_the_config(self, tmp_path, capsys, edits):
+        # the default schema has four attributes, and each edit flips another one
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 5, "seed": 1, "edits_per_sample": edits}))
+        assert run("synth", "--config", config, "--out", tmp_path / "d") == 2
+        err = capsys.readouterr().err
+        assert f"error: {config}: edits_per_sample must be an integer in [0, 4], got {edits}\n" in err, err
+        assert not (tmp_path / "d").exists()
+
     def test_float_rows_go_to_the_files_a_block_at_a_time(self, tmp_path):
         # 6000 samples and 12000 edited rows: the embedding and logit matrices
         # hold 18000 x (16 + 5) float64, about 3.0 MB; synth holds neither whole
@@ -731,6 +741,16 @@ class TestExperiment:
         ]) == 0
         assert digest(out / "summary.json") == digest(again / "summary.json")
         assert digest(out / "summary.csv") == digest(again / "summary.csv")
+
+    def test_every_document_is_one_line_of_json(self, exp_seeds_dir):
+        """Each report, model and the summary is one JSON object on one line."""
+        _, out = exp_seeds_dir
+        documents = sorted(out.rglob("*.json"))
+        assert {path.name for path in documents} == {"model.json", "report_l2.json", "summary.json"}
+        for path in documents:
+            text = path.read_text(encoding="ascii")
+            assert text.count("\n") == 1 and text.endswith("}\n"), path
+            assert isinstance(json.loads(text), dict), path
 
     def test_slearner_requires_probability(self, exp_dir, tmp_path, capsys):
         data, _ = exp_dir

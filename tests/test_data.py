@@ -21,7 +21,7 @@ from mcce import (
     save_dataset,
     softmax,
 )
-from mcce.data import id_text, write_jsonl, write_npy, write_npy_blocks, write_text_atomic
+from mcce.data import id_text, write_jsonl, write_npy_blocks, write_text_atomic
 
 from coefficients import visible_blocks
 from jsonl_tables import write_lines, write_table
@@ -437,7 +437,7 @@ def test_write_jsonl_rejects_columns_of_unequal_length(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
-# The bytes `write_npy` gives a fixed 2x3 matrix: NEP 1's format 1.0, a
+# The bytes `write_npy_blocks` gives a fixed 2x3 matrix: NEP 1's format 1.0, a
 # header padded to 128 bytes, then the values as little-endian float64 in
 # C order. Equal bytes on every supported numpy keep reruns of `synth`
 # byte-identical across numpy versions.
@@ -449,6 +449,11 @@ NPY_2X3 = (
         "a0c8eb85f3cce17f" "00000000000000c0" "9a9999999999b93f"
     )
 )
+
+
+def write_npy(path, matrix):
+    """`matrix` as one .npy file, written in one block."""
+    return write_npy_blocks([path], len(matrix), [(matrix,)])[0]
 
 
 def test_write_npy_bytes_are_pinned(tmp_path):
@@ -506,6 +511,37 @@ def test_save_dataset_streams_float_blocks_and_a_failing_block_writes_nothing(tm
     with pytest.raises(ValidationError, match=r"^sample 's000010': non-finite embedding$"):
         save_dataset(paired.keep(columns=()), tmp_path / "failed", failing())
     assert not any((tmp_path / "failed").iterdir())
+
+
+def files_of(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def test_a_table_that_fails_leaves_the_npy_files_it_names_as_they_were(tmp_path):
+    # else a reader would pair the old table's rows with the new matrix's
+    path = write_jsonl(tmp_path / "t.jsonl", {"id": ["a", "b"]}, arrays={"effect": np.zeros((2, 3))})
+    before = files_of(tmp_path)
+    assert sorted(before) == ["t.effect.npy", "t.jsonl"]
+    with pytest.raises(KeyError):  # no row holds a float
+        write_jsonl(path, {"id": ["a", 0.5]}, arrays={"effect": np.ones((2, 3))})
+    assert files_of(tmp_path) == before  # and no temp file is left
+
+
+def test_save_dataset_whose_samples_table_fails_leaves_every_file_as_it_was(tmp_path, monkeypatch):
+    cfg = default_config(n=40, seed=2)
+    save_dataset(make_pairs(generate(cfg)[0], cfg, 2), tmp_path)
+    before = files_of(tmp_path)
+    assert len(before) == 5
+    cfg = default_config(n=30, seed=3)
+    other = make_pairs(generate(cfg)[0], cfg, 1)
+
+    def fail(*args):
+        raise RuntimeError("no labels")
+
+    monkeypatch.setattr(ConceptSchema, "level_names", fail)
+    with pytest.raises(RuntimeError, match="no labels"):
+        save_dataset(other, tmp_path)
+    assert files_of(tmp_path) == before
 
 
 def test_write_text_atomic_writes_pieces_and_a_failing_piece_leaves_no_stray_file(tmp_path):

@@ -63,7 +63,6 @@ from mcce import (
     write_effects,
 )
 from mcce.data import (
-    _DOC_JSON,
     _JSON_TYPES,
     _PAIR_TYPES,
     _ROW_JSON,
@@ -80,7 +79,9 @@ from mcce.data import (
     id_bytes,
     id_text,
     load_schema,
+    read_json,
     read_jsonl,
+    write_json,
     write_jsonl,
 )
 from mcce.cli import _explain, _pair_seeds, main
@@ -913,7 +914,35 @@ def test_ground_truth_round_trips_bit_exactly(tmp_path_factory, truth):
 def test_save_ground_truth_bytes_equal_whole_document_encoding(tmp_path_factory, truth):
     obj = {"outcome_coef": truth.outcome_coef.tolist()}
     path = save_ground_truth(truth, tmp_path_factory.mktemp("truth") / "ground_truth.json")
-    assert path.read_bytes() == (_DOC_JSON.encode(obj) + "\n").encode()
+    assert path.read_bytes() == (_ROW_JSON.encode(obj) + "\n").encode()
+
+
+# JSON documents: objects whose values nest arrays and objects of any JSON
+# scalar, floats at the edges of the range and strings that need escapes
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), finite_floats, names)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(names, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+def tagged(value):
+    """`value` with each scalar paired with its type and each float given as its bits."""
+    if isinstance(value, list):
+        return [tagged(item) for item in value]
+    if isinstance(value, dict):
+        return {key: tagged(item) for key, item in value.items()}
+    return type(value), bits(value) if isinstance(value, float) else value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(names, json_values, max_size=5))
+def test_write_json_writes_one_line_that_reads_back_bit_exactly(tmp_path_factory, obj):
+    path = write_json(tmp_path_factory.mktemp("document") / "document.json", obj)
+    text = json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+    assert path.read_bytes() == text.encode("ascii")
+    assert tagged(read_json(path, "document")) == tagged(obj)
 
 
 # --- fitted mcce invariants -------------------------------------------------------
