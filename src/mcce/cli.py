@@ -296,11 +296,10 @@ def cmd_fit(args) -> int:
         raise ValidationError("--j applies to the mcce method only")
     hidden = _parse_hidden(args.hidden)
     _check_outputs(files=[args.out])
-    mcce = args.method == "mcce"  # which reads the embeddings
-    dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space, embedding=mcce)
     # a fit reads the factual rows only, and the S-Learner no embedding
     floats = ("outputs",) if args.method == "slearner" else FLOAT_COLUMNS
-    dataset = dataset.keep(dataset.fit_rows, floats).mask(hidden)
+    dataset = load_dataset(args.samples, args.pairs, args.schema, args.space, floats, lambda d: d.fit_rows)
+    dataset = dataset.mask(hidden)
     model = _fit(dataset, args.method, args.j, args.targets)
     if args.method == "mcce":
         d = model.diagnostics
@@ -334,20 +333,20 @@ def cmd_explain(args) -> int:
         raise ValidationError("--hidden applies to the approx method only")
     seed = 0 if args.seed is None else args.seed
     _check_outputs(files=[args.out, array_path(args.out, "effect")])
-    mcce = method == "mcce"
-    dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space, embedding=mcce)
-    if method == "oracle":  # the oracle reads labels only
-        dataset = dataset.keep(columns=())
+    # the oracle reads labels only, approx every row's outputs, and mcce and the S-Learner the
+    # pairs' original rows only, which the S-Learner reads no embedding of
+    floats = FLOAT_COLUMNS if method == "mcce" else () if method == "oracle" else ("outputs",)
+    rows = (lambda d: np.unique(d.pairs.original)) if method in ("mcce", "slearner") else None
+    dataset = load_dataset(args.samples, args.pairs, args.schema, args.space, floats, rows)
+    if method == "oracle":
         truth = load_ground_truth(args.ground_truth)
-    elif method in ("mcce", "slearner"):  # these read the pairs' original rows only
-        floats = ("outputs",) if method == "slearner" else FLOAT_COLUMNS
-        dataset = dataset.keep(np.unique(dataset.pairs.original), floats)
+    elif method in ("mcce", "slearner"):
         model = load_model(args.model)
         if model.kind != method:
             raise ValidationError(f"model file holds a {model.kind!r} model, requested {method!r}")
         dataset = dataset.mask(model.hidden_attributes)
-    elif method == "approx":  # approx reads every row's labels and outputs
-        dataset = dataset.keep(columns=("outputs",)).mask(_parse_hidden(args.hidden))
+    elif method == "approx":
+        dataset = dataset.mask(_parse_hidden(args.hidden))
         pair_seeds = _pair_seeds(dataset, seed)
 
     try:
@@ -367,8 +366,7 @@ def cmd_explain(args) -> int:
 def cmd_evaluate(args) -> int:
     metrics = _parse_metrics(args.metric)
     _check_outputs(directories=[args.out])
-    dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space)
-    dataset = dataset.keep(columns=("outputs",))  # scoring reads no embedding
+    dataset = load_dataset(args.samples, args.pairs, args.schema, args.space, ("outputs",))  # no embedding
     effects, meta = read_effects(args.effects, dataset.schema)
     dataset = dataset.mask(meta.get("hidden", ()))  # the estimating run's mask
     hidden = sorted(dataset.hidden_attributes)
@@ -408,8 +406,8 @@ def cmd_experiment(args) -> int:
         raise ValidationError(f"mask sizes must be integers, got {args.mask_sizes!r}") from None
     sizes = sorted(_distinct(sizes, "mask size"))
     _check_outputs(directories=[args.out])
-    mcce = "mcce" in methods
-    dataset = load_dataset(args.samples, args.pairs, args.schema, space=args.space, embedding=mcce)
+    floats = FLOAT_COLUMNS if "mcce" in methods else ("outputs",)  # only mcce reads the embeddings
+    dataset = load_dataset(args.samples, args.pairs, args.schema, args.space, floats)
     names = dataset.schema.names
     if any(size < 1 or size > len(names) - 1 for size in sizes):
         raise ValidationError(
@@ -513,7 +511,8 @@ def cmd_report(args) -> int:
 def cmd_predict(args) -> int:
     _check_outputs(files=[args.out])
     model = load_model(args.model)
-    dataset = load_dataset(args.samples, None, args.schema, embedding=True).mask(model.hidden_attributes)
+    dataset = load_dataset(args.samples, None, args.schema, floats=("embeddings",))  # no output
+    dataset = dataset.mask(model.hidden_attributes)
     predictions = predict_labels(model, dataset)
     gold = [None if g < 0 else g for g in dataset.gold.tolist()]
     write_jsonl(args.out, {"id": dataset.ids, "predicted": predictions, "gold": gold})

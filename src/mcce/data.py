@@ -42,7 +42,7 @@ outputs and gold labels, plus `EditPairs` of row indices, whose edits
 construction. Rows keep their complete labels even when attributes are
 masked; masking is a view (`Dataset.mask`), and `design_matrix` is where
 the mask takes effect: it one-hot encodes the visible attributes only.
-A command keeps only the rows and float columns it reads (`Dataset.keep`).
+A command loads only the rows and float columns it reads (`load_dataset`).
 
 This is the one module that knows JSON, JSONL, .npy and CSV syntax.
 Models, effects, ground truth, configs, reports and predictions are
@@ -152,12 +152,12 @@ def write_npy_blocks(paths, rows: int, blocks: Iterable) -> list[Path]:
 
     Each item of `blocks` holds the next row block of every file, in the
     order of `paths`; a file's width is that of its first block. Each
-    file is the header that `np.save` writes (NEP 1's format 1.0) and
-    then the values as little-endian float64 in C order, so equal
-    matrices give equal files however they are cut into blocks. Every
-    file goes through its own temp file (`_atomic_file`), and all are
-    renamed after the last block: a block that raises, or a row count
-    other than `rows`, leaves every path as it was.
+    file is `np.save`'s header (NEP 1's format 1.0) and then the values
+    as little-endian float64 in C order, so equal matrices give equal
+    files however they are cut into blocks. Every file goes through its
+    own temp file (`_atomic_file`), and all are renamed after the last
+    block: a block that raises, or a row count other than `rows`, leaves
+    every path as it was.
     """
     blocks = iter(blocks)
     first = next(blocks, None)
@@ -216,9 +216,7 @@ class ConceptSchema:
                 raise ValidationError(f"duplicate attribute name {name!r}")
             seen.add(name)
             if len(levels) < 2 or len(set(levels)) != len(levels):
-                raise ValidationError(
-                    f"attribute {name!r} needs >= 2 distinct levels, got {levels!r}"
-                )
+                raise ValidationError(f"attribute {name!r} needs >= 2 distinct levels, got {levels!r}")
 
     @classmethod
     def of(cls, pairs) -> "ConceptSchema":
@@ -390,9 +388,7 @@ def one_hot(schema: ConceptSchema, codes, hidden=frozenset()) -> np.ndarray:
     """Visible one-hot layout of an (m, n_attrs) matrix of valid level codes."""
     codes = np.asarray(codes, dtype=np.int64)
     if codes.ndim != 2 or codes.shape[1] != len(schema.attributes):
-        raise ValidationError(
-            f"level codes must have shape (m, {len(schema.attributes)}), got {codes.shape}"
-        )
+        raise ValidationError(f"level codes must have shape (m, {len(schema.attributes)}), got {codes.shape}")
     visible = schema.visible_mask(hidden)
     sizes = schema.sizes[visible]
     out = np.zeros((len(codes), int(sizes.sum())))
@@ -452,9 +448,7 @@ def _matrix(value, ids: np.ndarray, what: str) -> np.ndarray:
     if arr.size == 0 and ids.size == 0:
         arr = arr.reshape(0, arr.shape[-1] if arr.ndim == 2 else 0)
     if arr.ndim != 2 or arr.shape[0] != ids.size:
-        raise ValidationError(
-            f"{what} must hold one equal-length row per sample, got shape {arr.shape}"
-        )
+        raise ValidationError(f"{what} must hold one equal-length row per sample, got shape {arr.shape}")
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
         raise ValidationError(f"sample {id_text(ids[np.argmin(finite)]).item()!r}: non-finite {what}")
@@ -463,7 +457,7 @@ def _matrix(value, ids: np.ndarray, what: str) -> np.ndarray:
 
 # Sorted ids that `Dataset` checks for duplicates at a time.
 _CHECK_ROWS = 4096
-# The float columns of a `Dataset`, which `Dataset.keep` may release.
+# The float columns of a `Dataset`, each of which `load_dataset` may leave unread.
 FLOAT_COLUMNS = ("embeddings", "outputs")
 
 
@@ -477,8 +471,7 @@ class Dataset:
     (`id_bytes`; `id_text` decodes them) and `codes` the schema's
     `code_dtype`. Every column is validated once, here; `mask` and
     `to_space` return views that share the arrays, and `keep` one that
-    holds fewer rows or columns. Treat instances and their arrays as
-    immutable.
+    holds fewer rows. Treat instances and their arrays as immutable.
     """
 
     schema: ConceptSchema
@@ -547,27 +540,18 @@ class Dataset:
         view.__dict__.update(changes)
         return view
 
-    def keep(self, rows=None, columns=FLOAT_COLUMNS) -> "Dataset":
-        """Only rows `rows` (ascending row indices; default every row) and the float `columns`.
+    def keep(self, rows) -> "Dataset":
+        """Only rows `rows` (ascending row indices), which `load_dataset` picks before any float is read.
 
-        A command calls it right after loading, so that it holds what it
-        reads and no more. Each float column (`FLOAT_COLUMNS`) left out of
-        `columns` becomes a zero-width matrix. The kept rows are numbered
-        anew in order, and `fit_rows` and the pairs follow them: a pair
-        stays when its original row is kept, with its edit, and its edited
-        row is -1 when that row is not kept, so only the edit is left of
-        it (`edited_rows` refuses such pairs).
+        The kept rows are numbered anew in order, and `fit_rows` and the
+        pairs follow them: a pair stays when its original row is kept, with
+        its edit, and its edited row is -1 when that row is not kept, so
+        only the edit is left of it (`edited_rows` refuses such pairs).
         """
-        if set(columns) - set(FLOAT_COLUMNS):
-            raise ValidationError(f"the float columns are {FLOAT_COLUMNS}, got {tuple(columns)}")
         n = len(self)
-        rows = np.arange(n) if rows is None else _integers(rows, "kept rows").reshape(-1)
+        rows = _integers(rows, "kept rows").reshape(-1)
         if np.any(rows[1:] <= rows[:-1]) or (rows.size and (rows[0] < 0 or rows[-1] >= n)):
             raise ValidationError(f"kept rows must ascend in [0, {n})")
-        # a new empty matrix, not a view that would keep the released one alive
-        floats = {key: np.empty((n, 0)) for key in FLOAT_COLUMNS if key not in columns}
-        if rows.size == n:  # every row: the kept columns are shared, not copied
-            return self._view(**floats)
         renumber = np.full(n, -1)
         renumber[rows] = np.arange(rows.size)
         p, fit_rows = self.pairs, renumber[self.fit_rows]
@@ -577,8 +561,7 @@ class Dataset:
         object.__setattr__(pairs, "to", p.to[stays])
         view = self._view(
             ids=self.ids[rows], codes=self.codes[rows], gold=self.gold[rows], pairs=pairs,
-            fit_rows=fit_rows[fit_rows >= 0],
-            **{key: floats.get(key, getattr(self, key))[rows] for key in FLOAT_COLUMNS},
+            fit_rows=fit_rows[fit_rows >= 0], **{key: getattr(self, key)[rows] for key in FLOAT_COLUMNS},
         )
         view.__dict__.pop("id_order", None)  # the cached sort of the old ids
         return view
@@ -594,7 +577,7 @@ class Dataset:
             return self
         if self.space != SPACE_LOGIT:
             raise ValidationError("cannot convert probability-space outputs back to logits")
-        return self._view(outputs=softmax(self.outputs), space=space)
+        return self._view(outputs=softmax(self.outputs) if self.outputs.size else self.outputs, space=space)
 
     # -- accessors ----------------------------------------------------------
 
@@ -612,7 +595,7 @@ class Dataset:
         return np.argsort(self.ids, kind="stable")
 
     def edited_rows(self) -> np.ndarray:
-        """`pairs.edited`, every one of which must be held: `keep` may have released some."""
+        """`pairs.edited`, every one of which must be held: `keep` may have left some out."""
         edited = self.pairs.edited
         if np.any(edited < 0):
             raise ValidationError("the pairs' edited rows were released (Dataset.keep)")
@@ -818,16 +801,15 @@ def _decode_lines(texts: list[str], numbers, path: str | Path) -> list:
     """The value of each JSON text in `texts`, which are lines `numbers` of `path`.
 
     All texts are decoded in one call, as one array with a separator,
-    "\\n,NaN,", between every two of them. The decoder turns each NaN
-    token into a sentinel, and any other constant token fails the
-    decode. The result is kept only when, for k texts, the joined text
-    holds "NaN" just k - 1 times, once per separator, so that no text
-    holds a NaN token, the array has 2k - 1 elements and every odd
-    element is a sentinel: then each separator sits at the top level
-    between two texts (no JSON string holds a raw newline), so each text
-    held exactly one value. Otherwise, or if the decode fails, each text
-    is decoded on its own by `_parse_json`, which words the error with
-    its file and line.
+    "\\n,NaN,", between every two. The decoder turns each NaN token into
+    a sentinel; any other constant token fails the decode. The result is
+    kept only when, for k texts, the joined text holds "NaN" just k - 1
+    times, so that no text holds one, the array has 2k - 1 elements and
+    every odd one is a sentinel: then each separator sits at the top
+    level between two texts (no JSON string holds a raw newline), so each
+    text held exactly one value. Otherwise, or if the decode fails, each
+    text is decoded on its own by `_parse_json`, which words the error
+    with its file and line.
     """
     k = len(texts)
     text = "[" + _SEPARATOR_TEXT.join(texts) + "]"
@@ -957,9 +939,7 @@ def _header(
         raise ValidationError(f"{path}:1: column {twice[0]!r} is both in 'meta.columns' and in a file")
     unknown = [key for key in names if key not in types]
     if unknown:
-        raise ValidationError(
-            f"{path}:1: unknown column {unknown[0]!r}; the columns are {', '.join(types)}"
-        )
+        raise ValidationError(f"{path}:1: unknown column {unknown[0]!r}; the columns are {', '.join(types)}")
     missing = [key for key in types if key not in names and key not in defaults]
     if missing:
         raise ValidationError(f"{path}:1: 'meta.columns' lacks the required column {missing[0]!r}")
@@ -976,36 +956,67 @@ def _array_file(path: str | Path, key: str, name) -> Path:
     return Path(path).parent / name
 
 
-def _read_matrix(path: Path, rows: int, nonempty: bool = False) -> np.ndarray:
-    """The matrix that .npy file `path` holds: finite '<f8' values, 2-D, `rows` rows.
+# Bytes of a .npy file that `_read_matrix` holds at a time: larger blocks (4096 rows of a
+# wide embedding, say) outgrow glibc's mmap threshold and raise a command's peak RSS.
+_NPY_BLOCK = 1 << 16
 
-    If `nonempty`, it must also have at least one column.
 
-    It is read with `np.load(allow_pickle=False)`, so no file can run
-    code; anything else, an .npz archive or a truncated file included,
+def _read_matrix(path: Path, rows: int, keep=None, nonempty: bool = False) -> np.ndarray:
+    """Rows `keep` (ascending; default all) of the finite '<f8' matrix of `rows` rows in .npy file `path`.
+
+    If `nonempty`, the matrix must have a column; no byte may follow it.
+    `numpy.lib.format` parses the header (format 1.0, 2.0 or 3.0: a 2.0
+    header in UTF-8, as a float header's ASCII is) and unpickles nothing.
+    The values, in C or Fortran order, are streamed `_NPY_BLOCK` bytes at
+    a time: every row is checked finite, and only kept rows are copied
+    out. Anything else, an .npz archive or a truncated file included,
     raises ValidationError naming the file.
     """
+    fmt = np.lib.format
     try:
         with open(path, "rb") as handle:
-            matrix = np.load(handle, allow_pickle=False)
+            if handle.read(4) in (b"PK\x03\x04", b"PK\x05\x06"):  # a zip archive, as np.load tells one
+                raise ValidationError(f"{path}: an .npz archive, not a .npy file")
+            handle.seek(0)
+            if (version := fmt.read_magic(handle)) not in ((1, 0), (2, 0), (3, 0)):
+                raise ValueError(f"unsupported .npy format version {version}")
+            header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+            shape, fortran, dtype = header(handle)
+            if dtype.hasobject:
+                raise ValueError("Object arrays cannot be loaded when allow_pickle=False")
+            if dtype != "<f8" or len(shape) != 2 or shape[0] != rows or not (shape[1] or not nonempty):
+                columns = ", and at least one column" if nonempty else ""
+                raise ValidationError(f"{path}: must hold a '<f8' matrix of {rows} rows, one per row of its "
+                                      f"table{columns}; got {dtype.str} of shape {shape}")
+            count, size = rows * shape[1], os.fstat(handle.fileno()).st_size - handle.tell()
+            if size < 8 * count:
+                raise ValueError(f"Failed to read all data for array. Expected {shape} = {count} elements, "
+                                 f"could only read {size // 8} elements. (file seems not fully written?)")
+            if size > 8 * count:
+                raise ValidationError(f"{path}: {size - 8 * count} bytes after its {shape} matrix; "
+                                      "a .npy file holds one array and nothing after it")
+            kept = np.zeros(rows, dtype=bool)
+            kept[slice(None) if keep is None else keep] = True
+            out = np.empty((shape[1], kept.sum()) if fortran else (kept.sum(), shape[1]))
+            flat, filled, bad, buffer = out.reshape(-1), 0, rows, np.empty(_NPY_BLOCK // 8)
+            for start in range(0, count, buffer.size):
+                handle.readinto(block := buffer[: count - start])
+                index = np.arange(start, start + block.size)
+                row = index % rows if fortran else index // shape[1]
+                finite = np.isfinite(block)
+                bad = bad if finite.all() else min(bad, int(row[~finite].min()))
+                block = block[kept[row]]
+                flat[filled : filled + block.size] = block
+                filled += block.size
+    except ValidationError:
+        raise
     except FileNotFoundError:
         raise ValidationError(f"array file not found: {path}") from None
     except (OSError, ValueError, EOFError) as exc:
         raise ValidationError(f"{path}: not a readable .npy file ({exc})") from None
-    if not isinstance(matrix, np.ndarray):
-        matrix.close()
-        raise ValidationError(f"{path}: an .npz archive, not a .npy file")
-    shaped = matrix.ndim == 2 and matrix.shape[0] == rows and (matrix.shape[1] or not nonempty)
-    if matrix.dtype != np.dtype("<f8") or not shaped:
-        columns = ", and at least one column" if nonempty else ""
-        raise ValidationError(
-            f"{path}: must hold a '<f8' matrix of {rows} rows, one per row of its table{columns}; "
-            f"got {matrix.dtype.str} of shape {matrix.shape}"
-        )
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        raise ValidationError(f"{path}: non-finite value in row {np.argmin(finite)} (from 0)")
-    return matrix
+    if bad < rows:
+        raise ValidationError(f"{path}: non-finite value in row {bad} (from 0)")
+    return np.ascontiguousarray(out.T) if fortran else out
 
 
 def _row_values(rows: list, lines: list[int], path: str | Path, names, types: dict, defaults: dict):
@@ -1017,9 +1028,7 @@ def _row_values(rows: list, lines: list[int], path: str | Path, names, types: di
     width = len(names)
     if set(map(type, rows)) - {list} or set(map(len, rows)) - {width}:
         i = next(i for i, row in enumerate(rows) if type(row) is not list or len(row) != width)
-        raise ValidationError(
-            f"{path}:{lines[i]}: expected a JSON array of {width} values, one per column"
-        )
+        raise ValidationError(f"{path}:{lines[i]}: expected a JSON array of {width} values, one per column")
     columns = dict(zip(names, map(list, zip(*rows))))
     return {key: columns.get(key, [defaults.get(key)] * len(rows)) for key in types}
 
@@ -1083,14 +1092,8 @@ def _join(blocks: list):
 
 
 def read_jsonl(
-    path: str | Path,
-    what: str,
-    types: dict,
-    defaults: dict | None = None,
-    convert: Callable[[dict], dict] | None = None,
-    arrays: tuple[str, ...] = (),
-    fixed: dict | None = None,
-    nonempty_arrays: tuple[str, ...] = (),
+    path: str | Path, what: str, types: dict, defaults: dict | None = None, convert: Callable | None = None,
+    arrays: tuple[str, ...] = (), fixed: dict | None = None, read_arrays: bool = True,
 ) -> tuple[dict, dict]:
     """Columns of a JSONL table, and of the .npy files that its meta line names.
 
@@ -1101,16 +1104,15 @@ def read_jsonl(
     JSON array of one row's values in that order. Returns (header,
     columns): `header` is the meta object without `columns` and the file
     names. `columns` maps each key of `types` to its values in line
-    order, and then each key of `arrays` to its matrix, which must be a
-    finite '<f8' matrix of one row per row (see `_read_matrix`), and of at
-    least one column for a key of `nonempty_arrays`.
-    `types[key]` names the JSON types its values may take, as in
-    "integer|null", or is a tuple of names: then each value is an array
-    of one string label per name, in that order (see `_check_labels`).
-    Each column is a list. A key of `defaults` may be left out of
-    `columns` and then reads as its default. A string, a label included,
-    must not hold U+0000. Errors name the file, and the line when one is
-    at fault.
+    order, and then each key of `arrays` to its matrix, a finite '<f8'
+    matrix of one row per row (`_read_matrix`), or to its file's path
+    when `read_arrays` is false. `types[key]` names the JSON types its
+    values may take, as in "integer|null", or is a tuple of names: then
+    each value is an array of one string label per name, in that order
+    (see `_check_labels`). Each column is a list. A key of `defaults` may
+    be left out of `columns` and then reads as its default. A string, a
+    label included, must not hold U+0000. Errors name the file, and the
+    line when one is at fault.
 
     The file is read a chunk of `_CHUNK_LINES` lines at a time, and only
     one chunk's row values are held at once. The non-blank lines of each
@@ -1118,10 +1120,10 @@ def read_jsonl(
     checked, and then `convert`, when given, maps that chunk's columns
     to the blocks to keep (for example, label rows to level codes); an
     error it raises about one row (`_RowError`) names that row's line.
-    Each key's blocks are joined at the end, so the result is that of
-    reading the whole file at once. The cyclic garbage collector is
-    paused meanwhile: decoded JSON holds no reference cycles, and
-    collections triggered by the many new objects would only scan them.
+    Each key's blocks are joined at the end, as if the whole file were
+    read at once. The cyclic garbage collector is paused meanwhile:
+    decoded JSON holds no reference cycles, and collections triggered by
+    the many new objects would only scan them.
     """
     defaults = defaults or {}
     header, names, files, blocks = {}, None, {}, {key: [] for key in types}
@@ -1163,7 +1165,7 @@ def read_jsonl(
         if collecting:
             gc.enable()
     columns = {key: _join(blocks.pop(key)) for key in types}
-    matrices = {key: _read_matrix(files[key], n_rows, key in nonempty_arrays) for key in arrays}
+    matrices = {key: _read_matrix(files[key], n_rows) if read_arrays else files[key] for key in arrays}
     return header, {**columns, **matrices}
 
 
@@ -1284,28 +1286,28 @@ _PAIR_TYPES = dict.fromkeys(("original_id", "edited_id"), "string")
 
 
 def load_dataset(
-    samples_path: str | Path,
-    pairs_path: str | Path | None,
-    schema_path: str | Path,
-    space: str = SPACE_LOGIT,
-    embedding: bool = False,
+    samples_path: str | Path, pairs_path: str | Path | None, schema_path: str | Path,
+    space: str = SPACE_LOGIT, floats: Iterable[str] = FLOAT_COLUMNS, rows: Callable | None = None,
 ) -> Dataset:
     """Load the three-file dataset format; `pairs_path` may be None.
 
     Parse errors carry file and line; NaN/Infinity tokens are rejected.
-    Embeddings and logits come from the .npy files that the samples meta
-    line names. The logits file must have at least one column, and so
-    must the embedding file when `embedding` is true, as it is for a
-    caller that reads the embeddings.
-    With space="probability" a softmax is applied to every output row.
-    The samples meta line must name the schema's attributes in schema
-    order. Each chunk of samples has its labels turned into level codes
-    and its ids into UTF-8 bytes, and each chunk of pairs its sample ids
-    into rows, before the next chunk is read, so no file is held as row
-    objects whole; an unknown id raises from the chunk that holds it.
-    This is where names become codes and ids bytes, once: the `Dataset`
-    constructor takes codes, rows and ids. Each pair's edit is read off
-    its two rows' codes when the `Dataset` is built.
+    A command loads only what it reads: the float columns `floats` (of
+    `FLOAT_COLUMNS`; one left out is zero-width), from the .npy files
+    that the samples meta line names, and, when `rows` is given, the
+    rows `rows(labels)`, ascending indices chosen on the dataset of
+    labels and pairs alone (`Dataset.keep`; `lambda d: d.fit_rows`, say)
+    before any float is read. Every row of both .npy files is checked
+    finite, but only the kept rows of the read columns are copied out
+    (`_read_matrix`). The logits file must have a column, and so must
+    the embedding file when it is read. space="probability" applies a
+    softmax to every kept output row. The samples meta line must name
+    the schema's attributes in schema order. Each chunk of samples has
+    its labels turned into level codes and its ids into UTF-8 bytes, and
+    each chunk of pairs its sample ids into rows, before the next chunk
+    is read; an unknown id raises from the chunk that holds it. This is
+    where names become codes and ids bytes, once. Each pair's edit is
+    read off its two rows' codes when the `Dataset` is built.
     """
     schema = load_schema(schema_path)
     types, fixed = _sample_spec(schema)
@@ -1316,21 +1318,24 @@ def load_dataset(
         chunk["id"] = id_bytes(chunk["id"])
         return chunk
 
-    nonempty = _SAMPLE_ARRAYS if embedding else ("logits",)
-    _, samples = read_jsonl(
-        samples_path, "samples", types, {"gold": None}, codes, _SAMPLE_ARRAYS, fixed, nonempty
-    )
-    ids, codes, gold, embeddings, outputs = samples.values()  # types, then arrays
+    if set(floats) - set(FLOAT_COLUMNS):
+        raise ValidationError(f"the float columns are {FLOAT_COLUMNS}, got {tuple(floats)}")
+    _, samples = read_jsonl(samples_path, "samples", types, {"gold": None}, codes, _SAMPLE_ARRAYS, fixed, False)
+    ids, codes, gold, *files = samples.values()  # types, then the arrays' files
     pairs = EditPairs()
     if pairs_path is not None:
         order = np.argsort(ids, kind="stable")
-
-        def rows(chunk: dict) -> dict:
-            return dict(zip(_PAIR_TYPES, _pair_rows(ids, order, *chunk.values())))
-
-        _, columns = read_jsonl(pairs_path, "pairs", _PAIR_TYPES, convert=rows)
+        found = lambda chunk: dict(zip(_PAIR_TYPES, _pair_rows(ids, order, *chunk.values())))
+        _, columns = read_jsonl(pairs_path, "pairs", _PAIR_TYPES, convert=found)
         pairs = EditPairs(*columns.values())
-    return Dataset(schema, ids, codes, embeddings, outputs, gold, pairs).to_space(space)
+    labels = Dataset(schema, ids, codes, np.empty((ids.size, 0)), np.empty((ids.size, 0)), gold, pairs)
+    keep = None if rows is None else _integers(rows(labels), "kept rows").reshape(-1)
+    dataset, matrices = labels if keep is None else labels.keep(keep), {}
+    for column, key, path in zip(FLOAT_COLUMNS, _SAMPLE_ARRAYS, files):
+        read = column in floats  # a file not read is checked whole, and none of it is copied
+        matrix = _read_matrix(path, ids.size, keep if read else [], read or key == "logits")
+        matrices[column] = matrix if read else np.empty((len(dataset), 0))
+    return dataset._view(**matrices).to_space(space)
 
 
 def save_dataset(dataset: Dataset, out_dir: str | Path, floats: Iterable | None = None) -> dict[str, Path]:
@@ -1354,13 +1359,8 @@ def save_dataset(dataset: Dataset, out_dir: str | Path, floats: Iterable | None 
         raise ValidationError("only logit-space datasets can be serialized")
     out_dir = Path(out_dir)
     samples_path = out_dir / "samples.jsonl"
-    arrays = {key: array_path(samples_path, key) for key in _SAMPLE_ARRAYS}
-    paths = {
-        "schema": out_dir / "schema.json",
-        "samples": samples_path,
-        **arrays,
-        "pairs": out_dir / "pairs.jsonl",
-    }
+    paths = {"schema": out_dir / "schema.json", "samples": samples_path}
+    paths |= {key: array_path(samples_path, key) for key in _SAMPLE_ARRAYS} | {"pairs": out_dir / "pairs.jsonl"}
     schema, ids, codes, p = dataset.schema, dataset.ids, dataset.codes, dataset.pairs
     edited = dataset.edited_rows()
     start = 0

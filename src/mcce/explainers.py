@@ -8,9 +8,10 @@ mcce
     Embeddings and targets are regressed on the observed one-hot design
     in one solve, the embedding residual is compressed to its singular
     directions above the noise, and the targets are fit on their scores:
-    one SVD of the design and one of the residual's triangular factor
-    (`linalg.truncated_svd`). Decoupling is exact because the residual
-    scores are orthogonal to the observed design. The pseudo features
+    one SVD of the design's distinct rows, each weighted by the root of
+    its count (`linalg.residualize`), and one of the residual's
+    triangular factor (`linalg.truncated_svd`). Decoupling is exact
+    because the residual scores are orthogonal to the observed design. The pseudo features
     stand in for whatever concept information the annotations are
     missing, so effect estimates condition on it instead of absorbing it
     into the observed coefficients.
@@ -65,7 +66,9 @@ from .data import (
     write_jsonl,
 )
 from .errors import NumericalError, ValidationError
-from .linalg import RANK_RTOL, as_matrix, lstsq, max_abs_cross, noise_threshold, residualize, truncated_svd
+from .linalg import (
+    RANK_RTOL, as_matrix, group_sums, lstsq, max_abs_cross, noise_threshold, residualize, truncated_svd,
+)
 
 TARGET_OUTPUT = "output"
 TARGET_GOLD = "gold"
@@ -183,7 +186,7 @@ class MCCEModel:
         return concepts @ self.concept_coef + (resid @ self.pseudo_basis) @ self.pseudo_coef
 
 
-def _resolve_targets(dataset: Dataset, rows: np.ndarray, target_kind: str | None):
+def _resolve_targets(dataset: Dataset, rows, target_kind: str | None):
     kind = target_kind or TARGET_OUTPUT
     if kind == TARGET_OUTPUT:
         return dataset.outputs[rows], kind
@@ -192,7 +195,7 @@ def _resolve_targets(dataset: Dataset, rows: np.ndarray, target_kind: str | None
         if np.any(gold < 0):
             raise ValidationError(
                 f"predictor mode requires gold labels on every fit sample; {np.sum(gold < 0)} "
-                f"missing (first: {id_text(dataset.ids[rows[np.argmin(gold)]]).item()!r})"
+                f"missing (first: {id_text(dataset.ids[rows][np.argmin(gold)]).item()!r})"
             )
         return np.eye(gold.max() + 1)[gold], kind
     raise ValidationError(f"target_kind must be 'output' or 'gold', got {target_kind!r}")
@@ -219,8 +222,9 @@ def fit_mcce(
     if rows.size == 0:
         raise ValidationError("dataset has no factual samples to fit on")
     k_vis = dataset.visible_width
-    C = dataset.design_matrix(rows)
-    T, kind = _resolve_targets(dataset, rows, target_kind)
+    # a loaded command holds the fit rows only: then H and T are its own columns, not copies
+    fit = slice(None) if rows.size == len(dataset) else rows
+    T, kind = _resolve_targets(dataset, fit, target_kind)
     n, d = rows.size, dataset.embeddings.shape[1]
     if d == 0:
         raise ValidationError("the embeddings have no column; mcce needs at least one")
@@ -229,18 +233,22 @@ def fit_mcce(
         raise ValidationError(f"n_pseudo must be an integer in [0, {min(n, d)}], got {n_pseudo!r}")
 
     # the rounding scale is relative to the fit embeddings H's Frobenius norm (SVD-free, within
-    # sqrt(d) of the spectral one); [H | T] is H's only copy, and none outlives the solve
-    HT = np.hstack([dataset.embeddings[rows], T])
-    floor = RANK_RTOL * float(np.linalg.norm(HT[:, :d]))
-    observed, residual = residualize(C, HT)
-    del HT
+    # sqrt(d) of the spectral one)
+    H = dataset.embeddings[fit]
+    floor = RANK_RTOL * float(np.linalg.norm(H))
+    # the design is D[group]: the solve runs on its distinct rows D (see `linalg`), which it
+    # scales, and then [H | T] minus its fit is the one n-row copy of H and T
+    first, group = _profile_rows(dataset, rows)
+    observed, residual = residualize(dataset.design_matrix(first), (H, T), group)
+    del H, T
     embed_coef, concept_coef = np.hsplit(observed.coefficients, [d])
     basis, s = truncated_svd(residual[:, :d])
     # the residual lies in the n_free-dim complement of the design's columns
     n_free = n - observed.effective_rank
     # a residual column at rounding scale (a constant embedding column, say) adds an exact zero
-    # to the spectrum whatever the noise, so the threshold reads the spectrum of the others
-    d_live = d - int(np.count_nonzero(np.linalg.norm(residual[:, :d], axis=0) <= floor))
+    # to the spectrum whatever the noise, so the threshold reads the spectrum of the others; a
+    # column's norm is read off the spectrum, as R^T R = V S^2 V^T
+    d_live = d - int(np.count_nonzero(np.sqrt(np.square(basis * s).sum(axis=1)) <= floor))
     threshold = noise_threshold(s[: min(n_free, d_live)], (n_free, d_live), floor)
     r = int(np.count_nonzero(s > threshold))
     j = r if n_pseudo is None else min(int(n_pseudo), int(np.count_nonzero(s > floor)))
@@ -258,12 +266,15 @@ def fit_mcce(
         warnings.warn(f"only {n} fit samples for {k_vis} concepts + {j} pseudo-concepts; "
                       "coefficients will interpolate", stacklevel=2)
     basis, s = basis[:, :j].copy(), s[:j]
-    scores = residual[:, :d] @ basis  # orthogonal with norms s (see `linalg`)
-    pseudo_coef = scores.T @ T / s[:, None] ** 2
+    scores = residual[:, :d] @ basis  # orthogonal with norms s, and to the design (see `linalg`)
+    pseudo_coef = scores.T @ residual[:, d:] / s[:, None] ** 2
     diagnostics = {
         "n_fit": n,
         "design_rank": observed.effective_rank,
-        "orthogonality_max": max_abs_cross(C, scores) if j else 0.0,
+        # the design's cross with the scores is D's with their sums over each profile's rows
+        "orthogonality_max": (
+            max_abs_cross(dataset.design_matrix(first), group_sums(group, [scores], first.size)) if j else 0.0
+        ),
         "fit_residual_sos": float(np.sum((residual[:, d:] - scores @ pseudo_coef) ** 2)),
     }
     return MCCEModel(
@@ -400,6 +411,17 @@ def _visible_profiles(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return dataset.codes.astype(dtype) @ stride, stride
 
 
+def _profile_rows(dataset: Dataset, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, group): the first row of `rows` with each distinct visible profile, and each row's profile.
+
+    `first` is in profile order, and `group[i]` indexes into it the
+    profile of `rows[i]`.
+    """
+    key = _visible_profiles(dataset)[0][rows]
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    return rows[first], group.reshape(-1)
+
+
 def _cross_entropy(Xa: np.ndarray, Wa: np.ndarray, Y: np.ndarray) -> float:
     """Soft-label cross-entropy of softmax(Xa @ Wa) against Y, each row's targets over n."""
     shifted = Xa @ Wa
@@ -454,12 +476,10 @@ def fit_slearner(dataset: Dataset) -> SLearnerModel:
         raise ValidationError("targets are not probability rows (tol 1e-6)")
 
     n, q = T.shape
-    key = _visible_profiles(dataset)[0][rows]
-    _, first, group = np.unique(key, return_index=True, return_inverse=True)
-    group = group.reshape(-1)
+    first, group = _profile_rows(dataset, rows)
     weight, Y = np.bincount(group) / n, np.zeros((first.size, q))
     np.add.at(Y, group, T / n)
-    X = dataset.design_matrix(rows[first])
+    X = dataset.design_matrix(first)
     k = X.shape[1]
     Xa = np.hstack([X, np.ones((first.size, 1))])
     Wa = np.zeros((k + 1, q))

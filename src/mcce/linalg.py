@@ -16,9 +16,15 @@ lstsq(A, B)
     above the cutoff. The filter acts on each column of B alone, so a
     solve on [B1 | B2] is the solves on B1 and on B2.
 
-residualize(C, H)
+residualize(C, H, group)
     The solve of H on C, and H minus that fit. The residual is
-    orthogonal to col(C) up to floating-point error.
+    orthogonal to col(C) up to floating-point error. With `group`, C
+    holds the u distinct rows of the design and row i of the design is
+    C[group[i]]: with P the (n, u) indicator of `group` and w its column
+    counts, the design is P C and P / sqrt(w) has orthonormal columns, so
+    (P C)^+ = (sqrt(w) C)^+ (P / sqrt(w))^T. The solve is then
+    lstsq(sqrt(w) C, P^T H / sqrt(w)), whose singular values and rank are
+    the design's, and no (n, p) matrix is formed.
 
 truncated_svd(R)
     Every right singular direction of R, sign-pinned, and its singular
@@ -27,7 +33,11 @@ truncated_svd(R)
     A tall R = QF, F its (d, d) triangular factor, has R^T R = F^T F, so
     the SVD of F gives R's s and V; R's (n, d) left factor is never formed
     (T. F. Chan, "An improved algorithm for computing the singular value
-    decomposition", ACM TOMS 8(1), 1982).
+    decomposition", ACM TOMS 8(1), 1982). F is taken a block of rows at a
+    time, as the factor of the last block's F stacked on the next block
+    (the TSQR reduction of Demmel et al., "Communication-optimal parallel
+    and sequential QR and LU factorizations", SIAM J. Sci. Comput. 34(1),
+    2012), so no copy of R is made either.
 
 noise_threshold(s, shape, floor)
     Noise reaches every direction, so a spectrum with a value at or below
@@ -44,6 +54,8 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 
 RANK_RTOL = 1e-10
+# Entries of a tall matrix, or of a fit, that a block of rows holds (64 KiB of float64).
+_BLOCK_ITEMS = 1 << 13
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -61,8 +73,11 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
 def _svd(arr: np.ndarray, name: str, *, right_only: bool = False):
     """numpy's thin SVD (U, s, Vt); with `right_only`, (s, Vt) and a tall arr's U never formed."""
     try:
-        if right_only and arr.shape[0] > arr.shape[1]:
-            arr = np.linalg.qr(arr, mode="r")  # the triangular factor has arr's s and Vt
+        if right_only and arr.shape[0] > arr.shape[1]:  # the triangular factor has arr's s and Vt
+            step, factor = max(arr.shape[1], _BLOCK_ITEMS // arr.shape[1]), arr[:0]
+            for start in range(0, len(arr), step):
+                factor = np.linalg.qr(np.vstack([factor, arr[start : start + step]]), mode="r")
+            arr = factor
         U, s, Vt = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise NumericalError(f"SVD of {name} failed to converge: {exc}") from exc
@@ -92,12 +107,50 @@ def lstsq(A, B) -> LstsqSolution:
     return LstsqSolution(coefficients=coef, effective_rank=rank)
 
 
-def residualize(C, H) -> tuple[LstsqSolution, np.ndarray]:
-    """Regress H on C; return (the solve, H minus its fit)."""
-    C, H = as_matrix(C, "C"), as_matrix(H, "H")
-    sol = lstsq(C, H)
-    residual = C @ sol.coefficients  # the fit's buffer becomes the residual
-    return sol, np.subtract(H, residual, out=residual)
+def group_sums(group, blocks, size: int) -> np.ndarray:
+    """(size, m): row g sums the rows whose `group` entry is g of the column blocks side by side."""
+    columns = [block[:, column] for block in blocks for column in range(block.shape[1])]
+    sums = np.empty((size, len(columns)))
+    for at, column in enumerate(columns):
+        sums[:, at] = np.bincount(group, column, size)
+    return sums
+
+
+def residualize(C, H, group=None) -> tuple[LstsqSolution, np.ndarray]:
+    """Regress H on C, or on the design whose row i is C[group[i]]; return (the solve, H minus its fit).
+
+    H is a matrix, or a tuple of matrices that stand for their columns
+    side by side. `group`, when given, holds a row index of C per row of
+    H, and every row of C must be some row's; C is then the caller's to
+    give up, as its rows are scaled in place by the roots of their
+    counts. H is not written: the residual is a new matrix, formed once
+    the solve is done, from which the fit is subtracted a block of rows
+    at a time, each block's temporaries holding about `_BLOCK_ITEMS`
+    entries at most.
+    """
+    C, blocks = as_matrix(C, "C"), [as_matrix(block, "H") for block in (H if isinstance(H, tuple) else (H,))]
+    n, grouped = len(blocks[0]), group is not None
+    if {len(block) for block in blocks} != {n}:
+        raise ValidationError("the column blocks of H differ in row count")
+    group = np.asarray(group) if grouped else np.arange(n)
+    if group.shape != (n,) or group.dtype.kind not in "iu" or np.any(group < 0):
+        raise ValidationError(f"group must hold a row index of C for each of H's {n} rows")
+    root = np.sqrt(np.bincount(group, minlength=len(C)))
+    if root.size != len(C) or not root.all():
+        raise ValidationError(f"each of C's {len(C)} rows must be the design row of some row of H")
+    sums = group_sums(group, blocks, len(C))
+    if grouped:
+        sums /= root[:, None]
+        C *= root[:, None]
+    sol = lstsq(C, sums)
+    del sums
+    residual = np.hstack(blocks)
+    # a power of two, as `explainers._EDIT_BLOCK` is, so no row's bits depend on the block size
+    step = 1 << max(0, (_BLOCK_ITEMS // (residual.shape[1] + C.shape[1])).bit_length() - 1)
+    for start in range(0, n, step):
+        rows = group[start : start + step]
+        residual[start : start + step] -= (C[rows] / root[rows, None]) @ sol.coefficients
+    return sol, residual
 
 
 def truncated_svd(R) -> tuple[np.ndarray, np.ndarray]:

@@ -315,7 +315,7 @@ def float_rows(config: SynthConfig, codes: np.ndarray, original=()):
 def _float_matrices(config: SynthConfig, codes: np.ndarray, original, floats: bool):
     """The embedding and output matrices of `float_rows`, filled a block at a time.
 
-    With `floats` false both are zero-width, as `Dataset.keep(columns=())`
+    With `floats` false both are zero-width, as `load_dataset(floats=())`
     leaves them, for a caller that takes the rows from `float_rows` itself.
     """
     widths = (config.embed_dim, config.n_outputs) if floats else (0, 0)

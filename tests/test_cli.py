@@ -2155,3 +2155,75 @@ class TestArrayFiles:
                                  synth_dir / "schema.json")
         for column in ("embeddings", "outputs"):
             assert getattr(moved, column).tobytes() == getattr(here, column).tobytes()
+
+    # The message of each of these embeddings, word for word as when np.load read the file:
+    # the file is streamed now, and its header parsed by numpy.lib.format.
+    MESSAGES = {
+        "npz": "{path}: an .npz archive, not a .npy file",
+        "truncated data": "{path}: not a readable .npy file (Failed to read all data for array. Expected "
+                          "(300, 16) = 4800 elements, could only read 109 elements. (file seems not fully written?))",
+        "big-endian": "{path}: must hold a '<f8' matrix of 300 rows, one per row of its table, and at least "
+                      "one column; got >f8 of shape (300, 16)",
+        "object": "{path}: not a readable .npy file (Object arrays cannot be loaded when allow_pickle=False)",
+        "1-D": "{path}: must hold a '<f8' matrix of 300 rows, one per row of its table, and at least one "
+               "column; got <f8 of shape (300,)",
+        "short": "{path}: must hold a '<f8' matrix of 300 rows, one per row of its table, and at least one "
+                 "column; got <f8 of shape (299, 16)",
+    }
+
+    @pytest.mark.parametrize("case", list(MESSAGES))
+    def test_a_bad_embedding_gives_the_message_that_np_load_gave(self, root, tmp_path, capsys, case):
+        path = root / "samples.embedding.npy"
+        object_rows = lambda path: np.save(path, np.zeros((300, 16), dtype=object), allow_pickle=True)
+        {**BAD_ARRAY_FILES, "object": object_rows}[case](path)
+        assert self.read(root, tmp_path, "embedding")[0] == 2
+        err = capsys.readouterr().err
+        assert f"error: {self.MESSAGES[case].format(path=path)}\n" in err and "Traceback" not in err
+
+    def test_a_non_finite_value_stops_a_command_that_does_not_read_its_column(self, root, synth_dir,
+                                                                            tmp_path, capsys):
+        path = root / "samples.embedding.npy"
+        save_in(path, with_nan)
+        flags = dataset_flags(root)
+        truth = ["--ground-truth", synth_dir / "ground_truth.json"]
+        for argv in (["evaluate", *flags, "--effects", root / "effects.jsonl", "--out", tmp_path / "eval"],
+                     ["explain", *flags, "--method", "oracle", *truth, "--out", tmp_path / "o.jsonl"]):
+            assert run(*argv) == 2, argv[0]
+            assert f"error: {path}: non-finite value in row 7 (from 0)\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["embedding", "logits", "effect"])
+    def test_bytes_after_the_array_exit_2_naming_the_file(self, root, tmp_path, capsys, key):
+        # np.load reads the first array of a file and ignores the rest, so this one was read
+        path = root / f"{self.table(key)}.{key}.npy"
+        matrix = np.load(path)
+        with open(path, "ab") as handle:
+            np.save(handle, matrix[:4])  # a second array into the same handle
+        extra = 128 + matrix[:4].nbytes
+        code, out = self.read(root, tmp_path, key)
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert f"error: {path}: {extra} bytes after its {matrix.shape} matrix" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("version", [(1, 0), (2, 0), (3, 0)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_every_npy_version_and_order_loads_as_the_c_order_file(self, root, synth_dir, version, order):
+        for name in ("samples.embedding.npy", "samples.logits.npy", "effects.effect.npy"):
+            matrix = np.load(root / name)
+            with open(root / name, "wb") as handle:
+                np.lib.format.write_array(handle, np.asarray(matrix, order=order), version=version)
+            assert (root / name).read_bytes()[6:8] == bytes(version)
+            assert np.load(root / name).flags.f_contiguous == (order == "F")
+        files = [(data / "samples.jsonl", synth_dir / "pairs.jsonl", data / "schema.json")
+                 for data in (root, synth_dir)]
+        for options in ({}, {"floats": ("outputs",)}, {"space": "probability", "rows": lambda d: d.fit_rows},
+                        {"rows": lambda d: np.unique(d.pairs.original)}):
+            got, want = (mcce.load_dataset(*paths, **options) for paths in files)
+            assert got.ids.tobytes() == want.ids.tobytes()
+            for column in ("embeddings", "outputs"):
+                matrix = getattr(got, column)
+                assert matrix.tobytes() == getattr(want, column).tobytes() and matrix.flags.c_contiguous
+        schema = mcce.load_schema(synth_dir / "schema.json")
+        effect = mcce.read_effects(root / "effects.jsonl", schema)[0].effect
+        assert effect.flags.c_contiguous
+        assert effect.tobytes() == np.load(root / "effects.effect.npy").tobytes(order="C")

@@ -3,6 +3,7 @@
 import json
 import stat
 import tracemalloc
+from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -223,14 +224,27 @@ def test_keep_renumbers_the_kept_rows_and_keeps_each_pairs_edit():
             ds.keep(rows)
 
 
-def test_keep_releases_float_columns_it_is_not_given():
+def test_load_dataset_reads_only_the_float_columns_and_rows_it_is_given(tmp_path):
     ds = small_dataset()
-    labels = ds.keep(columns=("outputs",))
-    assert labels.ids is ds.ids and labels.outputs is ds.outputs  # every row: shared, not copied
-    assert labels.embeddings.shape == (3, 0) and labels.embeddings.base is None  # no view of the old
-    assert labels.edited_rows() is ds.pairs.edited
+    paths = save_dataset(ds, tmp_path)
+    files = (paths["samples"], paths["pairs"], paths["schema"])
+    labels = load_dataset(*files, floats=("outputs",))
+    assert labels.outputs.tolist() == ds.outputs.tolist()
+    assert labels.embeddings.shape == (3, 0)
+    assert labels.edited_rows().tolist() == ds.pairs.edited.tolist()
+    assert load_dataset(*files, floats=()).outputs.shape == (3, 0)
+    # the rows are chosen on the labels and pairs alone, before any float is read
+    seen = []
+    fit = load_dataset(*files, space="probability", rows=lambda d: seen.append(d) or d.fit_rows)
+    assert seen[0].embeddings.shape == seen[0].outputs.shape == (3, 0)
+    assert fit.ids.tolist() == [b"s1", b"s2"] and fit.fit_rows.tolist() == [0, 1]
+    assert fit.embeddings.tolist() == ds.embeddings[:2].tolist()
+    assert fit.outputs.tolist() == softmax(ds.outputs[:2]).tolist()
+    assert fit.pairs.edited.tolist() == [-1]  # its edited row is not kept
     with pytest.raises(ValidationError, match="^the float columns are"):
-        ds.keep(columns=("codes",))
+        load_dataset(*files, floats=("codes",))
+    with pytest.raises(ValidationError, match=r"^kept rows must ascend in \[0, 3\)$"):
+        load_dataset(*files, rows=lambda d: [1, 0])
 
 
 def test_dataset_matrix_accessors():
@@ -498,7 +512,8 @@ def test_save_dataset_streams_float_blocks_and_a_failing_block_writes_nothing(tm
     paired = make_pairs(generate(cfg)[0], cfg, 2)
     whole = save_dataset(paired, tmp_path / "whole")
     rows = [(paired.embeddings[i : i + 7], paired.outputs[i : i + 7]) for i in range(0, 120, 7)]
-    streamed = save_dataset(paired.keep(columns=()), tmp_path / "streamed", iter(rows))
+    labels = replace(paired, embeddings=np.empty((120, 0)), outputs=np.empty((120, 0)))
+    streamed = save_dataset(labels, tmp_path / "streamed", iter(rows))
     for key, path in whole.items():
         assert path.read_bytes() == streamed[key].read_bytes(), key
 
@@ -509,7 +524,7 @@ def test_save_dataset_streams_float_blocks_and_a_failing_block_writes_nothing(tm
         yield embeddings, rows[1][1]
 
     with pytest.raises(ValidationError, match=r"^sample 's000010': non-finite embedding$"):
-        save_dataset(paired.keep(columns=()), tmp_path / "failed", failing())
+        save_dataset(labels, tmp_path / "failed", failing())
     assert not any((tmp_path / "failed").iterdir())
 
 
@@ -600,3 +615,28 @@ def test_save_dataset_peak_memory_is_below_its_file_size(rows_9000, tmp_path):
     paths, peak = traced_peak(lambda: save_dataset(rows_9000, tmp_path))
     size = sum(paths[key].stat().st_size for key in ("samples", "embedding", "logits"))
     assert peak < SAVE_PEAK_PER_FILE_BYTE * size, peak / size
+
+
+@pytest.fixture(scope="module")
+def wide_embedding_files(tmp_path_factory):
+    """Files of 1200 rows, 400 of them factual, with a 256-wide embedding, and the embedding's bytes."""
+    config = default_config(n=400, seed=1, embed_dim=256)
+    dataset = make_pairs(generate(config)[0], config, edits_per_sample=2)
+    paths = save_dataset(dataset, tmp_path_factory.mktemp("wide"))
+    return (paths["samples"], paths["pairs"], paths["schema"]), dataset.embeddings.nbytes
+
+
+def test_load_dataset_copies_no_float_column_it_does_not_read(wide_embedding_files):
+    # every row of the embedding file is checked finite, a 64 KiB block at a time; the peak,
+    # 0.28x the embedding's bytes, is the labels' and pairs' (1.16x when every column is read)
+    files, nbytes = wide_embedding_files
+    loaded, peak = traced_peak(lambda: load_dataset(*files, floats=("outputs",)))
+    assert loaded.embeddings.shape == (1200, 0)
+    assert peak < 0.5 * nbytes, peak / nbytes
+
+
+def test_load_dataset_copies_only_the_rows_it_keeps(wide_embedding_files):
+    files, nbytes = wide_embedding_files
+    loaded, peak = traced_peak(lambda: load_dataset(*files, rows=lambda d: d.fit_rows))
+    assert loaded.embeddings.shape == (400, 256)
+    assert peak < 0.75 * nbytes, peak / nbytes  # 0.50x: the kept third, and no whole matrix

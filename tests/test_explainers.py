@@ -8,6 +8,7 @@ does not pass through the code under test.
 import json
 import warnings
 from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -202,8 +203,11 @@ def test_fit_takes_two_svds(monkeypatch):
         monkeypatch.setattr(namespace, "svd", counting)
         monkeypatch.setattr(namespace, "qr", counting_qr)
     fit_mcce(ds)
-    # the design, then the embedding residual's triangular factor: no (80, 8) left factor
-    assert shapes == [(80, 3), (8, 8)]
+    # the design's u distinct rows, then the embedding residual's triangular factor: no (80, 3)
+    # design and no (80, 8) left factor is factored
+    u = len(np.unique(ds.codes[ds.fit_rows][:, 1]))  # "a" is hidden: the profiles are b's levels
+    assert u < 80
+    assert shapes == [(u, 3), (8, 8)]
     assert qr_calls == [((80, 8), "r")]
 
 
@@ -304,7 +308,7 @@ def test_fit_validation_errors():
     with pytest.raises(ValidationError):
         fit_mcce(ds, target_kind="gold")  # no gold labels present
     with pytest.raises(ValidationError, match="^the embeddings have no column; mcce needs at least one$"):
-        fit_mcce(ds.keep(columns=("outputs",)))
+        fit_mcce(replace(ds, embeddings=np.empty((len(ds), 0))))
 
 
 def test_fit_gold_targets_one_hot():

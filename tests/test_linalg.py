@@ -108,6 +108,25 @@ def test_residualize_exact_fit_leaves_zero():
     assert np.max(np.abs(R)) < 1e-10
 
 
+def test_residualize_on_distinct_rows_equals_the_solve_on_every_row():
+    # rows 0, 2 and 3 share a design row: the solve runs on the two distinct rows,
+    # each weighted by the root of its count
+    rng = np.random.default_rng(8)
+    D = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    group = np.array([0, 1, 0, 0, 1])
+    H, T = rng.standard_normal((5, 4)), rng.standard_normal((5, 2))
+    want = lstsq(D[group], np.hstack([H, T]))
+    sol, R = residualize(D.copy(), (H, T), group)
+    assert np.allclose(sol.coefficients, want.coefficients, atol=1e-12)
+    assert sol.effective_rank == want.effective_rank == 2
+    assert np.allclose(R, np.hstack([H, T]) - D[group] @ want.coefficients, atol=1e-12)
+    for bad in ([0, 1, 0], [0, 0, 0, 0, 0], [0, 1, 2, 0, 1], [0, -1, 0, 0, 1], [0.0, 1.0, 0.0, 0.0, 1.0]):
+        with pytest.raises(ValidationError):
+            residualize(D.copy(), H, np.array(bad))
+    with pytest.raises(ValidationError, match="differ in row count"):
+        residualize(D.copy(), (H, T[:4]), group)
+
+
 # --- truncated_svd ----------------------------------------------------
 
 def test_truncated_svd_diagonal_by_hand():
@@ -127,6 +146,20 @@ def test_truncated_svd_full_rank_reconstruction():
     assert np.allclose(basis.T @ basis, np.eye(6), atol=1e-10)
     # the scores are orthogonal, each with its singular value as norm
     assert np.allclose(scores.T @ scores, np.diag(s**2), atol=1e-8)
+
+
+def test_truncated_svd_of_a_tall_matrix_taken_in_row_blocks_matches_numpy():
+    # 5000 rows of 6 columns are factored 1365 rows at a time; one column repeats another,
+    # so the triangular factor is singular
+    rng = np.random.default_rng(9)
+    R = rng.standard_normal((5000, 6))
+    R[:, 5] = R[:, 0]
+    basis, s = truncated_svd(R)
+    _, want_s, want_vt = np.linalg.svd(R, full_matrices=False)
+    assert np.allclose(s, want_s, rtol=1e-12, atol=1e-10)
+    assert s[-1] < 1e-10 * s[0]
+    for k in range(5):  # the last direction is the null one, identified only by its span
+        assert np.allclose(np.abs(basis[:, k] @ want_vt[k]), 1.0, atol=1e-10)
 
 
 def test_truncated_svd_sign_convention_is_stable():

@@ -22,6 +22,7 @@ import warnings
 from dataclasses import replace
 from functools import reduce
 from operator import add
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -85,9 +86,13 @@ from mcce.data import (
     write_jsonl,
 )
 from mcce.cli import _explain, _pair_seeds, main
-from mcce.explainers import _EFFECT_TYPES, SLEARNER_GRAD_TOL, SLEARNER_MAX_ITER
+from mcce import explainers
+from mcce.explainers import (
+    _EFFECT_TYPES, SLEARNER_GRAD_TOL, SLEARNER_MAX_ITER, TARGET_GOLD, TARGET_OUTPUT, _profile_rows,
+    _resolve_targets,
+)
 from mcce.errors import ValidationError
-from mcce.linalg import lstsq
+from mcce.linalg import lstsq, residualize
 from mcce.synthetic import _one_hot_product, _scores
 
 from coefficients import coefficient_error, visible_blocks
@@ -1009,6 +1014,74 @@ def test_concept_coefficients_are_orthogonal_to_the_design_null_space(dataset):
         model = fit_mcce(dataset, n_pseudo=min(k, n, d))
     for coef in (model.concept_coef, model.embed_coef):
         assert np.abs(null.T @ coef).max(initial=0.0) <= 1e-9 * (1.0 + np.abs(coef).max())
+
+
+# --- the fit on distinct profiles ----------------------------------------------------
+
+
+@st.composite
+def profile_datasets(draw):
+    """A masked dataset whose rows repeat a few visible profiles, with output or gold targets.
+
+    The profiles may leave a level of the first attribute unobserved, and
+    may tie the second attribute's level to the first's, so that their
+    levels co-occur and the design loses rank beyond its blocks.
+    """
+    level_counts = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    schema = ConceptSchema.of(
+        (f"a{i}", tuple(f"l{j}" for j in range(count))) for i, count in enumerate(level_counts)
+    )
+    flags = draw(st.lists(st.booleans(), min_size=len(level_counts), max_size=len(level_counts)))
+    assume(not all(flags))
+    hidden = frozenset(name for name, flag in zip(schema.names, flags) if flag)
+    n, d, q = draw(st.integers(2, 40)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    u = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    profiles = np.column_stack([rng.integers(count, size=u) for count in level_counts])
+    if draw(st.booleans()):  # the first attribute's last level is never observed
+        profiles[:, 0] = np.minimum(profiles[:, 0], level_counts[0] - 2)
+    if len(level_counts) > 1 and draw(st.booleans()):  # the second attribute's level follows the first's
+        profiles[:, 1] = profiles[:, 0] % level_counts[1]
+    codes = profiles[rng.integers(u, size=n)]
+    gold = rng.integers(q, size=n) if draw(st.booleans()) else None
+    embeddings, outputs = rng.standard_normal((n, d)), rng.standard_normal((n, q))
+    dataset = Dataset(schema, [f"r{i}" for i in range(n)], codes, embeddings, outputs, gold,
+                      hidden_attributes=hidden)
+    return dataset, TARGET_OUTPUT if gold is None else TARGET_GOLD
+
+
+def every_row_a_profile(dataset, rows):
+    """`_profile_rows` with each row its own profile: the fit then solves on the (n, p) design."""
+    return rows, np.arange(rows.size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile_datasets())
+def test_the_fit_on_distinct_profiles_equals_the_solve_on_every_row(problem):
+    dataset, kind = problem
+    rows = dataset.fit_rows
+    C = dataset.design_matrix(rows)
+    T = _resolve_targets(dataset, rows, kind)[0]
+    HT = np.hstack([dataset.embeddings[rows], T])
+    want = lstsq(C, HT)
+    first, group = _profile_rows(dataset, rows)
+    assert (dataset.design_matrix(first)[group] == C).all()
+    got, residual = residualize(dataset.design_matrix(first), (dataset.embeddings[rows], T), group)
+    scale = np.abs(want.coefficients).max()
+    assert np.abs(got.coefficients - want.coefficients).max() <= 1e-10 * scale
+    assert got.effective_rank == want.effective_rank
+    assert np.abs(residual - (HT - C @ want.coefficients)).max() <= 1e-10 * np.abs(HT).max()
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small draws interpolate on purpose
+        model = fit_mcce(dataset, target_kind=kind)
+        with mock.patch.object(explainers, "_profile_rows", every_row_a_profile):
+            reference = fit_mcce(dataset, target_kind=kind)
+    assert model.diagnostics["design_rank"] == reference.diagnostics["design_rank"] == want.effective_rank
+    assert model.n_pseudo == reference.n_pseudo
+    for key in ("embed_coef", "concept_coef"):
+        ours, theirs = getattr(model, key), getattr(reference, key)
+        assert np.abs(ours - theirs).max() <= 1e-10 * np.abs(theirs).max(), key
 
 
 # --- synthetic rows: the fixed-order sums -------------------------------------------
